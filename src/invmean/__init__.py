@@ -18,22 +18,17 @@ from .averaging import (
     ContractivityCertificate,
     IndexVector,
     certify_uniform_weak_contractivity,
-    compose,
     contractivity_samples,
     falsify_contractivity,
     is_constant_vector,
     oscillation,
 )
 from .digraph import (
-    CensusMismatch,
     Digraph,
     GraphClassification,
-    SmallGraphCensus,
     TgReport,
     TriStateColoring,
     build_incidence_graph,
-    classify_all_small_graphs,
-    digraph_from_mask,
     in_neighbors,
     is_ergodic,
     is_irreducible,
@@ -48,7 +43,6 @@ from .errors import (
     InternalConsistencyError,
     InvMeanError,
     PreconditionError,
-    ResourceError,
     ShapeError,
     SpecError,
     ValidationError,
@@ -88,7 +82,6 @@ from .specfile import (
     fixture_path,
     load_mapping_spec,
     mapping_spec_from_dict,
-    parse_spec,
     serialize_spec,
 )
 

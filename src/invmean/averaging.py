@@ -42,7 +42,6 @@ __all__ = [
     "CONTRACTIVE_SAMPLED",
     "FALSIFIED",
     "UNKNOWN",
-    "compose",
     "oscillation",
     "certify_uniform_weak_contractivity",
     "falsify_contractivity",
@@ -65,7 +64,9 @@ class IndexVector:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(a) for a in row) for row in self.rows)
+        # the one place alpha indices are checked; everything downstream
+        # (incidence graph, composition, spec files) relies on it
+        rows = tuple(tuple(row) for row in self.rows)
         p = len(rows)
         if p < 1:
             raise ValidationError("index vector needs at least one row")
@@ -73,6 +74,10 @@ class IndexVector:
             if not row:
                 raise ValidationError(f"alpha row {i} is empty")
             for j, a in enumerate(row, start=1):
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise ValidationError(
+                        f"alpha row {i}, position {j}: index {a!r} is not an integer"
+                    )
                 if not 1 <= a <= p:
                     raise ValidationError(
                         f"alpha row {i}, position {j}: index {a} outside 1..{p}"
@@ -81,7 +86,7 @@ class IndexVector:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IndexVector":
-        return cls(tuple(tuple(r) for r in rows))
+        return cls(rows)
 
     @property
     def p(self) -> int:
@@ -120,15 +125,10 @@ class AveragingMapping:
 
 @dataclass(frozen=True)
 class ComposedMapping:
-    """An averaging mapping composed with an index vector, acting on I^p.
-
-    `graph` is the cached incidence graph of `alpha`; build through
-    `compose`, which derives and validates it.
-    """
+    """An averaging mapping composed with an index vector, acting on I^p."""
 
     base: AveragingMapping
     alpha: IndexVector
-    graph: Digraph
 
     def __post_init__(self) -> None:
         if self.alpha.p != self.base.p:
@@ -141,8 +141,11 @@ class ComposedMapping:
                     f"alpha row {i} has {len(row)} indexes, mean {i} ({mean.label!r}) "
                     f"has arity {mean.arity}"
                 )
-        if self.graph != build_incidence_graph(self.alpha, self.base.p):
-            raise ValidationError("cached graph is not the incidence graph of alpha")
+
+    @cached_property
+    def graph(self) -> Digraph:
+        """The incidence graph of `alpha`, derived on first use."""
+        return build_incidence_graph(self.alpha)
 
     @cached_property
     def _rows0(self) -> tuple[tuple[int, ...], ...]:
@@ -188,15 +191,6 @@ class ComposedMapping:
             point = self.apply(point)
             trace.append(point)
         return tuple(trace)
-
-
-def compose(base: AveragingMapping, alpha: IndexVector) -> ComposedMapping:
-    """Build the composed mapping, validating shapes and caching the
-    incidence graph."""
-    if alpha.p != base.p:
-        raise ShapeError(f"index vector has {alpha.p} rows for {base.p} means")
-    graph = build_incidence_graph(alpha, base.p)
-    return ComposedMapping(base=base, alpha=alpha, graph=graph)
 
 
 def oscillation(x: Sequence[float]) -> float:

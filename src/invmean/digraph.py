@@ -22,36 +22,33 @@ The tri-state operator T maps a coloring c: V -> {-1, 0, +1} to the
 coloring that assigns a vertex +1 when all its in-neighbors are +1, -1
 when all are -1, and 0 otherwise.  On an ergodic digraph every coloring
 reaches a constant one within 3^n steps, and that constant is 0 unless
-the start was constant +1 or -1; `tg_stabilize` records the trajectory.
+the start was constant +1 or -1.  T is deterministic on finitely many
+colorings, so every trajectory is constant from some step on or cycles
+through nonconstant colorings forever; `tg_stabilize` records the
+trajectory up to the first constant or first repeated coloring.
 
 Internally adjacency is held as per-vertex bitmasks (bit w-1 of
-out_masks[v-1] set iff edge (v, w)), which keeps the exhaustive census
-over all 2^(n^2) small digraphs fast without any array dependency.
+out_masks[v-1] set iff edge (v, w)), which keeps classification fast
+without any array dependency.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    InternalConsistencyError,
-    PreconditionError,
-    ResourceError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import InternalConsistencyError, PreconditionError, ShapeError, ValidationError
+
+if TYPE_CHECKING:
+    from .averaging import IndexVector
 
 __all__ = [
     "Digraph",
     "TriStateColoring",
     "GraphClassification",
     "TgReport",
-    "CensusMismatch",
-    "SmallGraphCensus",
     "build_incidence_graph",
     "in_neighbors",
     "is_irreducible",
@@ -60,8 +57,6 @@ __all__ = [
     "uniform_walk_length",
     "tg_step",
     "tg_stabilize",
-    "classify_all_small_graphs",
-    "digraph_from_mask",
 ]
 
 
@@ -122,18 +117,8 @@ class TriStateColoring:
             raise ValidationError("coloring must cover at least one vertex")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int], n_vertices: int) -> "TriStateColoring":
-        try:
-            return cls(tuple(mapping[v] for v in range(1, n_vertices + 1)))
-        except KeyError as exc:
-            raise ValidationError(f"coloring missing vertex {exc.args[0]}") from None
-
     def value(self, v: int) -> int:
         return self.values[v - 1]
-
-    def as_dict(self) -> dict[int, int]:
-        return {v + 1: c for v, c in enumerate(self.values)}
 
     @property
     def is_constant(self) -> bool:
@@ -167,50 +152,32 @@ class GraphClassification:
 
 @dataclass(frozen=True)
 class TgReport:
-    """Result of iterating the tri-state operator from a start coloring."""
+    """Result of iterating the tri-state operator from a start coloring.
+
+    `repeats_step` is the index of the earlier trace entry that `final`
+    repeats, when the run stopped on a cycle of nonconstant colorings.
+    """
 
     final: TriStateColoring
     steps_to_constant: int | None
     constant_value: int | None
     trace: tuple[TriStateColoring, ...]
+    repeats_step: int | None = None
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def build_incidence_graph(alpha, p: int) -> Digraph:
+def build_incidence_graph(alpha: IndexVector) -> Digraph:
     """Incidence graph of an index vector: an edge from alpha[i][j] to i+1
     for every row i and position j ("argument k feeds coordinate i").
 
-    `alpha` is an IndexVector or any sequence of p index rows with entries
-    in 1..p.  Duplicate edges collapse.
+    Duplicate edges collapse.  The IndexVector has already checked that
+    every index lies in 1..p.
     """
-    rows = alpha.rows if hasattr(alpha, "rows") else tuple(tuple(r) for r in alpha)
-    if not isinstance(p, int) or p < 1:
-        raise ValidationError(f"p must be a positive integer, got {p!r}")
-    if len(rows) != p:
-        raise ValidationError(f"index vector has {len(rows)} rows, expected p={p}")
-    edges = set()
-    for i, row in enumerate(rows, start=1):
-        if not row:
-            raise ValidationError(f"alpha row {i} is empty")
-        for j, a in enumerate(row, start=1):
-            if not isinstance(a, int) or not 1 <= a <= p:
-                raise ValidationError(f"alpha row {i}, position {j}: index {a!r} outside 1..{p}")
-            edges.add((a, i))
-    return Digraph(p, frozenset(edges))
-
-
-def digraph_from_mask(n: int, mask: int) -> Digraph:
-    """Decode the census encoding: bit (v-1)*n + (w-1) set iff edge (v, w)."""
-    edges = {
-        (v, w)
-        for v in range(1, n + 1)
-        for w in range(1, n + 1)
-        if mask >> ((v - 1) * n + (w - 1)) & 1
-    }
-    return Digraph(n, frozenset(edges))
+    edges = frozenset((a, i) for i, row in enumerate(alpha.rows, start=1) for a in row)
+    return Digraph(alpha.p, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -445,138 +412,29 @@ def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
 
 
 def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None) -> TgReport:
-    """Iterate tg_step until the coloring is constant or max_steps is hit.
+    """Iterate tg_step until the coloring is constant, repeats an earlier
+    coloring, or max_steps is hit.
 
-    max_steps defaults to 3^n, which on an ergodic graph always suffices.
     steps_to_constant is the first index at which the coloring is constant
-    (0 when c0 already is); None with constant_value None when the cap is
-    reached, as happens on periodic graphs.
+    (0 when c0 already is).  A repeated nonconstant coloring proves that
+    the trajectory never becomes constant, as happens on periodic graphs:
+    the run stops there with steps_to_constant and constant_value None and
+    the repeat as the last trace entry.  Without max_steps one of the two
+    always happens within 3^n steps.
     """
-    if max_steps is None:
-        max_steps = 3 ** g.n_vertices
-    if max_steps < 1:
+    if max_steps is not None and max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-    trace = [c0]
     c = c0
-    if c.is_constant:
-        return TgReport(c, 0, c.constant_value, tuple(trace))
-    for k in range(1, max_steps + 1):
+    trace = [c]
+    seen = {c.values: 0}
+    k = 0
+    while not c.is_constant:
+        if k == max_steps:
+            return TgReport(c, None, None, tuple(trace))
         c = tg_step(g, c)
+        k += 1
         trace.append(c)
-        if c.is_constant:
-            return TgReport(c, k, c.constant_value, tuple(trace))
-    return TgReport(c, None, None, tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive small-graph census
-
-
-@dataclass(frozen=True)
-class CensusMismatch:
-    """One digraph where the production classifier and the brute-force
-    oracle disagreed; triples are (irreducible, period, ergodic)."""
-
-    n: int
-    edge_mask: int
-    production: tuple
-    oracle: tuple
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return digraph_from_mask(self.n, self.edge_mask).sorted_edges()
-
-
-@dataclass(frozen=True)
-class SmallGraphCensus:
-    """Outcome of classifying every digraph on n vertices twice."""
-
-    n: int
-    total: int
-    mismatches: tuple[CensusMismatch, ...]
-    irreducible_count: int
-    ergodic_count: int
-    ergodic_masks: tuple[int, ...]
-
-    @property
-    def agreed(self) -> bool:
-        return not self.mismatches
-
-
-def _candidate_simple_cycles(n: int) -> list[tuple[int, int]]:
-    """All simple directed cycles on n labelled vertices as
-    (edge_mask, length), each cycle listed once (smallest vertex first)."""
-    cycles = []
-    for k in range(1, n + 1):
-        for verts in itertools.permutations(range(n), k):
-            if verts[0] != min(verts):
-                continue
-            mask = 0
-            for i in range(k):
-                a = verts[i]
-                b = verts[(i + 1) % k]
-                mask |= 1 << (a * n + b)
-            cycles.append((mask, k))
-    return cycles
-
-
-def _oracle_classify(edge_mask: int, out_masks: Sequence[int], n: int,
-                     cycles: Sequence[tuple[int, int]]) -> tuple[bool, int | None]:
-    """(irreducible, period) by brute force: period is the gcd over every
-    simple cycle actually present, irreducibility is all-pairs reachability
-    accumulated over walk lengths 1..n."""
-    g = 0
-    for cmask, length in cycles:
-        if edge_mask & cmask == cmask:
-            g = math.gcd(g, length)
-    per = g if g > 0 else None
-    full = (1 << n) - 1
-    power = list(out_masks)
-    reach = list(out_masks)
-    for _ in range(n - 1):
-        power = _bool_matmul(power, out_masks, n)
-        for v in range(n):
-            reach[v] |= power[v]
-    irreducible = all(row == full for row in reach)
-    return irreducible, per
-
-
-def classify_all_small_graphs(n: int) -> SmallGraphCensus:
-    """Classify every digraph on n vertices (2^(n^2) of them) with both the
-    production algorithm and the brute-force oracle; report disagreements.
-
-    Limited to n <= 4: the count is 2^(n^2) and n = 5 would already mean
-    33 million graphs.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if n > 4:
-        raise ResourceError(f"census limited to n <= 4 (2^{n * n} graphs requested)")
-    cycles = _candidate_simple_cycles(n)
-    total = 1 << (n * n)
-    row_mask = (1 << n) - 1
-    mismatches = []
-    irreducible_count = 0
-    ergodic_count = 0
-    ergodic_masks = []
-    for edge_mask in range(total):
-        out_masks = [(edge_mask >> (v * n)) & row_mask for v in range(n)]
-        irr, per = _classify_masks(out_masks, n)
-        erg = irr and per == 1
-        o_irr, o_per = _oracle_classify(edge_mask, out_masks, n, cycles)
-        o_erg = o_irr and o_per == 1
-        if (irr, per, erg) != (o_irr, o_per, o_erg):
-            mismatches.append(CensusMismatch(n, edge_mask, (irr, per, erg), (o_irr, o_per, o_erg)))
-        if irr:
-            irreducible_count += 1
-        if erg:
-            ergodic_count += 1
-            ergodic_masks.append(edge_mask)
-    return SmallGraphCensus(
-        n=n,
-        total=total,
-        mismatches=tuple(mismatches),
-        irreducible_count=irreducible_count,
-        ergodic_count=ergodic_count,
-        ergodic_masks=tuple(ergodic_masks),
-    )
+        if c.values in seen:
+            return TgReport(c, None, None, tuple(trace), repeats_step=seen[c.values])
+        seen[c.values] = k
+    return TgReport(c, k, c.constant_value, tuple(trace))

@@ -27,10 +27,6 @@ class PreconditionError(InvMeanError, ValueError):
     """An operation was called outside its stated precondition."""
 
 
-class ResourceError(InvMeanError, ValueError):
-    """The request would enumerate more objects than the hard limit allows."""
-
-
 class ConvergenceError(InvMeanError, RuntimeError):
     """An iteration whose limit is the requested result did not converge."""
 

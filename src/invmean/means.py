@@ -167,12 +167,17 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     n = len(xs)
     s = spec.order
     if s == 0.0:
-        prod = math.prod(xs)
-        if math.isfinite(prod) and prod >= sys.float_info.min:
-            val = prod ** (1.0 / n)
+        # every partial product lies between min(1, lo^n) and max(1, hi^n)
+        if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
+            val = math.prod(xs) ** (1.0 / n)
         else:
-            # product left the normal range; average the logarithms instead
-            val = math.exp(math.fsum(math.log(t) for t in xs) / n)
+            # a partial product could leave the normal range and lose bits:
+            # multiply the mantissas, split the exponent sum as q*n + r and
+            # take the n-th root of mantissa * 2^r only, so 2^q is exact
+            parts = [math.frexp(t) for t in xs]
+            q, r = divmod(sum(e for _, e in parts), n)
+            mant = math.ldexp(math.prod(m for m, _ in parts), r)
+            val = math.ldexp(mant ** (1.0 / n), q)
     else:
         val = None
         if abs(s) < 1e-2:
@@ -321,7 +326,8 @@ def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> MeanPrope
 
 
 def validate_mean(m: Mean, rng: Random | None = None, n_samples: int = 128) -> Mean:
-    """Falsification pass that hard-errors on any violation; used at load time.
+    """Falsification pass that hard-errors on any violation, for means
+    built outside the library.
 
     Returns the mean unchanged so it can be used inline.
     """

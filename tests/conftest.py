@@ -6,6 +6,8 @@ import pytest
 
 import invmean as iv
 
+from census import classify_all_small_graphs
+
 
 def _build(name: str) -> iv.ComposedMapping:
     return iv.load_mapping_spec(iv.fixture_path(name)).build()
@@ -38,7 +40,7 @@ def ex6():
 
 @pytest.fixture(scope="session")
 def census4():
-    return iv.classify_all_small_graphs(4)
+    return classify_all_small_graphs(4)
 
 
 @pytest.fixture

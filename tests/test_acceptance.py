@@ -15,8 +15,6 @@ from invmean import (
     FALSIFIED,
     TriStateColoring,
     check_oscillation_monotonicity,
-    classify_all_small_graphs,
-    digraph_from_mask,
     falsify_contractivity,
     invariant_mean_eval,
     is_ergodic,
@@ -27,6 +25,8 @@ from invmean import (
     verify_invariance,
     verify_mean_properties,
 )
+
+from census import classify_all_small_graphs, digraph_from_mask
 
 CENSUS_BUDGET_SECONDS = 5.0
 

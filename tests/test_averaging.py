@@ -12,13 +12,13 @@ from invmean import (
     FALSIFIED,
     UNKNOWN,
     AveragingMapping,
+    ComposedMapping,
     IndexVector,
     Mean,
     MeanFlags,
     POSITIVE_REALS,
     PowerMeanSpec,
     certify_uniform_weak_contractivity,
-    compose,
     falsify_contractivity,
     make_power_mean,
     oscillation,
@@ -31,13 +31,13 @@ def power_base(orders, arity=2):
 
 
 def example2_mapping():
-    return compose(power_base((-1.0, 0.0, 1.0, 2.0)),
-                   IndexVector.from_rows(((1, 2), (2, 3), (3, 4), (4, 1))))
+    return ComposedMapping(power_base((-1.0, 0.0, 1.0, 2.0)),
+                           IndexVector.from_rows(((1, 2), (2, 3), (3, 4), (4, 1))))
 
 
 def example3_mapping():
-    return compose(power_base((-1.0, 1.0, -1.0, 1.0)),
-                   IndexVector.from_rows(((1, 2), (1, 2), (3, 4), (3, 4))))
+    return ComposedMapping(power_base((-1.0, 1.0, -1.0, 1.0)),
+                           IndexVector.from_rows(((1, 2), (1, 2), (3, 4), (3, 4))))
 
 
 class TestCompose:
@@ -57,26 +57,34 @@ class TestCompose:
 
     def test_identity_on_one_variable(self):
         base = power_base((1.0,), arity=1)
-        m = compose(base, IndexVector.from_rows(((1,),)))
+        m = ComposedMapping(base, IndexVector.from_rows(((1,),)))
         assert m.apply((3.7,)) == (3.7,)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(iv.ValidationError, match="outside 1..4"):
             IndexVector.from_rows(((1, 2), (2, 3), (3, 4), (4, 5)))
 
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, "2"])
+    def test_non_integer_index_rejected(self, bad):
+        # no silent int(): 1.7 must not become 1
+        with pytest.raises(iv.ValidationError, match="row 1, position 2: .* not an integer"):
+            IndexVector.from_rows(((1, bad), (1, 2)))
+
     def test_arity_mismatch_rejected(self):
         base = power_base((-1.0, 1.0), arity=2)
         with pytest.raises(iv.ShapeError, match="row 2"):
-            compose(base, IndexVector.from_rows(((1, 2), (1,))))
+            ComposedMapping(base, IndexVector.from_rows(((1, 2), (1,))))
 
     def test_row_count_mismatch_rejected(self):
         base = power_base((-1.0, 1.0), arity=2)
         with pytest.raises(iv.ShapeError):
-            compose(base, IndexVector.from_rows(((1, 1),)))
+            ComposedMapping(base, IndexVector.from_rows(((1, 1),)))
 
     def test_graph_is_cached_incidence_graph(self):
         m = example2_mapping()
-        assert m.graph == iv.build_incidence_graph(m.alpha, 4)
+        assert m.graph == iv.build_incidence_graph(m.alpha)
+        assert m.graph is m.graph  # derived once, then cached
+        assert m == example2_mapping()  # the cache is not part of equality
 
     def test_means_must_share_interval(self):
         narrow = iv.Interval(1.0, 5.0)
@@ -148,7 +156,7 @@ class TestApply:
         for i in range(4):
             new_means[perm[i]] = base_means[i]
             new_rows[perm[i]] = tuple(perm[a - 1] + 1 for a in m.alpha.rows[i])
-        conj = compose(
+        conj = ComposedMapping(
             AveragingMapping(means=tuple(new_means), interval=POSITIVE_REALS),
             IndexVector.from_rows(new_rows),
         )
@@ -226,8 +234,8 @@ class TestCertify:
         assert cert.n0 is None
 
     def test_periodic_unknown(self):
-        m = compose(power_base((-1.0, 1.0, -1.0, 1.0)),
-                    IndexVector.from_rows(((3, 4), (3, 4), (1, 2), (1, 2))))
+        m = ComposedMapping(power_base((-1.0, 1.0, -1.0, 1.0)),
+                            IndexVector.from_rows(((3, 4), (3, 4), (1, 2), (1, 2))))
         cert = certify_uniform_weak_contractivity(m)
         assert cert.status == UNKNOWN
         assert "period 2" in cert.evidence
@@ -244,7 +252,7 @@ class TestCertify:
             means=(maxmean, make_power_mean(PowerMeanSpec(1.0, 2))),
             interval=POSITIVE_REALS,
         )
-        m = compose(base, IndexVector.from_rows(((1, 2), (2, 1))))
+        m = ComposedMapping(base, IndexVector.from_rows(((1, 2), (2, 1))))
         cert = certify_uniform_weak_contractivity(m)
         assert cert.status == UNKNOWN
         assert "strictness not asserted" in cert.evidence

@@ -154,7 +154,36 @@ class TestTg:
         assert code == 0
         assert data["steps_to_constant"] is None
         assert data["constant_value"] is None
-        assert len(data["trace"]) == 82  # c0 plus 3^4 steps
+        # c0, its swap, then c0 again: the first repeat ends the run
+        assert len(data["trace"]) == 3
+        assert data["trace"][2] == data["trace"][0]
+
+    def test_periodic_human_output_names_the_repeat(self, capsys):
+        code, out, _ = run(capsys, "tg", EX6, "1,1,-1,-1")
+        assert code == 0
+        assert out.splitlines()[-1] == "never constant: step 2 repeats step 0"
+
+    def test_negative_first_entry_needs_no_separator(self, capsys):
+        code, data, _ = run_json(capsys, "tg", EX6, "-1,0,1,0", "--json")
+        assert code == 0
+        assert data["trace"][0] == [-1, 0, 1, 0]
+        code, plain, _ = run_json(capsys, "tg", EX6, "--json", "--", "-1,0,1,0")
+        assert plain == data
+
+    def test_ten_cycle_stops_at_first_repeat(self, capsys, tmp_path):
+        spec = tmp_path / "cycle10.json"
+        spec.write_text(json.dumps({
+            "p": 10,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "arithmetic", "arity": 1}] * 10,
+            "alpha": [[(i - 1) % 10 or 10] for i in range(1, 11)],
+        }))
+        c0 = "1,-1,0,0,0,0,0,0,0,0"
+        code, data, _ = run_json(capsys, "tg", str(spec), c0, "--json")
+        assert code == 0
+        assert data["steps_to_constant"] is None and data["constant_value"] is None
+        assert len(data["trace"]) == 11  # ten rotations back to c0, not 3^10 + 1
+        assert data["trace"][10] == data["trace"][0]
 
     def test_bad_coloring_exits_one(self, capsys):
         code, _, err = run(capsys, "tg", EX2, "1,0,2,0")
@@ -230,6 +259,33 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", EX2, "--samples", "500", "--seed", "42")
         assert code == 0
         assert "verdict: all checks passed" in out
+
+    def test_huge_order_loads_and_fails_mean_property(self, capsys, tmp_path):
+        # P_1e17 rounds to max(x): loading accepts it, verify falsifies it
+        raw = json.loads(fixture_path("example2.json").read_text())
+        raw["means"][3] = {"kind": "power", "order": 1e17, "arity": 2}
+        spec = tmp_path / "huge_order.json"
+        spec.write_text(json.dumps(raw))
+        code, _, _ = run(capsys, "analyze", str(spec))
+        assert code == 0
+        code, data, _ = run_json(capsys, "verify", str(spec), "--samples", "4", "--json")
+        assert code == 2
+        by_name = {c["name"]: c for c in data["checks"]}
+        assert by_name["mean-property"]["status"] == "fail"
+
+    def test_homogeneity_precondition_reported_as_skip(self, capsys, tmp_path):
+        raw = json.loads(fixture_path("example2.json").read_text())
+        raw["interval"] = {"lower": 1, "upper": 5}
+        spec = tmp_path / "bounded.json"
+        spec.write_text(json.dumps(raw))
+        code, data, _ = run_json(capsys, "verify", str(spec), "--samples", "4", "--json")
+        by_name = {c["name"]: c for c in data["checks"]}
+        assert by_name["homogeneous"] == {
+            "name": "homogeneous",
+            "status": "skip",
+            "detail": "homogeneity needs the domain (0, +inf), got (1, 5)",
+        }
+        assert by_name["strict"]["status"] == "pass"
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", EX5, "--samples", "25", "--seed", "3", "--json")

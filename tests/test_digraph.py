@@ -1,7 +1,7 @@
 """Graph construction, classification, walk lengths, tri-state dynamics.
 
 The classifier is checked three ways: against hand-read edge sets of the
-bundled mappings, against the package's own census oracle, and (for
+bundled mappings, against the census oracle in census.py, and (for
 n <= 3, exhaustively) against a second brute-force oracle written here
 with sets instead of bitmasks.
 """
@@ -19,8 +19,6 @@ from invmean import (
     IndexVector,
     TriStateColoring,
     build_incidence_graph,
-    classify_all_small_graphs,
-    digraph_from_mask,
     in_neighbors,
     is_ergodic,
     is_irreducible,
@@ -30,6 +28,8 @@ from invmean import (
     uniform_walk_length,
 )
 
+from census import classify_all_small_graphs, digraph_from_mask
+
 # incidence graphs of the bundled index vectors
 ALPHA2 = ((1, 2), (2, 3), (3, 4), (4, 1))
 ALPHA3 = ((1, 2), (1, 2), (3, 4), (3, 4))
@@ -37,20 +37,24 @@ ALPHA5 = ((1, 2), (1, 2), (2, 4), (3, 4))
 ALPHA6 = ((3, 4), (3, 4), (1, 2), (1, 2))
 
 
+def incidence(rows) -> Digraph:
+    return build_incidence_graph(IndexVector.from_rows(rows))
+
+
 def graph2() -> Digraph:
-    return build_incidence_graph(ALPHA2, 4)
+    return incidence(ALPHA2)
 
 
 def graph3() -> Digraph:
-    return build_incidence_graph(ALPHA3, 4)
+    return incidence(ALPHA3)
 
 
 def graph5() -> Digraph:
-    return build_incidence_graph(ALPHA5, 4)
+    return incidence(ALPHA5)
 
 
 def graph6() -> Digraph:
-    return build_incidence_graph(ALPHA6, 4)
+    return incidence(ALPHA6)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +138,21 @@ class TestBuildIncidenceGraph:
         )
 
     def test_identity_composition(self):
-        g = build_incidence_graph(((1,),), 1)
+        g = incidence(((1,),))
         assert g.edges == frozenset({(1, 1)})
 
     def test_out_of_range_index(self):
+        # the index vector rejects it before any graph is built
         with pytest.raises(iv.ValidationError, match="outside 1..4"):
-            build_incidence_graph(((1, 2), (2, 3), (3, 4), (4, 5)), 4)
+            incidence(((1, 2), (2, 3), (3, 4), (4, 5)))
 
     def test_accepts_index_vector(self):
-        g = build_incidence_graph(IndexVector.from_rows(ALPHA2), 4)
-        assert g == graph2()
+        g = build_incidence_graph(IndexVector.from_rows(ALPHA2))
+        assert g.n_vertices == 4
+        assert g == Digraph(4, frozenset((a, i) for i, row in enumerate(ALPHA2, 1) for a in row))
 
     def test_duplicates_collapse(self):
-        g = build_incidence_graph(((1, 1, 1),), 1)
+        g = incidence(((1, 1, 1),))
         assert g.edges == frozenset({(1, 1)})
 
 
@@ -286,9 +292,28 @@ class TestTgStabilize:
         report = tg_stabilize(graph6(), TriStateColoring((1, 1, -1, -1)))
         assert report.steps_to_constant is None
         assert report.constant_value is None
-        # the labels shuttle between the two blocks forever
+        # the labels shuttle between the two blocks forever; the run stops
+        # at the first repeat
         assert report.trace[1].values == (-1, -1, 1, 1)
         assert report.trace[2].values == (1, 1, -1, -1)
+        assert len(report.trace) == 3
+        assert report.repeats_step == 0
+
+    def test_directed_cycle_stops_at_first_repeat(self):
+        # on the 10-cycle the tri-state step is a rotation: the coloring
+        # comes back after 10 steps, long before the 3^10 cap
+        g = incidence(tuple(((i - 1) % 10 or 10,) for i in range(1, 11)))
+        c0 = TriStateColoring((1, -1, 0, 0, 0, 0, 0, 0, 0, 0))
+        report = tg_stabilize(g, c0)
+        assert report.steps_to_constant is None and report.constant_value is None
+        assert len(report.trace) == 11
+        assert report.final == c0 and report.repeats_step == 0
+        assert len(set(c.values for c in report.trace[:-1])) == 10
+
+    def test_cap_still_applies(self):
+        report = tg_stabilize(graph6(), TriStateColoring((1, 1, -1, -1)), max_steps=1)
+        assert len(report.trace) == 2
+        assert report.steps_to_constant is None and report.repeats_step is None
 
     def test_trace_starts_at_c0(self):
         c0 = TriStateColoring((0, 1, 0, -1))
@@ -329,7 +354,7 @@ class TestCensus:
         assert census.agreed
 
     def test_five_vertices_refused(self):
-        with pytest.raises(iv.ResourceError):
+        with pytest.raises(ValueError, match="n <= 4"):
             classify_all_small_graphs(5)
 
     @pytest.mark.parametrize("n", [1, 2, 3])

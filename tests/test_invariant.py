@@ -3,6 +3,7 @@
 import math
 from random import Random
 
+import mpmath
 import pytest
 
 import invmean as iv
@@ -18,7 +19,43 @@ from invmean import (
 )
 
 
+def mp_invariant_mean(orders, rows, x0, digits=50):
+    """K(x0) by iterating the same mapping in `digits`-digit arithmetic
+    until the oscillation is below 10^-(digits-10) relative."""
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(t) for t in x0]
+        eps = mpmath.mpf(10) ** (10 - digits)
+        while max(x) - min(x) > eps * max(x):
+            nxt = []
+            for s, row in zip(orders, rows):
+                args = [x[a - 1] for a in row]
+                if s == 0:
+                    nxt.append(mpmath.root(mpmath.fprod(args), len(args)))
+                else:
+                    s = mpmath.mpf(s)
+                    nxt.append((mpmath.fsum(t ** s for t in args) / len(args)) ** (1 / s))
+            x = nxt
+        return x[0]
+
+
 class TestInvariantMeanEval:
+    def test_enclosure_through_subnormal_geometric_product(self):
+        # the order-0 row multiplies (1e-160, 1e-160, 1e100), whose partial
+        # product is subnormal; the enclosure used to miss by 100 radii
+        orders = (0.0, 2.0, 5.0, 1.0)
+        rows = ((1, 2, 3), (2, 3), (3, 4), (4, 1))
+        means = tuple(
+            iv.make_power_mean(iv.PowerMeanSpec(s, len(r))) for s, r in zip(orders, rows)
+        )
+        m = iv.ComposedMapping(
+            iv.AveragingMapping(means, iv.POSITIVE_REALS), iv.IndexVector.from_rows(rows)
+        )
+        x0 = (1e-160, 1e-160, 1e100, 1e299)
+        report = invariant_mean_eval(m, x0)
+        assert report.converged
+        want = mp_invariant_mean(orders, rows, x0)
+        assert abs(mpmath.mpf(report.value) - want) <= report.error_radius
+
     def test_constant_start_needs_no_iterations(self, ex2):
         report = invariant_mean_eval(ex2, (3.0, 3.0, 3.0, 3.0))
         assert report.converged
@@ -193,7 +230,7 @@ class TestVerifyMeanProperties:
             means=(maxmean, iv.make_power_mean(iv.PowerMeanSpec(1.0, 2))),
             interval=iv.POSITIVE_REALS,
         )
-        m = iv.compose(base, iv.IndexVector.from_rows(((1, 2), (2, 1))))
+        m = iv.ComposedMapping(base, iv.IndexVector.from_rows(((1, 2), (2, 1))))
         with pytest.raises(iv.PreconditionError, match="strict flag not asserted"):
             verify_mean_properties(m, "strict", rng=Random(5), n_samples=10)
 
@@ -220,7 +257,7 @@ class TestSingleCoordinate:
             means=(iv.make_power_mean(iv.PowerMeanSpec(1.0, 1)),),
             interval=iv.POSITIVE_REALS,
         )
-        return iv.compose(base, iv.IndexVector.from_rows(((1,),)))
+        return iv.ComposedMapping(base, iv.IndexVector.from_rows(((1,),)))
 
     def test_invariant_is_identity(self, identity):
         report = invariant_mean_eval(identity, (4.2,))

@@ -97,12 +97,30 @@ class TestPowerMeanValues:
         assert got == pytest.approx(mp_power_mean(6.0, (1e200, 1e199)), rel=1e-12)
         spec = PowerMeanSpec(-8.0, 2)
         got = power_mean_eval(spec, (1e-120, 1e-119))
-        assert got == pytest.approx(mp_power_mean(-8.0, (1e-120, 1e-119)), rel=1e-12)
+        # abs=0: approx's default absolute slack of 1e-12 would dwarf 1e-120
+        assert got == pytest.approx(mp_power_mean(-8.0, (1e-120, 1e-119)), rel=1e-12, abs=0.0)
 
     def test_geometric_overflow_falls_back_to_logs(self):
         xs = (1e300, 1e300, 1e300, 1e-300)
         got = power_mean_eval(PowerMeanSpec(0.0, 4), xs)
         assert got == pytest.approx(mp_power_mean(0.0, xs), rel=1e-12)
+
+    def test_geometric_subnormal_partial_product_stays_accurate(self):
+        # math.prod passes through 1e-320, a subnormal, on the way to 1e-220;
+        # the cube root of that product was 3.7e-6 off
+        xs = (1e-160, 1e-160, 1e100)
+        got = power_mean_eval(PowerMeanSpec(0.0, 3), xs)
+        assert got == pytest.approx(mp_power_mean(0.0, xs), rel=1e-15, abs=0.0)
+
+    def test_geometric_exponent_split_matches_oracle(self, rng):
+        # one argument below 1e-200 and n >= 4 force the exponent split
+        for _ in range(300):
+            n = rng.randint(4, 7)
+            xs = (10.0 ** rng.uniform(-300, -200),) + tuple(
+                10.0 ** rng.uniform(-300, 300) for _ in range(n - 1)
+            )
+            got = power_mean_eval(PowerMeanSpec(0.0, n), xs)
+            assert got == pytest.approx(mp_power_mean(0.0, xs), rel=1e-15, abs=0.0), xs
 
     @pytest.mark.parametrize("order", [1e-300, 1e-30, -1e-12, 1e-5, -1e-4])
     def test_tiny_nonzero_orders_stay_accurate(self, order):

@@ -33,7 +33,7 @@ def composed_mappings(draw, min_p=2, max_p=5):
         iv.make_power_mean(iv.PowerMeanSpec(draw(orders), d)) for d in arities
     )
     base = iv.AveragingMapping(means=means, interval=iv.POSITIVE_REALS)
-    return iv.compose(base, iv.IndexVector.from_rows(rows))
+    return iv.ComposedMapping(base, iv.IndexVector.from_rows(rows))
 
 
 @st.composite

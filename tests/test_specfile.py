@@ -11,7 +11,6 @@ from invmean import (
     fixture_path,
     load_mapping_spec,
     mapping_spec_from_dict,
-    parse_spec,
     serialize_spec,
 )
 
@@ -36,11 +35,20 @@ class TestParsing:
         assert spec.alpha.rows == ((1, 2), (2, 3), (3, 4), (4, 1))
         assert spec.interval.lower == 0.0 and math.isinf(spec.interval.upper)
 
-    def test_parse_spec_returns_base_and_alpha(self):
-        base, alpha = parse_spec(fixture_path("example2.json"))
+    def test_build_returns_base_and_alpha(self):
+        mapping = load_mapping_spec(fixture_path("example2.json")).build()
+        base, alpha = mapping.base, mapping.alpha
         assert base.p == 4
         assert [m.label for m in base.means] == ["P_-1", "P_0", "P_1", "P_2"]
         assert alpha.p == 4
+
+    def test_huge_order_loads_without_sampling(self):
+        # P_1e17 rounds to max(x) on nonconstant inputs, so it is not strict
+        # in floating point; loading runs no sampling pass and accepts it
+        raw = minimal_spec_dict()
+        raw["means"][1] = {"kind": "power", "order": 1e17, "arity": 2}
+        mapping = mapping_spec_from_dict(raw).build()
+        assert mapping.apply((1.0, 2.0))[1] == 2.0
 
     def test_text_and_path_dispatch(self, tmp_path):
         text = json.dumps(minimal_spec_dict())
@@ -109,6 +117,12 @@ class TestSchemaErrors:
         raw = minimal_spec_dict()
         raw["alpha"][0][0] = 1.5
         with pytest.raises(iv.SpecError, match="not an integer"):
+            mapping_spec_from_dict(raw)
+
+    def test_boolean_index(self):
+        raw = minimal_spec_dict()
+        raw["alpha"][1][0] = True
+        with pytest.raises(iv.SpecError, match="row 2, position 1: index True is not an integer"):
             mapping_spec_from_dict(raw)
 
     def test_invalid_json_text(self):
