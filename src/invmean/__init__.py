@@ -48,12 +48,9 @@ from .errors import (
     ValidationError,
 )
 from .invariant import (
-    CheckReport,
     ConvergenceReport,
     ResidueLimit,
-    SolveReport,
     SubsequenceLimits,
-    Witness,
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
@@ -65,12 +62,12 @@ from .invariant import (
 )
 from .means import (
     POSITIVE_REALS,
+    CheckReport,
     Interval,
     Mean,
     MeanFlags,
-    MeanPropertyReport,
-    MeanPropertyViolation,
     PowerMeanSpec,
+    Witness,
     check_mean_property,
     make_power_mean,
     power_mean_eval,

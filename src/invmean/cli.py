@@ -28,7 +28,6 @@ from .averaging import (
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
-    Witness,
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
@@ -36,7 +35,7 @@ from .invariant import (
     verify_invariance,
     verify_mean_properties,
 )
-from .means import check_mean_property
+from .means import Witness, check_mean_property
 from .specfile import MappingSpec, load_mapping_spec
 from .version import __version__
 
@@ -250,12 +249,9 @@ def cmd_verify(args) -> int:
     n = args.samples
     checks: list[dict] = []
 
-    mp_violations = 0
-    mp_points = 0
-    for mean in mapping.base.means:
-        rep = check_mean_property(mean, rng, n)
-        mp_points += rep.n_points
-        mp_violations += len(rep.violations)
+    mp_reports = [check_mean_property(mean, rng, n) for mean in mapping.base.means]
+    mp_points = sum(rep.n_samples for rep in mp_reports)
+    mp_violations = sum(len(rep.violations) for rep in mp_reports)
     checks.append(
         _check_entry(
             "mean-property",

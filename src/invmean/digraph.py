@@ -74,8 +74,10 @@ class Digraph:
         n = self.n_vertices
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"n_vertices must be a positive integer, got {n!r}")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
+        edges = frozenset((a, b) for a, b in self.edges)
         for a, b in edges:
+            if type(a) is not int or type(b) is not int:  # also rejects bool
+                raise ValidationError(f"edge ({a!r}, {b!r}) has a non-integer vertex")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValidationError(f"edge ({a}, {b}) outside vertex range 1..{n}")
         object.__setattr__(self, "edges", edges)
@@ -109,9 +111,9 @@ class TriStateColoring:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(self.values)
         for v in vals:
-            if v not in (-1, 0, 1):
+            if type(v) is not int or v not in (-1, 0, 1):  # also rejects bool
                 raise ValidationError(f"coloring value {v!r} not in {{-1, 0, 1}}")
         if not vals:
             raise ValidationError("coloring must cover at least one vertex")

@@ -4,9 +4,12 @@ Iterating a mean-type mapping never widens the bracket: min(M^n(x)) is
 nondecreasing and max(M^n(x)) is nonincreasing in n, so the oscillation
 max - min of the iterates can only shrink.  When it shrinks to zero the
 iterates converge to a constant vector (K(x), ..., K(x)); K is the
-unique mean invariant under the mapping, and the midpoint of the final
-bracket estimates K(x) with certified radius oscillation/2 regardless
-of the convergence speed.
+unique mean invariant under the mapping.  The midpoint of the final
+floating-point bracket estimates K(x), and the radius oscillation/2
+bounds the distance from it to either end of that bracket.  No rounding
+term is added: when the bracket collapses to one float the radius reads
+0 although K(x) may differ from that float in its last bits, so the
+radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  Non-convergence (periodic or
 disconnected incidence structure) is a structured report, never an
@@ -16,9 +19,11 @@ residue class modulo m separately with a per-coordinate Cauchy test,
 which handles limits that are not constant vectors.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
-`solve_invariant_equation`) are sampling falsifiers in the same spirit
-as `check_mean_property`: violations are data with witnesses, and a
-clean sweep is evidence, not proof.
+`check_oscillation_monotonicity`, `check_bracket_dichotomy`,
+`solve_invariant_equation`) are sampling falsifiers run by `means.sweep`,
+as `check_mean_property` is: each returns a `CheckReport` whose
+violations are data with witnesses, and a clean sweep is evidence, not
+proof.
 """
 
 from __future__ import annotations
@@ -35,15 +40,12 @@ from .averaging import (
     oscillation,
 )
 from .errors import ConvergenceError, PreconditionError, ValidationError
-from .means import sample_box
+from .means import CheckReport, sample_box, sweep
 
 __all__ = [
     "ConvergenceReport",
     "ResidueLimit",
     "SubsequenceLimits",
-    "Witness",
-    "CheckReport",
-    "SolveReport",
     "invariant_mean_eval",
     "limit_mapping_eval",
     "subsequence_limits",
@@ -56,6 +58,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+# nonconstant samples spread over at least this share of the sample box
+_MIN_SPREAD = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,9 @@ class ConvergenceReport:
     """Result of iterating toward the invariant mean from one start point.
 
     value is the midpoint of [min, max] of the final iterate (None when
-    not converged) and error_radius is half its oscillation, a rigorous
-    enclosure radius thanks to the monotone bracket.
+    not converged) and error_radius is half its oscillation.  The bracket
+    is monotone, so the radius bounds the floating-point bracket, but it
+    carries no rounding term and is not a true enclosure of K(x).
     """
 
     value: float | None
@@ -116,45 +121,6 @@ class SubsequenceLimits:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A sampled point that violated a checked property."""
-
-    point: tuple[float, ...]
-    message: str
-
-    def __str__(self) -> str:
-        return f"x={self.point}: {self.message}"
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one sampling verification sweep."""
-
-    name: str
-    n_samples: int
-    n_evaluated: int
-    n_skipped: int
-    max_residual: float
-    violations: tuple[Witness, ...]
-    notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    """Outcome of testing F = phi(K(.)) by sampling."""
-
-    verdict: str  # "invariant", "not invariant", or "inconclusive"
-    max_residual: float
-    n_evaluated: int
-    n_skipped: int
-    violations: tuple[Witness, ...]
-
-
 def _effective_tol(tol: float, x0: Sequence[float]) -> float:
     # absolute tolerance scaled by the magnitude of the start vector
     return tol * max(1.0, abs(max(x0)))
@@ -165,16 +131,15 @@ def invariant_mean_eval(
     x: Sequence[float],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    stall_window: int | None = None,
 ) -> ConvergenceReport:
     """Iterate until the oscillation drops below 2*tol*scale or limits hit.
 
     scale is max(1, |max(x)|); the reported error_radius is therefore at
     most tol*scale on convergence.  The oscillation is nonincreasing, so
-    a window over which it fails to shrink (stall_window steps, default
-    max(200, 2*3^p), 0 disables) proves practical stagnation and ends the
-    run early with converged=False; periodic and disconnected structures
-    are reported this way instead of burning max_iter.
+    a window of max(200, 2*3^p) steps over which it fails to shrink proves
+    practical stagnation and ends the run early with converged=False;
+    periodic and disconnected structures are reported this way instead of
+    burning max_iter.
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be > 0, got {tol!r}")
@@ -182,7 +147,7 @@ def invariant_mean_eval(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
-    window = stall_window if stall_window is not None else max(200, 2 * 3 ** m.p)
+    window = max(200, 2 * 3 ** m.p)
     y = xs
     osc = oscillation(y)
     n = 0
@@ -192,7 +157,7 @@ def invariant_mean_eval(
         y = m.apply(y)
         n += 1
         osc = oscillation(y)
-        if window and n - anchor_n >= window:
+        if n - anchor_n >= window:
             if osc > anchor_osc * (1.0 - 1e-12):
                 break  # stalled: no measurable shrink across the window
             anchor_osc = osc
@@ -277,7 +242,7 @@ def subsequence_limits(
 
 
 def _nonconstant_samples(
-    m: ComposedMapping, rng: Random, n_samples: int, min_spread: float = 0.05
+    m: ComposedMapping, rng: Random, n_samples: int
 ) -> list[tuple[float, ...]]:
     if m.p < 2:
         return []  # every vector in I^1 is constant
@@ -285,7 +250,7 @@ def _nonconstant_samples(
     pts = []
     while len(pts) < n_samples:
         x = tuple(rng.uniform(lo, hi) for _ in range(m.p))
-        if max(x) - min(x) >= min_spread * (hi - lo):
+        if max(x) - min(x) >= _MIN_SPREAD * (hi - lo):
             pts.append(x)
     return pts
 
@@ -302,36 +267,23 @@ def verify_invariance(
     the report carries the max residual over the evaluated ones.
     """
     rng = rng if rng is not None else Random(0)
-    samples = _nonconstant_samples(m, rng, n_samples)
-    violations = []
-    worst = 0.0
-    evaluated = 0
-    skipped = 0
-    for x in samples:
+
+    def judge(x):
         r_x = invariant_mean_eval(m, x)
         r_mx = invariant_mean_eval(m, m.apply(x))
         if not (r_x.converged and r_mx.converged):
-            skipped += 1
-            continue
-        evaluated += 1
+            return None
         residual = abs(r_x.value - r_mx.value)
-        worst = max(worst, residual)
         if residual > _effective_tol(tol, x):
-            violations.append(
-                Witness(x, f"|K(M(x)) - K(x)| = {residual:.3e} exceeds {tol:g}*scale")
-            )
-    return CheckReport(
-        name="invariance",
-        n_samples=len(samples),
-        n_evaluated=evaluated,
-        n_skipped=skipped,
-        max_residual=worst,
-        violations=tuple(violations),
-    )
+            return residual, f"|K(M(x)) - K(x)| = {residual:.3e} exceeds {tol:g}*scale"
+        return residual, None
+
+    return sweep("invariance", _nonconstant_samples(m, rng, n_samples), judge)
 
 
 _PROPERTY_DEFAULT_TOL = {"strict": 1e-9, "monotone": 1e-9, "homogeneous": 1e-10}
 _HOMOGENEITY_FACTORS = (0.5, 2.0, 10.0)
+_MONOTONE_STEP = 0.1
 
 
 def verify_mean_properties(
@@ -348,8 +300,10 @@ def verify_mean_properties(
         random points this probes each coordinate alone (constant vector
         with a single bumped entry), the pattern that exposes coordinates
         K does not depend on.
-      * "monotone"    -- bumping one coordinate by +0.1 never lowers K.
-      * "homogeneous" -- K(c*x) = c*K(x) for c in {0.5, 2, 10}, relative.
+      * "monotone"    -- bumping one coordinate by +0.1 never lowers K;
+        samples whose bump leaves the interval are dropped.
+      * "homogeneous" -- K(c*x) = c*K(x) for c in {0.5, 2, 10}, relative;
+        each (x, c) pair is one sample.
 
     The corresponding flag must be asserted on every component mean (and
     homogeneity additionally needs the domain (0, +inf)); otherwise the
@@ -372,93 +326,72 @@ def verify_mean_properties(
         if not (iv.lower == 0.0 and iv.lower_open and iv.upper == float("inf")):
             raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {iv}")
 
-    lo, hi = sample_box(m.interval)
-    mid = 0.5 * (lo + hi)
-    violations = []
-    worst = 0.0
-    evaluated = 0
-    skipped = 0
-
-    def _converged_value(x):
+    def converged_value(x):
         rep = invariant_mean_eval(m, x)
         return (rep.value, rep.error_radius) if rep.converged else (None, None)
 
     if which == "strict":
+        lo, hi = sample_box(m.interval)
+        mid = 0.5 * (lo + hi)
         structured = [
             (tuple(mid * 1.3 if i == k else mid for i in range(m.p)), k + 1)
             for k in range(m.p)
         ]
-        samples = structured + [(x, None) for x in _nonconstant_samples(m, rng, n_samples)]
-        for x, bumped in samples:
-            if min(x) == max(x):  # p = 1: strictness is vacuous
-                continue
-            value, radius = _converged_value(x)
+        drawn = [(x, None) for x in _nonconstant_samples(m, rng, n_samples)]
+        # constant vectors (p = 1) make strictness vacuous
+        samples = [(x, bumped) for x, bumped in structured + drawn if min(x) < max(x)]
+
+        def judge(sample):
+            x, bumped = sample
+            value, radius = converged_value(x)
             if value is None:
-                skipped += 1
-                continue
-            evaluated += 1
-            margin = 2.0 * radius + _effective_tol(1e-12, x)
+                return None
             gap = min(value - min(x), max(x) - value)
-            worst = max(worst, -gap)
-            if gap <= margin:
+            if gap <= 2.0 * radius + _effective_tol(1e-12, x):
                 where = f" (only coordinate {bumped} varied)" if bumped else ""
-                violations.append(
-                    Witness(
-                        x,
-                        f"K(x)={value!r} not strictly inside "
-                        f"[{min(x)!r}, {max(x)!r}]{where}",
-                    )
-                )
+                return -gap, f"K(x)={value!r} not strictly inside [{min(x)!r}, {max(x)!r}]{where}"
+            return -gap, None
+
     elif which == "monotone":
-        step = 0.1
-        samples = _nonconstant_samples(m, rng, n_samples)
-        for idx, x in enumerate(samples):
-            k = idx % m.p
-            bumped = x[k] + step
-            if not m.interval.contains(bumped):
-                continue
-            y = tuple(bumped if i == k else t for i, t in enumerate(x))
-            v_x, r_x = _converged_value(x)
-            v_y, r_y = _converged_value(y)
+        samples = [
+            (x, idx % m.p)
+            for idx, x in enumerate(_nonconstant_samples(m, rng, n_samples))
+            if m.interval.contains(x[idx % m.p] + _MONOTONE_STEP)
+        ]
+
+        def judge(sample):
+            x, k = sample
+            v_x, r_x = converged_value(x)
+            v_y, r_y = converged_value(x[:k] + (x[k] + _MONOTONE_STEP,) + x[k + 1:])
             if v_x is None or v_y is None:
-                skipped += 1
-                continue
-            evaluated += 1
+                return None
             drop = v_x - v_y
-            worst = max(worst, drop)
             if drop > r_x + r_y + _effective_tol(1e-12, x):
-                violations.append(
-                    Witness(x, f"K decreased by {drop:.3e} after +{step} on coordinate {k + 1}")
+                return drop, (
+                    f"K decreased by {drop:.3e} after +{_MONOTONE_STEP} on coordinate {k + 1}"
                 )
+            return drop, None
+
     else:  # homogeneous
-        samples = _nonconstant_samples(m, rng, n_samples)
-        for x in samples:
-            v_x, r_x = _converged_value(x)
+        xs = _nonconstant_samples(m, rng, n_samples)
+        k_of = {x: converged_value(x) for x in xs}
+        samples = [(x, c) for x in xs for c in _HOMOGENEITY_FACTORS]
+
+        def judge(sample):
+            x, c = sample
+            v_x, r_x = k_of[x]
             if v_x is None:
-                skipped += 1
-                continue
-            for c in _HOMOGENEITY_FACTORS:
-                cx = tuple(c * t for t in x)
-                v_cx, r_cx = _converged_value(cx)
-                if v_cx is None:
-                    skipped += 1
-                    continue
-                evaluated += 1
-                residual = abs(v_cx - c * v_x)
-                rel = residual / abs(c * v_x)
-                worst = max(worst, rel)
-                if residual > tol * abs(c * v_x) + c * r_x + r_cx:
-                    violations.append(
-                        Witness(x, f"|K({c}x) - {c}K(x)| = {residual:.3e} (relative {rel:.3e})")
-                    )
-    return CheckReport(
-        name=which,
-        n_samples=len(samples),
-        n_evaluated=evaluated,
-        n_skipped=skipped,
-        max_residual=worst,
-        violations=tuple(violations),
-    )
+                return None
+            v_cx, r_cx = converged_value(tuple(c * t for t in x))
+            if v_cx is None:
+                return None
+            residual = abs(v_cx - c * v_x)
+            rel = residual / abs(c * v_x)
+            if residual > tol * abs(c * v_x) + c * r_x + r_cx:
+                return rel, f"|K({c}x) - {c}K(x)| = {residual:.3e} (relative {rel:.3e})"
+            return rel, None
+
+    return sweep(which, samples, judge)
 
 
 def check_oscillation_monotonicity(
@@ -476,38 +409,21 @@ def check_oscillation_monotonicity(
     one-ulp allowance, not a modelling tolerance.
     """
     rng = rng if rng is not None else Random(0)
-    samples = _nonconstant_samples(m, rng, n_samples)
-    violations = []
-    worst = 0.0
-    for x in samples:
+
+    def judge(x):
         trace = m.iterate(x, n_steps)
-        prev_min = min(trace[0])
-        prev_max = max(trace[0])
+        worst = 0.0
         for k in range(1, len(trace)):
-            cur_min = min(trace[k])
-            cur_max = max(trace[k])
-            drop = prev_min - cur_min  # > 0 means the bracket widened
-            rise = cur_max - prev_max
+            drop = min(trace[k - 1]) - min(trace[k])  # > 0 means the bracket widened
+            rise = max(trace[k]) - max(trace[k - 1])
             worst = max(worst, drop, rise)
             if drop > slack or rise > slack:
-                violations.append(
-                    Witness(
-                        x,
-                        f"bracket widened at step {k}: min dropped {drop:.3e}, "
-                        f"max rose {rise:.3e}",
-                    )
+                return worst, (
+                    f"bracket widened at step {k}: min dropped {drop:.3e}, max rose {rise:.3e}"
                 )
-                break
-            prev_min = cur_min
-            prev_max = cur_max
-    return CheckReport(
-        name="oscillation-monotonicity",
-        n_samples=len(samples),
-        n_evaluated=len(samples),
-        n_skipped=0,
-        max_residual=worst,
-        violations=tuple(violations),
-    )
+        return worst, None
+
+    return sweep("oscillation-monotonicity", _nonconstant_samples(m, rng, n_samples), judge)
 
 
 def check_bracket_dichotomy(
@@ -524,34 +440,23 @@ def check_bracket_dichotomy(
     """
     rng = rng if rng is not None else Random(0)
     n0 = 3 ** m.p
-    samples = _nonconstant_samples(m, rng, n_samples)
-    violations = []
-    worst = 0.0
-    for x in samples:
+
+    def judge(x):
         y = x
         for _ in range(n0):
             y = m.apply(y)
         if is_constant_vector(y):
-            continue
+            return 0.0, None
         low_gap = min(y) - min(x)
         high_gap = max(x) - max(y)
-        worst = max(worst, -low_gap, -high_gap)
         if low_gap <= 0.0 or high_gap <= 0.0:
-            violations.append(
-                Witness(
-                    x,
-                    f"M^{n0}(x) neither constant nor strictly inside the bracket: "
-                    f"min gap {low_gap:.3e}, max gap {high_gap:.3e}",
-                )
+            return -min(low_gap, high_gap), (
+                f"M^{n0}(x) neither constant nor strictly inside the bracket: "
+                f"min gap {low_gap:.3e}, max gap {high_gap:.3e}"
             )
-    return CheckReport(
-        name="bracket-dichotomy",
-        n_samples=len(samples),
-        n_evaluated=len(samples),
-        n_skipped=0,
-        max_residual=worst,
-        violations=tuple(violations),
-    )
+        return -min(low_gap, high_gap), None
+
+    return sweep("bracket-dichotomy", _nonconstant_samples(m, rng, n_samples), judge)
 
 
 def solve_invariant_equation(
@@ -560,13 +465,14 @@ def solve_invariant_equation(
     tol: float = 1e-9,
     rng: Random | None = None,
     n_samples: int = 100,
-) -> tuple[Callable[[float], float], SolveReport]:
+) -> tuple[Callable[[float], float], CheckReport]:
     """Solve F = phi(K(.)) for a diagonal-continuous F, or refute it.
 
     The unique candidate is phi(t) := F(t, ..., t), the restriction of F
     to the diagonal; F is invariant under the mapping exactly when
-    F(x) = phi(K(x)) for all x.  The returned report holds the sampled
-    verdict with the max residual and any witness.  Requires a certified
+    F(x) = phi(K(x)) for all x.  The returned report tests that on
+    samples: it passed with n_evaluated > 0 when no sample refuted it,
+    and n_evaluated == 0 leaves the question open.  Requires a certified
     uniformly-weak-contractive mapping (else K and with it phi would not
     be grounded).
     """
@@ -581,35 +487,17 @@ def solve_invariant_equation(
     def phi(t: float) -> float:
         return f((t,) * p)
 
-    samples = _nonconstant_samples(m, rng, n_samples)
-    violations = []
-    worst = 0.0
-    evaluated = 0
-    skipped = 0
-    for x in samples:
+    def judge(x):
         rep = invariant_mean_eval(m, x)
         if not rep.converged:
-            skipped += 1
-            continue
-        evaluated += 1
+            return None
         lhs = float(f(x))
         rhs = float(phi(rep.value))
         residual = abs(lhs - rhs)
-        worst = max(worst, residual)
         if residual > tol * max(1.0, abs(lhs)):
-            violations.append(
-                Witness(x, f"|F(x) - phi(K(x))| = {residual:.3e}: F(x)={lhs!r}, phi(K(x))={rhs!r}")
+            return residual, (
+                f"|F(x) - phi(K(x))| = {residual:.3e}: F(x)={lhs!r}, phi(K(x))={rhs!r}"
             )
-    if evaluated == 0:
-        verdict = "inconclusive"
-    elif violations:
-        verdict = "not invariant"
-    else:
-        verdict = "invariant"
-    return phi, SolveReport(
-        verdict=verdict,
-        max_residual=worst,
-        n_evaluated=evaluated,
-        n_skipped=skipped,
-        violations=tuple(violations),
-    )
+        return residual, None
+
+    return phi, sweep("invariant-equation", _nonconstant_samples(m, rng, n_samples), judge)

@@ -38,8 +38,9 @@ __all__ = [
     "PowerMeanSpec",
     "power_mean_eval",
     "make_power_mean",
-    "MeanPropertyViolation",
-    "MeanPropertyReport",
+    "Witness",
+    "CheckReport",
+    "sweep",
     "check_mean_property",
     "validate_mean",
 ]
@@ -167,17 +168,19 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     n = len(xs)
     s = spec.order
     if s == 0.0:
-        # every partial product lies between min(1, lo^n) and max(1, hi^n)
+        # take the n-th root of the mantissa times 2^r only, with the exponent
+        # split as q*n + r, so 2^q is exact and the rounding of 1/n is not
+        # multiplied by |ln prod|; every partial product lies between
+        # min(1, lo^n) and max(1, hi^n), and when that range can leave the
+        # normal floats the mantissas and exponents are multiplied apart
         if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
-            val = math.prod(xs) ** (1.0 / n)
+            mant, e = math.frexp(math.prod(xs))
         else:
-            # a partial product could leave the normal range and lose bits:
-            # multiply the mantissas, split the exponent sum as q*n + r and
-            # take the n-th root of mantissa * 2^r only, so 2^q is exact
             parts = [math.frexp(t) for t in xs]
-            q, r = divmod(sum(e for _, e in parts), n)
-            mant = math.ldexp(math.prod(m for m, _ in parts), r)
-            val = math.ldexp(mant ** (1.0 / n), q)
+            mant = math.prod(m for m, _ in parts)
+            e = sum(e for _, e in parts)
+        q, r = divmod(e, n)
+        val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
     else:
         val = None
         if abs(s) < 1e-2:
@@ -225,32 +228,70 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
 
 
 @dataclass(frozen=True)
-class MeanPropertyViolation:
-    """A sampled point where the declared mean contract failed."""
+class Witness:
+    """A sampled point that violated a checked property."""
 
     point: tuple[float, ...]
-    value: float
-    kind: str  # "bounds" or "strictness"
+    message: str
 
     def __str__(self) -> str:
-        return f"{self.kind} violation at x={self.point}: value {self.value!r}"
+        return f"x={self.point}: {self.message}"
 
 
 @dataclass(frozen=True)
-class MeanPropertyReport:
-    """Outcome of a sampling pass against min <= M <= max (and strictness).
+class CheckReport:
+    """Outcome of one sampling sweep.
 
-    An empty violation list means "not falsified", never "proven".
+    Every sample is either evaluated or skipped (the property could not be
+    judged there, e.g. an iteration did not converge).  No violations
+    means "not falsified", never "proven".
     """
 
-    label: str
-    n_points: int
-    strict_checked: bool
-    violations: tuple[MeanPropertyViolation, ...]
+    name: str
+    n_samples: int
+    n_evaluated: int
+    n_skipped: int
+    max_residual: float
+    violations: tuple[Witness, ...]
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+
+def sweep(
+    name: str,
+    samples: Sequence,
+    judge: Callable[..., tuple[float, str | None] | None],
+) -> CheckReport:
+    """Judge every sample and collect the outcome as a CheckReport.
+
+    A sample is a point, or a pair (point, context) when the judge needs
+    more than the point; witnesses carry the point.  judge returns None to
+    skip the sample, else (residual, message) with message None when the
+    property held; max_residual is the largest residual, and at least 0.
+    """
+    violations = []
+    worst = 0.0
+    evaluated = 0
+    for sample in samples:
+        outcome = judge(sample)
+        if outcome is None:
+            continue
+        evaluated += 1
+        residual, message = outcome
+        worst = max(worst, residual)
+        if message is not None:
+            point = sample[0] if isinstance(sample[0], tuple) else sample
+            violations.append(Witness(point, message))
+    return CheckReport(
+        name=name,
+        n_samples=len(samples),
+        n_evaluated=evaluated,
+        n_skipped=len(samples) - evaluated,
+        max_residual=worst,
+        violations=tuple(violations),
+    )
 
 
 def sample_box(interval: Interval) -> tuple[float, float]:
@@ -272,12 +313,14 @@ def sample_box(interval: Interval) -> tuple[float, float]:
     return hi - 2.0 * s, hi - s
 
 
+_BOUNDARY_OFFSET = 1e-6
+
+
 def sample_points(
     interval: Interval,
     arity: int,
     rng: Random,
     n_points: int,
-    boundary_offset: float = 1e-6,
 ) -> list[tuple[float, ...]]:
     """Draw test points: uniform draws from the interior box, a few constant
     vectors, and boundary-adjacent points for each finite endpoint."""
@@ -287,7 +330,7 @@ def sample_points(
     for endpoint, sign in ((interval.lower, +1.0), (interval.upper, -1.0)):
         if not math.isfinite(endpoint):
             continue
-        v = endpoint + sign * boundary_offset
+        v = endpoint + sign * _BOUNDARY_OFFSET
         if not interval.contains(v):
             continue
         pts.append((v,) * arity)
@@ -298,31 +341,28 @@ def sample_points(
     return pts
 
 
-def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> MeanPropertyReport:
+def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> CheckReport:
     """Try to falsify min(x) <= M(x) <= max(x), and strictness when declared.
 
-    Violations are data, not errors; a report with no violations says only
-    that sampling did not find a counterexample.
+    Each witness message starts with "bounds" or "strictness"; the residual
+    is how far M(x) lies outside [min(x), max(x)].  A report with no
+    violations says only that sampling did not find a counterexample.
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    violations: list[MeanPropertyViolation] = []
-    pts = sample_points(m.domain, m.arity, rng, n_samples)
-    for x in pts:
+
+    def judge(x: tuple[float, ...]) -> tuple[float, str | None]:
         value = m(x)
         lo = min(x)
         hi = max(x)
+        residual = max(lo - value, value - hi)
         if not lo <= value <= hi:
-            violations.append(MeanPropertyViolation(x, value, "bounds"))
-            continue
+            return residual, f"bounds violation: value {value!r}"
         if m.flags.strict and lo < hi and (value <= lo or value >= hi):
-            violations.append(MeanPropertyViolation(x, value, "strictness"))
-    return MeanPropertyReport(
-        label=m.label,
-        n_points=len(pts),
-        strict_checked=m.flags.strict,
-        violations=tuple(violations),
-    )
+            return residual, f"strictness violation: value {value!r}"
+        return residual, None
+
+    return sweep("mean-property", sample_points(m.domain, m.arity, rng, n_samples), judge)
 
 
 def validate_mean(m: Mean, rng: Random | None = None, n_samples: int = 128) -> Mean:

@@ -245,13 +245,13 @@ def test_criterion_10_functional_equation(ex2):
     phi_exp, rep_exp = solve_invariant_equation(
         f_exp, ex2, tol=1e-8, rng=Random(4010), n_samples=50
     )
-    assert rep_exp.verdict == "invariant"
+    assert rep_exp.passed and rep_exp.n_evaluated > 0
     assert rep_exp.max_residual <= 1e-8
 
     phi_max, rep_max = solve_invariant_equation(
         max, ex2, tol=1e-9, rng=Random(4110), n_samples=50
     )
-    assert rep_max.verdict == "not invariant"
+    assert not rep_max.passed
     assert rep_max.violations
     print(f"      max(.) witness: {rep_max.violations[0]}")
 

@@ -174,6 +174,12 @@ class TestInNeighbors:
         with pytest.raises(iv.ValidationError):
             in_neighbors(graph2(), 5)
 
+    def test_non_integer_vertices_rejected(self):
+        with pytest.raises(iv.ValidationError, match="non-integer"):
+            Digraph(2, frozenset({(1.7, 2)}))
+        with pytest.raises(iv.ValidationError, match="non-integer"):
+            Digraph(2, frozenset({(True, 2)}))
+
 
 class TestIrreducible:
     def test_cyclic_example_true(self):
@@ -274,6 +280,12 @@ class TestTgStep:
     def test_length_mismatch(self):
         with pytest.raises(iv.ShapeError):
             tg_step(graph2(), TriStateColoring((1, 0)))
+
+    def test_non_integer_colors_rejected(self):
+        with pytest.raises(iv.ValidationError):
+            TriStateColoring((0.5, 1, -1.2))
+        with pytest.raises(iv.ValidationError):
+            TriStateColoring((True, 0, -1))
 
 
 class TestTgStabilize:
