@@ -13,7 +13,6 @@ from .averaging import (
     CONTRACTIVE_SAMPLED,
     FALSIFIED,
     UNKNOWN,
-    AveragingMapping,
     ComposedMapping,
     ContractivityCertificate,
     IndexVector,
@@ -29,16 +28,11 @@ from .digraph import (
     TgReport,
     TriStateColoring,
     build_incidence_graph,
-    in_neighbors,
     is_ergodic,
-    is_irreducible,
-    period,
     tg_stabilize,
     tg_step,
-    uniform_walk_length,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     InternalConsistencyError,
     InvMeanError,
@@ -54,7 +48,6 @@ from .invariant import (
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
-    limit_mapping_eval,
     solve_invariant_equation,
     subsequence_limits,
     verify_invariance,

@@ -1,9 +1,9 @@
 """Composed mean-type mappings and their contractivity certificates.
 
-An averaging mapping is a tuple of means M_1, ..., M_p (of arities
-d_1, ..., d_p) on a common interval.  An index vector alpha supplies,
+A `ComposedMapping` is p means M_1, ..., M_p (of arities d_1, ..., d_p)
+on one interval I together with an index vector alpha, which supplies,
 for each coordinate i, the d_i argument positions (1-based) that feed
-M_i.  The composition is the self-map of I^p
+M_i.  It is the self-map of I^p
 
     x  |->  ( M_i(x[alpha[i][1]], ..., x[alpha[i][d_i]]) )_{i=1..p}
 
@@ -35,7 +35,6 @@ from .means import Interval, Mean, sample_box
 
 __all__ = [
     "IndexVector",
-    "AveragingMapping",
     "ComposedMapping",
     "ContractivityCertificate",
     "CERTIFIED",
@@ -84,58 +83,31 @@ class IndexVector:
                     )
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IndexVector":
-        return cls(rows)
-
     @property
     def p(self) -> int:
         return len(self.rows)
 
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
 
 @dataclass(frozen=True)
-class AveragingMapping:
-    """The raw tuple of component means, all on the same interval."""
+class ComposedMapping:
+    """p means on one interval composed with an index vector, acting on I^p:
+    coordinate i of M(x) is means[i] applied to the alpha row i arguments."""
 
     means: tuple[Mean, ...]
     interval: Interval
+    alpha: IndexVector
 
     def __post_init__(self) -> None:
-        if not self.means:
-            raise ValidationError("averaging mapping needs at least one mean")
-        object.__setattr__(self, "means", tuple(self.means))
-        for i, m in enumerate(self.means, start=1):
+        means = tuple(self.means)
+        object.__setattr__(self, "means", means)
+        if len(means) != self.alpha.p:
+            raise ShapeError(f"index vector has {self.alpha.p} rows for {len(means)} means")
+        for i, m in enumerate(means, start=1):
             if m.domain != self.interval:
                 raise ValidationError(
                     f"mean {i} ({m.label!r}) lives on {m.domain}, mapping on {self.interval}"
                 )
-
-    @property
-    def p(self) -> int:
-        return len(self.means)
-
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(m.arity for m in self.means)
-
-
-@dataclass(frozen=True)
-class ComposedMapping:
-    """An averaging mapping composed with an index vector, acting on I^p."""
-
-    base: AveragingMapping
-    alpha: IndexVector
-
-    def __post_init__(self) -> None:
-        if self.alpha.p != self.base.p:
-            raise ShapeError(
-                f"index vector has {self.alpha.p} rows for {self.base.p} means"
-            )
-        for i, (row, mean) in enumerate(zip(self.alpha.rows, self.base.means), start=1):
+        for i, (row, mean) in enumerate(zip(self.alpha.rows, means), start=1):
             if len(row) != mean.arity:
                 raise ShapeError(
                     f"alpha row {i} has {len(row)} indexes, mean {i} ({mean.label!r}) "
@@ -154,11 +126,7 @@ class ComposedMapping:
 
     @property
     def p(self) -> int:
-        return self.base.p
-
-    @property
-    def interval(self) -> Interval:
-        return self.base.interval
+        return self.alpha.p
 
     def _validate_point(self, x: Sequence[float]) -> tuple[float, ...]:
         xs = tuple(float(t) for t in x)
@@ -173,13 +141,10 @@ class ComposedMapping:
     def apply(self, x: Sequence[float]) -> tuple[float, ...]:
         """One application; every output coordinate lies in [min(x), max(x)]."""
         xs = self._validate_point(x)
-        means = self.base.means
+        means = self.means
         return tuple(
             means[i](tuple(xs[j] for j in row)) for i, row in enumerate(self._rows0)
         )
-
-    def __call__(self, x: Sequence[float]) -> tuple[float, ...]:
-        return self.apply(x)
 
     def iterate(self, x: Sequence[float], n: int) -> tuple[tuple[float, ...], ...]:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
@@ -252,7 +217,7 @@ def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCerti
     the incidence graph is ergodic.  Flags are trusted assertions (see
     `validate_mean` for the falsification pass)."""
     reasons = []
-    non_strict = [mean.label for mean in m.base.means if not mean.flags.strict]
+    non_strict = [mean.label for mean in m.means if not mean.flags.strict]
     if non_strict:
         reasons.append(f"strictness not asserted for {', '.join(sorted(set(non_strict)))}")
     cls = is_ergodic(m.graph)

@@ -50,11 +50,7 @@ __all__ = [
     "GraphClassification",
     "TgReport",
     "build_incidence_graph",
-    "in_neighbors",
-    "is_irreducible",
-    "period",
     "is_ergodic",
-    "uniform_walk_length",
     "tg_step",
     "tg_stabilize",
 ]
@@ -119,9 +115,6 @@ class TriStateColoring:
             raise ValidationError("coloring must cover at least one vertex")
         object.__setattr__(self, "values", vals)
 
-    def value(self, v: int) -> int:
-        return self.values[v - 1]
-
     @property
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
@@ -141,15 +134,15 @@ class GraphClassification:
 
     irreducible: bool
     period: int | None
-    aperiodic: bool
-    ergodic: bool
     uniform_walk_length: int | None
 
-    def __post_init__(self) -> None:
-        if self.ergodic != (self.irreducible and self.aperiodic):
-            raise ValidationError("ergodic must equal irreducible and aperiodic")
-        if (self.uniform_walk_length is not None) != self.ergodic:
-            raise ValidationError("uniform_walk_length must be present iff ergodic")
+    @property
+    def aperiodic(self) -> bool:
+        return self.period == 1
+
+    @property
+    def ergodic(self) -> bool:
+        return self.irreducible and self.aperiodic
 
 
 @dataclass(frozen=True)
@@ -184,14 +177,6 @@ def build_incidence_graph(alpha: IndexVector) -> Digraph:
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def in_neighbors(g: Digraph, v: int) -> frozenset:
-    """The set {w : (w, v) is an edge}."""
-    if not 1 <= v <= g.n_vertices:
-        raise ValidationError(f"vertex {v} outside 1..{g.n_vertices}")
-    mask = g.in_masks[v - 1]
-    return frozenset(w + 1 for w in range(g.n_vertices) if mask >> w & 1)
 
 
 def _tarjan_sccs(out_masks: Sequence[int], n: int) -> list[list[int]]:
@@ -326,48 +311,12 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     )
 
 
-def is_irreducible(g: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a walk of length >= 1.
-
-    Equivalent to: one strongly connected component and at least one edge
-    (so v = w needs a genuine closed walk, not the empty one).
-    """
-    irreducible, _ = _classify_masks(g.out_masks, g.n_vertices)
-    return irreducible
-
-
-def period(g: Digraph) -> int | None:
-    """Gcd of the lengths of all cycles; None when the graph has no cycle."""
-    _, per = _classify_masks(g.out_masks, g.n_vertices)
-    return per
-
-
 def is_ergodic(g: Digraph) -> GraphClassification:
     """Full classification record; ergodic iff irreducible and aperiodic."""
     irreducible, per = _classify_masks(g.out_masks, g.n_vertices)
-    aperiodic = per == 1
-    ergodic = irreducible and aperiodic
+    ergodic = irreducible and per == 1
     q0 = _uniform_walk_length_masks(g.out_masks, g.n_vertices) if ergodic else None
-    return GraphClassification(
-        irreducible=irreducible,
-        period=per,
-        aperiodic=aperiodic,
-        ergodic=ergodic,
-        uniform_walk_length=q0,
-    )
-
-
-def uniform_walk_length(g: Digraph) -> int:
-    """Least q0 such that for all q >= q0 and all pairs (v, w) there is a
-    walk from v to w of length exactly q.  Requires an ergodic graph."""
-    cls = is_ergodic(g)
-    if not cls.ergodic:
-        raise PreconditionError(
-            "uniform walk length exists only for ergodic digraphs "
-            f"(irreducible={cls.irreducible}, period={cls.period})"
-        )
-    assert cls.uniform_walk_length is not None
-    return cls.uniform_walk_length
+    return GraphClassification(irreducible=irreducible, period=per, uniform_walk_length=q0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,5 @@ class PreconditionError(InvMeanError, ValueError):
     """An operation was called outside its stated precondition."""
 
 
-class ConvergenceError(InvMeanError, RuntimeError):
-    """An iteration whose limit is the requested result did not converge."""
-
-
 class InternalConsistencyError(InvMeanError, RuntimeError):
     """A bound that should be unreachable was exceeded; indicates a bug."""

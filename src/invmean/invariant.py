@@ -39,7 +39,7 @@ from .averaging import (
     is_constant_vector,
     oscillation,
 )
-from .errors import ConvergenceError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .means import CheckReport, sample_box, sweep
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "ResidueLimit",
     "SubsequenceLimits",
     "invariant_mean_eval",
-    "limit_mapping_eval",
     "subsequence_limits",
     "verify_invariance",
     "verify_mean_properties",
@@ -136,10 +135,13 @@ def invariant_mean_eval(
 
     scale is max(1, |max(x)|); the reported error_radius is therefore at
     most tol*scale on convergence.  The oscillation is nonincreasing, so
-    a window of max(200, 2*3^p) steps over which it fails to shrink proves
-    practical stagnation and ends the run early with converged=False;
-    periodic and disconnected structures are reported this way instead of
-    burning max_iter.
+    a window of max(200, 2*((p-1)^2 + 1)) steps over which it fails to
+    shrink proves practical stagnation and ends the run early with
+    converged=False; periodic and disconnected structures are reported
+    this way instead of burning max_iter.  (p-1)^2 + 1 is Wielandt's
+    bound on the uniform walk length of an ergodic incidence graph, and
+    with strict means the oscillation strictly shrinks over every such
+    length, so the window is polynomial in p.
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be > 0, got {tol!r}")
@@ -147,7 +149,7 @@ def invariant_mean_eval(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
-    window = max(200, 2 * 3 ** m.p)
+    window = max(200, 2 * ((m.p - 1) ** 2 + 1))
     y = xs
     osc = oscillation(y)
     n = 0
@@ -171,24 +173,6 @@ def invariant_mean_eval(
         converged=converged,
         final_iterate=y,
     )
-
-
-def limit_mapping_eval(
-    m: ComposedMapping,
-    x: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, ...]:
-    """The constant vector (K(x), ..., K(x)); raises ConvergenceError when
-    the iteration does not settle."""
-    report = invariant_mean_eval(m, x, tol=tol, max_iter=max_iter)
-    if not report.converged or report.value is None:
-        raise ConvergenceError(
-            f"no common limit within {report.iterations_used} iterations "
-            f"(final oscillation {2 * report.error_radius:g}); "
-            "the incidence graph is likely not ergodic"
-        )
-    return (report.value,) * m.p
 
 
 def subsequence_limits(
@@ -315,7 +299,7 @@ def verify_mean_properties(
     rng = rng if rng is not None else Random(0)
     tol = _PROPERTY_DEFAULT_TOL[which] if tol is None else tol
     missing = [
-        mean.label for mean in m.base.means if not getattr(mean.flags, which)
+        mean.label for mean in m.means if not getattr(mean.flags, which)
     ]
     if missing:
         raise PreconditionError(
@@ -394,30 +378,33 @@ def verify_mean_properties(
     return sweep(which, samples, judge)
 
 
+# trace length and per-step allowance of check_oscillation_monotonicity
+_MONOTONICITY_STEPS = 50
+_MONOTONICITY_SLACK = 1e-15
+
+
 def check_oscillation_monotonicity(
     m: ComposedMapping,
     rng: Random | None = None,
     n_samples: int = 200,
-    n_steps: int = 50,
-    slack: float = 1e-15,
 ) -> CheckReport:
-    """Along every sampled trace, min(M^n(x)) must be nondecreasing and
-    max(M^n(x)) nonincreasing in n.
+    """Along every sampled trace of 50 steps, min(M^n(x)) must be
+    nondecreasing and max(M^n(x)) nonincreasing in n.
 
     This holds exactly in real arithmetic, and means that round toward
-    the bracket keep it exact in floating point too; the slack is a
-    one-ulp allowance, not a modelling tolerance.
+    the bracket keep it exact in floating point too; the 1e-15 slack is
+    a one-ulp allowance, not a modelling tolerance.
     """
     rng = rng if rng is not None else Random(0)
 
     def judge(x):
-        trace = m.iterate(x, n_steps)
+        trace = m.iterate(x, _MONOTONICITY_STEPS)
         worst = 0.0
         for k in range(1, len(trace)):
             drop = min(trace[k - 1]) - min(trace[k])  # > 0 means the bracket widened
             rise = max(trace[k]) - max(trace[k - 1])
             worst = max(worst, drop, rise)
-            if drop > slack or rise > slack:
+            if drop > _MONOTONICITY_SLACK or rise > _MONOTONICITY_SLACK:
                 return worst, (
                     f"bracket widened at step {k}: min dropped {drop:.3e}, max rose {rise:.3e}"
                 )

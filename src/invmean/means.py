@@ -4,7 +4,7 @@ A p-variable mean on an interval I is a function M: I^p -> I with
 min(x) <= M(x) <= max(x) for every x in I^p, *strict* when both
 inequalities are strict for every nonconstant x.  A mean here is a plain
 value: an arity, a domain interval, an evaluator, and declared
-structural flags (strict / monotone / homogeneous / symmetric).  Flags
+structural flags (strict / monotone / homogeneous).  Flags
 are assertions made by whoever builds the mean; `check_mean_property`
 can falsify them by sampling, and `validate_mean` turns a falsification
 into a hard error, but nothing is ever proven.
@@ -83,10 +83,6 @@ class Interval:
             return False
         return True
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
     def __str__(self) -> str:
         left = "(" if self.lower_open else "["
         right = ")" if self.upper_open else "]"
@@ -104,7 +100,6 @@ class MeanFlags:
     strict: bool = False
     monotone: bool = False
     homogeneous: bool = False
-    symmetric: bool = False
 
 
 @dataclass(frozen=True)
@@ -208,8 +203,8 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
 def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> Mean:
     """Wrap a power mean as a Mean value.
 
-    Power means are strict, nondecreasing in each argument, positively
-    homogeneous, and symmetric on (0, +inf), so all four flags are set.
+    Power means are strict, nondecreasing in each argument and positively
+    homogeneous on (0, +inf), so all three flags are set.
     `domain` may restrict the mean to a subinterval of the positive reals.
     """
     if domain.lower < 0.0 or (domain.lower == 0.0 and not domain.lower_open):
@@ -222,7 +217,7 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
         arity=spec.arity,
         domain=domain,
         evaluator=_eval,
-        flags=MeanFlags(strict=True, monotone=True, homogeneous=True, symmetric=True),
+        flags=MeanFlags(strict=True, monotone=True, homogeneous=True),
         label=f"P_{spec.order:g}",
     )
 

@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .averaging import AveragingMapping, ComposedMapping, IndexVector
+from .averaging import ComposedMapping, IndexVector
 from .errors import SpecError, ValidationError
 from .means import Interval, PowerMeanSpec, make_power_mean
 
@@ -79,7 +79,7 @@ class MappingSpec:
     def build(self) -> ComposedMapping:
         """Construct the composed mapping."""
         means = tuple(make_power_mean(ps, domain=self.interval) for ps in self.mean_specs)
-        return ComposedMapping(AveragingMapping(means, self.interval), self.alpha)
+        return ComposedMapping(means, self.interval, self.alpha)
 
     def to_json_dict(self) -> dict:
         def endpoint(v: float) -> float | None:
@@ -107,15 +107,32 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _number(value: Any, key: str, where: str) -> float:
+    # a JSON number only: no strings, no booleans (bool is an int subclass)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{where}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{where}: {key} {value} is out of float range") from None
+
+
+def _flag(raw: dict, key: str) -> bool:
+    value = raw.get(key, True)
+    if not isinstance(value, bool):
+        raise SpecError(f"interval: {key} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_interval(raw: Any) -> Interval:
     if not isinstance(raw, dict):
         raise SpecError(f"interval: expected an object, got {type(raw).__name__}")
     lower = _require(raw, "lower", "interval")
     upper = _require(raw, "upper", "interval")
-    lower = -math.inf if lower is None else float(lower)
-    upper = math.inf if upper is None else float(upper)
-    lower_open = bool(raw.get("lower_open", True))
-    upper_open = bool(raw.get("upper_open", True))
+    lower = -math.inf if lower is None else _number(lower, "lower", "interval")
+    upper = math.inf if upper is None else _number(upper, "upper", "interval")
+    lower_open = _flag(raw, "lower_open")
+    upper_open = _flag(raw, "upper_open")
     try:
         return Interval(lower, upper, lower_open, upper_open)
     except ValueError as exc:
@@ -127,12 +144,12 @@ def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
     if not isinstance(raw, dict):
         raise SpecError(f"{where}: expected an object, got {type(raw).__name__}")
     kind = _require(raw, "kind", where)
-    if kind in KIND_ALIASES:
+    if isinstance(kind, str) and kind in KIND_ALIASES:  # a list would not hash
         order = KIND_ALIASES[kind]
-        if "order" in raw and float(raw["order"]) != order:
+        if "order" in raw and _number(raw["order"], "order", where) != order:
             raise SpecError(f"{where}: kind {kind!r} fixes order {order:g}, got {raw['order']!r}")
     elif kind == "power":
-        order = float(_require(raw, "order", where))
+        order = _number(_require(raw, "order", where), "order", where)
     else:
         raise SpecError(f"{where}: unknown mean kind {kind!r}")
     arity = _require(raw, "arity", where)
@@ -175,7 +192,7 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
                 f"alpha row {i}: {len(row)} indexes, mean {i} has arity {mean_specs[i - 1].arity}"
             )
     try:
-        alpha = IndexVector.from_rows(raw_alpha)
+        alpha = IndexVector(raw_alpha)
     except ValidationError as exc:
         raise SpecError(str(exc)) from None
     return MappingSpec(p=p, interval=interval, mean_specs=mean_specs, alpha=alpha)

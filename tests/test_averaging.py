@@ -11,7 +11,6 @@ from invmean import (
     CONTRACTIVE_SAMPLED,
     FALSIFIED,
     UNKNOWN,
-    AveragingMapping,
     ComposedMapping,
     IndexVector,
     Mean,
@@ -25,19 +24,18 @@ from invmean import (
 )
 
 
-def power_base(orders, arity=2):
-    means = tuple(make_power_mean(PowerMeanSpec(s, arity)) for s in orders)
-    return AveragingMapping(means=means, interval=POSITIVE_REALS)
+def power_means(orders, arity=2):
+    return tuple(make_power_mean(PowerMeanSpec(s, arity)) for s in orders)
 
 
 def example2_mapping():
-    return ComposedMapping(power_base((-1.0, 0.0, 1.0, 2.0)),
-                           IndexVector.from_rows(((1, 2), (2, 3), (3, 4), (4, 1))))
+    return ComposedMapping(power_means((-1.0, 0.0, 1.0, 2.0)), POSITIVE_REALS,
+                           IndexVector(((1, 2), (2, 3), (3, 4), (4, 1))))
 
 
 def example3_mapping():
-    return ComposedMapping(power_base((-1.0, 1.0, -1.0, 1.0)),
-                           IndexVector.from_rows(((1, 2), (1, 2), (3, 4), (3, 4))))
+    return ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,
+                           IndexVector(((1, 2), (1, 2), (3, 4), (3, 4))))
 
 
 class TestCompose:
@@ -56,29 +54,29 @@ class TestCompose:
                 assert g == pytest.approx(w, rel=1e-12)
 
     def test_identity_on_one_variable(self):
-        base = power_base((1.0,), arity=1)
-        m = ComposedMapping(base, IndexVector.from_rows(((1,),)))
+        means = power_means((1.0,), arity=1)
+        m = ComposedMapping(means, POSITIVE_REALS, IndexVector(((1,),)))
         assert m.apply((3.7,)) == (3.7,)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(iv.ValidationError, match="outside 1..4"):
-            IndexVector.from_rows(((1, 2), (2, 3), (3, 4), (4, 5)))
+            IndexVector(((1, 2), (2, 3), (3, 4), (4, 5)))
 
     @pytest.mark.parametrize("bad", [1.7, 2.0, True, "2"])
     def test_non_integer_index_rejected(self, bad):
         # no silent int(): 1.7 must not become 1
         with pytest.raises(iv.ValidationError, match="row 1, position 2: .* not an integer"):
-            IndexVector.from_rows(((1, bad), (1, 2)))
+            IndexVector(((1, bad), (1, 2)))
 
     def test_arity_mismatch_rejected(self):
-        base = power_base((-1.0, 1.0), arity=2)
+        means = power_means((-1.0, 1.0), arity=2)
         with pytest.raises(iv.ShapeError, match="row 2"):
-            ComposedMapping(base, IndexVector.from_rows(((1, 2), (1,))))
+            ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 2), (1,))))
 
     def test_row_count_mismatch_rejected(self):
-        base = power_base((-1.0, 1.0), arity=2)
+        means = power_means((-1.0, 1.0), arity=2)
         with pytest.raises(iv.ShapeError):
-            ComposedMapping(base, IndexVector.from_rows(((1, 1),)))
+            ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 1),)))
 
     def test_graph_is_cached_incidence_graph(self):
         m = example2_mapping()
@@ -93,7 +91,7 @@ class TestCompose:
             make_power_mean(PowerMeanSpec(1.0, 2), domain=narrow),
         )
         with pytest.raises(iv.ValidationError, match="lives on"):
-            AveragingMapping(means=mixed, interval=POSITIVE_REALS)
+            ComposedMapping(mixed, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
 
 
 class TestApply:
@@ -150,16 +148,12 @@ class TestApply:
     def test_permutation_equivariance(self, rng):
         m = example2_mapping()
         perm = (2, 0, 3, 1)  # pi(i) = perm[i], 0-based
-        base_means = m.base.means
         new_means = [None] * 4
         new_rows = [None] * 4
         for i in range(4):
-            new_means[perm[i]] = base_means[i]
+            new_means[perm[i]] = m.means[i]
             new_rows[perm[i]] = tuple(perm[a - 1] + 1 for a in m.alpha.rows[i])
-        conj = ComposedMapping(
-            AveragingMapping(means=tuple(new_means), interval=POSITIVE_REALS),
-            IndexVector.from_rows(new_rows),
-        )
+        conj = ComposedMapping(tuple(new_means), POSITIVE_REALS, IndexVector(new_rows))
         for _ in range(30):
             x = tuple(rng.uniform(0.2, 8.0) for _ in range(4))
             px = [None] * 4
@@ -234,8 +228,8 @@ class TestCertify:
         assert cert.n0 is None
 
     def test_periodic_unknown(self):
-        m = ComposedMapping(power_base((-1.0, 1.0, -1.0, 1.0)),
-                            IndexVector.from_rows(((3, 4), (3, 4), (1, 2), (1, 2))))
+        m = ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,
+                            IndexVector(((3, 4), (3, 4), (1, 2), (1, 2))))
         cert = certify_uniform_weak_contractivity(m)
         assert cert.status == UNKNOWN
         assert "period 2" in cert.evidence
@@ -248,11 +242,8 @@ class TestCertify:
             flags=MeanFlags(strict=False, monotone=True),
             label="max",
         )
-        base = AveragingMapping(
-            means=(maxmean, make_power_mean(PowerMeanSpec(1.0, 2))),
-            interval=POSITIVE_REALS,
-        )
-        m = ComposedMapping(base, IndexVector.from_rows(((1, 2), (2, 1))))
+        means = (maxmean, make_power_mean(PowerMeanSpec(1.0, 2)))
+        m = ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
         cert = certify_uniform_weak_contractivity(m)
         assert cert.status == UNKNOWN
         assert "strictness not asserted" in cert.evidence

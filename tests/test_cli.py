@@ -188,7 +188,7 @@ class TestTg:
     def test_bad_coloring_exits_one(self, capsys):
         code, _, err = run(capsys, "tg", EX2, "1,0,2,0")
         assert code == 1
-        assert "-1, 0, or 1" in err
+        assert "not in {-1, 0, 1}" in err
 
 
 class TestVerify:
@@ -315,6 +315,14 @@ class TestSpecSourcing:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1
         assert "1 entries for p=2" in err
+
+    def test_non_numeric_spec_value_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"p": 1, "interval": {"lower": "abc", "upper": null}, '
+                       '"means": [{"kind": "harmonic", "arity": 1}], "alpha": [[1]]}')
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert err == "error: interval: lower must be a number, got 'abc'\n"
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,6 @@ from invmean import (
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
-    limit_mapping_eval,
     solve_invariant_equation,
     subsequence_limits,
     verify_invariance,
@@ -38,18 +37,18 @@ def mp_invariant_mean(orders, rows, x0, digits=50):
         return x[0]
 
 
+def power_mapping(orders, rows):
+    means = tuple(iv.make_power_mean(iv.PowerMeanSpec(s, len(r))) for s, r in zip(orders, rows))
+    return iv.ComposedMapping(means, iv.POSITIVE_REALS, iv.IndexVector(rows))
+
+
 class TestInvariantMeanEval:
     def test_enclosure_through_subnormal_geometric_product(self):
         # the order-0 row multiplies (1e-160, 1e-160, 1e100), whose partial
         # product is subnormal; the enclosure used to miss by 100 radii
         orders = (0.0, 2.0, 5.0, 1.0)
         rows = ((1, 2, 3), (2, 3), (3, 4), (4, 1))
-        means = tuple(
-            iv.make_power_mean(iv.PowerMeanSpec(s, len(r))) for s, r in zip(orders, rows)
-        )
-        m = iv.ComposedMapping(
-            iv.AveragingMapping(means, iv.POSITIVE_REALS), iv.IndexVector.from_rows(rows)
-        )
+        m = power_mapping(orders, rows)
         x0 = (1e-160, 1e-160, 1e100, 1e299)
         report = invariant_mean_eval(m, x0)
         assert report.converged
@@ -118,18 +117,31 @@ class TestInvariantMeanEval:
 
 
 class TestLimitMappingEval:
+    """The limit (K(x), ..., K(x)) of the iterates, read off the report."""
+
     def test_constant_vector_returned(self, ex5):
-        out = limit_mapping_eval(ex5, (1.0, 4.0, 9.0, 16.0))
-        assert len(out) == 4
-        assert all(t == out[0] for t in out)
-        assert out[0] == pytest.approx(2.0, abs=1e-9)
+        report = invariant_mean_eval(ex5, (1.0, 4.0, 9.0, 16.0))
+        assert report.converged
+        assert all(abs(t - report.value) <= report.error_radius for t in report.final_iterate)
+        assert report.value == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_input(self, ex2):
-        assert limit_mapping_eval(ex2, (2.5,) * 4) == (2.5,) * 4
+        report = invariant_mean_eval(ex2, (2.5,) * 4)
+        assert report.converged and report.value == 2.5
 
     def test_nonconvergence_raises(self, ex6):
-        with pytest.raises(iv.ConvergenceError):
-            limit_mapping_eval(ex6, (1.0, 4.0, 9.0, 16.0))
+        report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
+        assert not report.converged and report.value is None
+
+    def test_stall_window_is_polynomial_in_p(self):
+        # two disjoint alternating harmonic/arithmetic rings with loops
+        # settle at two different values; a 3^p window (13122 at p=8)
+        # would run to max_iter before it could see the stall
+        rows = ((1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5))
+        m = power_mapping((-1.0, 1.0) * 4, rows)
+        report = invariant_mean_eval(m, (1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0))
+        assert not report.converged
+        assert report.iterations_used < 10_000
 
 
 class TestSubsequenceLimits:
@@ -226,11 +238,8 @@ class TestVerifyMeanProperties:
             flags=iv.MeanFlags(strict=False),
             label="max",
         )
-        base = iv.AveragingMapping(
-            means=(maxmean, iv.make_power_mean(iv.PowerMeanSpec(1.0, 2))),
-            interval=iv.POSITIVE_REALS,
-        )
-        m = iv.ComposedMapping(base, iv.IndexVector.from_rows(((1, 2), (2, 1))))
+        means = (maxmean, iv.make_power_mean(iv.PowerMeanSpec(1.0, 2)))
+        m = iv.ComposedMapping(means, iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1))))
         with pytest.raises(iv.PreconditionError, match="strict flag not asserted"):
             verify_mean_properties(m, "strict", rng=Random(5), n_samples=10)
 
@@ -253,11 +262,7 @@ class TestSingleCoordinate:
 
     @pytest.fixture
     def identity(self):
-        base = iv.AveragingMapping(
-            means=(iv.make_power_mean(iv.PowerMeanSpec(1.0, 1)),),
-            interval=iv.POSITIVE_REALS,
-        )
-        return iv.ComposedMapping(base, iv.IndexVector.from_rows(((1,),)))
+        return power_mapping((1.0,), ((1,),))
 
     def test_invariant_is_identity(self, identity):
         report = invariant_mean_eval(identity, (4.2,))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -37,10 +38,9 @@ class TestParsing:
 
     def test_build_returns_base_and_alpha(self):
         mapping = load_mapping_spec(fixture_path("example2.json")).build()
-        base, alpha = mapping.base, mapping.alpha
-        assert base.p == 4
-        assert [m.label for m in base.means] == ["P_-1", "P_0", "P_1", "P_2"]
-        assert alpha.p == 4
+        assert mapping.p == 4
+        assert [m.label for m in mapping.means] == ["P_-1", "P_0", "P_1", "P_2"]
+        assert mapping.alpha.p == 4
 
     def test_huge_order_loads_without_sampling(self):
         # P_1e17 rounds to max(x) on nonconstant inputs, so it is not strict
@@ -128,6 +128,38 @@ class TestSchemaErrors:
     def test_invalid_json_text(self):
         with pytest.raises(iv.SpecError, match="not valid JSON"):
             load_mapping_spec("{not json")
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("interval", "lower", "abc"),
+            ("interval", "upper", True),
+            ("interval", "lower", 10 ** 400),
+            ("means[2]", "order", "x"),
+            ("means[2]", "order", None),
+            ("means[2]", "order", "1.5"),
+            ("means[1]", "order", [1]),
+        ],
+    )
+    def test_non_number_rejected(self, where, key, value):
+        raw = minimal_spec_dict()
+        entry = raw["interval"] if where == "interval" else raw["means"][int(where[6]) - 1]
+        entry[key] = value
+        with pytest.raises(iv.SpecError, match=rf"{re.escape(where)}: {key} "):
+            mapping_spec_from_dict(raw)
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_non_boolean_open_flag_rejected(self, value):
+        raw = minimal_spec_dict()
+        raw["interval"]["lower_open"] = value
+        with pytest.raises(iv.SpecError, match="interval: lower_open must be true or false"):
+            mapping_spec_from_dict(raw)
+
+    def test_non_string_kind_rejected(self):
+        raw = minimal_spec_dict()
+        raw["means"][0] = {"kind": ["power"], "order": 1, "arity": 2}
+        with pytest.raises(iv.SpecError, match=r"means\[1\]: unknown mean kind"):
+            mapping_spec_from_dict(raw)
 
     def test_bad_p(self):
         raw = minimal_spec_dict()
