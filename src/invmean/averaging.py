@@ -20,6 +20,17 @@ vectors such as (a, a, b, b) keep their oscillation for one step).
 Both certificate directions are evidence-grade where sampling is
 involved: "contractive-sampled" records that no counterexample was
 found, never a proof.
+
+Evaluation: `apply(x)` validates its argument (length, and every
+coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
+the iterations of `invariant` validate only their start point: every
+later point is the output of a step, which stays in I.  A step runs the
+mapping's evaluation plan, built on first use: one callable per
+coordinate that reads its alpha row (0-based) from the point.  A power
+mean built by `make_power_mean` is evaluated through the same arithmetic
+kernel as `power_mean_eval`, without its argument checks, and lands in
+[min, max] of its arguments; any other mean is called through its
+evaluator and its value is checked against I (DomainError otherwise).
 """
 
 from __future__ import annotations
@@ -27,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError
-from .means import Interval, Mean, sample_box
+from .means import Interval, Mean, _compiled_power_mean, sample_box
 
 __all__ = [
     "IndexVector",
@@ -120,9 +131,28 @@ class ComposedMapping:
         return build_incidence_graph(self.alpha)
 
     @cached_property
-    def _rows0(self) -> tuple[tuple[int, ...], ...]:
-        # 0-based argument positions; 1-based stops at the public boundary
-        return tuple(tuple(a - 1 for a in row) for row in self.alpha.rows)
+    def _plan(self) -> tuple[Callable[[tuple[float, ...]], float], ...]:
+        # one callable per coordinate, reading its 0-based alpha row from
+        # the whole point; built on the first step, not at construction
+        plan = []
+        for i, (mean, row) in enumerate(zip(self.means, self.alpha.rows), start=1):
+            row0 = tuple(a - 1 for a in row)
+            kernel = _compiled_power_mean(mean, row0)
+            plan.append(kernel if kernel is not None else self._checked_coordinate(i, mean, row0))
+        return tuple(plan)
+
+    def _checked_coordinate(self, i: int, mean: Mean, row0: tuple[int, ...]) -> Callable:
+        # a mean the library did not build is trusted for nothing: its value
+        # must lie in the interval, as the next step's argument would
+        iv = self.interval
+
+        def coordinate(xs: tuple[float, ...]) -> float:
+            t = float(mean(tuple(xs[j] for j in row0)))
+            if not iv.contains(t):
+                raise DomainError(f"mean {i} ({mean.label!r}) returned {t!r} outside {iv}")
+            return t
+
+        return coordinate
 
     @property
     def p(self) -> int:
@@ -138,24 +168,38 @@ class ComposedMapping:
                 raise DomainError(f"coordinate {i}={t!r} outside {iv}")
         return xs
 
+    def _step(self, xs: tuple[float, ...]) -> tuple[float, ...]:
+        """M(xs) for a point already in I^p: the plan runs unchecked, since
+        every power mean lands in [min(xs), max(xs)] and every other mean's
+        value is checked against the interval."""
+        return tuple([f(xs) for f in self._plan])
+
     def apply(self, x: Sequence[float]) -> tuple[float, ...]:
-        """One application; every output coordinate lies in [min(x), max(x)]."""
-        xs = self._validate_point(x)
-        means = self.means
-        return tuple(
-            means[i](tuple(xs[j] for j in row)) for i, row in enumerate(self._rows0)
-        )
+        """One application: x is validated (its length, and every coordinate
+        in the interval), then stepped; every power-mean coordinate of the
+        result lies in [min(x), max(x)]."""
+        return self._step(self._validate_point(x))
 
     def iterate(self, x: Sequence[float], n: int) -> tuple[tuple[float, ...], ...]:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError(f"iteration count must be >= 0, got {n!r}")
-        point = self._validate_point(x)
+        point = self._validate_start(x, n)
         trace = [point]
         for _ in range(n):
-            point = self.apply(point)
+            point = self._step(point)
             trace.append(point)
         return tuple(trace)
+
+    def nth_iterate(self, x: Sequence[float], n: int) -> tuple[float, ...]:
+        """M^n(x), the last point of `iterate(x, n)`, without keeping the trace."""
+        point = self._validate_start(x, n)
+        for _ in range(n):
+            point = self._step(point)
+        return point
+
+    def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
+        if not isinstance(n, int) or n < 0:
+            raise ValidationError(f"iteration count must be >= 0, got {n!r}")
+        return self._validate_point(x)
 
 
 def oscillation(x: Sequence[float]) -> float:
@@ -278,9 +322,7 @@ def falsify_contractivity(
         raise ValidationError(f"n0 must be a positive integer, got {n0!r}")
     samples = contractivity_samples(m, rng, n_samples)
     for x in samples:
-        y = x
-        for _ in range(n0):
-            y = m.apply(y)
+        y = m.nth_iterate(x, n0)
         before = oscillation(x)
         after = oscillation(y)
         if after >= before:

@@ -140,20 +140,25 @@ def cmd_analyze(args) -> int:
 def cmd_iterate(args) -> int:
     mapping = _load_spec(args.spec).build()
     x = _parse_point(args.x)
-    trace = mapping.iterate(x, args.steps)
-    oscillations = [oscillation(pt) for pt in trace]
-    shown = range(len(trace)) if args.trace else (0, len(trace) - 1)
+    if args.trace:
+        points = mapping.iterate(x, args.steps)
+        shown = range(len(points))
+    else:
+        # only the first and last point are printed, so none between is kept
+        points = (x, mapping.nth_iterate(x, args.steps))
+        shown = (0, args.steps)
+    oscillations = [oscillation(pt) for pt in points]
     if args.json:
         _emit_json(
             {
                 "steps": args.steps,
-                "trace": [list(trace[k]) for k in shown],
-                "oscillations": [oscillations[k] for k in shown],
+                "trace": [list(pt) for pt in points],
+                "oscillations": oscillations,
             }
         )
         return EXIT_OK
-    for k in shown:
-        print(f"n={k}  x = {_fmt_point(trace[k])}  oscillation = {_fmt(oscillations[k])}")
+    for k, pt, osc in zip(shown, points, oscillations):
+        print(f"n={k}  x = {_fmt_point(pt)}  oscillation = {_fmt(osc)}")
     return EXIT_OK
 
 
@@ -182,6 +187,7 @@ def cmd_invariant(args) -> int:
         print("error_radius:", _fmt(report.error_radius))
         print("iterations_used:", report.iterations_used)
         print("converged:", _fmt_bool(report.converged))
+        print("stop_reason:", report.stop_reason)
         print("final_iterate:", _fmt_point(report.final_iterate))
     return EXIT_OK if report.converged else EXIT_FALSIFIED
 

@@ -11,12 +11,16 @@ term is added: when the bracket collapses to one float the radius reads
 0 although K(x) may differ from that float in its last bits, so the
 radius is not a true enclosure of K(x).
 
-`invariant_mean_eval` runs that iteration.  Non-convergence (periodic or
-disconnected incidence structure) is a structured report, never an
-exception, so callers can inspect the final iterate.  When the full
-sequence has several cluster points, `subsequence_limits` follows each
-residue class modulo m separately with a per-coordinate Cauchy test,
-which handles limits that are not constant vectors.
+`invariant_mean_eval` runs that iteration.  It validates the start point
+once and then steps through the mapping's evaluation plan, which calls
+the same kernel as `power_mean_eval` without re-checking the arguments
+(see `averaging`).  Non-convergence (periodic or disconnected incidence
+structure) is a structured report, never an exception, so callers can
+inspect the final iterate; its stop_reason tells a stall from the
+iteration cap.  When the full sequence has several cluster points,
+`subsequence_limits` follows each residue class modulo m separately with
+a per-coordinate Cauchy test, which handles limits that are not constant
+vectors.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `check_oscillation_monotonicity`, `check_bracket_dichotomy`,
@@ -37,7 +41,6 @@ from .averaging import (
     ComposedMapping,
     certify_uniform_weak_contractivity,
     is_constant_vector,
-    oscillation,
 )
 from .errors import PreconditionError, ValidationError
 from .means import CheckReport, sample_box, sweep
@@ -69,6 +72,8 @@ class ConvergenceReport:
     not converged) and error_radius is half its oscillation.  The bracket
     is monotone, so the radius bounds the floating-point bracket, but it
     carries no rounding term and is not a true enclosure of K(x).
+    stop_reason says what ended the run: "converged", "stalled" (a whole
+    stall window without a measurable shrink) or "max_iter".
     """
 
     value: float | None
@@ -76,6 +81,7 @@ class ConvergenceReport:
     iterations_used: int
     converged: bool
     final_iterate: tuple[float, ...]
+    stop_reason: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,6 +89,7 @@ class ConvergenceReport:
             "error_radius": self.error_radius,
             "iterations_used": self.iterations_used,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "final_iterate": list(self.final_iterate),
         }
 
@@ -137,11 +144,15 @@ def invariant_mean_eval(
     most tol*scale on convergence.  The oscillation is nonincreasing, so
     a window of max(200, 2*((p-1)^2 + 1)) steps over which it fails to
     shrink proves practical stagnation and ends the run early with
-    converged=False; periodic and disconnected structures are reported
-    this way instead of burning max_iter.  (p-1)^2 + 1 is Wielandt's
-    bound on the uniform walk length of an ergodic incidence graph, and
-    with strict means the oscillation strictly shrinks over every such
-    length, so the window is polynomial in p.
+    converged=False and stop_reason "stalled"; periodic and disconnected
+    structures are reported this way instead of burning max_iter.
+    (p-1)^2 + 1 is Wielandt's bound on the uniform walk length of an
+    ergodic incidence graph, and with strict means the oscillation
+    strictly shrinks over every such length, so the window is polynomial
+    in p.
+
+    Only the start point is validated; the steps run the mapping's
+    evaluation plan unchecked (`ComposedMapping._step`).
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be > 0, got {tol!r}")
@@ -150,18 +161,21 @@ def invariant_mean_eval(
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
     window = max(200, 2 * ((m.p - 1) ** 2 + 1))
+    step = m._step
     y = xs
-    osc = oscillation(y)
+    osc = max(y) - min(y)
     n = 0
     anchor_osc = osc
     anchor_n = 0
+    stalled = False
     while osc >= threshold and n < max_iter:
-        y = m.apply(y)
+        y = step(y)
         n += 1
-        osc = oscillation(y)
+        osc = max(y) - min(y)
         if n - anchor_n >= window:
             if osc > anchor_osc * (1.0 - 1e-12):
-                break  # stalled: no measurable shrink across the window
+                stalled = True  # no measurable shrink across the window
+                break
             anchor_osc = osc
             anchor_n = n
     converged = osc < threshold
@@ -172,6 +186,7 @@ def invariant_mean_eval(
         iterations_used=n,
         converged=converged,
         final_iterate=y,
+        stop_reason="converged" if converged else "stalled" if stalled else "max_iter",
     )
 
 
@@ -203,7 +218,7 @@ def subsequence_limits(
     y = xs
     n = 0
     while n < max_iter and not all(converged):
-        y = m.apply(y)
+        y = m._step(y)
         n += 1
         r = n % modulus
         prev = last[r]
@@ -429,9 +444,7 @@ def check_bracket_dichotomy(
     n0 = 3 ** m.p
 
     def judge(x):
-        y = x
-        for _ in range(n0):
-            y = m.apply(y)
+        y = m.nth_iterate(x, n0)
         if is_constant_vector(y):
             return 0.0, None
         low_gap = min(y) - min(x)

@@ -145,7 +145,8 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
 
     Every argument must be strictly positive and finite (the domain is the
     open half-line, checked without tolerance).  The result is clamped into
-    [min(x), max(x)].
+    [min(x), max(x)].  The arithmetic is `_power_mean`, which a mapping's
+    evaluation plan calls too.
 
     Raises ShapeError on an arity mismatch and DomainError on arguments
     outside (0, +inf).
@@ -156,12 +157,22 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     for t in xs:
         if not t > 0.0 or math.isinf(t):  # also rejects NaN
             raise DomainError(f"power-mean argument {t!r} outside (0, +inf)")
+    return _power_mean(spec.order, xs)
+
+
+# below this |order| the sum of t**s cancels, see _power_mean
+_SMALL_ORDER = 1e-2
+
+
+def _power_mean(s: float, xs: Sequence[float]) -> float:
+    """The power mean of order s of arguments already known to be finite
+    and positive, clamped into [min(xs), max(xs)]: the arithmetic of
+    `power_mean_eval`, without its checks."""
     lo = min(xs)
     hi = max(xs)
     if lo == hi:
         return lo
     n = len(xs)
-    s = spec.order
     if s == 0.0:
         # take the n-th root of the mantissa times 2^r only, with the exponent
         # split as q*n + r, so 2^q is exact and the rounding of 1/n is not
@@ -178,15 +189,15 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
         val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
     else:
         val = None
-        if abs(s) < 1e-2:
+        if abs(s) < _SMALL_ORDER:
             # t**s == 1 + s*log(t) to within rounding here; the direct sum
             # would cancel the whole signal, expm1/log1p keeps it
             us = [s * math.log(t) for t in xs]
-            if max(abs(u) for u in us) < 1e-3:
-                val = math.exp(math.log1p(math.fsum(math.expm1(u) for u in us) / n) / s)
+            if max(map(abs, us)) < 1e-3:
+                val = math.exp(math.log1p(math.fsum(map(math.expm1, us)) / n) / s)
         if val is None:
             try:
-                total = math.fsum(t ** s for t in xs)
+                total = math.fsum([t ** s for t in xs])
             except OverflowError:
                 total = math.inf
             if math.isfinite(total) and total >= sys.float_info.min:
@@ -194,10 +205,63 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
             else:
                 # rescale by the dominant argument; every term then lies in (0, 1]
                 base = hi if s > 0 else lo
-                total = math.fsum((t / base) ** s for t in xs)
+                total = math.fsum([(t / base) ** s for t in xs])
                 val = base * (total / n) ** (1.0 / s)
     # round toward the bracket: the exact value lies strictly inside it
     return min(max(val, lo), hi)
+
+
+def _power_mean_kernel(s: float, row: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
+    """`_power_mean` of order s over the entries `row` (0-based) of a point,
+    as one callable of the point, for arguments already known to be finite
+    and positive.
+
+    Closed forms are chosen from the arity and the order, and each gives
+    `_power_mean`'s result bit for bit: for two arguments at an order that
+    takes the power-sum path (s != 0, |s| >= 1e-2) a + b is the correctly
+    rounded sum that fsum returns and 1/s is computed once; when that sum
+    overflows or leaves the normal floats, `_power_mean` takes over.  Every
+    other row calls `_power_mean`.
+    """
+    if len(row) != 2 or s == 0.0 or abs(s) < _SMALL_ORDER:
+        return lambda xs: _power_mean(s, [xs[j] for j in row])
+    i, j = row
+    inv_s = 1.0 / s
+    tiny = sys.float_info.min
+    inf = math.inf
+
+    def mean2(xs: Sequence[float]) -> float:
+        a = xs[i]
+        b = xs[j]
+        if a == b:
+            return a
+        try:
+            total = a ** s + b ** s
+        except OverflowError:
+            return _power_mean(s, (a, b))
+        if not tiny <= total < inf:
+            return _power_mean(s, (a, b))
+        val = (total / 2) ** inv_s
+        lo, hi = (a, b) if a < b else (b, a)
+        return lo if val < lo else hi if val > hi else val
+
+    return mean2
+
+
+def _within_positive_reals(domain: Interval) -> bool:
+    return domain.lower > 0.0 or (domain.lower == 0.0 and domain.lower_open)
+
+
+@dataclass(frozen=True)
+class _PowerMeanEvaluator:
+    """The evaluator of a `make_power_mean` mean: `power_mean_eval` at one
+    spec.  A mapping recognises a power mean by this type and evaluates it
+    through `_power_mean_kernel` instead."""
+
+    spec: PowerMeanSpec
+
+    def __call__(self, args: Sequence[float]) -> float:
+        return power_mean_eval(self.spec, args)
 
 
 def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> Mean:
@@ -207,19 +271,28 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
     homogeneous on (0, +inf), so all three flags are set.
     `domain` may restrict the mean to a subinterval of the positive reals.
     """
-    if domain.lower < 0.0 or (domain.lower == 0.0 and not domain.lower_open):
+    if not _within_positive_reals(domain):
         raise ValidationError(f"power means need a domain within (0, +inf), got {domain}")
-
-    def _eval(args: Sequence[float], _spec: PowerMeanSpec = spec) -> float:
-        return power_mean_eval(_spec, args)
-
     return Mean(
         arity=spec.arity,
         domain=domain,
-        evaluator=_eval,
+        evaluator=_PowerMeanEvaluator(spec),
         flags=MeanFlags(strict=True, monotone=True, homogeneous=True),
         label=f"P_{spec.order:g}",
     )
+
+
+def _compiled_power_mean(mean: Mean, row: tuple[int, ...]) -> Callable[[Sequence[float]], float] | None:
+    """The kernel of `mean` over `row` when it is a library power mean on a
+    domain within (0, +inf), else None."""
+    ev = mean.evaluator
+    if (
+        isinstance(ev, _PowerMeanEvaluator)
+        and ev.spec.arity == len(row)
+        and _within_positive_reals(mean.domain)
+    ):
+        return _power_mean_kernel(ev.spec.order, row)
+    return None
 
 
 @dataclass(frozen=True)

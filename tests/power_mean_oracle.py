@@ -1,0 +1,71 @@
+"""A frozen copy of `power_mean_eval` as it stood before the evaluation
+plan, kept verbatim as the reference the plan is compared with bit for bit
+(`test_plan.py`).  Do not edit it to follow the package."""
+
+from __future__ import annotations
+
+import math
+import sys
+from typing import Sequence
+
+from invmean import DomainError, PowerMeanSpec, ShapeError
+
+
+def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
+    """Evaluate the power mean of order spec.order at x.
+
+    Every argument must be strictly positive and finite (the domain is the
+    open half-line, checked without tolerance).  The result is clamped into
+    [min(x), max(x)].
+
+    Raises ShapeError on an arity mismatch and DomainError on arguments
+    outside (0, +inf).
+    """
+    xs = tuple(float(t) for t in x)
+    if len(xs) != spec.arity:
+        raise ShapeError(f"power mean of arity {spec.arity} got {len(xs)} arguments")
+    for t in xs:
+        if not t > 0.0 or math.isinf(t):  # also rejects NaN
+            raise DomainError(f"power-mean argument {t!r} outside (0, +inf)")
+    lo = min(xs)
+    hi = max(xs)
+    if lo == hi:
+        return lo
+    n = len(xs)
+    s = spec.order
+    if s == 0.0:
+        # take the n-th root of the mantissa times 2^r only, with the exponent
+        # split as q*n + r, so 2^q is exact and the rounding of 1/n is not
+        # multiplied by |ln prod|; every partial product lies between
+        # min(1, lo^n) and max(1, hi^n), and when that range can leave the
+        # normal floats the mantissas and exponents are multiplied apart
+        if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
+            mant, e = math.frexp(math.prod(xs))
+        else:
+            parts = [math.frexp(t) for t in xs]
+            mant = math.prod(m for m, _ in parts)
+            e = sum(e for _, e in parts)
+        q, r = divmod(e, n)
+        val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
+    else:
+        val = None
+        if abs(s) < 1e-2:
+            # t**s == 1 + s*log(t) to within rounding here; the direct sum
+            # would cancel the whole signal, expm1/log1p keeps it
+            us = [s * math.log(t) for t in xs]
+            if max(abs(u) for u in us) < 1e-3:
+                val = math.exp(math.log1p(math.fsum(math.expm1(u) for u in us) / n) / s)
+        if val is None:
+            try:
+                total = math.fsum(t ** s for t in xs)
+            except OverflowError:
+                total = math.inf
+            if math.isfinite(total) and total >= sys.float_info.min:
+                val = (total / n) ** (1.0 / s)
+            else:
+                # rescale by the dominant argument; every term then lies in (0, 1]
+                base = hi if s > 0 else lo
+                total = math.fsum((t / base) ** s for t in xs)
+                val = base * (total / n) ** (1.0 / s)
+    # round toward the bracket: the exact value lies strictly inside it
+    return min(max(val, lo), hi)

@@ -92,6 +92,26 @@ class TestIterate:
         assert code == 0
         assert all(pt == [1.0, 1.0, 2.0, 2.0] for pt in data["trace"])
 
+    def test_untraced_output_is_first_and_last_of_the_trace(self, capsys):
+        _, full, _ = run_json(capsys, "iterate", EX2, "1,2,3,4", "-n", "500", "--trace", "--json")
+        code, ends, _ = run_json(capsys, "iterate", EX2, "1,2,3,4", "-n", "500", "--json")
+        assert code == 0
+        assert len(full["trace"]) == 501
+        assert ends == {
+            "steps": 500,
+            "trace": [full["trace"][0], full["trace"][-1]],
+            "oscillations": [full["oscillations"][0], full["oscillations"][-1]],
+        }
+        _, full_text, _ = run(capsys, "iterate", EX2, "1,2,3,4", "-n", "500", "--trace")
+        _, ends_text, _ = run(capsys, "iterate", EX2, "1,2,3,4", "-n", "500")
+        lines = full_text.splitlines()
+        assert ends_text.splitlines() == [lines[0], lines[-1]]
+
+    def test_zero_steps_prints_the_start_twice(self, capsys):
+        code, data, _ = run_json(capsys, "iterate", EX2, "1,2,3,4", "-n", "0", "--json")
+        assert code == 0
+        assert data["trace"] == [[1.0, 2.0, 3.0, 4.0]] * 2
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run(capsys, "iterate", EX2, "1,-2,3,4", "-n", "1")
         assert code == 1
@@ -132,6 +152,16 @@ class TestInvariant:
         code, out, _ = run(capsys, "invariant", EX2, "1,2,3,4")
         assert code == 0
         assert "converged: true" in out
+        assert "stop_reason: converged" in out
+
+    def test_stop_reason_of_a_capped_run(self, capsys):
+        code, data, _ = run_json(capsys, "invariant", EX2, "1,2,3,4", "--max-iter", "3", "--json")
+        assert code == 2
+        assert data["stop_reason"] == "max_iter"
+        assert list(data) == [
+            "value", "error_radius", "iterations_used", "converged", "stop_reason",
+            "final_iterate",
+        ]
 
 
 class TestTg:
@@ -328,3 +358,22 @@ class TestSpecSourcing:
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])  # missing spec argument
         assert exc.value.code == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import invmean
+
+        src = str(Path(invmean.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "invmean", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == f"invmean {invmean.__version__}\n"

@@ -142,6 +142,24 @@ class TestLimitMappingEval:
         report = invariant_mean_eval(m, (1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0))
         assert not report.converged
         assert report.iterations_used < 10_000
+        assert report.stop_reason == "stalled"
+
+
+class TestStopReason:
+    def test_converged(self, ex2):
+        report = invariant_mean_eval(ex2, (1.0, 2.0, 3.0, 4.0))
+        assert report.converged and report.stop_reason == "converged"
+        assert report.to_json_dict()["stop_reason"] == "converged"
+
+    def test_iteration_cap(self, ex2):
+        report = invariant_mean_eval(ex2, (1.0, 2.0, 3.0, 4.0), max_iter=3)
+        assert not report.converged
+        assert report.iterations_used == 3
+        assert report.stop_reason == "max_iter"
+        assert report.to_json_dict()["stop_reason"] == "max_iter"
+
+    def test_periodic_structure_stalls(self, ex6):
+        assert invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0)).stop_reason == "stalled"
 
 
 class TestSubsequenceLimits:
