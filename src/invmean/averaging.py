@@ -12,7 +12,11 @@ graph (edge alpha[i][j] -> i) governs the long-run behaviour of the
 iteration: when all component means are strict and the incidence graph
 is ergodic, the oscillation max(x) - min(x) strictly shrinks after at
 most 3^p applications, uniformly in x.  `certify_uniform_weak_contractivity`
-checks exactly those hypotheses and issues the n0 = 3^p certificate;
+checks exactly those hypotheses and issues the n0 = 3^p certificate.
+The certificate also carries q0, the uniform walk length of the graph
+(q0 <= (p-1)^2 + 1, Wielandt): after q0 steps both ends of the bracket
+of every nonconstant vector have strictly moved inward, as
+`invariant.check_bracket_dichotomy` proves and checks by sampling.
 `falsify_contractivity` hunts for sampled counterexamples at any given
 step count, which a single application typically provides (block
 vectors such as (a, a, b, b) keep their oscillation for one step).
@@ -229,7 +233,8 @@ class ContractivityCertificate:
     status is one of:
       * "uniformly-weak-certified" -- all component means carry the strict
         flag and the incidence graph is ergodic; n0 = 3^p steps strictly
-        shrink the oscillation of every nonconstant vector.
+        shrink the oscillation of every nonconstant vector, and so do the
+        q0 steps of the graph's uniform walk length.
       * "contractive-sampled"      -- sampling at the stated n0 found no
         counterexample (evidence, not proof).
       * "falsified"                -- a sampled witness kept its oscillation
@@ -242,20 +247,22 @@ class ContractivityCertificate:
     n0: int | None
     evidence: str
     witness: tuple[float, ...] | None = None
+    # the uniform walk length of a certified mapping's graph; not in the JSON
+    q0: int | None = None
 
     def __post_init__(self) -> None:
         if self.status not in _CLASSES:
             raise ValidationError(f"unknown certificate class {self.status!r}")
-        if self.status == CERTIFIED and self.n0 is None:
-            raise ValidationError("a certified certificate must carry n0")
+        if self.status == CERTIFIED and (self.n0 is None or self.q0 is None):
+            raise ValidationError("a certified certificate must carry n0 and q0")
 
     def to_json_dict(self) -> dict:
         return {"class": self.status, "n0": self.n0, "evidence": self.evidence}
 
 
 def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCertificate:
-    """Certify n0 = 3^p uniform oscillation decay, or name the failed
-    hypothesis.
+    """Certify n0 = 3^p uniform oscillation decay, with the graph's uniform
+    walk length q0, or name the failed hypothesis.
 
     The hypotheses are exactly: every component mean is flagged strict, and
     the incidence graph is ergodic.  Flags are trusted assertions (see
@@ -278,6 +285,7 @@ def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCerti
         f"all {m.p} component means strict; incidence graph ergodic "
         f"(uniform walk length {cls.uniform_walk_length}); oscillation strictly "
         f"decreases after n0 = 3^{m.p} = {n0} steps for every nonconstant vector",
+        q0=cls.uniform_walk_length,
     )
 
 

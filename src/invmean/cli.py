@@ -269,9 +269,7 @@ def cmd_verify(args) -> int:
         "certificate", "info", f"class={cert.status} n0={cert.n0}; {cert.evidence}"
     ))
 
-    certified = cert.status == CERTIFIED
-    n0 = 3 ** mapping.p
-    if certified:
+    if cert.status == CERTIFIED:
         checks.append(_report_entry(
             "invariance", verify_invariance(mapping, tol=args.tol, rng=rng, n_samples=n)
         ))
@@ -279,7 +277,7 @@ def cmd_verify(args) -> int:
             "bracket-dichotomy", check_bracket_dichotomy(mapping, rng, n_samples=min(n, 100))
         ))
     else:
-        falsification = falsify_contractivity(mapping, n0, rng, n_samples=n)
+        falsification = falsify_contractivity(mapping, 3 ** mapping.p, rng, n_samples=n)
         if falsification.status == FALSIFIED:
             checks.append(_check_entry(
                 "contractivity", "fail", falsification.evidence,

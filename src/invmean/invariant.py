@@ -27,7 +27,10 @@ The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `solve_invariant_equation`) are sampling falsifiers run by `means.sweep`,
 as `check_mean_property` is: each returns a `CheckReport` whose
 violations are data with witnesses, and a clean sweep is evidence, not
-proof.
+proof.  `check_bracket_dichotomy` and `solve_invariant_equation` need a
+certified mapping; the dichotomy is checked after q0 <= (p-1)^2 + 1
+steps, the certificate's uniform walk length, while the certificate
+itself still reads the paper's n0 = 3^p.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Callable, Sequence
 from .averaging import (
     CERTIFIED,
     ComposedMapping,
+    ContractivityCertificate,
     certify_uniform_weak_contractivity,
     is_constant_vector,
 )
@@ -428,30 +432,54 @@ def check_oscillation_monotonicity(
     return sweep("oscillation-monotonicity", _nonconstant_samples(m, rng, n_samples), judge)
 
 
+def _certificate(m: ComposedMapping) -> ContractivityCertificate:
+    cert = certify_uniform_weak_contractivity(m)
+    if cert.status != CERTIFIED:
+        raise PreconditionError(
+            f"mapping not certified uniformly weak contractive: {cert.evidence}"
+        )
+    return cert
+
+
 def check_bracket_dichotomy(
     m: ComposedMapping,
     rng: Random | None = None,
     n_samples: int = 100,
 ) -> CheckReport:
-    """After n0 = 3^p steps, a nonconstant start vector must either have
+    """After q0 steps, a nonconstant start vector must either have
     collapsed to a constant vector or sit strictly inside its starting
-    bracket: min(x) < min(M^n0(x)) <= max(M^n0(x)) < max(x).
+    bracket: min(x) < min(M^q0(x)) <= max(M^q0(x)) < max(x).
 
-    This is the sampled form of the dichotomy that underlies the n0 = 3^p
-    certificate; run it on certified mappings.
+    q0 is the certificate's uniform walk length, the least q with every
+    entry of A^q positive (A the adjacency matrix of the incidence
+    graph), at most (p-1)^2 + 1 by Wielandt (1950), against the
+    certificate's n0 = 3^p.  q0 steps suffice: with strict means,
+    coordinate v of M(x) equals max(x) only when every argument of v
+    does, so the coordinates still at max(x) after n steps are
+    f^n(S_max), where f(S) = {v : in(v) subset of S}; the same holds for
+    min(x).  w lies in f^n(S) exactly when every walk of length n that
+    ends at w starts in S.  When A^q0 has every entry positive, every
+    vertex starts such a walk to every w, so f^q0 empties every S != V,
+    and S_max, S_min != V for a nonconstant x: both gaps are strictly
+    positive after exactly q0 steps.  The bound is sharp: some pair
+    (v, w) has no walk of length q0 - 1, and the vector at min(x) on v
+    only keeps w at max(x) for q0 - 1 steps.
+
+    The check needs the certificate's hypotheses: PreconditionError on
+    an uncertified mapping.
     """
+    q0 = _certificate(m).q0
     rng = rng if rng is not None else Random(0)
-    n0 = 3 ** m.p
 
     def judge(x):
-        y = m.nth_iterate(x, n0)
+        y = m.nth_iterate(x, q0)
         if is_constant_vector(y):
             return 0.0, None
         low_gap = min(y) - min(x)
         high_gap = max(x) - max(y)
         if low_gap <= 0.0 or high_gap <= 0.0:
             return -min(low_gap, high_gap), (
-                f"M^{n0}(x) neither constant nor strictly inside the bracket: "
+                f"M^{q0}(x) neither constant nor strictly inside the bracket: "
                 f"min gap {low_gap:.3e}, max gap {high_gap:.3e}"
             )
         return -min(low_gap, high_gap), None
@@ -476,11 +504,7 @@ def solve_invariant_equation(
     uniformly-weak-contractive mapping (else K and with it phi would not
     be grounded).
     """
-    cert = certify_uniform_weak_contractivity(m)
-    if cert.status != CERTIFIED:
-        raise PreconditionError(
-            f"mapping not certified uniformly weak contractive: {cert.evidence}"
-        )
+    _certificate(m)
     rng = rng if rng is not None else Random(0)
     p = m.p
 

@@ -162,6 +162,8 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
 
 # below this |order| the sum of t**s cancels, see _power_mean
 _SMALL_ORDER = 1e-2
+# at a small order, |s*log(t)| below which t**s - 1 is taken as expm1
+_EXPM1_RANGE = 1e-3
 
 
 def _power_mean(s: float, xs: Sequence[float]) -> float:
@@ -193,7 +195,7 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
             # t**s == 1 + s*log(t) to within rounding here; the direct sum
             # would cancel the whole signal, expm1/log1p keeps it
             us = [s * math.log(t) for t in xs]
-            if max(map(abs, us)) < 1e-3:
+            if max(map(abs, us)) < _EXPM1_RANGE:
                 val = math.exp(math.log1p(math.fsum(map(math.expm1, us)) / n) / s)
         if val is None:
             try:
@@ -216,16 +218,40 @@ def _power_mean_kernel(s: float, row: tuple[int, ...]) -> Callable[[Sequence[flo
     as one callable of the point, for arguments already known to be finite
     and positive.
 
-    Closed forms are chosen from the arity and the order, and each gives
-    `_power_mean`'s result bit for bit: for two arguments at an order that
-    takes the power-sum path (s != 0, |s| >= 1e-2) a + b is the correctly
-    rounded sum that fsum returns and 1/s is computed once; when that sum
-    overflows or leaves the normal floats, `_power_mean` takes over.  Every
-    other row calls `_power_mean`.
+    Two-argument rows get closed forms that give `_power_mean`'s result bit
+    for bit: of two floats, a + b is the correctly rounded sum that fsum
+    returns.  Order 0 takes the root of frexp(a*b) directly when both
+    arguments lie within 2^+-509, so the product is a normal float; a
+    small order takes the expm1/log1p form when both s*log(t) are below
+    1e-3; any other order, and a small order past that, takes the power
+    sum with 1/s computed once.  An order-0 argument outside that range or
+    a power sum that overflows or leaves the normal floats is handed to
+    `_power_mean`.  Every other row calls `_power_mean`.
     """
-    if len(row) != 2 or s == 0.0 or abs(s) < _SMALL_ORDER:
+    if len(row) != 2:
         return lambda xs: _power_mean(s, [xs[j] for j in row])
     i, j = row
+
+    if s == 0.0:
+        # two arguments in this range multiply with no underflow or
+        # overflow, and `_power_mean` takes the same product path there
+        root_lo, root_hi = 2.0 ** -509, 2.0 ** 509
+
+        def geometric2(xs: Sequence[float]) -> float:
+            a = xs[i]
+            b = xs[j]
+            if a == b:
+                return a
+            lo, hi = (a, b) if a < b else (b, a)
+            if not root_lo < lo or not hi < root_hi:
+                return _power_mean(s, (a, b))
+            mant, e = math.frexp(a * b)
+            q, r = divmod(e, 2)
+            val = math.ldexp(math.ldexp(mant, r) ** 0.5, q)
+            return lo if val < lo else hi if val > hi else val
+
+        return geometric2
+
     inv_s = 1.0 / s
     tiny = sys.float_info.min
     inf = math.inf
@@ -245,7 +271,21 @@ def _power_mean_kernel(s: float, row: tuple[int, ...]) -> Callable[[Sequence[flo
         lo, hi = (a, b) if a < b else (b, a)
         return lo if val < lo else hi if val > hi else val
 
-    return mean2
+    if abs(s) >= _SMALL_ORDER:
+        return mean2
+
+    def small2(xs: Sequence[float]) -> float:
+        a = xs[i]
+        b = xs[j]
+        u = s * math.log(a)
+        v = s * math.log(b)
+        if a == b or abs(u) >= _EXPM1_RANGE or abs(v) >= _EXPM1_RANGE:
+            return mean2(xs)
+        val = math.exp(math.log1p((math.expm1(u) + math.expm1(v)) / 2) / s)
+        lo, hi = (a, b) if a < b else (b, a)
+        return lo if val < lo else hi if val > hi else val
+
+    return small2
 
 
 def _within_positive_reals(domain: Interval) -> bool:

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 import invmean as iv
+from census import digraph_from_mask
 from invmean import (
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
@@ -308,6 +309,53 @@ class TestChecks:
     def test_bracket_dichotomy_clean(self, ex2):
         report = check_bracket_dichotomy(ex2, Random(2), n_samples=30)
         assert report.passed
+
+
+class TestBracketDichotomySteps:
+    """`check_bracket_dichotomy` steps each sample q0 times, the uniform
+    walk length of the incidence graph, not the certificate's n0 = 3^p."""
+
+    def test_ring12_steps_q0_per_sample(self, monkeypatch):
+        # ring with loops, row i reads (i, i+1): q0 = p - 1 = 11, n0 = 3^12
+        p = 12
+        m = power_mapping(
+            [-1.0 if i % 2 == 0 else 1.0 for i in range(p)],
+            [(i + 1, (i + 1) % p + 1) for i in range(p)],
+        )
+        cert = iv.certify_uniform_weak_contractivity(m)
+        assert (cert.n0, cert.q0) == (3 ** 12, 11)
+        calls = []
+        step = iv.ComposedMapping._step
+        monkeypatch.setattr(
+            iv.ComposedMapping, "_step", lambda self, xs: calls.append(1) or step(self, xs)
+        )
+        report = check_bracket_dichotomy(m, Random(4), n_samples=7)
+        assert report.passed and report.n_evaluated == 7
+        assert len(calls) == 7 * 11
+
+    def test_q0_is_enough_and_sharp_on_every_ergodic_four_vertex_graph(self, census4):
+        # the one-low vector at v has S_max = V \ {v} and S_min = {v}: after
+        # q0 steps both ends have moved, and for some v some coordinate is
+        # still at max(x) after q0 - 1 steps (no walk of that length from v)
+        orders = (-1.0, 0.0, 1.0, 2.0, 5e-3)
+        for mask in census4.ergodic_masks:
+            g = digraph_from_mask(4, mask)
+            rows = [sorted(a for a, b in g.edges if b == w) for w in range(1, 5)]
+            m = power_mapping([orders[(mask + w) % 5] for w in range(4)], rows)
+            assert m.graph == g
+            q0 = iv.certify_uniform_weak_contractivity(m).q0
+            kept = False
+            for v in range(4):
+                x = tuple(1.0 if w == v else 2.0 for w in range(4))
+                trace = m.iterate(x, q0)
+                assert 1.0 < min(trace[q0]) and max(trace[q0]) < 2.0, (mask, v)
+                kept = kept or max(trace[q0 - 1]) == 2.0
+            assert kept, mask
+
+    def test_uncertified_mapping_is_a_precondition_error(self, ex3, ex6):
+        for m in (ex3, ex6):
+            with pytest.raises(iv.PreconditionError, match="not certified"):
+                check_bracket_dichotomy(m, Random(0), n_samples=5)
 
 
 class TestSolveInvariantEquation:

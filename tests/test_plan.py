@@ -7,12 +7,14 @@ frozen copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit,
 on random mappings at extreme magnitudes.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmean as iv
-from invmean import invariant_mean_eval, oscillation
+from invmean import invariant_mean_eval, means, oscillation
 from invmean.means import _power_mean_kernel
 
 from power_mean_oracle import power_mean_eval as oracle_power_mean
@@ -158,6 +160,40 @@ def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     assert _power_mean_kernel(s, (0, 1))(x).hex() == want
     assert _power_mean_kernel(s, (1, 0))(x[::-1]).hex() == want
+
+
+ROOT_LO = 2.0 ** -509
+ROOT_HI = 2.0 ** 509
+
+
+# (order, point, the branch of the closed form the point takes)
+@pytest.mark.parametrize("s, x, branch", [
+    (0.0, (2.0, 3.0), "root"),
+    (0.0, (1e-150, 1e150), "root"),
+    (0.0, (math.nextafter(ROOT_LO, 1.0), 3.0), "root"),     # just inside 2^+-509
+    (0.0, (0.5, math.nextafter(ROOT_HI, 0.0)), "root"),
+    (0.0, (ROOT_LO, 3.0), "handover"),                       # on the bounds
+    (0.0, (0.5, ROOT_HI), "handover"),
+    (0.0, (math.nextafter(ROOT_LO, 0.0), 3.0), "handover"),  # just across them
+    (0.0, (0.5, math.nextafter(ROOT_HI, math.inf)), "handover"),
+    (0.0, (1e-300, 1e300), "handover"),
+    (5e-3, (1.0005, 0.9995), "log1p"),
+    (-9e-3, (1.0 + 1e-4, 1.0 - 1e-3), "log1p"),
+    (9e-3, (1.0, 1.12), "power sum"),                        # 9e-3*log(1.12) > 1e-3
+    (-5e-3, (1e-100, 1e100), "power sum"),
+    (2e-3, (1e-300, 1.0), "power sum"),
+])
+def test_order_0_and_small_order_closed_forms(monkeypatch, s, x, branch):
+    if s != 0.0:
+        near_one = all(abs(s * math.log(t)) < 1e-3 for t in x)
+        assert near_one == (branch == "log1p")
+    want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
+    handovers = []
+    power_mean = means._power_mean
+    monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
+    assert _power_mean_kernel(s, (0, 1))(x).hex() == want
+    assert _power_mean_kernel(s, (1, 0))(x[::-1]).hex() == want
+    assert bool(handovers) == (branch == "handover")
 
 
 class TestPlan:
