@@ -20,16 +20,25 @@ primitivity of the adjacency matrix); Wielandt's bound caps it at
 
 The tri-state operator T maps a coloring c: V -> {-1, 0, +1} to the
 coloring that assigns a vertex +1 when all its in-neighbors are +1, -1
-when all are -1, and 0 otherwise.  On an ergodic digraph every coloring
-reaches a constant one within 3^n steps, and that constant is 0 unless
-the start was constant +1 or -1.  T is deterministic on finitely many
-colorings, so every trajectory is constant from some step on or cycles
-through nonconstant colorings forever; `tg_stabilize` records the
-trajectory up to the first constant or first repeated coloring.
+when all are -1, and 0 otherwise.  Its +1 set evolves as
+f(S) = {v : in(v) subset S}, and so does its -1 set; after q steps the
+set is {v : every walk of length q into v starts in S}.  On an ergodic
+digraph every coloring therefore reaches a constant one within q0 steps
+(A^q0 is all-ones, so f^q0 empties every S != V), and that constant is
+0 unless the start was constant +1 or -1.  The bound is attained: a
+coloring that is +1 everywhere except a 0 at a vertex v whose row
+A^q[v] becomes all-ones last stays nonconstant for q0 - 1 steps.  On any
+digraph T is deterministic on the 3^n colorings, so every trajectory is
+constant from some step on or cycles through nonconstant colorings
+forever; `tg_stabilize` records the trajectory up to the first constant
+or first repeated coloring.
 
 Internally adjacency is held as per-vertex bitmasks (bit w-1 of
-out_masks[v-1] set iff edge (v, w)), which keeps classification fast
-without any array dependency.
+out_masks[v-1] set iff edge (v, w)), without any array dependency.
+Classification costs what the graph is: the SCC and period passes visit
+each edge a constant number of times, and q0 takes O(q0 * |E|) word ORs
+(one OR per edge per adjacency power).  `Digraph` computes it once and
+caches it.
 """
 
 from __future__ import annotations
@@ -91,6 +100,14 @@ class Digraph:
         for a, b in self.edges:
             masks[b - 1] |= 1 << (a - 1)
         return tuple(masks)
+
+    @cached_property
+    def _classification(self) -> GraphClassification:
+        n = self.n_vertices
+        irreducible, per = _classify_masks(self.out_masks, n)
+        ergodic = irreducible and per == 1
+        q0 = _uniform_walk_length_masks(self.out_masks, n) if ergodic else None
+        return GraphClassification(irreducible=irreducible, period=per, uniform_walk_length=q0)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -199,19 +216,18 @@ def _tarjan_sccs(out_masks: Sequence[int], n: int) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             descended = False
-            m = out_masks[v] >> next_w
-            w = next_w
+            m = out_masks[v] >> next_w << next_w
             while m:
-                if m & 1:
-                    if index[w] == -1:
-                        work[-1] = (v, w + 1)
-                        work.append((w, 0))
-                        descended = True
-                        break
-                    if on_stack[w] and index[w] < low[v]:
-                        low[v] = index[w]
-                m >>= 1
-                w += 1
+                bit = m & -m
+                m ^= bit
+                w = bit.bit_length() - 1
+                if index[w] == -1:
+                    work[-1] = (v, w + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if descended:
                 continue
             work.pop()
@@ -256,67 +272,72 @@ def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None]
             v = queue[qi]
             qi += 1
             m = out_masks[v] & comp_mask
-            w = 0
             while m:
-                if (m & 1) and w not in level:
+                bit = m & -m
+                m ^= bit
+                w = bit.bit_length() - 1
+                if w not in level:
                     level[w] = level[v] + 1
                     queue.append(w)
-                m >>= 1
-                w += 1
         d = 0
         for v in comp:
             m = out_masks[v] & comp_mask
-            lv = level[v]
-            w = 0
+            lv = level[v] + 1
             while m:
-                if m & 1:
-                    d = math.gcd(d, lv + 1 - level[w])
-                m >>= 1
-                w += 1
+                bit = m & -m
+                m ^= bit
+                d = math.gcd(d, lv - level[bit.bit_length() - 1])
         g = math.gcd(g, d)
     return irreducible, (g if g > 0 else None)
 
 
-def _bool_matmul(a: Sequence[int], out_masks: Sequence[int], n: int) -> list[int]:
-    """Rows of the boolean product A*B where B is the adjacency itself."""
-    result = []
-    for v in range(n):
-        m = a[v]
-        row = 0
-        w = 0
-        while m:
-            if m & 1:
-                row |= out_masks[w]
-            m >>= 1
-            w += 1
-        result.append(row)
-    return result
-
-
 def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
-    """Least q with the boolean adjacency power A^q all-ones, confirmed
-    stable by also checking A^(q+1); hard-capped at Wielandt's bound."""
+    """Least q with the boolean adjacency power A^q all-ones; hard-capped
+    at Wielandt's bound (n-1)^2 + 1.
+
+    Rows are stepped with the successor recurrence
+    A^(q+1)[v] = OR_{w in out(v)} A^q[w], one OR per edge per power, so
+    the whole search costs O(q0 * |E|) word ORs.
+
+    The least all-ones power is q0 without checking A^(q+1): if A^q is
+    all-ones, every ordered pair is joined by a walk of length q >= 1, so
+    the graph is irreducible and every vertex v has an out-neighbour;
+    then A^(q+1)[v] ORs at least one all-ones row and is all-ones itself,
+    and by induction so is every later power.
+    """
     full = (1 << n) - 1
     cap = (n - 1) ** 2 + 1
+    successors = []
+    for m in out_masks:
+        ws = []
+        while m:
+            bit = m & -m
+            m ^= bit
+            ws.append(bit.bit_length() - 1)
+        successors.append(ws)
     power = list(out_masks)
     for q in range(1, cap + 1):
-        if all(row == full for row in power):
-            nxt = _bool_matmul(power, out_masks, n)
-            if all(row == full for row in nxt):
-                return q
-        power = _bool_matmul(power, out_masks, n)
+        if power.count(full) == n:
+            return q
+        nxt = []
+        for ws in successors:
+            row = 0
+            for w in ws:
+                row |= power[w]
+            nxt.append(row)
+        power = nxt
     raise InternalConsistencyError(
-        f"no stable all-ones adjacency power up to the Wielandt bound {cap}; "
+        f"no all-ones adjacency power up to the Wielandt bound {cap}; "
         "the graph cannot be ergodic"
     )
 
 
 def is_ergodic(g: Digraph) -> GraphClassification:
-    """Full classification record; ergodic iff irreducible and aperiodic."""
-    irreducible, per = _classify_masks(g.out_masks, g.n_vertices)
-    ergodic = irreducible and per == 1
-    q0 = _uniform_walk_length_masks(g.out_masks, g.n_vertices) if ergodic else None
-    return GraphClassification(irreducible=irreducible, period=per, uniform_walk_length=q0)
+    """Full classification record; ergodic iff irreducible and aperiodic.
+
+    Computed on the first call for a graph and cached on it, so every
+    caller holding the same `Digraph` shares one classification."""
+    return g._classification
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +391,11 @@ def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None)
     (0 when c0 already is).  A repeated nonconstant coloring proves that
     the trajectory never becomes constant, as happens on periodic graphs:
     the run stops there with steps_to_constant and constant_value None and
-    the repeat as the last trace entry.  Without max_steps one of the two
-    always happens within 3^n steps.
+    the repeat as the last trace entry.  On an ergodic graph the coloring
+    is constant within q0 steps, the graph's uniform walk length, and some
+    coloring needs exactly q0 (see the module docstring).  On any graph,
+    without max_steps, one of the two happens within 3^n steps, the
+    number of colorings.
     """
     if max_steps is not None and max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")

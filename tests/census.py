@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from invmean import Digraph
-from invmean.digraph import _bool_matmul, _classify_masks
+from invmean.digraph import _classify_masks
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
@@ -74,6 +74,19 @@ def _candidate_simple_cycles(n: int) -> list[tuple[int, int]]:
     return cycles
 
 
+def _bool_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Rows of the boolean matrix product A*B, both given as row bitmasks:
+    row v ORs the rows b[w] for every bit w set in a[v]."""
+    rows = []
+    for v in range(n):
+        row = 0
+        for w in range(n):
+            if a[v] >> w & 1:
+                row |= b[w]
+        rows.append(row)
+    return rows
+
+
 def _oracle_classify(edge_mask: int, out_masks: Sequence[int], n: int,
                      cycles: Sequence[tuple[int, int]]) -> tuple[bool, int | None]:
     """(irreducible, period) by brute force: period is the gcd over every
@@ -88,7 +101,7 @@ def _oracle_classify(edge_mask: int, out_masks: Sequence[int], n: int,
     power = list(out_masks)
     reach = list(out_masks)
     for _ in range(n - 1):
-        power = _bool_matmul(power, out_masks, n)
+        power = _bool_product(power, out_masks, n)
         for v in range(n):
             reach[v] |= power[v]
     irreducible = all(row == full for row in reach)

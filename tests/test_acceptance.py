@@ -65,8 +65,9 @@ def test_criterion_02_fixture_classifications(ex2, ex3, ex4, ex5, ex6):
 
 def test_criterion_03_tristate_bound_exhaustive(census4):
     """Every ergodic 4-vertex graph x every coloring in {-1,0,1}^4 reaches a
-    constant coloring within 3^4 = 81 steps, constant 0 unless started at
-    a constant +-1.
+    constant coloring within q0 steps, the graph's uniform walk length (at
+    most Wielandt's 10, far below 3^4 = 81), constant 0 unless started at
+    a constant +-1; on every graph some coloring needs exactly q0 steps.
 
     A coloring is the disjoint pair (P, M) of its +1 and -1 vertex sets;
     one step maps (P, M) to (f(P), f(M)) with f(S) = {v : in(v) subset S},
@@ -84,6 +85,7 @@ def test_criterion_03_tristate_bound_exhaustive(census4):
     graph_tables = {}
     for mask in census4.ergodic_masks:
         g = digraph_from_mask(4, mask)
+        q0 = is_ergodic(g).uniform_walk_length
         f = []
         for subset in range(16):
             coloring = TriStateColoring(
@@ -98,18 +100,21 @@ def test_criterion_03_tristate_bound_exhaustive(census4):
             while cur not in (0, full):
                 cur = f[cur]
                 k += 1
-                assert k <= 81, f"graph {mask}: subset {subset} not absorbed in 81 steps"
+                assert k <= q0, f"graph {mask}: subset {subset} not absorbed in q0={q0} steps"
             hit[subset] = k
             absorbed[subset] = cur
             # only the all-ones start may stabilize to +1
             assert (absorbed[subset] == full) == (subset == full), (mask, subset)
+        worst = 0
         for p, q in pairs:
             k = max(hit[p], hit[q])
-            assert k <= 81
+            assert k <= q0
+            worst = max(worst, k)
             cbar = 1 if absorbed[p] == full else (-1 if absorbed[q] == full else 0)
             constant_start = (p == full and q == 0) or (q == full and p == 0)
             if not constant_start:
                 assert cbar == 0, (mask, p, q)
+        assert worst == q0, f"graph {mask}: slowest coloring takes {worst} < q0={q0} steps"
         graph_tables[mask] = (hit, absorbed)
 
     # direct cross-check of tg_stabilize on sampled pairs
@@ -122,14 +127,15 @@ def test_criterion_03_tristate_bound_exhaustive(census4):
         c0 = TriStateColoring(
             tuple(1 if p >> v & 1 else (-1 if q >> v & 1 else 0) for v in range(4))
         )
-        report = tg_stabilize(g, c0, max_steps=81)
+        report = tg_stabilize(g, c0, max_steps=is_ergodic(g).uniform_walk_length)
         hit, absorbed = graph_tables[mask]
         assert report.steps_to_constant == max(hit[p], hit[q])
         want = 1 if absorbed[p] == full else (-1 if absorbed[q] == full else 0)
         assert report.constant_value == want
     print(
         f"ACCEPTANCE 3: PASS — {len(census4.ergodic_masks)} ergodic graphs x 81 "
-        "colorings stabilize within 81 steps, constant 0 unless started constant"
+        "colorings stabilize within q0 steps, attained on every graph, constant 0 "
+        "unless started constant"
     )
 
 

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from invmean import fixture_path
+from invmean import digraph, fixture_path, is_ergodic, load_mapping_spec
 from invmean.cli import main
 
 EX2 = str(fixture_path("example2.json"))
@@ -65,6 +65,54 @@ class TestAnalyze:
         assert code == 0
         assert "ergodic: true" in out
         assert "uniformly-weak-certified" in out
+
+    def test_ring_of_256_with_loops(self, capsys, tmp_path):
+        p = 256
+        spec = tmp_path / "ring256.json"
+        spec.write_text(json.dumps({
+            "p": p,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "power", "order": -1.0 if i % 2 == 0 else 1.0, "arity": 2}
+                      for i in range(p)],
+            "alpha": [[i, i % p + 1] for i in range(1, p + 1)],
+        }))
+        code, data, _ = run_json(capsys, "analyze", str(spec), "--json")
+        assert code == 0
+        assert len(data["edges"]) == 2 * p
+        assert (data["irreducible"], data["period"], data["ergodic"]) == (True, 1, True)
+        assert data["uniform_walk_length"] == p - 1
+        assert data["certificate"]["class"] == "uniformly-weak-certified"
+        assert data["certificate"]["n0"] == 3 ** p
+
+
+class TestClassifyOnce:
+    """One classification per command: the record is cached on the graph,
+    so `analyze` and its certificate, and `verify` and its bracket
+    dichotomy, share it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"_classify_masks": 0, "_uniform_walk_length_masks": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(digraph, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(digraph, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_once_per_command(self, capsys, calls, command):
+        code, _, _ = run(capsys, command, EX2)
+        assert code == 0
+        assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 1}
+
+    def test_second_call_returns_an_equal_record(self, calls):
+        g = load_mapping_spec(EX2).build().graph
+        first = is_ergodic(g)
+        assert is_ergodic(g) == first
+        assert first.uniform_walk_length == 3
+        assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 1}
 
 
 class TestIterate:

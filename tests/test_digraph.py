@@ -1,14 +1,16 @@
 """Graph construction, classification, walk lengths, tri-state dynamics.
 
-The classifier is checked three ways: against hand-read edge sets of the
-bundled mappings, against the census oracle in census.py, and (for
-n <= 3, exhaustively) against a second brute-force oracle written here
-with sets instead of bitmasks.
+The classifier is checked four ways: against hand-read edge sets of the
+bundled mappings, against the census oracle in census.py, (for n <= 3,
+exhaustively) against a second brute-force oracle written here with sets
+instead of bitmasks, and (for drawn graphs up to n = 40) against a numpy
+reference built from adjacency matrix powers.
 """
 
 import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,70 @@ def oracle_uniform_walk_length(g: Digraph, horizon: int = 17) -> int:
     while q0 - 1 in full:
         q0 -= 1
     return q0
+
+
+def numpy_reference(g: Digraph) -> tuple[bool, int | None, int | None]:
+    """(irreducible, period, q0) from 0/1 adjacency matrix powers:
+    irreducible iff sum_{k=1..n} A^k > 0 everywhere, period = gcd of the
+    k <= n with tr A^k > 0 (every simple cycle has length <= n), q0 = the
+    least q with A^q > 0 everywhere, None when no power up to Wielandt's
+    bound (n-1)^2 + 1 is."""
+    n = g.n_vertices
+    a = np.zeros((n, n), dtype=np.int64)
+    for v, w in g.edges:
+        a[v - 1, w - 1] = 1
+    power = a.copy()
+    reach = a.copy()
+    cycle_lengths = []
+    for k in range(1, n + 1):
+        if k > 1:
+            power = np.minimum(power @ a, 1)
+            reach |= power
+        if np.trace(power) > 0:
+            cycle_lengths.append(k)
+    period = math.gcd(*cycle_lengths) if cycle_lengths else None
+    power = a.copy()
+    q0 = None
+    for q in range(1, (n - 1) ** 2 + 2):
+        if power.all():
+            q0 = q
+            break
+        power = np.minimum(power @ a, 1)
+    return bool(reach.all()), period, q0
+
+
+def wielandt_graph(n: int) -> Digraph:
+    """The n-cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2: the
+    graph whose uniform walk length meets Wielandt's bound (n-1)^2 + 1."""
+    edges = {(v, v % n + 1) for v in range(1, n + 1)} | {(n, 2)}
+    return Digraph(n, frozenset(edges))
+
+
+def ring_with_loops(p: int) -> Digraph:
+    """Incidence graph of the ring with loops: coordinate i reads i and i+1."""
+    return incidence(tuple((i, i % p + 1) for i in range(1, p + 1)))
+
+
+@st.composite
+def drawn_graphs(draw, max_n: int = 40) -> Digraph:
+    """A digraph on 1..n, n <= max_n: a base (nothing, an n-cycle or a
+    path) plus a few drawn edges, or independently drawn out-neighbor
+    sets.  Sparse cycles with chords give long walk lengths and periods
+    above one; the drawn sets give dense graphs."""
+    n = draw(st.integers(1, max_n))
+    base = draw(st.sampled_from(["none", "cycle", "path", "dense"]))
+    edges = set()
+    if base == "cycle":
+        edges |= {(v, v % n + 1) for v in range(1, n + 1)}
+    elif base == "path":
+        edges |= {(v, v + 1) for v in range(1, n)}
+    elif base == "dense":
+        for v in range(1, n + 1):
+            row = draw(st.integers(0, (1 << n) - 1))
+            edges |= {(v, w) for w in range(1, n + 1) if row >> (w - 1) & 1}
+    vertex = st.integers(1, n)
+    edges |= set(draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)))
+    return Digraph(n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +316,28 @@ class TestUniformWalkLength:
             g = digraph_from_mask(4, mask)
             assert is_ergodic(g).uniform_walk_length == oracle_uniform_walk_length(g), mask
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_wielandt_graph_meets_the_bound(self, n):
+        assert is_ergodic(wielandt_graph(n)).uniform_walk_length == (n - 1) ** 2 + 1
+
+    def test_ring_with_loops_is_p_minus_one(self):
+        for p in range(2, 257):
+            assert is_ergodic(ring_with_loops(p)).uniform_walk_length == p - 1, p
+
+
+class TestNumpyReference:
+    @given(g=drawn_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_classification_matches(self, g):
+        cls = is_ergodic(g)
+        assert (cls.irreducible, cls.period, cls.uniform_walk_length) == numpy_reference(g)
+
+    def test_reference_reads_the_closed_forms(self):
+        # the reference itself agrees with the known walk lengths
+        assert numpy_reference(wielandt_graph(9)) == (True, 1, 65)
+        assert numpy_reference(ring_with_loops(12)) == (True, 1, 11)
+        assert numpy_reference(graph6()) == (True, 2, None)
+
 
 class TestTgStep:
     def test_constant_colorings_are_fixed(self):
@@ -288,7 +376,7 @@ class TestTgStabilize:
     def test_mixed_start_reaches_zero(self):
         report = tg_stabilize(graph2(), TriStateColoring((1, 0, -1, 0)))
         assert report.steps_to_constant is not None
-        assert report.steps_to_constant <= 3 ** 4
+        assert report.steps_to_constant <= is_ergodic(graph2()).uniform_walk_length
         assert report.constant_value == 0
 
     def test_periodic_graph_never_stabilizes(self):
@@ -378,7 +466,8 @@ class TestCensus:
 
 
 class TestTriStateBoundSampled:
-    """Stabilization within 3^n steps on sampled ergodic 5-vertex graphs."""
+    """Stabilization within q0 steps, the uniform walk length, on sampled
+    ergodic 5-vertex graphs."""
 
     def _random_ergodic(self, rng: Random, n: int) -> Digraph:
         while True:
@@ -394,16 +483,16 @@ class TestTriStateBoundSampled:
 
     def test_sampled_five_vertex_graphs(self):
         rng = Random(505)
-        cap = 3 ** 5
         runs = 0
         for _ in range(100):
             g = self._random_ergodic(rng, 5)
+            q0 = is_ergodic(g).uniform_walk_length
             for _ in range(100):
                 c0 = TriStateColoring(tuple(rng.choice((-1, 0, 1)) for _ in range(5)))
-                report = tg_stabilize(g, c0, max_steps=cap)
+                report = tg_stabilize(g, c0, max_steps=q0)
                 runs += 1
                 assert report.steps_to_constant is not None
-                assert report.steps_to_constant <= cap
+                assert report.steps_to_constant <= q0
                 if not c0.is_constant or c0.constant_value == 0:
                     assert report.constant_value == 0
         assert runs == 10_000

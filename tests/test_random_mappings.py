@@ -104,14 +104,15 @@ class TestDynamics:
     @settings(max_examples=40, deadline=None)
     def test_ergodic_tristate_always_settles(self, mx, data):
         m, _ = mx
-        if not is_ergodic(m.graph).ergodic:
+        cls = is_ergodic(m.graph)
+        if not cls.ergodic:
             return
         c0 = TriStateColoring(
             tuple(data.draw(st.sampled_from([-1, 0, 1])) for _ in range(m.p))
         )
         report = tg_stabilize(m.graph, c0)
         assert report.steps_to_constant is not None
-        assert report.steps_to_constant <= 3 ** m.p
+        assert report.steps_to_constant <= cls.uniform_walk_length
         if not (c0.is_constant and c0.constant_value != 0):
             assert report.constant_value == 0
 
