@@ -28,25 +28,30 @@ found, never a proof.
 Evaluation: `apply(x)` validates its argument (length, and every
 coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
 the iterations of `invariant` validate only their start point: every
-later point is the output of a step, which stays in I.  A step runs the
-mapping's evaluation plan, built on first use: one callable per
-coordinate that reads its alpha row (0-based) from the point.  A power
-mean built by `make_power_mean` is evaluated through the same arithmetic
-kernel as `power_mean_eval`, without its argument checks, and lands in
-[min, max] of its arguments; any other mean is called through its
-evaluator and its value is checked against I (DomainError otherwise).
+later point is the output of a step, which stays in I.  A step is one
+function per mapping, `ComposedMapping._step`, generated from source and
+compiled on first use: it reads the point into locals and evaluates
+each row straight line.  A power mean built by `make_power_mean` runs
+the closed forms of `means._power_row`, which give `power_mean_eval`'s
+floats bit for bit without its argument checks and land in [min, max]
+of the arguments; any other mean is called through its evaluator and its
+value is checked against I (DomainError otherwise).  Compiling costs a
+fixed time per row, which the faster steps repay after several hundred
+steps (README.md has the figures).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Callable, Sequence
 
+from . import means as _means
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError
-from .means import Interval, Mean, _compiled_power_mean, sample_box
+from .means import Interval, Mean, _power_order, _power_row, sample_box
 
 __all__ = [
     "IndexVector",
@@ -135,15 +140,19 @@ class ComposedMapping:
         return build_incidence_graph(self.alpha)
 
     @cached_property
-    def _plan(self) -> tuple[Callable[[tuple[float, ...]], float], ...]:
-        # one callable per coordinate, reading its 0-based alpha row from
-        # the whole point; built on the first step, not at construction
-        plan = []
-        for i, (mean, row) in enumerate(zip(self.means, self.alpha.rows), start=1):
-            row0 = tuple(a - 1 for a in row)
-            kernel = _compiled_power_mean(mean, row0)
-            plan.append(kernel if kernel is not None else self._checked_coordinate(i, mean, row0))
-        return tuple(plan)
+    def _step(self) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
+        """M(xs) for a point already in I^p, as one function compiled on
+        first use, not at construction.
+
+        The function is generated from source: it reads each argument of
+        a chunk of rows once into a local and evaluates the rows straight
+        line.  A power mean built by `make_power_mean` runs the closed
+        forms of `means._power_row`, which give `power_mean_eval`'s floats
+        bit for bit without its argument checks and land in [min, max] of
+        the arguments; any other mean is called through its evaluator and
+        its value is checked against the interval (DomainError otherwise).
+        So the step runs unchecked on a point in I^p and returns one."""
+        return _compile_step(self)
 
     def _checked_coordinate(self, i: int, mean: Mean, row0: tuple[int, ...]) -> Callable:
         # a mean the library did not build is trusted for nothing: its value
@@ -172,12 +181,6 @@ class ComposedMapping:
                 raise DomainError(f"coordinate {i}={t!r} outside {iv}")
         return xs
 
-    def _step(self, xs: tuple[float, ...]) -> tuple[float, ...]:
-        """M(xs) for a point already in I^p: the plan runs unchecked, since
-        every power mean lands in [min(xs), max(xs)] and every other mean's
-        value is checked against the interval."""
-        return tuple([f(xs) for f in self._plan])
-
     def apply(self, x: Sequence[float]) -> tuple[float, ...]:
         """One application: x is validated (its length, and every coordinate
         in the interval), then stepped; every power-mean coordinate of the
@@ -187,23 +190,81 @@ class ComposedMapping:
     def iterate(self, x: Sequence[float], n: int) -> tuple[tuple[float, ...], ...]:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
         point = self._validate_start(x, n)
+        step = self._step
         trace = [point]
         for _ in range(n):
-            point = self._step(point)
+            point = step(point)
             trace.append(point)
         return tuple(trace)
 
     def nth_iterate(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         """M^n(x), the last point of `iterate(x, n)`, without keeping the trace."""
         point = self._validate_start(x, n)
+        step = self._step
         for _ in range(n):
-            point = self._step(point)
+            point = step(point)
         return point
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         if not isinstance(n, int) or n < 0:
             raise ValidationError(f"iteration count must be >= 0, got {n!r}")
         return self._validate_point(x)
+
+
+# rows per generated function: on some CPython versions compile() grows
+# faster than linearly in the length of one function (3.10 and 3.12 take
+# about 15% more per row at 1024 rows than at 64), so a long step is
+# compiled as chunks of rows and its cost stays linear in p
+_CHUNK_ROWS = 64
+
+
+def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
+    """Generate, compile and bind the step function of `m` (see `_step`).
+
+    Each chunk of rows becomes one function of the point that reads the
+    arguments of its rows into locals x<j>, sets y<i> row by row (power
+    rows from `means._power_row`, every other mean through its checked
+    coordinate) and returns its slice of M(xs); with one chunk that
+    function is the step, else the step joins the slices."""
+    rows = [tuple(a - 1 for a in row) for row in m.alpha.rows]
+    checked = []
+    lines = []
+    names = []
+    for start in range(0, m.p, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, m.p)
+        name = "_step" if stop - start == m.p else f"_rows_{start}_{stop}"
+        names.append(name)
+        used = sorted({j for row in rows[start:stop] for j in row})
+        if len(used) == m.p:
+            body = [f"{''.join(f'x{j}, ' for j in used)}= xs"]
+        else:
+            body = [f"x{j} = xs[{j}]" for j in used]
+        for i in range(start, stop):
+            order = _power_order(m.means[i], len(rows[i]))
+            if order is None:
+                body.append(f"y{i} = checked[{len(checked)}](xs)")
+                checked.append(m._checked_coordinate(i + 1, m.means[i], rows[i]))
+            else:
+                body += _power_row(order, [f"x{j}" for j in rows[i]], f"y{i}")
+        body.append(f"return ({''.join(f'y{i}, ' for i in range(start, stop))})")
+        lines.append(f"def {name}(xs):")
+        lines += [f"    {line}" for line in body]
+    if names != ["_step"]:
+        lines.append("def _step(xs):")
+        lines.append(f"    return ({''.join(f'*{name}(xs), ' for name in names)})")
+    code = compile("\n".join(lines), f"<invmean ComposedMapping._step p={m.p}>", "exec")
+    namespace = {
+        "__name__": __name__,
+        "means": _means,
+        "checked": tuple(checked),
+        **{f.__name__: f for f in (
+            math.frexp, math.ldexp, math.log, math.exp, math.log1p, math.expm1
+        )},
+    }
+    exec(code, namespace)
+    step = namespace["_step"]
+    step.__qualname__ = "ComposedMapping._step"
+    return step
 
 
 def oscillation(x: Sequence[float]) -> float:

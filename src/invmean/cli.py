@@ -28,6 +28,7 @@ from .averaging import (
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
+    _check_tol,
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
@@ -243,6 +244,7 @@ def _report_entry(name: str, report) -> dict:
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)  # before the suite: only certified mappings read it
     mapping = _load_spec(args.spec).build()
     rng = Random(args.seed)
     n = args.samples

@@ -12,15 +12,15 @@ term is added: when the bracket collapses to one float the radius reads
 radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  It validates the start point
-once and then steps through the mapping's evaluation plan, which calls
-the same kernel as `power_mean_eval` without re-checking the arguments
-(see `averaging`).  Non-convergence (periodic or disconnected incidence
-structure) is a structured report, never an exception, so callers can
-inspect the final iterate; its stop_reason tells a stall from the
-iteration cap.  When the full sequence has several cluster points,
-`subsequence_limits` follows each residue class modulo m separately with
-a per-coordinate Cauchy test, which handles limits that are not constant
-vectors.
+once and then calls the mapping's compiled step: one generated function
+that evaluates every row straight line with the arithmetic of
+`power_mean_eval`, without re-checking the arguments (see `averaging`).
+Non-convergence (periodic or disconnected incidence structure) is a
+structured report, never an exception, so callers can inspect the final
+iterate; its stop_reason tells a stall from the iteration cap.  When the
+full sequence has several cluster points, `subsequence_limits` follows
+each residue class modulo m separately with a per-coordinate Cauchy
+test, which handles limits that are not constant vectors.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `check_oscillation_monotonicity`, `check_bracket_dichotomy`,
@@ -31,10 +31,15 @@ proof.  `check_bracket_dichotomy` and `solve_invariant_equation` need a
 certified mapping; the dichotomy is checked after q0 <= (p-1)^2 + 1
 steps, the certificate's uniform walk length, while the certificate
 itself still reads the paper's n0 = 3^p.
+
+Every function here that takes a tol raises ValidationError unless it is
+a finite number > 0: a NaN tol would pass every residual comparison or
+none, and an infinite one would call anything converged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
@@ -131,6 +136,12 @@ class SubsequenceLimits:
         }
 
 
+def _check_tol(tol: float) -> None:
+    # NaN fails every comparison, so `tol <= 0` alone would let it through
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _effective_tol(tol: float, x0: Sequence[float]) -> float:
     # absolute tolerance scaled by the magnitude of the start vector
     return tol * max(1.0, abs(max(x0)))
@@ -155,11 +166,12 @@ def invariant_mean_eval(
     strictly shrinks over every such length, so the window is polynomial
     in p.
 
-    Only the start point is validated; the steps run the mapping's
-    evaluation plan unchecked (`ComposedMapping._step`).
+    tol must be finite and > 0, max_iter >= 1 (ValidationError).  Only
+    the start point is validated; the steps run the mapping's compiled
+    step unchecked (`ComposedMapping._step`, compiled on the mapping's
+    first use).
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be > 0, got {tol!r}")
+    _check_tol(tol)
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     xs = m._validate_point(x)
@@ -209,6 +221,7 @@ def subsequence_limits(
     limits that are nonconstant vectors, as a periodic incidence graph
     produces.  Residues that never settle are flagged, not fatal.
     """
+    _check_tol(tol)
     if not isinstance(modulus, int) or modulus < 1:
         raise ValidationError(f"modulus must be a positive integer, got {modulus!r}")
     if max_iter < modulus:
@@ -219,10 +232,11 @@ def subsequence_limits(
     stable = [0] * modulus
     converged = [False] * modulus
     last[0] = xs
+    step = m._step
     y = xs
     n = 0
     while n < max_iter and not all(converged):
-        y = m._step(y)
+        y = step(y)
         n += 1
         r = n % modulus
         prev = last[r]
@@ -269,6 +283,7 @@ def verify_invariance(
     Samples where either side fails to converge are skipped and counted;
     the report carries the max residual over the evaluated ones.
     """
+    _check_tol(tol)
     rng = rng if rng is not None else Random(0)
 
     def judge(x):
@@ -316,7 +331,10 @@ def verify_mean_properties(
     if which not in _PROPERTY_DEFAULT_TOL:
         raise ValidationError(f"unknown property {which!r}")
     rng = rng if rng is not None else Random(0)
-    tol = _PROPERTY_DEFAULT_TOL[which] if tol is None else tol
+    if tol is None:
+        tol = _PROPERTY_DEFAULT_TOL[which]
+    else:
+        _check_tol(tol)
     missing = [
         mean.label for mean in m.means if not getattr(mean.flags, which)
     ]
@@ -504,6 +522,7 @@ def solve_invariant_equation(
     uniformly-weak-contractive mapping (else K and with it phi would not
     be grounded).
     """
+    _check_tol(tol)
     _certificate(m)
     rng = rng if rng is not None else Random(0)
     p = m.p

@@ -146,7 +146,7 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     Every argument must be strictly positive and finite (the domain is the
     open half-line, checked without tolerance).  The result is clamped into
     [min(x), max(x)].  The arithmetic is `_power_mean`, which a mapping's
-    evaluation plan calls too.
+    compiled step calls or restates (`_power_row`).
 
     Raises ShapeError on an arity mismatch and DomainError on arguments
     outside (0, +inf).
@@ -213,79 +213,82 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
     return min(max(val, lo), hi)
 
 
-def _power_mean_kernel(s: float, row: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
-    """`_power_mean` of order s over the entries `row` (0-based) of a point,
-    as one callable of the point, for arguments already known to be finite
-    and positive.
+def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
+    """Python source lines that set the local `out` to `_power_mean(s, args)`,
+    where `args` name locals that hold finite positive floats: one row of a
+    mapping's compiled step (`averaging.ComposedMapping._step`).
 
-    Two-argument rows get closed forms that give `_power_mean`'s result bit
+    Two-argument rows are closed forms that give `_power_mean`'s result bit
     for bit: of two floats, a + b is the correctly rounded sum that fsum
-    returns.  Order 0 takes the root of frexp(a*b) directly when both
-    arguments lie within 2^+-509, so the product is a normal float; a
-    small order takes the expm1/log1p form when both s*log(t) are below
-    1e-3; any other order, and a small order past that, takes the power
-    sum with 1/s computed once.  An order-0 argument outside that range or
-    a power sum that overflows or leaves the normal floats is handed to
-    `_power_mean`.  Every other row calls `_power_mean`.
+    returns.  Equal arguments are the mean: a row that reads one local
+    twice is that local, and any other row checks a == b first.  Order 0
+    takes the root of frexp(a*b) directly when both arguments lie within
+    2^+-509, so the product is a normal float; a small order takes the
+    expm1/log1p form when both s*log(t) are below 1e-3; any other order,
+    and a small order past that, takes the power sum with 1/s as a
+    constant.  An order-0 argument outside that range, or a power sum that
+    overflows or leaves the normal floats, is handed to
+    `means._power_mean`, which the row looks up when it runs.  Every other
+    row calls `means._power_mean`.  The lines use the temporaries t, u, v,
+    w, mant and e, and the names frexp, ldexp, log, exp, log1p, expm1 and
+    means.
     """
-    if len(row) != 2:
-        return lambda xs: _power_mean(s, [xs[j] for j in row])
-    i, j = row
-
+    if len(args) != 2:
+        return [f"{out} = means._power_mean({s!r}, ({', '.join(args)},))"]
+    a, b = args
+    if a == b:
+        return [f"{out} = {a}"]  # a self-loop row: the mean of equal arguments
+    # the clamp into [min, max] of `_power_mean`, with the order of a, b known
+    clamp = [
+        f"    if {a} < {b}:",
+        f"        {out} = {a} if v < {a} else {b} if v > {b} else v",
+        "    else:",
+        f"        {out} = {b} if v < {b} else {a} if v > {a} else v",
+    ]
+    handover = f"means._power_mean({s!r}, ({a}, {b}))"
+    head = [f"if {a} == {b}:", f"    {out} = {a}"]
     if s == 0.0:
         # two arguments in this range multiply with no underflow or
-        # overflow, and `_power_mean` takes the same product path there
-        root_lo, root_hi = 2.0 ** -509, 2.0 ** 509
-
-        def geometric2(xs: Sequence[float]) -> float:
-            a = xs[i]
-            b = xs[j]
-            if a == b:
-                return a
-            lo, hi = (a, b) if a < b else (b, a)
-            if not root_lo < lo or not hi < root_hi:
-                return _power_mean(s, (a, b))
-            mant, e = math.frexp(a * b)
-            q, r = divmod(e, 2)
-            val = math.ldexp(math.ldexp(mant, r) ** 0.5, q)
-            return lo if val < lo else hi if val > hi else val
-
-        return geometric2
-
-    inv_s = 1.0 / s
-    tiny = sys.float_info.min
-    inf = math.inf
-
-    def mean2(xs: Sequence[float]) -> float:
-        a = xs[i]
-        b = xs[j]
-        if a == b:
-            return a
-        try:
-            total = a ** s + b ** s
-        except OverflowError:
-            return _power_mean(s, (a, b))
-        if not tiny <= total < inf:
-            return _power_mean(s, (a, b))
-        val = (total / 2) ** inv_s
-        lo, hi = (a, b) if a < b else (b, a)
-        return lo if val < lo else hi if val > hi else val
-
+        # overflow, and `_power_mean` takes the same product path there;
+        # e >> 1, e & 1 is divmod(e, 2)
+        lo, hi = repr(2.0 ** -509), repr(2.0 ** 509)
+        return head + [
+            f"elif {lo} < {a} < {hi} and {lo} < {b} < {hi}:",
+            f"    mant, e = frexp({a} * {b})",
+            "    v = ldexp(ldexp(mant, e & 1) ** 0.5, e >> 1)",
+            *clamp,
+            "else:",
+            f"    {out} = {handover}",
+        ]
+    # the power sum with 1/s once; a sum outside the normal floats is handed
+    # over (a sum of two powers is never NaN, so <= max excludes only inf).
+    # 1/s is infinite for a subnormal s, whose rows never reach this sum
+    inv = 1.0 / s
+    inv_s = repr(inv) if math.isfinite(inv) else f"float('{inv}')"
+    power_sum = [
+        "try:",
+        f"    t = {a} ** ({s!r}) + {b} ** ({s!r})",
+        "except OverflowError:",
+        "    t = 0.0",
+        f"if {sys.float_info.min!r} <= t <= {sys.float_info.max!r}:",
+        f"    v = (t / 2) ** ({inv_s})",
+        *clamp,
+        "else:",
+        f"    {out} = {handover}",
+    ]
     if abs(s) >= _SMALL_ORDER:
-        return mean2
-
-    def small2(xs: Sequence[float]) -> float:
-        a = xs[i]
-        b = xs[j]
-        u = s * math.log(a)
-        v = s * math.log(b)
-        if a == b or abs(u) >= _EXPM1_RANGE or abs(v) >= _EXPM1_RANGE:
-            return mean2(xs)
-        val = math.exp(math.log1p((math.expm1(u) + math.expm1(v)) / 2) / s)
-        lo, hi = (a, b) if a < b else (b, a)
-        return lo if val < lo else hi if val > hi else val
-
-    return small2
+        return head + ["else:"] + ["    " + line for line in power_sum]
+    r = repr(_EXPM1_RANGE)
+    return head + [
+        "else:",
+        f"    u = ({s!r}) * log({a})",
+        f"    w = ({s!r}) * log({b})",
+        f"    if -{r} < u < {r} and -{r} < w < {r}:",
+        f"        v = exp(log1p((expm1(u) + expm1(w)) / 2) / ({s!r}))",
+        *["    " + line for line in clamp],
+        "    else:",
+        *["        " + line for line in power_sum],
+    ]
 
 
 def _within_positive_reals(domain: Interval) -> bool:
@@ -295,8 +298,8 @@ def _within_positive_reals(domain: Interval) -> bool:
 @dataclass(frozen=True)
 class _PowerMeanEvaluator:
     """The evaluator of a `make_power_mean` mean: `power_mean_eval` at one
-    spec.  A mapping recognises a power mean by this type and evaluates it
-    through `_power_mean_kernel` instead."""
+    spec.  A mapping recognises a power mean by this type and compiles it
+    with `_power_row` instead."""
 
     spec: PowerMeanSpec
 
@@ -322,16 +325,17 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
     )
 
 
-def _compiled_power_mean(mean: Mean, row: tuple[int, ...]) -> Callable[[Sequence[float]], float] | None:
-    """The kernel of `mean` over `row` when it is a library power mean on a
-    domain within (0, +inf), else None."""
+def _power_order(mean: Mean, arity: int) -> float | None:
+    """The order of `mean` when it is a library power mean of `arity`
+    arguments on a domain within (0, +inf), else None: a mapping compiles
+    such a row with `_power_row`, without argument checks."""
     ev = mean.evaluator
     if (
         isinstance(ev, _PowerMeanEvaluator)
-        and ev.spec.arity == len(row)
+        and ev.spec.arity == arity
         and _within_positive_reals(mean.domain)
     ):
-        return _power_mean_kernel(ev.spec.order, row)
+        return ev.spec.order
     return None
 
 

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from invmean import digraph, fixture_path, is_ergodic, load_mapping_spec
+from invmean import averaging, digraph, fixture_path, is_ergodic, load_mapping_spec
 from invmean.cli import main
 
 EX2 = str(fixture_path("example2.json"))
@@ -113,6 +113,47 @@ class TestClassifyOnce:
         assert is_ergodic(g) == first
         assert first.uniform_walk_length == 3
         assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 1}
+
+
+class TestCompileOnce:
+    """The step of a mapping is compiled on first use: once per command
+    that iterates, never for one that only reads the graph."""
+
+    @pytest.mark.parametrize("argv, compiles", [
+        (("verify", EX2, "--samples", "4"), 1),
+        (("verify", EX6, "--samples", "4"), 1),
+        (("invariant", EX2, "1,2,3,4"), 1),
+        (("invariant", EX6, "1,4,9,16", "--modulus", "2"), 1),
+        (("analyze", EX2), 0),
+        (("tg", EX2, "1,0,-1,0"), 0),
+    ])
+    def test_compiles_per_command(self, capsys, monkeypatch, argv, compiles):
+        names = []
+        monkeypatch.setattr(
+            averaging, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
+        )
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 2)
+        assert names == ["<invmean ComposedMapping._step p=4>"] * compiles
+
+
+class TestTolRejected:
+    """A tol that is not a finite positive number is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", EX2, "--tol", "nan"),
+        ("verify", EX2, "--tol", "-1"),
+        ("verify", EX3, "--tol", "nan"),   # uncertified: no check reads tol
+        ("invariant", EX2, "1,2,3,4", "--tol", "nan"),
+        ("invariant", EX2, "1,2,3,4", "--tol", "inf"),
+        ("invariant", EX2, "1,2,3,4", "--tol", "0"),
+        ("invariant", EX6, "1,4,9,16", "--modulus", "2", "--tol", "nan"),
+    ])
+    def test_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol must be finite and > 0, got ")
 
 
 class TestIterate:

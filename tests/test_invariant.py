@@ -117,6 +117,51 @@ class TestInvariantMeanEval:
             invariant_mean_eval(ex2, (1.0,) * 4, max_iter=0)
 
 
+BAD_TOLS = (0.0, -1.0, math.nan, math.inf, -math.inf)
+
+
+class TestTolValidation:
+    """Every function that takes tol rejects a tol that is not a finite
+    positive number: a NaN threshold passes every residual comparison or
+    none, and a nonpositive or infinite one decides nothing."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_every_entry_point_rejects(self, ex2, tol):
+        x = (1.0, 2.0, 3.0, 4.0)
+        calls = (
+            lambda: invariant_mean_eval(ex2, x, tol=tol),
+            lambda: subsequence_limits(ex2, x, 2, tol=tol),
+            lambda: verify_invariance(ex2, tol=tol, rng=Random(0), n_samples=3),
+            lambda: verify_mean_properties(ex2, "monotone", rng=Random(0), n_samples=3, tol=tol),
+            lambda: solve_invariant_equation(max, ex2, tol=tol, rng=Random(0), n_samples=3),
+        )
+        for call in calls:
+            with pytest.raises(iv.ValidationError, match="tol must be finite and > 0"):
+                call()
+
+    def test_checked_before_any_sample(self, ex3):
+        # ex3 skips every invariance sample, and p = 1 draws none: tol is
+        # still checked
+        with pytest.raises(iv.ValidationError, match="tol must be"):
+            verify_invariance(ex3, tol=math.nan, rng=Random(0), n_samples=3)
+        m = power_mapping((1.0,), ((1, 1),))
+        with pytest.raises(iv.ValidationError, match="tol must be"):
+            verify_invariance(m, tol=-1.0, n_samples=3)
+
+    def test_default_tol_of_a_property_is_unchanged(self, ex2):
+        report = verify_mean_properties(ex2, "homogeneous", rng=Random(0), n_samples=5)
+        assert report.passed and report.n_evaluated == 15
+
+    @pytest.mark.parametrize("tol, stop_reason, iterations", [
+        (5e-324, "max_iter", 5),    # the smallest positive float
+        (0.1, "converged", 5),
+        (1e300, "converged", 0),
+    ])
+    def test_finite_positive_tol_accepted(self, ex2, tol, stop_reason, iterations):
+        report = invariant_mean_eval(ex2, (1.0, 2.0, 3.0, 4.0), tol=tol, max_iter=5)
+        assert (report.stop_reason, report.iterations_used) == (stop_reason, iterations)
+
+
 class TestLimitMappingEval:
     """The limit (K(x), ..., K(x)) of the iterates, read off the report."""
 
@@ -325,10 +370,9 @@ class TestBracketDichotomySteps:
         cert = iv.certify_uniform_weak_contractivity(m)
         assert (cert.n0, cert.q0) == (3 ** 12, 11)
         calls = []
-        step = iv.ComposedMapping._step
-        monkeypatch.setattr(
-            iv.ComposedMapping, "_step", lambda self, xs: calls.append(1) or step(self, xs)
-        )
+        # the compiled step is cached on the instance, so it is counted there
+        step = m._step
+        monkeypatch.setitem(vars(m), "_step", lambda xs: calls.append(1) or step(xs))
         report = check_bracket_dichotomy(m, Random(4), n_samples=7)
         assert report.passed and report.n_evaluated == 7
         assert len(calls) == 7 * 11

@@ -1,21 +1,26 @@
-"""The evaluation plan of a composed mapping against the frozen reference.
+"""The compiled step of a composed mapping against the frozen reference.
 
-`ComposedMapping._step` runs one compiled callable per coordinate with no
-argument checks.  These tests hold it, `apply`, `iterate` and
-`invariant_mean_eval` to the results of a per-coordinate loop over the
-frozen copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit,
-on random mappings at extreme magnitudes.
+`ComposedMapping._step` is one function generated from source on the
+first step: it evaluates every row straight line, with the closed forms
+of `means._power_row` for two-argument power means and no argument
+checks.  These tests hold it, `apply`, `iterate` and `invariant_mean_eval`
+to the results of a per-coordinate loop over the frozen copy of
+`power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
+mappings at extreme magnitudes, on each branch of the closed forms in
+both argument orders, on every row shape the generator emits (self-loop,
+one argument, three arguments, p = 1, several chunks of rows), and on a
+mean the library did not build.
 """
 
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmean as iv
-from invmean import invariant_mean_eval, means, oscillation
-from invmean.means import _power_mean_kernel
+from invmean import averaging, invariant_mean_eval, means, oscillation
 
 from power_mean_oracle import power_mean_eval as oracle_power_mean
 
@@ -149,6 +154,14 @@ def reference_eval(m, x, tol, max_iter):
     )
 
 
+def two_row_step(s):
+    # rows (1, 2) and (2, 1) of one order: both argument orders in one step
+    mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
+    return iv.ComposedMapping(
+        (mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1)))
+    )._step
+
+
 @pytest.mark.parametrize("s, x", [
     (2.0, (1e300, 1e299)),      # t**s overflows
     (5.0, (1e-300, 1e-299)),    # the sum of the powers underflows
@@ -158,8 +171,7 @@ def reference_eval(m, x, tol, max_iter):
 ])
 def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
-    assert _power_mean_kernel(s, (0, 1))(x).hex() == want
-    assert _power_mean_kernel(s, (1, 0))(x[::-1]).hex() == want
+    assert bits(two_row_step(s)(x)) == (want, want)
 
 
 ROOT_LO = 2.0 ** -509
@@ -188,20 +200,30 @@ def test_order_0_and_small_order_closed_forms(monkeypatch, s, x, branch):
         near_one = all(abs(s * math.log(t)) < 1e-3 for t in x)
         assert near_one == (branch == "log1p")
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
+    # compiled before the patch: the step looks `means._power_mean` up per call
+    step = two_row_step(s)
     handovers = []
     power_mean = means._power_mean
     monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
-    assert _power_mean_kernel(s, (0, 1))(x).hex() == want
-    assert _power_mean_kernel(s, (1, 0))(x[::-1]).hex() == want
-    assert bool(handovers) == (branch == "handover")
+    assert bits(step(x)) == (want, want)
+    assert len(handovers) == (2 if branch == "handover" else 0)
 
 
 class TestPlan:
-    def test_built_on_the_first_step_not_at_construction(self):
+    def test_built_on_the_first_step_not_at_construction(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(
+            averaging, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False
+        )
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
-        assert "_plan" not in vars(m)
+        assert "_step" not in vars(m) and compiled == []
         m.apply((1.0, 2.0, 3.0, 4.0))
-        assert len(vars(m)["_plan"]) == 4
+        step = vars(m)["_step"]
+        assert step.__qualname__ == "ComposedMapping._step"
+        assert step.__code__.co_filename == "<invmean ComposedMapping._step p=4>"
+        m.nth_iterate((1.0, 2.0, 3.0, 4.0), 5)
+        assert m._step is step
+        assert compiled == ["<invmean ComposedMapping._step p=4>"]
 
     def test_repackaged_power_mean_evaluator_keeps_its_checks(self):
         # a power mean's evaluator inside a Mean on a domain reaching below 0
@@ -211,8 +233,21 @@ class TestPlan:
         mean = iv.Mean(arity=2, domain=interval, evaluator=evaluator)
         m = iv.ComposedMapping((mean, mean), interval, iv.IndexVector(((1, 2), (2, 1))))
         assert m.apply((1.0, 3.0)) == (2.0, 2.0)
-        with pytest.raises(iv.DomainError, match="outside"):
+        with pytest.raises(iv.DomainError, match=r"power-mean argument -1\.0 outside \(0, \+inf\)"):
             m.apply((-1.0, 3.0))
+        # the step stays checked after the first compile, on a later point too
+        with pytest.raises(iv.DomainError, match="power-mean argument"):
+            m.nth_iterate((-2.0, -1.0), 1)
+
+    def test_power_evaluator_of_another_arity_keeps_its_checks(self):
+        # a Mean of arity 3 around a 2-argument power mean is not compiled:
+        # power_mean_eval raises its ShapeError at the step
+        evaluator = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2)).evaluator
+        mean = iv.Mean(arity=3, domain=iv.POSITIVE_REALS, evaluator=evaluator)
+        m = iv.ComposedMapping((mean,) * 3, iv.POSITIVE_REALS,
+                               iv.IndexVector(((1, 2, 3),) * 3))
+        with pytest.raises(iv.ShapeError, match="arity 2 got 3 arguments"):
+            m.apply((1.0, 2.0, 3.0))
 
 
 class TestCustomMeans:
@@ -239,3 +274,91 @@ class TestCustomMeans:
     def test_value_inside_the_interval_passes(self):
         # max(1, 3) + 1 = 4 stays in (0, 5)
         assert self.mapping().apply((1.0, 3.0)) == (4.0, 2.0)
+
+    def test_message_names_the_step_that_leaves_the_interval(self):
+        # (1, 3) -> (4, 2) -> max(4, 2) + 1 = 5, outside the open (0, 5)
+        m = self.mapping()
+        assert m.nth_iterate((1.0, 3.0), 1) == (4.0, 2.0)
+        with pytest.raises(iv.DomainError) as info:
+            m.nth_iterate((1.0, 3.0), 2)
+        assert str(info.value) == "mean 1 ('max+1') returned 5.0 outside (0, 5)"
+
+
+def power_mapping(orders, rows):
+    specs = tuple(iv.PowerMeanSpec(s, len(row)) for s, row in zip(orders, rows))
+    m = iv.ComposedMapping(
+        tuple(iv.make_power_mean(spec) for spec in specs), iv.POSITIVE_REALS, iv.IndexVector(rows)
+    )
+    return m, specs
+
+
+def assert_steps_match_the_oracle(m, specs, x, n):
+    y = x
+    for _ in range(n):
+        y_want = oracle_apply(m, specs, y)
+        assert bits(m._step(y)) == bits(y_want)
+        y = y_want
+
+
+# one order of each kind the generator emits: power sum, order 0, the small
+# order's log1p form, a negative order
+ROW_ORDERS = (2.0, 0.0, 5e-3, -1.0)
+ROW_POINTS = ((1.0, 3.0, 1e-200), (1.0005, 0.9995, 1.0), (1e300, 1e299, 2.0), (7.0, 7.0, 7.0))
+
+
+class TestRowShapes:
+    """Each row shape the generator emits, stepped against the oracle."""
+
+    @pytest.mark.parametrize("s", ROW_ORDERS)
+    @pytest.mark.parametrize("x", ROW_POINTS)
+    def test_self_loop_row(self, s, x):
+        # row (1, 1) reads one local twice; the others read mixed pairs
+        m, specs = power_mapping((s, s, s), ((1, 1), (1, 2), (3, 3)))
+        assert_steps_match_the_oracle(m, specs, x, 4)
+
+    @pytest.mark.parametrize("s", ROW_ORDERS)
+    @pytest.mark.parametrize("x", ROW_POINTS)
+    def test_one_argument_row(self, s, x):
+        m, specs = power_mapping((s, s, s), ((2,), (1, 3), (3,)))
+        assert_steps_match_the_oracle(m, specs, x, 4)
+
+    @pytest.mark.parametrize("s", ROW_ORDERS)
+    @pytest.mark.parametrize("x", ROW_POINTS)
+    def test_three_argument_row(self, s, x):
+        m, specs = power_mapping((s, s, s), ((1, 2, 3), (3, 1, 2), (2, 2, 3)))
+        assert_steps_match_the_oracle(m, specs, x, 4)
+
+    @pytest.mark.parametrize("s", ROW_ORDERS)
+    @pytest.mark.parametrize("rows", [((1,),), ((1, 1),), ((1, 1, 1),)])
+    def test_p_1(self, s, rows):
+        m, specs = power_mapping((s,), rows)
+        for t in (1e-300, 1.0, 3.5, 1e300):
+            assert_steps_match_the_oracle(m, specs, (t,), 2)
+            assert m.nth_iterate((t,), 3) == (t,)
+
+    @pytest.mark.parametrize("s", (1e-310, -1e-310))
+    def test_subnormal_order(self, s):
+        # 1/s is infinite, written into the power sum the row never reaches
+        m, specs = power_mapping((s, s), ((1, 2), (2, 1)))
+        assert_steps_match_the_oracle(m, specs, (1e-300, 1e300), 3)
+
+    def test_ring_1024_against_the_oracle(self):
+        # p = 1024 compiles as several chunks of rows; the orders cycle
+        # through every kind, the start point through extreme magnitudes
+        p = 1024
+        orders = [(-3.0, -1.0, 0.0, 5e-3, -9e-3, 0.5, 1.0, 2.0, 7.0)[i % 9] for i in range(p)]
+        m, specs = power_mapping(orders, [(i + 1, (i + 1) % p + 1) for i in range(p)])
+        rng = Random(1024)
+        x = tuple(rng.uniform(1.0, 9.99) * 10.0 ** rng.randint(-300, 300) for _ in range(p))
+        assert_steps_match_the_oracle(m, specs, x, 6)
+        assert m._step.__code__.co_filename == "<invmean ComposedMapping._step p=1024>"
+
+    def test_random_rows_across_chunks(self):
+        # rows that read arguments far outside their own chunk, arities 1-3
+        p = 200
+        rng = Random(200)
+        rows = [tuple(rng.randint(1, p) for _ in range(rng.randint(1, 3))) for _ in range(p)]
+        orders = [rng.choice((-1.0, 0.0, 5e-3, 1.0, 2.0)) for _ in range(p)]
+        m, specs = power_mapping(orders, rows)
+        x = tuple(rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-5, 5) for _ in range(p))
+        assert_steps_match_the_oracle(m, specs, x, 6)
