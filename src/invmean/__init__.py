@@ -10,14 +10,13 @@ for the command-line surface.
 
 from .averaging import (
     CERTIFIED,
-    CONTRACTIVE_SAMPLED,
+    CONTRACTIVE,
     FALSIFIED,
     UNKNOWN,
     ComposedMapping,
     ContractivityCertificate,
     IndexVector,
     certify_uniform_weak_contractivity,
-    contractivity_samples,
     falsify_contractivity,
     is_constant_vector,
     oscillation,

@@ -17,13 +17,13 @@ The certificate also carries q0, the uniform walk length of the graph
 (q0 <= (p-1)^2 + 1, Wielandt): after q0 steps both ends of the bracket
 of every nonconstant vector have strictly moved inward, as
 `invariant.check_bracket_dichotomy` proves and checks by sampling.
-`falsify_contractivity` hunts for sampled counterexamples at any given
-step count, which a single application typically provides (block
-vectors such as (a, a, b, b) keep their oscillation for one step).
-
-Both certificate directions are evidence-grade where sampling is
-involved: "contractive-sampled" records that no counterexample was
-found, never a proof.
+`falsify_contractivity` decides from the incidence graph alone whether
+some nonconstant vector keeps its oscillation through a given number of
+steps: one does exactly when two coordinates have disjoint sets of walk
+sources, and then a block vector, constant on each side, is the witness
+(one step of `example2` keeps the oscillation of (a, a, b, b)).  Its
+"contractive" class is a proof for strict means, and its witnesses are
+confirmed by iterating them.
 
 Evaluation: `apply(x)` validates its argument (length, and every
 coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
@@ -45,11 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from random import Random
 from typing import Callable, Sequence
 
 from . import means as _means
-from .digraph import Digraph, build_incidence_graph, is_ergodic
+from .digraph import Digraph, _separated_walk_sources, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError
 from .means import Interval, Mean, _power_order, _power_row, sample_box
 
@@ -58,22 +57,21 @@ __all__ = [
     "ComposedMapping",
     "ContractivityCertificate",
     "CERTIFIED",
-    "CONTRACTIVE_SAMPLED",
+    "CONTRACTIVE",
     "FALSIFIED",
     "UNKNOWN",
     "oscillation",
     "certify_uniform_weak_contractivity",
     "falsify_contractivity",
-    "contractivity_samples",
 ]
 
 #: Certificate classes, from strongest to weakest claim.
 CERTIFIED = "uniformly-weak-certified"
-CONTRACTIVE_SAMPLED = "contractive-sampled"
+CONTRACTIVE = "contractive"
 FALSIFIED = "falsified"
 UNKNOWN = "unknown"
 
-_CLASSES = frozenset({CERTIFIED, CONTRACTIVE_SAMPLED, FALSIFIED, UNKNOWN})
+_CLASSES = frozenset({CERTIFIED, CONTRACTIVE, FALSIFIED, UNKNOWN})
 
 
 @dataclass(frozen=True)
@@ -190,19 +188,21 @@ class ComposedMapping:
     def iterate(self, x: Sequence[float], n: int) -> tuple[tuple[float, ...], ...]:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
         point = self._validate_start(x, n)
-        step = self._step
         trace = [point]
-        for _ in range(n):
-            point = step(point)
-            trace.append(point)
+        if n:  # the step is compiled on first use, so only when one is taken
+            step = self._step
+            for _ in range(n):
+                point = step(point)
+                trace.append(point)
         return tuple(trace)
 
     def nth_iterate(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         """M^n(x), the last point of `iterate(x, n)`, without keeping the trace."""
         point = self._validate_start(x, n)
-        step = self._step
-        for _ in range(n):
-            point = step(point)
+        if n:  # the step is compiled on first use, so only when one is taken
+            step = self._step
+            for _ in range(n):
+                point = step(point)
         return point
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
@@ -296,11 +296,13 @@ class ContractivityCertificate:
         flag and the incidence graph is ergodic; n0 = 3^p steps strictly
         shrink the oscillation of every nonconstant vector, and so do the
         q0 steps of the graph's uniform walk length.
-      * "contractive-sampled"      -- sampling at the stated n0 found no
-        counterexample (evidence, not proof).
-      * "falsified"                -- a sampled witness kept its oscillation
-        after n0 steps.
-      * "unknown"                  -- a certification hypothesis failed; the
+      * "contractive"              -- all component means are strict and no
+        two coordinates have disjoint walk sources after n0 steps, so n0
+        steps strictly shrink the oscillation of every nonconstant vector.
+      * "falsified"                -- the witness, a block vector, kept its
+        oscillation after n0 steps.
+      * "unknown"                  -- a hypothesis failed (a mean not flagged
+        strict, a graph not ergodic) or a mean moved a constant vector; the
         evidence names it.
     """
 
@@ -321,6 +323,12 @@ class ContractivityCertificate:
         return {"class": self.status, "n0": self.n0, "evidence": self.evidence}
 
 
+def _non_strict(m: ComposedMapping) -> str:
+    """The reason naming the means not flagged strict, or "" when all are."""
+    labels = sorted({mean.label for mean in m.means if not mean.flags.strict})
+    return f"strictness not asserted for {', '.join(labels)}" if labels else ""
+
+
 def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCertificate:
     """Certify n0 = 3^p uniform oscillation decay, with the graph's uniform
     walk length q0, or name the failed hypothesis.
@@ -328,10 +336,8 @@ def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCerti
     The hypotheses are exactly: every component mean is flagged strict, and
     the incidence graph is ergodic.  Flags are trusted assertions (see
     `validate_mean` for the falsification pass)."""
-    reasons = []
-    non_strict = [mean.label for mean in m.means if not mean.flags.strict]
-    if non_strict:
-        reasons.append(f"strictness not asserted for {', '.join(sorted(set(non_strict)))}")
+    non_strict = _non_strict(m)
+    reasons = [non_strict] if non_strict else []
     cls = is_ergodic(m.graph)
     if not cls.irreducible:
         reasons.append("graph not irreducible")
@@ -350,61 +356,68 @@ def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCerti
     )
 
 
-def contractivity_samples(m: ComposedMapping, rng: Random, n_samples: int) -> list[tuple[float, ...]]:
-    """Nonconstant test vectors: two-block patterns (a..a b..b), an
-    alternating pattern, near-constant perturbations, then uniform draws.
+def falsify_contractivity(m: ComposedMapping, n0: int) -> ContractivityCertificate:
+    """Decide from the incidence graph whether some nonconstant x keeps its
+    oscillation through n0 applications, and confirm the witness.
 
-    Block vectors are where single applications fail to shrink the
-    oscillation whenever two equal arguments feed a coordinate, so they
-    lead the list."""
-    p = m.p
-    lo, hi = sample_box(m.interval)
-    pts: list[tuple[float, ...]] = []
-    pairs = [(lo, hi), (hi, lo)]
-    for a, b in pairs:
-        for k in range(1, p):
-            pts.append((a,) * k + (b,) * (p - k))
-        if p >= 2:
-            pts.append(tuple(a if i % 2 == 0 else b for i in range(p)))
-    mid = 0.5 * (lo + hi)
-    eps = 1e-9
-    for k in range(p):
-        pts.append(tuple(mid * (1.0 + eps) if i == k else mid for i in range(p)))
-    pts.append(tuple(mid * (1.0 + eps) if i % 2 else mid * (1.0 - eps) for i in range(p)))
-    while len(pts) < n_samples:
-        pts.append(tuple(rng.uniform(lo, hi) for _ in range(p)))
-    return [x for x in pts if max(x) > min(x)]
+    Let B_n(w) be the set of start vertices of the length-n walks that end
+    at w.  Coordinate w of M^n(x) depends only on the coordinates x_u with
+    u in B_n(w), and a mean of equal arguments c is c.  So when B_n0(v) and
+    B_n0(w) are disjoint, the block vector x with hi on B_n0(w) and lo
+    elsewhere ([lo, hi] from `sample_box`) keeps coordinate v of M^n0(x)
+    at lo and w at hi: "falsified", with x as the witness.  For strict
+    means this is the only way.  Coordinate w of M(y) equals max(y) only
+    when all of its arguments do, so coordinate w of M^n(x) is at max(x)
+    exactly when B_n(w) lies in S_max = {u : x_u = max(x)}, and likewise
+    at min(x) with S_min.  The ends of the bracket only move inward, so a
+    kept oscillation keeps both: it needs some B_n(w) inside S_max and some
+    B_n(v) inside S_min, and these two sets are disjoint.  With no disjoint pair the result is
+    "contractive" when every mean is flagged strict, a proof, and
+    "unknown" when some mean is not.  The witness is iterated once; only a
+    mean that does not return c on constant arguments c can shrink it, and
+    then the result is "unknown" with both oscillations.
 
-
-def falsify_contractivity(
-    m: ComposedMapping,
-    n0: int,
-    rng: Random,
-    n_samples: int = 200,
-) -> ContractivityCertificate:
-    """Search for a nonconstant x whose oscillation fails to strictly
-    decrease after n0 applications.
-
-    The first witness found yields a "falsified" certificate; a clean sweep
-    yields "contractive-sampled", which is explicitly evidence-only."""
+    At n0 = (p-1)^2 + 1, the step count of `invmean verify`, a witness
+    exists exactly when the graph does not have exactly one initial class
+    (a strongly connected component that no edge enters from outside), or
+    that class is periodic.  Every vertex has an in-neighbour, so walking
+    back from any vertex ends in an initial class, and each initial class
+    has a cycle.
+      * Two initial classes R1 and R2: walks into R1 stay in R1, so B_n(v)
+        lies in R1 for v in R1 and B_n(w) in R2 for w in R2, disjoint at
+        every n.
+      * One initial class R of period d >= 2, with cyclic classes C_0, ...,
+        C_(d-1) (each edge of R goes from some C_k to C_(k+1 mod d)): for v
+        in C_0 and w in C_1, B_n(v) lies in C_(-n mod d) and B_n(w) in
+        C_(1-n mod d), disjoint at every n.
+      * One aperiodic initial class R of k vertices: a shortest path from R
+        to any vertex leaves R at once and has at most p - k edges, and R
+        joins every two of its vertices by walks of every length >=
+        (k-1)^2 + 1 (Wielandt).  So R lies in every B_n(v) once n >=
+        (k-1)^2 + 1 + p - k, which is at most (p-1)^2 + 1 because
+        (k-1)^2 - k does not decrease on k >= 1: no pair is disjoint.
+    So the answer is the same at every n0 >= (p-1)^2 + 1 (Seneta,
+    Non-negative Matrices and Markov Chains, for initial and cyclic
+    classes; Wolfowitz 1963 for the SIA products of the last case).
+    """
     if not isinstance(n0, int) or n0 < 1:
         raise ValidationError(f"n0 must be a positive integer, got {n0!r}")
-    samples = contractivity_samples(m, rng, n_samples)
-    for x in samples:
-        y = m.nth_iterate(x, n0)
-        before = oscillation(x)
-        after = oscillation(y)
-        if after >= before:
-            return ContractivityCertificate(
-                FALSIFIED,
-                n0,
-                f"oscillation not reduced after {n0} step(s) at x={x}: "
-                f"{before!r} -> {after!r}",
-                witness=x,
-            )
-    return ContractivityCertificate(
-        CONTRACTIVE_SAMPLED,
-        n0,
-        f"oscillation strictly decreased after {n0} step(s) on all "
-        f"{len(samples)} nonconstant samples (evidence only, not a proof)",
-    )
+    pair = _separated_walk_sources(m.graph, n0)
+    if pair is None:
+        shared = f"every two coordinates share a walk source after {n0} step(s)"
+        if non_strict := _non_strict(m):
+            return ContractivityCertificate(UNKNOWN, n0, f"{shared}, but {non_strict}")
+        return ContractivityCertificate(
+            CONTRACTIVE,
+            n0,
+            f"{shared} and all {m.p} component means are strict: the oscillation "
+            f"of every nonconstant vector strictly decreases after {n0} step(s)",
+        )
+    lo, hi = sample_box(m.interval)
+    x = tuple(hi if pair[1] >> i & 1 else lo for i in range(m.p))
+    before, after = oscillation(x), oscillation(m.nth_iterate(x, n0))
+    kept = f"after {n0} step(s) at x={x}: {before!r} -> {after!r}"
+    if after < before:  # some mean does not return c on constant arguments c
+        shrunk = f"a block vector of disjoint walk-source sets shrank its oscillation {kept}"
+        return ContractivityCertificate(UNKNOWN, n0, shrunk)
+    return ContractivityCertificate(FALSIFIED, n0, f"oscillation not reduced {kept}", witness=x)

@@ -77,7 +77,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_spec(path: str) -> MappingSpec:
     if path == "-":
-        return load_mapping_spec(sys.stdin.read())
+        # stdin is spec text, never a path: its bytes are decoded as a file's
+        stdin = getattr(sys.stdin, "buffer", None)  # None on a text-only stream
+        return load_mapping_spec(stdin.read() if stdin else sys.stdin.read().encode())
     return load_mapping_spec(path)
 
 
@@ -279,7 +281,7 @@ def cmd_verify(args) -> int:
             "bracket-dichotomy", check_bracket_dichotomy(mapping, rng, n_samples=min(n, 100))
         ))
     else:
-        falsification = falsify_contractivity(mapping, 3 ** mapping.p, rng, n_samples=n)
+        falsification = falsify_contractivity(mapping, (mapping.p - 1) ** 2 + 1)
         if falsification.status == FALSIFIED:
             checks.append(_check_entry(
                 "contractivity", "fail", falsification.evidence,

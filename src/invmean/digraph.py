@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, ShapeError, ValidationError
@@ -330,6 +331,37 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
         f"no all-ones adjacency power up to the Wielandt bound {cap}; "
         "the graph cannot be ergodic"
     )
+
+
+def _separated_walk_sources(g: Digraph, n: int) -> tuple[int, int] | None:
+    """The first pair (B_n(v), B_n(w)), v < w, of disjoint walk-source sets,
+    as bitmasks, or None when every two vertices share a source.
+
+    B_n(w) is the set of start vertices of the length-n walks that end at
+    w; these rows are the in-masks composed n times, built by repeated
+    squaring from B_(a+b)(w) = OR of B_a(u) over u in B_b(w), so the
+    search costs O(p^2 log n) word ORs.
+    """
+
+    def compose(a: list[int], b: list[int]) -> list[int]:
+        # row w of the composite ORs the rows a[u] of every u in b[w]
+        rows = []
+        for m in b:
+            row = 0
+            while m:
+                bit = m & -m
+                m ^= bit
+                row |= a[bit.bit_length() - 1]
+            rows.append(row)
+        return rows
+
+    power = list(g.in_masks)  # B_1, then B_2, B_4, ...
+    sources = power if n & 1 else [1 << v for v in range(g.n_vertices)]  # B_0(w) = {w}
+    while n := n >> 1:
+        power = compose(power, power)
+        if n & 1:
+            sources = compose(power, sources)
+    return next(((a, b) for a, b in combinations(sources, 2) if not a & b), None)
 
 
 def is_ergodic(g: Digraph) -> GraphClassification:

@@ -177,9 +177,10 @@ def invariant_mean_eval(
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
     window = max(200, 2 * ((m.p - 1) ** 2 + 1))
-    step = m._step
     y = xs
     osc = max(y) - min(y)
+    # the step is compiled on first use: a constant start takes none
+    step = m._step if osc >= threshold else None
     n = 0
     anchor_osc = osc
     anchor_n = 0

@@ -198,22 +198,28 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     return MappingSpec(p=p, interval=interval, mean_specs=mean_specs, alpha=alpha)
 
 
-def load_mapping_spec(source: str | Path) -> MappingSpec:
-    """Load a spec from a path or from raw JSON text.
+def load_mapping_spec(source: str | bytes | Path) -> MappingSpec:
+    """Load a spec from a path, from raw JSON text, or from the bytes of a
+    spec file.
 
     A str that starts (after whitespace) with '{' is treated as JSON text,
-    anything else as a filesystem path.
+    anything else as a filesystem path.  A file is read as bytes, and bytes
+    (a file's, or stdin's for the command line) must be UTF-8; text that is
+    not UTF-8 or not JSON, or JSON nested too deeply to parse, is a
+    SpecError.
     """
+    if isinstance(source, str) and not source.lstrip().startswith("{"):
+        source = Path(source)
     if isinstance(source, Path):
-        text = source.read_text()
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
+        source = source.read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(source.decode() if isinstance(source, bytes) else source)
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecError("not valid JSON: nested too deeply to parse") from None
     return mapping_spec_from_dict(raw)
 
 

@@ -1,5 +1,8 @@
 """Exhaustive small-graph census: the package's classifier against a
-brute-force cycle-enumeration oracle on every digraph with n <= 4 vertices.
+brute-force cycle-enumeration oracle on every digraph with n <= 4 vertices,
+and brute-force oracles for the contractivity dichotomy (surviving sets of
+f(S) = {v : in(v) subset of S}, and initial classes) on every incidence
+graph with n <= 4 vertices.
 
 A census graph is an edge bitmask: bit (v-1)*n + (w-1) set iff edge (v, w).
 """
@@ -147,3 +150,79 @@ def classify_all_small_graphs(n: int) -> SmallGraphCensus:
         ergodic_count=ergodic_count,
         ergodic_masks=tuple(ergodic_masks),
     )
+
+
+# ---------------------------------------------------------------------------
+# walk sources: the contractivity dichotomy of `falsify_contractivity`
+
+
+def incidence_graph_masks(n: int) -> list[int]:
+    """Every census mask on n vertices in which each vertex has an
+    in-neighbour, which is every incidence graph of an index vector."""
+    cols = [sum(1 << (v * n + w) for v in range(n)) for w in range(n)]
+    return [mask for mask in range(1 << (n * n)) if all(mask & c for c in cols)]
+
+
+def disjoint_survivors(in_masks: Sequence[int], steps: Sequence[int]) -> list[bool]:
+    """Brute force, for each step count n in `steps`: iterate
+    f(S) = {v : in(v) subset of S} n times from every nonempty S, and report
+    whether two disjoint sets both survive (f^n(S) nonempty).
+
+    f and each power f^k are tabulated over all 2^p sets.  f is monotone,
+    so a superset of a survivor survives, and two disjoint survivors exist
+    exactly when some S and its complement both survive."""
+    p = len(in_masks)
+    full = (1 << p) - 1
+    f = [0] * (full + 1)
+    for v, m in enumerate(in_masks):
+        s = m
+        while s <= full:  # every superset s of in(v), in increasing order
+            f[s] |= 1 << v
+            s = (s + 1) | m
+    power = list(range(full + 1))  # f^0
+    found = {}
+    for k in range(1, max(steps) + 1):
+        power = [f[t] for t in power]
+        if k in steps:
+            found[k] = any(power[s] and power[full ^ s] for s in range(1, full))
+    return [found[n] for n in steps]
+
+
+def _union(rows: Sequence[int], mask: int) -> int:
+    """The OR of rows[u] over the bits u of mask."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= rows[bit.bit_length() - 1]
+    return out
+
+
+def one_aperiodic_initial_class(in_masks: Sequence[int]) -> bool:
+    """Brute force: the graph has exactly one initial class (a strongly
+    connected class that no edge enters from outside), and that class is
+    aperiodic: the gcd of the lengths k <= p of the closed walks at its
+    vertices is 1.  A closed walk at a vertex of an initial class stays in
+    the class, and every cycle is a closed walk of length <= p."""
+    p = len(in_masks)
+    # reach[w]: the vertices with a walk of length >= 1 to w (Warshall)
+    reach = list(in_masks)
+    for k in range(p):
+        for w in range(p):
+            if reach[w] >> k & 1:
+                reach[w] |= reach[k]
+    initial = set()
+    for w in range(p):
+        cls = 1 << w | sum(1 << v for v in range(p) if reach[w] >> v & 1 and reach[v] >> w & 1)
+        if _union(in_masks, cls) & ~cls == 0:
+            initial.add(cls)
+    if len(initial) != 1:
+        return False
+    (cls,) = initial
+    period = 0
+    walks = [1 << w for w in range(p)]  # walks[w]: starts of the length-k walks into w
+    for k in range(1, p + 1):
+        walks = [_union(walks, m) for m in in_masks]
+        if any(cls >> w & 1 and walks[w] >> w & 1 for w in range(p)):
+            period = math.gcd(period, k)
+    return period == 1

@@ -8,7 +8,7 @@ import pytest
 import invmean as iv
 from invmean import (
     CERTIFIED,
-    CONTRACTIVE_SAMPLED,
+    CONTRACTIVE,
     FALSIFIED,
     UNKNOWN,
     ComposedMapping,
@@ -19,6 +19,7 @@ from invmean import (
     PowerMeanSpec,
     certify_uniform_weak_contractivity,
     falsify_contractivity,
+    is_ergodic,
     make_power_mean,
     oscillation,
 )
@@ -258,26 +259,56 @@ class TestCertify:
 
 class TestFalsify:
     def test_example2_single_step_witness(self):
-        cert = falsify_contractivity(example2_mapping(), 1, Random(3), 200)
+        cert = falsify_contractivity(example2_mapping(), 1)
         assert cert.status == FALSIFIED
         a, b = cert.witness[0], cert.witness[2]
         assert cert.witness == (a, a, b, b)
         assert cert.witness == (1.0, 1.0, 2.0, 2.0)
 
     def test_example2_two_steps_clean(self):
-        cert = falsify_contractivity(example2_mapping(), 2, Random(3), 500)
-        assert cert.status == CONTRACTIVE_SAMPLED
-        assert "evidence only" in cert.evidence
+        cert = falsify_contractivity(example2_mapping(), 2)
+        assert cert.status == CONTRACTIVE
+        assert "share a walk source after 2 step(s)" in cert.evidence
 
     def test_disconnected_falsified_at_any_n0(self):
         for n0 in (1, 2, 81):
-            cert = falsify_contractivity(example3_mapping(), n0, Random(3), 50)
+            cert = falsify_contractivity(example3_mapping(), n0)
             assert cert.status == FALSIFIED
             assert cert.witness == (1.0, 1.0, 2.0, 2.0)
 
     def test_bad_n0(self):
         with pytest.raises(iv.ValidationError):
-            falsify_contractivity(example2_mapping(), 0, Random(3))
+            falsify_contractivity(example2_mapping(), 0)
+
+    def test_one_coordinate_is_vacuously_contractive(self):
+        # I^1 has no nonconstant vector, so no pair of coordinates to separate
+        m = ComposedMapping(power_means((1.0,)), POSITIVE_REALS, IndexVector(((1, 1),)))
+        for n0 in (1, 5):
+            cert = falsify_contractivity(m, n0)
+            assert cert.status == CONTRACTIVE and cert.witness is None
+
+    def test_nonstrict_mean_on_ergodic_graph_unknown(self):
+        # rows (2, 1) and (1, 2) make the complete graph with loops, so every
+        # two coordinates share a walk source; the non-strict first-argument
+        # mean swaps the coordinates and keeps the oscillation forever
+        first = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: xs[0],
+                     flags=MeanFlags(strict=False, monotone=True), label="first")
+        m = ComposedMapping((first, first), POSITIVE_REALS, IndexVector(((2, 1), (1, 2))))
+        assert is_ergodic(m.graph).ergodic
+        cert = falsify_contractivity(m, 2)
+        assert cert.status == UNKNOWN and cert.witness is None
+        assert "strictness not asserted for first" in cert.evidence
+        assert m.nth_iterate((1.0, 2.0), 2) == (1.0, 2.0)
+
+    def test_witness_shrunk_by_a_mean_that_moves_constants_unknown(self):
+        # a "mean" that returns 1.5 everywhere maps (1, 1) to 1.5, which no
+        # mean may do, and so it shrinks the block witness of two loops
+        const = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: 1.5,
+                     flags=MeanFlags(strict=True), label="const")
+        m = ComposedMapping((const, const), POSITIVE_REALS, IndexVector(((1, 1), (2, 2))))
+        cert = falsify_contractivity(m, 1)
+        assert cert.status == UNKNOWN and cert.witness is None
+        assert "shrank its oscillation after 1 step(s) at x=(1.0, 2.0): 1.0 -> 0.0" in cert.evidence
 
 
 class TestConstantVectorPredicate:

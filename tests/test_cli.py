@@ -363,7 +363,7 @@ class TestVerify:
         assert code == 2
         by_name = {c["name"]: c for c in data["checks"]}
         assert by_name["strict"]["status"] == "fail"
-        assert by_name["contractivity"]["status"] == "info"  # no witness found
+        assert by_name["contractivity"]["status"] == "info"  # contractive: no witness exists
 
     def test_periodic_fixture_contractivity_fails(self, capsys):
         code, data, _ = run_json(
@@ -406,6 +406,40 @@ class TestVerify:
         }
         assert by_name["strict"]["status"] == "pass"
 
+    def test_two_ring12_contractivity_steps_one_witness_check(self, capsys, tmp_path, monkeypatch):
+        # two disjoint harmonic/arithmetic rings with loops, 6 coordinates
+        # each: the witness comes from the graph, and its one re-check takes
+        # (p-1)^2 + 1 = 122 steps (the sampled search used to step 3^12)
+        rows = [[i, i % 6 + 1] for i in range(1, 7)] + [[i, (i - 6) % 6 + 7] for i in range(7, 13)]
+        raw = {
+            "p": 12,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "harmonic" if i % 2 else "arithmetic", "arity": 2}
+                      for i in range(12)],
+            "alpha": rows,
+        }
+        spec = tmp_path / "two_rings12.json"
+        spec.write_text(json.dumps(raw))
+        calls = []
+
+        def counted(mapping, n0):
+            # the compiled step is cached on the instance, so it is counted there
+            step = mapping._step
+            monkeypatch.setitem(vars(mapping), "_step", lambda xs: calls.append(1) or step(xs))
+            try:
+                return averaging.falsify_contractivity(mapping, n0)
+            finally:
+                monkeypatch.setitem(vars(mapping), "_step", step)
+
+        monkeypatch.setattr("invmean.cli.falsify_contractivity", counted)
+        code, data, _ = run_json(capsys, "verify", str(spec), "--samples", "4", "--json")
+        assert code == 2
+        assert len(calls) == 122
+        contractivity = {c["name"]: c for c in data["checks"]}["contractivity"]
+        assert contractivity["status"] == "fail"
+        assert contractivity["witnesses"][0]["point"] == [1.0] * 6 + [2.0] * 6
+        assert contractivity["detail"].startswith("oscillation not reduced after 122 step(s)")
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", EX5, "--samples", "25", "--seed", "3", "--json")
         _, out2, _ = run(capsys, "verify", EX5, "--samples", "25", "--seed", "3", "--json")
@@ -418,6 +452,32 @@ class TestSpecSourcing:
 
         text = fixture_path("example2.json").read_text()
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, data, _ = run_json(capsys, "analyze", "-", "--json")
+        assert code == 0
+        assert data["ergodic"] is True
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (str(fixture_path("example2.json")).encode(), "error: not valid JSON: "),
+            (b"[1, 2]", "error: spec: expected a JSON object, got list\n"),
+            (b'{"p": "caf\xe9"}', "error: not UTF-8 text: "),
+            (b"[" * 100_000, "error: not valid JSON: nested too deeply to parse\n"),
+        ],
+    )
+    def test_stdin_is_spec_text_never_a_path(self, capsys, monkeypatch, data, message):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 1 and out == ""
+        assert err.startswith(message), err
+
+    def test_stdin_bytes_parse_as_a_file_does(self, capsys, monkeypatch):
+        import io
+
+        text = fixture_path("example2.json").read_bytes()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
         code, data, _ = run_json(capsys, "analyze", "-", "--json")
         assert code == 0
         assert data["ergodic"] is True

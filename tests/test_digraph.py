@@ -25,8 +25,15 @@ from invmean import (
     tg_stabilize,
     tg_step,
 )
+from invmean.digraph import _separated_walk_sources
 
-from census import classify_all_small_graphs, digraph_from_mask
+from census import (
+    classify_all_small_graphs,
+    digraph_from_mask,
+    disjoint_survivors,
+    incidence_graph_masks,
+    one_aperiodic_initial_class,
+)
 
 # incidence graphs of the bundled index vectors
 ALPHA2 = ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -323,6 +330,43 @@ class TestUniformWalkLength:
     def test_ring_with_loops_is_p_minus_one(self):
         for p in range(2, 257):
             assert is_ergodic(ring_with_loops(p)).uniform_walk_length == p - 1, p
+
+
+class TestSeparatedWalkSources:
+    """`_separated_walk_sources(g, n)`: the first pair of vertices whose
+    sets of length-n walk sources are disjoint, as bitmasks."""
+
+    def test_example2_separates_for_one_step_only(self):
+        # B_1(1) = in(1) = {1, 2} and B_1(3) = {3, 4}; B_2 rows all meet
+        assert _separated_walk_sources(graph2(), 1) == (0b0011, 0b1100)
+        assert _separated_walk_sources(graph2(), 2) is None
+
+    def test_periodic_graph_separates_at_every_length(self):
+        for n in (1, 2, 3, 10, 1001):
+            assert _separated_walk_sources(graph6(), n) is not None, n
+
+    def test_two_rings_separate_at_a_large_length(self):
+        # two disjoint rings with loops on 32 vertices each: one initial
+        # class each, so the rings' sources stay apart for every n
+        edges = {(v, v) for v in range(1, 65)}
+        edges |= {(v, v % 32 + 1) for v in range(1, 33)}
+        edges |= {(v, (v - 32) % 32 + 33) for v in range(33, 65)}
+        g = Digraph(64, frozenset(edges))
+        assert _separated_walk_sources(g, 63 ** 2 + 1) == ((1 << 32) - 1, ((1 << 32) - 1) << 32)
+        assert _separated_walk_sources(ring_with_loops(64), 63 ** 2 + 1) is None
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_census_matches_the_survivor_oracle(self, p):
+        # every incidence graph on p vertices; the witness-step count
+        # (p-1)^2 + 1 of `verify` also checks the initial-class dichotomy
+        steps = (1, 2, 3, (p - 1) ** 2 + 1)
+        for mask in incidence_graph_masks(p):
+            g = digraph_from_mask(p, mask)
+            pairs = [_separated_walk_sources(g, n) for n in steps]
+            assert [pair is not None for pair in pairs] == disjoint_survivors(g.in_masks, steps), mask
+            for pair in pairs:
+                assert pair is None or (pair[0] and pair[1] and not pair[0] & pair[1]), mask
+            assert (pairs[-1] is None) == one_aperiodic_initial_class(g.in_masks), mask
 
 
 class TestNumpyReference:

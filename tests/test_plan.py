@@ -225,6 +225,19 @@ class TestPlan:
         assert m._step is step
         assert compiled == ["<invmean ComposedMapping._step p=4>"]
 
+    def test_no_step_taken_compiles_nothing(self):
+        m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
+        x = (1.0, 2.0, 3.0, 4.0)
+        assert m.iterate(x, 0) == (x,)
+        assert "_step" not in vars(m)
+        assert m.nth_iterate(x, 0) == x
+        assert "_step" not in vars(m)
+        report = iv.invariant_mean_eval(m, (2.5,) * 4)  # a constant start is converged
+        assert report.iterations_used == 0 and report.value == 2.5
+        assert "_step" not in vars(m)
+        assert m.nth_iterate(x, 1) == m.iterate(x, 1)[1]
+        assert "_step" in vars(m)
+
     def test_repackaged_power_mean_evaluator_keeps_its_checks(self):
         # a power mean's evaluator inside a Mean on a domain reaching below 0
         # is not compiled: power_mean_eval still rejects the negative argument

@@ -129,6 +129,30 @@ class TestSchemaErrors:
         with pytest.raises(iv.SpecError, match="not valid JSON"):
             load_mapping_spec("{not json")
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"p": 1, "label": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(iv.SpecError, match="not UTF-8 text"):
+            load_mapping_spec(path)
+        with pytest.raises(iv.SpecError, match="not UTF-8 text"):
+            load_mapping_spec(path.read_bytes())
+
+    def test_json_nested_too_deeply(self, tmp_path):
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(iv.SpecError, match="nested too deeply"):
+            load_mapping_spec("{" + '"p": ' + text + "}")
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(iv.SpecError, match="nested too deeply"):
+            load_mapping_spec(path)
+
+    def test_bytes_are_spec_text_never_a_path(self):
+        path = str(fixture_path("example2.json"))
+        with pytest.raises(iv.SpecError, match="not valid JSON"):
+            load_mapping_spec(path.encode())
+        text = fixture_path("example2.json").read_bytes()
+        assert load_mapping_spec(text) == load_mapping_spec(path)
+
     @pytest.mark.parametrize(
         "where, key, value",
         [
