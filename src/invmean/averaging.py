@@ -17,13 +17,13 @@ The certificate also carries q0, the uniform walk length of the graph
 (q0 <= (p-1)^2 + 1, Wielandt): after q0 steps both ends of the bracket
 of every nonconstant vector have strictly moved inward, as
 `invariant.check_bracket_dichotomy` proves and checks by sampling.
-`falsify_contractivity` decides from the incidence graph alone whether
-some nonconstant vector keeps its oscillation through a given number of
-steps: one does exactly when two coordinates have disjoint sets of walk
-sources, and then a block vector, constant on each side, is the witness
-(one step of `example2` keeps the oscillation of (a, a, b, b)).  Its
-"contractive" class is a proof for strict means, and its witnesses are
-confirmed by iterating them.
+`falsify_contractivity` decides from the initial classes of the
+incidence graph whether some nonconstant vector keeps its oscillation
+for ever: one does exactly when the graph does not have exactly one
+initial class or that class is periodic, and then a block vector on the
+classes is the witness (on the disconnected `example3`, (a, a, b, b)).
+Its "contractive" class is a proof for strict means, and its witnesses
+are confirmed by iterating them.
 
 Evaluation: `apply(x)` validates its argument (length, and every
 coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
@@ -48,7 +48,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import means as _means
-from .digraph import Digraph, _separated_walk_sources, build_incidence_graph, is_ergodic
+from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError
 from .means import Interval, Mean, _power_order, _power_row, sample_box
 
@@ -296,11 +296,13 @@ class ContractivityCertificate:
         flag and the incidence graph is ergodic; n0 = 3^p steps strictly
         shrink the oscillation of every nonconstant vector, and so do the
         q0 steps of the graph's uniform walk length.
-      * "contractive"              -- all component means are strict and no
-        two coordinates have disjoint walk sources after n0 steps, so n0
-        steps strictly shrink the oscillation of every nonconstant vector.
-      * "falsified"                -- the witness, a block vector, kept its
-        oscillation after n0 steps.
+      * "contractive"              -- all component means are strict and the
+        graph has exactly one initial class, which is aperiodic, so
+        n0 = (p-1)^2 + 1 steps strictly shrink the oscillation of every
+        nonconstant vector.
+      * "falsified"                -- the witness, a block vector on the
+        initial classes or on the cyclic classes of the only one, kept its
+        oscillation after n0 = (p-1)^2 + 1 steps.
       * "unknown"                  -- a hypothesis failed (a mean not flagged
         strict, a graph not ergodic) or a mean moved a constant vector; the
         evidence names it.
@@ -356,54 +358,48 @@ def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCerti
     )
 
 
-def falsify_contractivity(m: ComposedMapping, n0: int) -> ContractivityCertificate:
-    """Decide from the incidence graph whether some nonconstant x keeps its
-    oscillation through n0 applications, and confirm the witness.
+def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
+    """Decide from the initial classes of the incidence graph whether some
+    nonconstant x keeps its oscillation through n0 = (p-1)^2 + 1
+    applications, and confirm the witness.
 
     Let B_n(w) be the set of start vertices of the length-n walks that end
     at w.  Coordinate w of M^n(x) depends only on the coordinates x_u with
-    u in B_n(w), and a mean of equal arguments c is c.  So when B_n0(v) and
-    B_n0(w) are disjoint, the block vector x with hi on B_n0(w) and lo
-    elsewhere ([lo, hi] from `sample_box`) keeps coordinate v of M^n0(x)
-    at lo and w at hi: "falsified", with x as the witness.  For strict
-    means this is the only way.  Coordinate w of M(y) equals max(y) only
-    when all of its arguments do, so coordinate w of M^n(x) is at max(x)
-    exactly when B_n(w) lies in S_max = {u : x_u = max(x)}, and likewise
-    at min(x) with S_min.  The ends of the bracket only move inward, so a
-    kept oscillation keeps both: it needs some B_n(w) inside S_max and some
-    B_n(v) inside S_min, and these two sets are disjoint.  With no disjoint pair the result is
-    "contractive" when every mean is flagged strict, a proof, and
-    "unknown" when some mean is not.  The witness is iterated once; only a
-    mean that does not return c on constant arguments c can shrink it, and
-    then the result is "unknown" with both oscillations.
-
-    At n0 = (p-1)^2 + 1, the step count of `invmean verify`, a witness
-    exists exactly when the graph does not have exactly one initial class
-    (a strongly connected component that no edge enters from outside), or
-    that class is periodic.  Every vertex has an in-neighbour, so walking
-    back from any vertex ends in an initial class, and each initial class
-    has a cycle.
-      * Two initial classes R1 and R2: walks into R1 stay in R1, so B_n(v)
-        lies in R1 for v in R1 and B_n(w) in R2 for w in R2, disjoint at
-        every n.
+    u in B_n(w), and a mean of equal arguments c is c.  For strict means,
+    coordinate w of M(y) equals max(y) only when all of its arguments do,
+    so coordinate w of M^n(x) is at max(x) exactly when B_n(w) lies in
+    S_max = {u : x_u = max(x)}, and likewise at min(x) with S_min.  The
+    ends of the bracket only move inward, so a kept oscillation keeps both:
+    it needs some B_n(w) inside S_max and some B_n(v) inside S_min, two
+    disjoint sets.  Every vertex has an in-neighbour, so walking back from
+    any vertex ends in an initial class (a strongly connected class that no
+    edge enters from outside), and each initial class has a cycle.
+      * Two or more initial classes: walks into one stay in it, so x with
+        hi on the initial class whose lowest vertex is highest and lo
+        elsewhere ([lo, hi] from `sample_box`) keeps that class at hi and
+        every other initial class at lo, at every n: "falsified".
       * One initial class R of period d >= 2, with cyclic classes C_0, ...,
-        C_(d-1) (each edge of R goes from some C_k to C_(k+1 mod d)): for v
-        in C_0 and w in C_1, B_n(v) lies in C_(-n mod d) and B_n(w) in
-        C_(1-n mod d), disjoint at every n.
+        C_(d-1), C_0 holding its lowest vertex: B_n(v) lies in one cyclic
+        class for v in R, so x with hi on R outside C_0 and lo elsewhere
+        keeps the coordinates of R whose walks start in C_0 at lo and the
+        others at hi, at every n: "falsified".
       * One aperiodic initial class R of k vertices: a shortest path from R
         to any vertex leaves R at once and has at most p - k edges, and R
         joins every two of its vertices by walks of every length >=
         (k-1)^2 + 1 (Wielandt).  So R lies in every B_n(v) once n >=
-        (k-1)^2 + 1 + p - k, which is at most (p-1)^2 + 1 because
-        (k-1)^2 - k does not decrease on k >= 1: no pair is disjoint.
-    So the answer is the same at every n0 >= (p-1)^2 + 1 (Seneta,
-    Non-negative Matrices and Markov Chains, for initial and cyclic
-    classes; Wolfowitz 1963 for the SIA products of the last case).
+        (k-1)^2 + 1 + p - k, which is at most n0 because (k-1)^2 - k does
+        not decrease on k >= 1: no two B_n0 are disjoint, and the result
+        is "contractive" when every mean is flagged strict, a proof, and
+        "unknown" when some mean is not.
+    So the answer is the same at every n >= n0 (Seneta, Non-negative
+    Matrices and Markov Chains, for initial and cyclic classes; Wolfowitz
+    1963 for the SIA products of the last case).  The witness is iterated
+    n0 times; only a mean that does not return c on constant arguments c
+    can shrink it, and then the result is "unknown" with both oscillations.
     """
-    if not isinstance(n0, int) or n0 < 1:
-        raise ValidationError(f"n0 must be a positive integer, got {n0!r}")
-    pair = _separated_walk_sources(m.graph, n0)
-    if pair is None:
+    n0 = (m.p - 1) ** 2 + 1
+    initial = is_ergodic(m.graph).initial_classes
+    if len(initial) == 1 and initial[0].period == 1:
         shared = f"every two coordinates share a walk source after {n0} step(s)"
         if non_strict := _non_strict(m):
             return ContractivityCertificate(UNKNOWN, n0, f"{shared}, but {non_strict}")
@@ -413,11 +409,13 @@ def falsify_contractivity(m: ComposedMapping, n0: int) -> ContractivityCertifica
             f"{shared} and all {m.p} component means are strict: the oscillation "
             f"of every nonconstant vector strictly decreases after {n0} step(s)",
         )
+    last = initial[-1]
+    block = last.vertices if len(initial) > 1 else last.vertices & ~last.cyclic_class
     lo, hi = sample_box(m.interval)
-    x = tuple(hi if pair[1] >> i & 1 else lo for i in range(m.p))
+    x = tuple(hi if block >> i & 1 else lo for i in range(m.p))
     before, after = oscillation(x), oscillation(m.nth_iterate(x, n0))
     kept = f"after {n0} step(s) at x={x}: {before!r} -> {after!r}"
     if after < before:  # some mean does not return c on constant arguments c
-        shrunk = f"a block vector of disjoint walk-source sets shrank its oscillation {kept}"
+        shrunk = f"a block vector on the initial classes shrank its oscillation {kept}"
         return ContractivityCertificate(UNKNOWN, n0, shrunk)
     return ContractivityCertificate(FALSIFIED, n0, f"oscillation not reduced {kept}", witness=x)

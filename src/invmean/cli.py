@@ -168,7 +168,7 @@ def cmd_iterate(args) -> int:
 def cmd_invariant(args) -> int:
     mapping = _load_spec(args.spec).build()
     x = _parse_point(args.x)
-    if args.modulus > 1:
+    if args.modulus != 1:
         limits = subsequence_limits(
             mapping, x, args.modulus, tol=args.tol, max_iter=args.max_iter
         )
@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
             "bracket-dichotomy", check_bracket_dichotomy(mapping, rng, n_samples=min(n, 100))
         ))
     else:
-        falsification = falsify_contractivity(mapping, (mapping.p - 1) ** 2 + 1)
+        falsification = falsify_contractivity(mapping)
         if falsification.status == FALSIFIED:
             checks.append(_check_entry(
                 "contractivity", "fail", falsification.evidence,

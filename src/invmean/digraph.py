@@ -33,12 +33,20 @@ constant from some step on or cycles through nonconstant colorings
 forever; `tg_stabilize` records the trajectory up to the first constant
 or first repeated coloring.
 
+An initial class is a strongly connected class that no edge enters
+from outside.  Walks into it start in it, and walking back from any
+vertex that has an in-neighbour ends in one.  An initial class of period
+d splits into d cyclic classes C_0, ..., C_(d-1), and each of its edges
+goes from some C_k to C_(k+1 mod d).  These classes decide whether a
+mapping on a graph that is not ergodic still contracts (see
+`averaging.falsify_contractivity`).
+
 Internally adjacency is held as per-vertex bitmasks (bit w-1 of
 out_masks[v-1] set iff edge (v, w)), without any array dependency.
-Classification costs what the graph is: the SCC and period passes visit
-each edge a constant number of times, and q0 takes O(q0 * |E|) word ORs
-(one OR per edge per adjacency power).  `Digraph` computes it once and
-caches it.
+Classification costs what the graph is: one pass finds the SCCs, their
+periods and the initial classes and visits each edge a constant number
+of times, and q0 takes O(q0 * |E|) word ORs (one OR per edge per
+adjacency power).  `Digraph` computes it once and caches it.
 """
 
 from __future__ import annotations
@@ -46,8 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, ShapeError, ValidationError
 
@@ -58,6 +65,7 @@ __all__ = [
     "Digraph",
     "TriStateColoring",
     "GraphClassification",
+    "InitialClass",
     "TgReport",
     "build_incidence_graph",
     "is_ergodic",
@@ -105,10 +113,10 @@ class Digraph:
     @cached_property
     def _classification(self) -> GraphClassification:
         n = self.n_vertices
-        irreducible, per = _classify_masks(self.out_masks, n)
+        irreducible, per, initial = _classify_masks(self.out_masks, n)
         ergodic = irreducible and per == 1
         q0 = _uniform_walk_length_masks(self.out_masks, n) if ergodic else None
-        return GraphClassification(irreducible=irreducible, period=per, uniform_walk_length=q0)
+        return GraphClassification(irreducible, per, q0, initial)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -142,17 +150,31 @@ class TriStateColoring:
         return self.values[0] if self.is_constant else None
 
 
+class InitialClass(NamedTuple):
+    """One initial class, its vertex sets as bitmasks (bit v-1 for vertex v).
+
+    `cyclic_class` is the cyclic class of the class's lowest vertex.  A
+    class without a cycle, a vertex with no in-neighbour, has period None
+    and is its own cyclic class."""
+
+    vertices: int
+    period: int | None
+    cyclic_class: int
+
+
 @dataclass(frozen=True)
 class GraphClassification:
-    """Irreducibility, period, and ergodicity of one digraph.
+    """Irreducibility, period, ergodicity and initial classes of one digraph.
 
     `uniform_walk_length` is the least q0 with all-pairs walks of every
     exact length >= q0; it exists iff the graph is ergodic.
+    `initial_classes` are ordered by their lowest vertex.
     """
 
     irreducible: bool
     period: int | None
     uniform_walk_length: int | None
+    initial_classes: tuple[InitialClass, ...]
 
     @property
     def aperiodic(self) -> bool:
@@ -248,23 +270,27 @@ def _tarjan_sccs(out_masks: Sequence[int], n: int) -> list[list[int]]:
     return comps
 
 
-def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None]:
-    """(irreducible, period) from bitmask adjacency.
+def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None, tuple]:
+    """(irreducible, period, initial classes) from bitmask adjacency.
 
     The period is the gcd of all cycle lengths, computed per strongly
-    connected component from BFS-level differences across internal edges,
-    then combined over the components that contain a cycle; None when the
-    graph is acyclic.
+    connected component from BFS-level differences across internal edges
+    (0 for an acyclic singleton), then combined over the components; None
+    when the graph is acyclic.  Tarjan emits the components sinks first, so
+    in reverse every edge between two components goes to a later one: a
+    component is initial when no earlier one has an edge into it.  Its
+    cyclic classes are its BFS levels mod its period.
     """
     comps = _tarjan_sccs(out_masks, n)
     irreducible = len(comps) == 1 and any(out_masks)
     g = 0
-    for comp in comps:
+    entered = 0  # the heads of the edges out of the components seen so far
+    initial = []
+    for comp in reversed(comps):
         comp_mask = 0
         for v in comp:
             comp_mask |= 1 << v
-        if not any(out_masks[v] & comp_mask for v in comp):
-            continue  # acyclic singleton component
+        is_initial = not entered & comp_mask
         root = comp[0]
         level = {root: 0}
         queue = [root]
@@ -282,6 +308,7 @@ def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None]
                     queue.append(w)
         d = 0
         for v in comp:
+            entered |= out_masks[v]
             m = out_masks[v] & comp_mask
             lv = level[v] + 1
             while m:
@@ -289,7 +316,12 @@ def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None]
                 m ^= bit
                 d = math.gcd(d, lv - level[bit.bit_length() - 1])
         g = math.gcd(g, d)
-    return irreducible, (g if g > 0 else None)
+        if is_initial:
+            low = level[min(comp)]
+            cyclic = sum(1 << v for v in comp if (level[v] - low) % (d or 1) == 0)
+            initial.append(InitialClass(comp_mask, d or None, cyclic))
+    initial.sort(key=lambda c: c.vertices & -c.vertices)
+    return irreducible, (g if g > 0 else None), tuple(initial)
 
 
 def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
@@ -331,37 +363,6 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
         f"no all-ones adjacency power up to the Wielandt bound {cap}; "
         "the graph cannot be ergodic"
     )
-
-
-def _separated_walk_sources(g: Digraph, n: int) -> tuple[int, int] | None:
-    """The first pair (B_n(v), B_n(w)), v < w, of disjoint walk-source sets,
-    as bitmasks, or None when every two vertices share a source.
-
-    B_n(w) is the set of start vertices of the length-n walks that end at
-    w; these rows are the in-masks composed n times, built by repeated
-    squaring from B_(a+b)(w) = OR of B_a(u) over u in B_b(w), so the
-    search costs O(p^2 log n) word ORs.
-    """
-
-    def compose(a: list[int], b: list[int]) -> list[int]:
-        # row w of the composite ORs the rows a[u] of every u in b[w]
-        rows = []
-        for m in b:
-            row = 0
-            while m:
-                bit = m & -m
-                m ^= bit
-                row |= a[bit.bit_length() - 1]
-            rows.append(row)
-        return rows
-
-    power = list(g.in_masks)  # B_1, then B_2, B_4, ...
-    sources = power if n & 1 else [1 << v for v in range(g.n_vertices)]  # B_0(w) = {w}
-    while n := n >> 1:
-        power = compose(power, power)
-        if n & 1:
-            sources = compose(power, sources)
-    return next(((a, b) for a, b in combinations(sources, 2) if not a & b), None)
 
 
 def is_ergodic(g: Digraph) -> GraphClassification:

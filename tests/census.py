@@ -131,7 +131,7 @@ def classify_all_small_graphs(n: int) -> SmallGraphCensus:
     ergodic_masks = []
     for edge_mask in range(total):
         out_masks = [(edge_mask >> (v * n)) & row_mask for v in range(n)]
-        irr, per = _classify_masks(out_masks, n)
+        irr, per, _ = _classify_masks(out_masks, n)
         erg = irr and per == 1
         o_irr, o_per = _oracle_classify(edge_mask, out_masks, n, cycles)
         o_erg = o_irr and o_per == 1

@@ -12,12 +12,12 @@ import pytest
 
 from invmean import (
     CONTRACTIVE,
-    FALSIFIED,
     TriStateColoring,
     check_oscillation_monotonicity,
     falsify_contractivity,
     invariant_mean_eval,
     is_ergodic,
+    oscillation,
     solve_invariant_equation,
     subsequence_limits,
     tg_stabilize,
@@ -26,7 +26,7 @@ from invmean import (
     verify_mean_properties,
 )
 
-from census import classify_all_small_graphs, digraph_from_mask
+from census import classify_all_small_graphs, digraph_from_mask, disjoint_survivors
 
 CENSUS_BUDGET_SECONDS = 5.0
 
@@ -219,13 +219,16 @@ def test_criterion_07_cyclic_convergence_and_properties(ex2):
 def test_criterion_08_contractivity_witnesses(ex2):
     """One step keeps the oscillation of a block vector (a, a, b, b); two
     steps strictly shrink the oscillation of every nonconstant start."""
-    found = falsify_contractivity(ex2, 1)
-    assert found.status == FALSIFIED
-    w = found.witness
-    assert w[0] == w[1] and w[2] == w[3] and w[0] != w[2], w
-    clean = falsify_contractivity(ex2, 2)
+    w = (1.0, 1.0, 2.0, 2.0)
+    once = ex2.nth_iterate(w, 1)
+    assert oscillation(once) == oscillation(w) == 1.0, once
+    # brute force over every set S: two disjoint sets survive one step of
+    # f(S) = {v : in(v) subset of S}, none survive two
+    assert disjoint_survivors(ex2.graph.in_masks, (1, 2)) == [True, False]
+    clean = falsify_contractivity(ex2)
     assert clean.status == CONTRACTIVE
-    print(f"ACCEPTANCE 8: PASS — n0=1 witness {w}; n0=2 contractive from the graph")
+    print(f"ACCEPTANCE 8: PASS — one step keeps {w}; two steps separate nothing; "
+          "contractive from the graph")
 
 
 def test_criterion_09_oscillation_monotonicity(ex2, ex3, ex4, ex5, ex6):

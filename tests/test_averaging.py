@@ -24,6 +24,8 @@ from invmean import (
     oscillation,
 )
 
+from census import digraph_from_mask, incidence_graph_masks, one_aperiodic_initial_class
+
 
 def power_means(orders, arity=2):
     return tuple(make_power_mean(PowerMeanSpec(s, arity)) for s in orders)
@@ -258,34 +260,72 @@ class TestCertify:
 
 
 class TestFalsify:
+    """`falsify_contractivity(m)` reads the initial classes of the incidence
+    graph and re-checks its witness over (p-1)^2 + 1 steps."""
+
     def test_example2_single_step_witness(self):
-        cert = falsify_contractivity(example2_mapping(), 1)
-        assert cert.status == FALSIFIED
-        a, b = cert.witness[0], cert.witness[2]
-        assert cert.witness == (a, a, b, b)
-        assert cert.witness == (1.0, 1.0, 2.0, 2.0)
+        # one step keeps the oscillation of (a, a, b, b), but the graph is
+        # ergodic, so the (p-1)^2 + 1 = 10 steps of the decision shrink it
+        m = example2_mapping()
+        x = m.nth_iterate((1.0, 1.0, 2.0, 2.0), 1)
+        assert (min(x), max(x)) == (1.0, 2.0)
+        assert oscillation(m.nth_iterate((1.0, 1.0, 2.0, 2.0), 10)) < 1.0
+        cert = falsify_contractivity(m)
+        assert cert.status == CONTRACTIVE and cert.witness is None
 
     def test_example2_two_steps_clean(self):
-        cert = falsify_contractivity(example2_mapping(), 2)
-        assert cert.status == CONTRACTIVE
-        assert "share a walk source after 2 step(s)" in cert.evidence
+        cert = falsify_contractivity(example2_mapping())
+        assert cert.status == CONTRACTIVE and cert.n0 == 10
+        assert "share a walk source after 10 step(s)" in cert.evidence
 
     def test_disconnected_falsified_at_any_n0(self):
-        for n0 in (1, 2, 81):
-            cert = falsify_contractivity(example3_mapping(), n0)
-            assert cert.status == FALSIFIED
-            assert cert.witness == (1.0, 1.0, 2.0, 2.0)
+        # two initial classes {1, 2} and {3, 4}: hi on the one whose lowest
+        # vertex is highest, and the witness keeps its oscillation for ever
+        m = example3_mapping()
+        cert = falsify_contractivity(m)
+        assert cert.status == FALSIFIED and cert.n0 == 10
+        assert cert.witness == (1.0, 1.0, 2.0, 2.0)
+        assert cert.evidence.startswith("oscillation not reduced after 10 step(s)")
+        for n in (1, 2, 81):
+            assert oscillation(m.nth_iterate(cert.witness, n)) == 1.0, n
 
-    def test_bad_n0(self):
-        with pytest.raises(iv.ValidationError):
-            falsify_contractivity(example2_mapping(), 0)
+    def test_periodic_witness_is_off_the_lowest_cyclic_class(self):
+        # rows 1, 2 read (3, 4) and rows 3, 4 read (1, 2): one initial class
+        # of period 2 whose cyclic classes are {1, 2} and {3, 4}
+        m = ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,
+                            IndexVector(((3, 4), (3, 4), (1, 2), (1, 2))))
+        cert = falsify_contractivity(m)
+        assert cert.status == FALSIFIED
+        assert cert.witness == (1.0, 1.0, 2.0, 2.0)
+
+    def test_every_three_vertex_incidence_graph(self):
+        # each coordinate takes the arithmetic mean of its in-neighbours; the
+        # hi and lo sets of a witness must both survive (p-1)^2 + 1 = 5 steps
+        # of f(S) = {v : in(v) subset of S}, computed here by brute force
+        def survives(in_masks, s):
+            for _ in range(5):
+                s = sum(1 << v for v, m in enumerate(in_masks) if m & ~s == 0)
+            return s != 0
+
+        for mask in incidence_graph_masks(3):
+            g = digraph_from_mask(3, mask)
+            rows = tuple(tuple(v + 1 for v in range(3) if m >> v & 1) for m in g.in_masks)
+            m = ComposedMapping(tuple(make_power_mean(PowerMeanSpec(1.0, len(r))) for r in rows),
+                                POSITIVE_REALS, IndexVector(rows))
+            cert = falsify_contractivity(m)
+            if one_aperiodic_initial_class(g.in_masks):
+                assert cert.status == CONTRACTIVE, mask
+                continue
+            assert cert.status == FALSIFIED, mask
+            hi = sum(1 << i for i, t in enumerate(cert.witness) if t == max(cert.witness))
+            assert survives(g.in_masks, hi) and survives(g.in_masks, 0b111 ^ hi), mask
 
     def test_one_coordinate_is_vacuously_contractive(self):
         # I^1 has no nonconstant vector, so no pair of coordinates to separate
         m = ComposedMapping(power_means((1.0,)), POSITIVE_REALS, IndexVector(((1, 1),)))
-        for n0 in (1, 5):
-            cert = falsify_contractivity(m, n0)
-            assert cert.status == CONTRACTIVE and cert.witness is None
+        cert = falsify_contractivity(m)
+        assert cert.status == CONTRACTIVE and cert.witness is None
+        assert cert.n0 == 1
 
     def test_nonstrict_mean_on_ergodic_graph_unknown(self):
         # rows (2, 1) and (1, 2) make the complete graph with loops, so every
@@ -295,7 +335,7 @@ class TestFalsify:
                      flags=MeanFlags(strict=False, monotone=True), label="first")
         m = ComposedMapping((first, first), POSITIVE_REALS, IndexVector(((2, 1), (1, 2))))
         assert is_ergodic(m.graph).ergodic
-        cert = falsify_contractivity(m, 2)
+        cert = falsify_contractivity(m)
         assert cert.status == UNKNOWN and cert.witness is None
         assert "strictness not asserted for first" in cert.evidence
         assert m.nth_iterate((1.0, 2.0), 2) == (1.0, 2.0)
@@ -306,9 +346,9 @@ class TestFalsify:
         const = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: 1.5,
                      flags=MeanFlags(strict=True), label="const")
         m = ComposedMapping((const, const), POSITIVE_REALS, IndexVector(((1, 1), (2, 2))))
-        cert = falsify_contractivity(m, 1)
+        cert = falsify_contractivity(m)
         assert cert.status == UNKNOWN and cert.witness is None
-        assert "shrank its oscillation after 1 step(s) at x=(1.0, 2.0): 1.0 -> 0.0" in cert.evidence
+        assert "shrank its oscillation after 2 step(s) at x=(1.0, 2.0): 1.0 -> 0.0" in cert.evidence
 
 
 class TestConstantVectorPredicate:

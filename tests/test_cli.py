@@ -107,6 +107,14 @@ class TestClassifyOnce:
         assert code == 0
         assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 1}
 
+    @pytest.mark.parametrize("spec", [EX3, EX6])
+    def test_once_per_uncertified_verify(self, capsys, calls, spec):
+        # the certificate and the contractivity decision share the record;
+        # a graph that is not ergodic has no uniform walk length to search
+        code, _, _ = run(capsys, "verify", spec, "--samples", "4")
+        assert code == 2
+        assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 0}
+
     def test_second_call_returns_an_equal_record(self, calls):
         g = load_mapping_spec(EX2).build().graph
         first = is_ergodic(g)
@@ -230,6 +238,13 @@ class TestInvariant:
         points = [entry["point"] for entry in data["limits"]]
         assert points[0] == pytest.approx([2.0, 2.0, 12.0, 12.0], abs=1e-9)
         assert points[1] == pytest.approx([12.0, 12.0, 2.0, 2.0], abs=1e-9)
+
+    @pytest.mark.parametrize("modulus", ["0", "-5"])
+    def test_modulus_below_one_exits_one(self, capsys, modulus):
+        code, out, err = run(capsys, "invariant", EX2, "1,2,3,4", "--modulus", modulus)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: modulus must be a positive integer, got {modulus}\n"
 
     def test_periodic_full_sequence_exits_two(self, capsys):
         code, data, _ = run_json(capsys, "invariant", EX6, "1,4,9,16", "--json")
@@ -422,12 +437,12 @@ class TestVerify:
         spec.write_text(json.dumps(raw))
         calls = []
 
-        def counted(mapping, n0):
+        def counted(mapping):
             # the compiled step is cached on the instance, so it is counted there
             step = mapping._step
             monkeypatch.setitem(vars(mapping), "_step", lambda xs: calls.append(1) or step(xs))
             try:
-                return averaging.falsify_contractivity(mapping, n0)
+                return averaging.falsify_contractivity(mapping)
             finally:
                 monkeypatch.setitem(vars(mapping), "_step", step)
 

@@ -25,8 +25,6 @@ from invmean import (
     tg_stabilize,
     tg_step,
 )
-from invmean.digraph import _separated_walk_sources
-
 from census import (
     classify_all_small_graphs,
     digraph_from_mask,
@@ -124,34 +122,77 @@ def oracle_uniform_walk_length(g: Digraph, horizon: int = 17) -> int:
     return q0
 
 
-def numpy_reference(g: Digraph) -> tuple[bool, int | None, int | None]:
-    """(irreducible, period, q0) from 0/1 adjacency matrix powers:
-    irreducible iff sum_{k=1..n} A^k > 0 everywhere, period = gcd of the
-    k <= n with tr A^k > 0 (every simple cycle has length <= n), q0 = the
-    least q with A^q > 0 everywhere, None when no power up to Wielandt's
-    bound (n-1)^2 + 1 is."""
+def _bool_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.minimum(a @ b, 1)
+
+
+def _trace_period(a: np.ndarray) -> int | None:
+    """gcd of the k <= n with tr A^k > 0 (every simple cycle has length
+    <= n); None without a cycle."""
+    lengths = []
+    power = a.copy()
+    for k in range(1, len(a) + 1):
+        if np.trace(power) > 0:
+            lengths.append(k)
+        power = _bool_mul(power, a)
+    return math.gcd(*lengths) if lengths else None
+
+
+def numpy_reference(g: Digraph) -> tuple[bool, int | None, int | None, list[tuple]]:
+    """(irreducible, period, q0, initial classes) from 0/1 adjacency matrix
+    powers: irreducible iff sum_{k=1..n} A^k > 0 everywhere, period by
+    `_trace_period`, q0 = the least q with A^q > 0 everywhere, None when no
+    power up to Wielandt's bound (n-1)^2 + 1 is.  The initial classes are
+    the classes of mutual reachability that no edge enters from outside,
+    ordered by lowest vertex, each as (vertices, period, cyclic class): the
+    period is the trace period of the class's own adjacency matrix, and
+    the cyclic class holds the vertices that the lowest one reaches by
+    walks whose length the period divides (1-based vertex tuples)."""
     n = g.n_vertices
     a = np.zeros((n, n), dtype=np.int64)
     for v, w in g.edges:
         a[v - 1, w - 1] = 1
     power = a.copy()
     reach = a.copy()
-    cycle_lengths = []
-    for k in range(1, n + 1):
-        if k > 1:
-            power = np.minimum(power @ a, 1)
-            reach |= power
-        if np.trace(power) > 0:
-            cycle_lengths.append(k)
-    period = math.gcd(*cycle_lengths) if cycle_lengths else None
+    for _ in range(n - 1):
+        power = _bool_mul(power, a)
+        reach |= power
     power = a.copy()
     q0 = None
     for q in range(1, (n - 1) ** 2 + 2):
         if power.all():
             q0 = q
             break
-        power = np.minimum(power @ a, 1)
-    return bool(reach.all()), period, q0
+        power = _bool_mul(power, a)
+    same = (reach > 0) & (reach > 0).T | np.eye(n, dtype=bool)
+    initial = []
+    for cls in sorted({tuple(int(v) for v in np.flatnonzero(row)) for row in same}):
+        outside = [v for v in range(n) if v not in cls]
+        if a[np.ix_(outside, cls)].any():
+            continue
+        sub = a[np.ix_(cls, cls)]
+        d = _trace_period(sub)
+        step = np.eye(len(cls), dtype=np.int64)
+        for _ in range(d or 1):
+            step = _bool_mul(step, sub)
+        seen = np.zeros(len(cls), dtype=np.int64)
+        seen[0] = 1
+        for _ in range(len(cls)):
+            seen |= _bool_mul(seen, step)
+        cyclic = tuple(cls[k] + 1 for k in np.flatnonzero(seen))
+        initial.append((tuple(v + 1 for v in cls), d, cyclic))
+    return bool(reach.all()), _trace_period(a), q0, initial
+
+
+def initial_sets(g: Digraph) -> list[tuple]:
+    """`is_ergodic(g).initial_classes` as (vertices, period, cyclic class),
+    the vertex sets as 1-based tuples."""
+
+    def vertices(mask: int) -> tuple[int, ...]:
+        return tuple(v + 1 for v in range(g.n_vertices) if mask >> v & 1)
+
+    return [(vertices(c.vertices), c.period, vertices(c.cyclic_class))
+            for c in is_ergodic(g).initial_classes]
 
 
 def wielandt_graph(n: int) -> Digraph:
@@ -333,40 +374,53 @@ class TestUniformWalkLength:
 
 
 class TestSeparatedWalkSources:
-    """`_separated_walk_sources(g, n)`: the first pair of vertices whose
-    sets of length-n walk sources are disjoint, as bitmasks."""
+    """Two coordinates keep disjoint walk-source sets for ever unless the
+    graph has exactly one initial class and it is aperiodic; the initial
+    classes come from the cached classification."""
 
     def test_example2_separates_for_one_step_only(self):
         # B_1(1) = in(1) = {1, 2} and B_1(3) = {3, 4}; B_2 rows all meet
-        assert _separated_walk_sources(graph2(), 1) == (0b0011, 0b1100)
-        assert _separated_walk_sources(graph2(), 2) is None
+        assert initial_sets(graph2()) == [((1, 2, 3, 4), 1, (1, 2, 3, 4))]
+        assert disjoint_survivors(graph2().in_masks, (1, 2)) == [True, False]
 
     def test_periodic_graph_separates_at_every_length(self):
-        for n in (1, 2, 3, 10, 1001):
-            assert _separated_walk_sources(graph6(), n) is not None, n
+        assert initial_sets(graph6()) == [((1, 2, 3, 4), 2, (1, 2))]
+        assert disjoint_survivors(graph6().in_masks, (1, 2, 3, 10)) == [True] * 4
+        # the p-cycle: one class of period p, and each vertex is a cyclic class
+        for p in (2, 5, 64):
+            cycle = Digraph(p, frozenset((v, v % p + 1) for v in range(1, p + 1)))
+            assert initial_sets(cycle) == [(tuple(range(1, p + 1)), p, (1,))], p
 
     def test_two_rings_separate_at_a_large_length(self):
-        # two disjoint rings with loops on 32 vertices each: one initial
-        # class each, so the rings' sources stay apart for every n
+        # two disjoint rings with loops on 32 vertices each: one aperiodic
+        # initial class each, so the rings' sources stay apart for every n
         edges = {(v, v) for v in range(1, 65)}
         edges |= {(v, v % 32 + 1) for v in range(1, 33)}
         edges |= {(v, (v - 32) % 32 + 33) for v in range(33, 65)}
-        g = Digraph(64, frozenset(edges))
-        assert _separated_walk_sources(g, 63 ** 2 + 1) == ((1 << 32) - 1, ((1 << 32) - 1) << 32)
-        assert _separated_walk_sources(ring_with_loops(64), 63 ** 2 + 1) is None
+        rings = [tuple(range(1, 33)), tuple(range(33, 65))]
+        assert initial_sets(Digraph(64, frozenset(edges))) == [(r, 1, r) for r in rings]
+        ring = tuple(range(1, 65))
+        assert initial_sets(ring_with_loops(64)) == [(ring, 1, ring)]
+
+    def test_downstream_vertices_and_sources(self):
+        # example5 reads rows (1,2), (1,2), (2,4), (3,4): {1, 2} is the only
+        # initial class, and a vertex with no in-edge is an acyclic one
+        assert initial_sets(graph5()) == [((1, 2), 1, (1, 2))]
+        g = Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)}))
+        assert initial_sets(g) == [((1,), None, (1,)), ((3,), None, (3,))]
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_census_matches_the_survivor_oracle(self, p):
-        # every incidence graph on p vertices; the witness-step count
-        # (p-1)^2 + 1 of `verify` also checks the initial-class dichotomy
-        steps = (1, 2, 3, (p - 1) ** 2 + 1)
+        # every incidence graph on p vertices, at the step count (p-1)^2 + 1
+        # of `falsify_contractivity`: disjoint sets survive exactly when the
+        # graph does not have one aperiodic initial class
+        n0 = (p - 1) ** 2 + 1
         for mask in incidence_graph_masks(p):
             g = digraph_from_mask(p, mask)
-            pairs = [_separated_walk_sources(g, n) for n in steps]
-            assert [pair is not None for pair in pairs] == disjoint_survivors(g.in_masks, steps), mask
-            for pair in pairs:
-                assert pair is None or (pair[0] and pair[1] and not pair[0] & pair[1]), mask
-            assert (pairs[-1] is None) == one_aperiodic_initial_class(g.in_masks), mask
+            initial = is_ergodic(g).initial_classes
+            single = len(initial) == 1 and initial[0].period == 1
+            assert single == one_aperiodic_initial_class(g.in_masks), mask
+            assert single != disjoint_survivors(g.in_masks, (n0,))[0], mask
 
 
 class TestNumpyReference:
@@ -374,13 +428,19 @@ class TestNumpyReference:
     @settings(max_examples=200, deadline=None)
     def test_classification_matches(self, g):
         cls = is_ergodic(g)
-        assert (cls.irreducible, cls.period, cls.uniform_walk_length) == numpy_reference(g)
+        got = (cls.irreducible, cls.period, cls.uniform_walk_length, initial_sets(g))
+        assert got == numpy_reference(g)
 
     def test_reference_reads_the_closed_forms(self):
         # the reference itself agrees with the known walk lengths
-        assert numpy_reference(wielandt_graph(9)) == (True, 1, 65)
-        assert numpy_reference(ring_with_loops(12)) == (True, 1, 11)
-        assert numpy_reference(graph6()) == (True, 2, None)
+        nine, twelve = tuple(range(1, 10)), tuple(range(1, 13))
+        assert numpy_reference(wielandt_graph(9)) == (True, 1, 65, [(nine, 1, nine)])
+        assert numpy_reference(ring_with_loops(12)) == (True, 1, 11, [(twelve, 1, twelve)])
+        assert numpy_reference(graph6()) == (True, 2, None, [((1, 2, 3, 4), 2, (1, 2))])
+        # two sources with no in-edge feeding a loop
+        assert numpy_reference(Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)})))[3] == [
+            ((1,), None, (1,)), ((3,), None, (3,))
+        ]
 
 
 class TestTgStep:
