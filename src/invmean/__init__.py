@@ -42,13 +42,10 @@ from .errors import (
 )
 from .invariant import (
     ConvergenceReport,
-    ResidueLimit,
-    SubsequenceLimits,
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
     solve_invariant_equation,
-    subsequence_limits,
     verify_invariance,
     verify_mean_properties,
 )

@@ -398,8 +398,8 @@ def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
     can shrink it, and then the result is "unknown" with both oscillations.
     """
     n0 = (m.p - 1) ** 2 + 1
-    initial = is_ergodic(m.graph).initial_classes
-    if len(initial) == 1 and initial[0].period == 1:
+    cls = is_ergodic(m.graph)
+    if cls.one_aperiodic_initial_class:
         shared = f"every two coordinates share a walk source after {n0} step(s)"
         if non_strict := _non_strict(m):
             return ContractivityCertificate(UNKNOWN, n0, f"{shared}, but {non_strict}")
@@ -409,8 +409,9 @@ def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
             f"{shared} and all {m.p} component means are strict: the oscillation "
             f"of every nonconstant vector strictly decreases after {n0} step(s)",
         )
+    initial = cls.initial_classes
     last = initial[-1]
-    block = last.vertices if len(initial) > 1 else last.vertices & ~last.cyclic_class
+    block = last.vertices if len(initial) > 1 else last.vertices & ~last.cyclic_classes[0]
     lo, hi = sample_box(m.interval)
     x = tuple(hi if block >> i & 1 else lo for i in range(m.p))
     before, after = oscillation(x), oscillation(m.nth_iterate(x, n0))

@@ -32,7 +32,6 @@ from .invariant import (
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
-    subsequence_limits,
     verify_invariance,
     verify_mean_properties,
 )
@@ -168,20 +167,6 @@ def cmd_iterate(args) -> int:
 def cmd_invariant(args) -> int:
     mapping = _load_spec(args.spec).build()
     x = _parse_point(args.x)
-    if args.modulus != 1:
-        limits = subsequence_limits(
-            mapping, x, args.modulus, tol=args.tol, max_iter=args.max_iter
-        )
-        if args.json:
-            _emit_json(limits.to_json_dict())
-        else:
-            print("modulus:", limits.modulus)
-            for r, entry in enumerate(limits.limits):
-                print(
-                    f"residue {r}: converged={_fmt_bool(entry.converged)} "
-                    f"point={_fmt_point(entry.point)}"
-                )
-        return EXIT_OK if limits.all_converged else EXIT_FALSIFIED
     report = invariant_mean_eval(mapping, x, tol=args.tol, max_iter=args.max_iter)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -192,6 +177,11 @@ def cmd_invariant(args) -> int:
         print("converged:", _fmt_bool(report.converged))
         print("stop_reason:", report.stop_reason)
         print("final_iterate:", _fmt_point(report.final_iterate))
+        for vertices, value, radius in report.classes:
+            print(
+                f"class {{{', '.join(map(str, vertices))}}}: "
+                f"value={_fmt(value)} error_radius={_fmt(radius)}"
+            )
     return EXIT_OK if report.converged else EXIT_FALSIFIED
 
 
@@ -345,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", help="start point, comma-separated")
     p.add_argument("--tol", type=float, default=1e-12, help="tolerance (default 1e-12)")
     p.add_argument("--max-iter", type=int, default=10_000, help="iteration cap (default 10000)")
-    p.add_argument(
-        "--modulus", type=int, default=1,
-        help="with m > 1, report per-residue subsequence limits mod m",
-    )
 
     p = add("tg", cmd_tg, "iterate the tri-state in-neighbor operator on the graph")
     p.add_argument("c0", help="start coloring over {-1,0,1}, comma-separated")

@@ -39,7 +39,8 @@ vertex that has an in-neighbour ends in one.  An initial class of period
 d splits into d cyclic classes C_0, ..., C_(d-1), and each of its edges
 goes from some C_k to C_(k+1 mod d).  These classes decide whether a
 mapping on a graph that is not ergodic still contracts (see
-`averaging.falsify_contractivity`).
+`averaging.falsify_contractivity`), and when it does not, they are the
+brackets its iteration closes (see `invariant.invariant_mean_eval`).
 
 Internally adjacency is held as per-vertex bitmasks (bit w-1 of
 out_masks[v-1] set iff edge (v, w)), without any array dependency.
@@ -153,13 +154,15 @@ class TriStateColoring:
 class InitialClass(NamedTuple):
     """One initial class, its vertex sets as bitmasks (bit v-1 for vertex v).
 
-    `cyclic_class` is the cyclic class of the class's lowest vertex.  A
-    class without a cycle, a vertex with no in-neighbour, has period None
-    and is its own cyclic class."""
+    `cyclic_classes` are its d cyclic classes C_0, ..., C_(d-1), where d
+    is its period and C_0 holds its lowest vertex; each edge of the class
+    goes from some C_k to C_(k+1 mod d).  A class without a cycle, a
+    vertex with no in-neighbour, has period None and is its own cyclic
+    class."""
 
     vertices: int
     period: int | None
-    cyclic_class: int
+    cyclic_classes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,13 @@ class GraphClassification:
     @property
     def ergodic(self) -> bool:
         return self.irreducible and self.aperiodic
+
+    @property
+    def one_aperiodic_initial_class(self) -> bool:
+        """Exactly one initial class, and it is aperiodic: the graph shape on
+        which a mapping of strict means has an invariant mean K (see
+        `averaging.falsify_contractivity`)."""
+        return len(self.initial_classes) == 1 and self.initial_classes[0].period == 1
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,8 @@ def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None,
     when the graph is acyclic.  Tarjan emits the components sinks first, so
     in reverse every edge between two components goes to a later one: a
     component is initial when no earlier one has an edge into it.  Its
-    cyclic classes are its BFS levels mod its period.
+    cyclic classes are its BFS levels mod its period, counted from the
+    level of its lowest vertex and filled in one pass over the component.
     """
     comps = _tarjan_sccs(out_masks, n)
     irreducible = len(comps) == 1 and any(out_masks)
@@ -318,8 +329,10 @@ def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None,
         g = math.gcd(g, d)
         if is_initial:
             low = level[min(comp)]
-            cyclic = sum(1 << v for v in comp if (level[v] - low) % (d or 1) == 0)
-            initial.append(InitialClass(comp_mask, d or None, cyclic))
+            cyclic = [0] * (d or 1)
+            for v in comp:
+                cyclic[(level[v] - low) % len(cyclic)] |= 1 << v
+            initial.append(InitialClass(comp_mask, d or None, tuple(cyclic)))
     initial.sort(key=lambda c: c.vertices & -c.vertices)
     return irreducible, (g if g > 0 else None), tuple(initial)
 

@@ -18,9 +18,10 @@ that evaluates every row straight line with the arithmetic of
 Non-convergence (periodic or disconnected incidence structure) is a
 structured report, never an exception, so callers can inspect the final
 iterate; its stop_reason tells a stall from the iteration cap.  When the
-full sequence has several cluster points, `subsequence_limits` follows
-each residue class modulo m separately with a per-coordinate Cauchy
-test, which handles limits that are not constant vectors.
+incidence graph has no invariant mean K (several initial classes, or one
+that is periodic), the same iteration brackets each cyclic class of each
+initial class that the graph's classification records, and reports the
+limit of each.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `check_oscillation_monotonicity`, `check_bracket_dichotomy`,
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
@@ -51,15 +53,13 @@ from .averaging import (
     certify_uniform_weak_contractivity,
     is_constant_vector,
 )
+from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError
 from .means import CheckReport, sample_box, sweep
 
 __all__ = [
     "ConvergenceReport",
-    "ResidueLimit",
-    "SubsequenceLimits",
     "invariant_mean_eval",
-    "subsequence_limits",
     "verify_invariance",
     "verify_mean_properties",
     "solve_invariant_equation",
@@ -81,8 +81,15 @@ class ConvergenceReport:
     not converged) and error_radius is half its oscillation.  The bracket
     is monotone, so the radius bounds the floating-point bracket, but it
     carries no rounding term and is not a true enclosure of K(x).
-    stop_reason says what ended the run: "converged", "stalled" (a whole
-    stall window without a measurable shrink) or "max_iter".
+    stop_reason says what ended the run: "converged", "classes-converged"
+    (the graph has no K and every cyclic-class bracket closed), "stalled"
+    (a whole stall window without a measurable shrink) or "max_iter".
+
+    classes is empty when K exists.  Otherwise it holds one
+    (vertices, value, error_radius) per cyclic class, ordered by initial
+    class and then from C_0, with 1-based vertices and the midpoint and
+    half-oscillation of the class in the final iterate; error_radius is
+    then half the largest class oscillation.
     """
 
     value: float | None
@@ -91,9 +98,10 @@ class ConvergenceReport:
     converged: bool
     final_iterate: tuple[float, ...]
     stop_reason: str
+    classes: tuple[tuple[tuple[int, ...], float, float], ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "value": self.value,
             "error_radius": self.error_radius,
             "iterations_used": self.iterations_used,
@@ -101,39 +109,12 @@ class ConvergenceReport:
             "stop_reason": self.stop_reason,
             "final_iterate": list(self.final_iterate),
         }
-
-
-@dataclass(frozen=True)
-class ResidueLimit:
-    """Limit estimate of the iterates with index == r (mod modulus)."""
-
-    point: tuple[float, ...]
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SubsequenceLimits:
-    """Per-residue limits of the iteration modulo `modulus`.
-
-    Applying the mapping to limits[r] lands on limits[(r+1) % modulus]
-    (up to tolerance) whenever the flags are set.
-    """
-
-    modulus: int
-    limits: tuple[ResidueLimit, ...]
-
-    @property
-    def all_converged(self) -> bool:
-        return all(entry.converged for entry in self.limits)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "limits": [
-                {"point": list(entry.point), "converged": entry.converged}
-                for entry in self.limits
-            ],
-        }
+        if self.classes:
+            out["classes"] = [
+                {"vertices": list(vertices), "value": value, "error_radius": radius}
+                for vertices, value, radius in self.classes
+            ]
+        return out
 
 
 def _check_tol(tol: float) -> None:
@@ -155,12 +136,26 @@ def invariant_mean_eval(
 ) -> ConvergenceReport:
     """Iterate until the oscillation drops below 2*tol*scale or limits hit.
 
+    When the incidence graph has exactly one initial class and it is
+    aperiodic, K exists and the oscillation is max - min of the whole
+    iterate.  Otherwise the oscillation is the largest one over the
+    cyclic classes C_0, ..., C_(d-1) of the initial classes, as
+    `digraph.GraphClassification` records them.  It cannot grow either:
+    no edge enters an initial class from outside, and inside it every
+    edge goes from some C_k to C_(k+1 mod d), so every coordinate in
+    C_(k+1) is a mean of coordinates in C_k and the bracket of C_(k+1)
+    after a step lies inside the bracket C_k had before it.  When every
+    class bracket closes the run stops with stop_reason
+    "classes-converged", converged=False and value None, and `classes`
+    reports the limit of each class; the values move one cyclic class
+    per step.  Coordinates outside every initial class are in
+    final_iterate only: no convergence claim is made for them.
+
     scale is max(1, |max(x)|); the reported error_radius is therefore at
-    most tol*scale on convergence.  The oscillation is nonincreasing, so
-    a window of max(200, 2*((p-1)^2 + 1)) steps over which it fails to
-    shrink proves practical stagnation and ends the run early with
-    converged=False and stop_reason "stalled"; periodic and disconnected
-    structures are reported this way instead of burning max_iter.
+    most tol*scale once the bracket closes.  The oscillation is
+    nonincreasing, so a window of max(200, 2*((p-1)^2 + 1)) steps over
+    which it fails to shrink proves practical stagnation and ends the
+    run early with stop_reason "stalled" instead of burning max_iter.
     (p-1)^2 + 1 is Wielandt's bound on the uniform walk length of an
     ergodic incidence graph, and with strict means the oscillation
     strictly shrinks over every such length, so the window is polynomial
@@ -177,9 +172,22 @@ def invariant_mean_eval(
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
     window = max(200, 2 * ((m.p - 1) ** 2 + 1))
+    graph = is_ergodic(m.graph)
+    classes = () if graph.one_aperiodic_initial_class else tuple(
+        [v for v in range(m.p) if mask >> v & 1]
+        for c in graph.initial_classes for mask in c.cyclic_classes
+    )
+    # a singleton has no spread, and itemgetter of one index returns no tuple
+    getters = [itemgetter(*c) for c in classes if len(c) > 1]
+
+    def class_spread(y):
+        return max([max(t) - min(t) for t in [g(y) for g in getters]], default=0.0)
+
     y = xs
-    osc = max(y) - min(y)
-    # the step is compiled on first use: a constant start takes none
+    # the whole-vector oscillation stays inline: a call per step slowed
+    # the bench's `solve` ops by about 2%
+    osc = class_spread(y) if classes else max(y) - min(y)
+    # the step is compiled on first use: a closed start bracket takes none
     step = m._step if osc >= threshold else None
     n = 0
     anchor_osc = osc
@@ -188,75 +196,33 @@ def invariant_mean_eval(
     while osc >= threshold and n < max_iter:
         y = step(y)
         n += 1
-        osc = max(y) - min(y)
+        osc = class_spread(y) if classes else max(y) - min(y)
         if n - anchor_n >= window:
             if osc > anchor_osc * (1.0 - 1e-12):
                 stalled = True  # no measurable shrink across the window
                 break
             anchor_osc = osc
             anchor_n = n
-    converged = osc < threshold
-    value = 0.5 * (min(y) + max(y)) if converged else None
+    if osc < threshold:
+        stop_reason = "classes-converged" if classes else "converged"
+    else:
+        stop_reason = "stalled" if stalled else "max_iter"
+    converged = stop_reason == "converged"
+    brackets = []
+    for c in classes:
+        t = [y[v] for v in c]
+        brackets.append(
+            (tuple(v + 1 for v in c), 0.5 * (min(t) + max(t)), 0.5 * (max(t) - min(t)))
+        )
     return ConvergenceReport(
-        value=value,
+        value=0.5 * (min(y) + max(y)) if converged else None,
         error_radius=0.5 * osc,
         iterations_used=n,
         converged=converged,
         final_iterate=y,
-        stop_reason="converged" if converged else "stalled" if stalled else "max_iter",
+        stop_reason=stop_reason,
+        classes=tuple(brackets),
     )
-
-
-def subsequence_limits(
-    m: ComposedMapping,
-    x: Sequence[float],
-    modulus: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SubsequenceLimits:
-    """Limits of the iterate subsequences with index == r (mod modulus).
-
-    Each residue class is tested separately: it converges when two
-    consecutive same-residue iterates agree coordinatewise within
-    tol*scale twice in a row.  Unlike the oscillation test this admits
-    limits that are nonconstant vectors, as a periodic incidence graph
-    produces.  Residues that never settle are flagged, not fatal.
-    """
-    _check_tol(tol)
-    if not isinstance(modulus, int) or modulus < 1:
-        raise ValidationError(f"modulus must be a positive integer, got {modulus!r}")
-    if max_iter < modulus:
-        raise ValidationError(f"max_iter={max_iter} cannot cover modulus={modulus}")
-    xs = m._validate_point(x)
-    thr = _effective_tol(tol, xs)
-    last: list[tuple[float, ...] | None] = [None] * modulus
-    stable = [0] * modulus
-    converged = [False] * modulus
-    last[0] = xs
-    step = m._step
-    y = xs
-    n = 0
-    while n < max_iter and not all(converged):
-        y = step(y)
-        n += 1
-        r = n % modulus
-        prev = last[r]
-        if prev is not None:
-            diff = max(abs(a - b) for a, b in zip(y, prev))
-            if diff < thr:
-                stable[r] += 1
-                if stable[r] >= 2:
-                    converged[r] = True
-            else:
-                stable[r] = 0
-        last[r] = y
-    entries = []
-    for r in range(modulus):
-        point = last[r]
-        if point is None:  # max_iter < first visit of this residue
-            point = xs
-        entries.append(ResidueLimit(point=point, converged=converged[r]))
-    return SubsequenceLimits(modulus=modulus, limits=tuple(entries))
 
 
 def _nonconstant_samples(

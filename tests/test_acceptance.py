@@ -19,7 +19,6 @@ from invmean import (
     is_ergodic,
     oscillation,
     solve_invariant_equation,
-    subsequence_limits,
     tg_stabilize,
     tg_step,
     verify_invariance,
@@ -171,26 +170,31 @@ def test_criterion_05_disconnected_split(ex3):
     worst = 0.0
     for _ in range(50):
         x, y, z, t = (rng.uniform(0.1, 10.0) for _ in range(4))
-        limits = subsequence_limits(ex3, (x, y, z, t), 1)
-        assert limits.all_converged
-        point = limits.limits[0].point
-        want = (math.sqrt(x * y),) * 2 + (math.sqrt(z * t),) * 2
-        err = max(abs(a - b) for a, b in zip(point, want))
+        report = invariant_mean_eval(ex3, (x, y, z, t))
+        assert report.stop_reason == "classes-converged"
+        got = [(vertices, value) for vertices, value, _ in report.classes]
+        want = [((1, 2), math.sqrt(x * y)), ((3, 4), math.sqrt(z * t))]
+        assert [vertices for vertices, _ in got] == [vertices for vertices, _ in want]
+        err = max(abs(a[1] - b[1]) for a, b in zip(got, want))
         worst = max(worst, err)
         assert err <= 1e-9, (x, y, z, t)
     print(f"ACCEPTANCE 5: PASS — componentwise split limit to {worst:.2e}; exact fixed point")
 
 
 def test_criterion_06_periodic_subsequences(ex6):
-    """Modulus-2 limits at (1, 4, 9, 16); full sequence does not converge."""
-    limits = subsequence_limits(ex6, (1.0, 4.0, 9.0, 16.0), 2)
-    assert limits.all_converged
-    even, odd = limits.limits
-    assert even.point == pytest.approx((2.0, 2.0, 12.0, 12.0), abs=1e-9)
-    assert odd.point == pytest.approx((12.0, 12.0, 2.0, 2.0), abs=1e-9)
-    full = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
-    assert not full.converged
-    print("ACCEPTANCE 6: PASS — modulus-2 limits (2,2,12,12)/(12,12,2,2); full sequence diverges")
+    """At (1, 4, 9, 16) the cyclic classes {1, 2} and {3, 4} close at 2 and
+    12, swapping with the parity of the step; the full sequence does not
+    converge."""
+    report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
+    assert not report.converged and report.value is None
+    assert report.stop_reason == "classes-converged"
+    n = report.iterations_used
+    want = [((1, 2), 2.0), ((3, 4), 12.0)] if n % 2 == 0 else [((1, 2), 12.0), ((3, 4), 2.0)]
+    got = [(vertices, value) for vertices, value, _ in report.classes]
+    assert [vertices for vertices, _ in got] == [vertices for vertices, _ in want]
+    assert [value for _, value in got] == pytest.approx([value for _, value in want], abs=1e-9)
+    print(f"ACCEPTANCE 6: PASS — classes {{1,2}}/{{3,4}} at {got[0][1]:.12g}/{got[1][1]:.12g} "
+          f"after {n} steps; full sequence diverges")
 
 
 def test_criterion_07_cyclic_convergence_and_properties(ex2):

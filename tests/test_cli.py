@@ -4,13 +4,16 @@ Exit codes: 0 success, 1 usage/parse/domain error, 2 falsified or
 non-convergent.  Commands run in-process through main(argv).
 """
 
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from invmean import averaging, digraph, fixture_path, is_ergodic, load_mapping_spec
-from invmean.cli import main
+from invmean.cli import build_parser, main
 
 EX2 = str(fixture_path("example2.json"))
 EX3 = str(fixture_path("example3.json"))
@@ -115,6 +118,13 @@ class TestClassifyOnce:
         assert code == 2
         assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 0}
 
+    @pytest.mark.parametrize("spec", [EX2, EX6])
+    def test_once_per_invariant(self, capsys, calls, spec):
+        # the decision whether K exists and the cyclic classes share the record
+        code, _, _ = run(capsys, "invariant", spec, "1,4,9,16")
+        assert code in (0, 2)
+        assert calls["_classify_masks"] == 1
+
     def test_second_call_returns_an_equal_record(self, calls):
         g = load_mapping_spec(EX2).build().graph
         first = is_ergodic(g)
@@ -131,7 +141,7 @@ class TestCompileOnce:
         (("verify", EX2, "--samples", "4"), 1),
         (("verify", EX6, "--samples", "4"), 1),
         (("invariant", EX2, "1,2,3,4"), 1),
-        (("invariant", EX6, "1,4,9,16", "--modulus", "2"), 1),
+        (("invariant", EX6, "1,4,9,16"), 1),
         (("analyze", EX2), 0),
         (("tg", EX2, "1,0,-1,0"), 0),
     ])
@@ -144,6 +154,26 @@ class TestCompileOnce:
         assert code in (0, 2)
         assert names == ["<invmean ComposedMapping._step p=4>"] * compiles
 
+    def test_cycle_needs_no_step(self, capsys, monkeypatch, tmp_path):
+        # every cyclic class of the 6-cycle is one vertex, so every class
+        # bracket is closed at the start
+        spec = tmp_path / "cycle6.json"
+        spec.write_text(json.dumps({
+            "p": 6,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "arithmetic", "arity": 1}] * 6,
+            "alpha": [[(i - 1) % 6 or 6] for i in range(1, 7)],
+        }))
+        names = []
+        monkeypatch.setattr(
+            averaging, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
+        )
+        code, data, _ = run_json(capsys, "invariant", str(spec), "1,2,3,4,5,6", "--json")
+        assert code == 2
+        assert (data["stop_reason"], data["iterations_used"]) == ("classes-converged", 0)
+        assert [c["vertices"] for c in data["classes"]] == [[v] for v in range(1, 7)]
+        assert names == []
+
 
 class TestTolRejected:
     """A tol that is not a finite positive number is a usage error."""
@@ -155,7 +185,7 @@ class TestTolRejected:
         ("invariant", EX2, "1,2,3,4", "--tol", "nan"),
         ("invariant", EX2, "1,2,3,4", "--tol", "inf"),
         ("invariant", EX2, "1,2,3,4", "--tol", "0"),
-        ("invariant", EX6, "1,4,9,16", "--modulus", "2", "--tol", "nan"),
+        ("invariant", EX6, "1,4,9,16", "--tol", "nan"),
     ])
     def test_exit_one(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--json")
@@ -231,20 +261,23 @@ class TestInvariant:
         assert data["error_radius"] <= 1e-12
 
     def test_periodic_modulus_two(self, capsys):
-        code, data, _ = run_json(
-            capsys, "invariant", EX6, "1,4,9,16", "--modulus", "2", "--json"
-        )
-        assert code == 0
-        points = [entry["point"] for entry in data["limits"]]
-        assert points[0] == pytest.approx([2.0, 2.0, 12.0, 12.0], abs=1e-9)
-        assert points[1] == pytest.approx([12.0, 12.0, 2.0, 2.0], abs=1e-9)
+        code, data, _ = run_json(capsys, "invariant", EX6, "1,4,9,16", "--json")
+        assert code == 2
+        assert data["stop_reason"] == "classes-converged"
+        assert [c["vertices"] for c in data["classes"]] == [[1, 2], [3, 4]]
+        values = [c["value"] for c in data["classes"]]
+        # the two limits swap classes with every step
+        want = [2.0, 12.0] if data["iterations_used"] % 2 == 0 else [12.0, 2.0]
+        assert values == pytest.approx(want, abs=1e-9)
+        assert all(c["error_radius"] <= data["error_radius"] for c in data["classes"])
 
-    @pytest.mark.parametrize("modulus", ["0", "-5"])
-    def test_modulus_below_one_exits_one(self, capsys, modulus):
-        code, out, err = run(capsys, "invariant", EX2, "1,2,3,4", "--modulus", modulus)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: modulus must be a positive integer, got {modulus}\n"
+    def test_periodic_human_output_lists_the_classes(self, capsys):
+        code, out, _ = run(capsys, "invariant", EX6, "1,4,9,16")
+        assert code == 2
+        lines = out.splitlines()
+        assert "stop_reason: classes-converged" in lines
+        assert re.fullmatch(r"class \{1, 2\}: value=12 error_radius=\S+", lines[-2])
+        assert re.fullmatch(r"class \{3, 4\}: value=2 error_radius=\S+", lines[-1])
 
     def test_periodic_full_sequence_exits_two(self, capsys):
         code, data, _ = run_json(capsys, "invariant", EX6, "1,4,9,16", "--json")
@@ -266,6 +299,33 @@ class TestInvariant:
             "value", "error_radius", "iterations_used", "converged", "stop_reason",
             "final_iterate",
         ]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_synopsis() -> dict[str, set[str]]:
+    """The options each `invmean <cmd> ...` synopsis line of README.md names."""
+    synopsis = {}
+    for line in README.read_text().splitlines():
+        match = re.match(r"invmean (\w+)\s+(.*)", line)
+        if match:
+            usage = match.group(2).split("#")[0]
+            synopsis[match.group(1)] = set(re.findall(r"(?<![\w-])--?[a-z][-a-z]*", usage))
+    return synopsis
+
+
+def test_readme_synopsis_names_the_parser_options():
+    # a removed option must leave the synopsis too, and a new one enter it
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    synopsis = readme_synopsis()
+    assert set(synopsis) == set(commands.choices)
+    for name, sub in commands.choices.items():
+        # -h and --json belong to every command; the text above the synopsis says so
+        defined = {a for a in sub._actions if a.option_strings and a.dest not in ("help", "json")}
+        named = {sub._option_string_actions.get(option) for option in synopsis[name]}
+        assert named == defined, (name, sorted(synopsis[name]))
 
 
 class TestTg:

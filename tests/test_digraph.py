@@ -144,10 +144,11 @@ def numpy_reference(g: Digraph) -> tuple[bool, int | None, int | None, list[tupl
     `_trace_period`, q0 = the least q with A^q > 0 everywhere, None when no
     power up to Wielandt's bound (n-1)^2 + 1 is.  The initial classes are
     the classes of mutual reachability that no edge enters from outside,
-    ordered by lowest vertex, each as (vertices, period, cyclic class): the
-    period is the trace period of the class's own adjacency matrix, and
-    the cyclic class holds the vertices that the lowest one reaches by
-    walks whose length the period divides (1-based vertex tuples)."""
+    ordered by lowest vertex, each as (vertices, period, cyclic classes):
+    the period d is the trace period of the class's own adjacency matrix,
+    and cyclic class C_k holds the vertices that the lowest one reaches by
+    walks of a length = k mod d, for k = 0..d-1 (1-based vertex tuples; a
+    class without a cycle is its own cyclic class)."""
     n = g.n_vertices
     a = np.zeros((n, n), dtype=np.int64)
     for v, w in g.edges:
@@ -179,19 +180,22 @@ def numpy_reference(g: Digraph) -> tuple[bool, int | None, int | None, list[tupl
         seen[0] = 1
         for _ in range(len(cls)):
             seen |= _bool_mul(seen, step)
-        cyclic = tuple(cls[k] + 1 for k in np.flatnonzero(seen))
-        initial.append((tuple(v + 1 for v in cls), d, cyclic))
+        cyclic = []
+        for _ in range(d or 1):  # C_(k+1) is what one step reaches from C_k
+            cyclic.append(tuple(cls[k] + 1 for k in np.flatnonzero(seen)))
+            seen = _bool_mul(seen, sub)
+        initial.append((tuple(v + 1 for v in cls), d, tuple(cyclic)))
     return bool(reach.all()), _trace_period(a), q0, initial
 
 
 def initial_sets(g: Digraph) -> list[tuple]:
-    """`is_ergodic(g).initial_classes` as (vertices, period, cyclic class),
-    the vertex sets as 1-based tuples."""
+    """`is_ergodic(g).initial_classes` as (vertices, period, cyclic
+    classes), the vertex sets as 1-based tuples."""
 
     def vertices(mask: int) -> tuple[int, ...]:
         return tuple(v + 1 for v in range(g.n_vertices) if mask >> v & 1)
 
-    return [(vertices(c.vertices), c.period, vertices(c.cyclic_class))
+    return [(vertices(c.vertices), c.period, tuple(map(vertices, c.cyclic_classes)))
             for c in is_ergodic(g).initial_classes]
 
 
@@ -380,16 +384,18 @@ class TestSeparatedWalkSources:
 
     def test_example2_separates_for_one_step_only(self):
         # B_1(1) = in(1) = {1, 2} and B_1(3) = {3, 4}; B_2 rows all meet
-        assert initial_sets(graph2()) == [((1, 2, 3, 4), 1, (1, 2, 3, 4))]
+        assert initial_sets(graph2()) == [((1, 2, 3, 4), 1, ((1, 2, 3, 4),))]
         assert disjoint_survivors(graph2().in_masks, (1, 2)) == [True, False]
 
     def test_periodic_graph_separates_at_every_length(self):
-        assert initial_sets(graph6()) == [((1, 2, 3, 4), 2, (1, 2))]
+        assert initial_sets(graph6()) == [((1, 2, 3, 4), 2, ((1, 2), (3, 4)))]
         assert disjoint_survivors(graph6().in_masks, (1, 2, 3, 10)) == [True] * 4
-        # the p-cycle: one class of period p, and each vertex is a cyclic class
-        for p in (2, 5, 64):
+        # the p-cycle: one class of period p, and each vertex is a cyclic
+        # class, C_k = {k + 1}
+        for p in (2, 5, 64, 128):
             cycle = Digraph(p, frozenset((v, v % p + 1) for v in range(1, p + 1)))
-            assert initial_sets(cycle) == [(tuple(range(1, p + 1)), p, (1,))], p
+            singletons = tuple((v,) for v in range(1, p + 1))
+            assert initial_sets(cycle) == [(tuple(range(1, p + 1)), p, singletons)], p
 
     def test_two_rings_separate_at_a_large_length(self):
         # two disjoint rings with loops on 32 vertices each: one aperiodic
@@ -398,16 +404,16 @@ class TestSeparatedWalkSources:
         edges |= {(v, v % 32 + 1) for v in range(1, 33)}
         edges |= {(v, (v - 32) % 32 + 33) for v in range(33, 65)}
         rings = [tuple(range(1, 33)), tuple(range(33, 65))]
-        assert initial_sets(Digraph(64, frozenset(edges))) == [(r, 1, r) for r in rings]
+        assert initial_sets(Digraph(64, frozenset(edges))) == [(r, 1, (r,)) for r in rings]
         ring = tuple(range(1, 65))
-        assert initial_sets(ring_with_loops(64)) == [(ring, 1, ring)]
+        assert initial_sets(ring_with_loops(64)) == [(ring, 1, (ring,))]
 
     def test_downstream_vertices_and_sources(self):
         # example5 reads rows (1,2), (1,2), (2,4), (3,4): {1, 2} is the only
         # initial class, and a vertex with no in-edge is an acyclic one
-        assert initial_sets(graph5()) == [((1, 2), 1, (1, 2))]
+        assert initial_sets(graph5()) == [((1, 2), 1, ((1, 2),))]
         g = Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)}))
-        assert initial_sets(g) == [((1,), None, (1,)), ((3,), None, (3,))]
+        assert initial_sets(g) == [((1,), None, ((1,),)), ((3,), None, ((3,),))]
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_census_matches_the_survivor_oracle(self, p):
@@ -417,8 +423,7 @@ class TestSeparatedWalkSources:
         n0 = (p - 1) ** 2 + 1
         for mask in incidence_graph_masks(p):
             g = digraph_from_mask(p, mask)
-            initial = is_ergodic(g).initial_classes
-            single = len(initial) == 1 and initial[0].period == 1
+            single = is_ergodic(g).one_aperiodic_initial_class
             assert single == one_aperiodic_initial_class(g.in_masks), mask
             assert single != disjoint_survivors(g.in_masks, (n0,))[0], mask
 
@@ -434,12 +439,20 @@ class TestNumpyReference:
     def test_reference_reads_the_closed_forms(self):
         # the reference itself agrees with the known walk lengths
         nine, twelve = tuple(range(1, 10)), tuple(range(1, 13))
-        assert numpy_reference(wielandt_graph(9)) == (True, 1, 65, [(nine, 1, nine)])
-        assert numpy_reference(ring_with_loops(12)) == (True, 1, 11, [(twelve, 1, twelve)])
-        assert numpy_reference(graph6()) == (True, 2, None, [((1, 2, 3, 4), 2, (1, 2))])
+        assert numpy_reference(wielandt_graph(9)) == (True, 1, 65, [(nine, 1, (nine,))])
+        assert numpy_reference(ring_with_loops(12)) == (True, 1, 11, [(twelve, 1, (twelve,))])
+        assert numpy_reference(graph6()) == (
+            True, 2, None, [((1, 2, 3, 4), 2, ((1, 2), (3, 4)))]
+        )
+        # the 3-cycle with the chord 1 -> 3 closes a 2-cycle: period 1
+        chord = Digraph(3, frozenset({(1, 2), (2, 3), (3, 1), (1, 3)}))
+        assert numpy_reference(chord)[3] == [((1, 2, 3), 1, ((1, 2, 3),))]
+        # the 6-cycle with the chord 3 -> 1 closes a 3-cycle: period 3
+        six = Digraph(6, frozenset({(v, v % 6 + 1) for v in range(1, 7)} | {(3, 1)}))
+        assert numpy_reference(six)[3] == [(tuple(range(1, 7)), 3, ((1, 4), (2, 5), (3, 6)))]
         # two sources with no in-edge feeding a loop
         assert numpy_reference(Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)})))[3] == [
-            ((1,), None, (1,)), ((3,), None, (3,))
+            ((1,), None, ((1,),)), ((3,), None, ((3,),))
         ]
 
 

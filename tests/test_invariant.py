@@ -1,19 +1,23 @@
-"""Convergence to the invariant mean, subsequence limits, verification."""
+"""Convergence to the invariant mean, cyclic-class limits, verification."""
 
 import math
 from random import Random
 
 import mpmath
+import numpy as np
 import pytest
 
 import invmean as iv
-from census import digraph_from_mask
+from census import (
+    digraph_from_mask,
+    incidence_graph_masks,
+    one_aperiodic_initial_class,
+)
 from invmean import (
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
     solve_invariant_equation,
-    subsequence_limits,
     verify_invariance,
     verify_mean_properties,
 )
@@ -41,6 +45,13 @@ def mp_invariant_mean(orders, rows, x0, digits=50):
 def power_mapping(orders, rows):
     means = tuple(iv.make_power_mean(iv.PowerMeanSpec(s, len(r))) for s, r in zip(orders, rows))
     return iv.ComposedMapping(means, iv.POSITIVE_REALS, iv.IndexVector(rows))
+
+
+def first_argument_mapping(rows):
+    """Every row returns its first argument: a mean, but not a strict one."""
+    first = iv.Mean(arity=2, domain=iv.POSITIVE_REALS, evaluator=lambda xs: xs[0],
+                    label="first")
+    return iv.ComposedMapping((first,) * len(rows), iv.POSITIVE_REALS, iv.IndexVector(rows))
 
 
 class TestInvariantMeanEval:
@@ -96,8 +107,10 @@ class TestInvariantMeanEval:
         report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
         assert not report.converged
         assert report.value is None
-        assert report.error_radius > 1.0  # the two blocks stay ~10 apart
-        assert report.iterations_used < 10_000  # the stall cutoff fired
+        # the two cyclic classes stay 10 apart, each bracket closed
+        assert max(report.final_iterate) - min(report.final_iterate) > 9.0
+        assert report.error_radius <= 1e-12 * 16.0
+        assert report.iterations_used < 10
 
     def test_disconnected_structure_reports_nonconvergence(self, ex3):
         report = invariant_mean_eval(ex3, (1.0, 4.0, 9.0, 16.0))
@@ -126,11 +139,11 @@ class TestTolValidation:
     none, and a nonpositive or infinite one decides nothing."""
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_every_entry_point_rejects(self, ex2, tol):
+    def test_every_entry_point_rejects(self, ex2, ex6, tol):
         x = (1.0, 2.0, 3.0, 4.0)
         calls = (
             lambda: invariant_mean_eval(ex2, x, tol=tol),
-            lambda: subsequence_limits(ex2, x, 2, tol=tol),
+            lambda: invariant_mean_eval(ex6, x, tol=tol),
             lambda: verify_invariance(ex2, tol=tol, rng=Random(0), n_samples=3),
             lambda: verify_mean_properties(ex2, "monotone", rng=Random(0), n_samples=3, tol=tol),
             lambda: solve_invariant_equation(max, ex2, tol=tol, rng=Random(0), n_samples=3),
@@ -180,14 +193,14 @@ class TestLimitMappingEval:
         assert not report.converged and report.value is None
 
     def test_stall_window_is_polynomial_in_p(self):
-        # two disjoint alternating harmonic/arithmetic rings with loops
-        # settle at two different values; a 3^p window (13122 at p=8)
-        # would run to max_iter before it could see the stall
-        rows = ((1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5))
-        m = power_mapping((-1.0, 1.0) * 4, rows)
-        report = invariant_mean_eval(m, (1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0))
+        # the p=8 ring with loops where every row returns its first
+        # argument (not strict): M is the identity, so the bracket never
+        # closes; a 3^p window (6561 at p=8) would run far longer before
+        # it could see the stall
+        m = first_argument_mapping(tuple((i, i % 8 + 1) for i in range(1, 9)))
+        report = invariant_mean_eval(m, tuple(float(i) for i in range(1, 9)))
         assert not report.converged
-        assert report.iterations_used < 10_000
+        assert report.iterations_used < 3 ** 8
         assert report.stop_reason == "stalled"
 
 
@@ -204,47 +217,106 @@ class TestStopReason:
         assert report.stop_reason == "max_iter"
         assert report.to_json_dict()["stop_reason"] == "max_iter"
 
-    def test_periodic_structure_stalls(self, ex6):
-        assert invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0)).stop_reason == "stalled"
+    def test_periodic_structure_stalls(self):
+        # the shuttle graph of example6, every row returning its first
+        # argument: M swaps the classes {1, 2} and {3, 4} and never shrinks
+        # either bracket, so the stall window ends the run
+        m = first_argument_mapping(((3, 4), (4, 3), (1, 2), (2, 1)))
+        report = invariant_mean_eval(m, (1.0, 4.0, 9.0, 16.0))
+        assert report.stop_reason == "stalled"
+        assert report.iterations_used == 200
+        assert [vertices for vertices, _, _ in report.classes] == [(1, 2), (3, 4)]
+
+    def test_periodic_structure_closes_its_classes(self, ex6):
+        report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
+        assert report.stop_reason == "classes-converged"
+        assert report.to_json_dict()["stop_reason"] == "classes-converged"
+
+
+def class_values(report):
+    return {vertices: value for vertices, value, _ in report.classes}
 
 
 class TestSubsequenceLimits:
+    """The limits of the iterate subsequences n = r (mod d), read off the
+    cyclic classes of the initial classes: each class closes to one value,
+    and the values move one class per step."""
+
     def test_ergodic_all_residues_agree(self, ex2):
-        x = (1.0, 2.0, 3.0, 4.0)
-        value = invariant_mean_eval(ex2, x).value
-        limits = subsequence_limits(ex2, x, 2)
-        assert limits.all_converged
-        for entry in limits.limits:
-            for t in entry.point:
-                assert t == pytest.approx(value, abs=1e-9)
+        report = invariant_mean_eval(ex2, (1.0, 2.0, 3.0, 4.0))
+        assert report.converged and report.classes == ()
+        assert "classes" not in report.to_json_dict()
+        for t in report.final_iterate:
+            assert abs(t - report.value) <= report.error_radius + math.ulp(report.value)
 
     def test_periodic_two_cluster_points(self, ex6):
-        limits = subsequence_limits(ex6, (1.0, 4.0, 9.0, 16.0), 2)
-        assert limits.all_converged
-        even, odd = limits.limits
-        assert even.point == pytest.approx((2.0, 2.0, 12.0, 12.0), abs=1e-9)
-        assert odd.point == pytest.approx((12.0, 12.0, 2.0, 2.0), abs=1e-9)
+        report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
+        assert [vertices for vertices, _, _ in report.classes] == [(1, 2), (3, 4)]
+        want = (2.0, 12.0) if report.iterations_used % 2 == 0 else (12.0, 2.0)
+        assert tuple(class_values(report).values()) == pytest.approx(want, abs=1e-9)
+        for vertices, value, radius in report.classes:
+            assert radius <= report.error_radius
+            for v in vertices:  # value is the rounded midpoint of the class
+                assert abs(report.final_iterate[v - 1] - value) <= radius + math.ulp(value)
 
     def test_periodic_cyclic_consistency(self, ex6):
-        limits = subsequence_limits(ex6, (1.0, 4.0, 9.0, 16.0), 2)
-        even, odd = limits.limits
-        assert ex6.apply(even.point) == pytest.approx(odd.point, abs=1e-10)
-        assert ex6.apply(odd.point) == pytest.approx(even.point, abs=1e-10)
+        # one more step carries the limit of each class to the next class
+        x = (1.0, 4.0, 9.0, 16.0)
+        now = invariant_mean_eval(ex6, x)
+        later = invariant_mean_eval(ex6, x, max_iter=now.iterations_used + 1, tol=1e-300)
+        assert later.iterations_used == now.iterations_used + 1
+        a, b = class_values(now).values()
+        assert tuple(class_values(later).values()) == pytest.approx((b, a), abs=1e-12)
+        limit = (a, a, b, b)
+        assert ex6.apply(limit) == pytest.approx((b, b, a, a), abs=1e-10)
 
     def test_periodic_full_sequence_flagged(self, ex6):
-        limits = subsequence_limits(ex6, (1.0, 4.0, 9.0, 16.0), 1, max_iter=800)
-        assert not limits.limits[0].converged
+        report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
+        assert not report.converged and report.value is None
 
     def test_disconnected_componentwise_limits(self, ex3):
         x, y, z, t = 1.0, 4.0, 9.0, 16.0
-        limits = subsequence_limits(ex3, (x, y, z, t), 1)
-        assert limits.all_converged
-        want = (math.sqrt(x * y),) * 2 + (math.sqrt(z * t),) * 2
-        assert limits.limits[0].point == pytest.approx(want, abs=1e-9)
+        report = invariant_mean_eval(ex3, (x, y, z, t))
+        assert report.stop_reason == "classes-converged"
+        assert class_values(report) == pytest.approx(
+            {(1, 2): math.sqrt(x * y), (3, 4): math.sqrt(z * t)}, abs=1e-9
+        )
 
-    def test_modulus_validation(self, ex2):
-        with pytest.raises(iv.ValidationError):
-            subsequence_limits(ex2, (1.0,) * 4, 0)
+    @pytest.mark.parametrize("name", ["ex3", "ex6"])
+    def test_harmonic_arithmetic_classes_close_at_geometric_means(self, request, name, rng):
+        # H(a, b) * A(a, b) = ab, so each harmonic/arithmetic pair keeps its
+        # product and closes at sqrt(ab); on example6 the pairs swap classes
+        m = request.getfixturevalue(name)
+        for _ in range(20):
+            x = tuple(rng.uniform(0.1, 10.0) for _ in range(4))
+            report = invariant_mean_eval(m, x)
+            low, high = math.sqrt(x[0] * x[1]), math.sqrt(x[2] * x[3])
+            if name == "ex6" and report.iterations_used % 2:
+                low, high = high, low
+            assert class_values(report) == pytest.approx({(1, 2): low, (3, 4): high}, abs=1e-9)
+
+    def test_every_three_vertex_incidence_graph(self):
+        # arithmetic means, so M is the averaging matrix A: the run closes
+        # its classes exactly when there is no K, and each class value lies
+        # within its radius of the class's coordinates of A^n x
+        x = np.array([1.0, 4.0, 9.0])
+        for mask in incidence_graph_masks(3):
+            g = digraph_from_mask(3, mask)
+            rows = [sorted(a for a, b in g.edges if b == w) for w in range(1, 4)]
+            m = power_mapping((1.0,) * 3, rows)
+            report = invariant_mean_eval(m, tuple(x))
+            has_k = one_aperiodic_initial_class(g.in_masks)
+            assert report.stop_reason == ("converged" if has_k else "classes-converged"), mask
+            a = np.zeros((3, 3))
+            for w, row in enumerate(rows):
+                a[w, [v - 1 for v in row]] = 1.0 / len(row)
+            y = x
+            for _ in range(report.iterations_used):
+                y = a @ y
+            brackets = report.classes or (((1, 2, 3), report.value, report.error_radius),)
+            for vertices, value, radius in brackets:
+                for v in vertices:
+                    assert abs(y[v - 1] - value) <= radius + 1e-12 * value, (mask, v)
 
 
 class TestVerifyInvariance:

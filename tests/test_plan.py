@@ -23,6 +23,7 @@ import invmean as iv
 from invmean import averaging, invariant_mean_eval, means, oscillation
 
 from power_mean_oracle import power_mean_eval as oracle_power_mean
+from test_digraph import numpy_reference
 
 # the order strata of the benchmark's mixed mappings; "small" is
 # +-U(2e-3, 9e-3), the small-|s| path, and the fixed orders include the
@@ -76,6 +77,29 @@ def mapping_and_point(draw):
     return m, specs, draw(points(m.p))
 
 
+@st.composite
+def layered_mapping_and_point(draw):
+    """A mapping with no unique invariant mean: its vertices fall into one
+    or two blocks of d layers, and each row reads from the previous layer
+    of its own block, so there are two initial classes or every cycle
+    length is a multiple of d >= 2."""
+    blocks = draw(st.integers(1, 2))
+    d = draw(st.integers(3 - blocks, 3))
+    p = draw(st.integers(blocks * d, 6))
+    # label b*d + k: layer k of block b
+    labels = draw(st.permutations([i % (blocks * d) for i in range(p)]))
+    rows = []
+    for label in labels:
+        b, k = divmod(label, d)
+        source = [v + 1 for v, other in enumerate(labels) if other == b * d + (k - 1) % d]
+        rows.append(tuple(draw(st.lists(st.sampled_from(source), min_size=1, max_size=4))))
+    specs = tuple(iv.PowerMeanSpec(draw(orders()), len(row)) for row in rows)
+    m = iv.ComposedMapping(
+        tuple(iv.make_power_mean(spec) for spec in specs), iv.POSITIVE_REALS, iv.IndexVector(rows)
+    )
+    return m, specs, draw(points(p))
+
+
 def oracle_apply(m, specs, x):
     return tuple(
         oracle_power_mean(spec, [x[a - 1] for a in row])
@@ -109,11 +133,11 @@ class TestBitIdentity:
         assert bits(m.nth_iterate(x, 12)) == bits(y)
 
     @given(
-        case=mapping_and_point(),
+        case=st.one_of(mapping_and_point(), layered_mapping_and_point()),
         tol=st.sampled_from((1e-12, 1e-9)),
         max_iter=st.sampled_from((3, 50, 10_000)),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_invariant_mean_eval_matches_a_loop_over_apply(self, case, tol, max_iter):
         m, _, x = case
         assert invariant_mean_eval(m, x, tol=tol, max_iter=max_iter) == reference_eval(
@@ -123,12 +147,24 @@ class TestBitIdentity:
 
 def reference_eval(m, x, tol, max_iter):
     """`invariant_mean_eval` as a loop over the public `apply` and
-    `oscillation`, as it stood before the plan, plus the stop reason."""
+    `oscillation`, as it stood before the plan, plus the stop reason, with
+    the cyclic classes of the initial classes from `numpy_reference`: the
+    whole vector is one bracket when there is one aperiodic initial
+    class, else each cyclic class is one."""
     xs = tuple(float(t) for t in x)
     threshold = 2.0 * tol * max(1.0, abs(max(xs)))
     window = max(200, 2 * ((m.p - 1) ** 2 + 1))
+    initial = numpy_reference(m.graph)[3]
+    has_k = len(initial) == 1 and initial[0][1] == 1
+    classes = () if has_k else tuple(c for _, _, cyclic in initial for c in cyclic)
+
+    def spread(y):
+        if has_k:
+            return oscillation(y)
+        return max(oscillation([y[v - 1] for v in c]) for c in classes)
+
     y = xs
-    osc = oscillation(y)
+    osc = spread(y)
     n = 0
     anchor_osc = osc
     anchor_n = 0
@@ -136,21 +172,29 @@ def reference_eval(m, x, tol, max_iter):
     while osc >= threshold and n < max_iter:
         y = m.apply(y)
         n += 1
-        osc = oscillation(y)
+        osc = spread(y)
         if n - anchor_n >= window:
             if osc > anchor_osc * (1.0 - 1e-12):
                 stalled = True
                 break
             anchor_osc = osc
             anchor_n = n
-    converged = osc < threshold
+    closed = osc < threshold
+    brackets = []
+    for c in classes:
+        t = [y[v - 1] for v in c]
+        brackets.append((c, 0.5 * (min(t) + max(t)), 0.5 * (max(t) - min(t))))
     return iv.ConvergenceReport(
-        value=0.5 * (min(y) + max(y)) if converged else None,
+        value=0.5 * (min(y) + max(y)) if closed and has_k else None,
         error_radius=0.5 * osc,
         iterations_used=n,
-        converged=converged,
+        converged=closed and has_k,
         final_iterate=y,
-        stop_reason="converged" if converged else "stalled" if stalled else "max_iter",
+        stop_reason=(
+            ("converged" if has_k else "classes-converged") if closed
+            else "stalled" if stalled else "max_iter"
+        ),
+        classes=tuple(brackets),
     )
 
 
