@@ -13,9 +13,9 @@ iteration: when all component means are strict and the incidence graph
 is ergodic, the oscillation max(x) - min(x) strictly shrinks after at
 most 3^p applications, uniformly in x.  `certify_uniform_weak_contractivity`
 checks exactly those hypotheses and issues the n0 = 3^p certificate.
-The certificate also carries q0, the uniform walk length of the graph
-(q0 <= (p-1)^2 + 1, Wielandt): after q0 steps both ends of the bracket
-of every nonconstant vector have strictly moved inward, as
+The graph's uniform walk length q0 (q0 <= (p-1)^2 + 1, Wielandt), read
+from its classification, is sharper: after q0 steps both ends of the
+bracket of every nonconstant vector have strictly moved inward, as
 `invariant.check_bracket_dichotomy` proves and checks by sampling.
 `falsify_contractivity` decides from the initial classes of the
 incidence graph whether some nonconstant vector keeps its oscillation
@@ -312,14 +312,12 @@ class ContractivityCertificate:
     n0: int | None
     evidence: str
     witness: tuple[float, ...] | None = None
-    # the uniform walk length of a certified mapping's graph; not in the JSON
-    q0: int | None = None
 
     def __post_init__(self) -> None:
         if self.status not in _CLASSES:
             raise ValidationError(f"unknown certificate class {self.status!r}")
-        if self.status == CERTIFIED and (self.n0 is None or self.q0 is None):
-            raise ValidationError("a certified certificate must carry n0 and q0")
+        if self.status == CERTIFIED and self.n0 is None:
+            raise ValidationError("a certified certificate must carry n0")
 
     def to_json_dict(self) -> dict:
         return {"class": self.status, "n0": self.n0, "evidence": self.evidence}
@@ -332,8 +330,8 @@ def _non_strict(m: ComposedMapping) -> str:
 
 
 def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCertificate:
-    """Certify n0 = 3^p uniform oscillation decay, with the graph's uniform
-    walk length q0, or name the failed hypothesis.
+    """Certify n0 = 3^p uniform oscillation decay, naming the graph's
+    uniform walk length q0 in the evidence, or name the failed hypothesis.
 
     The hypotheses are exactly: every component mean is flagged strict, and
     the incidence graph is ergodic.  Flags are trusted assertions (see
@@ -354,7 +352,6 @@ def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCerti
         f"all {m.p} component means strict; incidence graph ergodic "
         f"(uniform walk length {cls.uniform_walk_length}); oscillation strictly "
         f"decreases after n0 = 3^{m.p} = {n0} steps for every nonconstant vector",
-        q0=cls.uniform_walk_length,
     )
 
 

@@ -44,10 +44,12 @@ brackets its iteration closes (see `invariant.invariant_mean_eval`).
 
 Internally adjacency is held as per-vertex bitmasks (bit w-1 of
 out_masks[v-1] set iff edge (v, w)), without any array dependency.
-Classification costs what the graph is: one pass finds the SCCs, their
-periods and the initial classes and visits each edge a constant number
-of times, and q0 takes O(q0 * |E|) word ORs (one OR per edge per
-adjacency power).  `Digraph` computes it once and caches it.
+Classification costs what the graph is: one iterative Tarjan DFS finds
+the SCCs and, from the depths of its tree (Denardo 1977), their periods
+and cyclic classes, and from the in-masks the initial classes; it visits
+each edge once.  q0 takes O(q0 * |E|) word ORs (one OR per edge per
+adjacency power).  `Digraph` computes the classification once and
+caches it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class Digraph:
     @cached_property
     def _classification(self) -> GraphClassification:
         n = self.n_vertices
-        irreducible, per, initial = _classify_masks(self.out_masks, n)
+        irreducible, per, initial = _classify_masks(self.out_masks, self.in_masks, n)
         ergodic = irreducible and per == 1
         q0 = _uniform_walk_length_masks(self.out_masks, n) if ergodic else None
         return GraphClassification(irreducible, per, q0, initial)
@@ -229,13 +231,38 @@ def build_incidence_graph(alpha: IndexVector) -> Digraph:
 # classification
 
 
-def _tarjan_sccs(out_masks: Sequence[int], n: int) -> list[list[int]]:
-    """Strongly connected components (0-based), iterative Tarjan."""
-    index = [-1] * n
+def _classify_masks(
+    out_masks: Sequence[int], in_masks: Sequence[int], n: int
+) -> tuple[bool, int | None, tuple]:
+    """(irreducible, period, initial classes) from bitmask adjacency, in
+    one iterative Tarjan DFS that also records each vertex's tree depth.
+
+    An edge v -> w that the DFS finds with w on the stack joins two
+    vertices of one strongly connected component, and every other edge
+    inside a component is a tree edge.  The tree path from a component's
+    root to a member stays inside the component (the root reaches each
+    vertex on it, and each reaches the member, which reaches the root),
+    so the depths less the root's are the levels l of a spanning out-tree
+    of the component.  Its period d is the gcd g of l(v) + 1 - l(w) over
+    its edges (Denardo 1977).  Along a cycle these terms sum to the cycle
+    length, so g divides every cycle length and hence d.  Conversely a
+    tree path is a walk from the root, so l(v) mod d is the cyclic class
+    of v; each edge goes from one class to the next, so d divides every
+    term and hence g.  A tree edge adds 0 and the root's depth cancels,
+    so the DFS takes the gcd of depth(v) + 1 - depth(w) over the edges to
+    stacked vertices only.  A component without an edge, an acyclic
+    singleton, has period None; the graph's period is the gcd over its
+    components, None when it is acyclic.  A component is initial when no
+    in-edge of a member comes from outside it, and its cyclic classes are
+    its depths mod d, counted from the depth of its lowest vertex.
+    """
+    index = [-1] * n  # -1 before the visit, n once the component is done
     low = [0] * n
-    on_stack = [False] * n
+    depth = [0] * n
+    cycle_gcd = [0] * n  # per vertex, over its edges to stacked vertices
     stack: list[int] = []
-    comps: list[list[int]] = []
+    initial = []
+    g = 0
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -247,8 +274,6 @@ def _tarjan_sccs(out_masks: Sequence[int], n: int) -> list[list[int]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            descended = False
             m = out_masks[v] >> next_w << next_w
             while m:
                 bit = m & -m
@@ -257,83 +282,39 @@ def _tarjan_sccs(out_masks: Sequence[int], n: int) -> list[list[int]]:
                 if index[w] == -1:
                     work[-1] = (v, w + 1)
                     work.append((w, 0))
-                    descended = True
+                    depth[w] = depth[v] + 1
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
+                if index[w] < n:  # on the stack
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                    cycle_gcd[v] = math.gcd(cycle_gcd[v], depth[v] + 1 - depth[w])
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
                 comp = []
+                comp_mask = entering = d = 0
                 while True:
                     u = stack.pop()
-                    on_stack[u] = False
+                    index[u] = n
                     comp.append(u)
+                    comp_mask |= 1 << u
+                    entering |= in_masks[u]
+                    d = math.gcd(d, cycle_gcd[u])
                     if u == v:
                         break
-                comps.append(comp)
-    return comps
-
-
-def _classify_masks(out_masks: Sequence[int], n: int) -> tuple[bool, int | None, tuple]:
-    """(irreducible, period, initial classes) from bitmask adjacency.
-
-    The period is the gcd of all cycle lengths, computed per strongly
-    connected component from BFS-level differences across internal edges
-    (0 for an acyclic singleton), then combined over the components; None
-    when the graph is acyclic.  Tarjan emits the components sinks first, so
-    in reverse every edge between two components goes to a later one: a
-    component is initial when no earlier one has an edge into it.  Its
-    cyclic classes are its BFS levels mod its period, counted from the
-    level of its lowest vertex and filled in one pass over the component.
-    """
-    comps = _tarjan_sccs(out_masks, n)
-    irreducible = len(comps) == 1 and any(out_masks)
-    g = 0
-    entered = 0  # the heads of the edges out of the components seen so far
-    initial = []
-    for comp in reversed(comps):
-        comp_mask = 0
-        for v in comp:
-            comp_mask |= 1 << v
-        is_initial = not entered & comp_mask
-        root = comp[0]
-        level = {root: 0}
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            m = out_masks[v] & comp_mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                w = bit.bit_length() - 1
-                if w not in level:
-                    level[w] = level[v] + 1
-                    queue.append(w)
-        d = 0
-        for v in comp:
-            entered |= out_masks[v]
-            m = out_masks[v] & comp_mask
-            lv = level[v] + 1
-            while m:
-                bit = m & -m
-                m ^= bit
-                d = math.gcd(d, lv - level[bit.bit_length() - 1])
-        g = math.gcd(g, d)
-        if is_initial:
-            low = level[min(comp)]
-            cyclic = [0] * (d or 1)
-            for v in comp:
-                cyclic[(level[v] - low) % len(cyclic)] |= 1 << v
-            initial.append(InitialClass(comp_mask, d or None, tuple(cyclic)))
+                g = math.gcd(g, d)
+                if not entering & ~comp_mask:
+                    base = depth[min(comp)]
+                    cyclic = [0] * (d or 1)
+                    for u in comp:
+                        cyclic[(depth[u] - base) % len(cyclic)] |= 1 << u
+                    initial.append(InitialClass(comp_mask, d or None, tuple(cyclic)))
     initial.sort(key=lambda c: c.vertices & -c.vertices)
+    # a single component (it is then initial) with a cycle, not a lone vertex
+    irreducible = initial[0].vertices == (1 << n) - 1 and g > 0
     return irreducible, (g if g > 0 else None), tuple(initial)
 
 
@@ -390,17 +371,6 @@ def is_ergodic(g: Digraph) -> GraphClassification:
 # tri-state dynamics
 
 
-def _coloring_masks(c: TriStateColoring) -> tuple[int, int]:
-    plus = 0
-    minus = 0
-    for i, v in enumerate(c.values):
-        if v == 1:
-            plus |= 1 << i
-        elif v == -1:
-            minus |= 1 << i
-    return plus, minus
-
-
 def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
     """One step of the tri-state operator: a vertex becomes +1 when all of
     its in-neighbors are +1, -1 when all are -1, and 0 otherwise.
@@ -413,20 +383,13 @@ def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
     if len(c.values) != n:
         raise ShapeError(f"coloring covers {len(c.values)} vertices, graph has {n}")
     in_masks = g.in_masks
-    for v in range(n):
-        if in_masks[v] == 0:
-            raise PreconditionError(f"vertex {v + 1} has no in-neighbors")
-    plus, minus = _coloring_masks(c)
-    new_values = []
-    for v in range(n):
-        m = in_masks[v]
-        if m & plus == m:
-            new_values.append(1)
-        elif m & minus == m:
-            new_values.append(-1)
-        else:
-            new_values.append(0)
-    return TriStateColoring(tuple(new_values))
+    if not all(in_masks):
+        raise PreconditionError(f"vertex {in_masks.index(0) + 1} has no in-neighbors")
+    plus = sum(1 << i for i, v in enumerate(c.values) if v == 1)
+    minus = sum(1 << i for i, v in enumerate(c.values) if v == -1)
+    return TriStateColoring(tuple(
+        1 if m & plus == m else -1 if m & minus == m else 0 for m in in_masks
+    ))
 
 
 def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None) -> TgReport:

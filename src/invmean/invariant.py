@@ -4,12 +4,13 @@ Iterating a mean-type mapping never widens the bracket: min(M^n(x)) is
 nondecreasing and max(M^n(x)) is nonincreasing in n, so the oscillation
 max - min of the iterates can only shrink.  When it shrinks to zero the
 iterates converge to a constant vector (K(x), ..., K(x)); K is the
-unique mean invariant under the mapping.  The midpoint of the final
-floating-point bracket estimates K(x), and the radius oscillation/2
-bounds the distance from it to either end of that bracket.  No rounding
-term is added: when the bracket collapses to one float the radius reads
-0 although K(x) may differ from that float in its last bits, so the
-radius is not a true enclosure of K(x).
+unique mean invariant under the mapping.  The rounded midpoint of the
+final floating-point bracket estimates K(x), and the radius is its
+distance to the farther end of that bracket, so value ± radius covers
+the whole bracket even when the rounded midpoint lands on one end.  No
+rounding term is added: when the bracket collapses to one float the
+radius reads 0 although K(x) may differ from that float in its last
+bits, so the radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  It validates the start point
 once and then calls the mapping's compiled step: one generated function
@@ -30,7 +31,7 @@ as `check_mean_property` is: each returns a `CheckReport` whose
 violations are data with witnesses, and a clean sweep is evidence, not
 proof.  `check_bracket_dichotomy` and `solve_invariant_equation` need a
 certified mapping; the dichotomy is checked after q0 <= (p-1)^2 + 1
-steps, the certificate's uniform walk length, while the certificate
+steps, the graph's uniform walk length, while the certificate
 itself still reads the paper's n0 = 3^p.
 
 Every function here that takes a tol raises ValidationError unless it is
@@ -77,9 +78,10 @@ _MIN_SPREAD = 0.05
 class ConvergenceReport:
     """Result of iterating toward the invariant mean from one start point.
 
-    value is the midpoint of [min, max] of the final iterate (None when
-    not converged) and error_radius is half its oscillation.  The bracket
-    is monotone, so the radius bounds the floating-point bracket, but it
+    value is the rounded midpoint of [min, max] of the final iterate
+    (None when not converged) and error_radius is its distance to the
+    farther end, max(max - value, value - min), so value ± error_radius
+    covers the final bracket.  The bracket is monotone, but the radius
     carries no rounding term and is not a true enclosure of K(x).
     stop_reason says what ended the run: "converged", "classes-converged"
     (the graph has no K and every cyclic-class bracket closed), "stalled"
@@ -87,9 +89,10 @@ class ConvergenceReport:
 
     classes is empty when K exists.  Otherwise it holds one
     (vertices, value, error_radius) per cyclic class, ordered by initial
-    class and then from C_0, with 1-based vertices and the midpoint and
-    half-oscillation of the class in the final iterate; error_radius is
-    then half the largest class oscillation.
+    class and then from C_0, with 1-based vertices and the rounded
+    midpoint of the class in the final iterate and its distance to the
+    farther end of the class; error_radius is then the largest class
+    radius.
     """
 
     value: float | None
@@ -128,6 +131,14 @@ def _effective_tol(tol: float, x0: Sequence[float]) -> float:
     return tol * max(1.0, abs(max(x0)))
 
 
+def _midpoint_radius(lo: float, hi: float) -> tuple[float, float]:
+    # the rounded midpoint can land on one end of a bracket of adjacent
+    # floats, so the radius is the distance to the farther end; both
+    # differences are exact when 0 <= lo and hi <= 3*lo (Sterbenz)
+    mid = 0.5 * (lo + hi)
+    return mid, max(hi - mid, mid - lo)
+
+
 def invariant_mean_eval(
     m: ComposedMapping,
     x: Sequence[float],
@@ -152,10 +163,11 @@ def invariant_mean_eval(
     final_iterate only: no convergence claim is made for them.
 
     scale is max(1, |max(x)|); the reported error_radius is therefore at
-    most tol*scale once the bracket closes.  The oscillation is
-    nonincreasing, so a window of max(200, 2*((p-1)^2 + 1)) steps over
-    which it fails to shrink proves practical stagnation and ends the
-    run early with stop_reason "stalled" instead of burning max_iter.
+    most tol*scale, up to the rounding of the midpoint, once the bracket
+    closes.  The oscillation is nonincreasing, so a window of
+    max(200, 2*((p-1)^2 + 1)) steps over which it fails to shrink proves
+    practical stagnation and ends the run early with stop_reason
+    "stalled" instead of burning max_iter.
     (p-1)^2 + 1 is Wielandt's bound on the uniform walk length of an
     ergodic incidence graph, and with strict means the oscillation
     strictly shrinks over every such length, so the window is polynomial
@@ -211,12 +223,14 @@ def invariant_mean_eval(
     brackets = []
     for c in classes:
         t = [y[v] for v in c]
-        brackets.append(
-            (tuple(v + 1 for v in c), 0.5 * (min(t) + max(t)), 0.5 * (max(t) - min(t)))
-        )
+        brackets.append((tuple(v + 1 for v in c), *_midpoint_radius(min(t), max(t))))
+    if classes:
+        value, radius = None, max(r for _, _, r in brackets)
+    else:
+        value, radius = _midpoint_radius(min(y), max(y))
     return ConvergenceReport(
-        value=0.5 * (min(y) + max(y)) if converged else None,
-        error_radius=0.5 * osc,
+        value=value if converged else None,
+        error_radius=radius,
         iterations_used=n,
         converged=converged,
         final_iterate=y,
@@ -435,7 +449,7 @@ def check_bracket_dichotomy(
     collapsed to a constant vector or sit strictly inside its starting
     bracket: min(x) < min(M^q0(x)) <= max(M^q0(x)) < max(x).
 
-    q0 is the certificate's uniform walk length, the least q with every
+    q0 is the graph's uniform walk length, the least q with every
     entry of A^q positive (A the adjacency matrix of the incidence
     graph), at most (p-1)^2 + 1 by Wielandt (1950), against the
     certificate's n0 = 3^p.  q0 steps suffice: with strict means,
@@ -453,7 +467,8 @@ def check_bracket_dichotomy(
     The check needs the certificate's hypotheses: PreconditionError on
     an uncertified mapping.
     """
-    q0 = _certificate(m).q0
+    _certificate(m)
+    q0 = is_ergodic(m.graph).uniform_walk_length
     rng = rng if rng is not None else Random(0)
 
     def judge(x):

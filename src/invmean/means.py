@@ -117,8 +117,9 @@ class Mean:
     label: str = "mean"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arity, int) or self.arity < 1:
-            raise ValidationError(f"mean arity must be a positive integer, got {self.arity!r}")
+        arity = self.arity
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+            raise ValidationError(f"mean arity must be a positive integer, got {arity!r}")
 
     def __call__(self, args: Sequence[float]) -> float:
         return self.evaluator(args)
@@ -136,8 +137,9 @@ class PowerMeanSpec:
         if not math.isfinite(order):
             raise ValidationError(f"power-mean order must be finite, got {order!r}")
         object.__setattr__(self, "order", order)
-        if not isinstance(self.arity, int) or self.arity < 1:
-            raise ValidationError(f"power-mean arity must be a positive integer, got {self.arity!r}")
+        arity = self.arity
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+            raise ValidationError(f"power-mean arity must be a positive integer, got {arity!r}")
 
 
 def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:

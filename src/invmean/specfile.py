@@ -153,8 +153,6 @@ def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
     else:
         raise SpecError(f"{where}: unknown mean kind {kind!r}")
     arity = _require(raw, "arity", where)
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-        raise SpecError(f"{where}: arity must be a positive integer, got {arity!r}")
     try:
         return PowerMeanSpec(order=order, arity=arity)
     except ValueError as exc:

@@ -131,7 +131,8 @@ def classify_all_small_graphs(n: int) -> SmallGraphCensus:
     ergodic_masks = []
     for edge_mask in range(total):
         out_masks = [(edge_mask >> (v * n)) & row_mask for v in range(n)]
-        irr, per, _ = _classify_masks(out_masks, n)
+        in_masks = [sum((m >> w & 1) << v for v, m in enumerate(out_masks)) for w in range(n)]
+        irr, per, _ = _classify_masks(out_masks, in_masks, n)
         erg = irr and per == 1
         o_irr, o_per = _oracle_classify(edge_mask, out_masks, n, cycles)
         o_erg = o_irr and o_per == 1

@@ -223,19 +223,21 @@ class TestCertify:
         cert = certify_uniform_weak_contractivity(example2_mapping())
         assert cert.status == CERTIFIED
         assert cert.n0 == 81
-        # the uniform walk length rides along, outside the JSON
-        assert cert.q0 == 3
+        # the evidence names the uniform walk length, which only the
+        # graph's classification carries
+        assert "(uniform walk length 3)" in cert.evidence
+        assert is_ergodic(example2_mapping().graph).uniform_walk_length == 3
         assert list(cert.to_json_dict()) == ["class", "n0", "evidence"]
 
-    def test_certified_needs_q0(self):
-        with pytest.raises(iv.ValidationError, match="n0 and q0"):
-            iv.ContractivityCertificate(CERTIFIED, 81, "no walk length")
+    def test_certified_needs_n0(self):
+        with pytest.raises(iv.ValidationError, match="must carry n0"):
+            iv.ContractivityCertificate(CERTIFIED, None, "no step count")
 
     def test_disconnected_unknown(self):
         cert = certify_uniform_weak_contractivity(example3_mapping())
         assert cert.status == UNKNOWN
         assert "graph not irreducible" in cert.evidence
-        assert cert.n0 is None and cert.q0 is None
+        assert cert.n0 is None
 
     def test_periodic_unknown(self):
         m = ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,

@@ -25,6 +25,7 @@ from invmean import (
     tg_stabilize,
     tg_step,
 )
+from invmean.digraph import InitialClass, _classify_masks
 from census import (
     classify_all_small_graphs,
     digraph_from_mask,
@@ -454,6 +455,48 @@ class TestNumpyReference:
         assert numpy_reference(Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)})))[3] == [
             ((1,), None, ((1,),)), ((3,), None, ((3,),))
         ]
+
+
+class TestDeepGraphs:
+    """3000-vertex graphs against their closed forms.  Their DFS trees are
+    3000 deep, past the default recursion limit, so these pass only with
+    an iterative DFS; the periods and cyclic classes come from the tree
+    depths.  `_classify_masks` is called directly: the chord graph is
+    ergodic, and its uniform walk length is of order 3000^2 powers."""
+
+    N = 3000
+
+    def classify(self, edges):
+        g = Digraph(self.N, frozenset(edges))
+        return _classify_masks(g.out_masks, g.in_masks, self.N)
+
+    def cycle(self):
+        return {(v, v % self.N + 1) for v in range(1, self.N + 1)}
+
+    def test_cycle_has_period_n(self):
+        # one class of period N; vertex k + 1 alone is the cyclic class C_k
+        irreducible, period, initial = self.classify(self.cycle())
+        assert (irreducible, period) == (True, self.N)
+        assert initial == (InitialClass((1 << self.N) - 1, self.N,
+                                        tuple(1 << k for k in range(self.N))),)
+
+    @pytest.mark.parametrize("chord, period", [((1, 3), 1), ((3, 1), 3)])
+    def test_cycle_with_a_chord(self, chord, period):
+        # 1 -> 3 closes a (N-1)-cycle, gcd(N, N-1) = 1; 3 -> 1 closes a
+        # 3-cycle, gcd(N, 3) = 3 and C_k = {v : v - 1 = k mod 3}
+        irreducible, got, initial = self.classify(self.cycle() | {chord})
+        assert (irreducible, got) == (True, period)
+        cyclic = tuple(
+            sum(1 << v for v in range(k, self.N, period)) for k in range(period)
+        )
+        assert initial == (InitialClass((1 << self.N) - 1, period, cyclic),)
+
+    def test_path_is_acyclic_with_one_source(self):
+        irreducible, period, initial = self.classify(
+            {(v, v + 1) for v in range(1, self.N)}
+        )
+        assert (irreducible, period) == (False, None)
+        assert initial == (InitialClass(1, None, (1,)),)
 
 
 class TestTgStep:

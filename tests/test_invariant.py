@@ -247,7 +247,7 @@ class TestSubsequenceLimits:
         assert report.converged and report.classes == ()
         assert "classes" not in report.to_json_dict()
         for t in report.final_iterate:
-            assert abs(t - report.value) <= report.error_radius + math.ulp(report.value)
+            assert abs(t - report.value) <= report.error_radius
 
     def test_periodic_two_cluster_points(self, ex6):
         report = invariant_mean_eval(ex6, (1.0, 4.0, 9.0, 16.0))
@@ -256,8 +256,11 @@ class TestSubsequenceLimits:
         assert tuple(class_values(report).values()) == pytest.approx(want, abs=1e-9)
         for vertices, value, radius in report.classes:
             assert radius <= report.error_radius
-            for v in vertices:  # value is the rounded midpoint of the class
-                assert abs(report.final_iterate[v - 1] - value) <= radius + math.ulp(value)
+            for v in vertices:  # the radius reaches the farther end of the class
+                assert abs(report.final_iterate[v - 1] - value) <= radius
+        # class {1, 2} holds two adjacent floats and its midpoint rounds onto
+        # the upper one
+        assert min(report.final_iterate[:2]) == math.nextafter(12.0, 0.0)
 
     def test_periodic_cyclic_consistency(self, ex6):
         # one more step carries the limit of each class to the next class
@@ -439,8 +442,8 @@ class TestBracketDichotomySteps:
             [-1.0 if i % 2 == 0 else 1.0 for i in range(p)],
             [(i + 1, (i + 1) % p + 1) for i in range(p)],
         )
-        cert = iv.certify_uniform_weak_contractivity(m)
-        assert (cert.n0, cert.q0) == (3 ** 12, 11)
+        assert iv.certify_uniform_weak_contractivity(m).n0 == 3 ** 12
+        assert iv.is_ergodic(m.graph).uniform_walk_length == 11
         calls = []
         # the compiled step is cached on the instance, so it is counted there
         step = m._step
@@ -459,7 +462,7 @@ class TestBracketDichotomySteps:
             rows = [sorted(a for a, b in g.edges if b == w) for w in range(1, 5)]
             m = power_mapping([orders[(mask + w) % 5] for w in range(4)], rows)
             assert m.graph == g
-            q0 = iv.certify_uniform_weak_contractivity(m).q0
+            q0 = iv.is_ergodic(g).uniform_walk_length
             kept = False
             for v in range(4):
                 x = tuple(1.0 if w == v else 2.0 for w in range(4))

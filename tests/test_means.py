@@ -172,6 +172,14 @@ class TestPowerMeanErrors:
         with pytest.raises(iv.ValidationError):
             PowerMeanSpec(1.0, 0)
 
+    @pytest.mark.parametrize("arity", [True, False, 2.0, "2", None])
+    def test_arity_must_be_an_int_not_a_bool(self, arity):
+        # bool is an int subclass, so True would pass for arity 1
+        with pytest.raises(iv.ValidationError, match="^power-mean arity must be a positive"):
+            PowerMeanSpec(1.0, arity)
+        with pytest.raises(iv.ValidationError, match="^mean arity must be a positive"):
+            Mean(arity, POSITIVE_REALS, max)
+
 
 class TestMakePowerMean:
     def test_quadratic_coordinate(self):

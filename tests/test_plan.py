@@ -150,7 +150,8 @@ def reference_eval(m, x, tol, max_iter):
     `oscillation`, as it stood before the plan, plus the stop reason, with
     the cyclic classes of the initial classes from `numpy_reference`: the
     whole vector is one bracket when there is one aperiodic initial
-    class, else each cyclic class is one."""
+    class, else each cyclic class is one.  A radius is the distance from
+    the rounded midpoint of its bracket to the farther end."""
     xs = tuple(float(t) for t in x)
     threshold = 2.0 * tol * max(1.0, abs(max(xs)))
     window = max(200, 2 * ((m.p - 1) ** 2 + 1))
@@ -180,13 +181,16 @@ def reference_eval(m, x, tol, max_iter):
             anchor_osc = osc
             anchor_n = n
     closed = osc < threshold
-    brackets = []
-    for c in classes:
-        t = [y[v - 1] for v in c]
-        brackets.append((c, 0.5 * (min(t) + max(t)), 0.5 * (max(t) - min(t))))
+
+    def bracket(t):  # the rounded midpoint and its distance to the farther end
+        mid = 0.5 * (min(t) + max(t))
+        return mid, max(max(t) - mid, mid - min(t))
+
+    brackets = [(c, *bracket([y[v - 1] for v in c])) for c in classes]
+    value, radius = bracket(y)
     return iv.ConvergenceReport(
-        value=0.5 * (min(y) + max(y)) if closed and has_k else None,
-        error_radius=0.5 * osc,
+        value=value if closed and has_k else None,
+        error_radius=radius if has_k else max(r for _, _, r in brackets),
         iterations_used=n,
         converged=closed and has_k,
         final_iterate=y,

@@ -95,6 +95,24 @@ class TestSchemaErrors:
         with pytest.raises(iv.SpecError, match="row 1.*arity 2"):
             mapping_spec_from_dict(raw)
 
+    @pytest.mark.parametrize("arity", [True, 0, 2.0, "2"])
+    def test_bad_arity_names_the_mean(self, arity):
+        # the PowerMeanSpec check, re-raised with the location
+        raw = minimal_spec_dict()
+        raw["means"][1]["arity"] = arity
+        with pytest.raises(iv.SpecError) as info:
+            mapping_spec_from_dict(raw)
+        assert str(info.value) == (
+            f"means[2]: power-mean arity must be a positive integer, got {arity!r}"
+        )
+
+    def test_missing_arity(self):
+        raw = minimal_spec_dict()
+        del raw["means"][0]["arity"]
+        with pytest.raises(iv.SpecError) as info:
+            mapping_spec_from_dict(raw)
+        assert str(info.value) == "means[1]: missing required key 'arity'"
+
     def test_unknown_kind(self):
         raw = minimal_spec_dict()
         raw["means"][1] = {"kind": "cubic", "arity": 2}
