@@ -16,7 +16,6 @@ from .averaging import (
     ComposedMapping,
     ContractivityCertificate,
     IndexVector,
-    certify_uniform_weak_contractivity,
     falsify_contractivity,
     is_constant_vector,
     oscillation,

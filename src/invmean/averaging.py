@@ -1,4 +1,4 @@
-"""Composed mean-type mappings and their contractivity certificates.
+"""Composed mean-type mappings and their contractivity decision.
 
 A `ComposedMapping` is p means M_1, ..., M_p (of arities d_1, ..., d_p)
 on one interval I together with an index vector alpha, which supplies,
@@ -9,21 +9,20 @@ M_i.  It is the self-map of I^p
 
 whose every coordinate is again a p-variable mean, and whose incidence
 graph (edge alpha[i][j] -> i) governs the long-run behaviour of the
-iteration: when all component means are strict and the incidence graph
-is ergodic, the oscillation max(x) - min(x) strictly shrinks after at
-most 3^p applications, uniformly in x.  `certify_uniform_weak_contractivity`
-checks exactly those hypotheses and issues the n0 = 3^p certificate.
-The graph's uniform walk length q0 (q0 <= (p-1)^2 + 1, Wielandt), read
-from its classification, is sharper: after q0 steps both ends of the
-bracket of every nonconstant vector have strictly moved inward, as
-`invariant.check_bracket_dichotomy` proves and checks by sampling.
-`falsify_contractivity` decides from the initial classes of the
-incidence graph whether some nonconstant vector keeps its oscillation
-for ever: one does exactly when the graph does not have exactly one
-initial class or that class is periodic, and then a block vector on the
-classes is the witness (on the disconnected `example3`, (a, a, b, b)).
-Its "contractive" class is a proof for strict means, and its witnesses
-are confirmed by iterating them.
+iteration.  `falsify_contractivity` is the one contractivity decision.
+It reads the initial classes of the incidence graph and takes no step.
+When the graph does not have exactly one initial class, or that class
+is periodic, a block vector on the classes keeps its oscillation for
+ever: "falsified", with the block as witness (on the disconnected
+`example3`, (a, a, b, b)).  Otherwise, with every mean flagged strict,
+the oscillation of every nonconstant vector strictly shrinks: after the
+paper's n0 = 3^p steps when the graph is ergodic ("uniformly-weak-
+certified"), and after (p-1)^2 + 1 steps when the one initial class
+leaves vertices out ("contractive").  On an ergodic graph the uniform
+walk length q0 <= (p-1)^2 + 1 (Wielandt) of its classification is
+sharper: after q0 steps both ends of the bracket of every nonconstant
+vector have strictly moved inward, as `invariant.check_bracket_dichotomy`
+proves and checks by sampling.
 
 Evaluation: `apply(x)` validates its argument (length, and every
 coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
@@ -61,7 +60,6 @@ __all__ = [
     "FALSIFIED",
     "UNKNOWN",
     "oscillation",
-    "certify_uniform_weak_contractivity",
     "falsify_contractivity",
 ]
 
@@ -136,6 +134,13 @@ class ComposedMapping:
     def graph(self) -> Digraph:
         """The incidence graph of `alpha`, derived on first use."""
         return build_incidence_graph(self.alpha)
+
+    @cached_property
+    def _contractivity(self) -> ContractivityCertificate:
+        """`falsify_contractivity(self)`, decided on first use: a command
+        that reads the decision twice (`verify` and its bracket dichotomy)
+        makes it once."""
+        return falsify_contractivity(self)
 
     @cached_property
     def _step(self) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
@@ -289,7 +294,8 @@ def is_constant_vector(x: Sequence[float]) -> bool:
 
 @dataclass(frozen=True)
 class ContractivityCertificate:
-    """What is known about oscillation decay for one composed mapping.
+    """The contractivity decision of `falsify_contractivity` for one
+    composed mapping.
 
     status is one of:
       * "uniformly-weak-certified" -- all component means carry the strict
@@ -297,15 +303,15 @@ class ContractivityCertificate:
         shrink the oscillation of every nonconstant vector, and so do the
         q0 steps of the graph's uniform walk length.
       * "contractive"              -- all component means are strict and the
-        graph has exactly one initial class, which is aperiodic, so
-        n0 = (p-1)^2 + 1 steps strictly shrink the oscillation of every
-        nonconstant vector.
+        graph is not ergodic but has exactly one initial class, which is
+        aperiodic, so n0 = (p-1)^2 + 1 steps strictly shrink the
+        oscillation of every nonconstant vector.
       * "falsified"                -- the witness, a block vector on the
-        initial classes or on the cyclic classes of the only one, kept its
-        oscillation after n0 = (p-1)^2 + 1 steps.
-      * "unknown"                  -- a hypothesis failed (a mean not flagged
-        strict, a graph not ergodic) or a mean moved a constant vector; the
-        evidence names it.
+        initial classes or on the cyclic classes of the only one, keeps
+        its oscillation at every step, so after n0 = (p-1)^2 + 1 too.
+      * "unknown"                  -- a mean not flagged strict, or a mean
+        that moves a constant vector, leaves the question open; n0 is
+        None and the evidence names the means.
     """
 
     status: str
@@ -329,36 +335,10 @@ def _non_strict(m: ComposedMapping) -> str:
     return f"strictness not asserted for {', '.join(labels)}" if labels else ""
 
 
-def certify_uniform_weak_contractivity(m: ComposedMapping) -> ContractivityCertificate:
-    """Certify n0 = 3^p uniform oscillation decay, naming the graph's
-    uniform walk length q0 in the evidence, or name the failed hypothesis.
-
-    The hypotheses are exactly: every component mean is flagged strict, and
-    the incidence graph is ergodic.  Flags are trusted assertions (see
-    `validate_mean` for the falsification pass)."""
-    non_strict = _non_strict(m)
-    reasons = [non_strict] if non_strict else []
-    cls = is_ergodic(m.graph)
-    if not cls.irreducible:
-        reasons.append("graph not irreducible")
-    elif not cls.aperiodic:
-        reasons.append(f"graph not aperiodic (period {cls.period})")
-    if reasons:
-        return ContractivityCertificate(UNKNOWN, None, "; ".join(reasons))
-    n0 = 3 ** m.p
-    return ContractivityCertificate(
-        CERTIFIED,
-        n0,
-        f"all {m.p} component means strict; incidence graph ergodic "
-        f"(uniform walk length {cls.uniform_walk_length}); oscillation strictly "
-        f"decreases after n0 = 3^{m.p} = {n0} steps for every nonconstant vector",
-    )
-
-
 def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
-    """Decide from the initial classes of the incidence graph whether some
-    nonconstant x keeps its oscillation through n0 = (p-1)^2 + 1
-    applications, and confirm the witness.
+    """Decide from the initial classes of the incidence graph whether the
+    oscillation of every nonconstant x strictly shrinks under iteration,
+    without taking a step.
 
     Let B_n(w) be the set of start vertices of the length-n walks that end
     at w.  Coordinate w of M^n(x) depends only on the coordinates x_u with
@@ -384,36 +364,64 @@ def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
         to any vertex leaves R at once and has at most p - k edges, and R
         joins every two of its vertices by walks of every length >=
         (k-1)^2 + 1 (Wielandt).  So R lies in every B_n(v) once n >=
-        (k-1)^2 + 1 + p - k, which is at most n0 because (k-1)^2 - k does
-        not decrease on k >= 1: no two B_n0 are disjoint, and the result
-        is "contractive" when every mean is flagged strict, a proof, and
-        "unknown" when some mean is not.
-    So the answer is the same at every n >= n0 (Seneta, Non-negative
-    Matrices and Markov Chains, for initial and cyclic classes; Wolfowitz
-    1963 for the SIA products of the last case).  The witness is iterated
-    n0 times; only a mean that does not return c on constant arguments c
-    can shrink it, and then the result is "unknown" with both oscillations.
+        (k-1)^2 + 1 + p - k, which is at most (p-1)^2 + 1 because
+        (k-1)^2 - k does not decrease on k >= 1: no two B_n are disjoint
+        from n = (p-1)^2 + 1 on.  With every mean flagged strict this is a
+        proof: "uniformly-weak-certified" with the paper's n0 = 3^p when R
+        is every vertex (the graph is then ergodic), and "contractive"
+        with n0 = (p-1)^2 + 1 otherwise.  When some mean is not flagged
+        strict the result is "unknown".
+    So the answer is the same at every n >= (p-1)^2 + 1 (Seneta,
+    Non-negative Matrices and Markov Chains, for initial and cyclic
+    classes; Wolfowitz 1963 for the SIA products of the last case).
+
+    The witnesses need no strictness, only means that return c at
+    (c, ..., c) for c in {lo, hi}: an initial class reads only itself, and
+    inside one every edge goes from some C_k to C_(k+1 mod d), so the
+    block stays constant on every cyclic class of every initial class, its
+    values moving one class per step, and it keeps both lo and hi there at
+    every n.  A library power mean returns c there; any other mean is
+    evaluated at both constants, and one that moves either makes the
+    result "unknown", naming it.
     """
     n0 = (m.p - 1) ** 2 + 1
     cls = is_ergodic(m.graph)
-    if cls.one_aperiodic_initial_class:
-        shared = f"every two coordinates share a walk source after {n0} step(s)"
-        if non_strict := _non_strict(m):
-            return ContractivityCertificate(UNKNOWN, n0, f"{shared}, but {non_strict}")
-        return ContractivityCertificate(
-            CONTRACTIVE,
-            n0,
-            f"{shared} and all {m.p} component means are strict: the oscillation "
-            f"of every nonconstant vector strictly decreases after {n0} step(s)",
+    if not cls.one_aperiodic_initial_class:
+        initial = cls.initial_classes
+        last = initial[-1]
+        block = last.vertices if len(initial) > 1 else last.vertices & ~last.cyclic_classes[0]
+        lo, hi = sample_box(m.interval)
+        x = tuple(hi if block >> i & 1 else lo for i in range(m.p))
+        # a library power mean returns c at (c, ..., c), as its compiled row
+        # already assumes, so only the other means are evaluated there
+        moved = "; ".join(
+            f"mean {i} ({mean.label}) returns {t!r} at c={c!r}"
+            for i, mean in enumerate(m.means, start=1) if _power_order(mean, mean.arity) is None
+            for c in (lo, hi) if (t := float(mean((c,) * mean.arity))) != c
         )
-    initial = cls.initial_classes
-    last = initial[-1]
-    block = last.vertices if len(initial) > 1 else last.vertices & ~last.cyclic_classes[0]
-    lo, hi = sample_box(m.interval)
-    x = tuple(hi if block >> i & 1 else lo for i in range(m.p))
-    before, after = oscillation(x), oscillation(m.nth_iterate(x, n0))
-    kept = f"after {n0} step(s) at x={x}: {before!r} -> {after!r}"
-    if after < before:  # some mean does not return c on constant arguments c
-        shrunk = f"a block vector on the initial classes shrank its oscillation {kept}"
-        return ContractivityCertificate(UNKNOWN, n0, shrunk)
-    return ContractivityCertificate(FALSIFIED, n0, f"oscillation not reduced {kept}", witness=x)
+        if moved:
+            return ContractivityCertificate(
+                UNKNOWN, None, f"the block vector x={x} keeps its oscillation only if every "
+                f"mean returns c at (c, ..., c), but {moved}",
+            )
+        how = "the initial classes read only themselves" if len(initial) > 1 else (
+            "the cyclic classes of the only initial class hand their values on, one class per step"
+        )
+        return ContractivityCertificate(
+            FALSIFIED, n0, f"oscillation not reduced after {n0} step(s) at x={x}: {how}, "
+            f"so it stays {hi - lo!r} at every step", witness=x,
+        )
+    shared = f"every two coordinates share a walk source after {n0} step(s)"
+    if non_strict := _non_strict(m):
+        return ContractivityCertificate(UNKNOWN, None, f"{shared}, but {non_strict}")
+    if cls.ergodic:
+        n0 = 3 ** m.p  # the paper's certificate
+        return ContractivityCertificate(
+            CERTIFIED, n0, f"all {m.p} component means strict; incidence graph ergodic "
+            f"(uniform walk length {cls.uniform_walk_length}); oscillation strictly "
+            f"decreases after n0 = 3^{m.p} = {n0} steps for every nonconstant vector",
+        )
+    return ContractivityCertificate(
+        CONTRACTIVE, n0, f"{shared} and all {m.p} component means are strict: the oscillation "
+        f"of every nonconstant vector strictly decreases after {n0} step(s)",
+    )

@@ -18,13 +18,7 @@ import sys
 from random import Random
 from typing import Sequence
 
-from .averaging import (
-    CERTIFIED,
-    FALSIFIED,
-    certify_uniform_weak_contractivity,
-    falsify_contractivity,
-    oscillation,
-)
+from .averaging import CERTIFIED, FALSIFIED, oscillation
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
@@ -111,7 +105,7 @@ def _parse_coloring(text: str, p: int) -> TriStateColoring:
 def cmd_analyze(args) -> int:
     mapping = _load_spec(args.spec).build()
     cls = is_ergodic(mapping.graph)
-    cert = certify_uniform_weak_contractivity(mapping)
+    cert = mapping._contractivity
     edges = [[a, b] for a, b in mapping.graph.sorted_edges()]
     if args.json:
         _emit_json(
@@ -258,7 +252,7 @@ def cmd_verify(args) -> int:
         check_oscillation_monotonicity(mapping, rng, n_samples=n),
     ))
 
-    cert = certify_uniform_weak_contractivity(mapping)
+    cert = mapping._contractivity
     checks.append(_check_entry(
         "certificate", "info", f"class={cert.status} n0={cert.n0}; {cert.evidence}"
     ))
@@ -271,14 +265,10 @@ def cmd_verify(args) -> int:
             "bracket-dichotomy", check_bracket_dichotomy(mapping, rng, n_samples=min(n, 100))
         ))
     else:
-        falsification = falsify_contractivity(mapping)
-        if falsification.status == FALSIFIED:
-            checks.append(_check_entry(
-                "contractivity", "fail", falsification.evidence,
-                witnesses=[Witness(falsification.witness, falsification.evidence)],
-            ))
-        else:
-            checks.append(_check_entry("contractivity", "info", falsification.evidence))
+        witnesses = [Witness(cert.witness, cert.evidence)] if cert.status == FALSIFIED else []
+        checks.append(_check_entry(
+            "contractivity", "fail" if witnesses else "info", cert.evidence, witnesses
+        ))
         checks.append(_check_entry("invariance", "skip", "not certified"))
         checks.append(_check_entry("bracket-dichotomy", "skip", "not certified"))
 

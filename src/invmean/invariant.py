@@ -30,9 +30,10 @@ The verification helpers (`verify_invariance`, `verify_mean_properties`,
 as `check_mean_property` is: each returns a `CheckReport` whose
 violations are data with witnesses, and a clean sweep is evidence, not
 proof.  `check_bracket_dichotomy` and `solve_invariant_equation` need a
-certified mapping; the dichotomy is checked after q0 <= (p-1)^2 + 1
-steps, the graph's uniform walk length, while the certificate
-itself still reads the paper's n0 = 3^p.
+mapping that `averaging.falsify_contractivity`, the one contractivity
+decision, certifies: strict means on an ergodic graph.  The dichotomy is
+checked after q0 <= (p-1)^2 + 1 steps, the graph's uniform walk length,
+while the certificate itself still reads the paper's n0 = 3^p.
 
 Every function here that takes a tol raises ValidationError unless it is
 a finite number > 0: a NaN tol would pass every residual comparison or
@@ -47,13 +48,7 @@ from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
-from .averaging import (
-    CERTIFIED,
-    ComposedMapping,
-    ContractivityCertificate,
-    certify_uniform_weak_contractivity,
-    is_constant_vector,
-)
+from .averaging import CERTIFIED, ComposedMapping, is_constant_vector
 from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError
 from .means import CheckReport, sample_box, sweep
@@ -134,8 +129,10 @@ def _effective_tol(tol: float, x0: Sequence[float]) -> float:
 def _midpoint_radius(lo: float, hi: float) -> tuple[float, float]:
     # the rounded midpoint can land on one end of a bracket of adjacent
     # floats, so the radius is the distance to the farther end; both
-    # differences are exact when 0 <= lo and hi <= 3*lo (Sterbenz)
-    mid = 0.5 * (lo + hi)
+    # differences are exact when 0 <= lo and hi <= 3*lo (Sterbenz).  The
+    # sum overflows near the float maximum: only then are the halves added,
+    # so every finite midpoint stays the same float
+    mid = 0.5 * (lo + hi) if math.isfinite(lo + hi) else 0.5 * lo + 0.5 * hi
     return mid, max(hi - mid, mid - lo)
 
 
@@ -431,13 +428,12 @@ def check_oscillation_monotonicity(
     return sweep("oscillation-monotonicity", _nonconstant_samples(m, rng, n_samples), judge)
 
 
-def _certificate(m: ComposedMapping) -> ContractivityCertificate:
-    cert = certify_uniform_weak_contractivity(m)
-    if cert.status != CERTIFIED:
+def _certificate(m: ComposedMapping) -> None:
+    # the decision is cached on the mapping, so a caller that read it decides once
+    if (cert := m._contractivity).status != CERTIFIED:
         raise PreconditionError(
             f"mapping not certified uniformly weak contractive: {cert.evidence}"
         )
-    return cert
 
 
 def check_bracket_dichotomy(

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from invmean import (
-    CONTRACTIVE,
+    CERTIFIED,
     TriStateColoring,
     check_oscillation_monotonicity,
     falsify_contractivity,
@@ -222,7 +222,8 @@ def test_criterion_07_cyclic_convergence_and_properties(ex2):
 
 def test_criterion_08_contractivity_witnesses(ex2):
     """One step keeps the oscillation of a block vector (a, a, b, b); two
-    steps strictly shrink the oscillation of every nonconstant start."""
+    steps strictly shrink the oscillation of every nonconstant start, and
+    the graph alone certifies it."""
     w = (1.0, 1.0, 2.0, 2.0)
     once = ex2.nth_iterate(w, 1)
     assert oscillation(once) == oscillation(w) == 1.0, once
@@ -230,9 +231,9 @@ def test_criterion_08_contractivity_witnesses(ex2):
     # f(S) = {v : in(v) subset of S}, none survive two
     assert disjoint_survivors(ex2.graph.in_masks, (1, 2)) == [True, False]
     clean = falsify_contractivity(ex2)
-    assert clean.status == CONTRACTIVE
+    assert clean.status == CERTIFIED and clean.witness is None
     print(f"ACCEPTANCE 8: PASS — one step keeps {w}; two steps separate nothing; "
-          "contractive from the graph")
+          "certified from the graph")
 
 
 def test_criterion_09_oscillation_monotonicity(ex2, ex3, ex4, ex5, ex6):

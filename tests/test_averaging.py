@@ -1,4 +1,4 @@
-"""Composition, iteration, oscillation, and contractivity certificates."""
+"""Composition, iteration, oscillation, and the contractivity decision."""
 
 import math
 from random import Random
@@ -17,7 +17,6 @@ from invmean import (
     MeanFlags,
     POSITIVE_REALS,
     PowerMeanSpec,
-    certify_uniform_weak_contractivity,
     falsify_contractivity,
     is_ergodic,
     make_power_mean,
@@ -218,9 +217,26 @@ class TestOscillation:
             oscillation(())
 
 
+def example4_mapping():
+    # coordinates 1 and 2 read each other; 3 and 4 read them: one aperiodic
+    # initial class {1, 2} that leaves two vertices out
+    return ComposedMapping(power_means((-1.0, 1.0, 0.0, 2.0)), POSITIVE_REALS,
+                           IndexVector(((1, 2), (1, 2), (1, 2), (1, 2))))
+
+
+def periodic_mapping():
+    # rows 1, 2 read (3, 4) and rows 3, 4 read (1, 2): one initial class
+    # of period 2 whose cyclic classes are {1, 2} and {3, 4}
+    return ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,
+                           IndexVector(((3, 4), (3, 4), (1, 2), (1, 2))))
+
+
 class TestCertify:
+    """`falsify_contractivity` issues the paper's n0 = 3^p certificate on an
+    ergodic graph of strict means, and no certificate on any other graph."""
+
     def test_example2_certified(self):
-        cert = certify_uniform_weak_contractivity(example2_mapping())
+        cert = falsify_contractivity(example2_mapping())
         assert cert.status == CERTIFIED
         assert cert.n0 == 81
         # the evidence names the uniform walk length, which only the
@@ -233,18 +249,15 @@ class TestCertify:
         with pytest.raises(iv.ValidationError, match="must carry n0"):
             iv.ContractivityCertificate(CERTIFIED, None, "no step count")
 
-    def test_disconnected_unknown(self):
-        cert = certify_uniform_weak_contractivity(example3_mapping())
-        assert cert.status == UNKNOWN
-        assert "graph not irreducible" in cert.evidence
-        assert cert.n0 is None
+    def test_disconnected_falsified(self):
+        cert = falsify_contractivity(example3_mapping())
+        assert cert.status == FALSIFIED and cert.n0 == 10
+        assert "the initial classes read only themselves" in cert.evidence
 
-    def test_periodic_unknown(self):
-        m = ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,
-                            IndexVector(((3, 4), (3, 4), (1, 2), (1, 2))))
-        cert = certify_uniform_weak_contractivity(m)
-        assert cert.status == UNKNOWN
-        assert "period 2" in cert.evidence
+    def test_periodic_falsified(self):
+        cert = falsify_contractivity(periodic_mapping())
+        assert cert.status == FALSIFIED and cert.n0 == 10
+        assert "cyclic classes of the only initial class" in cert.evidence
 
     def test_nonstrict_mean_unknown(self):
         maxmean = Mean(
@@ -256,14 +269,15 @@ class TestCertify:
         )
         means = (maxmean, make_power_mean(PowerMeanSpec(1.0, 2)))
         m = ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
-        cert = certify_uniform_weak_contractivity(m)
-        assert cert.status == UNKNOWN
-        assert "strictness not asserted" in cert.evidence
+        assert is_ergodic(m.graph).ergodic
+        cert = falsify_contractivity(m)
+        assert cert.status == UNKNOWN and cert.n0 is None
+        assert "strictness not asserted for max" in cert.evidence
 
 
 class TestFalsify:
     """`falsify_contractivity(m)` reads the initial classes of the incidence
-    graph and re-checks its witness over (p-1)^2 + 1 steps."""
+    graph and takes no step; the tests iterate its witnesses."""
 
     def test_example2_single_step_witness(self):
         # one step keeps the oscillation of (a, a, b, b), but the graph is
@@ -273,12 +287,23 @@ class TestFalsify:
         assert (min(x), max(x)) == (1.0, 2.0)
         assert oscillation(m.nth_iterate((1.0, 1.0, 2.0, 2.0), 10)) < 1.0
         cert = falsify_contractivity(m)
-        assert cert.status == CONTRACTIVE and cert.witness is None
+        assert cert.status == CERTIFIED and cert.witness is None
 
     def test_example2_two_steps_clean(self):
-        cert = falsify_contractivity(example2_mapping())
-        assert cert.status == CONTRACTIVE and cert.n0 == 10
+        # every nonconstant 1/2 block vector has shrunk after two steps
+        m = example2_mapping()
+        assert falsify_contractivity(m).status == CERTIFIED
+        for bits in range(1, 15):
+            x = tuple(2.0 if bits >> i & 1 else 1.0 for i in range(4))
+            assert oscillation(m.nth_iterate(x, 2)) < 1.0, x
+
+    def test_one_aperiodic_initial_class_contractive(self):
+        m = example4_mapping()
+        assert not is_ergodic(m.graph).ergodic
+        cert = falsify_contractivity(m)
+        assert cert.status == CONTRACTIVE and cert.n0 == 10 and cert.witness is None
         assert "share a walk source after 10 step(s)" in cert.evidence
+        assert oscillation(m.nth_iterate((1.0, 2.0, 2.0, 2.0), 10)) < 1.0
 
     def test_disconnected_falsified_at_any_n0(self):
         # two initial classes {1, 2} and {3, 4}: hi on the one whose lowest
@@ -292,13 +317,21 @@ class TestFalsify:
             assert oscillation(m.nth_iterate(cert.witness, n)) == 1.0, n
 
     def test_periodic_witness_is_off_the_lowest_cyclic_class(self):
-        # rows 1, 2 read (3, 4) and rows 3, 4 read (1, 2): one initial class
-        # of period 2 whose cyclic classes are {1, 2} and {3, 4}
-        m = ComposedMapping(power_means((-1.0, 1.0, -1.0, 1.0)), POSITIVE_REALS,
-                            IndexVector(((3, 4), (3, 4), (1, 2), (1, 2))))
+        m = periodic_mapping()
         cert = falsify_contractivity(m)
         assert cert.status == FALSIFIED
         assert cert.witness == (1.0, 1.0, 2.0, 2.0)
+        for n in (1, 2, 10):
+            assert oscillation(m.nth_iterate(cert.witness, n)) == 1.0, n
+
+    def test_decision_takes_no_step_and_evaluates_no_power_mean(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a power mean was evaluated")
+
+        monkeypatch.setattr(iv.means, "power_mean_eval", refused)
+        for m in (example2_mapping(), example3_mapping(), example4_mapping(), periodic_mapping()):
+            falsify_contractivity(m)
+            assert "_step" not in vars(m)
 
     def test_every_three_vertex_incidence_graph(self):
         # each coordinate takes the arithmetic mean of its in-neighbours; the
@@ -315,6 +348,9 @@ class TestFalsify:
             m = ComposedMapping(tuple(make_power_mean(PowerMeanSpec(1.0, len(r))) for r in rows),
                                 POSITIVE_REALS, IndexVector(rows))
             cert = falsify_contractivity(m)
+            if is_ergodic(g).ergodic:
+                assert cert.status == CERTIFIED and cert.n0 == 27, mask
+                continue
             if one_aperiodic_initial_class(g.in_masks):
                 assert cert.status == CONTRACTIVE, mask
                 continue
@@ -323,11 +359,12 @@ class TestFalsify:
             assert survives(g.in_masks, hi) and survives(g.in_masks, 0b111 ^ hi), mask
 
     def test_one_coordinate_is_vacuously_contractive(self):
-        # I^1 has no nonconstant vector, so no pair of coordinates to separate
+        # I^1 has no nonconstant vector, so no pair of coordinates to
+        # separate; the one vertex with its loop is an ergodic graph
         m = ComposedMapping(power_means((1.0,)), POSITIVE_REALS, IndexVector(((1, 1),)))
         cert = falsify_contractivity(m)
-        assert cert.status == CONTRACTIVE and cert.witness is None
-        assert cert.n0 == 1
+        assert cert.status == CERTIFIED and cert.witness is None
+        assert cert.n0 == 3
 
     def test_nonstrict_mean_on_ergodic_graph_unknown(self):
         # rows (2, 1) and (1, 2) make the complete graph with loops, so every
@@ -338,7 +375,7 @@ class TestFalsify:
         m = ComposedMapping((first, first), POSITIVE_REALS, IndexVector(((2, 1), (1, 2))))
         assert is_ergodic(m.graph).ergodic
         cert = falsify_contractivity(m)
-        assert cert.status == UNKNOWN and cert.witness is None
+        assert cert.status == UNKNOWN and cert.witness is None and cert.n0 is None
         assert "strictness not asserted for first" in cert.evidence
         assert m.nth_iterate((1.0, 2.0), 2) == (1.0, 2.0)
 
@@ -349,8 +386,26 @@ class TestFalsify:
                      flags=MeanFlags(strict=True), label="const")
         m = ComposedMapping((const, const), POSITIVE_REALS, IndexVector(((1, 1), (2, 2))))
         cert = falsify_contractivity(m)
+        assert cert.status == UNKNOWN and cert.witness is None and cert.n0 is None
+        assert cert.evidence == (
+            "the block vector x=(1.0, 2.0) keeps its oscillation only if every mean "
+            "returns c at (c, ..., c), but mean 1 (const) returns 1.5 at c=1.0; "
+            "mean 1 (const) returns 1.5 at c=2.0; mean 2 (const) returns 1.5 at c=1.0; "
+            "mean 2 (const) returns 1.5 at c=2.0"
+        )
+        assert oscillation(m.nth_iterate((1.0, 2.0), 1)) == 0.0
+
+    def test_mean_that_moves_only_the_high_constant_unknown(self):
+        # capped returns c at (1, 1) but 1.5 at (2, 2); the power mean on the
+        # other loop is not evaluated and not named
+        capped = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: min(*xs, 1.5),
+                      flags=MeanFlags(strict=True), label="capped")
+        m = ComposedMapping((make_power_mean(PowerMeanSpec(1.0, 2)), capped), POSITIVE_REALS,
+                            IndexVector(((1, 1), (2, 2))))
+        cert = falsify_contractivity(m)
         assert cert.status == UNKNOWN and cert.witness is None
-        assert "shrank its oscillation after 2 step(s) at x=(1.0, 2.0): 1.0 -> 0.0" in cert.evidence
+        assert cert.evidence.endswith("but mean 2 (capped) returns 1.5 at c=2.0")
+        assert oscillation(m.nth_iterate((1.0, 2.0), 1)) == 0.5
 
 
 class TestConstantVectorPredicate:

@@ -50,18 +50,25 @@ class TestAnalyze:
         assert data["irreducible"] is False
         assert data["ergodic"] is False
         assert data["uniform_walk_length"] is None
+        assert data["certificate"]["class"] == "falsified"
 
     def test_absorbing_not_irreducible(self, capsys):
+        # one aperiodic initial class {1, 2, 3}: not ergodic, still contractive
         code, data, _ = run_json(capsys, "analyze", EX4, "--json")
         assert code == 0
         assert data["irreducible"] is False
+        assert data["certificate"]["class"] == "contractive"
+        assert data["certificate"]["n0"] == 10
 
     def test_periodic_fixture(self, capsys):
         code, data, _ = run_json(capsys, "analyze", EX6, "--json")
         assert code == 0
         assert data["period"] == 2
         assert data["ergodic"] is False
-        assert data["certificate"]["class"] == "unknown"
+        assert data["certificate"]["class"] == "falsified"
+        assert data["certificate"]["evidence"].startswith(
+            "oscillation not reduced after 10 step(s) at x=(1.0, 1.0, 2.0, 2.0)"
+        )
 
     def test_human_mode_mentions_class(self, capsys):
         code, out, _ = run(capsys, "analyze", EX2)
@@ -133,6 +140,29 @@ class TestClassifyOnce:
         assert calls == {"_classify_masks": 1, "_uniform_walk_length_masks": 1}
 
 
+class TestDecideOnce:
+    """`falsify_contractivity` is the one contractivity decision: a command
+    that reads it makes it once, even when its bracket dichotomy reads it
+    again, and `invariant` never needs it."""
+
+    @pytest.mark.parametrize("argv, decisions", [
+        (("analyze", EX2), 1),
+        (("analyze", EX6), 1),
+        (("verify", EX2, "--samples", "4"), 1),
+        (("verify", EX3, "--samples", "4"), 1),
+        (("verify", EX5, "--samples", "4"), 1),
+        (("invariant", EX2, "1,2,3,4"), 0),
+    ])
+    def test_decisions_per_command(self, capsys, monkeypatch, argv, decisions):
+        calls = []
+        decide = averaging.falsify_contractivity
+        monkeypatch.setattr(averaging, "falsify_contractivity",
+                            lambda m: calls.append(1) or decide(m))
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 2)
+        assert len(calls) == decisions
+
+
 class TestCompileOnce:
     """The step of a mapping is compiled on first use: once per command
     that iterates, never for one that only reads the graph."""
@@ -144,6 +174,8 @@ class TestCompileOnce:
         (("invariant", EX6, "1,4,9,16"), 1),
         (("analyze", EX2), 0),
         (("tg", EX2, "1,0,-1,0"), 0),
+        (("analyze", EX3), 0),
+        (("analyze", EX6), 0),
     ])
     def test_compiles_per_command(self, capsys, monkeypatch, argv, compiles):
         names = []
@@ -250,7 +282,29 @@ class TestIterate:
         assert "coordinates" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
 class TestInvariant:
+    @pytest.mark.parametrize("spec", [EX2, EX6])
+    def test_start_near_the_float_maximum_reports_finite_json(self, capsys, spec):
+        # min + max overflows there, so the midpoint adds the halves instead
+        code, out, _ = run(capsys, "invariant", spec, "1e308,1.7e308,1.5e308,1.2e308", "--json")
+        data = json.loads(out, parse_constant=_reject_constant)
+        y = data["final_iterate"]
+        if spec == EX2:
+            assert (code, data["converged"]) == (0, True)
+            brackets = [(data["value"], data["error_radius"], y)]
+        else:
+            assert (code, data["stop_reason"]) == (2, "classes-converged")
+            brackets = [(c["value"], c["error_radius"], [y[v - 1] for v in c["vertices"]])
+                        for c in data["classes"]]
+            assert data["error_radius"] == max(c["error_radius"] for c in data["classes"])
+        for value, radius, coords in brackets:
+            assert math.isfinite(value) and math.isfinite(radius)
+            assert value - radius <= min(coords) and max(coords) <= value + radius
+
     def test_one_way_feed_sqrt_xy(self, capsys):
         code, data, _ = run_json(
             capsys, "invariant", EX5, "1,4,9,16", "--tol", "1e-14", "--json"
@@ -483,8 +537,8 @@ class TestVerify:
 
     def test_two_ring12_contractivity_steps_one_witness_check(self, capsys, tmp_path, monkeypatch):
         # two disjoint harmonic/arithmetic rings with loops, 6 coordinates
-        # each: the witness comes from the graph, and its one re-check takes
-        # (p-1)^2 + 1 = 122 steps (the sampled search used to step 3^12)
+        # each: the witness comes from the graph, and the decision takes no
+        # step (the sampled search used to step 3^12, the re-check 122)
         rows = [[i, i % 6 + 1] for i in range(1, 7)] + [[i, (i - 6) % 6 + 7] for i in range(7, 13)]
         raw = {
             "p": 12,
@@ -495,21 +549,23 @@ class TestVerify:
         }
         spec = tmp_path / "two_rings12.json"
         spec.write_text(json.dumps(raw))
-        calls = []
+        calls, decisions = [], []
+        decide = averaging.falsify_contractivity
 
         def counted(mapping):
+            decisions.append(1)
             # the compiled step is cached on the instance, so it is counted there
             step = mapping._step
             monkeypatch.setitem(vars(mapping), "_step", lambda xs: calls.append(1) or step(xs))
             try:
-                return averaging.falsify_contractivity(mapping)
+                return decide(mapping)
             finally:
                 monkeypatch.setitem(vars(mapping), "_step", step)
 
-        monkeypatch.setattr("invmean.cli.falsify_contractivity", counted)
+        monkeypatch.setattr(averaging, "falsify_contractivity", counted)
         code, data, _ = run_json(capsys, "verify", str(spec), "--samples", "4", "--json")
         assert code == 2
-        assert len(calls) == 122
+        assert (len(decisions), len(calls)) == (1, 0)
         contractivity = {c["name"]: c for c in data["checks"]}["contractivity"]
         assert contractivity["status"] == "fail"
         assert contractivity["witnesses"][0]["point"] == [1.0] * 6 + [2.0] * 6

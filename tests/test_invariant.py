@@ -409,7 +409,7 @@ class TestSingleCoordinate:
         assert report.iterations_used == 0
 
     def test_certificate(self, identity):
-        cert = iv.certify_uniform_weak_contractivity(identity)
+        cert = iv.falsify_contractivity(identity)
         assert cert.status == iv.CERTIFIED
         assert cert.n0 == 3
 
@@ -442,7 +442,7 @@ class TestBracketDichotomySteps:
             [-1.0 if i % 2 == 0 else 1.0 for i in range(p)],
             [(i + 1, (i + 1) % p + 1) for i in range(p)],
         )
-        assert iv.certify_uniform_weak_contractivity(m).n0 == 3 ** 12
+        assert iv.falsify_contractivity(m).n0 == 3 ** 12
         assert iv.is_ergodic(m.graph).uniform_walk_length == 11
         calls = []
         # the compiled step is cached on the instance, so it is counted there

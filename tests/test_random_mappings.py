@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import invmean as iv
 from invmean import (
     CERTIFIED,
+    CONTRACTIVE,
+    FALSIFIED,
     TriStateColoring,
     invariant_mean_eval,
     is_ergodic,
@@ -58,14 +60,18 @@ class TestStructure:
     @given(m=composed_mappings())
     @settings(max_examples=150, deadline=None)
     def test_certificate_coheres_with_classification(self, m):
-        cert = iv.certify_uniform_weak_contractivity(m)
+        # all generated means are strict power means, so the graph decides
+        cert = iv.falsify_contractivity(m)
         cls = is_ergodic(m.graph)
-        if cls.ergodic:  # all generated means are strict power means
-            assert cert.status == CERTIFIED
-            assert cert.n0 == 3 ** m.p
+        if cls.ergodic:
+            assert (cert.status, cert.n0) == (CERTIFIED, 3 ** m.p)
+        elif cls.one_aperiodic_initial_class:
+            assert (cert.status, cert.n0) == (CONTRACTIVE, (m.p - 1) ** 2 + 1)
         else:
-            assert cert.status == "unknown"
-            assert cert.n0 is None
+            assert (cert.status, cert.n0) == (FALSIFIED, (m.p - 1) ** 2 + 1)
+            # the decision takes no step: iterating the witness is the oracle
+            kept = oscillation(m.nth_iterate(cert.witness, cert.n0))
+            assert kept == oscillation(cert.witness) > 0.0
 
 
 class TestDynamics:
@@ -91,7 +97,7 @@ class TestDynamics:
     @settings(max_examples=40, deadline=None)
     def test_certified_mappings_converge_and_are_invariant(self, mx):
         m, x = mx
-        if iv.certify_uniform_weak_contractivity(m).status != CERTIFIED:
+        if iv.falsify_contractivity(m).status != CERTIFIED:
             return
         r1 = invariant_mean_eval(m, x)
         assert r1.converged
