@@ -17,7 +17,6 @@ from .averaging import (
     ContractivityCertificate,
     IndexVector,
     falsify_contractivity,
-    is_constant_vector,
     oscillation,
 )
 from .digraph import (

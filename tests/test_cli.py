@@ -271,6 +271,23 @@ class TestIterate:
         assert code == 0
         assert data["trace"] == [[1.0, 2.0, 3.0, 4.0]] * 2
 
+    @pytest.mark.parametrize("order, x", [
+        (-0.5, "1.7976931348623157e308,1.797693134862315e308"),  # the root overflows
+        (0.005, "1.7976931348623157e308,1.7976931348623013e308"),
+    ])
+    def test_largest_floats_step_without_a_traceback(self, capsys, tmp_path, order, x):
+        spec = tmp_path / "ring2.json"
+        spec.write_text(json.dumps({
+            "p": 2,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "power", "order": order, "arity": 2}] * 2,
+            "alpha": [[1, 2], [2, 1]],
+        }))
+        code, data, err = run_json(capsys, "iterate", str(spec), x, "-n", "1", "--json")
+        assert (code, err) == (0, "")
+        start = [float(t) for t in x.split(",")]
+        assert all(min(start) <= t <= max(start) for t in data["trace"][-1])
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run(capsys, "iterate", EX2, "1,-2,3,4", "-n", "1")
         assert code == 1
@@ -465,7 +482,28 @@ class TestVerify:
         assert by_name["invariance"]["detail"] == "not certified"
         contractivity = by_name["contractivity"]
         assert contractivity["status"] == "fail"
-        assert contractivity["witnesses"][0]["point"] == [1.0, 1.0, 2.0, 2.0]
+        assert contractivity["witnesses"] == [
+            {"point": [1.0, 1.0, 2.0, 2.0], "message": "oscillation not reduced"}
+        ]
+        # the evidence is stated once, in the contractivity entry
+        assert by_name["certificate"]["detail"] == "class=falsified n0=10"
+        assert contractivity["detail"].startswith("oscillation not reduced after 10 step(s)")
+
+    @pytest.mark.parametrize("spec, detail", [
+        (EX4, "class=contractive n0=10"),
+        (EX5, "class=contractive n0=10"),
+        (EX6, "class=falsified n0=10"),
+    ])
+    def test_uncertified_certificate_detail_is_class_and_n0(self, capsys, spec, detail):
+        _, data, _ = run_json(capsys, "verify", spec, "--samples", "4", "--json")
+        by_name = {c["name"]: c for c in data["checks"]}
+        assert by_name["certificate"]["detail"] == detail
+        assert by_name["contractivity"]["detail"] == load_mapping_spec(spec).build()._contractivity.evidence
+
+    def test_certified_certificate_keeps_its_evidence(self, capsys):
+        _, data, _ = run_json(capsys, "verify", EX2, "--samples", "4", "--json")
+        detail = {c["name"]: c for c in data["checks"]}["certificate"]["detail"]
+        assert detail.startswith("class=uniformly-weak-certified n0=81; all 4 component means strict")
 
     def test_absorbing_coordinate_strictness_fails(self, capsys):
         code, data, _ = run_json(
@@ -519,7 +557,14 @@ class TestVerify:
         code, data, _ = run_json(capsys, "verify", str(spec), "--samples", "4", "--json")
         assert code == 2
         by_name = {c["name"]: c for c in data["checks"]}
-        assert by_name["mean-property"]["status"] == "fail"
+        entry = by_name["mean-property"]
+        assert entry["status"] == "fail"
+        # at most 5 witnesses, as every failing entry carries, each naming its mean
+        witnesses = entry["witnesses"]
+        assert 1 <= len(witnesses) <= 5
+        for w in witnesses:
+            assert w["message"].startswith("mean 4 (P_1e+17): strictness violation: ")
+            assert len(w["point"]) == 2
 
     def test_homogeneity_precondition_reported_as_skip(self, capsys, tmp_path):
         raw = json.loads(fixture_path("example2.json").read_text())

@@ -558,7 +558,7 @@ class TestTgStabilize:
         report = tg_stabilize(g, c0)
         assert report.steps_to_constant is None and report.constant_value is None
         assert len(report.trace) == 11
-        assert report.final == c0 and report.repeats_step == 0
+        assert report.trace[-1] == c0 and report.repeats_step == 0
         assert len(set(c.values for c in report.trace[:-1])) == 10
 
     def test_cap_still_applies(self):
