@@ -81,7 +81,10 @@ class IndexVector:
     def __post_init__(self) -> None:
         # the one place alpha indices are checked; everything downstream
         # (incidence graph, composition, spec files) relies on it
-        rows = tuple(tuple(row) for row in self.rows)
+        try:
+            rows = tuple(tuple(row) for row in self.rows)
+        except TypeError:  # a row, or the rows, not iterable: IndexVector([1, 2])
+            raise ValidationError(f"alpha must be a sequence of rows, got {self.rows!r}") from None
         p = len(rows)
         if p < 1:
             raise ValidationError("index vector needs at least one row")
@@ -245,7 +248,7 @@ def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[flo
         else:
             body = [f"x{j} = xs[{j}]" for j in used]
         for i in range(start, stop):
-            order = _power_order(m.means[i], len(rows[i]))
+            order = _power_order(m.means[i])
             if order is None:
                 body.append(f"y{i} = checked[{len(checked)}](xs)")
                 checked.append(m._checked_coordinate(i + 1, m.means[i], rows[i]))
@@ -384,7 +387,7 @@ def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
         # already assumes, so only the other means are evaluated there
         moved = "; ".join(
             f"mean {i} ({mean.label}) returns {t!r} at c={c!r}"
-            for i, mean in enumerate(m.means, start=1) if _power_order(mean, mean.arity) is None
+            for i, mean in enumerate(m.means, start=1) if _power_order(mean) is None
             for c in (lo, hi) if (t := float(mean((c,) * mean.arity))) != c
         )
         if moved:

@@ -12,6 +12,7 @@ emits doubles with round-trip-exact precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -85,16 +86,13 @@ def _parse_point(text: str) -> tuple[float, ...]:
         raise InvMeanError(f"could not parse point {text!r}") from None
 
 
-def _parse_coloring(text: str, p: int) -> TriStateColoring:
+def _parse_coloring(text: str) -> TriStateColoring:
+    # TriStateColoring checks the entries and tg_stabilize the length
     parts = text.replace(",", " ").split()
     try:
         values = tuple(int(part) for part in parts)
     except ValueError:
         raise InvMeanError(f"could not parse coloring {text!r}") from None
-    # tg_stabilize returns a constant c0 of any length without a step, so
-    # the length is checked here; TriStateColoring checks the entries
-    if len(values) != p:
-        raise InvMeanError(f"coloring has {len(values)} entries, spec has p={p}")
     return TriStateColoring(values)
 
 
@@ -181,7 +179,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_tg(args) -> int:
     mapping = _load_spec(args.spec).build()
-    c0 = _parse_coloring(args.c0, mapping.p)
+    c0 = _parse_coloring(args.c0)
     report = tg_stabilize(mapping.graph, c0, max_steps=args.max_steps)
     if args.json:
         _emit_json(
@@ -305,7 +303,10 @@ def cmd_verify(args) -> int:
 # argument wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of `main`, built on its first call and shared by
+    every later one: parsing leaves no state on it."""
     parser = _Parser(
         prog="invmean",
         description="Analyze and iterate mean-type mappings defined by a JSON spec.",

@@ -89,7 +89,7 @@ class Digraph:
 
     def __post_init__(self) -> None:
         n = self.n_vertices
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # also rejects bool
             raise ValidationError(f"n_vertices must be a positive integer, got {n!r}")
         edges = frozenset((a, b) for a, b in self.edges)
         for a, b in edges:
@@ -367,6 +367,11 @@ def is_ergodic(g: Digraph) -> GraphClassification:
 # tri-state dynamics
 
 
+def _check_covers(g: Digraph, c: TriStateColoring) -> None:
+    if len(c.values) != g.n_vertices:
+        raise ShapeError(f"coloring covers {len(c.values)} vertices, graph has {g.n_vertices}")
+
+
 def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
     """One step of the tri-state operator: a vertex becomes +1 when all of
     its in-neighbors are +1, -1 when all are -1, and 0 otherwise.
@@ -375,9 +380,7 @@ def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
     the rule is vacuous for both signs at once, so it is rejected rather
     than silently resolved.
     """
-    n = g.n_vertices
-    if len(c.values) != n:
-        raise ShapeError(f"coloring covers {len(c.values)} vertices, graph has {n}")
+    _check_covers(g, c)
     in_masks = g.in_masks
     if not all(in_masks):
         raise PreconditionError(f"vertex {in_masks.index(0) + 1} has no in-neighbors")
@@ -400,8 +403,10 @@ def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None)
     is constant within q0 steps, the graph's uniform walk length, and some
     coloring needs exactly q0 (see the module docstring).  On any graph,
     without max_steps, one of the two happens within 3^n steps, the
-    number of colorings.
+    number of colorings.  A c0 that does not cover the vertices of g is a
+    ShapeError, constant or not.
     """
+    _check_covers(g, c0)  # before a constant c0 ends the run with no step
     if max_steps is not None and max_steps < 1:
         raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
     c = c0

@@ -277,7 +277,8 @@ def verify_invariance(
     return sweep("invariance", _nonconstant_samples(m, rng, n_samples), judge)
 
 
-_PROPERTY_DEFAULT_TOL = {"strict": 1e-9, "monotone": 1e-9, "homogeneous": 1e-10}
+_PROPERTIES = ("strict", "monotone", "homogeneous")
+_HOMOGENEITY_TOL = 1e-10
 _HOMOGENEITY_FACTORS = (0.5, 2.0, 10.0)
 _MONOTONE_STEP = 0.1
 
@@ -301,16 +302,21 @@ def verify_mean_properties(
       * "homogeneous" -- K(c*x) = c*K(x) for c in {0.5, 2, 10}, relative;
         each (x, c) pair is one sample.
 
+    Only "homogeneous" reads tol, a relative tolerance (default 1e-10);
+    strictness and monotonicity allow the error radii plus 1e-12 scaled
+    by max(1, |max(x)|).  A tol that is passed must be finite and > 0
+    whatever which is.
+
     The corresponding flag must be asserted on every component mean (and
     homogeneity additionally needs the domain (0, +inf)); otherwise the
     hypothesis is absent and a PreconditionError is raised.  Samples where
     the iteration does not converge are skipped and counted.
     """
-    if which not in _PROPERTY_DEFAULT_TOL:
+    if which not in _PROPERTIES:
         raise ValidationError(f"unknown property {which!r}")
     rng = rng if rng is not None else Random(0)
     if tol is None:
-        tol = _PROPERTY_DEFAULT_TOL[which]
+        tol = _HOMOGENEITY_TOL
     else:
         _check_tol(tol)
     missing = [
@@ -393,9 +399,8 @@ def verify_mean_properties(
     return sweep(which, samples, judge)
 
 
-# trace length and per-step allowance of check_oscillation_monotonicity
+# trace length of check_oscillation_monotonicity
 _MONOTONICITY_STEPS = 50
-_MONOTONICITY_SLACK = 1e-15
 
 
 def check_oscillation_monotonicity(
@@ -407,8 +412,9 @@ def check_oscillation_monotonicity(
     nondecreasing and max(M^n(x)) nonincreasing in n.
 
     This holds exactly in real arithmetic, and means that round toward
-    the bracket keep it exact in floating point too; the 1e-15 slack is
-    a one-ulp allowance, not a modelling tolerance.
+    the bracket keep it exact in floating point too; each end may slip by
+    one ulp of its previous value, a rounding allowance that scales with
+    the bracket, not a modelling tolerance.
     """
     rng = rng if rng is not None else Random(0)
 
@@ -416,10 +422,11 @@ def check_oscillation_monotonicity(
         trace = m.iterate(x, _MONOTONICITY_STEPS)
         worst = 0.0
         for k in range(1, len(trace)):
-            drop = min(trace[k - 1]) - min(trace[k])  # > 0 means the bracket widened
-            rise = max(trace[k]) - max(trace[k - 1])
+            lo, hi = min(trace[k - 1]), max(trace[k - 1])
+            drop = lo - min(trace[k])  # > 0 means the bracket widened
+            rise = max(trace[k]) - hi
             worst = max(worst, drop, rise)
-            if drop > _MONOTONICITY_SLACK or rise > _MONOTONICITY_SLACK:
+            if drop > math.ulp(lo) or rise > math.ulp(hi):
                 return worst, (
                     f"bracket widened at step {k}: min dropped {drop:.3e}, max rose {rise:.3e}"
                 )

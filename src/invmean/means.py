@@ -141,6 +141,11 @@ class PowerMeanSpec:
         if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
             raise ValidationError(f"power-mean arity must be a positive integer, got {arity!r}")
 
+    def __call__(self, args: Sequence[float]) -> float:
+        # the evaluator of a `make_power_mean` mean: `power_mean_eval`,
+        # looked up when called, with its argument checks
+        return power_mean_eval(self, args)
+
 
 def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     """Evaluate the power mean of order spec.order at x.
@@ -183,12 +188,12 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
     exp does not overflow.  Any other order is the power sum, rescaled by
     the dominant argument when the sum leaves the normal floats.  A value
     that overflows, such as a root of a sum near the largest float, lies
-    above max(xs), the clamp's answer for it.
+    above max(xs), the clamp's answer for it.  Equal arguments take no
+    branch of their own: whatever a path computes, the clamp into [a, a]
+    returns a.
     """
     lo = min(xs)
     hi = max(xs)
-    if lo == hi:
-        return lo
     n = len(xs)
     try:
         if s == 0.0:
@@ -236,36 +241,34 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
 
     Two-argument rows are closed forms that give `_power_mean`'s result bit
     for bit: of two floats, a + b is the correctly rounded sum that fsum
-    returns, and the dominant argument's expm1(0) adds nothing.  Equal
-    arguments are the mean: a row that reads one local twice is that
-    local, and any other row checks a == b first.  Order 0 takes the root
-    of frexp(a*b) directly when both arguments lie within 2^+-509, so the
-    product is a normal float; a small order takes `_power_mean`'s one
-    expm1/log1p form; any other order takes the power sum with 1/s as a
-    constant.  An order-0 argument outside that range, or a power sum or
-    root that overflows or leaves the normal floats, is handed to
-    `means._power_mean`, which the row looks up when it runs.  Every other
-    row calls `means._power_mean`.  The lines use the temporaries t, u, v,
-    w, mant and e, and the names frexp, ldexp, log, exp, log1p, expm1 and
-    means.
+    returns, and the dominant argument's expm1(0) adds nothing.  A row
+    that reads one local twice is that local; any other row has no branch
+    for equal values, which its clamp answers as `_power_mean`'s does.
+    Order 0 takes the root of frexp(a*b) directly when both arguments lie
+    within 2^+-509, so the product is a normal float; a small order takes
+    `_power_mean`'s one expm1/log1p form; any other order takes the power
+    sum with 1/s as a constant.  An order-0 argument outside that range,
+    or a power sum or root that overflows or leaves the normal floats, is
+    handed to `means._power_mean`, which the row looks up when it runs.
+    Every other row calls `means._power_mean`.  The lines use the
+    temporaries t, u, v, w, mant and e, and the names frexp, ldexp, log,
+    exp, log1p, expm1 and means.
     """
     if len(args) != 2:
         return [f"{out} = means._power_mean({s!r}, ({', '.join(args)},))"]
     a, b = args
     if a == b:
         return [f"{out} = {a}"]  # a self-loop row: the mean of equal arguments
-    head = [f"if {a} == {b}:", f"    {out} = {a}"]
     if 0.0 < abs(s) < _SMALL_ORDER:
         # u, w = min, max and t the log of the dominant argument; the
         # exponent is at most log(w), so exp does not overflow: the log1p
         # term is <= 0 for s > 0, and about (log(w) - t) / 2 for s < 0
         lb, other = ("w", "u") if s > 0 else ("u", "w")
-        return head + [
-            "else:",
-            f"    u, w = ({a}, {b}) if {a} < {b} else ({b}, {a})",
-            f"    t = log({lb})",
-            f"    v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
-            f"    {out} = u if v < u else w if v > w else v",
+        return [
+            f"u, w = ({a}, {b}) if {a} < {b} else ({b}, {a})",
+            f"t = log({lb})",
+            f"v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
+            f"{out} = u if v < u else w if v > w else v",
         ]
     # the clamp into [min, max] of `_power_mean`, with the order of a, b known
     clamp = [
@@ -274,52 +277,37 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
         "    else:",
         f"        {out} = {b} if v < {b} else {a} if v > {a} else v",
     ]
-    handover = f"    {out} = means._power_mean({s!r}, ({a}, {b}))"
+    handover = ["else:", f"    {out} = means._power_mean({s!r}, ({a}, {b}))"]
     if s == 0.0:
         # two arguments in this range multiply with no underflow or
         # overflow, and `_power_mean` takes the same product path there;
         # e >> 1, e & 1 is divmod(e, 2)
         lo, hi = repr(2.0 ** -509), repr(2.0 ** 509)
-        return head + [
-            f"elif {lo} < {a} < {hi} and {lo} < {b} < {hi}:",
+        return [
+            f"if {lo} < {a} < {hi} and {lo} < {b} < {hi}:",
             f"    mant, e = frexp({a} * {b})",
             "    v = ldexp(ldexp(mant, e & 1) ** 0.5, e >> 1)",
             *clamp,
-            "else:",
-            handover,
+            *handover,
         ]
     # the power sum and its root with 1/s once; a power or root that
     # overflows, or 0 ** (1/s) with s < 0, leaves t = 0.0 and a sum outside
     # the normal floats is handed over (a sum of two powers is never NaN,
     # so <= max excludes only inf)
-    return head + [
-        "else:",
-        "    try:",
-        f"        t = {a} ** ({s!r}) + {b} ** ({s!r})",
-        f"        v = (t / 2) ** ({1.0 / s!r})",
-        "    except ArithmeticError:",
-        "        t = 0.0",
-        f"    if {sys.float_info.min!r} <= t <= {sys.float_info.max!r}:",
-        *["    " + line for line in clamp],
-        "    else:",
-        "    " + handover,
+    return [
+        "try:",
+        f"    t = {a} ** ({s!r}) + {b} ** ({s!r})",
+        f"    v = (t / 2) ** ({1.0 / s!r})",
+        "except ArithmeticError:",
+        "    t = 0.0",
+        f"if {sys.float_info.min!r} <= t <= {sys.float_info.max!r}:",
+        *clamp,
+        *handover,
     ]
 
 
 def _within_positive_reals(domain: Interval) -> bool:
     return domain.lower > 0.0 or (domain.lower == 0.0 and domain.lower_open)
-
-
-@dataclass(frozen=True)
-class _PowerMeanEvaluator:
-    """The evaluator of a `make_power_mean` mean: `power_mean_eval` at one
-    spec.  A mapping recognises a power mean by this type and compiles it
-    with `_power_row` instead."""
-
-    spec: PowerMeanSpec
-
-    def __call__(self, args: Sequence[float]) -> float:
-        return power_mean_eval(self.spec, args)
 
 
 def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> Mean:
@@ -334,23 +322,23 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
     return Mean(
         arity=spec.arity,
         domain=domain,
-        evaluator=_PowerMeanEvaluator(spec),
+        evaluator=spec,
         flags=MeanFlags(strict=True, monotone=True, homogeneous=True),
         label=f"P_{spec.order:g}",
     )
 
 
-def _power_order(mean: Mean, arity: int) -> float | None:
-    """The order of `mean` when it is a library power mean of `arity`
-    arguments on a domain within (0, +inf), else None: a mapping compiles
-    such a row with `_power_row`, without argument checks."""
+def _power_order(mean: Mean) -> float | None:
+    """The order of `mean` when it is a library power mean of its own arity
+    on a domain within (0, +inf), else None: a mapping compiles such a row
+    with `_power_row`, without argument checks."""
     ev = mean.evaluator
     if (
-        isinstance(ev, _PowerMeanEvaluator)
-        and ev.spec.arity == arity
+        type(ev) is PowerMeanSpec
+        and ev.arity == mean.arity
         and _within_positive_reals(mean.domain)
     ):
-        return ev.spec.order
+        return ev.order
     return None
 
 

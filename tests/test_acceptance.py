@@ -237,7 +237,7 @@ def test_criterion_08_contractivity_witnesses(ex2):
 
 
 def test_criterion_09_oscillation_monotonicity(ex2, ex3, ex4, ex5, ex6):
-    """min nondecreasing / max nonincreasing along 50 iterates, 1e-15 slack."""
+    """min nondecreasing / max nonincreasing along 50 iterates, one ulp of slack."""
     worst = 0.0
     for name, mapping in (("ex2", ex2), ("ex3", ex3), ("ex4", ex4),
                           ("ex5", ex5), ("ex6", ex6)):

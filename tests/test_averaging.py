@@ -70,6 +70,12 @@ class TestCompose:
         with pytest.raises(iv.ValidationError, match="row 1, position 2: .* not an integer"):
             IndexVector(((1, bad), (1, 2)))
 
+    @pytest.mark.parametrize("rows", [[1, 2], 5, ((1, 2), 3)])
+    def test_rows_that_are_not_sequences_rejected(self, rows):
+        # a flat list of indexes is not a ValidationError's TypeError
+        with pytest.raises(iv.ValidationError, match="alpha must be a sequence of rows"):
+            IndexVector(rows)
+
     def test_arity_mismatch_rejected(self):
         means = power_means((-1.0, 1.0), arity=2)
         with pytest.raises(iv.ShapeError, match="row 2"):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from invmean import averaging, digraph, fixture_path, is_ergodic, load_mapping_spec
+from invmean import averaging, cli, digraph, fixture_path, is_ergodic, load_mapping_spec
 from invmean.cli import build_parser, main
 
 EX2 = str(fixture_path("example2.json"))
@@ -399,6 +399,25 @@ def test_readme_synopsis_names_the_parser_options():
         assert named == defined, (name, sorted(synopsis[name]))
 
 
+def test_two_main_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    build_parser.cache_clear()
+    try:
+        assert run(capsys, "analyze", EX2)[0] == 0
+        assert run(capsys, "tg", EX2, "1,0,0,0")[0] == 0
+    finally:
+        build_parser.cache_clear()  # drop the parser built from Counted
+    # the top-level parser and its five subcommand parsers, once
+    assert built.count("invmean") == 1 and len(built) == 6
+
+
 class TestTg:
     def test_constant_start(self, capsys):
         code, data, _ = run_json(capsys, "tg", EX2, "1,1,1,1", "--json")
@@ -454,6 +473,12 @@ class TestTg:
         code, _, err = run(capsys, "tg", EX2, "1,0,2,0")
         assert code == 1
         assert "not in {-1, 0, 1}" in err
+
+    @pytest.mark.parametrize("c0", ["1,1", "1,1,1,1,1", "0,1"])
+    def test_coloring_of_the_wrong_length_exits_one(self, capsys, c0):
+        code, out, err = run(capsys, "tg", EX2, c0)
+        assert code == 1 and out == ""
+        assert err == f"error: coloring covers {len(c0.split(','))} vertices, graph has 4\n"
 
 
 class TestVerify:

@@ -291,6 +291,12 @@ class TestInNeighbors:
         with pytest.raises(iv.ValidationError, match="non-integer"):
             Digraph(2, frozenset({(True, 2)}))
 
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    def test_vertex_count_must_be_a_positive_int(self, n):
+        # a bool is rejected here as it is as an edge vertex
+        with pytest.raises(iv.ValidationError, match="n_vertices must be a positive integer"):
+            Digraph(n, frozenset())
+
 
 class TestIrreducible:
     def test_cyclic_example_true(self):
@@ -565,6 +571,12 @@ class TestTgStabilize:
         report = tg_stabilize(graph6(), TriStateColoring((1, 1, -1, -1)), max_steps=1)
         assert len(report.trace) == 2
         assert report.steps_to_constant is None and report.repeats_step is None
+
+    @pytest.mark.parametrize("values", [(1, 1), (1, 0), (1, 1, 1, 1, 1)])
+    def test_coloring_length_checked_before_any_step(self, values):
+        # a constant c0 of the wrong length used to stop at 0 steps unchecked
+        with pytest.raises(iv.ShapeError, match=f"covers {len(values)} vertices, graph has 4"):
+            tg_stabilize(graph2(), TriStateColoring(values))
 
     def test_trace_starts_at_c0(self):
         c0 = TriStateColoring((0, 1, 0, -1))

@@ -426,6 +426,19 @@ class TestChecks:
         assert report.passed
         assert report.max_residual <= 0.0
 
+    def test_oscillation_monotonicity_scales_with_the_bracket(self):
+        # far below 1 an absolute slack would let a mean leave [min, max]
+        # by 5e-17 unnoticed; one ulp of the bracket end does not
+        interval = iv.Interval(0.0, 1e-10)
+        above = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs) + 5e-17,
+                        label="max+5e-17")
+        assert not iv.check_mean_property(above, Random(0), n_samples=20).passed
+        arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
+        m = iv.ComposedMapping((above, arithmetic), interval, iv.IndexVector(((1, 2), (1, 2))))
+        report = check_oscillation_monotonicity(m, Random(0), n_samples=20)
+        assert not report.passed
+        assert report.violations[0].message.startswith("bracket widened at step 1")
+
     def test_bracket_dichotomy_clean(self, ex2):
         report = check_bracket_dichotomy(ex2, Random(2), n_samples=30)
         assert report.passed

@@ -265,6 +265,18 @@ class TestMakePowerMean:
         with pytest.raises(iv.ValidationError):
             make_power_mean(PowerMeanSpec(1.0, 2), domain=Interval(-1.0, 1.0))
 
+    def test_evaluator_is_the_spec(self, monkeypatch):
+        # the spec evaluates itself through power_mean_eval, looked up when
+        # called, so a wrapper installed on the module sees every call
+        spec = PowerMeanSpec(1.0, 2)
+        m = make_power_mean(spec)
+        assert m.evaluator is spec
+        assert spec((1.0, 3.0)) == m((1.0, 3.0)) == 2.0
+        calls = []
+        monkeypatch.setattr(iv.means, "power_mean_eval", lambda *a: calls.append(a) or 0.5)
+        assert m((1.0, 3.0)) == 0.5
+        assert calls == [(spec, (1.0, 3.0))]
+
 
 class TestMeanPropertyCheck:
     def test_power_mean_not_falsified(self):

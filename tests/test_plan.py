@@ -235,6 +235,19 @@ def test_two_argument_closed_form_at_the_largest_floats(s, x):
     assert bits(m.apply(x)) == bits(m.apply(x[::-1])) == (want.hex(), want.hex())
 
 
+@pytest.mark.parametrize("s", [0.0, 5e-3, -5e-3, 0.5, 2.0, -3.0])
+@pytest.mark.parametrize("a", [1.0, 3.7, 5e-324, 1e-300, 1e300, 1.7976931348623157e308])
+def test_two_argument_closed_form_returns_equal_arguments(s, a):
+    # no row checks a == b: whatever its branch computes, or hands over,
+    # the clamp into [a, a] returns a, as the oracle's early exit does
+    want = oracle_power_mean(iv.PowerMeanSpec(s, 2), (a, a))
+    assert want == a
+    mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
+    m = iv.ComposedMapping((mean,) * 3, iv.POSITIVE_REALS, iv.IndexVector(((1, 2),) * 3))
+    assert bits(m.apply((a, a, 1.0))) == (a.hex(),) * 3
+    assert "==" not in "\n".join(means._power_row(s, ["x0", "x1"], "y0"))
+
+
 ROOT_LO = 2.0 ** -509
 ROOT_HI = 2.0 ** 509
 
