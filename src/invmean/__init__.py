@@ -66,7 +66,6 @@ from .specfile import (
     fixture_path,
     load_mapping_spec,
     mapping_spec_from_dict,
-    serialize_spec,
 )
 
 from .version import __version__

@@ -91,7 +91,10 @@ class Digraph:
         n = self.n_vertices
         if type(n) is not int or n < 1:  # also rejects bool
             raise ValidationError(f"n_vertices must be a positive integer, got {n!r}")
-        edges = frozenset((a, b) for a, b in self.edges)
+        try:
+            edges = frozenset((a, b) for a, b in self.edges)
+        except (TypeError, ValueError):  # not iterable, or an edge not a pair
+            raise ValidationError(f"edges must be pairs of vertices, got {self.edges!r}") from None
         for a, b in edges:
             if type(a) is not int or type(b) is not int:  # also rejects bool
                 raise ValidationError(f"edge ({a!r}, {b!r}) has a non-integer vertex")
@@ -133,7 +136,10 @@ class TriStateColoring:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(self.values)
+        try:
+            vals = tuple(self.values)
+        except TypeError:  # TriStateColoring(5)
+            raise ValidationError(f"coloring must be a sequence, got {self.values!r}") from None
         for v in vals:
             if type(v) is not int or v not in (-1, 0, 1):  # also rejects bool
                 raise ValidationError(f"coloring value {v!r} not in {{-1, 0, 1}}")

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 from .averaging import CERTIFIED, ComposedMapping
 from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError
-from .means import CheckReport, sample_box, sweep
+from .means import POSITIVE_REALS, CheckReport, sample_box, sweep
 
 __all__ = [
     "ConvergenceReport",
@@ -170,14 +170,14 @@ def invariant_mean_eval(
     strictly shrinks over every such length, so the window is polynomial
     in p.
 
-    tol must be finite and > 0, max_iter >= 1 (ValidationError).  Only
-    the start point is validated; the steps run the mapping's compiled
-    step unchecked (`ComposedMapping._step`, compiled on the mapping's
-    first use).
+    tol must be finite and > 0 and max_iter an int >= 1, not a bool
+    (ValidationError).  Only the start point is validated; the steps run
+    the mapping's compiled step unchecked (`ComposedMapping._step`,
+    compiled on the mapping's first use).
     """
     _check_tol(tol)
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
+        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
     window = max(200, 2 * ((m.p - 1) ** 2 + 1))
@@ -326,10 +326,8 @@ def verify_mean_properties(
         raise PreconditionError(
             f"{which} flag not asserted for {', '.join(sorted(set(missing)))}"
         )
-    if which == "homogeneous":
-        iv = m.interval
-        if not (iv.lower == 0.0 and iv.lower_open and iv.upper == float("inf")):
-            raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {iv}")
+    if which == "homogeneous" and m.interval != POSITIVE_REALS:
+        raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {m.interval}")
 
     def converged_value(x):
         rep = invariant_mean_eval(m, x)

@@ -46,12 +46,32 @@ __all__ = [
 ]
 
 
+def _real(value: object, what: str) -> float:
+    """`value` as a float: an int or a float, never a str or a bool (bool is
+    an int subclass), that fits in a float (ValidationError otherwise)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} {value} is out of float range") from None
+
+
+def _check_flags(obj: object, *names: str) -> None:
+    # a flag is a bool: "no" or 0 would otherwise read as a truth value
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, bool):
+            raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """A nonempty real interval with independently open/closed endpoints.
 
     Infinite endpoints are allowed and are always open; `contains` is the
-    membership test consistent with the flags.
+    membership test consistent with the flags.  The endpoints must be ints
+    or floats (not bools) and the flags bools, else ValidationError.
     """
 
     lower: float
@@ -60,8 +80,9 @@ class Interval:
     upper_open: bool = True
 
     def __post_init__(self) -> None:
-        lo = float(self.lower)
-        hi = float(self.upper)
+        lo = _real(self.lower, "lower")
+        hi = _real(self.upper, "upper")
+        _check_flags(self, "lower_open", "upper_open")
         if math.isnan(lo) or math.isnan(hi):
             raise ValidationError("interval endpoints must not be NaN")
         if not lo < hi:
@@ -95,11 +116,14 @@ POSITIVE_REALS = Interval(0.0, math.inf)
 
 @dataclass(frozen=True)
 class MeanFlags:
-    """Structural properties a mean is asserted to have."""
+    """Structural properties a mean is asserted to have; each is a bool."""
 
     strict: bool = False
     monotone: bool = False
     homogeneous: bool = False
+
+    def __post_init__(self) -> None:
+        _check_flags(self, "strict", "monotone", "homogeneous")
 
 
 @dataclass(frozen=True)
@@ -133,7 +157,7 @@ class PowerMeanSpec:
     arity: int
 
     def __post_init__(self) -> None:
-        order = float(self.order)
+        order = _real(self.order, "order")
         if not math.isfinite(order):
             raise ValidationError(f"power-mean order must be finite, got {order!r}")
         object.__setattr__(self, "order", order)
@@ -310,6 +334,10 @@ def _within_positive_reals(domain: Interval) -> bool:
     return domain.lower > 0.0 or (domain.lower == 0.0 and domain.lower_open)
 
 
+#: The flags of every power mean, one value shared by all of them.
+_POWER_FLAGS = MeanFlags(strict=True, monotone=True, homogeneous=True)
+
+
 def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> Mean:
     """Wrap a power mean as a Mean value.
 
@@ -323,7 +351,7 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
         arity=spec.arity,
         domain=domain,
         evaluator=spec,
-        flags=MeanFlags(strict=True, monotone=True, homogeneous=True),
+        flags=_POWER_FLAGS,
         label=f"P_{spec.order:g}",
     )
 

@@ -1,4 +1,4 @@
-"""JSON mapping-spec files: parsing, validation, serialization, fixtures.
+"""JSON mapping-spec files: parsing, validation, fixtures.
 
 A spec file is one JSON object:
 
@@ -12,9 +12,15 @@ A spec file is one JSON object:
 
 null endpoints mean -inf / +inf; open flags default to true.  A mean may
 use the kind aliases "harmonic", "geometric", "arithmetic", "quadratic"
-(orders -1, 0, 1, 2); serialization normalizes every mean to
-{"kind": "power", ...}.  Indices are 1-based here and everywhere users
+(orders -1, 0, 1, 2).  Indices are 1-based here and everywhere users
 see them; conversion to 0-based happens strictly below this layer.
+
+Loading checks the JSON shape (objects, lists, required keys, kinds, and
+p against the list lengths) and leaves every value to the type that
+holds it: `Interval` and `PowerMeanSpec` check their numbers and flags,
+`IndexVector` the indexes, and `MappingSpec`, which builds the mapping
+once, the domain and the row lengths; their errors come back as a
+SpecError that names the location.
 
 A spec cannot declare flags: every mean is a library power mean, which
 is strict, monotone and homogeneous by construction, so loading runs no
@@ -32,13 +38,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
 from .averaging import ComposedMapping, IndexVector
-from .errors import SpecError, ValidationError
+from .errors import ShapeError, SpecError, ValidationError
 from .means import Interval, PowerMeanSpec, make_power_mean
 
 __all__ = [
@@ -47,7 +53,6 @@ __all__ = [
     "FIXTURES",
     "load_mapping_spec",
     "mapping_spec_from_dict",
-    "serialize_spec",
     "fixture_path",
 ]
 
@@ -69,36 +74,26 @@ FIXTURES = (
 
 @dataclass(frozen=True)
 class MappingSpec:
-    """The validated content of one spec file."""
+    """The validated content of one spec file, and the mapping it defines.
+
+    Construction builds the means and the `ComposedMapping` once, so the
+    checks of `make_power_mean` (the domain) and `ComposedMapping` (rows
+    against means) run here; the step is compiled on first use, not here.
+    """
 
     p: int
     interval: Interval
     mean_specs: tuple[PowerMeanSpec, ...]
     alpha: IndexVector
+    _mapping: ComposedMapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        means = tuple(make_power_mean(ps, domain=self.interval) for ps in self.mean_specs)
+        object.__setattr__(self, "_mapping", ComposedMapping(means, self.interval, self.alpha))
 
     def build(self) -> ComposedMapping:
-        """Construct the composed mapping."""
-        means = tuple(make_power_mean(ps, domain=self.interval) for ps in self.mean_specs)
-        return ComposedMapping(means, self.interval, self.alpha)
-
-    def to_json_dict(self) -> dict:
-        def endpoint(v: float) -> float | None:
-            return None if math.isinf(v) else v
-
-        return {
-            "p": self.p,
-            "interval": {
-                "lower": endpoint(self.interval.lower),
-                "upper": endpoint(self.interval.upper),
-                "lower_open": self.interval.lower_open,
-                "upper_open": self.interval.upper_open,
-            },
-            "means": [
-                {"kind": "power", "order": ps.order, "arity": ps.arity}
-                for ps in self.mean_specs
-            ],
-            "alpha": [list(row) for row in self.alpha.rows],
-        }
+        """The composed mapping, built with the spec."""
+        return self._mapping
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -107,35 +102,19 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _number(value: Any, key: str, where: str) -> float:
-    # a JSON number only: no strings, no booleans (bool is an int subclass)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where}: {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SpecError(f"{where}: {key} {value} is out of float range") from None
-
-
-def _flag(raw: dict, key: str) -> bool:
-    value = raw.get(key, True)
-    if not isinstance(value, bool):
-        raise SpecError(f"interval: {key} must be true or false, got {value!r}")
-    return value
-
-
 def _parse_interval(raw: Any) -> Interval:
     if not isinstance(raw, dict):
         raise SpecError(f"interval: expected an object, got {type(raw).__name__}")
     lower = _require(raw, "lower", "interval")
     upper = _require(raw, "upper", "interval")
-    lower = -math.inf if lower is None else _number(lower, "lower", "interval")
-    upper = math.inf if upper is None else _number(upper, "upper", "interval")
-    lower_open = _flag(raw, "lower_open")
-    upper_open = _flag(raw, "upper_open")
     try:
-        return Interval(lower, upper, lower_open, upper_open)
-    except ValueError as exc:
+        return Interval(
+            -math.inf if lower is None else lower,
+            math.inf if upper is None else upper,
+            raw.get("lower_open", True),
+            raw.get("upper_open", True),
+        )
+    except ValidationError as exc:
         raise SpecError(f"interval: {exc}") from None
 
 
@@ -144,31 +123,29 @@ def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
     if not isinstance(raw, dict):
         raise SpecError(f"{where}: expected an object, got {type(raw).__name__}")
     kind = _require(raw, "kind", where)
-    if isinstance(kind, str) and kind in KIND_ALIASES:  # a list would not hash
-        order = KIND_ALIASES[kind]
-        if "order" in raw and _number(raw["order"], "order", where) != order:
-            raise SpecError(f"{where}: kind {kind!r} fixes order {order:g}, got {raw['order']!r}")
-    elif kind == "power":
-        order = _number(_require(raw, "order", where), "order", where)
-    else:
+    alias = KIND_ALIASES.get(kind) if isinstance(kind, str) else None  # a list would not hash
+    if alias is None and kind != "power":
         raise SpecError(f"{where}: unknown mean kind {kind!r}")
+    order = _require(raw, "order", where) if alias is None else raw.get("order", alias)
     arity = _require(raw, "arity", where)
     try:
-        return PowerMeanSpec(order=order, arity=arity)
-    except ValueError as exc:
+        spec = PowerMeanSpec(order=order, arity=arity)
+    except ValidationError as exc:
         raise SpecError(f"{where}: {exc}") from None
+    if alias is not None and spec.order != alias:
+        raise SpecError(f"{where}: kind {kind!r} fixes order {alias:g}, got {raw['order']!r}")
+    return spec
 
 
 def mapping_spec_from_dict(raw: Any) -> MappingSpec:
-    """Validate a decoded JSON object; errors carry the offending location."""
+    """Validate a decoded JSON object and build its mapping; errors carry
+    the offending location."""
     if not isinstance(raw, dict):
         raise SpecError(f"spec: expected a JSON object, got {type(raw).__name__}")
     p = _require(raw, "p", "spec")
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise SpecError(f"p: must be a positive integer, got {p!r}")
     interval = _parse_interval(_require(raw, "interval", "spec"))
-    if interval.lower < 0.0 or (interval.lower == 0.0 and not interval.lower_open):
-        raise SpecError(f"interval: power means need a domain within (0, +inf), got {interval}")
 
     raw_means = _require(raw, "means", "spec")
     if not isinstance(raw_means, list):
@@ -185,15 +162,12 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     for i, row in enumerate(raw_alpha, start=1):
         if not isinstance(row, list):
             raise SpecError(f"alpha row {i}: expected a list, got {type(row).__name__}")
-        if len(row) != mean_specs[i - 1].arity:
-            raise SpecError(
-                f"alpha row {i}: {len(row)} indexes, mean {i} has arity {mean_specs[i - 1].arity}"
-            )
+    # IndexVector checks the indexes, make_power_mean the domain and
+    # ComposedMapping each row against its mean
     try:
-        alpha = IndexVector(raw_alpha)
-    except ValidationError as exc:
+        return MappingSpec(p, interval, mean_specs, IndexVector(raw_alpha))
+    except (ValidationError, ShapeError) as exc:
         raise SpecError(str(exc)) from None
-    return MappingSpec(p=p, interval=interval, mean_specs=mean_specs, alpha=alpha)
 
 
 def load_mapping_spec(source: str | bytes | Path) -> MappingSpec:
@@ -219,11 +193,6 @@ def load_mapping_spec(source: str | bytes | Path) -> MappingSpec:
     except RecursionError:
         raise SpecError("not valid JSON: nested too deeply to parse") from None
     return mapping_spec_from_dict(raw)
-
-
-def serialize_spec(spec: MappingSpec) -> str:
-    """Normalized JSON text; load_mapping_spec(serialize_spec(s)) == s."""
-    return json.dumps(spec.to_json_dict(), indent=2) + "\n"
 
 
 def fixture_path(name: str) -> Path:

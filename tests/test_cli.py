@@ -399,6 +399,17 @@ def test_readme_synopsis_names_the_parser_options():
         assert named == defined, (name, sorted(synopsis[name]))
 
 
+def test_readme_library_block_runs():
+    # the block is documentation a reader may paste: it must run as shown
+    text = README.read_text()
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].stop_reason == "converged"
+    rep = namespace["rep"]
+    assert (rep.passed, rep.n_evaluated) == (True, 100)
+
+
 def test_two_main_calls_build_one_parser(capsys, monkeypatch):
     built = []
 

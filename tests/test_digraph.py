@@ -291,6 +291,11 @@ class TestInNeighbors:
         with pytest.raises(iv.ValidationError, match="non-integer"):
             Digraph(2, frozenset({(True, 2)}))
 
+    @pytest.mark.parametrize("edges", [{(1, 2, 3)}, [1], 5, [([1], 2)]])
+    def test_edges_that_are_not_pairs_rejected(self, edges):
+        with pytest.raises(iv.ValidationError, match="edges must be pairs of vertices"):
+            Digraph(2, edges)
+
     @pytest.mark.parametrize("n", [True, 2.0, 0])
     def test_vertex_count_must_be_a_positive_int(self, n):
         # a bool is rejected here as it is as an edge vertex
@@ -531,6 +536,10 @@ class TestTgStep:
             TriStateColoring((0.5, 1, -1.2))
         with pytest.raises(iv.ValidationError):
             TriStateColoring((True, 0, -1))
+
+    def test_coloring_that_is_not_a_sequence_rejected(self):
+        with pytest.raises(iv.ValidationError, match="coloring must be a sequence, got 5"):
+            TriStateColoring(5)
 
 
 class TestTgStabilize:

@@ -129,6 +129,12 @@ class TestInvariantMeanEval:
         with pytest.raises(iv.ValidationError):
             invariant_mean_eval(ex2, (1.0,) * 4, max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, "3", None])
+    def test_max_iter_must_be_an_int_not_a_bool(self, ex2, max_iter):
+        # 2.5 used to run 3 iterations, True 1
+        with pytest.raises(iv.ValidationError, match="max_iter must be an integer >= 1"):
+            invariant_mean_eval(ex2, (1.0, 2.0, 3.0, 4.0), max_iter=max_iter)
+
 
 BAD_TOLS = (0.0, -1.0, math.nan, math.inf, -math.inf)
 

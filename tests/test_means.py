@@ -65,6 +65,25 @@ class TestInterval:
         with pytest.raises(iv.ValidationError):
             Interval(3.0, 1.0)
 
+    @pytest.mark.parametrize("value", ["0", True, None, [1], 1j])
+    def test_endpoints_must_be_real_numbers(self, value):
+        # float() would read "0" as 0.0 and True as 1.0
+        with pytest.raises(iv.ValidationError, match=r"^lower must be a number, got "):
+            Interval(value, 2.0)
+        with pytest.raises(iv.ValidationError, match=r"^upper must be a number, got "):
+            Interval(-2.0, value)
+
+    def test_endpoint_out_of_float_range(self):
+        with pytest.raises(iv.ValidationError, match=r"^upper 1000+ is out of float range$"):
+            Interval(0, 10 ** 400)
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_open_flags_must_be_bools(self, flag):
+        with pytest.raises(iv.ValidationError, match=r"^lower_open must be true or false"):
+            Interval(0.0, 1.0, lower_open=flag)
+        with pytest.raises(iv.ValidationError, match=r"^upper_open must be true or false"):
+            Interval(0.0, 1.0, upper_open=flag)
+
     def test_positive_reals(self):
         assert not POSITIVE_REALS.contains(0.0)
         assert POSITIVE_REALS.contains(1e-300)
@@ -231,6 +250,14 @@ class TestPowerMeanErrors:
             PowerMeanSpec(math.inf, 2)
         with pytest.raises(iv.ValidationError):
             PowerMeanSpec(1.0, 0)
+        with pytest.raises(iv.ValidationError, match=r"^order 1000+ is out of float range$"):
+            PowerMeanSpec(10 ** 400, 2)
+
+    @pytest.mark.parametrize("order", ["2", True, None, [1]])
+    def test_order_must_be_a_number(self, order):
+        # float() would read "2" as 2.0 and True as 1.0
+        with pytest.raises(iv.ValidationError, match=r"^order must be a number, got "):
+            PowerMeanSpec(order, 2)
 
     @pytest.mark.parametrize("arity", [True, False, 2.0, "2", None])
     def test_arity_must_be_an_int_not_a_bool(self, arity):
@@ -276,6 +303,16 @@ class TestMakePowerMean:
         monkeypatch.setattr(iv.means, "power_mean_eval", lambda *a: calls.append(a) or 0.5)
         assert m((1.0, 3.0)) == 0.5
         assert calls == [(spec, (1.0, 3.0))]
+
+
+class TestMeanFlags:
+    @pytest.mark.parametrize("name", ["strict", "monotone", "homogeneous"])
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_flags_must_be_bools(self, name, value):
+        # "no" used to count as a truth value: two `max` means with
+        # strict="no" were certified uniformly weakly contractive
+        with pytest.raises(iv.ValidationError, match=rf"^{name} must be true or false, got "):
+            MeanFlags(**{name: value})
 
 
 class TestMeanPropertyCheck:

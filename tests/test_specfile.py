@@ -1,4 +1,4 @@
-"""Spec-file schema: parsing, location-carrying errors, round-trips."""
+"""Spec-file schema: parsing, location-carrying errors, fixtures."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from invmean import (
     fixture_path,
     load_mapping_spec,
     mapping_spec_from_dict,
-    serialize_spec,
 )
 
 
@@ -210,18 +209,69 @@ class TestSchemaErrors:
             mapping_spec_from_dict(raw)
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_fixture_round_trip_is_field_identical(self, name):
-        spec = load_mapping_spec(fixture_path(name))
-        again = load_mapping_spec(serialize_spec(spec))
-        assert again == spec  # dataclass equality is field-by-field
+class TestOneCheckPerValue:
+    """The spec path rejects a value with the message of the library type
+    that holds it, under the value's location."""
 
-    def test_aliases_normalize_to_power(self):
+    @pytest.mark.parametrize(
+        "where, key, value, construct",
+        [
+            ("interval", "lower", "abc", lambda v: iv.Interval(v, math.inf)),
+            ("interval", "upper", True, lambda v: iv.Interval(0, v)),
+            ("interval", "lower", 10 ** 400, lambda v: iv.Interval(v, math.inf)),
+            ("interval", "lower_open", "no", lambda v: iv.Interval(0, math.inf, v)),
+            ("interval", "upper_open", 0, lambda v: iv.Interval(0, math.inf, True, v)),
+            ("means[2]", "order", "1.5", lambda v: iv.PowerMeanSpec(v, 2)),
+            ("means[2]", "order", math.inf, lambda v: iv.PowerMeanSpec(v, 2)),
+            ("means[2]", "arity", 0, lambda v: iv.PowerMeanSpec(1, v)),
+        ],
+    )
+    def test_value_check_has_the_constructor_text(self, where, key, value, construct):
+        with pytest.raises(iv.ValidationError) as lib:
+            construct(value)
+        raw = minimal_spec_dict()
+        entry = raw["interval"] if where == "interval" else raw["means"][1]
+        entry[key] = value
+        with pytest.raises(iv.SpecError) as spec:
+            mapping_spec_from_dict(raw)
+        assert str(spec.value) == f"{where}: {lib.value}"
+
+    def test_domain_check_has_the_make_power_mean_text(self):
+        with pytest.raises(iv.ValidationError) as lib:
+            iv.make_power_mean(iv.PowerMeanSpec(-1, 2), iv.Interval(-1, math.inf))
+        raw = minimal_spec_dict()
+        raw["interval"]["lower"] = -1
+        with pytest.raises(iv.SpecError) as spec:
+            mapping_spec_from_dict(raw)
+        assert str(spec.value) == str(lib.value)
+
+    def test_row_check_has_the_composed_mapping_text(self):
+        means = (
+            iv.make_power_mean(iv.PowerMeanSpec(-1, 2)),
+            iv.make_power_mean(iv.PowerMeanSpec(1, 2)),
+        )
+        with pytest.raises(iv.ShapeError) as lib:
+            iv.ComposedMapping(means, iv.POSITIVE_REALS, iv.IndexVector([[1], [1, 2]]))
+        raw = minimal_spec_dict()
+        raw["alpha"][0] = [1]
+        with pytest.raises(iv.SpecError) as spec:
+            mapping_spec_from_dict(raw)
+        assert str(spec.value) == str(lib.value)
+
+    def test_build_returns_the_mapping_built_at_load(self):
         spec = load_mapping_spec(fixture_path("example2.json"))
-        out = json.loads(serialize_spec(spec))
-        assert all(entry["kind"] == "power" for entry in out["means"])
-        assert [entry["order"] for entry in out["means"]] == [-1.0, 0.0, 1.0, 2.0]
+        assert spec.build() is spec.build()
+
+    def test_loading_compiles_no_step(self, monkeypatch):
+        # the mapping is built at load; its step is compiled on first use
+        names = []
+        monkeypatch.setattr(
+            iv.averaging, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
+        )
+        mappings = [load_mapping_spec(fixture_path(name)).build() for name in FIXTURES]
+        assert names == []
+        mappings[0].apply((1.0, 2.0, 3.0, 4.0))
+        assert names == ["<invmean ComposedMapping._step p=4>"]
 
 
 class TestFixtureAccess:
