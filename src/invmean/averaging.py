@@ -150,13 +150,13 @@ class ComposedMapping:
         """M(xs) for a point already in I^p, as one function compiled on
         first use, not at construction.
 
-        The function is generated from source: it reads each argument of
-        a chunk of rows once into a local and evaluates the rows straight
-        line.  A power mean built by `make_power_mean` runs the closed
-        forms of `means._power_row`, which give `power_mean_eval`'s floats
-        bit for bit without its argument checks and land in [min, max] of
-        the arguments; any other mean is called through its evaluator and
-        its value is checked against the interval (DomainError otherwise).
+        The function is generated from source: it reads the point into
+        locals and evaluates the rows straight line.  A power mean built by
+        `make_power_mean` runs the closed forms of `means._power_row`,
+        which give `power_mean_eval`'s floats bit for bit without its
+        argument checks and land in [min, max] of the arguments; any other
+        mean is called through its evaluator and its value is checked
+        against the interval (DomainError otherwise).
         So the step runs unchecked on a point in I^p and returns one."""
         return _compile_step(self)
 
@@ -214,53 +214,30 @@ class ComposedMapping:
         return point
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError(f"iteration count must be >= 0, got {n!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValidationError(f"iteration count must be an integer >= 0, got {n!r}")
         return self._validate_point(x)
-
-
-# rows per generated function: on some CPython versions compile() grows
-# faster than linearly in the length of one function (3.10 and 3.12 take
-# about 15% more per row at 1024 rows than at 64), so a long step is
-# compiled as chunks of rows and its cost stays linear in p
-_CHUNK_ROWS = 64
 
 
 def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
     """Generate, compile and bind the step function of `m` (see `_step`).
 
-    Each chunk of rows becomes one function of the point that reads the
-    arguments of its rows into locals x<j>, sets y<i> row by row (power
+    The step reads the point into locals x<j>, sets y<i> row by row (power
     rows from `means._power_row`, every other mean through its checked
-    coordinate) and returns its slice of M(xs); with one chunk that
-    function is the step, else the step joins the slices."""
-    rows = [tuple(a - 1 for a in row) for row in m.alpha.rows]
+    coordinate) and returns M(xs)."""
     checked = []
-    lines = []
-    names = []
-    for start in range(0, m.p, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, m.p)
-        name = "_step" if stop - start == m.p else f"_rows_{start}_{stop}"
-        names.append(name)
-        used = sorted({j for row in rows[start:stop] for j in row})
-        if len(used) == m.p:
-            body = [f"{''.join(f'x{j}, ' for j in used)}= xs"]
+    body = [f"{''.join(f'x{j}, ' for j in range(m.p))}= xs"]
+    for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
+        row0 = tuple(a - 1 for a in row)
+        order = _power_order(mean)
+        if order is None:
+            body.append(f"y{i} = checked[{len(checked)}](xs)")
+            checked.append(m._checked_coordinate(i + 1, mean, row0))
         else:
-            body = [f"x{j} = xs[{j}]" for j in used]
-        for i in range(start, stop):
-            order = _power_order(m.means[i])
-            if order is None:
-                body.append(f"y{i} = checked[{len(checked)}](xs)")
-                checked.append(m._checked_coordinate(i + 1, m.means[i], rows[i]))
-            else:
-                body += _power_row(order, [f"x{j}" for j in rows[i]], f"y{i}")
-        body.append(f"return ({''.join(f'y{i}, ' for i in range(start, stop))})")
-        lines.append(f"def {name}(xs):")
-        lines += [f"    {line}" for line in body]
-    if names != ["_step"]:
-        lines.append("def _step(xs):")
-        lines.append(f"    return ({''.join(f'*{name}(xs), ' for name in names)})")
-    code = compile("\n".join(lines), f"<invmean ComposedMapping._step p={m.p}>", "exec")
+            body += _power_row(order, [f"x{j}" for j in row0], f"y{i}")
+    body.append(f"return ({''.join(f'y{i}, ' for i in range(m.p))})")
+    source = "\n".join(["def _step(xs):", *(f"    {line}" for line in body)])
+    code = compile(source, f"<invmean ComposedMapping._step p={m.p}>", "exec")
     namespace = {
         "__name__": __name__,
         "means": _means,

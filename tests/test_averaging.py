@@ -207,6 +207,14 @@ class TestIterate:
         with pytest.raises(iv.ValidationError):
             example2_mapping().iterate((1.0, 1.0, 1.0, 1.0), -1)
 
+    @pytest.mark.parametrize("n", [True, False, 1.0, "1"])
+    def test_step_count_must_be_an_int_not_a_bool(self, n):
+        # bool is an int subclass, so iterate(x, True) would take one step
+        m = example2_mapping()
+        for run in (m.iterate, m.nth_iterate):
+            with pytest.raises(iv.ValidationError, match="iteration count must be an integer"):
+                run((1.0, 2.0, 3.0, 4.0), n)
+
 
 class TestOscillation:
     def test_constant(self):

@@ -272,7 +272,7 @@ class TestIterate:
         assert data["trace"] == [[1.0, 2.0, 3.0, 4.0]] * 2
 
     @pytest.mark.parametrize("order, x", [
-        (-0.5, "1.7976931348623157e308,1.797693134862315e308"),  # the root overflows
+        (-0.5, "1.7976931348623157e308,1.797693134862315e308"),  # an unpivoted root overflows
         (0.005, "1.7976931348623157e308,1.7976931348623013e308"),
     ])
     def test_largest_floats_step_without_a_traceback(self, capsys, tmp_path, order, x):

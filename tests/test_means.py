@@ -156,7 +156,7 @@ class TestPowerMeanValues:
             assert got == pytest.approx(mp_power_mean(0.0, xs), rel=4e-16, abs=0.0), xs
 
     @pytest.mark.parametrize("order, xs", [
-        (-0.5, (1.7976931348623157e308, 1.797693134862315e308)),  # the root overflows
+        (-0.5, (1.7976931348623157e308, 1.797693134862315e308)),  # an unpivoted root overflows
         (0.005, (1.7976931348623157e308, 1.7976931348623013e308)),
         (-0.5, (1.7976931348623157e308, 1.797693134862315e308, 1.7976931348623157e308)),
     ])
@@ -164,7 +164,10 @@ class TestPowerMeanValues:
         got = power_mean_eval(PowerMeanSpec(order, len(xs)), xs)
         assert min(xs) <= got <= max(xs)
         if order == -0.5:
-            assert got == max(xs)  # an overflowing root lies above max(x)
+            # no root of the pivoted power sum overflows: within 1 ulp
+            want = mp_power_mean_exact(order, xs)
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(got) - want) <= math.ulp(got)
 
     @pytest.mark.parametrize("order", [1e-300, 1e-30, -1e-12, 1e-5, -1e-4])
     def test_tiny_nonzero_orders_stay_accurate(self, order):
@@ -183,7 +186,7 @@ class TestPowerMeanValues:
 small_orders = st.builds(
     lambda sign, k: sign * 10.0 ** k,
     st.sampled_from((-1.0, 1.0)),
-    st.floats(-8.0, -2.0, exclude_max=True),
+    st.floats(-8.0, math.log10(1 / 16), exclude_max=True),
 )
 wide_arguments = st.floats(-300.0, 300.0).map(lambda k: 10.0 ** k)
 
@@ -192,9 +195,11 @@ wide_arguments = st.floats(-300.0, 300.0).map(lambda k: 10.0 ** k)
 @example(order=0.009, xs=[1e-300, 2e-300])  # every s*ln(t) near -6.2
 @example(order=-0.009, xs=[1e300, 3e299, 5e299])
 @example(order=2e-3, xs=[1e-300, 1.0])
+@example(order=0.06, xs=[1e-300, 1e300])
+@example(order=-0.06, xs=[1e-300, 1e300])
 @settings(max_examples=300, deadline=None)
 def test_small_order_error_is_of_order_u_times_the_log_range(order, xs):
-    """A small order, 0 < |s| < 1e-2, has relative error at most
+    """A small order, 0 < |s| < 1/16, has relative error at most
     8u(1 + L), u = 2^-53 and L = max|ln t|, against 50-digit mpmath.
 
     The form is ln M = ln b + log1p(mean(expm1(v_i))) / s with v_i =
@@ -224,6 +229,54 @@ def test_small_order_error_is_of_order_u_times_the_log_range(order, xs):
         rel = float(abs(mpmath.mpf(got) - want) / want)
     log_range = max(abs(math.log(t)) for t in xs)
     assert rel <= 8 * 2.0 ** -53 * (1.0 + log_range), (rel, log_range)
+
+
+power_sum_orders = st.builds(
+    lambda sign, s: sign * s,
+    st.sampled_from((-1.0, 1.0)),
+    st.one_of(st.floats(1 / 16, 8.0), st.sampled_from((1 / 16, 1.0, 2.0))),
+)
+moderate_arguments = st.floats(0.5, 4.0)
+
+
+@given(
+    order=power_sum_orders,
+    xs=st.one_of(
+        st.lists(wide_arguments, min_size=2, max_size=5),
+        st.lists(moderate_arguments, min_size=2, max_size=5),
+    ),
+)
+@example(order=1 / 16, xs=[1e-300, 1e300])
+@example(order=-1 / 16, xs=[1e-300, 1e300, 1e300])
+@example(order=8.0, xs=[1e300, 3e299])
+@example(order=-8.0, xs=[1e-300, 3e-299, 1e-299, 2e-300, 5e-300])
+@settings(max_examples=300, deadline=None)
+def test_power_sum_error_does_not_grow_with_the_log_range(order, xs):
+    """An order with |s| >= 1/16 has relative error at most
+    ((4 + ln n) / |s| + 4)u, u = 2^-53, against 50-digit mpmath, whatever
+    the magnitude of its n arguments.
+
+    The form is M = b * (fsum((t_i / b)^s) / n)^(1/s) with b the dominant
+    argument, so every term lies in [0, 1], b's own term is exactly 1 and
+    the sum S lies in [1, n].  To first order, with each rounding at most
+    u and pow's within 0.52 ulp (1.04u):
+      * t_i / b and its power: (|s| + 1.04)u on a term, and the terms other
+        than b's weigh at most 1 - 1/n of S;
+      * fsum and / n: u each (/ n is exact for n = 2 and 4);
+      * the root: a relative error e of S / n becomes e / |s|; the rounding
+        of the constant 1/s moves the root by |ln(S / n)| / |s| <= ln n / |s|
+        units of u; the power itself adds 1.04u, and b * root adds u.
+    This sums to ((1 - 1/n)1.04 + 2 + ln n) / |s| + (1 - 1/n) + 2.04, which
+    the bound rounds up.  No term depends on ln t: the pivot takes the
+    magnitude out exactly.  A ratio t / b that is subnormal or underflows
+    to 0 moves S by at most 2^(-1074|s|), below 2^-67 at |s| >= 1/16.
+    Over 8000 draws of this distribution the largest error seen was 0.37
+    of the bound (24u at s = 0.093, n = 5)."""
+    want = mp_power_mean_exact(order, xs)
+    got = power_mean_eval(PowerMeanSpec(order, len(xs)), xs)
+    with mpmath.workdps(50):
+        rel = float(abs(mpmath.mpf(got) - want) / want)
+    assert rel <= 2.0 ** -53 * ((4.0 + math.log(len(xs))) / abs(order) + 4.0), rel
 
 
 class TestPowerMeanErrors:
@@ -303,6 +356,20 @@ class TestMakePowerMean:
         monkeypatch.setattr(iv.means, "power_mean_eval", lambda *a: calls.append(a) or 0.5)
         assert m((1.0, 3.0)) == 0.5
         assert calls == [(spec, (1.0, 3.0))]
+
+
+class TestMeanFields:
+    @pytest.mark.parametrize("domain", [(0.0, math.inf), None, "(0, inf)"])
+    def test_domain_must_be_an_interval(self, domain):
+        with pytest.raises(iv.ValidationError, match="^mean domain must be an Interval, got "):
+            Mean(2, domain, max)
+
+    @pytest.mark.parametrize("flags", ["strict", True, None, {"strict": True}])
+    def test_flags_must_be_mean_flags(self, flags):
+        # flags="strict" would otherwise construct, and deciding
+        # contractivity on a mapping of such means raise AttributeError
+        with pytest.raises(iv.ValidationError, match="^mean flags must be a MeanFlags, got "):
+            Mean(2, POSITIVE_REALS, max, flags=flags)
 
 
 class TestMeanFlags:

@@ -8,7 +8,7 @@ to the results of a per-coordinate loop over the frozen copy of
 `power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
 mappings at extreme magnitudes, on each branch of the closed forms in
 both argument orders, on every row shape the generator emits (self-loop,
-one argument, three arguments, p = 1, several chunks of rows), and on a
+one argument, three arguments, p = 1, p = 1024), and on a
 mean the library did not build.
 """
 
@@ -26,10 +26,10 @@ from power_mean_oracle import power_mean_eval as oracle_power_mean
 from test_digraph import numpy_reference
 
 # the order strata of the benchmark's mixed mappings; "small" is
-# +-U(2e-3, 9e-3), the small-|s| path, and the fixed orders include the
-# two ends of that path's range
+# +-U(2e-3, 9e-3), on the small-|s| path, and the fixed orders include
+# +-1/16, the smallest orders of the power sum
 STRATA = ((-3.0, -1.0), (-1.0, -0.2), (0.0, 0.0), "small", (0.2, 2.0), (2.0, 5.0), "fixed")
-FIXED_ORDERS = (-1.0, 1.0, 2.0, -1e-2, 1e-2)
+FIXED_ORDERS = (-1.0, 1.0, 2.0, -1e-2, 1e-2, -0.0625, 0.0625)
 
 
 @st.composite
@@ -223,7 +223,33 @@ def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
 
 
 @pytest.mark.parametrize("s, x", [
-    (-0.5, (1.7976931348623157e308, 1.797693134862315e308)),  # the root overflows
+    (2.0, (1e300, 1e299)),
+    (5.0, (1e-300, 1e-299)),
+    (-3.0, (1e200, 1e250)),
+    (-1.0, (1e-307, 1e300)),
+    (0.5, (1e-300, 1e300)),
+    (1 / 16, (1e-300, 1e300)),
+    (-1 / 16, (5e-324, 1.7976931348623157e308)),
+    (8.0, (5e-324, 1.7976931348623157e308)),
+])
+def test_power_sum_row_is_one_pivoted_expression(monkeypatch, s, x):
+    # points where the unpivoted sum t**s would leave the normal floats:
+    # the pivoted row computes them itself, with no try, range test or
+    # handover, and clamps on one side only
+    row = means._power_row(s, ["x0", "x1"], "y0")
+    assert len(row) == 3 and row[0].startswith("u, w = ")
+    assert not any(word in line for line in row for word in ("try", "means.", " <= "))
+    want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
+    step = two_row_step(s)
+    handovers = []
+    power_mean = means._power_mean
+    monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
+    assert bits(step(x)) == (want, want)
+    assert handovers == []
+
+
+@pytest.mark.parametrize("s, x", [
+    (-0.5, (1.7976931348623157e308, 1.797693134862315e308)),  # an unpivoted root overflows
     (0.005, (1.7976931348623157e308, 1.7976931348623013e308)),
 ])
 def test_two_argument_closed_form_at_the_largest_floats(s, x):
@@ -427,7 +453,7 @@ class TestRowShapes:
         assert_steps_match_the_oracle(m, specs, (1e-300, 1e300), 3)
 
     def test_ring_1024_against_the_oracle(self):
-        # p = 1024 compiles as several chunks of rows; the orders cycle
+        # p = 1024 compiles as one function of 1024 rows; the orders cycle
         # through every kind, the start point through extreme magnitudes
         p = 1024
         orders = [(-3.0, -1.0, 0.0, 5e-3, -9e-3, 0.5, 1.0, 2.0, 7.0)[i % 9] for i in range(p)]
@@ -438,7 +464,7 @@ class TestRowShapes:
         assert m._step.__code__.co_filename == "<invmean ComposedMapping._step p=1024>"
 
     def test_random_rows_across_chunks(self):
-        # rows that read arguments far outside their own chunk, arities 1-3
+        # rows that read arguments far from their own index, arities 1-3
         p = 200
         rng = Random(200)
         rows = [tuple(rng.randint(1, p) for _ in range(rng.randint(1, 3))) for _ in range(p)]
