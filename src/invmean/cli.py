@@ -16,10 +16,11 @@ import functools
 import json
 import re
 import sys
+from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .averaging import CERTIFIED, FALSIFIED, oscillation
+from .averaging import CERTIFIED, FALSIFIED, ComposedMapping, oscillation
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
@@ -74,7 +75,8 @@ def _load_spec(path: str) -> MappingSpec:
         # stdin is spec text, never a path: its bytes are decoded as a file's
         stdin = getattr(sys.stdin, "buffer", None)  # None on a text-only stream
         return load_mapping_spec(stdin.read() if stdin else sys.stdin.read().encode())
-    return load_mapping_spec(path)
+    # a Path, never a str: a file named "{...}.json" is a file, not JSON text
+    return load_mapping_spec(Path(path))
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
@@ -100,8 +102,7 @@ def _parse_coloring(text: str) -> TriStateColoring:
 # commands
 
 
-def cmd_analyze(args) -> int:
-    mapping = _load_spec(args.spec).build()
+def cmd_analyze(args, mapping: ComposedMapping) -> int:
     cls = is_ergodic(mapping.graph)
     cert = mapping._contractivity
     edges = [[a, b] for a, b in mapping.graph.sorted_edges()]
@@ -131,8 +132,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_iterate(args) -> int:
-    mapping = _load_spec(args.spec).build()
+def cmd_iterate(args, mapping: ComposedMapping) -> int:
     x = _parse_point(args.x)
     if args.trace:
         points = mapping.iterate(x, args.steps)
@@ -156,8 +156,7 @@ def cmd_iterate(args) -> int:
     return EXIT_OK
 
 
-def cmd_invariant(args) -> int:
-    mapping = _load_spec(args.spec).build()
+def cmd_invariant(args, mapping: ComposedMapping) -> int:
     x = _parse_point(args.x)
     report = invariant_mean_eval(mapping, x, tol=args.tol, max_iter=args.max_iter)
     if args.json:
@@ -177,8 +176,7 @@ def cmd_invariant(args) -> int:
     return EXIT_OK if report.converged else EXIT_FALSIFIED
 
 
-def cmd_tg(args) -> int:
-    mapping = _load_spec(args.spec).build()
+def cmd_tg(args, mapping: ComposedMapping) -> int:
     c0 = _parse_coloring(args.c0)
     report = tg_stabilize(mapping.graph, c0, max_steps=args.max_steps)
     if args.json:
@@ -227,9 +225,8 @@ def _report_entry(name: str, report) -> dict:
     )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, mapping: ComposedMapping) -> int:
     _check_tol(args.tol)  # before the suite: only certified mappings read it
-    mapping = _load_spec(args.spec).build()
     rng = Random(args.seed)
     n = args.samples
     checks: list[dict] = []
@@ -352,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_spec(args.spec).build())
     except (InvMeanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

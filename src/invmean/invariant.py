@@ -280,6 +280,7 @@ def verify_invariance(
 _PROPERTIES = ("strict", "monotone", "homogeneous")
 _HOMOGENEITY_TOL = 1e-10
 _HOMOGENEITY_FACTORS = (0.5, 2.0, 10.0)
+# the monotone bump, as a share of the sample box's width
 _MONOTONE_STEP = 0.1
 
 
@@ -288,24 +289,22 @@ def verify_mean_properties(
     which: str,
     rng: Random | None = None,
     n_samples: int = 200,
-    tol: float | None = None,
 ) -> CheckReport:
     """Sampled falsification of a property of the invariant mean K.
 
     which selects one of:
       * "strict"      -- min(x) < K(x) < max(x) on nonconstant x; besides
-        random points this probes each coordinate alone (constant vector
-        with a single bumped entry), the pattern that exposes coordinates
-        K does not depend on.
-      * "monotone"    -- bumping one coordinate by +0.1 never lowers K;
-        samples whose bump leaves the interval are dropped.
-      * "homogeneous" -- K(c*x) = c*K(x) for c in {0.5, 2, 10}, relative;
-        each (x, c) pair is one sample.
+        random points this probes each coordinate alone (the middle of
+        the sample box [lo, hi] with that one entry raised to hi), the
+        pattern that exposes coordinates K does not depend on.
+      * "monotone"    -- raising one coordinate by a tenth of the sample
+        box's width never lowers K; samples whose raised coordinate
+        leaves the interval are dropped.
+      * "homogeneous" -- K(c*x) = c*K(x) for c in {0.5, 2, 10} within a
+        relative 1e-10; each (x, c) pair is one sample.
 
-    Only "homogeneous" reads tol, a relative tolerance (default 1e-10);
-    strictness and monotonicity allow the error radii plus 1e-12 scaled
-    by max(1, |max(x)|).  A tol that is passed must be finite and > 0
-    whatever which is.
+    Each comparison also allows the error radii; strictness and
+    monotonicity add 1e-12 scaled by max(1, |max(x)|).
 
     The corresponding flag must be asserted on every component mean (and
     homogeneity additionally needs the domain (0, +inf)); otherwise the
@@ -315,10 +314,6 @@ def verify_mean_properties(
     if which not in _PROPERTIES:
         raise ValidationError(f"unknown property {which!r}")
     rng = rng if rng is not None else Random(0)
-    if tol is None:
-        tol = _HOMOGENEITY_TOL
-    else:
-        _check_tol(tol)
     missing = [
         mean.label for mean in m.means if not getattr(mean.flags, which)
     ]
@@ -333,11 +328,11 @@ def verify_mean_properties(
         rep = invariant_mean_eval(m, x)
         return (rep.value, rep.error_radius) if rep.converged else (None, None)
 
+    lo, hi = sample_box(m.interval)
     if which == "strict":
-        lo, hi = sample_box(m.interval)
         mid = 0.5 * (lo + hi)
         structured = [
-            (tuple(mid * 1.3 if i == k else mid for i in range(m.p)), k + 1)
+            (tuple(hi if i == k else mid for i in range(m.p)), k + 1)
             for k in range(m.p)
         ]
         drawn = [(x, None) for x in _nonconstant_samples(m, rng, n_samples)]
@@ -356,22 +351,23 @@ def verify_mean_properties(
             return -gap, None
 
     elif which == "monotone":
+        step = _MONOTONE_STEP * (hi - lo)
         samples = [
             (x, idx % m.p)
             for idx, x in enumerate(_nonconstant_samples(m, rng, n_samples))
-            if m.interval.contains(x[idx % m.p] + _MONOTONE_STEP)
+            if m.interval.contains(x[idx % m.p] + step)
         ]
 
         def judge(sample):
             x, k = sample
             v_x, r_x = converged_value(x)
-            v_y, r_y = converged_value(x[:k] + (x[k] + _MONOTONE_STEP,) + x[k + 1:])
+            v_y, r_y = converged_value(x[:k] + (x[k] + step,) + x[k + 1:])
             if v_x is None or v_y is None:
                 return None
             drop = v_x - v_y
             if drop > r_x + r_y + _effective_tol(1e-12, x):
                 return drop, (
-                    f"K decreased by {drop:.3e} after +{_MONOTONE_STEP} on coordinate {k + 1}"
+                    f"K decreased by {drop:.3e} after +{step:g} on coordinate {k + 1}"
                 )
             return drop, None
 
@@ -390,7 +386,7 @@ def verify_mean_properties(
                 return None
             residual = abs(v_cx - c * v_x)
             rel = residual / abs(c * v_x)
-            if residual > tol * abs(c * v_x) + c * r_x + r_cx:
+            if residual > _HOMOGENEITY_TOL * abs(c * v_x) + c * r_x + r_cx:
                 return rel, f"|K({c}x) - {c}K(x)| = {residual:.3e} (relative {rel:.3e})"
             return rel, None
 

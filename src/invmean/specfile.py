@@ -18,9 +18,15 @@ see them; conversion to 0-based happens strictly below this layer.
 Loading checks the JSON shape (objects, lists, required keys, kinds, and
 p against the list lengths) and leaves every value to the type that
 holds it: `Interval` and `PowerMeanSpec` check their numbers and flags,
-`IndexVector` the indexes, and `MappingSpec`, which builds the mapping
-once, the domain and the row lengths; their errors come back as a
-SpecError that names the location.
+`IndexVector` the indexes, `make_power_mean` the domain and
+`ComposedMapping` the row lengths; their errors come back as a SpecError
+that names the location.  The mapping is built once, at load, and a
+`MappingSpec` keeps only that mapping: p, the interval, the means and
+alpha are read from it.
+
+`load_mapping_spec` reads a str that starts with '{' as JSON text; the
+command line passes a path as a `Path`, so no file name is ever read as
+JSON.
 
 A spec cannot declare flags: every mean is a library power mean, which
 is strict, monotone and homogeneous by construction, so loading runs no
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -74,22 +80,11 @@ FIXTURES = (
 
 @dataclass(frozen=True)
 class MappingSpec:
-    """The validated content of one spec file, and the mapping it defines.
+    """The mapping one spec file defines, built once at load: the checks of
+    `make_power_mean` (the domain) and `ComposedMapping` (rows against
+    means) have run; the step is compiled on first use, not here."""
 
-    Construction builds the means and the `ComposedMapping` once, so the
-    checks of `make_power_mean` (the domain) and `ComposedMapping` (rows
-    against means) run here; the step is compiled on first use, not here.
-    """
-
-    p: int
-    interval: Interval
-    mean_specs: tuple[PowerMeanSpec, ...]
-    alpha: IndexVector
-    _mapping: ComposedMapping = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        means = tuple(make_power_mean(ps, domain=self.interval) for ps in self.mean_specs)
-        object.__setattr__(self, "_mapping", ComposedMapping(means, self.interval, self.alpha))
+    _mapping: ComposedMapping
 
     def build(self) -> ComposedMapping:
         """The composed mapping, built with the spec."""
@@ -165,7 +160,9 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     # IndexVector checks the indexes, make_power_mean the domain and
     # ComposedMapping each row against its mean
     try:
-        return MappingSpec(p, interval, mean_specs, IndexVector(raw_alpha))
+        alpha = IndexVector(raw_alpha)
+        means = tuple(make_power_mean(ps, domain=interval) for ps in mean_specs)
+        return MappingSpec(ComposedMapping(means, interval, alpha))
     except (ValidationError, ShapeError) as exc:
         raise SpecError(str(exc)) from None
 

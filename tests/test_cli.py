@@ -410,6 +410,35 @@ def test_readme_library_block_runs():
     assert (rep.passed, rep.n_evaluated) == (True, 100)
 
 
+def readme_cli_examples() -> list[tuple[list[str], list[str]]]:
+    """Each `$ invmean ...` line of README.md's code blocks with the output
+    lines shown under it, less `...` lines and trailing `# ...` comments."""
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```", README.read_text(), re.S | re.M):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ invmean "):
+                shown = []
+                examples.append((line.split()[2:], shown))
+            elif shown is not None and line.strip() and line != "...":
+                shown.append(re.sub(r"\s+#.*$", "", line))
+    return examples
+
+
+def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch):
+    # the README's paths are relative to the repository root
+    monkeypatch.chdir(README.parent)
+    examples = readme_cli_examples()
+    assert len(examples) == 6
+    for argv, shown in examples:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2) and err == "", (argv, err)
+        printed = iter(out.splitlines())
+        for line in shown:
+            # each shown line appears, in the order shown
+            assert line in printed, (argv, line, out)
+
+
 def test_two_main_calls_build_one_parser(capsys, monkeypatch):
     built = []
 
@@ -616,6 +645,20 @@ class TestVerify:
         }
         assert by_name["strict"]["status"] == "pass"
 
+    def test_strict_probes_stay_inside_a_narrow_interval(self, capsys, tmp_path):
+        # each coordinate-alone probe raises one entry to the top of the
+        # sample box, never past the interval's upper end
+        raw = json.loads(fixture_path("example2.json").read_text())
+        raw["interval"] = {"lower": 1, "upper": 1.2}
+        spec = tmp_path / "narrow.json"
+        spec.write_text(json.dumps(raw))
+        code, data, err = run_json(capsys, "verify", str(spec), "--samples", "20", "--json")
+        assert (code, err) == (0, "")
+        statuses = {c["name"]: c["status"] for c in data["checks"]}
+        assert statuses.pop("certificate") == "info"
+        assert statuses.pop("homogeneous") == "skip"
+        assert set(statuses.values()) == {"pass"}
+
     def test_two_ring12_contractivity_steps_one_witness_check(self, capsys, tmp_path, monkeypatch):
         # two disjoint harmonic/arithmetic rings with loops, 6 coordinates
         # each: the witness comes from the graph, and the decision takes no
@@ -694,6 +737,14 @@ class TestSpecSourcing:
         assert code == 0
         assert data["ergodic"] is True
 
+    def test_brace_named_file_is_a_path(self, capsys, tmp_path, monkeypatch):
+        # a path argument is a file even when its name starts with '{'
+        (tmp_path / "{ex}.json").write_bytes(fixture_path("example2.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "analyze", "{ex}.json")
+        assert (code, err) == (0, "")
+        assert "ergodic: true" in out
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/spec.json")
         assert code == 1
@@ -722,6 +773,41 @@ class TestSpecSourcing:
 
 
 class TestModuleEntryPoint:
+    def test_runtime_is_pure_standard_library(self):
+        # -S keeps site-packages and its .pth hooks out of the process, so
+        # every module it loads comes from the commands themselves
+        import os
+        import subprocess
+        import sys
+
+        import invmean
+
+        script = """if True:
+            import contextlib, io, sys
+            from invmean import FIXTURES, cli, fixture_path
+            argvs = []
+            for name in FIXTURES:
+                spec = str(fixture_path(name))
+                argvs += [
+                    ["analyze", spec], ["iterate", spec, "1,2,3,4"],
+                    ["invariant", spec, "1,2,3,4"], ["tg", spec, "1,0,-1,0"],
+                    ["verify", spec, "--samples", "4"],
+                ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv) for argv in argvs]
+            print(len(codes), sorted(set(codes)))
+            names = {name.partition(".")[0] for name in sys.modules}
+            print(sorted(names - set(sys.stdlib_module_names) - {"invmean", "__main__"}))
+        """
+        src = str(Path(invmean.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "25 [0, 2]\n[]\n"
+
     def test_python_dash_m_runs_the_cli(self):
         import os
         import subprocess

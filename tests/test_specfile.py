@@ -29,11 +29,11 @@ def minimal_spec_dict():
 
 class TestParsing:
     def test_bundled_cyclic_fixture(self):
-        spec = load_mapping_spec(fixture_path("example2.json"))
-        assert spec.p == 4
-        assert [ps.order for ps in spec.mean_specs] == [-1.0, 0.0, 1.0, 2.0]
-        assert spec.alpha.rows == ((1, 2), (2, 3), (3, 4), (4, 1))
-        assert spec.interval.lower == 0.0 and math.isinf(spec.interval.upper)
+        mapping = load_mapping_spec(fixture_path("example2.json")).build()
+        assert mapping.p == 4
+        assert [m.evaluator.order for m in mapping.means] == [-1.0, 0.0, 1.0, 2.0]
+        assert mapping.alpha.rows == ((1, 2), (2, 3), (3, 4), (4, 1))
+        assert mapping.interval.lower == 0.0 and math.isinf(mapping.interval.upper)
 
     def test_build_returns_base_and_alpha(self):
         mapping = load_mapping_spec(fixture_path("example2.json")).build()
