@@ -33,10 +33,13 @@ compiled on first use: it reads the point into locals and evaluates
 each row straight line.  A power mean built by `make_power_mean` runs
 the closed forms of `means._power_row`, which give `power_mean_eval`'s
 floats bit for bit without its argument checks and land in [min, max]
-of the arguments; any other mean is called through its evaluator and its
-value is checked against I (DomainError otherwise).  Compiling costs a
-fixed time per row, which the faster steps repay after several hundred
-steps (README.md has the figures).
+of the arguments: a two-argument row orders its arguments with a branch,
+and the four named orders (harmonic, geometric, arithmetic, quadratic)
+evaluate no pow, only the correctly rounded /, * and sqrt.  Any other
+mean is called through its evaluator and its value is checked against I
+(DomainError otherwise).  Compiling costs a fixed time per row, which
+the faster steps repay after one to two hundred steps (README.md has
+the figures).
 """
 
 from __future__ import annotations
@@ -224,7 +227,9 @@ def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[flo
 
     The step reads the point into locals x<j>, sets y<i> row by row (power
     rows from `means._power_row`, every other mean through its checked
-    coordinate) and returns M(xs)."""
+    coordinate) and returns M(xs).  Its namespace holds what the rows name:
+    `means`, the checked coordinates, and sqrt, log, exp, log1p and expm1
+    from `math`."""
     checked = []
     body = [f"{''.join(f'x{j}, ' for j in range(m.p))}= xs"]
     for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
@@ -242,9 +247,7 @@ def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[flo
         "__name__": __name__,
         "means": _means,
         "checked": tuple(checked),
-        **{f.__name__: f for f in (
-            math.frexp, math.ldexp, math.log, math.exp, math.log1p, math.expm1
-        )},
+        **{f.__name__: f for f in (math.sqrt, math.log, math.exp, math.log1p, math.expm1)},
     }
     exec(code, namespace)
     step = namespace["_step"]

@@ -18,10 +18,12 @@ positive reals:
 s = 0 is an explicit branch, not a limit.  Every other order is taken
 relative to its dominant argument b (max(x) for s > 0, min(x) for
 s < 0), as b * P_s(x / b): the power sum for |s| >= 1/16 and an
-expm1/log1p form below, so no power mean overflows.  Results are clamped
-into [min(x), max(x)], so the mean property holds exactly in floating
-point and min/max oscillation brackets shrink monotonically under
-iteration.
+expm1/log1p form below, so no power mean overflows.  The four named
+means (orders -1, 0, 1, 2) evaluate no pow, only the correctly rounded
+/, * and sqrt, except the n-th root of order 0 at n >= 3.  Results are
+clamped into [min(x), max(x)], so the mean property holds exactly in
+floating point and min/max oscillation brackets shrink monotonically
+under iteration.
 """
 
 from __future__ import annotations
@@ -110,7 +112,14 @@ class Interval:
     def __str__(self) -> str:
         left = "(" if self.lower_open else "["
         right = ")" if self.upper_open else "]"
-        return f"{left}{self.lower:g}, {self.upper:g}{right}"
+        return f"{left}{_endpoint(self.lower)}, {_endpoint(self.upper)}{right}"
+
+
+def _endpoint(t: float) -> str:
+    # the short :g form only when it reads back as t, so that two close
+    # endpoints never print alike: (1, 1.0000001), not (1, 1)
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
 
 
 #: The open half-line (0, +inf), the domain of every power mean.
@@ -208,16 +217,21 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
     and positive, clamped into [min(xs), max(xs)]: the arithmetic of
     `power_mean_eval`, without its checks.
 
-    Order 0 is the n-th root of the product.  Every other order is taken
-    relative to its dominant argument b, max(xs) for s > 0 and min(xs) for
-    s < 0, so M = b * P_s(x / b), where every (t / b)^s lies in [0, 1] and
-    b's own is exactly 1.  An order with |s| >= 1/16 is the power sum
+    Order 0 is the n-th root of the product, a square root when n = 2.
+    Every other order is taken relative to its dominant argument b, max(xs)
+    for s > 0 and min(xs) for s < 0, so M = b * P_s(x / b), where every
+    (t / b)^s lies in [0, 1] and b's own is exactly 1.  An order with
+    |s| >= 1/16 is the power sum
 
         M = b * (fsum((t / b)^s) / n)^(1/s),
 
     whose sum lies in [1, n], so nothing in it overflows; a ratio that
     underflows to 0 drops a term of at most 2^(-1074|s|), which moves M
-    by at most 2^(-1074|s|) / |s| relative, below 1e-19.  A smaller order,
+    by at most 2^(-1074|s|) / |s| relative, below 1e-19.  The named
+    orders 1, -1 and 2 (arithmetic, harmonic, quadratic) write that sum
+    without pow, as hi * mean(t / hi), lo / mean(lo / t) and
+    hi * sqrt(mean((t / hi)^2)): `/`, `*` and sqrt are correctly rounded
+    and pow is not, so these forms are no less accurate.  A smaller order,
     0 < |s| < 1/16, where a dropped term weighs more and the root
     multiplies the sum's roundings by 1/|s|, is evaluated as
 
@@ -249,7 +263,14 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
                 mant = math.prod(m for m, _ in parts)
                 e = sum(e for _, e in parts)
             q, r = divmod(e, n)
-            val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
+            t = math.ldexp(mant, r)
+            val = math.ldexp(math.sqrt(t) if n == 2 else t ** (1.0 / n), q)
+        elif s == 1.0:
+            val = hi * (math.fsum([t / hi for t in xs]) / n)
+        elif s == -1.0:
+            val = lo / (math.fsum([lo / t for t in xs]) / n)
+        elif s == 2.0:
+            val = hi * math.sqrt(math.fsum([(t / hi) * (t / hi) for t in xs]) / n)
         elif abs(s) < _SMALL_ORDER:
             lb = math.log(hi if s > 0 else lo)
             val = math.exp(
@@ -273,36 +294,35 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     for bit: of two floats, a + b is the correctly rounded sum that fsum
     returns, and the dominant argument's term, 1.0 or expm1(0), is exact.
     A row that reads one local twice is that local.  Every other row opens
-    by ordering its arguments as u <= w and ends in one clamp line; it has
-    no branch for equal values, which the clamp answers as `_power_mean`'s
-    does.  Order 0 takes the root of frexp(u*w) directly when both
-    arguments lie within 2^+-509, so the product is a normal float, and
-    hands any other pair to `means._power_mean`, which the row looks up
-    when it runs.  A nonzero order is pivoted on the dominant argument as
-    in `_power_mean`: a small order takes its expm1/log1p form, any other
-    the power sum with 1/s as a constant, and neither hands over.  The
-    power sum's factor on the pivot is at most 1 for s > 0 and at least 1
-    for s < 0, so its clamp is one-sided.  A row of one or of three or
-    more arguments calls `means._power_mean`.  The lines use the
-    temporaries t, u, v, w, mant and e, and the names frexp, ldexp, log,
-    exp, log1p, expm1 and means.
+    with a branch that orders its arguments as u <= w and ends in one clamp
+    line; it has no branch for equal values, which the clamp answers as
+    `_power_mean`'s does.  Order 0 is sqrt(u * w) when both arguments lie
+    within 2^+-509, so the product is a normal float and its square root
+    is the one `_power_mean` takes on the split mantissa, and hands any
+    other pair to `means._power_mean`, which the row looks up when it
+    runs.  A nonzero order is pivoted on the dominant argument as in
+    `_power_mean`: a small order takes its expm1/log1p form, orders 1, -1
+    and 2 its pow-free forms, any other the power sum with 1/s as a
+    constant, and none hands over.  Outside the small orders the factor on
+    the pivot is at most 1 for s > 0 and at least 1 for s < 0, so the
+    clamp is one-sided.  A row of one or of three or more arguments calls
+    `means._power_mean`.  The lines use the temporaries t, u, v and w, and
+    the names sqrt, log, exp, log1p, expm1 and means.
     """
     if len(args) != 2:
         return [f"{out} = means._power_mean({s!r}, ({', '.join(args)},))"]
     a, b = args
     if a == b:
         return [f"{out} = {a}"]  # a self-loop row: the mean of equal arguments
-    head = f"u, w = ({a}, {b}) if {a} < {b} else ({b}, {a})"
+    head = [f"if {a} < {b}: u = {a}; w = {b}", f"else: u = {b}; w = {a}"]
     clamp = f"{out} = u if v < u else w if v > w else v"
     if s == 0.0:
         # two arguments in this range multiply with no underflow or
-        # overflow, and `_power_mean` takes the same product path there;
-        # e >> 1, e & 1 is divmod(e, 2)
+        # overflow, and `_power_mean` takes the same product path there
         return [
-            head,
+            *head,
             f"if {2.0 ** -509!r} < u and w < {2.0 ** 509!r}:",
-            "    mant, e = frexp(u * w)",
-            "    v = ldexp(ldexp(mant, e & 1) ** 0.5, e >> 1)",
+            "    v = sqrt(u * w)",
             f"    {clamp}",
             "else:",
             f"    {out} = means._power_mean(0.0, ({a}, {b}))",
@@ -313,16 +333,20 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
         # does not overflow: the log1p term is <= 0 for s > 0, and about
         # (log(w) - t) / 2 for s < 0
         return [
-            head,
+            *head,
             f"t = log({pivot})",
             f"v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
             clamp,
         ]
-    return [
-        head,
-        f"v = {pivot} * ((1.0 + ({other} / {pivot}) ** ({s!r})) / 2) ** ({1.0 / s!r})",
-        f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v",
-    ]
+    if s == 1.0:
+        body = ["v = w * ((1.0 + u / w) / 2)"]
+    elif s == -1.0:
+        body = ["v = u / ((1.0 + u / w) / 2)"]
+    elif s == 2.0:
+        body = ["t = u / w", "v = w * sqrt((1.0 + t * t) / 2)"]
+    else:
+        body = [f"v = {pivot} * ((1.0 + ({other} / {pivot}) ** ({s!r})) / 2) ** ({1.0 / s!r})"]
+    return [*head, *body, f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v"]
 
 
 def _within_positive_reals(domain: Interval) -> bool:

@@ -9,7 +9,14 @@ b = max(x) for s > 0 and min(x) for s < 0, on every argument, with no
 fallback to the power sum.  The power-sum branch and the threshold
 between the two were re-frozen when the package pivoted every nonzero
 order on b: M = b * (fsum((t / b)^s) / n)^(1/s) for |s| >= 1/16, with no
-rescue, range test or fallback, and the expm1/log1p form below 1/16."""
+rescue, range test or fallback, and the expm1/log1p form below 1/16.
+Orders 1, -1 and 2, and order 0 at two arguments, were re-frozen when the
+package dropped pow from the four named means: hi * (fsum(t / hi) / n),
+lo / (fsum(lo / t) / n), hi * sqrt(fsum((t / hi)^2) / n), and the square
+root of the split mantissa in place of ** 0.5.  Correctly rounded /, *
+and sqrt replace the platform's pow, which is not correctly rounded, so
+the floats of these orders moved by an ulp on some points and no
+accuracy bound changed."""
 
 from __future__ import annotations
 
@@ -54,7 +61,14 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
             mant = math.prod(m for m, _ in parts)
             e = sum(e for _, e in parts)
         q, r = divmod(e, n)
-        val = math.ldexp(math.ldexp(mant, r) ** (1.0 / n), q)
+        t = math.ldexp(mant, r)
+        val = math.ldexp(math.sqrt(t) if n == 2 else t ** (1.0 / n), q)
+    elif s == 1.0:
+        val = hi * (math.fsum(t / hi for t in xs) / n)
+    elif s == -1.0:
+        val = lo / (math.fsum(lo / t for t in xs) / n)
+    elif s == 2.0:
+        val = hi * math.sqrt(math.fsum((t / hi) * (t / hi) for t in xs) / n)
     elif abs(s) < 1 / 16:
         # the power sum of M(x / b) would cancel the whole signal and
         # amplify its rounding by 1/|s|; expm1/log1p keeps it

@@ -234,11 +234,14 @@ def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
 ])
 def test_power_sum_row_is_one_pivoted_expression(monkeypatch, s, x):
     # points where the unpivoted sum t**s would leave the normal floats:
-    # the pivoted row computes them itself, with no try, range test or
-    # handover, and clamps on one side only
+    # the pivoted row (the pow-free form at orders -1 and 2) computes them
+    # itself, with no try, range test or handover, after a branch that
+    # orders the arguments, and clamps on one side only
     row = means._power_row(s, ["x0", "x1"], "y0")
-    assert len(row) == 3 and row[0].startswith("u, w = ")
+    assert row[:2] == ["if x0 < x1: u = x0; w = x1", "else: u = x1; w = x0"]
     assert not any(word in line for line in row for word in ("try", "means.", " <= "))
+    assert row[-1] == ("y0 = u if v < u else v" if s > 0 else "y0 = w if v > w else v")
+    assert not any("y0" in line for line in row[:-1])
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     step = two_row_step(s)
     handovers = []
