@@ -27,10 +27,12 @@ proves and checks by sampling.
 Evaluation: `apply(x)` validates its argument (length, and every
 coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
 the iterations of `invariant` validate only their start point: every
-later point is the output of a step, which stays in I.  A step is one
-function per mapping, `ComposedMapping._step`, generated from source and
-compiled on first use: it reads the point into locals and evaluates
-each row straight line.  A power mean built by `make_power_mean` runs
+later point is the output of a step, which stays in I.  Every step runs
+in one k-step kernel per mapping, `ComposedMapping._steps(xs, k)`,
+generated from source and compiled on first use: it reads the point
+into locals once and evaluates each row straight line, k times over, so
+`nth_iterate` is one call and `invariant` runs blocks of steps between
+its stop tests.  A power mean built by `make_power_mean` runs
 the closed forms of `means._power_row`, which give `power_mean_eval`'s
 floats bit for bit without its argument checks and land in [min, max]
 of the arguments: a two-argument row orders its arguments with a branch,
@@ -38,8 +40,8 @@ and the four named orders (harmonic, geometric, arithmetic, quadratic)
 evaluate no pow, only the correctly rounded /, * and sqrt.  Any other
 mean is called through its evaluator and its value is checked against I
 (DomainError otherwise).  Compiling costs a fixed time per row, which
-the faster steps repay after one to two hundred steps (README.md has
-the figures).
+the faster steps repay after about a hundred steps (README.md has the
+figures).
 """
 
 from __future__ import annotations
@@ -149,27 +151,36 @@ class ComposedMapping:
         return falsify_contractivity(self)
 
     @cached_property
-    def _step(self) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
-        """M(xs) for a point already in I^p, as one function compiled on
-        first use, not at construction.
+    def _steps(self) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
+        """M^k(xs) for a point already in I^p and an int k >= 0, as one
+        function compiled on first use, not at construction.
 
         The function is generated from source: it reads the point into
-        locals and evaluates the rows straight line.  A power mean built by
-        `make_power_mean` runs the closed forms of `means._power_row`,
-        which give `power_mean_eval`'s floats bit for bit without its
-        argument checks and land in [min, max] of the arguments; any other
-        mean is called through its evaluator and its value is checked
-        against the interval (DomainError otherwise).
-        So the step runs unchecked on a point in I^p and returns one."""
-        return _compile_step(self)
+        locals and runs the rows straight line, k times over.  A power mean
+        built by `make_power_mean` runs the closed forms of
+        `means._power_row`, which give `power_mean_eval`'s floats bit for
+        bit without its argument checks and land in [min, max] of the
+        arguments; any other mean is called through its evaluator and its
+        value is checked against the interval (DomainError otherwise).
+        So the kernel runs unchecked on a point in I^p and returns one."""
+        return _compile_steps(self)
 
-    def _checked_coordinate(self, i: int, mean: Mean, row0: tuple[int, ...]) -> Callable:
+    @cached_property
+    def _nested(self) -> bool:
+        """Whether every row is a library power row.  Each such row lands in
+        [min, max] of its arguments in floating point, so min(M(x)) >=
+        min(x) and max(M(x)) <= max(x) hold exactly and the brackets of the
+        iterates are nested.  A mean the library did not build promises
+        nothing of the kind."""
+        return all(_power_order(mean) is not None for mean in self.means)
+
+    def _checked_coordinate(self, i: int, mean: Mean) -> Callable:
         # a mean the library did not build is trusted for nothing: its value
         # must lie in the interval, as the next step's argument would
         iv = self.interval
 
-        def coordinate(xs: tuple[float, ...]) -> float:
-            t = float(mean(tuple(xs[j] for j in row0)))
+        def coordinate(*args: float) -> float:
+            t = float(mean(args))
             if not iv.contains(t):
                 raise DomainError(f"mean {i} ({mean.label!r}) returned {t!r} outside {iv}")
             return t
@@ -194,27 +205,24 @@ class ComposedMapping:
         """One application: x is validated (its length, and every coordinate
         in the interval), then stepped; every power-mean coordinate of the
         result lies in [min(x), max(x)]."""
-        return self._step(self._validate_point(x))
+        return self._steps(self._validate_point(x), 1)
 
     def iterate(self, x: Sequence[float], n: int) -> tuple[tuple[float, ...], ...]:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
         point = self._validate_start(x, n)
         trace = [point]
-        if n:  # the step is compiled on first use, so only when one is taken
-            step = self._step
+        if n:  # the kernel is compiled on first use, so only when a step is taken
+            steps = self._steps
             for _ in range(n):
-                point = step(point)
+                point = steps(point, 1)
                 trace.append(point)
         return tuple(trace)
 
     def nth_iterate(self, x: Sequence[float], n: int) -> tuple[float, ...]:
-        """M^n(x), the last point of `iterate(x, n)`, without keeping the trace."""
+        """M^n(x), the last point of `iterate(x, n)`, in one kernel call."""
         point = self._validate_start(x, n)
-        if n:  # the step is compiled on first use, so only when one is taken
-            step = self._step
-            for _ in range(n):
-                point = step(point)
-        return point
+        # the kernel is compiled on first use, so only when a step is taken
+        return self._steps(point, n) if n else point
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -222,27 +230,37 @@ class ComposedMapping:
         return self._validate_point(x)
 
 
-def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
-    """Generate, compile and bind the step function of `m` (see `_step`).
+def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
+    """Generate, compile and bind the k-step kernel of `m` (see `_steps`).
 
-    The step reads the point into locals x<j>, sets y<i> row by row (power
-    rows from `means._power_row`, every other mean through its checked
-    coordinate) and returns M(xs).  Its namespace holds what the rows name:
-    `means`, the checked coordinates, and sqrt, log, exp, log1p and expm1
-    from `math`."""
+    The kernel reads the point into locals x<j> once, then k times sets
+    y<i> row by row (power rows from `means._power_row`, every other mean
+    through its checked coordinate, which takes the row's arguments as
+    locals) and hands the y<i> back to the x<j> in one tuple assignment,
+    which compiles faster than a line per row.  It returns M^k(xs).  Its
+    namespace holds what the rows name: `means`, the checked coordinates,
+    and sqrt, log, exp, log1p and expm1 from `math`."""
     checked = []
-    body = [f"{''.join(f'x{j}, ' for j in range(m.p))}= xs"]
+    body = []
     for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
-        row0 = tuple(a - 1 for a in row)
+        args = [f"x{a - 1}" for a in row]
         order = _power_order(mean)
         if order is None:
-            body.append(f"y{i} = checked[{len(checked)}](xs)")
-            checked.append(m._checked_coordinate(i + 1, mean, row0))
+            body.append(f"y{i} = checked[{len(checked)}]({', '.join(args)})")
+            checked.append(m._checked_coordinate(i + 1, mean))
         else:
-            body += _power_row(order, [f"x{j}" for j in row0], f"y{i}")
-    body.append(f"return ({''.join(f'y{i}, ' for i in range(m.p))})")
-    source = "\n".join(["def _step(xs):", *(f"    {line}" for line in body)])
-    code = compile(source, f"<invmean ComposedMapping._step p={m.p}>", "exec")
+            body += _power_row(order, args, f"y{i}")
+    xs = "".join(f"x{j}, " for j in range(m.p))
+    ys = "".join(f"y{i}, " for i in range(m.p))
+    source = "\n".join([
+        "def _steps(xs, k):",
+        f"    {xs}= xs",
+        "    for _ in range(k):",
+        *(f"        {line}" for line in body),
+        f"        {xs}= {ys}",
+        f"    return ({xs})",
+    ])
+    code = compile(source, f"<invmean ComposedMapping._steps p={m.p}>", "exec")
     namespace = {
         "__name__": __name__,
         "means": _means,
@@ -250,9 +268,9 @@ def _compile_step(m: ComposedMapping) -> Callable[[tuple[float, ...]], tuple[flo
         **{f.__name__: f for f in (math.sqrt, math.log, math.exp, math.log1p, math.expm1)},
     }
     exec(code, namespace)
-    step = namespace["_step"]
-    step.__qualname__ = "ComposedMapping._step"
-    return step
+    steps = namespace["_steps"]
+    steps.__qualname__ = "ComposedMapping._steps"
+    return steps
 
 
 def oscillation(x: Sequence[float]) -> float:

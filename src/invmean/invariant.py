@@ -13,16 +13,21 @@ radius reads 0 although K(x) may differ from that float in its last
 bits, so the radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  It validates the start point
-once and then calls the mapping's compiled step: one generated function
-that evaluates every row straight line with the arithmetic of
-`power_mean_eval`, without re-checking the arguments (see `averaging`).
-Non-convergence (periodic or disconnected incidence structure) is a
-structured report, never an exception, so callers can inspect the final
-iterate; its stop_reason tells a stall from the iteration cap.  When the
-incidence graph has no invariant mean K (several initial classes, or one
-that is periodic), the same iteration brackets each cyclic class of each
-initial class that the graph's classification records, and reports the
-limit of each.
+once and then calls the mapping's compiled kernel: one generated function
+that takes k steps, evaluating every row straight line with the
+arithmetic of `power_mean_eval`, without re-checking the arguments (see
+`averaging`).  The stop rule is tested once per block of k steps, and
+the report is float for float the one a test after every step gives: a
+library power row lands in [min, max] of its arguments in floating
+point, so the brackets of the iterates are nested, and an oscillation
+at or above the threshold at a block's end was there at every step
+inside the block.  Non-convergence (periodic or disconnected incidence
+structure) is a structured report, never an exception, so callers can
+inspect the final iterate; its stop_reason tells a stall from the
+iteration cap.  When the incidence graph has no invariant mean K
+(several initial classes, or one that is periodic), the same iteration
+brackets each cyclic class of each initial class that the graph's
+classification records, and reports the limit of each.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `check_oscillation_monotonicity`, `check_bracket_dichotomy`,
@@ -81,6 +86,8 @@ class ConvergenceReport:
     stop_reason says what ended the run: "converged", "classes-converged"
     (the graph has no K and every cyclic-class bracket closed), "stalled"
     (a whole stall window without a measurable shrink) or "max_iter".
+    iterations_used counts steps, not the calls of the mapping's compiled
+    kernel, which takes a block of steps per call.
 
     classes is empty when K exists.  Otherwise it holds one
     (vertices, value, error_radius) per cyclic class, ordered by initial
@@ -172,8 +179,26 @@ def invariant_mean_eval(
 
     tol must be finite and > 0 and max_iter an int >= 1, not a bool
     (ValidationError).  Only the start point is validated; the steps run
-    the mapping's compiled step unchecked (`ComposedMapping._step`,
-    compiled on the mapping's first use).
+    unchecked in the mapping's compiled kernel (`ComposedMapping._steps`,
+    compiled on the mapping's first step), a block of k steps per call.
+
+    The stop rule is tested at the end of each block, and the report is
+    the one a test after every step gives.  Every library power row lands
+    in [min, max] of its arguments, so in floating point min(y) never
+    drops and max(y) never rises, and the same holds for each class
+    bracket: an oscillation still >= threshold at a block's end was >=
+    threshold at every step inside the block.  A block ends at the next
+    stall test (anchor + window) and at max_iter at the latest, and a
+    block that crosses the threshold is bisected, by kernel calls from
+    the last point known above it, for the first step below it.  The
+    first block is one step.  Each next one takes at most half the steps
+    left that the last block's rate of shrink of log(osc) per step
+    forecasts, rounded up; it is at least one step, and at most twice the
+    last one, or as long as the last one when that rate grew (superlinear
+    convergence, where the forecast comes out long).  A mean the library
+    did not build may leave the bracket, so a mapping with one runs one
+    step per block and stops, or raises DomainError, at the same step as
+    well.
     """
     _check_tol(tol)
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
@@ -189,29 +214,68 @@ def invariant_mean_eval(
     # a singleton has no spread, and itemgetter of one index returns no tuple
     getters = [itemgetter(*c) for c in classes if len(c) > 1]
 
-    def class_spread(y):
+    def spread(y):
+        if not classes:
+            return max(y) - min(y)
         return max([max(t) - min(t) for t in [g(y) for g in getters]], default=0.0)
 
     y = xs
-    # the whole-vector oscillation stays inline: a call per step slowed
-    # the bench's `solve` ops by about 2%
-    osc = class_spread(y) if classes else max(y) - min(y)
-    # the step is compiled on first use: a closed start bracket takes none
-    step = m._step if osc >= threshold else None
+    osc = spread(y)
+    # the kernel is compiled on first use: a closed start bracket takes no step
+    steps = m._steps if osc >= threshold else None
     n = 0
     anchor_osc = osc
     anchor_n = 0
     stalled = False
+    # a block of steps ends at the next stall test and at max_iter at the
+    # latest; its length k stays 1 unless the brackets are nested
+    stop = min(window, max_iter)
+    k = 1
+    nested = m._nested
+    if nested and osc >= threshold:
+        log_threshold = math.log(threshold)
+        log_osc = math.log(osc)
+        rate = 0.0  # the shrink of log(osc) per step over the last block
     while osc >= threshold and n < max_iter:
-        y = step(y)
-        n += 1
-        osc = class_spread(y) if classes else max(y) - min(y)
+        if k > stop - n:
+            k = stop - n
+        z = steps(y, k)
+        z_osc = spread(z)
+        if z_osc < threshold and k > 1:
+            # with nested brackets the oscillation stays >= threshold up to
+            # the step that crossed: bisect the block for that step, each
+            # probe stepping on from the last point known above threshold
+            lo, w = 0, y
+            while k - lo > 1:
+                mid = (lo + k) // 2
+                v = steps(w, mid - lo)
+                v_osc = spread(v)
+                if v_osc >= threshold:
+                    lo, w = mid, v
+                else:
+                    k, z, z_osc = mid, v, v_osc
+        y, osc, n = z, z_osc, n + k
         if n - anchor_n >= window:
             if osc > anchor_osc * (1.0 - 1e-12):
                 stalled = True  # no measurable shrink across the window
                 break
             anchor_osc = osc
             anchor_n = n
+            stop = min(n + window, max_iter)
+        if nested and osc >= threshold:
+            # the next block is twice the last unless the rate of shrink
+            # grew, as it does where the convergence is superlinear (the
+            # harmonic/arithmetic pairs), and it takes at most half the
+            # steps left that the last block's rate forecasts: a block that
+            # overshoots costs its own length again to bisect, and the rate
+            # of a block is off by about a step's worth
+            last, log_osc = log_osc, math.log(osc)
+            shrink = (last - log_osc) / k
+            cap = 2 * k if shrink <= rate else k
+            rate = shrink
+            if cap > 1:
+                left = (log_osc - log_threshold) / shrink if shrink > 0.0 else math.inf
+                k = cap if left > 2 * cap else max(1, math.ceil(left / 2))
     if osc < threshold:
         stop_reason = "classes-converged" if classes else "converged"
     else:

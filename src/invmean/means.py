@@ -193,7 +193,7 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     Every argument must be strictly positive and finite (the domain is the
     open half-line, checked without tolerance).  The result is clamped into
     [min(x), max(x)].  The arithmetic is `_power_mean`, which a mapping's
-    compiled step calls or restates (`_power_row`).
+    compiled kernel calls or restates (`_power_row`).
 
     Raises ShapeError on an arity mismatch and DomainError on arguments
     outside (0, +inf).
@@ -288,7 +288,7 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
 def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     """Python source lines that set the local `out` to `_power_mean(s, args)`,
     where `args` name locals that hold finite positive floats: one row of a
-    mapping's compiled step (`averaging.ComposedMapping._step`).
+    mapping's compiled kernel (`averaging.ComposedMapping._steps`).
 
     Two-argument rows are closed forms that give `_power_mean`'s result bit
     for bit: of two floats, a + b is the correctly rounded sum that fsum

@@ -184,7 +184,7 @@ class TestCompileOnce:
         )
         code, _, _ = run(capsys, *argv)
         assert code in (0, 2)
-        assert names == ["<invmean ComposedMapping._step p=4>"] * compiles
+        assert names == ["<invmean ComposedMapping._steps p=4>"] * compiles
 
     def test_cycle_needs_no_step(self, capsys, monkeypatch, tmp_path):
         # every cyclic class of the 6-cycle is one vertex, so every class
@@ -673,23 +673,26 @@ class TestVerify:
         }
         spec = tmp_path / "two_rings12.json"
         spec.write_text(json.dumps(raw))
-        calls, decisions = [], []
+        steps, decisions = [], []
         decide = averaging.falsify_contractivity
 
         def counted(mapping):
             decisions.append(1)
-            # the compiled step is cached on the instance, so it is counted there
-            step = mapping._step
-            monkeypatch.setitem(vars(mapping), "_step", lambda xs: calls.append(1) or step(xs))
+            # the compiled kernel is cached on the instance, so it is counted
+            # there, by the k steps of each call
+            kernel = mapping._steps
+            monkeypatch.setitem(
+                vars(mapping), "_steps", lambda xs, k: steps.append(k) or kernel(xs, k)
+            )
             try:
                 return decide(mapping)
             finally:
-                monkeypatch.setitem(vars(mapping), "_step", step)
+                monkeypatch.setitem(vars(mapping), "_steps", kernel)
 
         monkeypatch.setattr(averaging, "falsify_contractivity", counted)
         code, data, _ = run_json(capsys, "verify", str(spec), "--samples", "4", "--json")
         assert code == 2
-        assert (len(decisions), len(calls)) == (1, 0)
+        assert (len(decisions), sum(steps)) == (1, 0)
         contractivity = {c["name"]: c for c in data["checks"]}["contractivity"]
         assert contractivity["status"] == "fail"
         assert contractivity["witnesses"][0]["point"] == [1.0] * 6 + [2.0] * 6

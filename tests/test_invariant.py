@@ -472,13 +472,14 @@ class TestBracketDichotomySteps:
         )
         assert iv.falsify_contractivity(m).n0 == 3 ** 12
         assert iv.is_ergodic(m.graph).uniform_walk_length == 11
-        calls = []
-        # the compiled step is cached on the instance, so it is counted there
-        step = m._step
-        monkeypatch.setitem(vars(m), "_step", lambda xs: calls.append(1) or step(xs))
+        steps = []
+        # the compiled kernel is cached on the instance, so it is counted
+        # there, by the k steps of each call
+        kernel = m._steps
+        monkeypatch.setitem(vars(m), "_steps", lambda xs, k: steps.append(k) or kernel(xs, k))
         report = check_bracket_dichotomy(m, Random(4), n_samples=7)
         assert report.passed and report.n_evaluated == 7
-        assert len(calls) == 7 * 11
+        assert sum(steps) == 7 * 11
 
     def test_q0_is_enough_and_sharp_on_every_ergodic_four_vertex_graph(self, census4):
         # the one-low vector at v has S_max = V \ {v} and S_min = {v}: after

@@ -1,14 +1,14 @@
-"""The compiled step of a composed mapping against the frozen reference.
+"""The compiled kernel of a composed mapping against the frozen reference.
 
-`ComposedMapping._step` is one function generated from source on the
-first step: it evaluates every row straight line, with the closed forms
-of `means._power_row` for two-argument power means and no argument
-checks.  These tests hold it, `apply`, `iterate` and `invariant_mean_eval`
-to the results of a per-coordinate loop over the frozen copy of
-`power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
-mappings at extreme magnitudes, on each branch of the closed forms in
-both argument orders, on every row shape the generator emits (self-loop,
-one argument, three arguments, p = 1, p = 1024), and on a
+`ComposedMapping._steps` is one k-step kernel generated from source on
+the first step: it evaluates every row straight line, k times over, with
+the closed forms of `means._power_row` for two-argument power means and
+no argument checks.  These tests hold it, `apply`, `iterate` and
+`invariant_mean_eval` to the results of a per-coordinate loop over the
+frozen copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit:
+on random mappings at extreme magnitudes, on each branch of the closed
+forms in both argument orders, on every row shape the generator emits
+(self-loop, one argument, three arguments, p = 1, p = 1024), and on a
 mean the library did not build.
 """
 
@@ -117,7 +117,7 @@ class TestBitIdentity:
     def test_step_and_apply_match_the_oracle(self, case):
         m, specs, x = case
         want = bits(oracle_apply(m, specs, x))
-        assert bits(m._step(x)) == want
+        assert bits(m._steps(x, 1)) == want
         assert bits(m.apply(x)) == want
 
     @given(case=mapping_and_point())
@@ -207,7 +207,7 @@ def two_row_step(s):
     mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
     return iv.ComposedMapping(
         (mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1)))
-    )._step
+    )._steps
 
 
 @pytest.mark.parametrize("s, x", [
@@ -219,7 +219,7 @@ def two_row_step(s):
 ])
 def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
-    assert bits(two_row_step(s)(x)) == (want, want)
+    assert bits(two_row_step(s)(x, 1)) == (want, want)
 
 
 @pytest.mark.parametrize("s, x", [
@@ -247,7 +247,7 @@ def test_power_sum_row_is_one_pivoted_expression(monkeypatch, s, x):
     handovers = []
     power_mean = means._power_mean
     monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
-    assert bits(step(x)) == (want, want)
+    assert bits(step(x, 1)) == (want, want)
     assert handovers == []
 
 
@@ -305,7 +305,7 @@ def test_order_0_and_small_order_closed_forms(monkeypatch, s, x, branch):
     handovers = []
     power_mean = means._power_mean
     monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
-    assert bits(step(x)) == (want, want)
+    assert bits(step(x, 1)) == (want, want)
     assert len(handovers) == (2 if branch == "handover" else 0)
 
 
@@ -316,27 +316,27 @@ class TestPlan:
             averaging, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False
         )
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
-        assert "_step" not in vars(m) and compiled == []
+        assert "_steps" not in vars(m) and compiled == []
         m.apply((1.0, 2.0, 3.0, 4.0))
-        step = vars(m)["_step"]
-        assert step.__qualname__ == "ComposedMapping._step"
-        assert step.__code__.co_filename == "<invmean ComposedMapping._step p=4>"
+        steps = vars(m)["_steps"]
+        assert steps.__qualname__ == "ComposedMapping._steps"
+        assert steps.__code__.co_filename == "<invmean ComposedMapping._steps p=4>"
         m.nth_iterate((1.0, 2.0, 3.0, 4.0), 5)
-        assert m._step is step
-        assert compiled == ["<invmean ComposedMapping._step p=4>"]
+        assert m._steps is steps
+        assert compiled == ["<invmean ComposedMapping._steps p=4>"]
 
     def test_no_step_taken_compiles_nothing(self):
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
         x = (1.0, 2.0, 3.0, 4.0)
         assert m.iterate(x, 0) == (x,)
-        assert "_step" not in vars(m)
+        assert "_steps" not in vars(m)
         assert m.nth_iterate(x, 0) == x
-        assert "_step" not in vars(m)
+        assert "_steps" not in vars(m)
         report = iv.invariant_mean_eval(m, (2.5,) * 4)  # a constant start is converged
         assert report.iterations_used == 0 and report.value == 2.5
-        assert "_step" not in vars(m)
+        assert "_steps" not in vars(m)
         assert m.nth_iterate(x, 1) == m.iterate(x, 1)[1]
-        assert "_step" in vars(m)
+        assert "_steps" in vars(m)
 
     def test_repackaged_power_mean_evaluator_keeps_its_checks(self):
         # a power mean's evaluator inside a Mean on a domain reaching below 0
@@ -409,7 +409,7 @@ def assert_steps_match_the_oracle(m, specs, x, n):
     y = x
     for _ in range(n):
         y_want = oracle_apply(m, specs, y)
-        assert bits(m._step(y)) == bits(y_want)
+        assert bits(m._steps(y, 1)) == bits(y_want)
         y = y_want
 
 
@@ -464,7 +464,7 @@ class TestRowShapes:
         rng = Random(1024)
         x = tuple(rng.uniform(1.0, 9.99) * 10.0 ** rng.randint(-300, 300) for _ in range(p))
         assert_steps_match_the_oracle(m, specs, x, 6)
-        assert m._step.__code__.co_filename == "<invmean ComposedMapping._step p=1024>"
+        assert m._steps.__code__.co_filename == "<invmean ComposedMapping._steps p=1024>"
 
     def test_random_rows_across_chunks(self):
         # rows that read arguments far from their own index, arities 1-3

@@ -271,7 +271,7 @@ class TestOneCheckPerValue:
         mappings = [load_mapping_spec(fixture_path(name)).build() for name in FIXTURES]
         assert names == []
         mappings[0].apply((1.0, 2.0, 3.0, 4.0))
-        assert names == ["<invmean ComposedMapping._step p=4>"]
+        assert names == ["<invmean ComposedMapping._steps p=4>"]
 
 
 class TestFixtureAccess:
