@@ -32,12 +32,15 @@ in one k-step kernel per mapping, `ComposedMapping._steps(xs, k)`,
 generated from source and compiled on first use: it reads the point
 into locals once and evaluates each row straight line, k times over, so
 `nth_iterate` is one call and `invariant` runs blocks of steps between
-its stop tests.  A power mean built by `make_power_mean` runs
-the closed forms of `means._power_row`, which give `power_mean_eval`'s
-floats bit for bit without its argument checks and land in [min, max]
-of the arguments: a two-argument row orders its arguments with a branch,
-and the four named orders (harmonic, geometric, arithmetic, quadratic)
-evaluate no pow, only the correctly rounded /, * and sqrt.  Any other
+its stop tests.  A power mean built by `make_power_mean`, of any
+arity, runs the inline arithmetic of `means._power_row`, which gives
+`power_mean_eval`'s floats bit for bit without its argument checks,
+lands in [min, max] of the arguments and calls no function of `means`:
+a two-argument row orders its arguments with a branch, a longer one
+takes min and max, and the four named orders (harmonic, geometric,
+arithmetic, quadratic) evaluate no pow, only the correctly rounded /, *
+and sqrt, except the n-th root of order 0 at three or more arguments.
+The new values go back to the locals one line per row.  Any other
 mean is called through its evaluator and its value is checked against I
 (DomainError otherwise).  Compiling costs a fixed time per row, which
 the faster steps repay after about a hundred steps (README.md has the
@@ -49,9 +52,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from . import means as _means
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError
 from .means import Interval, Mean, _power_order, _power_row, sample_box
@@ -157,9 +160,9 @@ class ComposedMapping:
 
         The function is generated from source: it reads the point into
         locals and runs the rows straight line, k times over.  A power mean
-        built by `make_power_mean` runs the closed forms of
-        `means._power_row`, which give `power_mean_eval`'s floats bit for
-        bit without its argument checks and land in [min, max] of the
+        built by `make_power_mean` runs the inline arithmetic of
+        `means._power_row`, which gives `power_mean_eval`'s floats bit for
+        bit without its argument checks and lands in [min, max] of the
         arguments; any other mean is called through its evaluator and its
         value is checked against the interval (DomainError otherwise).
         So the kernel runs unchecked on a point in I^p and returns one."""
@@ -173,6 +176,31 @@ class ComposedMapping:
         iterates are nested.  A mean the library did not build promises
         nothing of the kind."""
         return all(_power_order(mean) is not None for mean in self.means)
+
+    @cached_property
+    def _iteration(self) -> tuple[tuple[list[int], ...], Callable[[tuple[float, ...]], float], int]:
+        """What `invariant.invariant_mean_eval` reads of the mapping alone,
+        derived on its first call: (classes, spread, window).  classes is
+        () when the incidence graph has exactly one initial class and it is
+        aperiodic (K exists), else the 0-based vertices of each cyclic
+        class of each initial class, as the graph's classification records
+        them.  spread(y) is the oscillation the iteration drives below its
+        threshold: max(y) - min(y), or the largest one over the classes.
+        window is the stall window, max(200, 2*((p-1)^2 + 1)) steps."""
+        cls = is_ergodic(self.graph)
+        classes = () if cls.one_aperiodic_initial_class else tuple(
+            [v for v in range(self.p) if mask >> v & 1]
+            for c in cls.initial_classes for mask in c.cyclic_classes
+        )
+        # a singleton has no spread, and itemgetter of one index returns no tuple
+        getters = [itemgetter(*c) for c in classes if len(c) > 1]
+
+        def spread(y: tuple[float, ...]) -> float:
+            if not classes:
+                return max(y) - min(y)
+            return max([max(t) - min(t) for t in [g(y) for g in getters]], default=0.0)
+
+        return classes, spread, max(200, 2 * ((self.p - 1) ** 2 + 1))
 
     def _checked_coordinate(self, i: int, mean: Mean) -> Callable:
         # a mean the library did not build is trusted for nothing: its value
@@ -236,10 +264,10 @@ def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tup
     The kernel reads the point into locals x<j> once, then k times sets
     y<i> row by row (power rows from `means._power_row`, every other mean
     through its checked coordinate, which takes the row's arguments as
-    locals) and hands the y<i> back to the x<j> in one tuple assignment,
-    which compiles faster than a line per row.  It returns M^k(xs).  Its
-    namespace holds what the rows name: `means`, the checked coordinates,
-    and sqrt, log, exp, log1p and expm1 from `math`."""
+    locals) and hands the y<i> back to the x<j> one line per row, with no
+    tuple built or unpacked.  It returns M^k(xs).  Its namespace holds
+    what the rows name: the checked coordinates, and sqrt, log, log2, exp,
+    log1p, expm1, frexp, ldexp and fsum from `math`."""
     checked = []
     body = []
     for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
@@ -251,21 +279,22 @@ def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tup
         else:
             body += _power_row(order, args, f"y{i}")
     xs = "".join(f"x{j}, " for j in range(m.p))
-    ys = "".join(f"y{i}, " for i in range(m.p))
     source = "\n".join([
         "def _steps(xs, k):",
         f"    {xs}= xs",
         "    for _ in range(k):",
         *(f"        {line}" for line in body),
-        f"        {xs}= {ys}",
+        *(f"        x{i} = y{i}" for i in range(m.p)),
         f"    return ({xs})",
     ])
     code = compile(source, f"<invmean ComposedMapping._steps p={m.p}>", "exec")
     namespace = {
         "__name__": __name__,
-        "means": _means,
         "checked": tuple(checked),
-        **{f.__name__: f for f in (math.sqrt, math.log, math.exp, math.log1p, math.expm1)},
+        **{f.__name__: f for f in (
+            math.sqrt, math.log, math.log2, math.exp, math.log1p, math.expm1,
+            math.frexp, math.ldexp, math.fsum,
+        )},
     }
     exec(code, namespace)
     steps = namespace["_steps"]

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
@@ -205,20 +204,7 @@ def invariant_mean_eval(
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
-    window = max(200, 2 * ((m.p - 1) ** 2 + 1))
-    graph = is_ergodic(m.graph)
-    classes = () if graph.one_aperiodic_initial_class else tuple(
-        [v for v in range(m.p) if mask >> v & 1]
-        for c in graph.initial_classes for mask in c.cyclic_classes
-    )
-    # a singleton has no spread, and itemgetter of one index returns no tuple
-    getters = [itemgetter(*c) for c in classes if len(c) > 1]
-
-    def spread(y):
-        if not classes:
-            return max(y) - min(y)
-        return max([max(t) - min(t) for t in [g(y) for g in getters]], default=0.0)
-
+    classes, spread, window = m._iteration
     y = xs
     osc = spread(y)
     # the kernel is compiled on first use: a closed start bracket takes no step
@@ -479,15 +465,17 @@ def check_oscillation_monotonicity(
     def judge(x):
         trace = m.iterate(x, _MONOTONICITY_STEPS)
         worst = 0.0
-        for k in range(1, len(trace)):
-            lo, hi = min(trace[k - 1]), max(trace[k - 1])
-            drop = lo - min(trace[k])  # > 0 means the bracket widened
-            rise = max(trace[k]) - hi
+        lo, hi = min(trace[0]), max(trace[0])  # the previous point's ends, carried forward
+        for k, y in enumerate(trace[1:], start=1):
+            y_lo, y_hi = min(y), max(y)
+            drop = lo - y_lo  # > 0 means the bracket widened
+            rise = y_hi - hi
             worst = max(worst, drop, rise)
             if drop > math.ulp(lo) or rise > math.ulp(hi):
                 return worst, (
                     f"bracket widened at step {k}: min dropped {drop:.3e}, max rose {rise:.3e}"
                 )
+            lo, hi = y_lo, y_hi
         return worst, None
 
     return sweep("oscillation-monotonicity", _nonconstant_samples(m, rng, n_samples), judge)

@@ -193,7 +193,7 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     Every argument must be strictly positive and finite (the domain is the
     open half-line, checked without tolerance).  The result is clamped into
     [min(x), max(x)].  The arithmetic is `_power_mean`, which a mapping's
-    compiled kernel calls or restates (`_power_row`).
+    compiled kernel restates (`_power_row`).
 
     Raises ShapeError on an arity mismatch and DomainError on arguments
     outside (0, +inf).
@@ -225,62 +225,74 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
 
         M = b * (fsum((t / b)^s) / n)^(1/s),
 
-    whose sum lies in [1, n], so nothing in it overflows; a ratio that
-    underflows to 0 drops a term of at most 2^(-1074|s|), which moves M
-    by at most 2^(-1074|s|) / |s| relative, below 1e-19.  The named
-    orders 1, -1 and 2 (arithmetic, harmonic, quadratic) write that sum
-    without pow, as hi * mean(t / hi), lo / mean(lo / t) and
-    hi * sqrt(mean((t / hi)^2)): `/`, `*` and sqrt are correctly rounded
-    and pow is not, so these forms are no less accurate.  A smaller order,
-    0 < |s| < 1/16, where a dropped term weighs more and the root
-    multiplies the sum's roundings by 1/|s|, is evaluated as
+    and a ratio that underflows to 0 drops a term of at most
+    2^(-1074|s|), which moves M by at most 2^(-1074|s|) / |s| relative,
+    below 1e-19.  The named orders 1, -1 and 2 (arithmetic, harmonic,
+    quadratic) write that sum without pow, as hi * mean(t / hi),
+    lo / mean(lo / t) and hi * sqrt(mean((t / hi)^2)): `/`, `*` and sqrt
+    are correctly rounded and pow is not, so these forms are no less
+    accurate.  A smaller order, 0 < |s| < 1/16, where a dropped term weighs
+    more and the root multiplies the sum's roundings by 1/|s|, is
+    evaluated as
 
         ln M = ln b + log1p(mean(expm1(s * (ln t - ln b)))) / s,
 
     so every expm1 lies in (-1, 0], the mean of 1 + expm1 is at least 1/n
     and log1p does not cancel; the relative error is of order
-    u * (1 + max|ln t|), and ln M comes out at most the largest ln t, so
-    exp does not overflow.  No power mean raises OverflowError: a value
-    that overflows lies above max(xs), the clamp's answer for it.  Equal
-    arguments take no branch of their own: whatever a path computes, the
-    clamp into [a, a] returns a.
+    u * (1 + max|ln t|).  Equal arguments take no branch of their own:
+    whatever a path computes, the clamp into [a, a] returns a.
+
+    No power mean raises OverflowError, and no path needs to catch one:
+      * order 0: every partial product lies between min(1, lo^n) and
+        max(1, hi^n), so it stays a normal float where the product is
+        taken whole, and the mantissas lie in [1/2, 1) where it is not;
+        the root of mant * 2^r lies in [1/2, 2), and ldexp by q could
+        pass the largest float only with q = 1024, that is when every
+        argument lies in [2^1023, 2^1024), whose mantissa product is then
+        at most about 1 - n * 2^-53, and its n-th root rounds to at most
+        1 - 2^-53, not to 1;
+      * the power sum: every term is at most 1, so the sum lies in
+        [1, n] and its mean in [1/n, 1]; the root of the mean is at most
+        1 for s > 0 and at most n^16 for s <= -1/16, and the product with
+        b is a float multiplication, which does not raise;
+      * the small orders: ln M comes out at most the largest ln t, as
+        the log1p term is at most 0 for s > 0 and about half the spread
+        of the logs for s < 0, and exp of the log of the largest float is
+        finite, so exp does not overflow.
     """
     lo = min(xs)
     hi = max(xs)
     n = len(xs)
-    try:
-        if s == 0.0:
-            # take the n-th root of the mantissa times 2^r only, with the
-            # exponent split as q*n + r, so 2^q is exact and the rounding of
-            # 1/n is not multiplied by |ln prod|; every partial product lies
-            # between min(1, lo^n) and max(1, hi^n), and when that range can
-            # leave the normal floats the mantissas and exponents are
-            # multiplied apart
-            if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
-                mant, e = math.frexp(math.prod(xs))
-            else:
-                parts = [math.frexp(t) for t in xs]
-                mant = math.prod(m for m, _ in parts)
-                e = sum(e for _, e in parts)
-            q, r = divmod(e, n)
-            t = math.ldexp(mant, r)
-            val = math.ldexp(math.sqrt(t) if n == 2 else t ** (1.0 / n), q)
-        elif s == 1.0:
-            val = hi * (math.fsum([t / hi for t in xs]) / n)
-        elif s == -1.0:
-            val = lo / (math.fsum([lo / t for t in xs]) / n)
-        elif s == 2.0:
-            val = hi * math.sqrt(math.fsum([(t / hi) * (t / hi) for t in xs]) / n)
-        elif abs(s) < _SMALL_ORDER:
-            lb = math.log(hi if s > 0 else lo)
-            val = math.exp(
-                lb + math.log1p(math.fsum([math.expm1(s * (math.log(t) - lb)) for t in xs]) / n) / s
-            )
+    if s == 0.0:
+        # take the n-th root of the mantissa times 2^r only, with the
+        # exponent split as q*n + r, so 2^q is exact and the rounding of
+        # 1/n is not multiplied by |ln prod|; every partial product lies
+        # between min(1, lo^n) and max(1, hi^n), and when that range can
+        # leave the normal floats the mantissas and exponents are
+        # multiplied apart
+        if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
+            mant, e = math.frexp(math.prod(xs))
         else:
-            b = hi if s > 0 else lo
-            val = b * (math.fsum([(t / b) ** s for t in xs]) / n) ** (1.0 / s)
-    except OverflowError:
-        val = hi
+            parts = [math.frexp(t) for t in xs]
+            mant = math.prod(m for m, _ in parts)
+            e = sum(e for _, e in parts)
+        q, r = divmod(e, n)
+        t = math.ldexp(mant, r)
+        val = math.ldexp(math.sqrt(t) if n == 2 else t ** (1.0 / n), q)
+    elif s == 1.0:
+        val = hi * (math.fsum([t / hi for t in xs]) / n)
+    elif s == -1.0:
+        val = lo / (math.fsum([lo / t for t in xs]) / n)
+    elif s == 2.0:
+        val = hi * math.sqrt(math.fsum([(t / hi) * (t / hi) for t in xs]) / n)
+    elif abs(s) < _SMALL_ORDER:
+        lb = math.log(hi if s > 0 else lo)
+        val = math.exp(
+            lb + math.log1p(math.fsum([math.expm1(s * (math.log(t) - lb)) for t in xs]) / n) / s
+        )
+    else:
+        b = hi if s > 0 else lo
+        val = b * (math.fsum([(t / b) ** s for t in xs]) / n) ** (1.0 / s)
     # round toward the bracket: the exact value lies strictly inside it
     return min(max(val, lo), hi)
 
@@ -290,63 +302,90 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     where `args` name locals that hold finite positive floats: one row of a
     mapping's compiled kernel (`averaging.ComposedMapping._steps`).
 
-    Two-argument rows are closed forms that give `_power_mean`'s result bit
-    for bit: of two floats, a + b is the correctly rounded sum that fsum
-    returns, and the dominant argument's term, 1.0 or expm1(0), is exact.
-    A row that reads one local twice is that local.  Every other row opens
-    with a branch that orders its arguments as u <= w and ends in one clamp
-    line; it has no branch for equal values, which the clamp answers as
-    `_power_mean`'s does.  Order 0 is sqrt(u * w) when both arguments lie
-    within 2^+-509, so the product is a normal float and its square root
-    is the one `_power_mean` takes on the split mantissa, and hands any
-    other pair to `means._power_mean`, which the row looks up when it
-    runs.  A nonzero order is pivoted on the dominant argument as in
-    `_power_mean`: a small order takes its expm1/log1p form, orders 1, -1
-    and 2 its pow-free forms, any other the power sum with 1/s as a
-    constant, and none hands over.  Outside the small orders the factor on
-    the pivot is at most 1 for s > 0 and at least 1 for s < 0, so the
-    clamp is one-sided.  A row of one or of three or more arguments calls
-    `means._power_mean`.  The lines use the temporaries t, u, v and w, and
-    the names sqrt, log, exp, log1p, expm1 and means.
+    Every row restates `_power_mean`'s arithmetic inline and gives its
+    result bit for bit; none calls it.  A row that reads one local only,
+    once or more (one argument, or a self-loop), is that local: the mean
+    of equal arguments.  Every other row opens with the bracket of its
+    arguments, u = min and w = max, and ends in one clamp line; it has no
+    branch for equal values, which the clamp answers as `_power_mean`'s
+    does.  A two-argument row finds the bracket with one branch and writes
+    each sum as the pivot's exact term plus the other's: a + b is the
+    correctly rounded sum that fsum returns.  A longer row takes min and
+    max of its locals and the fsum of the same terms as `_power_mean`.
+
+    Order 0 of two arguments is sqrt(u * w) when both lie within 2^+-509,
+    so the product is a normal float and its square root is the one
+    `_power_mean` takes on the split mantissa; of more arguments it takes
+    the product when `_power_mean`'s range test does.  Otherwise the
+    mantissas and exponents are multiplied apart, as in `_power_mean`: in
+    its argument order, which matters from three arguments on.  A nonzero
+    order is pivoted on the dominant argument as in `_power_mean`: a small
+    order takes its expm1/log1p form, orders 1, -1 and 2 its pow-free
+    forms, any other the power sum with 1/s as a constant.  Outside the
+    small orders the factor on the pivot is at most 1 for s > 0 and at
+    least 1 for s < 0, so the clamp is one-sided.  The lines use the
+    temporaries e, f, m, q, r, t, u, v and w, and the names sqrt, log,
+    log2, exp, log1p, expm1, frexp, ldexp and fsum.
     """
-    if len(args) != 2:
-        return [f"{out} = means._power_mean({s!r}, ({', '.join(args)},))"]
-    a, b = args
-    if a == b:
-        return [f"{out} = {a}"]  # a self-loop row: the mean of equal arguments
-    head = [f"if {a} < {b}: u = {a}; w = {b}", f"else: u = {b}; w = {a}"]
+    if len(set(args)) == 1:
+        return [f"{out} = {args[0]}"]
+    n = len(args)
+    if n == 2:
+        a, b = args
+        head = [f"if {a} < {b}: u = {a}; w = {b}", f"else: u = {b}; w = {a}"]
+    else:
+        listed = ", ".join(args)
+        head = [f"u = min({listed})", f"w = max({listed})"]
     clamp = f"{out} = u if v < u else w if v > w else v"
     if s == 0.0:
-        # two arguments in this range multiply with no underflow or
-        # overflow, and `_power_mean` takes the same product path there
+        if n == 2:
+            # two arguments in this range multiply with no underflow or
+            # overflow, and `_power_mean` takes the same product path there
+            return [
+                *head,
+                f"if {2.0 ** -509!r} < u and w < {2.0 ** 509!r}:",
+                "    v = sqrt(u * w)",
+                "else:",
+                "    m, e = frexp(u); t, f = frexp(w); q, r = divmod(e + f, 2)",
+                "    v = ldexp(sqrt(ldexp(m * t, r)), q)",
+                clamp,
+            ]
         return [
             *head,
-            f"if {2.0 ** -509!r} < u and w < {2.0 ** 509!r}:",
-            "    v = sqrt(u * w)",
-            f"    {clamp}",
+            f"if {n} * log2(u) > -1020.0 and {n} * log2(w) < 1020.0:",
+            f"    m, e = frexp({' * '.join(args)})",
             "else:",
-            f"    {out} = means._power_mean(0.0, ({a}, {b}))",
+            f"    m, e = frexp({args[0]})",
+            *(f"    t, f = frexp({a}); m *= t; e += f" for a in args[1:]),
+            f"q, r = divmod(e, {n})",
+            f"v = ldexp(ldexp(m, r) ** {1.0 / n!r}, q)",
+            clamp,
         ]
     pivot, other = ("w", "u") if s > 0 else ("u", "w")
+
+    def mean(term: str, own: str = "1.0") -> str:
+        # the mean of term.format(t) over the arguments t; of two, the
+        # pivot's own term is exactly `own`, "" for 0
+        if n > 2:
+            return f"fsum(({', '.join(term.format(t) for t in args)})) / {n}"
+        return f"({own} + {term.format(other)}) / 2" if own else f"{term.format(other)} / 2"
+
     if abs(s) < _SMALL_ORDER:
         # t is the log of the pivot; the exponent is at most log(w), so exp
         # does not overflow: the log1p term is <= 0 for s > 0, and about
-        # (log(w) - t) / 2 for s < 0
-        return [
-            *head,
-            f"t = log({pivot})",
-            f"v = exp(t + log1p(expm1(({s!r}) * (log({other}) - t)) / 2) / ({s!r}))",
-            clamp,
-        ]
+        # half the spread of the logs for s < 0
+        terms = mean(f"expm1(({s!r}) * (log({{}}) - t))", "")
+        return [*head, f"t = log({pivot})", f"v = exp(t + log1p({terms}) / ({s!r}))", clamp]
     if s == 1.0:
-        body = ["v = w * ((1.0 + u / w) / 2)"]
+        body = f"v = w * ({mean('{} / w')})"
     elif s == -1.0:
-        body = ["v = u / ((1.0 + u / w) / 2)"]
+        body = f"v = u / ({mean('u / {}')})"
     elif s == 2.0:
-        body = ["t = u / w", "v = w * sqrt((1.0 + t * t) / 2)"]
+        body = f"v = w * sqrt({mean('(t := {} / w) * t')})"
     else:
-        body = [f"v = {pivot} * ((1.0 + ({other} / {pivot}) ** ({s!r})) / 2) ** ({1.0 / s!r})"]
-    return [*head, *body, f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v"]
+        terms = mean(f"({{}} / {pivot}) ** ({s!r})")
+        body = f"v = {pivot} * ({terms}) ** ({1.0 / s!r})"
+    return [*head, body, f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v"]
 
 
 def _within_positive_reals(domain: Interval) -> bool:

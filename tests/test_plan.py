@@ -2,14 +2,17 @@
 
 `ComposedMapping._steps` is one k-step kernel generated from source on
 the first step: it evaluates every row straight line, k times over, with
-the closed forms of `means._power_row` for two-argument power means and
-no argument checks.  These tests hold it, `apply`, `iterate` and
-`invariant_mean_eval` to the results of a per-coordinate loop over the
-frozen copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit:
-on random mappings at extreme magnitudes, on each branch of the closed
-forms in both argument orders, on every row shape the generator emits
-(self-loop, one argument, three arguments, p = 1, p = 1024), and on a
-mean the library did not build.
+the inline arithmetic of `means._power_row` for every library power mean,
+of any arity, and no argument checks; no row calls `means._power_mean`.
+These tests hold it, `apply`, `iterate` and `invariant_mean_eval` to the
+results of a per-coordinate loop over the frozen copy of
+`power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
+mappings at extreme magnitudes, on each branch of the two-argument forms
+in both argument orders, on rows of three to five arguments at the ends
+of the floats, on every row shape the generator emits (self-loop, one
+argument, three arguments, p = 1, p = 1024), and on a mean the library
+did not build.  Where a test patches `means._power_mean` to raise, a row
+that called it would fail.
 """
 
 import math
@@ -132,6 +135,19 @@ class TestBitIdentity:
             assert bits(point) == bits(y)
         assert bits(m.nth_iterate(x, 12)) == bits(y)
 
+    @given(case=mapping_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_no_row_calls_the_general_power_mean(self, case):
+        # rows of arity 1-5 at magnitudes 10^+-300, compiled and stepped
+        # with `means._power_mean` patched to raise
+        m, specs, x = case
+        y = x
+        for _ in range(3):
+            y = oracle_apply(m, specs, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(means, "_power_mean", no_handover)
+            assert bits(m.nth_iterate(x, 3)) == bits(y)
+
     @given(
         case=st.one_of(mapping_and_point(), layered_mapping_and_point()),
         tol=st.sampled_from((1e-12, 1e-9)),
@@ -202,24 +218,17 @@ def reference_eval(m, x, tol, max_iter):
     )
 
 
+def no_handover(*args):
+    # patched over `means._power_mean`: no compiled row may call it
+    raise AssertionError(f"a compiled row called means._power_mean{args}")
+
+
 def two_row_step(s):
     # rows (1, 2) and (2, 1) of one order: both argument orders in one step
     mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
     return iv.ComposedMapping(
         (mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1)))
     )._steps
-
-
-@pytest.mark.parametrize("s, x", [
-    (2.0, (1e300, 1e299)),      # t**s overflows
-    (5.0, (1e-300, 1e-299)),    # the sum of the powers underflows
-    (-3.0, (1e200, 1e250)),
-    (-1.0, (1e-307, 1e300)),    # 1/t overflows
-    (0.5, (1e-300, 1e300)),
-])
-def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
-    want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
-    assert bits(two_row_step(s)(x, 1)) == (want, want)
 
 
 @pytest.mark.parametrize("s, x", [
@@ -244,11 +253,8 @@ def test_power_sum_row_is_one_pivoted_expression(monkeypatch, s, x):
     assert not any("y0" in line for line in row[:-1])
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     step = two_row_step(s)
-    handovers = []
-    power_mean = means._power_mean
-    monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
+    monkeypatch.setattr(means, "_power_mean", no_handover)
     assert bits(step(x, 1)) == (want, want)
-    assert handovers == []
 
 
 @pytest.mark.parametrize("s, x", [
@@ -267,8 +273,8 @@ def test_two_argument_closed_form_at_the_largest_floats(s, x):
 @pytest.mark.parametrize("s", [0.0, 5e-3, -5e-3, 0.5, 2.0, -3.0])
 @pytest.mark.parametrize("a", [1.0, 3.7, 5e-324, 1e-300, 1e300, 1.7976931348623157e308])
 def test_two_argument_closed_form_returns_equal_arguments(s, a):
-    # no row checks a == b: whatever its branch computes, or hands over,
-    # the clamp into [a, a] returns a, as the oracle's early exit does
+    # no row checks a == b: whatever its branch computes, the clamp into
+    # [a, a] returns a, as the oracle's early exit does
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), (a, a))
     assert want == a
     mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
@@ -287,11 +293,11 @@ ROOT_HI = 2.0 ** 509
     (0.0, (1e-150, 1e150), "root"),
     (0.0, (math.nextafter(ROOT_LO, 1.0), 3.0), "root"),     # just inside 2^+-509
     (0.0, (0.5, math.nextafter(ROOT_HI, 0.0)), "root"),
-    (0.0, (ROOT_LO, 3.0), "handover"),                       # on the bounds
-    (0.0, (0.5, ROOT_HI), "handover"),
-    (0.0, (math.nextafter(ROOT_LO, 0.0), 3.0), "handover"),  # just across them
-    (0.0, (0.5, math.nextafter(ROOT_HI, math.inf)), "handover"),
-    (0.0, (1e-300, 1e300), "handover"),
+    (0.0, (ROOT_LO, 3.0), "split"),                       # on the bounds
+    (0.0, (0.5, ROOT_HI), "split"),
+    (0.0, (math.nextafter(ROOT_LO, 0.0), 3.0), "split"),  # just across them
+    (0.0, (0.5, math.nextafter(ROOT_HI, math.inf)), "split"),
+    (0.0, (1e-300, 1e300), "split"),
     (5e-3, (1.0005, 0.9995), "log1p"),
     (-9e-3, (1.0 + 1e-4, 1.0 - 1e-3), "log1p"),
     (9e-3, (1.0, 1.12), "log1p"),
@@ -299,14 +305,12 @@ ROOT_HI = 2.0 ** 509
     (2e-3, (1e-300, 1.0), "log1p"),
 ])
 def test_order_0_and_small_order_closed_forms(monkeypatch, s, x, branch):
+    # every branch is inline: the root inside 2^+-509, the mantissas and
+    # exponents multiplied apart (split) outside it, and the log1p form
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
-    # compiled before the patch: the step looks `means._power_mean` up per call
     step = two_row_step(s)
-    handovers = []
-    power_mean = means._power_mean
-    monkeypatch.setattr(means, "_power_mean", lambda *a: handovers.append(a) or power_mean(*a))
+    monkeypatch.setattr(means, "_power_mean", no_handover)
     assert bits(step(x, 1)) == (want, want)
-    assert len(handovers) == (2 if branch == "handover" else 0)
 
 
 class TestPlan:
@@ -351,6 +355,22 @@ class TestPlan:
         # the step stays checked after the first compile, on a later point too
         with pytest.raises(iv.DomainError, match="power-mean argument"):
             m.nth_iterate((-2.0, -1.0), 1)
+
+    def test_kernel_names_no_general_power_mean(self, monkeypatch):
+        # rows of arity 1-5, self-loops included, on every order path
+        sources = []
+        monkeypatch.setattr(
+            averaging, "compile", lambda *a: sources.append(a[0]) or compile(*a), raising=False
+        )
+        rows = ((1,), (1, 2), (2, 3, 1), (1, 2, 3, 4), (4, 4, 1, 3, 5), (6, 6))
+        for s in ORDER_PATHS:
+            m, _ = power_mapping((s,) * len(rows), rows)
+            steps = m._steps
+            assert "means" not in steps.__globals__
+            assert "_power_mean" not in steps.__code__.co_names
+        assert len(sources) == len(ORDER_PATHS)
+        for source in sources:
+            assert "means." not in source and "try" not in source
 
     def test_power_evaluator_of_another_arity_keeps_its_checks(self):
         # a Mean of arity 3 around a 2-argument power mean is not compiled:
@@ -413,6 +433,34 @@ def assert_steps_match_the_oracle(m, specs, x, n):
         y = y_want
 
 
+# one order of each path of `_power_mean`: order 0, the pow-free orders 1,
+# -1 and 2, the small orders' log1p form and the power sum, of each sign
+ORDER_PATHS = (0.0, 1.0, -1.0, 2.0, 5e-3, -5e-3, 0.5, -3.0)
+DBL_MAX = 1.7976931348623157e308
+DBL_TRUE_MIN = 5e-324
+
+
+def n_ary_points(d):
+    """Points of d arguments at the ends of the floats, and whose products
+    lie near 2^+-1022, on both sides of order 0's range test."""
+    below = math.nextafter(DBL_MAX, 0.0)
+    points = [
+        (DBL_MAX,) * d,
+        (DBL_MAX,) * (d - 1) + (below,),
+        (below,) * (d - 1) + (DBL_MAX,),
+        (DBL_TRUE_MIN,) * d,
+        (DBL_TRUE_MIN,) * (d - 1) + (2 * DBL_TRUE_MIN,),
+        (DBL_TRUE_MIN,) + (DBL_MAX,) * (d - 1),
+        (DBL_TRUE_MIN, 1.0) + (DBL_MAX,) * (d - 2),
+    ]
+    for sign in (1, -1):
+        for e in (1019.0, 1020.0, 1021.0, 1022.0):
+            c = 2.0 ** (sign * e / d)
+            points.append((c,) * (d - 1) + (math.nextafter(c, math.inf),))
+            points.append((2.0 * c, 0.5 * c) + (c,) * (d - 2))
+    return points
+
+
 # one order of each kind the generator emits: power sum, order 0, the small
 # order's log1p form, a negative order
 ROW_ORDERS = (2.0, 0.0, 5e-3, -1.0)
@@ -440,6 +488,16 @@ class TestRowShapes:
     def test_three_argument_row(self, s, x):
         m, specs = power_mapping((s, s, s), ((1, 2, 3), (3, 1, 2), (2, 2, 3)))
         assert_steps_match_the_oracle(m, specs, x, 4)
+
+    @pytest.mark.parametrize("s", ORDER_PATHS)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_n_ary_row_at_the_ends_of_the_floats(self, monkeypatch, s, d):
+        # row 1 reads all d coordinates, the others one each
+        rows = (tuple(range(1, d + 1)),) + tuple((j,) for j in range(2, d + 1))
+        m, specs = power_mapping((s,) * d, rows)
+        monkeypatch.setattr(means, "_power_mean", no_handover)
+        for x in n_ary_points(d):
+            assert_steps_match_the_oracle(m, specs, x, 2)
 
     @pytest.mark.parametrize("s", ROW_ORDERS)
     @pytest.mark.parametrize("rows", [((1,),), ((1, 1),), ((1, 1, 1),)])
