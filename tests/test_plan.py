@@ -232,6 +232,21 @@ def two_row_step(s):
 
 
 @pytest.mark.parametrize("s, x", [
+    (2.0, (1e300, 1e299)),      # t**s overflows
+    (5.0, (1e-300, 1e-299)),    # the sum of the powers underflows
+    (-3.0, (1e200, 1e250)),
+    (-1.0, (1e-307, 1e300)),    # 1/t overflows
+    (0.5, (1e-300, 1e300)),
+])
+def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
+    # the compiled rows now compute these points themselves; they must still
+    # give the oracle's float in both argument orders
+    want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
+    step = two_row_step(s)
+    assert bits(step(x, 1)) == bits(step(x[::-1], 1)) == (want, want)
+
+
+@pytest.mark.parametrize("s, x", [
     (2.0, (1e300, 1e299)),
     (5.0, (1e-300, 1e-299)),
     (-3.0, (1e200, 1e250)),
