@@ -33,13 +33,14 @@ generated from source and compiled on first use: it reads the point
 into locals once and evaluates each row straight line, k times over, so
 `nth_iterate` is one call and `invariant` runs blocks of steps between
 its stop tests.  A power mean built by `make_power_mean`, of any
-arity, runs the inline arithmetic of `means._power_row`, which gives
-`power_mean_eval`'s floats bit for bit without its argument checks,
-lands in [min, max] of the arguments and calls no function of `means`:
-a two-argument row orders its arguments with a branch, a longer one
-takes min and max, and the four named orders (harmonic, geometric,
-arithmetic, quadratic) evaluate no pow, only the correctly rounded /, *
-and sqrt, except the n-th root of order 0 at three or more arguments.
+arity, runs inline the lines that `means._power_row` generates, the one
+power-mean arithmetic, which `power_mean_eval` runs after its argument
+checks: the row lands in [min, max] of the arguments and calls no
+function of `means`.  A two-argument row orders its arguments with a
+branch, a longer one takes min and max, and the four named orders
+(harmonic, geometric, arithmetic, quadratic) evaluate no pow, only the
+correctly rounded /, * and sqrt, except the n-th root of order 0 at
+three or more arguments.
 The new values go back to the locals one line per row.  Any other
 mean is called through its evaluator and its value is checked against I
 (DomainError otherwise).  Compiling costs a fixed time per row, which
@@ -49,7 +50,6 @@ figures).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError
-from .means import Interval, Mean, _power_order, _power_row, sample_box
+from .means import Interval, Mean, _compile, _power_order, _power_row, sample_box
 
 __all__ = [
     "IndexVector",
@@ -160,12 +160,12 @@ class ComposedMapping:
 
         The function is generated from source: it reads the point into
         locals and runs the rows straight line, k times over.  A power mean
-        built by `make_power_mean` runs the inline arithmetic of
-        `means._power_row`, which gives `power_mean_eval`'s floats bit for
-        bit without its argument checks and lands in [min, max] of the
-        arguments; any other mean is called through its evaluator and its
-        value is checked against the interval (DomainError otherwise).
-        So the kernel runs unchecked on a point in I^p and returns one."""
+        built by `make_power_mean` runs the lines of `means._power_row`,
+        the arithmetic of `power_mean_eval` without its argument checks,
+        and lands in [min, max] of the arguments; any other mean is called
+        through its evaluator and its value is checked against the interval
+        (DomainError otherwise).  So the kernel runs unchecked on a point in
+        I^p and returns one."""
         return _compile_steps(self)
 
     @cached_property
@@ -266,8 +266,7 @@ def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tup
     through its checked coordinate, which takes the row's arguments as
     locals) and hands the y<i> back to the x<j> one line per row, with no
     tuple built or unpacked.  It returns M^k(xs).  Its namespace holds
-    what the rows name: the checked coordinates, and sqrt, log, log2, exp,
-    log1p, expm1, frexp, ldexp and fsum from `math`."""
+    what the rows name: the checked coordinates and `means._ROW_NAMES`."""
     checked = []
     body = []
     for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
@@ -287,17 +286,9 @@ def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tup
         *(f"        x{i} = y{i}" for i in range(m.p)),
         f"    return ({xs})",
     ])
-    code = compile(source, f"<invmean ComposedMapping._steps p={m.p}>", "exec")
-    namespace = {
-        "__name__": __name__,
-        "checked": tuple(checked),
-        **{f.__name__: f for f in (
-            math.sqrt, math.log, math.log2, math.exp, math.log1p, math.expm1,
-            math.frexp, math.ldexp, math.fsum,
-        )},
-    }
-    exec(code, namespace)
-    steps = namespace["_steps"]
+    steps = _compile(
+        source, f"<invmean ComposedMapping._steps p={m.p}>", "_steps", checked=tuple(checked)
+    )
     steps.__qualname__ = "ComposedMapping._steps"
     return steps
 

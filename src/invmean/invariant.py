@@ -14,8 +14,9 @@ bits, so the radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  It validates the start point
 once and then calls the mapping's compiled kernel: one generated function
-that takes k steps, evaluating every row straight line with the
-arithmetic of `power_mean_eval`, without re-checking the arguments (see
+that takes k steps, evaluating every row straight line with the one
+power-mean arithmetic that `means._power_row` generates, which
+`power_mean_eval` also runs, without re-checking the arguments (see
 `averaging`).  The stop rule is tested once per block of k steps, and
 the report is float for float the one a test after every step gives: a
 library power row lands in [min, max] of its arguments in floating

@@ -24,12 +24,19 @@ means (orders -1, 0, 1, 2) evaluate no pow, only the correctly rounded
 clamped into [min(x), max(x)], so the mean property holds exactly in
 floating point and min/max oscillation brackets shrink monotonically
 under iteration.
+
+That arithmetic is written once, as generated source: `_power_row` emits
+the lines of one order and arity.  A mapping's compiled kernel runs them
+inline as one of its rows (`averaging`), and `power_mean_eval`, after
+its argument checks, runs them as a function of their own, compiled on
+first use and kept per (order, arity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 from typing import Callable, Sequence
 
@@ -192,8 +199,9 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
 
     Every argument must be strictly positive and finite (the domain is the
     open half-line, checked without tolerance).  The result is clamped into
-    [min(x), max(x)].  The arithmetic is `_power_mean`, which a mapping's
-    compiled kernel restates (`_power_row`).
+    [min(x), max(x)].  The arithmetic is the row that `_power_row`
+    generates for the order and arity, the same row a mapping's compiled
+    kernel runs, here compiled as a function of its own on first use.
 
     Raises ShapeError on an arity mismatch and DomainError on arguments
     outside (0, +inf).
@@ -204,53 +212,117 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     for t in xs:
         if not t > 0.0 or math.isinf(t):  # also rejects NaN
             raise DomainError(f"power-mean argument {t!r} outside (0, +inf)")
-    return _power_mean(spec.order, xs)
+    return _power_function(spec.order, spec.arity)(*xs)
+
+
+#: Every name a generated row calls: the namespace, besides what a caller
+#: adds, that `_compile` runs generated source in.
+_ROW_NAMES = {f.__name__: f for f in (
+    min, max, divmod, math.sqrt, math.log, math.log2, math.exp, math.log1p,
+    math.expm1, math.frexp, math.ldexp, math.fsum, math.prod,
+)}
+
+
+def _compile(source: str, filename: str, name: str, **names: object) -> Callable:
+    """The function `name` that the generated `source` defines, compiled
+    and run in a namespace of `_ROW_NAMES` and `names`."""
+    namespace = {"__name__": __name__, **_ROW_NAMES, **names}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+#: How many (order, arity) row functions `power_mean_eval` keeps compiled.
+_ROW_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _power_function(order: float, arity: int) -> Callable[..., float]:
+    """The row of `_power_row` for (order, arity) as a function of `arity`
+    floats, compiled on first use.  It is kept per pair, not per spec, so
+    every spec of one order and arity shares one compile."""
+    args = [f"x{j}" for j in range(arity)]
+    source = "\n".join([
+        f"def row({', '.join(args)}):",
+        *(f"    {line}" for line in _power_row(order, args, "y")),
+        "    return y",
+    ])
+    return _compile(source, f"<invmean power mean s={order!r} n={arity}>", "row")
 
 
 # below this |order| a ratio t / b that underflows to 0 would drop a
-# term that moves M by more than 1e-19 relative, see _power_mean
+# term that moves M by more than 1e-19 relative, see _power_row
 _SMALL_ORDER = 1 / 16
 
+# up to this many mantissas in [1/2, 1) multiply to a normal float
+_SPLIT_ARITY = 1022
 
-def _power_mean(s: float, xs: Sequence[float]) -> float:
-    """The power mean of order s of arguments already known to be finite
-    and positive, clamped into [min(xs), max(xs)]: the arithmetic of
-    `power_mean_eval`, without its checks.
 
-    Order 0 is the n-th root of the product, a square root when n = 2.
-    Every other order is taken relative to its dominant argument b, max(xs)
-    for s > 0 and min(xs) for s < 0, so M = b * P_s(x / b), where every
-    (t / b)^s lies in [0, 1] and b's own is exactly 1.  An order with
-    |s| >= 1/16 is the power sum
+def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
+    """Python source lines that set the local `out` to the power mean of
+    order s of the locals `args`, which hold finite positive floats,
+    clamped into [min, max] of them: the package's one power-mean
+    arithmetic.  `power_mean_eval` runs it as a function of its own and a
+    mapping's kernel as one of its rows (`averaging._compile_steps`).  The
+    lines use the temporaries e, f, m, q, r, t, u, v and w and call only
+    names of `_ROW_NAMES`.
+
+    A row that reads one local only, once or more (one argument, or a
+    self-loop), is that local: the mean of equal arguments.  Every other
+    row opens with the bracket of its arguments, u = min and w = max, and
+    ends in one clamp line.  It has no branch for equal values: whatever a
+    path computes, the clamp into [a, a] returns a.  A two-argument row
+    finds the bracket with one branch and writes each sum as the pivot's
+    exact term plus the other's: a + b is the correctly rounded sum that
+    fsum returns.  A longer row takes min and max of its locals and the
+    fsum of its terms in argument order.
+
+    Order 0 is the n-th root of the product, with the product's exponent
+    split as q*n + r, so 2^q is exact and the rounding of 1/n is not
+    multiplied by |ln prod|: the root of m * 2^r, scaled by 2^q.  Of two
+    arguments within 2^+-509 it is sqrt(u * w), a normal product, whose
+    square root is the one of the split mantissa.  Of up to 1022 arguments
+    it takes the product whole (`prod`, which multiplies in argument order
+    and compiles at any arity) when every partial product, which lies
+    between min(1, u^n) and max(1, w^n), is a normal float.  Otherwise the
+    mantissas and exponents are multiplied apart, in argument order: up to
+    1022 mantissas in [1/2, 1) multiply to a normal float, and r < 1022
+    keeps m * 2^r finite.  Above 1022 arguments neither holds, and that
+    form is chosen when the row is generated: the mantissa is renormalised
+    after each factor, as frexp(m * t), which changes no rounding, and the
+    root is m^(1/n) * 2^(r/n), two pows of exponents in [0, 1).
+
+    Every other order is taken relative to its dominant argument b, w for
+    s > 0 and u for s < 0, so M = b * P_s(x / b), where every (t / b)^s
+    lies in [0, 1] and b's own is exactly 1.  An order with |s| >= 1/16 is
+    the power sum
 
         M = b * (fsum((t / b)^s) / n)^(1/s),
 
-    and a ratio that underflows to 0 drops a term of at most
-    2^(-1074|s|), which moves M by at most 2^(-1074|s|) / |s| relative,
-    below 1e-19.  The named orders 1, -1 and 2 (arithmetic, harmonic,
-    quadratic) write that sum without pow, as hi * mean(t / hi),
-    lo / mean(lo / t) and hi * sqrt(mean((t / hi)^2)): `/`, `*` and sqrt
-    are correctly rounded and pow is not, so these forms are no less
-    accurate.  A smaller order, 0 < |s| < 1/16, where a dropped term weighs
-    more and the root multiplies the sum's roundings by 1/|s|, is
-    evaluated as
+    with 1/s a constant, and a ratio that underflows to 0 drops a term of
+    at most 2^(-1074|s|), which moves M by at most 2^(-1074|s|) / |s|
+    relative, below 1e-19.  The named orders 1, -1 and 2 (arithmetic,
+    harmonic, quadratic) write that sum without pow, as w * mean(t / w),
+    u / mean(u / t) and w * sqrt(mean((t / w)^2)): `/`, `*` and sqrt are
+    correctly rounded and pow is not, so these forms are no less accurate.
+    A smaller order, 0 < |s| < 1/16, where a dropped term weighs more and
+    the root multiplies the sum's roundings by 1/|s|, is evaluated as
 
         ln M = ln b + log1p(mean(expm1(s * (ln t - ln b)))) / s,
 
     so every expm1 lies in (-1, 0], the mean of 1 + expm1 is at least 1/n
     and log1p does not cancel; the relative error is of order
-    u * (1 + max|ln t|).  Equal arguments take no branch of their own:
-    whatever a path computes, the clamp into [a, a] returns a.
+    u * (1 + max|ln t|).  Outside the small orders the factor on the pivot
+    is at most 1 for s > 0 and at least 1 for s < 0, so the clamp is
+    one-sided.
 
-    No power mean raises OverflowError, and no path needs to catch one:
-      * order 0: every partial product lies between min(1, lo^n) and
-        max(1, hi^n), so it stays a normal float where the product is
-        taken whole, and the mantissas lie in [1/2, 1) where it is not;
-        the root of mant * 2^r lies in [1/2, 2), and ldexp by q could
-        pass the largest float only with q = 1024, that is when every
-        argument lies in [2^1023, 2^1024), whose mantissa product is then
-        at most about 1 - n * 2^-53, and its n-th root rounds to at most
-        1 - 2^-53, not to 1;
+    No row raises OverflowError, and none catches one:
+      * order 0: the product taken whole is a normal float, every
+        mantissa product lies in [2^-1022, 1), and the root of m * 2^r,
+        or m^(1/n) * 2^(r/n), lies in [1/2, 2).  ldexp by q could pass the
+        largest float only with q = 1024, that is when every argument
+        lies in [2^1023, 2^1024) and r = 0.  Their mantissa product is
+        then at most about 1 - n * 2^-53, its n-th root rounds to at most
+        1 - 2^-53, not to 1, and 2^(0/n) is 1;
       * the power sum: every term is at most 1, so the sum lies in
         [1, n] and its mean in [1/n, 1]; the root of the mean is at most
         1 for s > 0 and at most n^16 for s <= -1/16, and the product with
@@ -260,87 +332,20 @@ def _power_mean(s: float, xs: Sequence[float]) -> float:
         of the logs for s < 0, and exp of the log of the largest float is
         finite, so exp does not overflow.
     """
-    lo = min(xs)
-    hi = max(xs)
-    n = len(xs)
-    if s == 0.0:
-        # take the n-th root of the mantissa times 2^r only, with the
-        # exponent split as q*n + r, so 2^q is exact and the rounding of
-        # 1/n is not multiplied by |ln prod|; every partial product lies
-        # between min(1, lo^n) and max(1, hi^n), and when that range can
-        # leave the normal floats the mantissas and exponents are
-        # multiplied apart
-        if n * math.log2(lo) > -1020.0 and n * math.log2(hi) < 1020.0:
-            mant, e = math.frexp(math.prod(xs))
-        else:
-            parts = [math.frexp(t) for t in xs]
-            mant = math.prod(m for m, _ in parts)
-            e = sum(e for _, e in parts)
-        q, r = divmod(e, n)
-        t = math.ldexp(mant, r)
-        val = math.ldexp(math.sqrt(t) if n == 2 else t ** (1.0 / n), q)
-    elif s == 1.0:
-        val = hi * (math.fsum([t / hi for t in xs]) / n)
-    elif s == -1.0:
-        val = lo / (math.fsum([lo / t for t in xs]) / n)
-    elif s == 2.0:
-        val = hi * math.sqrt(math.fsum([(t / hi) * (t / hi) for t in xs]) / n)
-    elif abs(s) < _SMALL_ORDER:
-        lb = math.log(hi if s > 0 else lo)
-        val = math.exp(
-            lb + math.log1p(math.fsum([math.expm1(s * (math.log(t) - lb)) for t in xs]) / n) / s
-        )
-    else:
-        b = hi if s > 0 else lo
-        val = b * (math.fsum([(t / b) ** s for t in xs]) / n) ** (1.0 / s)
-    # round toward the bracket: the exact value lies strictly inside it
-    return min(max(val, lo), hi)
-
-
-def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
-    """Python source lines that set the local `out` to `_power_mean(s, args)`,
-    where `args` name locals that hold finite positive floats: one row of a
-    mapping's compiled kernel (`averaging.ComposedMapping._steps`).
-
-    Every row restates `_power_mean`'s arithmetic inline and gives its
-    result bit for bit; none calls it.  A row that reads one local only,
-    once or more (one argument, or a self-loop), is that local: the mean
-    of equal arguments.  Every other row opens with the bracket of its
-    arguments, u = min and w = max, and ends in one clamp line; it has no
-    branch for equal values, which the clamp answers as `_power_mean`'s
-    does.  A two-argument row finds the bracket with one branch and writes
-    each sum as the pivot's exact term plus the other's: a + b is the
-    correctly rounded sum that fsum returns.  A longer row takes min and
-    max of its locals and the fsum of the same terms as `_power_mean`.
-
-    Order 0 of two arguments is sqrt(u * w) when both lie within 2^+-509,
-    so the product is a normal float and its square root is the one
-    `_power_mean` takes on the split mantissa; of more arguments it takes
-    the product when `_power_mean`'s range test does.  Otherwise the
-    mantissas and exponents are multiplied apart, as in `_power_mean`: in
-    its argument order, which matters from three arguments on.  A nonzero
-    order is pivoted on the dominant argument as in `_power_mean`: a small
-    order takes its expm1/log1p form, orders 1, -1 and 2 its pow-free
-    forms, any other the power sum with 1/s as a constant.  Outside the
-    small orders the factor on the pivot is at most 1 for s > 0 and at
-    least 1 for s < 0, so the clamp is one-sided.  The lines use the
-    temporaries e, f, m, q, r, t, u, v and w, and the names sqrt, log,
-    log2, exp, log1p, expm1, frexp, ldexp and fsum.
-    """
     if len(set(args)) == 1:
         return [f"{out} = {args[0]}"]
     n = len(args)
+    listed = ", ".join(args)
     if n == 2:
         a, b = args
         head = [f"if {a} < {b}: u = {a}; w = {b}", f"else: u = {b}; w = {a}"]
     else:
-        listed = ", ".join(args)
         head = [f"u = min({listed})", f"w = max({listed})"]
     clamp = f"{out} = u if v < u else w if v > w else v"
     if s == 0.0:
         if n == 2:
             # two arguments in this range multiply with no underflow or
-            # overflow, and `_power_mean` takes the same product path there
+            # overflow, and their split mantissa has the same square root
             return [
                 *head,
                 f"if {2.0 ** -509!r} < u and w < {2.0 ** 509!r}:",
@@ -350,10 +355,20 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
                 "    v = ldexp(sqrt(ldexp(m * t, r)), q)",
                 clamp,
             ]
+        if n > _SPLIT_ARITY:
+            return [
+                *head,
+                "m = 1.0; e = 0",
+                f"for t in ({listed}):",
+                "    t, f = frexp(t); m, r = frexp(m * t); e += f + r",
+                f"q, r = divmod(e, {n})",
+                f"v = ldexp(m ** {1.0 / n!r} * 2.0 ** (r / {n}), q)",
+                clamp,
+            ]
         return [
             *head,
             f"if {n} * log2(u) > -1020.0 and {n} * log2(w) < 1020.0:",
-            f"    m, e = frexp({' * '.join(args)})",
+            f"    m, e = frexp(prod(({listed})))",
             "else:",
             f"    m, e = frexp({args[0]})",
             *(f"    t, f = frexp({a}); m *= t; e += f" for a in args[1:]),

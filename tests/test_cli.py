@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from invmean import averaging, cli, digraph, fixture_path, is_ergodic, load_mapping_spec
+from invmean import averaging, cli, digraph, fixture_path, is_ergodic, load_mapping_spec, means
 from invmean.cli import build_parser, main
 
 EX2 = str(fixture_path("example2.json"))
@@ -180,11 +180,15 @@ class TestCompileOnce:
     def test_compiles_per_command(self, capsys, monkeypatch, argv, compiles):
         names = []
         monkeypatch.setattr(
-            averaging, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
+            means, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
         )
         code, _, _ = run(capsys, *argv)
         assert code in (0, 2)
-        assert names == ["<invmean ComposedMapping._steps p=4>"] * compiles
+        # verify also compiles the row function of each (order, arity) that
+        # power_mean_eval meets, once, unless an earlier test already did
+        kernels = [name for name in names if "_steps" in name]
+        assert kernels == ["<invmean ComposedMapping._steps p=4>"] * compiles
+        assert len(set(names)) == len(names)
 
     def test_cycle_needs_no_step(self, capsys, monkeypatch, tmp_path):
         # every cyclic class of the 6-cycle is one vertex, so every class
@@ -198,7 +202,7 @@ class TestCompileOnce:
         }))
         names = []
         monkeypatch.setattr(
-            averaging, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
+            means, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
         )
         code, data, _ = run_json(capsys, "invariant", str(spec), "1,2,3,4,5,6", "--json")
         assert code == 2

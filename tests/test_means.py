@@ -391,6 +391,50 @@ def test_named_order_rows_evaluate_no_pow(order):
     assert not any("**" in line for line in row), row
 
 
+def test_geometric_row_of_20000_arguments_compiles():
+    # order 0 wrote its product as one x0 * x1 * ... chain, on which
+    # CPython's compiler recursed (RecursionError from a few thousand
+    # arguments on, by version); row 1 of this p = 2 mapping repeats (1, 2)
+    n = 20_000
+    spec = PowerMeanSpec(0.0, n)
+    row_means = (make_power_mean(spec), make_power_mean(PowerMeanSpec(0.0, 2)))
+    m = iv.ComposedMapping(row_means, POSITIVE_REALS, iv.IndexVector(((1, 2) * (n // 2), (2, 1))))
+    got = m.apply((2.0, 3.0))
+    want = mp_power_mean(0.0, (2.0, 3.0))
+    assert got == pytest.approx((want, want), rel=1e-15, abs=0.0)
+    assert power_mean_eval(spec, (2.0, 3.0) * (n // 2)) == got[0]
+
+
+def many_argument_row(xs):
+    """(m, x): a mapping whose first row is the geometric mean of len(xs)
+    arguments that reads xs at x, where x holds the distinct values of
+    xs once each, so the row needs no mapping of len(xs) coordinates."""
+    x = tuple(sorted(set(xs)))
+    index = {t: j for j, t in enumerate(x, start=1)}
+    rows = (tuple(index[t] for t in xs),) + tuple((j,) for j in range(2, len(x) + 1))
+    row_means = tuple(make_power_mean(PowerMeanSpec(0.0, len(row))) for row in rows)
+    return iv.ComposedMapping(row_means, POSITIVE_REALS, iv.IndexVector(rows)), x
+
+
+@pytest.mark.parametrize("n", [1025, 1500, 2000, 20_000])
+def test_geometric_mean_of_more_than_1022_arguments(n):
+    # above 1022 arguments the remainder r of the exponent split passed
+    # ldexp's range (OverflowError at [0.99] * 1999 + [0.9999]) and the
+    # product of the split mantissas underflowed (2.0 at [2, 3] * 800);
+    # power_mean_eval and a kernel row, within 1e-15 of 50-digit mpmath
+    spec = PowerMeanSpec(0.0, n)
+    for xs in (
+        [0.99] * (n - 1) + [0.9999],
+        [2.0, 3.0] * (n // 2) + [2.0] * (n % 2),
+        [1e300, 1e-300, 7.0] * (n // 3) + [7.0] * (n % 3),
+        [1.7976931348623157e308] * (n - 1) + [2.0 ** 1023],
+    ):
+        got = power_mean_eval(spec, xs)
+        assert got == pytest.approx(mp_power_mean(0.0, xs), rel=1e-15, abs=0.0), xs[:3]
+        m, x = many_argument_row(xs)
+        assert m.apply(x)[0] == got
+
+
 class TestPowerMeanErrors:
     def test_zero_argument_rejected(self):
         with pytest.raises(iv.DomainError):

@@ -2,17 +2,18 @@
 
 `ComposedMapping._steps` is one k-step kernel generated from source on
 the first step: it evaluates every row straight line, k times over, with
-the inline arithmetic of `means._power_row` for every library power mean,
-of any arity, and no argument checks; no row calls `means._power_mean`.
-These tests hold it, `apply`, `iterate` and `invariant_mean_eval` to the
-results of a per-coordinate loop over the frozen copy of
-`power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
+the inline lines of `means._power_row` for every library power mean, of
+any arity, and no argument checks.  `power_mean_eval` runs the same lines
+as a function of their own.  These tests hold the kernel, `apply`,
+`iterate`, `invariant_mean_eval` and, where rows are tested one by one,
+`power_mean_eval` to the results of a per-coordinate loop over the frozen
+copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
 mappings at extreme magnitudes, on each branch of the two-argument forms
 in both argument orders, on rows of three to five arguments at the ends
 of the floats, on every row shape the generator emits (self-loop, one
 argument, three arguments, p = 1, p = 1024), and on a mean the library
-did not build.  Where a test patches `means._power_mean` to raise, a row
-that called it would fail.
+did not build.  The kernel and the row functions name nothing but
+`means._ROW_NAMES`.
 """
 
 import math
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmean as iv
-from invmean import averaging, invariant_mean_eval, means, oscillation
+from invmean import invariant_mean_eval, means, oscillation
 
 from power_mean_oracle import power_mean_eval as oracle_power_mean
 from test_digraph import numpy_reference
@@ -135,19 +136,6 @@ class TestBitIdentity:
             assert bits(point) == bits(y)
         assert bits(m.nth_iterate(x, 12)) == bits(y)
 
-    @given(case=mapping_and_point())
-    @settings(max_examples=200, deadline=None)
-    def test_no_row_calls_the_general_power_mean(self, case):
-        # rows of arity 1-5 at magnitudes 10^+-300, compiled and stepped
-        # with `means._power_mean` patched to raise
-        m, specs, x = case
-        y = x
-        for _ in range(3):
-            y = oracle_apply(m, specs, y)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(means, "_power_mean", no_handover)
-            assert bits(m.nth_iterate(x, 3)) == bits(y)
-
     @given(
         case=st.one_of(mapping_and_point(), layered_mapping_and_point()),
         tol=st.sampled_from((1e-12, 1e-9)),
@@ -218,11 +206,6 @@ def reference_eval(m, x, tol, max_iter):
     )
 
 
-def no_handover(*args):
-    # patched over `means._power_mean`: no compiled row may call it
-    raise AssertionError(f"a compiled row called means._power_mean{args}")
-
-
 def two_row_step(s):
     # rows (1, 2) and (2, 1) of one order: both argument orders in one step
     mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
@@ -256,7 +239,7 @@ def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
     (-1 / 16, (5e-324, 1.7976931348623157e308)),
     (8.0, (5e-324, 1.7976931348623157e308)),
 ])
-def test_power_sum_row_is_one_pivoted_expression(monkeypatch, s, x):
+def test_power_sum_row_is_one_pivoted_expression(s, x):
     # points where the unpivoted sum t**s would leave the normal floats:
     # the pivoted row (the pow-free form at orders -1 and 2) computes them
     # itself, with no try, range test or handover, after a branch that
@@ -268,8 +251,8 @@ def test_power_sum_row_is_one_pivoted_expression(monkeypatch, s, x):
     assert not any("y0" in line for line in row[:-1])
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     step = two_row_step(s)
-    monkeypatch.setattr(means, "_power_mean", no_handover)
     assert bits(step(x, 1)) == (want, want)
+    assert iv.power_mean_eval(iv.PowerMeanSpec(s, 2), x).hex() == want
 
 
 @pytest.mark.parametrize("s, x", [
@@ -319,20 +302,21 @@ ROOT_HI = 2.0 ** 509
     (-5e-3, (1e-100, 1e100), "log1p"),
     (2e-3, (1e-300, 1.0), "log1p"),
 ])
-def test_order_0_and_small_order_closed_forms(monkeypatch, s, x, branch):
+def test_order_0_and_small_order_closed_forms(s, x, branch):
     # every branch is inline: the root inside 2^+-509, the mantissas and
     # exponents multiplied apart (split) outside it, and the log1p form
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     step = two_row_step(s)
-    monkeypatch.setattr(means, "_power_mean", no_handover)
     assert bits(step(x, 1)) == (want, want)
+    spec = iv.PowerMeanSpec(s, 2)
+    assert iv.power_mean_eval(spec, x).hex() == iv.power_mean_eval(spec, x[::-1]).hex() == want
 
 
 class TestPlan:
     def test_built_on_the_first_step_not_at_construction(self, monkeypatch):
         compiled = []
         monkeypatch.setattr(
-            averaging, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False
+            means, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False
         )
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
         assert "_steps" not in vars(m) and compiled == []
@@ -371,21 +355,20 @@ class TestPlan:
         with pytest.raises(iv.DomainError, match="power-mean argument"):
             m.nth_iterate((-2.0, -1.0), 1)
 
-    def test_kernel_names_no_general_power_mean(self, monkeypatch):
-        # rows of arity 1-5, self-loops included, on every order path
-        sources = []
-        monkeypatch.setattr(
-            averaging, "compile", lambda *a: sources.append(a[0]) or compile(*a), raising=False
-        )
-        rows = ((1,), (1, 2), (2, 3, 1), (1, 2, 3, 4), (4, 4, 1, 3, 5), (6, 6))
+    def test_kernel_names_no_general_power_mean(self):
+        # rows of arity 1-5, self-loops included, and 1024, past order 0's
+        # split form, on every order path: the kernel and the row functions
+        # call only the one table of names, besides the kernel's own loop
+        # and checked coordinates
+        names = set(means._ROW_NAMES)
+        rows = ((1,), (1, 2), (2, 3, 1), (1, 2, 3, 4), (4, 4, 1, 3, 5), (6, 6), (1, 2) * 512)
         for s in ORDER_PATHS:
-            m, _ = power_mapping((s,) * len(rows), rows)
-            steps = m._steps
-            assert "means" not in steps.__globals__
-            assert "_power_mean" not in steps.__code__.co_names
-        assert len(sources) == len(ORDER_PATHS)
-        for source in sources:
-            assert "means." not in source and "try" not in source
+            m, specs = power_mapping((s,) * len(rows), rows)
+            assert set(m._steps.__code__.co_names) <= names | {"range", "checked"}
+            assert "means" not in m._steps.__globals__
+            for spec in specs:
+                row = means._power_function(spec.order, spec.arity)
+                assert set(row.__code__.co_names) <= names
 
     def test_power_evaluator_of_another_arity_keeps_its_checks(self):
         # a Mean of arity 3 around a 2-argument power mean is not compiled:
@@ -448,7 +431,7 @@ def assert_steps_match_the_oracle(m, specs, x, n):
         y = y_want
 
 
-# one order of each path of `_power_mean`: order 0, the pow-free orders 1,
+# one order of each path of `_power_row`: order 0, the pow-free orders 1,
 # -1 and 2, the small orders' log1p form and the power sum, of each sign
 ORDER_PATHS = (0.0, 1.0, -1.0, 2.0, 5e-3, -5e-3, 0.5, -3.0)
 DBL_MAX = 1.7976931348623157e308
@@ -506,13 +489,14 @@ class TestRowShapes:
 
     @pytest.mark.parametrize("s", ORDER_PATHS)
     @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_n_ary_row_at_the_ends_of_the_floats(self, monkeypatch, s, d):
+    def test_n_ary_row_at_the_ends_of_the_floats(self, s, d):
         # row 1 reads all d coordinates, the others one each
         rows = (tuple(range(1, d + 1)),) + tuple((j,) for j in range(2, d + 1))
         m, specs = power_mapping((s,) * d, rows)
-        monkeypatch.setattr(means, "_power_mean", no_handover)
         for x in n_ary_points(d):
             assert_steps_match_the_oracle(m, specs, x, 2)
+            want = oracle_power_mean(specs[0], x).hex()
+            assert iv.power_mean_eval(specs[0], x).hex() == want
 
     @pytest.mark.parametrize("s", ROW_ORDERS)
     @pytest.mark.parametrize("rows", [((1,),), ((1, 1),), ((1, 1, 1),)])

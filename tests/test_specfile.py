@@ -266,7 +266,7 @@ class TestOneCheckPerValue:
         # the mapping is built at load; its step is compiled on first use
         names = []
         monkeypatch.setattr(
-            iv.averaging, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
+            iv.means, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
         )
         mappings = [load_mapping_spec(fixture_path(name)).build() for name in FIXTURES]
         assert names == []
