@@ -56,7 +56,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError, check_count
 from .means import Interval, Mean, _compile, _power_order, _power_row, sample_box
 
 __all__ = [
@@ -253,8 +253,7 @@ class ComposedMapping:
         return self._steps(point, n) if n else point
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValidationError(f"iteration count must be an integer >= 0, got {n!r}")
+        check_count(n, "iteration count", 0)
         return self._validate_point(x)
 
 

@@ -24,6 +24,9 @@ from .averaging import CERTIFIED, FALSIFIED, ComposedMapping, oscillation
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESIDUAL_TOL,
+    DEFAULT_TOL,
     _check_tol,
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
@@ -327,8 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invariant", cmd_invariant, "iterate to the invariant mean")
     p.add_argument("x", help="start point, comma-separated")
-    p.add_argument("--tol", type=float, default=1e-12, help="tolerance (default 1e-12)")
-    p.add_argument("--max-iter", type=int, default=10_000, help="iteration cap (default 10000)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"tolerance (default {DEFAULT_TOL:g})")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help=f"iteration cap (default {DEFAULT_MAX_ITER})")
 
     p = add("tg", cmd_tg, "iterate the tri-state in-neighbor operator on the graph")
     p.add_argument("c0", help="start coloring over {-1,0,1}, comma-separated")
@@ -340,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, "run the sampled property suite")
     p.add_argument("--samples", type=int, default=200, help="samples per check (default 200)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
+    # 1e-9, not the 1e-09 of :g
+    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
+                   help=f"residual tolerance (default {DEFAULT_RESIDUAL_TOL:g})".replace("e-0", "e-"))
 
     return parser
 

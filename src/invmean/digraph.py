@@ -59,7 +59,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import InternalConsistencyError, PreconditionError, ShapeError, ValidationError
+from .errors import (
+    InternalConsistencyError, PreconditionError, ShapeError, ValidationError, check_count,
+)
 
 if TYPE_CHECKING:
     from .averaging import IndexVector
@@ -410,11 +412,12 @@ def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None)
     coloring needs exactly q0 (see the module docstring).  On any graph,
     without max_steps, one of the two happens within 3^n steps, the
     number of colorings.  A c0 that does not cover the vertices of g is a
-    ShapeError, constant or not.
+    ShapeError, constant or not, and a max_steps that is not an int >= 1,
+    or is a bool, a ValidationError.
     """
     _check_covers(g, c0)  # before a constant c0 ends the run with no step
-    if max_steps is not None and max_steps < 1:
-        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
+    if max_steps is not None:
+        check_count(max_steps, "max_steps")
     c = c0
     trace = [c]
     seen = {c.values: 0}

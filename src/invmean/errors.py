@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all invmean modules."""
+"""Exception hierarchy shared by all invmean modules, and the one check of
+a count (an iteration cap, a step count, a number of samples)."""
 
 
 class InvMeanError(Exception):
@@ -29,3 +30,11 @@ class PreconditionError(InvMeanError, ValueError):
 
 class InternalConsistencyError(InvMeanError, RuntimeError):
     """A bound that should be unreachable was exceeded; indicates a bug."""
+
+
+def check_count(value: object, what: str, least: int = 1) -> None:
+    """ValidationError unless value is an int >= least.  A bool is an int
+    subclass but no count, and a float such as 2.5 would be compared as
+    one and then counted up to in whole steps."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")

@@ -22,13 +22,16 @@ the report is float for float the one a test after every step gives: a
 library power row lands in [min, max] of its arguments in floating
 point, so the brackets of the iterates are nested, and an oscillation
 at or above the threshold at a block's end was there at every step
-inside the block.  Non-convergence (periodic or disconnected incidence
-structure) is a structured report, never an exception, so callers can
-inspect the final iterate; its stop_reason tells a stall from the
-iteration cap.  When the incidence graph has no invariant mean K
-(several initial classes, or one that is periodic), the same iteration
-brackets each cyclic class of each initial class that the graph's
-classification records, and reports the limit of each.
+inside the block.  A block that ends below the threshold is taken again
+at half its length, and a block that stays above sets the next one's
+length: twice its own, or half the steps left that its rate of shrink
+forecasts, when that is fewer.  Non-convergence (periodic or
+disconnected incidence structure) is a structured report, never an
+exception, so callers can inspect the final iterate; its stop_reason
+tells a stall from the iteration cap.  When the incidence graph has no
+invariant mean K (several initial classes, or one that is periodic), the
+same iteration brackets each cyclic class of each initial class that the
+graph's classification records, and reports the limit of each.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `check_oscillation_monotonicity`, `check_bracket_dichotomy`,
@@ -43,7 +46,8 @@ while the certificate itself still reads the paper's n0 = 3^p.
 
 Every function here that takes a tol raises ValidationError unless it is
 a finite number > 0: a NaN tol would pass every residual comparison or
-none, and an infinite one would call anything converged.
+none, and an infinite one would call anything converged.  n_samples and
+max_iter must be ints >= 1, not bools (`errors.check_count`).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Callable, Sequence
 
 from .averaging import CERTIFIED, ComposedMapping
 from .digraph import is_ergodic
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, check_count
 from .means import POSITIVE_REALS, CheckReport, sample_box, sweep
 
 __all__ = [
@@ -70,6 +74,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+# the tolerance of a residual, K(M(x)) - K(x) or F(x) - phi(K(x))
+DEFAULT_RESIDUAL_TOL = 1e-9
 # nonconstant samples spread over at least this share of the sample box
 _MIN_SPREAD = 0.05
 
@@ -187,22 +193,21 @@ def invariant_mean_eval(
     in [min, max] of its arguments, so in floating point min(y) never
     drops and max(y) never rises, and the same holds for each class
     bracket: an oscillation still >= threshold at a block's end was >=
-    threshold at every step inside the block.  A block ends at the next
-    stall test (anchor + window) and at max_iter at the latest, and a
-    block that crosses the threshold is bisected, by kernel calls from
-    the last point known above it, for the first step below it.  The
-    first block is one step.  Each next one takes at most half the steps
-    left that the last block's rate of shrink of log(osc) per step
-    forecasts, rounded up; it is at least one step, and at most twice the
-    last one, or as long as the last one when that rate grew (superlinear
-    convergence, where the forecast comes out long).  A mean the library
-    did not build may leave the bracket, so a mapping with one runs one
-    step per block and stops, or raises DomainError, at the same step as
-    well.
+    threshold at every step inside the block.  The first block is one
+    step, and a block ends at the next stall test (anchor + window) and
+    at max_iter at the latest.  Two rules set the rest.  A block of k > 1
+    steps that ends below the threshold is dropped and taken again at
+    k // 2 steps from the same point; the first step below the threshold
+    lies inside it, so no later block passes its end, and a one-step block
+    that crosses holds that first step.  After a block that stays above,
+    the next is twice as long, or half the steps left that its shrink of
+    log(osc) per step forecasts, rounded up, when that is fewer.  A mean
+    the library did not build may leave the bracket, so a mapping with
+    one runs one step per block and stops, or raises DomainError, at the
+    same step as well.
     """
     _check_tol(tol)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_count(max_iter, "max_iter")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
     classes, spread, window = m._iteration
@@ -215,32 +220,29 @@ def invariant_mean_eval(
     anchor_n = 0
     stalled = False
     # a block of steps ends at the next stall test and at max_iter at the
-    # latest; its length k stays 1 unless the brackets are nested
+    # latest, and never past a block that crossed the threshold; its length
+    # k stays 1 unless the brackets are nested
     stop = min(window, max_iter)
     k = 1
     nested = m._nested
     if nested and osc >= threshold:
         log_threshold = math.log(threshold)
         log_osc = math.log(osc)
-        rate = 0.0  # the shrink of log(osc) per step over the last block
     while osc >= threshold and n < max_iter:
-        if k > stop - n:
-            k = stop - n
+        # k >= 1 here, so no block is empty: a forecast is at least 1 and a
+        # retry halves a k > 1; and stop - n >= 1, since n < max_iter, a
+        # stall test puts stop a window past n, and a dropped block's end
+        # is at or past the first crossing, which every block taken since
+        # stays short of
+        k = min(k, stop - n)
         z = steps(y, k)
         z_osc = spread(z)
         if z_osc < threshold and k > 1:
-            # with nested brackets the oscillation stays >= threshold up to
-            # the step that crossed: bisect the block for that step, each
-            # probe stepping on from the last point known above threshold
-            lo, w = 0, y
-            while k - lo > 1:
-                mid = (lo + k) // 2
-                v = steps(w, mid - lo)
-                v_osc = spread(v)
-                if v_osc >= threshold:
-                    lo, w = mid, v
-                else:
-                    k, z, z_osc = mid, v, v_osc
+            # with nested brackets the first step below threshold lies inside
+            # this block: drop it and retry from y at half its length
+            stop = n + k
+            k //= 2
+            continue
         y, osc, n = z, z_osc, n + k
         if n - anchor_n >= window:
             if osc > anchor_osc * (1.0 - 1e-12):
@@ -250,19 +252,14 @@ def invariant_mean_eval(
             anchor_n = n
             stop = min(n + window, max_iter)
         if nested and osc >= threshold:
-            # the next block is twice the last unless the rate of shrink
-            # grew, as it does where the convergence is superlinear (the
-            # harmonic/arithmetic pairs), and it takes at most half the
-            # steps left that the last block's rate forecasts: a block that
-            # overshoots costs its own length again to bisect, and the rate
-            # of a block is off by about a step's worth
+            # the next block is twice the last, or half the steps left that
+            # the last block's shrink of log(osc) per step forecasts, when
+            # that is fewer: a block that overshoots is taken again, and
+            # the forecast of one block is off by about a step's worth
             last, log_osc = log_osc, math.log(osc)
             shrink = (last - log_osc) / k
-            cap = 2 * k if shrink <= rate else k
-            rate = shrink
-            if cap > 1:
-                left = (log_osc - log_threshold) / shrink if shrink > 0.0 else math.inf
-                k = cap if left > 2 * cap else max(1, math.ceil(left / 2))
+            left = (log_osc - log_threshold) / shrink if shrink > 0.0 else math.inf
+            k = 2 * k if left > 4 * k else max(1, math.ceil(left / 2))
     if osc < threshold:
         stop_reason = "classes-converged" if classes else "converged"
     else:
@@ -290,6 +287,7 @@ def invariant_mean_eval(
 def _nonconstant_samples(
     m: ComposedMapping, rng: Random, n_samples: int
 ) -> list[tuple[float, ...]]:
+    check_count(n_samples, "n_samples")
     if m.p < 2:
         return []  # every vector in I^1 is constant
     lo, hi = sample_box(m.interval)
@@ -303,7 +301,7 @@ def _nonconstant_samples(
 
 def verify_invariance(
     m: ComposedMapping,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_RESIDUAL_TOL,
     rng: Random | None = None,
     n_samples: int = 100,
 ) -> CheckReport:
@@ -539,7 +537,7 @@ def check_bracket_dichotomy(
 def solve_invariant_equation(
     f: Callable[[Sequence[float]], float],
     m: ComposedMapping,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_RESIDUAL_TOL,
     rng: Random | None = None,
     n_samples: int = 100,
 ) -> tuple[Callable[[float], float], CheckReport]:

@@ -35,12 +35,12 @@ first use and kept per (order, arity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 from typing import Callable, Sequence
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError, check_count
 
 __all__ = [
     "Interval",
@@ -151,11 +151,14 @@ class Mean:
 
     The evaluator must satisfy min(x) <= eval(x) <= max(x) on the domain;
     this is the caller's promise, checkable by `check_mean_property`.
+    Equality and hash take in every field, the evaluator too: a
+    `PowerMeanSpec` compares by value and a function by identity, so
+    two means that compare equal evaluate alike.
     """
 
     arity: int
     domain: Interval
-    evaluator: Callable[[Sequence[float]], float] = field(compare=False)
+    evaluator: Callable[[Sequence[float]], float]
     flags: MeanFlags = MeanFlags()
     label: str = "mean"
 
@@ -564,8 +567,7 @@ def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> CheckRepo
     is how far M(x) lies outside [min(x), max(x)].  A report with no
     violations says only that sampling did not find a counterexample.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    check_count(n_samples, "n_samples")
 
     def judge(x: tuple[float, ...]) -> tuple[float, str | None]:
         value = m(x)

@@ -3,9 +3,10 @@ against a per-step reference.
 
 `invariant_mean_eval` runs its iteration in blocks of k steps, one call
 of the compiled kernel `ComposedMapping._steps(y, k)` each, and tests the
-stop rule once per block; a block that crosses the threshold is bisected
-for the first step below it.  `per_step_eval` is the loop that
-schedule replaces: one `_steps(y, 1)` call and one stop test per step.
+stop rule once per block; a block of several steps that crosses the
+threshold is taken again at half its length, and no later block passes
+its end.  `per_step_eval` is the loop that the schedule replaces: one
+`_steps(y, 1)` call and one stop test per step.
 The two must return the same `ConvergenceReport`, float for float, on
 rings, mixed-order maps, two disjoint rings and cycles, at tolerances
 above and below float resolution (so that runs stall), and at iteration
@@ -165,6 +166,37 @@ class TestBlockSchedule:
         assert report.iterations_used > 1000
         assert min(blocks) >= 1 and len(blocks) * 20 < report.iterations_used
         assert sum(blocks) <= report.iterations_used + 10
+
+    @pytest.mark.parametrize("orders, x, tol", [
+        ((-1.0, 1.0), (1.0, 1e6), 1e-6),
+        ((-1.0, 1.0), (1.0, 1e6), 1e-12),
+        ((-1.0, 1.0), (1.0, 1e6), 1e-15),
+        ((0.0, 1.0), (1e-300, 1e300), 1e-12),
+        ((-3.0, 7.0), (3.0, 7.0), 1e-15),
+    ])
+    def test_no_block_reaches_past_a_crossing_block(self, monkeypatch, orders, x, tol):
+        # a block that ends below the threshold is taken again at half its
+        # length, and the first crossing lies inside it, so no later kernel
+        # call may reach past its end.  The report cannot show a retry that
+        # does: only the work grows.  These pairs converge quadratically, so
+        # the forecast after a retried block comes out long
+        m = power_mapping(orders, [(1, 2), (1, 2)])
+        crossing = per_step_eval(m, x, tol).iterations_used
+        first = {}  # each point of the per-step trace at its first step
+        for n, y in enumerate(m.iterate(x, crossing)):
+            first.setdefault(y, n)
+        calls = []  # (first step, last step) of each kernel call
+        kernel = m._steps
+        monkeypatch.setitem(vars(m), "_steps", lambda xs, k: calls.append(
+            (first[xs] + 1, first[xs] + k)) or kernel(xs, k))
+        assert invariant_mean_eval(m, x, tol).iterations_used == crossing
+        # the first call that reaches the crossing takes several steps, so
+        # it is retried
+        i = next(i for i, (_, end) in enumerate(calls) if end >= crossing)
+        start, end = calls[i]
+        assert end > start and len(calls) > i + 1
+        assert all(later_end <= end for _, later_end in calls[i + 1:])
+        assert calls[-1][1] == crossing
 
     @given(case=runs(), n=st.sampled_from((0, 1, 2, 37, 1000)))
     @settings(max_examples=60, deadline=None)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from invmean import averaging, cli, digraph, fixture_path, is_ergodic, load_mapping_spec, means
+from invmean import (
+    averaging, cli, digraph, fixture_path, invariant, is_ergodic, load_mapping_spec, means,
+)
 from invmean.cli import build_parser, main
 
 EX2 = str(fixture_path("example2.json"))
@@ -460,6 +462,18 @@ def test_two_main_calls_build_one_parser(capsys, monkeypatch):
         build_parser.cache_clear()  # drop the parser built from Counted
     # the top-level parser and its five subcommand parsers, once
     assert built.count("invmean") == 1 and len(built) == 6
+
+
+@pytest.mark.parametrize("command, option, default, shown", [
+    ("invariant", "--tol", invariant.DEFAULT_TOL, "(default 1e-12)"),
+    ("invariant", "--max-iter", invariant.DEFAULT_MAX_ITER, "(default 10000)"),
+    ("verify", "--tol", invariant.DEFAULT_RESIDUAL_TOL, "(default 1e-9)"),
+])
+def test_defaults_are_the_library_defaults(command, option, default, shown):
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    action = commands.choices[command]._option_string_actions[option]
+    assert action.default == default and action.help.endswith(shown)
 
 
 class TestTg:

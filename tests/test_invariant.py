@@ -180,6 +180,37 @@ class TestTolValidation:
         assert (report.stop_reason, report.iterations_used) == (stop_reason, iterations)
 
 
+COUNTED = {
+    "max_steps": lambda m, n: iv.tg_stabilize(
+        m.graph, iv.TriStateColoring((1, -1, 0, 0)), max_steps=n),
+    "check_mean_property": lambda m, n: iv.check_mean_property(m.means[0], Random(0), n),
+    "validate_mean": lambda m, n: iv.validate_mean(m.means[0], n_samples=n),
+    "verify_invariance": lambda m, n: verify_invariance(m, n_samples=n),
+    "verify_mean_properties": lambda m, n: verify_mean_properties(m, "strict", n_samples=n),
+    "check_oscillation_monotonicity": lambda m, n: check_oscillation_monotonicity(
+        m, n_samples=n),
+    "check_bracket_dichotomy": lambda m, n: check_bracket_dichotomy(m, n_samples=n),
+    "solve_invariant_equation": lambda m, n: solve_invariant_equation(max, m, n_samples=n),
+}
+
+
+class TestCountValidation:
+    """A step cap or a number of samples is an int >= 1, never a bool: 2.5
+    used to be counted up to in whole steps or samples, True to read as 1
+    and -3 as none (ValidationError, as for max_iter)."""
+
+    @pytest.mark.parametrize("count", [2.5, True, False, -3, 0, "3"])
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_rejected(self, ex2, name, count):
+        what = "max_steps" if name == "max_steps" else "n_samples"
+        with pytest.raises(iv.ValidationError, match=f"^{what} must be an integer >= 1, got "):
+            COUNTED[name](ex2, count)
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_one_is_accepted(self, ex2, name):
+        COUNTED[name](ex2, 1)
+
+
 class TestLimitMappingEval:
     """The limit (K(x), ..., K(x)) of the iterates, read off the report."""
 

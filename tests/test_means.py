@@ -527,6 +527,30 @@ class TestMeanFields:
         with pytest.raises(iv.ValidationError, match="^mean flags must be a MeanFlags, got "):
             Mean(2, POSITIVE_REALS, max, flags=flags)
 
+    def test_means_of_different_orders_differ(self):
+        # both are labelled P_1: equality must not rest on the label
+        a = make_power_mean(PowerMeanSpec(1.0000001, 2))
+        b = make_power_mean(PowerMeanSpec(1.0000002, 2))
+        assert a.label == b.label and a != b and hash(a) != hash(b)
+        alpha = iv.IndexVector(((1, 2), (1, 2)))
+        ma = iv.ComposedMapping((a, a), POSITIVE_REALS, alpha)
+        mb = iv.ComposedMapping((b, b), POSITIVE_REALS, alpha)
+        assert ma.apply((1.0, 2.0)) != mb.apply((1.0, 2.0)) and ma != mb
+
+    def test_means_of_equal_specs_are_equal(self):
+        a = make_power_mean(PowerMeanSpec(-1.0, 3))
+        b = make_power_mean(PowerMeanSpec(-1.0, 3))
+        assert a.evaluator is not b.evaluator
+        assert a == b and hash(a) == hash(b)
+
+    def test_a_function_evaluator_compares_by_identity(self):
+        def half_sum(xs):
+            return math.fsum(xs) / 2
+
+        m = Mean(2, POSITIVE_REALS, half_sum)
+        assert m == Mean(2, POSITIVE_REALS, half_sum)
+        assert m != Mean(2, POSITIVE_REALS, lambda xs: half_sum(xs))
+
 
 class TestMeanFlags:
     @pytest.mark.parametrize("name", ["strict", "monotone", "homogeneous"])
