@@ -6,68 +6,21 @@ graph (irreducible / aperiodic / ergodic), certify uniform oscillation
 decay, and compute the unique invariant mean as the limit of iterates.
 See the module docstrings for the math conventions and `invmean.cli`
 for the command-line surface.
+
+The package exports what each module lists in its `__all__`, and
+nothing else besides `__version__`.
 """
 
-from .averaging import (
-    CERTIFIED,
-    CONTRACTIVE,
-    FALSIFIED,
-    UNKNOWN,
-    ComposedMapping,
-    ContractivityCertificate,
-    IndexVector,
-    falsify_contractivity,
-    oscillation,
-)
-from .digraph import (
-    Digraph,
-    GraphClassification,
-    TgReport,
-    TriStateColoring,
-    build_incidence_graph,
-    is_ergodic,
-    tg_stabilize,
-    tg_step,
-)
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    InvMeanError,
-    PreconditionError,
-    ShapeError,
-    SpecError,
-    ValidationError,
-)
-from .invariant import (
-    ConvergenceReport,
-    check_bracket_dichotomy,
-    check_oscillation_monotonicity,
-    invariant_mean_eval,
-    solve_invariant_equation,
-    verify_invariance,
-    verify_mean_properties,
-)
-from .means import (
-    POSITIVE_REALS,
-    CheckReport,
-    Interval,
-    Mean,
-    MeanFlags,
-    PowerMeanSpec,
-    Witness,
-    check_mean_property,
-    make_power_mean,
-    power_mean_eval,
-    validate_mean,
-)
-from .specfile import (
-    FIXTURES,
-    MappingSpec,
-    fixture_path,
-    load_mapping_spec,
-    mapping_spec_from_dict,
-)
-
+from . import averaging, digraph, errors, invariant, means, specfile
+from .averaging import *
+from .digraph import *
+from .errors import *
+from .invariant import *
+from .means import *
+from .specfile import *
 from .version import __version__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    *averaging.__all__, *digraph.__all__, *errors.__all__,
+    *invariant.__all__, *means.__all__, *specfile.__all__,
+]

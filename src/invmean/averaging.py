@@ -29,23 +29,10 @@ coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
 the iterations of `invariant` validate only their start point: every
 later point is the output of a step, which stays in I.  Every step runs
 in one k-step kernel per mapping, `ComposedMapping._steps(xs, k)`,
-generated from source and compiled on first use: it reads the point
-into locals once and evaluates each row straight line, k times over, so
-`nth_iterate` is one call and `invariant` runs blocks of steps between
-its stop tests.  A power mean built by `make_power_mean`, of any
-arity, runs inline the lines that `means._power_row` generates, the one
-power-mean arithmetic, which `power_mean_eval` runs after its argument
-checks: the row lands in [min, max] of the arguments and calls no
-function of `means`.  A two-argument row orders its arguments with a
-branch, a longer one takes min and max, and the four named orders
-(harmonic, geometric, arithmetic, quadratic) evaluate no pow, only the
-correctly rounded /, * and sqrt, except the n-th root of order 0 at
-three or more arguments.
-The new values go back to the locals one line per row.  Any other
-mean is called through its evaluator and its value is checked against I
-(DomainError otherwise).  Compiling costs a fixed time per row, which
-the faster steps repay after about a hundred steps (README.md has the
-figures).
+compiled on first use, so `nth_iterate` is one call and `invariant` runs
+blocks of steps between its stop tests; `_compile_steps` describes what
+the kernel runs.  Compiling costs a fixed time per row, which the faster
+steps repay after about a hundred steps (README.md has the figures).
 """
 
 from __future__ import annotations
@@ -156,37 +143,26 @@ class ComposedMapping:
     @cached_property
     def _steps(self) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
         """M^k(xs) for a point already in I^p and an int k >= 0, as one
-        function compiled on first use, not at construction.
-
-        The function is generated from source: it reads the point into
-        locals and runs the rows straight line, k times over.  A power mean
-        built by `make_power_mean` runs the lines of `means._power_row`,
-        the arithmetic of `power_mean_eval` without its argument checks,
-        and lands in [min, max] of the arguments; any other mean is called
-        through its evaluator and its value is checked against the interval
-        (DomainError otherwise).  So the kernel runs unchecked on a point in
-        I^p and returns one."""
+        function compiled on first use, not at construction (see
+        `_compile_steps`).  It runs unchecked on a point in I^p and returns
+        one."""
         return _compile_steps(self)
 
     @cached_property
-    def _nested(self) -> bool:
-        """Whether every row is a library power row.  Each such row lands in
-        [min, max] of its arguments in floating point, so min(M(x)) >=
-        min(x) and max(M(x)) <= max(x) hold exactly and the brackets of the
-        iterates are nested.  A mean the library did not build promises
-        nothing of the kind."""
-        return all(_power_order(mean) is not None for mean in self.means)
-
-    @cached_property
-    def _iteration(self) -> tuple[tuple[list[int], ...], Callable[[tuple[float, ...]], float], int]:
+    def _iteration(self) -> tuple[tuple[list[int], ...], Callable, int, bool]:
         """What `invariant.invariant_mean_eval` reads of the mapping alone,
-        derived on its first call: (classes, spread, window).  classes is
-        () when the incidence graph has exactly one initial class and it is
-        aperiodic (K exists), else the 0-based vertices of each cyclic
-        class of each initial class, as the graph's classification records
-        them.  spread(y) is the oscillation the iteration drives below its
-        threshold: max(y) - min(y), or the largest one over the classes.
-        window is the stall window, max(200, 2*((p-1)^2 + 1)) steps."""
+        derived on its first call: (classes, spread, window, nested).
+        classes is () when the incidence graph has exactly one initial class
+        and it is aperiodic (K exists), else the 0-based vertices of each
+        cyclic class of each initial class, as the graph's classification
+        records them.  spread(y) is the oscillation the iteration drives
+        below its threshold: max(y) - min(y), or the largest one over the
+        classes.  window is the stall window, max(200, 2*((p-1)^2 + 1))
+        steps.  nested says whether every row is a library power row: each
+        such row lands in [min, max] of its arguments in floating point, so
+        min(M(x)) >= min(x) and max(M(x)) <= max(x) hold exactly and the
+        brackets of the iterates are nested.  A mean the library did not
+        build promises nothing of the kind."""
         cls = is_ergodic(self.graph)
         classes = () if cls.one_aperiodic_initial_class else tuple(
             [v for v in range(self.p) if mask >> v & 1]
@@ -200,7 +176,8 @@ class ComposedMapping:
                 return max(y) - min(y)
             return max([max(t) - min(t) for t in [g(y) for g in getters]], default=0.0)
 
-        return classes, spread, max(200, 2 * ((self.p - 1) ** 2 + 1))
+        nested = all(_power_order(mean) is not None for mean in self.means)
+        return classes, spread, max(200, 2 * ((self.p - 1) ** 2 + 1)), nested
 
     def _checked_coordinate(self, i: int, mean: Mean) -> Callable:
         # a mean the library did not build is trusted for nothing: its value
@@ -258,14 +235,19 @@ class ComposedMapping:
 
 
 def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
-    """Generate, compile and bind the k-step kernel of `m` (see `_steps`).
+    """Generate, compile and bind the k-step kernel of `m`, `m._steps`.
 
     The kernel reads the point into locals x<j> once, then k times sets
-    y<i> row by row (power rows from `means._power_row`, every other mean
-    through its checked coordinate, which takes the row's arguments as
-    locals) and hands the y<i> back to the x<j> one line per row, with no
-    tuple built or unpacked.  It returns M^k(xs).  Its namespace holds
-    what the rows name: the checked coordinates and `means._ROW_NAMES`."""
+    y<i> row by row, straight line, and hands the y<i> back to the x<j>
+    one line per row, with no tuple built or unpacked.  It returns
+    M^k(xs).  A power mean built by `make_power_mean`, of any arity, runs
+    inline the lines of `means._power_row`, the arithmetic of
+    `power_mean_eval` without its argument checks, and lands in [min, max]
+    of the arguments.  Any other mean is called through its checked
+    coordinate, which takes the row's arguments as locals and checks the
+    value against the interval (DomainError otherwise).  The namespace
+    holds what the rows name: the checked coordinates and
+    `means._ROW_NAMES`, so no row calls back into `means`."""
     checked = []
     body = []
     for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):

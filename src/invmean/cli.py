@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .averaging import CERTIFIED, FALSIFIED, ComposedMapping, oscillation
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
@@ -82,23 +82,19 @@ def _load_spec(path: str) -> MappingSpec:
     return load_mapping_spec(Path(path))
 
 
-def _parse_point(text: str) -> tuple[float, ...]:
-    # the mapping checks the length and the domain of the point
-    parts = text.replace(",", " ").split()
-    try:
-        return tuple(float(part) for part in parts)
-    except ValueError:
-        raise InvMeanError(f"could not parse point {text!r}") from None
-
-
-def _parse_coloring(text: str) -> TriStateColoring:
-    # TriStateColoring checks the entries and tg_stabilize the length
-    parts = text.replace(",", " ").split()
-    try:
-        values = tuple(int(part) for part in parts)
-    except ValueError:
-        raise InvMeanError(f"could not parse coloring {text!r}") from None
-    return TriStateColoring(values)
+def _parse_list(text: str, convert: Callable[[str], object], what: str) -> tuple:
+    """The values of a list separated by commas or whitespace, read by
+    `convert`.  A field between two commas, or before or after one, must
+    hold a value: "1,,2" is an error, not (1, 2).  The caller's types check
+    the values: the mapping a point's length and domain, `TriStateColoring`
+    a coloring's entries and `tg_stabilize` its length."""
+    fields = [field.split() for field in text.split(",")]
+    if all(fields):
+        try:
+            return tuple(convert(part) for field in fields for part in field)
+        except ValueError:
+            pass
+    raise InvMeanError(f"could not parse {what} {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +132,7 @@ def cmd_analyze(args, mapping: ComposedMapping) -> int:
 
 
 def cmd_iterate(args, mapping: ComposedMapping) -> int:
-    x = _parse_point(args.x)
+    x = _parse_list(args.x, float, "point")
     if args.trace:
         points = mapping.iterate(x, args.steps)
         shown = range(len(points))
@@ -160,7 +156,7 @@ def cmd_iterate(args, mapping: ComposedMapping) -> int:
 
 
 def cmd_invariant(args, mapping: ComposedMapping) -> int:
-    x = _parse_point(args.x)
+    x = _parse_list(args.x, float, "point")
     report = invariant_mean_eval(mapping, x, tol=args.tol, max_iter=args.max_iter)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -180,7 +176,7 @@ def cmd_invariant(args, mapping: ComposedMapping) -> int:
 
 
 def cmd_tg(args, mapping: ComposedMapping) -> int:
-    c0 = _parse_coloring(args.c0)
+    c0 = TriStateColoring(_parse_list(args.c0, int, "coloring"))
     report = tg_stabilize(mapping.graph, c0, max_steps=args.max_steps)
     if args.json:
         _emit_json(

@@ -91,8 +91,7 @@ class Digraph:
 
     def __post_init__(self) -> None:
         n = self.n_vertices
-        if type(n) is not int or n < 1:  # also rejects bool
-            raise ValidationError(f"n_vertices must be a positive integer, got {n!r}")
+        check_count(n, "n_vertices")
         try:
             edges = frozenset((a, b) for a, b in self.edges)
         except (TypeError, ValueError):  # not iterable, or an edge not a pair

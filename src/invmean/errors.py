@@ -1,5 +1,16 @@
 """Exception hierarchy shared by all invmean modules, and the one check of
-a count (an iteration cap, a step count, a number of samples)."""
+a count (an iteration cap, a step count, a number of samples, an arity,
+a number of vertices)."""
+
+__all__ = [
+    "InvMeanError",
+    "DomainError",
+    "ShapeError",
+    "ValidationError",
+    "SpecError",
+    "PreconditionError",
+    "InternalConsistencyError",
+]
 
 
 class InvMeanError(Exception):

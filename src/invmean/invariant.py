@@ -13,19 +13,10 @@ radius reads 0 although K(x) may differ from that float in its last
 bits, so the radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  It validates the start point
-once and then calls the mapping's compiled kernel: one generated function
-that takes k steps, evaluating every row straight line with the one
-power-mean arithmetic that `means._power_row` generates, which
-`power_mean_eval` also runs, without re-checking the arguments (see
-`averaging`).  The stop rule is tested once per block of k steps, and
-the report is float for float the one a test after every step gives: a
-library power row lands in [min, max] of its arguments in floating
-point, so the brackets of the iterates are nested, and an oscillation
-at or above the threshold at a block's end was there at every step
-inside the block.  A block that ends below the threshold is taken again
-at half its length, and a block that stays above sets the next one's
-length: twice its own, or half the steps left that its rate of shrink
-forecasts, when that is fewer.  Non-convergence (periodic or
+once and then runs the mapping's compiled kernel a block of steps at a
+time, testing the stop rule once per block; its report is float for
+float the one a test after every step gives (the block schedule and why
+it is exact are in its docstring).  Non-convergence (periodic or
 disconnected incidence structure) is a structured report, never an
 exception, so callers can inspect the final iterate; its stop_reason
 tells a stall from the iteration cap.  When the incidence graph has no
@@ -45,9 +36,11 @@ checked after q0 <= (p-1)^2 + 1 steps, the graph's uniform walk length,
 while the certificate itself still reads the paper's n0 = 3^p.
 
 Every function here that takes a tol raises ValidationError unless it is
-a finite number > 0: a NaN tol would pass every residual comparison or
-none, and an infinite one would call anything converged.  n_samples and
-max_iter must be ints >= 1, not bools (`errors.check_count`).
+a finite number > 0, an int or a float but not a bool (`means._real`): a
+NaN tol would pass every residual comparison or none, and an infinite
+one would call anything converged.  n_samples and max_iter must be ints
+>= 1, not bools (`errors.check_count`).  A sampler draws from its rng,
+or from Random(0) when it is given none.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from typing import Callable, Sequence
 from .averaging import CERTIFIED, ComposedMapping
 from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError, check_count
-from .means import POSITIVE_REALS, CheckReport, sample_box, sweep
+from .means import POSITIVE_REALS, CheckReport, _real, sample_box, sweep
 
 __all__ = [
     "ConvergenceReport",
@@ -130,7 +123,7 @@ class ConvergenceReport:
 
 def _check_tol(tol: float) -> None:
     # NaN fails every comparison, so `tol <= 0` alone would let it through
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < _real(tol, "tol") < math.inf:
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
 
 
@@ -183,8 +176,8 @@ def invariant_mean_eval(
     strictly shrinks over every such length, so the window is polynomial
     in p.
 
-    tol must be finite and > 0 and max_iter an int >= 1, not a bool
-    (ValidationError).  Only the start point is validated; the steps run
+    tol must be a finite number > 0 and max_iter an int >= 1, neither a
+    bool (ValidationError).  Only the start point is validated; the steps run
     unchecked in the mapping's compiled kernel (`ComposedMapping._steps`,
     compiled on the mapping's first step), a block of k steps per call.
 
@@ -210,7 +203,7 @@ def invariant_mean_eval(
     check_count(max_iter, "max_iter")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
-    classes, spread, window = m._iteration
+    classes, spread, window, nested = m._iteration
     y = xs
     osc = spread(y)
     # the kernel is compiled on first use: a closed start bracket takes no step
@@ -224,7 +217,6 @@ def invariant_mean_eval(
     # k stays 1 unless the brackets are nested
     stop = min(window, max_iter)
     k = 1
-    nested = m._nested
     if nested and osc >= threshold:
         log_threshold = math.log(threshold)
         log_osc = math.log(osc)
@@ -285,9 +277,10 @@ def invariant_mean_eval(
 
 
 def _nonconstant_samples(
-    m: ComposedMapping, rng: Random, n_samples: int
+    m: ComposedMapping, rng: Random | None, n_samples: int
 ) -> list[tuple[float, ...]]:
     check_count(n_samples, "n_samples")
+    rng = rng if rng is not None else Random(0)
     if m.p < 2:
         return []  # every vector in I^1 is constant
     lo, hi = sample_box(m.interval)
@@ -311,7 +304,6 @@ def verify_invariance(
     the report carries the max residual over the evaluated ones.
     """
     _check_tol(tol)
-    rng = rng if rng is not None else Random(0)
 
     def judge(x):
         r_x = invariant_mean_eval(m, x)
@@ -362,7 +354,6 @@ def verify_mean_properties(
     """
     if which not in _PROPERTIES:
         raise ValidationError(f"unknown property {which!r}")
-    rng = rng if rng is not None else Random(0)
     missing = [
         mean.label for mean in m.means if not getattr(mean.flags, which)
     ]
@@ -459,7 +450,6 @@ def check_oscillation_monotonicity(
     one ulp of its previous value, a rounding allowance that scales with
     the bracket, not a modelling tolerance.
     """
-    rng = rng if rng is not None else Random(0)
 
     def judge(x):
         trace = m.iterate(x, _MONOTONICITY_STEPS)
@@ -518,7 +508,6 @@ def check_bracket_dichotomy(
     """
     _certificate(m)
     q0 = is_ergodic(m.graph).uniform_walk_length
-    rng = rng if rng is not None else Random(0)
 
     def judge(x):
         y = m.nth_iterate(x, q0)
@@ -553,7 +542,6 @@ def solve_invariant_equation(
     """
     _check_tol(tol)
     _certificate(m)
-    rng = rng if rng is not None else Random(0)
     p = m.p
 
     def phi(t: float) -> float:

@@ -52,7 +52,6 @@ __all__ = [
     "make_power_mean",
     "Witness",
     "CheckReport",
-    "sweep",
     "check_mean_property",
     "validate_mean",
 ]
@@ -163,9 +162,7 @@ class Mean:
     label: str = "mean"
 
     def __post_init__(self) -> None:
-        arity = self.arity
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-            raise ValidationError(f"mean arity must be a positive integer, got {arity!r}")
+        check_count(self.arity, "mean arity")
         if not isinstance(self.domain, Interval):
             raise ValidationError(f"mean domain must be an Interval, got {self.domain!r}")
         if not isinstance(self.flags, MeanFlags):
@@ -187,9 +184,7 @@ class PowerMeanSpec:
         if not math.isfinite(order):
             raise ValidationError(f"power-mean order must be finite, got {order!r}")
         object.__setattr__(self, "order", order)
-        arity = self.arity
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-            raise ValidationError(f"power-mean arity must be a positive integer, got {arity!r}")
+        check_count(self.arity, "power-mean arity")
 
     def __call__(self, args: Sequence[float]) -> float:
         # the evaluator of a `make_power_mean` mean: `power_mean_eval`,

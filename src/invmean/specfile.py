@@ -55,7 +55,6 @@ from .means import Interval, PowerMeanSpec, make_power_mean
 
 __all__ = [
     "MappingSpec",
-    "KIND_ALIASES",
     "FIXTURES",
     "load_mapping_spec",
     "mapping_spec_from_dict",

@@ -304,6 +304,18 @@ class TestIterate:
         assert code == 1
         assert "coordinates" in err
 
+    @pytest.mark.parametrize("x", ["1,,2,3,4", "1,2,3,4,", ",1,2,3,4", "1, ,2,3,4"])
+    def test_empty_field_exits_one(self, capsys, x):
+        # "1,,2,3,4" used to iterate (1, 2, 3, 4)
+        code, out, err = run(capsys, "iterate", EX2, x, "-n", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: could not parse point {x!r}\n"
+
+    @pytest.mark.parametrize("x", [" 1, 2 ,3  4 ", "1 2 3 4", "1,\t2,3,4\n"])
+    def test_whitespace_separates_fields(self, capsys, x):
+        assert run(capsys, "iterate", EX2, x, "--json") == run(
+            capsys, "iterate", EX2, "1,2,3,4", "--json")
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not standard JSON")
@@ -531,6 +543,16 @@ class TestTg:
         code, _, err = run(capsys, "tg", EX2, "1,0,2,0")
         assert code == 1
         assert "not in {-1, 0, 1}" in err
+
+    @pytest.mark.parametrize("c0", ["1,,0,0,-1", "1,0,0,-1,", ",1,0,0,-1"])
+    def test_empty_field_exits_one(self, capsys, c0):
+        # "1,,0,0,-1" used to run (1, 0, 0, -1)
+        code, out, err = run(capsys, "tg", EX2, "--", c0)
+        assert (code, out) == (1, "")
+        assert err == f"error: could not parse coloring {c0!r}\n"
+
+    def test_whitespace_separates_fields(self, capsys):
+        assert run(capsys, "tg", EX2, "--", " 1, 0 0,-1 ") == run(capsys, "tg", EX2, "1,0,0,-1")
 
     @pytest.mark.parametrize("c0", ["1,1", "1,1,1,1,1", "0,1"])
     def test_coloring_of_the_wrong_length_exits_one(self, capsys, c0):

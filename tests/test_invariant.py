@@ -136,16 +136,19 @@ class TestInvariantMeanEval:
             invariant_mean_eval(ex2, (1.0, 2.0, 3.0, 4.0), max_iter=max_iter)
 
 
-BAD_TOLS = (0.0, -1.0, math.nan, math.inf, -math.inf)
+BAD_TOLS = (0.0, -1.0, math.nan, math.inf, -math.inf, True, "1e-9", None)
 
 
 class TestTolValidation:
     """Every function that takes tol rejects a tol that is not a finite
     positive number: a NaN threshold passes every residual comparison or
-    none, and a nonpositive or infinite one decides nothing."""
+    none, and a nonpositive or infinite one decides nothing.  True used to
+    read as a tol of 1 and "1e-9" to raise TypeError."""
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_every_entry_point_rejects(self, ex2, ex6, tol):
+        message = "^tol must be finite and > 0, got " if isinstance(tol, float) else (
+            "^tol must be a number, got ")
         x = (1.0, 2.0, 3.0, 4.0)
         calls = (
             lambda: invariant_mean_eval(ex2, x, tol=tol),
@@ -154,7 +157,7 @@ class TestTolValidation:
             lambda: solve_invariant_equation(max, ex2, tol=tol, rng=Random(0), n_samples=3),
         )
         for call in calls:
-            with pytest.raises(iv.ValidationError, match="tol must be finite and > 0"):
+            with pytest.raises(iv.ValidationError, match=message):
                 call()
 
     def test_checked_before_any_sample(self, ex3):
@@ -180,6 +183,16 @@ class TestTolValidation:
         assert (report.stop_reason, report.iterations_used) == (stop_reason, iterations)
 
 
+def one_mean_spec(arity):
+    """A spec of one arithmetic mean of the given arity, on a self-loop."""
+    return iv.mapping_spec_from_dict({
+        "p": 1,
+        "interval": {"lower": 0, "upper": None},
+        "means": [{"kind": "arithmetic", "arity": arity}],
+        "alpha": [[1]],
+    })
+
+
 COUNTED = {
     "max_steps": lambda m, n: iv.tg_stabilize(
         m.graph, iv.TriStateColoring((1, -1, 0, 0)), max_steps=n),
@@ -191,18 +204,32 @@ COUNTED = {
         m, n_samples=n),
     "check_bracket_dichotomy": lambda m, n: check_bracket_dichotomy(m, n_samples=n),
     "solve_invariant_equation": lambda m, n: solve_invariant_equation(max, m, n_samples=n),
+    "Mean": lambda m, n: iv.Mean(n, iv.POSITIVE_REALS, max),
+    "PowerMeanSpec": lambda m, n: iv.PowerMeanSpec(1.0, n),
+    "Digraph": lambda m, n: iv.Digraph(n, frozenset()),
+    "spec_mean": lambda m, n: one_mean_spec(n),
+}
+#: what the error names, where it is not n_samples; the spec loader's
+#: SpecError keeps the location of the mean
+COUNTED_NAMES = {
+    "max_steps": "max_steps",
+    "Mean": "mean arity",
+    "PowerMeanSpec": "power-mean arity",
+    "Digraph": "n_vertices",
+    "spec_mean": r"means\[1\]: power-mean arity",
 }
 
 
 class TestCountValidation:
-    """A step cap or a number of samples is an int >= 1, never a bool: 2.5
-    used to be counted up to in whole steps or samples, True to read as 1
-    and -3 as none (ValidationError, as for max_iter)."""
+    """A step cap, a number of samples, an arity or a number of vertices is
+    an int >= 1, never a bool: 2.5 used to be counted up to in whole steps
+    or samples, True to read as 1 and -3 as none (ValidationError, as for
+    max_iter), and every count error reads alike."""
 
     @pytest.mark.parametrize("count", [2.5, True, False, -3, 0, "3"])
     @pytest.mark.parametrize("name", COUNTED)
     def test_rejected(self, ex2, name, count):
-        what = "max_steps" if name == "max_steps" else "n_samples"
+        what = COUNTED_NAMES.get(name, "n_samples")
         with pytest.raises(iv.ValidationError, match=f"^{what} must be an integer >= 1, got "):
             COUNTED[name](ex2, count)
 

@@ -471,9 +471,9 @@ class TestPowerMeanErrors:
     @pytest.mark.parametrize("arity", [True, False, 2.0, "2", None])
     def test_arity_must_be_an_int_not_a_bool(self, arity):
         # bool is an int subclass, so True would pass for arity 1
-        with pytest.raises(iv.ValidationError, match="^power-mean arity must be a positive"):
+        with pytest.raises(iv.ValidationError, match="^power-mean arity must be an integer >= 1"):
             PowerMeanSpec(1.0, arity)
-        with pytest.raises(iv.ValidationError, match="^mean arity must be a positive"):
+        with pytest.raises(iv.ValidationError, match="^mean arity must be an integer >= 1"):
             Mean(arity, POSITIVE_REALS, max)
 
 

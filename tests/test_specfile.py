@@ -102,7 +102,7 @@ class TestSchemaErrors:
         with pytest.raises(iv.SpecError) as info:
             mapping_spec_from_dict(raw)
         assert str(info.value) == (
-            f"means[2]: power-mean arity must be a positive integer, got {arity!r}"
+            f"means[2]: power-mean arity must be an integer >= 1, got {arity!r}"
         )
 
     def test_missing_arity(self):
