@@ -18,7 +18,8 @@ from .errors import *
 from .invariant import *
 from .means import *
 from .specfile import *
-from .version import __version__
+
+__version__ = "0.1.0"
 
 __all__ = [
     *averaging.__all__, *digraph.__all__, *errors.__all__,

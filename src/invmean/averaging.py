@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError, check_count
-from .means import Interval, Mean, _compile, _power_order, _power_row, sample_box
+from .means import Interval, Mean, _compile, _point, _power_order, _power_row, sample_box
 
 __all__ = [
     "IndexVector",
@@ -112,7 +112,17 @@ class ComposedMapping:
     alpha: IndexVector
 
     def __post_init__(self) -> None:
-        means = tuple(self.means)
+        if not isinstance(self.interval, Interval):
+            raise ValidationError(f"mapping interval must be an Interval, got {self.interval!r}")
+        if not isinstance(self.alpha, IndexVector):
+            raise ValidationError(f"mapping alpha must be an IndexVector, got {self.alpha!r}")
+        try:
+            means = tuple(self.means)
+        except TypeError:  # not iterable: means=5
+            raise ValidationError(f"mapping means must be a sequence, got {self.means!r}") from None
+        for i, m in enumerate(means, start=1):
+            if not isinstance(m, Mean):
+                raise ValidationError(f"mapping mean {i} must be a Mean, got {m!r}")
         object.__setattr__(self, "means", means)
         if len(means) != self.alpha.p:
             raise ShapeError(f"index vector has {self.alpha.p} rows for {len(means)} means")
@@ -197,7 +207,7 @@ class ComposedMapping:
         return self.alpha.p
 
     def _validate_point(self, x: Sequence[float]) -> tuple[float, ...]:
-        xs = tuple(float(t) for t in x)
+        xs = _point(x)
         if len(xs) != self.p:
             raise ShapeError(f"point has {len(xs)} coordinates, mapping acts on I^{self.p}")
         iv = self.interval
@@ -276,7 +286,7 @@ def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tup
 
 def oscillation(x: Sequence[float]) -> float:
     """max(x) - min(x), the quantity every contractivity notion controls."""
-    xs = tuple(float(t) for t in x)
+    xs = _point(x)
     if not xs:
         raise ShapeError("oscillation of an empty vector")
     return max(xs) - min(xs)

@@ -20,13 +20,15 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
 
-from .averaging import CERTIFIED, FALSIFIED, ComposedMapping, oscillation
+from . import __version__
+from .averaging import CERTIFIED, ComposedMapping, oscillation
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
     DEFAULT_MAX_ITER,
     DEFAULT_RESIDUAL_TOL,
     DEFAULT_TOL,
+    _PROPERTIES,
     _check_tol,
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
@@ -34,9 +36,8 @@ from .invariant import (
     verify_invariance,
     verify_mean_properties,
 )
-from .means import Witness, check_mean_property
+from .means import CheckReport, Witness, check_mean_property
 from .specfile import MappingSpec, load_mapping_spec
-from .version import __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,87 +199,70 @@ def cmd_tg(args, mapping: ComposedMapping) -> int:
     return EXIT_OK
 
 
-def _check_entry(name: str, status: str, detail: str, witnesses=()) -> dict:
+def _entry(name: str, status: str, detail: str, witnesses=()) -> dict:
+    """One entry of `verify`'s report, with at most the first five witnesses."""
     entry = {"name": name, "status": status, "detail": detail}
     if witnesses:
         entry["witnesses"] = [
-            {"point": list(w.point), "message": w.message} for w in witnesses
+            {"point": list(w.point), "message": w.message} for w in witnesses[:5]
         ]
     return entry
 
 
-def _report_entry(name: str, report) -> dict:
+def _report_entry(report: CheckReport) -> dict:
     if report.n_evaluated == 0 and report.n_skipped > 0:
-        return _check_entry(
-            name, "skip", f"no convergent samples ({report.n_skipped} skipped)"
+        return _entry(
+            report.name, "skip", f"no convergent samples ({report.n_skipped} skipped)"
         )
     detail = (
         f"max residual {report.max_residual:.3e} over {report.n_evaluated} samples"
         f" ({report.n_skipped} skipped)"
     )
-    if report.passed:
-        return _check_entry(name, "pass", detail)
-    return _check_entry(
-        name, "fail", f"{len(report.violations)} violation(s); {detail}",
-        report.violations[:5],
-    )
+    if report.violations:
+        detail = f"{len(report.violations)} violation(s); {detail}"
+    return _entry(report.name, "fail" if report.violations else "pass", detail, report.violations)
 
 
 def cmd_verify(args, mapping: ComposedMapping) -> int:
     _check_tol(args.tol)  # before the suite: only certified mappings read it
     rng = Random(args.seed)
     n = args.samples
-    checks: list[dict] = []
 
     mp_reports = [check_mean_property(mean, rng, n) for mean in mapping.means]
-    mp_points = sum(rep.n_samples for rep in mp_reports)
     mp_witnesses = [
         Witness(w.point, f"mean {i} ({mean.label}): {w.message}")
         for i, (mean, rep) in enumerate(zip(mapping.means, mp_reports), start=1)
         for w in rep.violations
     ]
-    checks.append(_check_entry(
-        "mean-property",
-        "fail" if mp_witnesses else "pass",
-        f"{mapping.p} means, {mp_points} points, {len(mp_witnesses)} violation(s)",
-        mp_witnesses[:5],
-    ))
-
-    checks.append(_report_entry(
-        "oscillation-monotonicity",
-        check_oscillation_monotonicity(mapping, rng, n_samples=n),
-    ))
-
+    mp_detail = (f"{mapping.p} means, {sum(rep.n_samples for rep in mp_reports)} points, "
+                 f"{len(mp_witnesses)} violation(s)")
+    checks = [
+        _entry("mean-property", "fail" if mp_witnesses else "pass", mp_detail, mp_witnesses),
+        _report_entry(check_oscillation_monotonicity(mapping, rng, n_samples=n)),
+    ]
     cert = mapping._contractivity
-    # the evidence is stated once: here on a certified mapping, else in the
-    # contractivity entry
-    evidence = f"; {cert.evidence}" if cert.status == CERTIFIED else ""
-    checks.append(_check_entry("certificate", "info", f"class={cert.status} n0={cert.n0}{evidence}"))
-
+    # the evidence is stated once: in the certificate entry on a certified
+    # mapping, else in the contractivity entry
     if cert.status == CERTIFIED:
-        checks.append(_report_entry(
-            "invariance", verify_invariance(mapping, tol=args.tol, rng=rng, n_samples=n)
-        ))
-        checks.append(_report_entry(
-            "bracket-dichotomy", check_bracket_dichotomy(mapping, rng, n_samples=n)
-        ))
+        checks += [
+            _entry("certificate", "info", f"class={cert.status} n0={cert.n0}; {cert.evidence}"),
+            _report_entry(verify_invariance(mapping, tol=args.tol, rng=rng, n_samples=n)),
+            _report_entry(check_bracket_dichotomy(mapping, rng, n_samples=n)),
+        ]
     else:
-        witnesses = (
-            [Witness(cert.witness, "oscillation not reduced")] if cert.status == FALSIFIED else []
-        )
-        checks.append(_check_entry(
-            "contractivity", "fail" if witnesses else "info", cert.evidence, witnesses
-        ))
-        checks.append(_check_entry("invariance", "skip", "not certified"))
-        checks.append(_check_entry("bracket-dichotomy", "skip", "not certified"))
-
-    for prop in ("strict", "monotone", "homogeneous"):
+        # a certificate carries a witness exactly when it is falsified
+        witnesses = [Witness(cert.witness, "oscillation not reduced")] if cert.witness else []
+        checks += [
+            _entry("certificate", "info", f"class={cert.status} n0={cert.n0}"),
+            _entry("contractivity", "fail" if witnesses else "info", cert.evidence, witnesses),
+            _entry("invariance", "skip", "not certified"),
+            _entry("bracket-dichotomy", "skip", "not certified"),
+        ]
+    for prop in _PROPERTIES:
         try:
-            report = verify_mean_properties(mapping, prop, rng=rng, n_samples=n)
-        except PreconditionError as exc:
-            checks.append(_check_entry(prop, "skip", str(exc)))
-            continue
-        checks.append(_report_entry(prop, report))
+            checks.append(_report_entry(verify_mean_properties(mapping, prop, rng, n)))
+        except PreconditionError as exc:  # the mapping lacks the property's hypothesis
+            checks.append(_entry(prop, "skip", str(exc)))
 
     failed = [c for c in checks if c["status"] == "fail"]
     if args.json:
@@ -357,6 +341,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

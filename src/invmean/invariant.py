@@ -345,7 +345,8 @@ def verify_mean_properties(
         relative 1e-10; each (x, c) pair is one sample.
 
     Each comparison also allows the error radii; strictness and
-    monotonicity add 1e-12 scaled by max(1, |max(x)|).
+    monotonicity add DEFAULT_TOL, the tolerance their own evaluations of
+    K run at, scaled by max(1, |max(x)|).
 
     The corresponding flag must be asserted on every component mean (and
     homogeneity additionally needs the domain (0, +inf)); otherwise the
@@ -385,7 +386,7 @@ def verify_mean_properties(
             if value is None:
                 return None
             gap = min(value - min(x), max(x) - value)
-            if gap <= 2.0 * radius + _effective_tol(1e-12, x):
+            if gap <= 2.0 * radius + _effective_tol(DEFAULT_TOL, x):
                 where = f" (only coordinate {bumped} varied)" if bumped else ""
                 return -gap, f"K(x)={value!r} not strictly inside [{min(x)!r}, {max(x)!r}]{where}"
             return -gap, None
@@ -405,7 +406,7 @@ def verify_mean_properties(
             if v_x is None or v_y is None:
                 return None
             drop = v_x - v_y
-            if drop > r_x + r_y + _effective_tol(1e-12, x):
+            if drop > r_x + r_y + _effective_tol(DEFAULT_TOL, x):
                 return drop, (
                     f"K decreased by {drop:.3e} after +{step:g} on coordinate {k + 1}"
                 )

@@ -68,6 +68,30 @@ def _real(value: object, what: str) -> float:
         raise ValidationError(f"{what} {value} is out of float range") from None
 
 
+#: The types a coordinate of a point may not have, whatever `float()` makes of them.
+_NOT_COORDINATES = (bool, str, bytes, type(None))
+
+
+def _point(x: Sequence[float]) -> tuple[float, ...]:
+    """The coordinates of the point x as floats.  A str or bytes is no
+    point, and a coordinate is a number that `float()` reads, such as an
+    int, a float or a numpy scalar, but not a bool, str, bytes or None
+    (ValidationError otherwise).  Its length and domain are the caller's
+    to check."""
+    if isinstance(x, (str, bytes)):
+        raise ValidationError(f"point must be a sequence of numbers, got {x!r}")
+    xs = []
+    for t in x:
+        if not isinstance(t, _NOT_COORDINATES):
+            try:
+                xs.append(float(t))
+                continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ValidationError(f"point coordinate {len(xs) + 1} must be a number, got {t!r}")
+    return tuple(xs)
+
+
 def _check_flags(obj: object, *names: str) -> None:
     # a flag is a bool: "no" or 0 would otherwise read as a truth value
     for name in names:
@@ -204,7 +228,7 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     Raises ShapeError on an arity mismatch and DomainError on arguments
     outside (0, +inf).
     """
-    xs = tuple(float(t) for t in x)
+    xs = _point(x)
     if len(xs) != spec.arity:
         raise ShapeError(f"power mean of arity {spec.arity} got {len(xs)} arguments")
     for t in xs:

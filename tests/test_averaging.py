@@ -102,6 +102,37 @@ class TestCompose:
             ComposedMapping(mixed, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
 
 
+class TestComposedMappingFields:
+    @pytest.mark.parametrize("alpha", [[[1, 2], [2, 1]], ((1, 2), (2, 1)), None])
+    def test_alpha_must_be_an_index_vector(self, alpha):
+        # a list of rows raised AttributeError: 'list' object has no attribute 'p'
+        with pytest.raises(iv.ValidationError, match="^mapping alpha must be an IndexVector, got "):
+            ComposedMapping(power_means((1.0, 2.0)), POSITIVE_REALS, alpha)
+
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), None, "(0, inf)"])
+    def test_interval_must_be_an_interval(self, interval):
+        with pytest.raises(iv.ValidationError, match="^mapping interval must be an Interval, got "):
+            ComposedMapping(power_means((1.0, 2.0)), interval, IndexVector(((1, 2), (2, 1))))
+
+    @pytest.mark.parametrize("means, message", [
+        ((1.0, 2.0), "^mapping mean 1 must be a Mean, got 1.0$"),
+        ((make_power_mean(PowerMeanSpec(1.0, 2)), PowerMeanSpec(2.0, 2)),
+         r"^mapping mean 2 must be a Mean, got PowerMeanSpec\(order=2.0, arity=2\)$"),
+        ("ab", "^mapping mean 1 must be a Mean, got 'a'$"),
+        (5, "^mapping means must be a sequence, got 5$"),
+        (make_power_mean(PowerMeanSpec(1.0, 2)), "^mapping means must be a sequence, got Mean"),
+    ])
+    def test_means_must_be_means(self, means, message):
+        # (1.0, 2.0) raised AttributeError, and 5 TypeError
+        with pytest.raises(iv.ValidationError, match=message):
+            ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
+
+    def test_means_may_be_any_sequence_of_means(self):
+        means = power_means((1.0, 2.0))
+        m = ComposedMapping(list(means), POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
+        assert m.means == means
+
+
 class TestApply:
     def test_constant_vector_is_fixed_exactly(self):
         m = example2_mapping()

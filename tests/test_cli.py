@@ -743,6 +743,24 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", EX5, "--samples", "25", "--seed", "3", "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("fixture, certified", [
+        ("example2.json", True), ("example3.json", False), ("example4.json", False),
+        ("example5.json", False), ("example6.json", False),
+    ])
+    def test_entries_come_in_a_fixed_order(self, capsys, fixture, certified):
+        # on an uncertified mapping the contractivity entry comes before the
+        # two checks it skips; the human lines name the same entries in the
+        # same order
+        names = ["mean-property", "oscillation-monotonicity", "certificate"]
+        names += [] if certified else ["contractivity"]
+        names += ["invariance", "bracket-dichotomy", "strict", "monotone", "homogeneous"]
+        spec = str(fixture_path(fixture))
+        _, data, _ = run_json(capsys, "verify", spec, "--samples", "4", "--json")
+        assert [c["name"] for c in data["checks"]] == names
+        _, out, _ = run(capsys, "verify", spec, "--samples", "4")
+        lines = [re.match(r"(PASS|FAIL|SKIP|INFO) +([\w-]+): ", line) for line in out.splitlines()]
+        assert [m.group(2) for m in lines if m] == names
+
 
 class TestSpecSourcing:
     def test_stdin_dash(self, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import math
 from random import Random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -475,6 +476,55 @@ class TestPowerMeanErrors:
             PowerMeanSpec(1.0, arity)
         with pytest.raises(iv.ValidationError, match="^mean arity must be an integer >= 1"):
             Mean(arity, POSITIVE_REALS, max)
+
+
+#: The three readers of a point, each with the length it takes: a mapping's
+#: step on example2, a power mean of arity 2, and the oscillation.
+EXAMPLE2 = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
+POINT_READERS = {
+    "apply": (EXAMPLE2.apply, 4),
+    "power_mean_eval": (lambda x: power_mean_eval(PowerMeanSpec(1.0, 2), x), 2),
+    "oscillation": (iv.oscillation, 2),
+}
+
+
+class TestPointReader:
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_a_str_or_bytes_is_no_point(self, reader, kind):
+        # "1234" was the point (1, 2, 3, 4), and b"12" the point (49, 50)
+        read, n = POINT_READERS[reader]
+        x = kind("1234"[:n], "ascii") if kind is bytes else "1234"[:n]
+        with pytest.raises(iv.ValidationError, match="^point must be a sequence of numbers, got "):
+            read(x)
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    @pytest.mark.parametrize("bad", [True, False, None, "a", "2", b"2", [1.0], 10 ** 400])
+    def test_a_coordinate_must_be_a_number(self, reader, bad):
+        # a bool was read as 1.0 or 0.0, "2" as 2.0, and None, "a" or
+        # [1.0] raised a bare TypeError or ValueError
+        read, n = POINT_READERS[reader]
+        with pytest.raises(iv.ValidationError, match=f"^point coordinate {n} must be a number, got "):
+            read((1.5,) * (n - 1) + (bad,))
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64, np.float32])
+    def test_numpy_arrays_and_scalars_are_read_as_floats(self, reader, dtype):
+        read, n = POINT_READERS[reader]
+        values = [1, 2, 3, 4][:n]
+        want = read(tuple(float(t) for t in values))
+        assert read(np.array(values, dtype=dtype)) == want
+        assert read([dtype(t) for t in values]) == want
+        assert read(values) == want
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    def test_length_and_domain_messages_stay_the_readers(self, reader):
+        read, n = POINT_READERS[reader]
+        with pytest.raises(iv.ShapeError):
+            read(())
+        if reader != "oscillation":
+            with pytest.raises(iv.DomainError):
+                read((-1.0,) * n)
 
 
 class TestMakePowerMean:
