@@ -56,8 +56,9 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _emit_json(obj) -> None:
+def _emit_json(obj) -> int:
     print(json.dumps(obj, indent=2))
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +108,7 @@ def cmd_analyze(args, mapping: ComposedMapping) -> int:
     cert = mapping._contractivity
     edges = [[a, b] for a, b in mapping.graph.sorted_edges()]
     if args.json:
-        _emit_json(
+        return _emit_json(
             {
                 "edges": edges,
                 "irreducible": cls.irreducible,
@@ -118,7 +119,6 @@ def cmd_analyze(args, mapping: ComposedMapping) -> int:
                 "certificate": cert.to_json_dict(),
             }
         )
-        return EXIT_OK
     print("edges:", " ".join(f"[{a},{b}]" for a, b in edges))
     print("irreducible:", _fmt_bool(cls.irreducible))
     print("period:", "none" if cls.period is None else cls.period)
@@ -143,14 +143,13 @@ def cmd_iterate(args, mapping: ComposedMapping) -> int:
         shown = (0, args.steps)
     oscillations = [oscillation(pt) for pt in points]
     if args.json:
-        _emit_json(
+        return _emit_json(
             {
                 "steps": args.steps,
                 "trace": [list(pt) for pt in points],
                 "oscillations": oscillations,
             }
         )
-        return EXIT_OK
     for k, pt, osc in zip(shown, points, oscillations):
         print(f"n={k}  x = {_fmt_point(pt)}  oscillation = {_fmt(osc)}")
     return EXIT_OK
@@ -180,14 +179,13 @@ def cmd_tg(args, mapping: ComposedMapping) -> int:
     c0 = TriStateColoring(_parse_list(args.c0, int, "coloring"))
     report = tg_stabilize(mapping.graph, c0, max_steps=args.max_steps)
     if args.json:
-        _emit_json(
+        return _emit_json(
             {
                 "trace": [list(c.values) for c in report.trace],
                 "steps_to_constant": report.steps_to_constant,
                 "constant_value": report.constant_value,
             }
         )
-        return EXIT_OK
     for k, coloring in enumerate(report.trace):
         print(f"step {k}: ({', '.join(str(v) for v in coloring.values)})")
     if report.repeats_step is not None:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
 
-from .averaging import CERTIFIED, ComposedMapping
+from .averaging import CERTIFIED, ComposedMapping, _unflagged
 from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError, check_count
 from .means import POSITIVE_REALS, CheckReport, _real, sample_box, sweep
@@ -355,13 +355,8 @@ def verify_mean_properties(
     """
     if which not in _PROPERTIES:
         raise ValidationError(f"unknown property {which!r}")
-    missing = [
-        mean.label for mean in m.means if not getattr(mean.flags, which)
-    ]
-    if missing:
-        raise PreconditionError(
-            f"{which} flag not asserted for {', '.join(sorted(set(missing)))}"
-        )
+    if missing := _unflagged(m, which):
+        raise PreconditionError(f"{which} flag not asserted for {missing}")
     if which == "homogeneous" and m.interval != POSITIVE_REALS:
         raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {m.interval}")
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from random import Random
 from typing import Callable, Sequence
 
@@ -68,25 +69,26 @@ def _real(value: object, what: str) -> float:
         raise ValidationError(f"{what} {value} is out of float range") from None
 
 
-#: The types a coordinate of a point may not have, whatever `float()` makes of them.
-_NOT_COORDINATES = (bool, str, bytes, type(None))
-
-
 def _point(x: Sequence[float]) -> tuple[float, ...]:
-    """The coordinates of the point x as floats.  A str or bytes is no
-    point, and a coordinate is a number that `float()` reads, such as an
-    int, a float or a numpy scalar, but not a bool, str, bytes or None
-    (ValidationError otherwise).  Its length and domain are the caller's
-    to check."""
-    if isinstance(x, (str, bytes)):
+    """The coordinates of the point x as floats.  A str, bytes or anything
+    not iterable is no point, and a coordinate is a `numbers.Real` that is
+    not a bool (bool, numpy's included) and that fits in a float, such as
+    an int, a float, a Fraction or a numpy int or float (ValidationError
+    otherwise).  Its length and domain are the caller's to check."""
+    try:
+        coordinates = iter(x)
+    except TypeError:
+        coordinates = None
+    if coordinates is None or isinstance(x, (str, bytes)):
         raise ValidationError(f"point must be a sequence of numbers, got {x!r}")
     xs = []
-    for t in x:
-        if not isinstance(t, _NOT_COORDINATES):
+    for t in coordinates:
+        # a float (numpy's float64 too) or an int first: the ABC check costs more
+        if isinstance(t, float) or type(t) is int or isinstance(t, Real) and not isinstance(t, bool):
             try:
                 xs.append(float(t))
                 continue
-            except (TypeError, ValueError, OverflowError):
+            except OverflowError:  # an int beyond the float range
                 pass
         raise ValidationError(f"point coordinate {len(xs) + 1} must be a number, got {t!r}")
     return tuple(xs)

@@ -37,7 +37,8 @@ about 1e16) loads, and `verify` reports it as a strictness failure.
 Five mapping files covering the interesting incidence-graph shapes ship
 under fixtures/: ergodic (example2), disconnected (example3), weakly
 connected with an absorbing coordinate (example4), weakly connected with
-a one-way feed (example5), and periodic (example6).
+a one-way feed (example5), and periodic (example6).  `FIXTURES` is read
+from that directory at import, so adding a fixture is adding a file.
 """
 
 from __future__ import annotations
@@ -68,13 +69,9 @@ KIND_ALIASES = {
     "quadratic": 2.0,
 }
 
-FIXTURES = (
-    "example2.json",
-    "example3.json",
-    "example4.json",
-    "example5.json",
-    "example6.json",
-)
+_FIXTURE_DIR = resources.files("invmean").joinpath("fixtures")
+#: The bundled fixtures: the sorted names of the *.json files in fixtures/.
+FIXTURES = tuple(sorted(f.name for f in _FIXTURE_DIR.iterdir() if f.name.endswith(".json")))
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,14 @@ class MappingSpec:
         return self._mapping
 
 
+def _expect(raw: Any, kind: type, where: str, noun: str) -> Any:
+    """raw when it is a `kind`, else a SpecError naming where and the
+    JSON type (noun) expected there."""
+    if not isinstance(raw, kind):
+        raise SpecError(f"{where}: expected {noun}, got {type(raw).__name__}")
+    return raw
+
+
 def _require(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
         raise SpecError(f"{where}: missing required key {key!r}")
@@ -97,8 +102,7 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def _parse_interval(raw: Any) -> Interval:
-    if not isinstance(raw, dict):
-        raise SpecError(f"interval: expected an object, got {type(raw).__name__}")
+    _expect(raw, dict, "interval", "an object")
     lower = _require(raw, "lower", "interval")
     upper = _require(raw, "upper", "interval")
     try:
@@ -114,8 +118,7 @@ def _parse_interval(raw: Any) -> Interval:
 
 def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
     where = f"means[{i}]"
-    if not isinstance(raw, dict):
-        raise SpecError(f"{where}: expected an object, got {type(raw).__name__}")
+    _expect(raw, dict, where, "an object")
     kind = _require(raw, "kind", where)
     alias = KIND_ALIASES.get(kind) if isinstance(kind, str) else None  # a list would not hash
     if alias is None and kind != "power":
@@ -134,28 +137,22 @@ def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
 def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     """Validate a decoded JSON object and build its mapping; errors carry
     the offending location."""
-    if not isinstance(raw, dict):
-        raise SpecError(f"spec: expected a JSON object, got {type(raw).__name__}")
+    _expect(raw, dict, "spec", "a JSON object")
     p = _require(raw, "p", "spec")
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise SpecError(f"p: must be a positive integer, got {p!r}")
     interval = _parse_interval(_require(raw, "interval", "spec"))
 
-    raw_means = _require(raw, "means", "spec")
-    if not isinstance(raw_means, list):
-        raise SpecError(f"means: expected a list, got {type(raw_means).__name__}")
+    raw_means = _expect(_require(raw, "means", "spec"), list, "means", "a list")
     if len(raw_means) != p:
         raise SpecError(f"means: {len(raw_means)} entries for p={p}")
     mean_specs = tuple(_parse_mean(entry, i) for i, entry in enumerate(raw_means, start=1))
 
-    raw_alpha = _require(raw, "alpha", "spec")
-    if not isinstance(raw_alpha, list):
-        raise SpecError(f"alpha: expected a list, got {type(raw_alpha).__name__}")
+    raw_alpha = _expect(_require(raw, "alpha", "spec"), list, "alpha", "a list")
     if len(raw_alpha) != p:
         raise SpecError(f"alpha: {len(raw_alpha)} rows for p={p}")
     for i, row in enumerate(raw_alpha, start=1):
-        if not isinstance(row, list):
-            raise SpecError(f"alpha row {i}: expected a list, got {type(row).__name__}")
+        _expect(row, list, f"alpha row {i}", "a list")
     # IndexVector checks the indexes, make_power_mean the domain and
     # ComposedMapping each row against its mean
     try:
@@ -195,4 +192,4 @@ def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled fixture, e.g. fixture_path('example2.json')."""
     if name not in FIXTURES:
         raise SpecError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
-    return Path(str(resources.files("invmean").joinpath("fixtures", name)))
+    return Path(str(_FIXTURE_DIR.joinpath(name)))

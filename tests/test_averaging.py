@@ -70,6 +70,14 @@ class TestCompose:
         with pytest.raises(iv.ValidationError, match="row 1, position 2: .* not an integer"):
             IndexVector(((1, bad), (1, 2)))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [((), "index vector needs at least one row"), (((),), "alpha row 1 is empty")],
+    )
+    def test_empty_rows_rejected(self, rows, message):
+        with pytest.raises(iv.ValidationError, match=f"^{message}$"):
+            IndexVector(rows)
+
     @pytest.mark.parametrize("rows", [[1, 2], 5, ((1, 2), 3)])
     def test_rows_that_are_not_sequences_rejected(self, rows):
         # a flat list of indexes is not a ValidationError's TypeError

@@ -517,6 +517,14 @@ class TestTg:
         assert code == 0
         assert out.splitlines()[-1] == "never constant: step 2 repeats step 0"
 
+    def test_step_cap_human_output(self, capsys):
+        # neither constant nor repeated by step 1, so the cap ends the run
+        code, out, _ = run(capsys, "tg", EX2, "1,1,1,-1", "--max-steps", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3 and lines[0] == "step 0: (1, 1, 1, -1)"
+        assert lines[-1] == "no constant coloring within 1 steps"
+
     def test_negative_first_entry_needs_no_separator(self, capsys):
         code, data, _ = run_json(capsys, "tg", EX6, "-1,0,1,0", "--json")
         assert code == 0

@@ -291,6 +291,10 @@ class TestInNeighbors:
         with pytest.raises(iv.ValidationError, match="non-integer"):
             Digraph(2, frozenset({(True, 2)}))
 
+    def test_vertex_outside_the_range_rejected(self):
+        with pytest.raises(iv.ValidationError, match=r"^edge \(1, 3\) outside vertex range 1\.\.2$"):
+            Digraph(2, {(1, 3)})
+
     @pytest.mark.parametrize("edges", [{(1, 2, 3)}, [1], 5, [([1], 2)]])
     def test_edges_that_are_not_pairs_rejected(self, edges):
         with pytest.raises(iv.ValidationError, match="edges must be pairs of vertices"):
@@ -536,6 +540,10 @@ class TestTgStep:
             TriStateColoring((0.5, 1, -1.2))
         with pytest.raises(iv.ValidationError):
             TriStateColoring((True, 0, -1))
+
+    def test_empty_coloring_rejected(self):
+        with pytest.raises(iv.ValidationError, match="^coloring must cover at least one vertex$"):
+            TriStateColoring(())
 
     def test_coloring_that_is_not_a_sequence_rejected(self):
         with pytest.raises(iv.ValidationError, match="coloring must be a sequence, got 5"):

@@ -1,6 +1,7 @@
 """Convergence to the invariant mean, cyclic-class limits, verification."""
 
 import math
+import re
 from random import Random
 
 import mpmath
@@ -413,6 +414,15 @@ class TestVerifyInvariance:
             assert residual <= 2.0 * (r1.error_radius + r2.error_radius) + 1e-15
 
 
+def flagged_mapping(evaluator, label):
+    """Both coordinates read one two-argument mean flagged strict, monotone
+    and homogeneous, so K is that mean of the start point."""
+    flags = iv.MeanFlags(strict=True, monotone=True, homogeneous=True)
+    mean = iv.Mean(arity=2, domain=iv.POSITIVE_REALS, evaluator=evaluator, flags=flags,
+                   label=label)
+    return iv.ComposedMapping((mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (1, 2))))
+
+
 class TestVerifyMeanProperties:
     def test_strict_clean_on_certified(self, ex2):
         report = verify_mean_properties(ex2, "strict", rng=Random(5), n_samples=100)
@@ -436,6 +446,35 @@ class TestVerifyMeanProperties:
         report = verify_mean_properties(ex2, "homogeneous", rng=Random(5), n_samples=60)
         assert report.passed
         assert report.max_residual <= 1e-10  # relative residual
+
+    def test_monotone_falsified(self):
+        # strict, but its weight on max(x) drops from 0.9 to 0.1 once the
+        # spread reaches 0.5: raising the larger coordinate across it lowers K
+        def jump(xs):
+            lo, hi = min(xs), max(xs)
+            return lo + (0.9 if hi - lo < 0.5 else 0.1) * (hi - lo)
+
+        m = flagged_mapping(jump, "jump")
+        report = verify_mean_properties(m, "monotone", rng=Random(5), n_samples=100)
+        assert not report.passed
+        for w in report.violations:
+            assert re.fullmatch(r"K decreased by \S+ after \+0\.1 on coordinate [12]", w.message)
+            k = int(w.message[-1]) - 1
+            raised = w.point[:k] + (w.point[k] + 0.1,) + w.point[k + 1:]
+            assert jump(raised) < jump(w.point)
+
+    def test_homogeneous_falsified(self):
+        # log((e^a + e^b) / 2): strict and monotone, but not homogeneous
+        def log_exp(xs):
+            return math.log((math.exp(xs[0]) + math.exp(xs[1])) / 2)
+
+        m = flagged_mapping(log_exp, "log-exp")
+        report = verify_mean_properties(m, "homogeneous", rng=Random(5), n_samples=20)
+        assert not report.passed
+        for w in report.violations:
+            assert re.fullmatch(
+                r"\|K\((0\.5|2\.0|10\.0)x\) - \1K\(x\)\| = \S+ \(relative \S+\)", w.message
+            )
 
     def test_absorbing_coordinate_breaks_strictness(self, ex4):
         report = verify_mean_properties(ex4, "strict", rng=Random(5), n_samples=40)

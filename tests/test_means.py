@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 from random import Random
 
 import mpmath
@@ -499,13 +501,37 @@ class TestPointReader:
             read(x)
 
     @pytest.mark.parametrize("reader", POINT_READERS)
-    @pytest.mark.parametrize("bad", [True, False, None, "a", "2", b"2", [1.0], 10 ** 400])
+    @pytest.mark.parametrize("x", [5, None])
+    def test_a_non_iterable_is_no_point(self, reader, x):
+        # both raised a bare TypeError: "'int' object is not iterable"
+        read, _ = POINT_READERS[reader]
+        with pytest.raises(iv.ValidationError, match=f"^point must be a sequence of numbers, got {x}$"):
+            read(x)
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, None, "a", "2", b"2", [1.0], 10 ** 400, np.True_, np.False_, Decimal("1")],
+    )
     def test_a_coordinate_must_be_a_number(self, reader, bad):
-        # a bool was read as 1.0 or 0.0, "2" as 2.0, and None, "a" or
-        # [1.0] raised a bare TypeError or ValueError
+        # a bool was read as 1.0 or 0.0, numpy's too, and "2" as 2.0; None,
+        # "a" or [1.0] raised a bare TypeError or ValueError
         read, n = POINT_READERS[reader]
         with pytest.raises(iv.ValidationError, match=f"^point coordinate {n} must be a number, got "):
             read((1.5,) * (n - 1) + (bad,))
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    def test_a_numpy_bool_array_is_no_point(self, reader):
+        # (True, True, ...) was read as the point (1.0, 1.0, ...)
+        read, n = POINT_READERS[reader]
+        with pytest.raises(iv.ValidationError, match="^point coordinate 1 must be a number, got "):
+            read(np.ones(n, dtype=bool))
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    def test_fractions_are_read_as_floats(self, reader):
+        read, n = POINT_READERS[reader]
+        values = [1, 2, 3, 4][:n]
+        assert read([Fraction(t, 2) for t in values]) == read([t / 2 for t in values])
 
     @pytest.mark.parametrize("reader", POINT_READERS)
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64, np.float32])
@@ -525,6 +551,21 @@ class TestPointReader:
         if reader != "oscillation":
             with pytest.raises(iv.DomainError):
                 read((-1.0,) * n)
+
+
+class TestSampleBox:
+    @pytest.mark.parametrize(
+        "interval, box",
+        [
+            (Interval(1.0, math.inf), (2.0, 3.0)),
+            (Interval(5.0, math.inf), (10.0, 15.0)),
+            (Interval(-math.inf, -1.0), (-3.0, -2.0)),
+            (Interval(-math.inf, 0.5), (-1.5, -0.5)),
+        ],
+    )
+    def test_one_infinite_end(self, interval, box):
+        # the box starts max(1, |end|) past the finite end and is as wide
+        assert means.sample_box(interval) == box
 
 
 class TestMakePowerMean:

@@ -208,6 +208,24 @@ class TestSchemaErrors:
         with pytest.raises(iv.SpecError, match="positive integer"):
             mapping_spec_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"interval": [0, None]}, "interval: expected an object, got list"),
+            ({"means": {"kind": "harmonic"}}, "means: expected a list, got dict"),
+            ({"means": ["harmonic", {"kind": "arithmetic", "arity": 2}]},
+             "means[1]: expected an object, got str"),
+            ({"alpha": "1,2"}, "alpha: expected a list, got str"),
+            ({"alpha": [{"1": 2}, [1, 2]]}, "alpha row 1: expected a list, got dict"),
+            ({"p": 1, "means": [{"kind": "arithmetic", "arity": 1}], "alpha": [[1], [1]]},
+             "alpha: 2 rows for p=1"),
+        ],
+    )
+    def test_json_shape_messages(self, changes, message):
+        with pytest.raises(iv.SpecError) as exc:
+            mapping_spec_from_dict(minimal_spec_dict() | changes)
+        assert str(exc.value) == message
+
 
 class TestOneCheckPerValue:
     """The spec path rejects a value with the message of the library type
@@ -278,6 +296,9 @@ class TestFixtureAccess:
     def test_all_fixture_paths_exist(self):
         for name in FIXTURES:
             assert fixture_path(name).exists()
+
+    def test_fixtures_are_the_json_files_of_the_package(self):
+        assert FIXTURES == tuple(f"example{k}.json" for k in range(2, 7))
 
     def test_unknown_fixture(self):
         with pytest.raises(iv.SpecError, match="unknown fixture"):
