@@ -21,7 +21,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from . import __version__
-from .averaging import CERTIFIED, ComposedMapping, oscillation
+from .averaging import CERTIFIED, FALSIFIED, ComposedMapping, oscillation
 from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
@@ -29,14 +29,14 @@ from .invariant import (
     DEFAULT_RESIDUAL_TOL,
     DEFAULT_TOL,
     _PROPERTIES,
+    _check_hypothesis,
     _check_tol,
     check_bracket_dichotomy,
-    check_oscillation_monotonicity,
     invariant_mean_eval,
     verify_invariance,
     verify_mean_properties,
 )
-from .means import CheckReport, Witness, check_mean_property
+from .means import CheckReport, Witness, check_mean_property, sample_box
 from .specfile import MappingSpec, load_mapping_spec
 
 EXIT_OK = 0
@@ -208,6 +208,9 @@ def _entry(name: str, status: str, detail: str, witnesses=()) -> dict:
 
 
 def _report_entry(report: CheckReport) -> dict:
+    if report.n_samples == 0:
+        # every sampler draws nonconstant vectors, and only I^1 has none
+        return _entry(report.name, "pass", "vacuous: I^1 has no nonconstant vector")
     if report.n_evaluated == 0 and report.n_skipped > 0:
         return _entry(
             report.name, "skip", f"no convergent samples ({report.n_skipped} skipped)"
@@ -219,6 +222,44 @@ def _report_entry(report: CheckReport) -> dict:
     if report.violations:
         detail = f"{len(report.violations)} violation(s); {detail}"
     return _entry(report.name, "fail" if report.violations else "pass", detail, report.violations)
+
+
+def _proved_properties(mapping: ComposedMapping) -> dict:
+    """The entries of the properties of K that the incidence graph decides
+    for strict, monotone and homogeneous means, by name; none iterates."""
+    status = mapping._contractivity.status
+    if status == FALSIFIED:
+        detail = "proved: there is no invariant mean K (class=falsified)"
+        return {prop: _entry(prop, "skip", detail) for prop in _PROPERTIES}
+    # M^n inherits each property from the means, and K = lim M^n from M^n
+    entries = {
+        prop: _entry(prop, "pass", f"proved: every mean is {prop}, so is every M^n and so is K")
+        for prop in ("monotone", "homogeneous")
+    }
+    cls = is_ergodic(mapping.graph)
+    if status == CERTIFIED:
+        entries["strict"] = _entry("strict", "pass", (
+            f"proved: strict means on an ergodic graph: after q0 = {cls.uniform_walk_length} "
+            "step(s) every nonconstant x lies strictly inside its bracket, and K(x) with it"
+        ))
+        return entries
+    # contractive: K reads only the one initial class R, so x constant on R
+    # and higher elsewhere has K(x) = min(x)
+    (only,) = cls.initial_classes
+    mask = only.vertices
+    inside = [v + 1 for v in range(mapping.p) if mask >> v & 1]
+    outside = [v + 1 for v in range(mapping.p) if not mask >> v & 1]
+    lo, hi = sample_box(mapping.interval)
+    mid = 0.5 * (lo + hi)
+    x = tuple(mid if mask >> v & 1 else hi for v in range(mapping.p))
+    initial = "{" + ", ".join(map(str, inside)) + "}"
+    message = (f"K(x) = min(x) = {mid!r}: only coordinate{'s' * (len(outside) > 1)} "
+               f"{', '.join(map(str, outside))} varied, outside the initial class {initial}")
+    entries["strict"] = _entry(
+        "strict", "fail", f"proved: K reads only the initial class {initial}, not every coordinate",
+        [Witness(x, message)],
+    )
+    return entries
 
 
 def cmd_verify(args, mapping: ComposedMapping) -> int:
@@ -234,9 +275,14 @@ def cmd_verify(args, mapping: ComposedMapping) -> int:
     ]
     mp_detail = (f"{mapping.p} means, {sum(rep.n_samples for rep in mp_reports)} points, "
                  f"{len(mp_witnesses)} violation(s)")
+    # a spec builds only library power means: strict, monotone and
+    # homogeneous by construction, each row clamped into [min, max]
     checks = [
         _entry("mean-property", "fail" if mp_witnesses else "pass", mp_detail, mp_witnesses),
-        _report_entry(check_oscillation_monotonicity(mapping, rng, n_samples=n)),
+        _entry("oscillation-monotonicity", "pass", (
+            "proved: every row clamps into [min, max] of its arguments, so min(M^n(x)) "
+            "never drops and max(M^n(x)) never rises"
+        )),
     ]
     cert = mapping._contractivity
     # the evidence is stated once: in the certificate entry on a certified
@@ -256,11 +302,18 @@ def cmd_verify(args, mapping: ComposedMapping) -> int:
             _entry("invariance", "skip", "not certified"),
             _entry("bracket-dichotomy", "skip", "not certified"),
         ]
+    # the proofs need strict means: a sampled violation of the mean property
+    # refutes that, and the properties of K are then sampled
+    proved = {} if mp_witnesses else _proved_properties(mapping)
     for prop in _PROPERTIES:
         try:
-            checks.append(_report_entry(verify_mean_properties(mapping, prop, rng, n)))
+            _check_hypothesis(mapping, prop)
         except PreconditionError as exc:  # the mapping lacks the property's hypothesis
             checks.append(_entry(prop, "skip", str(exc)))
+        else:
+            checks.append(
+                proved.get(prop) or _report_entry(verify_mean_properties(mapping, prop, rng, n))
+            )
 
     failed = [c for c in checks if c["status"] == "fail"]
     if args.json:
@@ -320,8 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="step cap (default: none; the run stops at a constant or repeated coloring)",
     )
 
-    p = add("verify", cmd_verify, "run the sampled property suite")
-    p.add_argument("--samples", type=int, default=200, help="samples per check (default 200)")
+    p = add("verify", cmd_verify,
+            "check the property suite: state what the spec's construction proves, sample the rest")
+    p.add_argument("--samples", type=int, default=200,
+                   help="samples per sampled check (default 200)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     # 1e-9, not the 1e-09 of :g
     p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,

@@ -35,6 +35,20 @@ decision, certifies: strict means on an ergodic graph.  The dichotomy is
 checked after q0 <= (p-1)^2 + 1 steps, the graph's uniform walk length,
 while the certificate itself still reads the paper's n0 = 3^p.
 
+`invmean verify` samples only what the construction leaves open.  On a
+mapping of library power means, which are strict, monotone and
+homogeneous and clamp every row into [min, max] of its arguments, it
+states as proved, without iterating: the oscillation monotonicity (the
+brackets are nested); monotonicity and homogeneity of K whenever K
+exists (every M^n takes them over from the means, and K is their
+limit); and strictness of K from the graph, which holds on an ergodic
+graph and fails on a "contractive" one, where K reads only the initial
+class.  On a "falsified" mapping there is no K.  It samples the mean
+property, `verify_invariance` and `check_bracket_dichotomy`, and falls
+back to `verify_mean_properties` when the mean-property sampling refutes
+the strictness those proofs rest on.  The samplers stay for means the
+library did not build, and the tests hold the proved statements to them.
+
 Every function here that takes a tol raises ValidationError unless it is
 a finite number > 0, an int or a float but not a bool (`means._real`): a
 NaN tol would pass every residual comparison or none, and an infinite
@@ -325,6 +339,18 @@ _HOMOGENEITY_FACTORS = (0.5, 2.0, 10.0)
 _MONOTONE_STEP = 0.1
 
 
+def _check_hypothesis(m: ComposedMapping, which: str) -> None:
+    """PreconditionError unless every mean of m is flagged `which` and, for
+    homogeneity, m lives on (0, +inf); ValidationError for an unknown
+    property."""
+    if which not in _PROPERTIES:
+        raise ValidationError(f"unknown property {which!r}")
+    if missing := _unflagged(m, which):
+        raise PreconditionError(f"{which} flag not asserted for {missing}")
+    if which == "homogeneous" and m.interval != POSITIVE_REALS:
+        raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {m.interval}")
+
+
 def verify_mean_properties(
     m: ComposedMapping,
     which: str,
@@ -353,12 +379,7 @@ def verify_mean_properties(
     hypothesis is absent and a PreconditionError is raised.  Samples where
     the iteration does not converge are skipped and counted.
     """
-    if which not in _PROPERTIES:
-        raise ValidationError(f"unknown property {which!r}")
-    if missing := _unflagged(m, which):
-        raise PreconditionError(f"{which} flag not asserted for {missing}")
-    if which == "homogeneous" and m.interval != POSITIVE_REALS:
-        raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {m.interval}")
+    _check_hypothesis(m, which)
 
     def converged_value(x):
         rep = invariant_mean_eval(m, x)

@@ -9,6 +9,7 @@ import json
 import math
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -167,11 +168,13 @@ class TestDecideOnce:
 
 class TestCompileOnce:
     """The step of a mapping is compiled on first use: once per command
-    that iterates, never for one that only reads the graph."""
+    that iterates, never for one that only reads the graph.  `verify`
+    iterates only on a certified mapping: elsewhere every entry it makes
+    is proved or skipped."""
 
     @pytest.mark.parametrize("argv, compiles", [
         (("verify", EX2, "--samples", "4"), 1),
-        (("verify", EX6, "--samples", "4"), 1),
+        (("verify", EX6, "--samples", "4"), 0),
         (("invariant", EX2, "1,2,3,4"), 1),
         (("invariant", EX6, "1,4,9,16"), 1),
         (("analyze", EX2), 0),
@@ -706,6 +709,11 @@ class TestVerify:
         assert statuses.pop("certificate") == "info"
         assert statuses.pop("homogeneous") == "skip"
         assert set(statuses.values()) == {"pass"}
+        # verify proves `strict` here, so the probes are run by the sampler
+        # itself: a probe past the upper end would raise a DomainError
+        mapping = load_mapping_spec(spec).build()
+        report = invariant.verify_mean_properties(mapping, "strict", Random(0), 20)
+        assert (report.n_samples, report.n_evaluated, report.violations) == (4 + 20, 4 + 20, ())
 
     def test_two_ring12_contractivity_steps_one_witness_check(self, capsys, tmp_path, monkeypatch):
         # two disjoint harmonic/arithmetic rings with loops, 6 coordinates

@@ -1,0 +1,181 @@
+"""`verify`'s proved entries, held to the samplers they stand in for, to a
+50-digit iteration and to the kernel steps they save.
+
+On a mapping of library power means, `invmean verify` states the
+oscillation monotonicity and the strictness, monotonicity and
+homogeneity of K as what the incidence graph proves, and iterates for
+none of them.  The samplers stay library API; here they are the oracle:
+at 30 samples from a fixed rng each must reach the status the proof
+states.
+"""
+
+import json
+from random import Random
+
+import mpmath
+import pytest
+
+from invmean import (
+    averaging, check_bracket_dichotomy, check_mean_property, check_oscillation_monotonicity,
+    fixture_path, load_mapping_spec, verify_invariance, verify_mean_properties,
+)
+from invmean.cli import _report_entry, main
+from invmean.errors import PreconditionError
+from invmean.means import _power_order
+from test_invariant import mp_invariant_mean
+
+ORACLE_SAMPLES = 30
+
+
+def fixture(name):
+    return json.loads(fixture_path(f"{name}.json").read_text())
+
+
+def power_spec(orders, alpha):
+    return {
+        "p": len(alpha),
+        "interval": {"lower": 0, "upper": None},
+        "means": [{"kind": "power", "order": s, "arity": len(row)}
+                  for s, row in zip(orders, alpha)],
+        "alpha": alpha,
+    }
+
+
+def ring_alpha(p, first=1):
+    return [[first + i, first + (i + 1) % p] for i in range(p)]
+
+
+def ring_spec(p):
+    """The bench's harmonic/arithmetic ring with loops (ergodic)."""
+    return power_spec([-1.0 if i % 2 == 0 else 1.0 for i in range(p)], ring_alpha(p))
+
+
+def two_rings_spec(p):
+    """Two disjoint rings with loops of p // 2 coordinates each (falsified)."""
+    h = p // 2
+    return power_spec([-1.0 if i % 2 == 0 else 1.0 for i in range(p)],
+                      ring_alpha(h) + ring_alpha(p - h, first=h + 1))
+
+
+def example2_with(**changes):
+    raw = fixture("example2")
+    if "order4" in changes:
+        raw["means"][3] = {"kind": "power", "order": changes["order4"], "arity": 2}
+    if "interval" in changes:
+        raw["interval"] = changes["interval"]
+    return raw
+
+
+SPECS = {
+    **{name: fixture(name) for name in [f"example{k}" for k in range(2, 7)]},
+    "ring6": ring_spec(6),
+    "ring8": ring_spec(8),
+    "two_rings10": two_rings_spec(10),
+    # P_1e17 rounds to max(x): the mean property fails, and with it the
+    # strictness the proofs rest on
+    "order1e17": example2_with(order4=1e17),
+    "bounded": example2_with(interval={"lower": 1, "upper": 5}),
+    "narrow": example2_with(interval={"lower": 1, "upper": 1.2}),
+}
+
+
+def run_verify(capsys, tmp_path, spec, *argv):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["verify", str(path), "--json", *argv])
+    return code, {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+def sampled_status(mapping, name, seed):
+    rng = Random(seed)
+    if name == "oscillation-monotonicity":
+        return _report_entry(check_oscillation_monotonicity(mapping, rng, ORACLE_SAMPLES))["status"]
+    try:
+        return _report_entry(verify_mean_properties(mapping, name, rng, ORACLE_SAMPLES))["status"]
+    except PreconditionError:
+        return "skip"
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_samplers_reach_the_stated_status(capsys, tmp_path, name):
+    _, entries = run_verify(capsys, tmp_path, SPECS[name], "--samples", "4")
+    mapping = load_mapping_spec(json.dumps(SPECS[name]).encode()).build()
+    for seed, check in enumerate(("oscillation-monotonicity", "strict", "monotone", "homogeneous")):
+        assert sampled_status(mapping, check, seed) == entries[check]["status"], (name, check)
+
+
+def test_proofs_are_stated_and_only_the_refuted_premise_samples(capsys, tmp_path):
+    _, entries = run_verify(capsys, tmp_path, SPECS["example2"], "--samples", "4")
+    for check in ("oscillation-monotonicity", "strict", "monotone", "homogeneous"):
+        assert entries[check]["detail"].startswith("proved: ")
+    for check in ("invariance", "bracket-dichotomy"):
+        assert not entries[check]["detail"].startswith("proved: ")
+    code, entries = run_verify(capsys, tmp_path, SPECS["order1e17"], "--samples", "4")
+    assert code == 2
+    assert entries["mean-property"]["status"] == "fail"
+    assert entries["strict"]["status"] == "fail"
+    assert entries["oscillation-monotonicity"]["detail"].startswith("proved: ")
+    for check in ("strict", "monotone", "homogeneous"):
+        assert not entries[check]["detail"].startswith("proved: ")
+
+
+@pytest.mark.parametrize("name, outside", [("example4", "coordinate 4"),
+                                            ("example5", "coordinates 3, 4")])
+def test_strict_witness_has_k_at_the_minimum(capsys, tmp_path, name, outside):
+    code, entries = run_verify(capsys, tmp_path, SPECS[name], "--samples", "4")
+    assert code == 2
+    strict = entries["strict"]
+    assert strict["status"] == "fail"
+    (witness,) = strict["witnesses"]
+    assert outside in witness["message"]
+    x = witness["point"]
+    assert min(x) < max(x)
+    mapping = load_mapping_spec(fixture_path(f"{name}.json")).build()
+    orders = [_power_order(mean) for mean in mapping.means]
+    k = mp_invariant_mean(orders, mapping.alpha.rows, x, digits=50)
+    assert abs(k - min(x)) <= mpmath.mpf(10) ** -45
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """The k of every call of every kernel compiled from here on."""
+    steps = []
+    compile_steps = averaging._compile_steps
+
+    def counted(mapping):
+        kernel = compile_steps(mapping)
+        return lambda xs, k: steps.append(k) or kernel(xs, k)
+
+    monkeypatch.setattr(averaging, "_compile_steps", counted)
+    return steps
+
+
+@pytest.mark.parametrize("name", ["example3", "example4", "example5", "example6"])
+def test_uncertified_fixture_takes_no_step(capsys, tmp_path, kernel_steps, name):
+    run_verify(capsys, tmp_path, SPECS[name], "--samples", "4")
+    assert kernel_steps == []
+
+
+def test_certified_fixture_steps_only_for_invariance_and_dichotomy(capsys, tmp_path, kernel_steps):
+    code, _ = run_verify(capsys, tmp_path, SPECS["example2"], "--samples", "4")
+    assert code == 0
+    taken = kernel_steps[:]
+    kernel_steps.clear()
+    # the same suite seed (0) and draws, with only the two sampled checks
+    # that iterate: the mean property draws first and takes no step
+    mapping = load_mapping_spec(fixture_path("example2.json")).build()
+    rng = Random(0)
+    for mean in mapping.means:
+        check_mean_property(mean, rng, 4)
+    verify_invariance(mapping, rng=rng, n_samples=4)
+    check_bracket_dichotomy(mapping, rng, n_samples=4)
+    assert taken and taken == kernel_steps
+
+
+def test_one_coordinate_checks_are_vacuous(capsys, tmp_path):
+    code, entries = run_verify(capsys, tmp_path, power_spec([0.0], [[1, 1]]), "--samples", "4")
+    assert code == 0
+    for check in ("invariance", "bracket-dichotomy"):
+        assert entries[check] == {
+            "name": check, "status": "pass", "detail": "vacuous: I^1 has no nonconstant vector",
+        }
