@@ -126,11 +126,15 @@ class ComposedMapping:
         object.__setattr__(self, "means", means)
         if len(means) != self.alpha.p:
             raise ShapeError(f"index vector has {self.alpha.p} rows for {len(means)} means")
+        on_interval = set()  # a Mean that rows share is checked against I once
         for i, (row, mean) in enumerate(zip(self.alpha.rows, means), start=1):
-            if mean.domain != self.interval:
-                raise ValidationError(
-                    f"mean {i} ({mean.label!r}) lives on {mean.domain}, mapping on {self.interval}"
-                )
+            if id(mean) not in on_interval:
+                if mean.domain != self.interval:
+                    raise ValidationError(
+                        f"mean {i} ({mean.label!r}) lives on {mean.domain}, "
+                        f"mapping on {self.interval}"
+                    )
+                on_interval.add(id(mean))
             if len(row) != mean.arity:
                 raise ShapeError(
                     f"alpha row {i} has {len(row)} indexes, mean {i} ({mean.label!r}) "

@@ -22,7 +22,10 @@ holds it: `Interval` and `PowerMeanSpec` check their numbers and flags,
 `ComposedMapping` the row lengths; their errors come back as a SpecError
 that names the location.  The mapping is built once, at load, and a
 `MappingSpec` keeps only that mapping: p, the interval, the means and
-alpha are read from it.
+alpha are read from it.  Each distinct means entry is parsed, checked and
+built once per load, and every coordinate that repeats it shares that one
+`Mean`; entries that JSON tells apart (2 and 2.0, 1 and true, 0.0 and
+-0.0) stay apart.  Nothing is kept from one load to the next.
 
 `load_mapping_spec` reads a str that starts with '{' as JSON text; the
 command line passes a path as a `Path`, so no file name is ever read as
@@ -78,7 +81,9 @@ FIXTURES = tuple(sorted(f.name for f in _FIXTURE_DIR.iterdir() if f.name.endswit
 class MappingSpec:
     """The mapping one spec file defines, built once at load: the checks of
     `make_power_mean` (the domain) and `ComposedMapping` (rows against
-    means) have run; the step is compiled on first use, not here."""
+    means) have run, each distinct mean built once and shared by the
+    coordinates that repeat it; the step is compiled on first use, not
+    here."""
 
     _mapping: ComposedMapping
 
@@ -116,6 +121,24 @@ def _parse_interval(raw: Any) -> Interval:
         raise SpecError(f"interval: {exc}") from None
 
 
+#: The types of the JSON scalars, the only values an entry key takes in.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _entry_key(raw: Any) -> tuple | None:
+    """The key of a means entry: two entries share it only when they hold
+    the same keys in the same order and values of the same repr.  On JSON
+    scalars repr tells apart what == merges: 2 and 2.0, 1 and True, 0.0
+    and -0.0 (labels P_0 and P_-0).  None when raw is not an object of JSON
+    scalars: such an entry is parsed on its own."""
+    if type(raw) is not dict:
+        return None
+    values = raw.values()
+    if not _SCALARS.issuperset(map(type, values)):
+        return None
+    return tuple(raw), tuple(map(repr, values))
+
+
 def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
     where = f"means[{i}]"
     _expect(raw, dict, where, "an object")
@@ -146,7 +169,22 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     raw_means = _expect(_require(raw, "means", "spec"), list, "means", "a list")
     if len(raw_means) != p:
         raise SpecError(f"means: {len(raw_means)} entries for p={p}")
-    mean_specs = tuple(_parse_mean(entry, i) for i, entry in enumerate(raw_means, start=1))
+    # each distinct entry is parsed once and built once (below), and the
+    # coordinates that repeat it share its Mean.  An entry that fails is
+    # never stored and one with no key is parsed on its own, so each error
+    # names the entry that a parse of every entry would name.
+    specs: list[PowerMeanSpec] = []  # the distinct entries' specs
+    slot_of: dict[tuple, int] = {}  # entry key -> index in specs
+    slots = []  # per coordinate, the index of its spec
+    for i, entry in enumerate(raw_means, start=1):
+        key = _entry_key(entry)
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = len(specs)
+            specs.append(_parse_mean(entry, i))
+            if key is not None:
+                slot_of[key] = slot
+        slots.append(slot)
 
     raw_alpha = _expect(_require(raw, "alpha", "spec"), list, "alpha", "a list")
     if len(raw_alpha) != p:
@@ -157,8 +195,8 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     # ComposedMapping each row against its mean
     try:
         alpha = IndexVector(raw_alpha)
-        means = tuple(make_power_mean(ps, domain=interval) for ps in mean_specs)
-        return MappingSpec(ComposedMapping(means, interval, alpha))
+        built = [make_power_mean(ps, domain=interval) for ps in specs]
+        return MappingSpec(ComposedMapping(tuple([built[s] for s in slots]), interval, alpha))
     except (ValidationError, ShapeError) as exc:
         raise SpecError(str(exc)) from None
 

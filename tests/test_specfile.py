@@ -292,6 +292,83 @@ class TestOneCheckPerValue:
         assert names == ["<invmean ComposedMapping._steps p=4>"]
 
 
+def load_means_text(entries):
+    """Load, through JSON text, a spec whose coordinate i is means entry i
+    of arity 2, fed by coordinates 1 and 2."""
+    raw = {
+        "p": len(entries),
+        "interval": {"lower": 0, "upper": None},
+        "means": entries,
+        "alpha": [[1, 2]] * len(entries),
+    }
+    return load_mapping_spec(json.dumps(raw))
+
+
+class TestDistinctMeans:
+    """Each distinct means entry is parsed and built once per load; the
+    coordinates that repeat it share its Mean.  Entries that JSON tells
+    apart are never merged, even where Python's == would merge them."""
+
+    @pytest.mark.parametrize(
+        "key, first, second, message",
+        [
+            ("arity", 2, 2.0, "means[2]: power-mean arity must be an integer >= 1, got 2.0"),
+            ("order", 1, True, "means[2]: order must be a number, got True"),
+            ("order", 1, [1], "means[2]: order must be a number, got [1]"),
+        ],
+    )
+    def test_a_bad_repeat_of_a_good_entry_raises_its_own_error(self, key, first, second, message):
+        entries = [{"kind": "power", "order": 1, "arity": 2} for _ in range(3)]
+        entries[0][key] = first
+        entries[1][key] = second
+        with pytest.raises(iv.SpecError) as info:
+            load_means_text(entries)
+        assert str(info.value) == message
+
+    def test_signed_zero_orders_keep_their_labels(self):
+        entries = [{"kind": "power", "order": s, "arity": 2} for s in (0.0, -0.0, 0.0, -0.0)]
+        means = load_means_text(entries).build().means
+        assert [m.label for m in means] == ["P_0", "P_-0", "P_0", "P_-0"]
+        assert [math.copysign(1, m.evaluator.order) for m in means] == [1, -1, 1, -1]
+
+    def test_loaded_ring_equals_one_mean_per_row(self):
+        p = 12
+        orders = [-1.0 if i % 2 == 0 else 1.0 for i in range(p)]
+        alpha = [[i + 1, (i + 1) % p + 1] for i in range(p)]
+        raw = {
+            "p": p,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "power", "order": s, "arity": 2} for s in orders],
+            "alpha": alpha,
+        }
+        per_row = iv.ComposedMapping(
+            tuple(iv.make_power_mean(iv.PowerMeanSpec(s, 2)) for s in orders),
+            iv.POSITIVE_REALS,
+            iv.IndexVector(alpha),
+        )
+        loaded = load_mapping_spec(json.dumps(raw)).build()
+        assert loaded == per_row
+        assert len({id(m) for m in loaded.means}) == 2
+
+    def test_a_repeated_entry_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return iv.make_power_mean(*args, **kwargs)
+
+        monkeypatch.setattr(iv.specfile, "make_power_mean", counting)
+        means = load_means_text([{"kind": "arithmetic", "arity": 2}] * 1000).build().means
+        assert len(built) == 1
+        assert len(means) == 1000 and means[0] is means[-1]
+
+    def test_no_mean_is_shared_between_loads(self):
+        text = json.dumps(minimal_spec_dict())
+        first, second = (load_mapping_spec(text).build() for _ in range(2))
+        assert first == second
+        assert not {id(m) for m in first.means} & {id(m) for m in second.means}
+
+
 class TestFixtureAccess:
     def test_all_fixture_paths_exist(self):
         for name in FIXTURES:
