@@ -14,7 +14,7 @@ It reads the initial classes of the incidence graph and takes no step.
 When the graph does not have exactly one initial class, or that class
 is periodic, a block vector on the classes keeps its oscillation for
 ever: "falsified", with the block as witness (on the disconnected
-`example3`, (a, a, b, b)).  Otherwise, with every mean flagged strict,
+`example3`, (a, a, b, b)).  Otherwise, with every mean declared strict,
 the oscillation of every nonconstant vector strictly shrinks: after the
 paper's n0 = 3^p steps when the graph is ergodic ("uniformly-weak-
 certified"), and after (p-1)^2 + 1 steps when the one initial class
@@ -44,7 +44,9 @@ from typing import Callable, Sequence
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError, check_count
-from .means import Interval, Mean, _compile, _point, _power_order, _power_row, sample_box
+from .means import (
+    Interval, Mean, _compile, _not_strict, _point, _power_order, _power_row, sample_box,
+)
 
 __all__ = [
     "IndexVector",
@@ -305,8 +307,8 @@ class ContractivityCertificate:
     composed mapping.
 
     status is one of:
-      * "uniformly-weak-certified" -- all component means carry the strict
-        flag and the incidence graph is ergodic; n0 = 3^p steps strictly
+      * "uniformly-weak-certified" -- all component means are declared
+        strict and the incidence graph is ergodic; n0 = 3^p steps strictly
         shrink the oscillation of every nonconstant vector, and so do the
         q0 steps of the graph's uniform walk length.
       * "contractive"              -- all component means are strict and the
@@ -316,7 +318,7 @@ class ContractivityCertificate:
       * "falsified"                -- the witness, a block vector on the
         initial classes or on the cyclic classes of the only one, keeps
         its oscillation at every step, so after n0 = (p-1)^2 + 1 too.
-      * "unknown"                  -- a mean not flagged strict, or a mean
+      * "unknown"                  -- a mean not declared strict, or a mean
         that moves a constant vector, leaves the question open; n0 is
         None and the evidence names the means.
     """
@@ -334,12 +336,6 @@ class ContractivityCertificate:
 
     def to_json_dict(self) -> dict:
         return {"class": self.status, "n0": self.n0, "evidence": self.evidence}
-
-
-def _unflagged(m: ComposedMapping, flag: str) -> str:
-    """The sorted labels of the means of m whose `flag` is not set, joined
-    by ", ", or "" when every mean has it."""
-    return ", ".join(sorted({mean.label for mean in m.means if not getattr(mean.flags, flag)}))
 
 
 def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
@@ -373,10 +369,10 @@ def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
         (k-1)^2 + 1 (Wielandt).  So R lies in every B_n(v) once n >=
         (k-1)^2 + 1 + p - k, which is at most (p-1)^2 + 1 because
         (k-1)^2 - k does not decrease on k >= 1: no two B_n are disjoint
-        from n = (p-1)^2 + 1 on.  With every mean flagged strict this is a
+        from n = (p-1)^2 + 1 on.  With every mean declared strict this is a
         proof: "uniformly-weak-certified" with the paper's n0 = 3^p when R
         is every vertex (the graph is then ergodic), and "contractive"
-        with n0 = (p-1)^2 + 1 otherwise.  When some mean is not flagged
+        with n0 = (p-1)^2 + 1 otherwise.  When some mean is not declared
         strict the result is "unknown".
     So the answer is the same at every n >= (p-1)^2 + 1 (Seneta,
     Non-negative Matrices and Markov Chains, for initial and cyclic
@@ -419,7 +415,7 @@ def falsify_contractivity(m: ComposedMapping) -> ContractivityCertificate:
             f"so it stays {hi - lo!r} at every step", witness=x,
         )
     shared = f"every two coordinates share a walk source after {n0} step(s)"
-    if labels := _unflagged(m, "strict"):
+    if labels := _not_strict(m.means):
         evidence = f"{shared}, but strictness not asserted for {labels}"
         return ContractivityCertificate(UNKNOWN, None, evidence)
     if cls.ergodic:

@@ -26,8 +26,9 @@ class ShapeError(InvMeanError, ValueError):
 
 
 class ValidationError(InvMeanError, ValueError):
-    """A declared structure is inconsistent: bad index range, bad interval,
-    or structural flags falsified by sampling."""
+    """A declared structure is inconsistent: a bad index range, interval or
+    field (a `strict` declaration that is no bool, say), or a mean that
+    `validate_mean` falsified by sampling."""
 
 
 class SpecError(ValidationError):

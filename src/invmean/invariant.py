@@ -64,10 +64,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
 
-from .averaging import CERTIFIED, ComposedMapping, _unflagged
+from .averaging import CERTIFIED, ComposedMapping
 from .digraph import is_ergodic
 from .errors import PreconditionError, ValidationError, check_count
-from .means import POSITIVE_REALS, CheckReport, _real, sample_box, sweep
+from .means import POSITIVE_REALS, CheckReport, _not_strict, _real, sample_box, sweep
 
 __all__ = [
     "ConvergenceReport",
@@ -340,13 +340,14 @@ _MONOTONE_STEP = 0.1
 
 
 def _check_hypothesis(m: ComposedMapping, which: str) -> None:
-    """PreconditionError unless every mean of m is flagged `which` and, for
-    homogeneity, m lives on (0, +inf); ValidationError for an unknown
+    """PreconditionError when m lacks the premise of sampling `which`: every
+    mean declared strict for "strict", the domain (0, +inf) for
+    "homogeneous"; "monotone" has none.  ValidationError for an unknown
     property."""
     if which not in _PROPERTIES:
         raise ValidationError(f"unknown property {which!r}")
-    if missing := _unflagged(m, which):
-        raise PreconditionError(f"{which} flag not asserted for {missing}")
+    if which == "strict" and (missing := _not_strict(m.means)):
+        raise PreconditionError(f"strict flag not asserted for {missing}")
     if which == "homogeneous" and m.interval != POSITIVE_REALS:
         raise PreconditionError(f"homogeneity needs the domain (0, +inf), got {m.interval}")
 
@@ -374,10 +375,12 @@ def verify_mean_properties(
     monotonicity add DEFAULT_TOL, the tolerance their own evaluations of
     K run at, scaled by max(1, |max(x)|).
 
-    The corresponding flag must be asserted on every component mean (and
-    homogeneity additionally needs the domain (0, +inf)); otherwise the
-    hypothesis is absent and a PreconditionError is raised.  Samples where
-    the iteration does not converge are skipped and counted.
+    Each sampler only falsifies, so a violation is a counterexample
+    whatever the means declare.  Two premises are kept, and without them a
+    PreconditionError is raised: "strict" needs every component mean
+    declared strict (`Mean.strict`), and "homogeneous" the domain
+    (0, +inf), which c*x never leaves.  "monotone" has none.
+    Samples where the iteration does not converge are skipped and counted.
     """
     _check_hypothesis(m, which)
 

@@ -3,11 +3,14 @@
 A p-variable mean on an interval I is a function M: I^p -> I with
 min(x) <= M(x) <= max(x) for every x in I^p, *strict* when both
 inequalities are strict for every nonconstant x.  A mean here is a plain
-value: an arity, a domain interval, an evaluator, and declared
-structural flags (strict / monotone / homogeneous).  Flags
-are assertions made by whoever builds the mean; `check_mean_property`
-can falsify them by sampling, and `validate_mean` turns a falsification
-into a hard error, but nothing is ever proven.
+value: an arity, a domain interval, an evaluator, and one declaration,
+`strict`, asserted by whoever builds the mean.  It is the premise of the
+contractivity certificate (`averaging.falsify_contractivity`) and of the
+sampled strictness of K (`invariant.verify_mean_properties`);
+`check_mean_property` can falsify it by sampling, and `validate_mean`
+turns a falsification into a hard error, but nothing is ever proven.
+Monotonicity and homogeneity are not declared: `verify_mean_properties`
+samples them on any mapping.
 
 The one concrete family shipped is the power mean of order s on the
 positive reals:
@@ -39,14 +42,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ShapeError, ValidationError, check_count
 
 __all__ = [
     "Interval",
     "POSITIVE_REALS",
-    "MeanFlags",
     "Mean",
     "PowerMeanSpec",
     "power_mean_eval",
@@ -159,23 +161,12 @@ POSITIVE_REALS = Interval(0.0, math.inf)
 
 
 @dataclass(frozen=True)
-class MeanFlags:
-    """Structural properties a mean is asserted to have; each is a bool."""
-
-    strict: bool = False
-    monotone: bool = False
-    homogeneous: bool = False
-
-    def __post_init__(self) -> None:
-        _check_flags(self, "strict", "monotone", "homogeneous")
-
-
-@dataclass(frozen=True)
 class Mean:
     """An n-variable mean: evaluator plus declared metadata.
 
-    The evaluator must satisfy min(x) <= eval(x) <= max(x) on the domain;
-    this is the caller's promise, checkable by `check_mean_property`.
+    The evaluator must satisfy min(x) <= eval(x) <= max(x) on the domain,
+    strictly on nonconstant x when `strict` (a bool) is declared; this is
+    the caller's promise, checkable by `check_mean_property`.
     Equality and hash take in every field, the evaluator too: a
     `PowerMeanSpec` compares by value and a function by identity, so
     two means that compare equal evaluate alike.
@@ -184,15 +175,14 @@ class Mean:
     arity: int
     domain: Interval
     evaluator: Callable[[Sequence[float]], float]
-    flags: MeanFlags = MeanFlags()
+    strict: bool = False
     label: str = "mean"
 
     def __post_init__(self) -> None:
         check_count(self.arity, "mean arity")
         if not isinstance(self.domain, Interval):
             raise ValidationError(f"mean domain must be an Interval, got {self.domain!r}")
-        if not isinstance(self.flags, MeanFlags):
-            raise ValidationError(f"mean flags must be a MeanFlags, got {self.flags!r}")
+        _check_flags(self, "strict")
 
     def __call__(self, args: Sequence[float]) -> float:
         return self.evaluator(args)
@@ -427,19 +417,21 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     return [*head, body, f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v"]
 
 
+def _not_strict(means: Iterable[Mean]) -> str:
+    """The sorted labels of the means not declared strict, joined by ", ",
+    or "" when every one is: the one reader of the declaration."""
+    return ", ".join(sorted({mean.label for mean in means if not mean.strict}))
+
+
 def _within_positive_reals(domain: Interval) -> bool:
     return domain.lower > 0.0 or (domain.lower == 0.0 and domain.lower_open)
-
-
-#: The flags of every power mean, one value shared by all of them.
-_POWER_FLAGS = MeanFlags(strict=True, monotone=True, homogeneous=True)
 
 
 def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> Mean:
     """Wrap a power mean as a Mean value.
 
-    Power means are strict, nondecreasing in each argument and positively
-    homogeneous on (0, +inf), so all three flags are set.
+    Power means are strict, so the mean declares `strict`; they are also
+    nondecreasing in each argument and positively homogeneous on (0, +inf).
     `domain` may restrict the mean to a subinterval of the positive reals.
     """
     if not _within_positive_reals(domain):
@@ -448,7 +440,7 @@ def make_power_mean(spec: PowerMeanSpec, domain: Interval = POSITIVE_REALS) -> M
         arity=spec.arity,
         domain=domain,
         evaluator=spec,
-        flags=_POWER_FLAGS,
+        strict=True,
         label=f"P_{spec.order:g}",
     )
 
@@ -589,6 +581,7 @@ def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> CheckRepo
     violations says only that sampling did not find a counterexample.
     """
     check_count(n_samples, "n_samples")
+    strict = not _not_strict((m,))
 
     def judge(x: tuple[float, ...]) -> tuple[float, str | None]:
         value = m(x)
@@ -597,7 +590,7 @@ def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> CheckRepo
         residual = max(lo - value, value - hi)
         if not lo <= value <= hi:
             return residual, f"bounds violation: value {value!r}"
-        if m.flags.strict and lo < hi and (value <= lo or value >= hi):
+        if strict and lo < hi and (value <= lo or value >= hi):
             return residual, f"strictness violation: value {value!r}"
         return residual, None
 

@@ -31,11 +31,12 @@ built once per load, and every coordinate that repeats it shares that one
 command line passes a path as a `Path`, so no file name is ever read as
 JSON.
 
-A spec cannot declare flags: every mean is a library power mean, which
-is strict, monotone and homogeneous by construction, so loading runs no
-sampling pass.  `invmean verify` samples the mean property on demand; an
-order so large that the float result rounds to max(x) (|order| above
-about 1e16) loads, and `verify` reports it as a strictness failure.
+A spec declares nothing about its means: every mean is a library power
+mean, declared strict by `make_power_mean`, and monotone and homogeneous
+by construction, so loading runs no sampling pass.  `invmean verify`
+samples the mean property on demand; an order so large that the float
+result rounds to max(x) (|order| above about 1e16) loads, and `verify`
+reports it as a strictness failure.
 
 Five mapping files covering the interesting incidence-graph shapes ship
 under fixtures/: ergodic (example2), disconnected (example3), weakly

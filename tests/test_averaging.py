@@ -14,7 +14,6 @@ from invmean import (
     ComposedMapping,
     IndexVector,
     Mean,
-    MeanFlags,
     POSITIVE_REALS,
     PowerMeanSpec,
     falsify_contractivity,
@@ -298,6 +297,11 @@ class TestCertify:
         assert is_ergodic(example2_mapping().graph).uniform_walk_length == 3
         assert list(cert.to_json_dict()) == ["class", "n0", "evidence"]
 
+    @pytest.mark.parametrize("status", ["certified", "", None])
+    def test_unknown_class_rejected(self, status):
+        with pytest.raises(iv.ValidationError, match=r"^unknown certificate class "):
+            iv.ContractivityCertificate(status, 3, "evidence")
+
     def test_certified_needs_n0(self):
         with pytest.raises(iv.ValidationError, match="must carry n0"):
             iv.ContractivityCertificate(CERTIFIED, None, "no step count")
@@ -317,7 +321,6 @@ class TestCertify:
             arity=2,
             domain=POSITIVE_REALS,
             evaluator=max,
-            flags=MeanFlags(strict=False, monotone=True),
             label="max",
         )
         means = (maxmean, make_power_mean(PowerMeanSpec(1.0, 2)))
@@ -423,8 +426,7 @@ class TestFalsify:
         # rows (2, 1) and (1, 2) make the complete graph with loops, so every
         # two coordinates share a walk source; the non-strict first-argument
         # mean swaps the coordinates and keeps the oscillation forever
-        first = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: xs[0],
-                     flags=MeanFlags(strict=False, monotone=True), label="first")
+        first = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: xs[0], label="first")
         m = ComposedMapping((first, first), POSITIVE_REALS, IndexVector(((2, 1), (1, 2))))
         assert is_ergodic(m.graph).ergodic
         cert = falsify_contractivity(m)
@@ -435,8 +437,8 @@ class TestFalsify:
     def test_witness_shrunk_by_a_mean_that_moves_constants_unknown(self):
         # a "mean" that returns 1.5 everywhere maps (1, 1) to 1.5, which no
         # mean may do, and so it shrinks the block witness of two loops
-        const = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: 1.5,
-                     flags=MeanFlags(strict=True), label="const")
+        const = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: 1.5, strict=True,
+                     label="const")
         m = ComposedMapping((const, const), POSITIVE_REALS, IndexVector(((1, 1), (2, 2))))
         cert = falsify_contractivity(m)
         assert cert.status == UNKNOWN and cert.witness is None and cert.n0 is None
@@ -452,7 +454,7 @@ class TestFalsify:
         # capped returns c at (1, 1) but 1.5 at (2, 2); the power mean on the
         # other loop is not evaluated and not named
         capped = Mean(arity=2, domain=POSITIVE_REALS, evaluator=lambda xs: min(*xs, 1.5),
-                      flags=MeanFlags(strict=True), label="capped")
+                      strict=True, label="capped")
         m = ComposedMapping((make_power_mean(PowerMeanSpec(1.0, 2)), capped), POSITIVE_REALS,
                             IndexVector(((1, 1), (2, 2))))
         cert = falsify_contractivity(m)

@@ -314,6 +314,12 @@ class TestIterate:
         assert (code, out) == (1, "")
         assert err == f"error: could not parse point {x!r}\n"
 
+    @pytest.mark.parametrize("x", ["1,abc", "1,2,3,4e", "0x1,2,3,4"])
+    def test_unreadable_coordinate_exits_one(self, capsys, x):
+        code, out, err = run(capsys, "iterate", EX2, x)
+        assert (code, out) == (1, "")
+        assert err == f"error: could not parse point {x!r}\n"
+
     @pytest.mark.parametrize("x", [" 1, 2 ,3  4 ", "1 2 3 4", "1,\t2,3,4\n"])
     def test_whitespace_separates_fields(self, capsys, x):
         assert run(capsys, "iterate", EX2, x, "--json") == run(

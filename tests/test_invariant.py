@@ -393,6 +393,15 @@ class TestVerifyInvariance:
         assert report.n_evaluated == 100
         assert report.max_residual <= 1e-9
 
+    def test_violation_below_the_iterations_own_tol(self, ex2):
+        # both sides converge to DEFAULT_TOL, so a tol of 1e-300 sees the
+        # difference of the two runs' midpoints as a violation
+        report = verify_invariance(ex2, tol=1e-300, rng=Random(11), n_samples=20)
+        assert report.violations and report.n_evaluated == 20
+        for w in report.violations:
+            assert re.fullmatch(r"\|K\(M\(x\)\) - K\(x\)\| = \S+ exceeds 1e-300\*scale", w.message)
+        assert report.max_residual > 0.0
+
     def test_one_way_feed_still_invariant(self, ex5):
         report = verify_invariance(ex5, tol=1e-9, rng=Random(11), n_samples=50)
         assert report.passed
@@ -414,13 +423,11 @@ class TestVerifyInvariance:
             assert residual <= 2.0 * (r1.error_radius + r2.error_radius) + 1e-15
 
 
-def flagged_mapping(evaluator, label):
-    """Both coordinates read one two-argument mean flagged strict, monotone
-    and homogeneous, so K is that mean of the start point."""
-    flags = iv.MeanFlags(strict=True, monotone=True, homogeneous=True)
-    mean = iv.Mean(arity=2, domain=iv.POSITIVE_REALS, evaluator=evaluator, flags=flags,
-                   label=label)
-    return iv.ComposedMapping((mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (1, 2))))
+def shared_mean_mapping(evaluator, label, domain=iv.POSITIVE_REALS):
+    """Both coordinates read one two-argument mean that declares nothing, so
+    K is that mean of the start point."""
+    mean = iv.Mean(arity=2, domain=domain, evaluator=evaluator, label=label)
+    return iv.ComposedMapping((mean, mean), domain, iv.IndexVector(((1, 2), (1, 2))))
 
 
 class TestVerifyMeanProperties:
@@ -454,7 +461,7 @@ class TestVerifyMeanProperties:
             lo, hi = min(xs), max(xs)
             return lo + (0.9 if hi - lo < 0.5 else 0.1) * (hi - lo)
 
-        m = flagged_mapping(jump, "jump")
+        m = shared_mean_mapping(jump, "jump")
         report = verify_mean_properties(m, "monotone", rng=Random(5), n_samples=100)
         assert not report.passed
         for w in report.violations:
@@ -468,7 +475,7 @@ class TestVerifyMeanProperties:
         def log_exp(xs):
             return math.log((math.exp(xs[0]) + math.exp(xs[1])) / 2)
 
-        m = flagged_mapping(log_exp, "log-exp")
+        m = shared_mean_mapping(log_exp, "log-exp")
         report = verify_mean_properties(m, "homogeneous", rng=Random(5), n_samples=20)
         assert not report.passed
         for w in report.violations:
@@ -476,23 +483,39 @@ class TestVerifyMeanProperties:
                 r"\|K\((0\.5|2\.0|10\.0)x\) - \1K\(x\)\| = \S+ \(relative \S+\)", w.message
             )
 
+    @pytest.mark.parametrize("which", ["monotone", "homogeneous"])
+    def test_no_invariant_mean_skips_every_sample(self, ex3, which):
+        # example3 has two initial classes: no K, no run converges
+        report = verify_mean_properties(ex3, which, rng=Random(5), n_samples=4)
+        assert report.passed and report.n_evaluated == 0
+        assert report.n_skipped == report.n_samples > 0
+
     def test_absorbing_coordinate_breaks_strictness(self, ex4):
         report = verify_mean_properties(ex4, "strict", rng=Random(5), n_samples=40)
         assert not report.passed
         assert any("coordinate 4" in w.message for w in report.violations)
 
     def test_flag_gate(self):
-        maxmean = iv.Mean(
-            arity=2,
-            domain=iv.POSITIVE_REALS,
-            evaluator=max,
-            flags=iv.MeanFlags(strict=False),
-            label="max",
-        )
+        maxmean = iv.Mean(arity=2, domain=iv.POSITIVE_REALS, evaluator=max, label="max")
         means = (maxmean, iv.make_power_mean(iv.PowerMeanSpec(1.0, 2)))
         m = iv.ComposedMapping(means, iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1))))
-        with pytest.raises(iv.PreconditionError, match="strict flag not asserted"):
+        with pytest.raises(iv.PreconditionError, match="^strict flag not asserted for max$"):
             verify_mean_properties(m, "strict", rng=Random(5), n_samples=10)
+
+    @pytest.mark.parametrize("which", ["monotone", "homogeneous"])
+    def test_sampled_on_means_that_declare_nothing(self, which):
+        # the samplers only falsify, so they need no declaration: K of the
+        # arithmetic mean read by both coordinates is monotone and homogeneous
+        m = shared_mean_mapping(lambda xs: (xs[0] + xs[1]) / 2, "mean")
+        report = verify_mean_properties(m, which, rng=Random(5), n_samples=10)
+        assert report.passed and report.n_evaluated == report.n_samples > 0
+
+    def test_homogeneity_needs_the_positive_reals(self):
+        m = shared_mean_mapping(lambda xs: (xs[0] + xs[1]) / 2, "mean", iv.Interval(1.0, 5.0))
+        want = r"^homogeneity needs the domain \(0, \+inf\), got \(1, 5\)$"
+        with pytest.raises(iv.PreconditionError, match=want):
+            verify_mean_properties(m, "homogeneous", rng=Random(5), n_samples=10)
+        assert verify_mean_properties(m, "monotone", rng=Random(5), n_samples=10).passed
 
     def test_unknown_property_rejected(self, ex2):
         with pytest.raises(iv.ValidationError):
@@ -639,6 +662,15 @@ class TestSolveInvariantEquation:
         for _ in range(50):
             t = rng.uniform(0.1, 10.0)
             assert phi(t) == f((t, t, t, t))
+
+    def test_a_stalled_iteration_is_skipped(self):
+        # a first-argument "mean" declared strict, on rows (2, 1) and (1, 2):
+        # certified, but the coordinates swap for ever and every run stalls
+        first = iv.Mean(2, iv.POSITIVE_REALS, lambda xs: xs[0], strict=True, label="first")
+        m = iv.ComposedMapping((first, first), iv.POSITIVE_REALS, iv.IndexVector(((2, 1), (1, 2))))
+        assert iv.falsify_contractivity(m).status == iv.CERTIFIED
+        _, report = solve_invariant_equation(max, m, rng=Random(9), n_samples=3)
+        assert report.passed and (report.n_evaluated, report.n_skipped) == (0, 3)
 
     def test_requires_certified_mapping(self, ex3):
         with pytest.raises(iv.PreconditionError, match="not certified"):

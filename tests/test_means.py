@@ -16,7 +16,6 @@ import invmean as iv
 from invmean import (
     Interval,
     Mean,
-    MeanFlags,
     POSITIVE_REALS,
     PowerMeanSpec,
     check_mean_property,
@@ -69,6 +68,12 @@ class TestInterval:
             Interval(2.0, 2.0)
         with pytest.raises(iv.ValidationError):
             Interval(3.0, 1.0)
+
+    @pytest.mark.parametrize("ends", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_endpoints_must_not_be_nan(self, ends):
+        # without its own check a NaN endpoint would be reported as lower >= upper
+        with pytest.raises(iv.ValidationError, match=r"^interval endpoints must not be NaN$"):
+            Interval(*ends)
 
     @pytest.mark.parametrize("value", ["0", True, None, [1], 1j])
     def test_endpoints_must_be_real_numbers(self, value):
@@ -584,8 +589,9 @@ class TestMakePowerMean:
             assert m((t,)) == t
 
     def test_all_flags_set(self):
+        # strict is the one declaration a mean carries
         m = make_power_mean(PowerMeanSpec(-1.0, 2))
-        assert m.flags == MeanFlags(strict=True, monotone=True, homogeneous=True)
+        assert m.strict is True
         assert m.domain == POSITIVE_REALS
 
     def test_domain_must_be_positive(self):
@@ -610,13 +616,6 @@ class TestMeanFields:
     def test_domain_must_be_an_interval(self, domain):
         with pytest.raises(iv.ValidationError, match="^mean domain must be an Interval, got "):
             Mean(2, domain, max)
-
-    @pytest.mark.parametrize("flags", ["strict", True, None, {"strict": True}])
-    def test_flags_must_be_mean_flags(self, flags):
-        # flags="strict" would otherwise construct, and deciding
-        # contractivity on a mapping of such means raise AttributeError
-        with pytest.raises(iv.ValidationError, match="^mean flags must be a MeanFlags, got "):
-            Mean(2, POSITIVE_REALS, max, flags=flags)
 
     def test_means_of_different_orders_differ(self):
         # both are labelled P_1: equality must not rest on the label
@@ -644,13 +643,23 @@ class TestMeanFields:
 
 
 class TestMeanFlags:
-    @pytest.mark.parametrize("name", ["strict", "monotone", "homogeneous"])
+    """`Mean.strict`, the one flag a mean declares."""
+
+    @pytest.mark.parametrize("name", ["strict"])
     @pytest.mark.parametrize("value", ["no", 1, None])
     def test_flags_must_be_bools(self, name, value):
         # "no" used to count as a truth value: two `max` means with
         # strict="no" were certified uniformly weakly contractive
         with pytest.raises(iv.ValidationError, match=rf"^{name} must be true or false, got "):
-            MeanFlags(**{name: value})
+            Mean(2, POSITIVE_REALS, max, **{name: value})
+
+    def test_declares_nothing_by_default(self):
+        assert Mean(2, POSITIVE_REALS, max).strict is False
+
+    @pytest.mark.parametrize("name", ["flags", "monotone", "homogeneous"])
+    def test_no_other_declaration(self, name):
+        with pytest.raises(TypeError):
+            Mean(2, POSITIVE_REALS, max, **{name: True})
 
 
 class TestMeanPropertyCheck:
@@ -676,7 +685,7 @@ class TestMeanPropertyCheck:
             arity=2,
             domain=POSITIVE_REALS,
             evaluator=max,
-            flags=MeanFlags(strict=True),
+            strict=True,
             label="max",
         )
         report = check_mean_property(fake, Random(1), 100)

@@ -105,6 +105,14 @@ class TestSchemaErrors:
             f"means[2]: power-mean arity must be an integer >= 1, got {arity!r}"
         )
 
+    @pytest.mark.parametrize("key", ["lower", "upper"])
+    def test_nan_endpoint(self, key):
+        # json.loads reads NaN, which no JSON standard allows
+        raw = minimal_spec_dict()
+        raw["interval"][key] = math.nan
+        with pytest.raises(iv.SpecError, match=r"^interval: interval endpoints must not be NaN$"):
+            load_mapping_spec(json.dumps(raw).encode())
+
     def test_missing_arity(self):
         raw = minimal_spec_dict()
         del raw["means"][0]["arity"]
