@@ -32,13 +32,18 @@ def test_every_entry_has_a_run():
 
 
 def test_the_runs():
-    # six specs, five commands each, in human and --json form; the order-1e17
+    # ten specs, five commands each, in human and --json form; the order-1e17
     # spec is the one whose verify samples the properties of K
-    assert golden.specs()[-1] == "tests/golden/specs/example2-order1e17.json"
-    assert len(golden.specs()) == 6 and len(RUNS) == 60
+    assert [Path(spec).stem for spec in golden.specs()[5:]] == [
+        "cycle8", "example2-order1e17", "fed5", "ring32", "tworings10",
+    ]
+    assert len(golden.specs()) == 10 and len(RUNS) == 100
     assert dict(RUNS)["example2-order1e17.tg-json"] == [
         "tg", "tests/golden/specs/example2-order1e17.json", "--json", "--", "-1,0,1,1",
     ]
+    # the point and the coloring repeat to the spec's p
+    assert dict(RUNS)["fed5.invariant"][-1] == "1e-3,4,9e5,16,1e-3"
+    assert dict(RUNS)["ring32.tg"][-1] == ",".join(["-1,0,1,1"] * 8)
 
 
 def test_check_names_the_entry_that_moved(tmp_path, monkeypatch, capsys):
@@ -60,6 +65,6 @@ def test_check_names_the_entry_that_moved(tmp_path, monkeypatch, capsys):
         "no run: stale.analyze",
         "moved: example4.invariant",
         "missing: example5.analyze-json",
-        "60 runs, 3 entries moved, missing or without a run",
+        "100 runs, 3 entries moved, missing or without a run",
     ]
     assert golden.main(["--check", "--now"]) == 1  # an unknown argument

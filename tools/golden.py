@@ -14,9 +14,18 @@ Each spec gets five commands, in human and --json form:
     invariant SPEC 1e-3,4,9e5,16
     tg SPEC -- -1,0,1,1
 
-The specs are the bundled fixtures and the files in tests/golden/specs/:
-example2 with mean 4 of order 1e17, which rounds to max(x), so that
-`verify` samples the properties of K instead of stating them as proved.
+where the point and the coloring repeat to the spec's p (1e-3,4,9e5,16,1e-3
+at p = 5).  The specs are the bundled fixtures and the files in
+tests/golden/specs/:
+
+    example2-order1e17  example2 with mean 4 of order 1e17, which rounds to
+                        max(x), so that `verify` samples the properties of K
+                        instead of stating them as proved
+    ring32              a ring with loops at p = 32 (ergodic, q0 = 31)
+    tworings10          two disjoint rings with loops of 5 (two initial classes)
+    cycle8              a pure cycle of p = 8 means of arity 1 (period 8)
+    fed5                two initial classes {1, 2} and {3, 4} that both feed
+                        vertex 5
 
 Each run is made in this process through `invmean.cli.main`, from the
 root of the repository, on the package under src/, which is put first on
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -52,17 +62,25 @@ def specs() -> list[str]:
     )
 
 
+def repeat(values: str, p: int) -> str:
+    """The first p items of the comma-separated values, repeated."""
+    items = values.split(",")
+    return ",".join(items[i % len(items)] for i in range(p))
+
+
 def runs() -> list[tuple[str, list[str]]]:
     """(entry name, argv) of every run, in corpus order."""
     out = []
     for spec in specs():
         stem = Path(spec).stem
+        p = json.loads((ROOT / spec).read_bytes())["p"]
+        start, coloring = repeat(START, p), repeat(COLORING, p)
         commands = {
             "analyze": ["analyze", spec],
             "verify": ["verify", "--samples", "20", "--seed", "7", spec],
-            "iterate": ["iterate", "-n", "50", "--trace", spec, START],
-            "invariant": ["invariant", spec, START],
-            "tg": ["tg", spec, "--", COLORING],
+            "iterate": ["iterate", "-n", "50", "--trace", spec, start],
+            "invariant": ["invariant", spec, start],
+            "tg": ["tg", spec, "--", coloring],
         }
         for command, argv in commands.items():
             out.append((f"{stem}.{command}", argv))
