@@ -26,6 +26,12 @@ def test_run_matches_its_entry(at_root, name, argv):
     assert got == want, f"golden entry {name} moved"
 
 
+def test_every_run_gets_past_the_argument_parser():
+    # argparse's usage errors print "usage:" on stderr
+    for name, _ in RUNS:
+        assert "\nusage: " not in (golden.CORPUS / f"{name}.txt").read_text(), name
+
+
 def test_every_entry_has_a_run():
     names = sorted(path.stem for path in golden.CORPUS.glob("*.txt"))
     assert names == sorted(name for name, _ in RUNS)
@@ -40,6 +46,9 @@ def test_the_runs():
     assert len(golden.specs()) == 10 and len(RUNS) == 100
     assert dict(RUNS)["example2-order1e17.tg-json"] == [
         "tg", "tests/golden/specs/example2-order1e17.json", "--json", "--", "-1,0,1,1",
+    ]
+    assert dict(RUNS)["ring32.iterate-json"][:6] == [
+        "iterate", "-n", "50", "--trace", "tests/golden/specs/ring32.json", "--json",
     ]
     # the point and the coloring repeat to the spec's p
     assert dict(RUNS)["fed5.invariant"][-1] == "1e-3,4,9e5,16,1e-3"

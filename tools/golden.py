@@ -84,8 +84,10 @@ def runs() -> list[tuple[str, list[str]]]:
         }
         for command, argv in commands.items():
             out.append((f"{stem}.{command}", argv))
-            # --json before any "--", where it would be read as a positional
-            out.append((f"{stem}.{command}-json", [*argv[:2], "--json", *argv[2:]]))
+            # --json right after the spec: not between an option and its
+            # value, nor after "--", where it would be read as a positional
+            at = argv.index(spec) + 1
+            out.append((f"{stem}.{command}-json", [*argv[:at], "--json", *argv[at:]]))
     return out
 
 
