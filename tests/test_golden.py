@@ -70,10 +70,32 @@ def test_check_names_the_entry_that_moved(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(golden, "CORPUS", corpus)
     monkeypatch.chdir(tmp_path)  # main changes to the root; this restores the cwd
     assert golden.main(["--check"]) == 1
+    argv = dict(RUNS)["example4.invariant"]
+    stdout = f"stdout: {len(golden.run(argv)[1].encode())} bytes"
     assert capsys.readouterr().out.splitlines() == [
         "no run: stale.analyze",
         "moved: example4.invariant",
+        "--- example4.invariant.txt (held)",
+        "+++ example4.invariant.txt (this run)",
+        "@@ -1,5 +1,5 @@",
+        f" argv: invmean {' '.join(argv)}",
+        "-exit:  0",
+        "+exit: 0",
+        f" {stdout}",
+        " value: 29.9812572725",
+        " error_radius: 1.82031349993e-08",
         "missing: example5.analyze-json",
         "100 runs, 3 entries moved, missing or without a run",
     ]
     assert golden.main(["--check", "--now"]) == 1  # an unknown argument
+
+
+def test_check_shows_at_most_20_lines_of_diff():
+    held = "".join(f"line {k}\n" for k in range(40)).encode() + b"\xff"
+    lines = golden.moved_lines("x.analyze", held, "other\n")
+    assert len(lines) == golden.DIFF_LINES == 20
+    assert lines[:4] == [
+        "--- x.analyze.txt (held)", "+++ x.analyze.txt (this run)", "@@ -1,41 +1,2 @@", "-line 0",
+    ]
+    # bytes that are not UTF-8 show as escapes
+    assert golden.moved_lines("x", b"a\xff", "a")[-2:] == ["-a\\xff", "+a"]

@@ -31,14 +31,17 @@ Each run is made in this process through `invmean.cli.main`, from the
 root of the repository, on the package under src/, which is put first on
 sys.path: under `python -S` nothing outside the standard library is
 imported.  --check prints the name of every entry that moved, is missing
-or has no run.  Regenerating the corpus changes a check: say which
-entries moved, and why.
+or has no run, and after each one that moved the first 20 lines of a
+unified diff from the entry to the run.  Regenerating the corpus changes
+a check: say which entries moved, and why.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -53,6 +56,8 @@ from invmean import FIXTURES, cli  # noqa: E402
 
 START = "1e-3,4,9e5,16"
 COLORING = "-1,0,1,1"
+#: How many lines of a unified diff --check prints after each entry that moved.
+DIFF_LINES = 20
 
 
 def specs() -> list[str]:
@@ -113,6 +118,17 @@ def entry_text(argv: list[str], code: int, out: str, err: str) -> str:
     )
 
 
+def moved_lines(name: str, held: bytes, text: str) -> list[str]:
+    """The first DIFF_LINES lines of a unified diff from the held entry to
+    this run's, so that a check that fails elsewhere shows what moved; bytes
+    that are not UTF-8 show as backslash escapes."""
+    diff = difflib.unified_diff(
+        held.decode(errors="backslashreplace").split("\n"), text.split("\n"),
+        f"{name}.txt (held)", f"{name}.txt (this run)", lineterm="",
+    )
+    return list(itertools.islice(diff, DIFF_LINES))
+
+
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--check"]):
         print(__doc__.splitlines()[0], file=sys.stderr)
@@ -123,13 +139,17 @@ def main(argv: list[str]) -> int:
     present = {path.stem: path for path in CORPUS.glob("*.txt")}
     if check:
         problems = [f"no run: {name}" for name in sorted(present.keys() - entries.keys())]
+        for line in problems:
+            print(line)
         for name, text in entries.items():
             if name not in present:
                 problems.append(f"missing: {name}")
-            elif present[name].read_bytes() != text.encode():
+                print(problems[-1])
+            elif (held := present[name].read_bytes()) != text.encode():
                 problems.append(f"moved: {name}")
-        for line in problems:
-            print(line)
+                print(problems[-1])
+                for line in moved_lines(name, held, text):
+                    print(line)
         print(f"{len(entries)} runs, {len(problems)} entries moved, missing or without a run")
         return 1 if problems else 0
     for name in present.keys() - entries.keys():
