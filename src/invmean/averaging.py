@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -79,24 +80,29 @@ class IndexVector:
         # the one place alpha indices are checked; everything downstream
         # (incidence graph, composition, spec files) relies on it
         try:
-            rows = tuple(tuple(row) for row in self.rows)
+            rows = tuple(map(tuple, self.rows))
         except TypeError:  # a row, or the rows, not iterable: IndexVector([1, 2])
             raise ValidationError(f"alpha must be a sequence of rows, got {self.rows!r}") from None
         p = len(rows)
         if p < 1:
             raise ValidationError("index vector needs at least one row")
-        for i, row in enumerate(rows, start=1):
-            if not row:
-                raise ValidationError(f"alpha row {i} is empty")
-            for j, a in enumerate(row, start=1):
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise ValidationError(
-                        f"alpha row {i}, position {j}: index {a!r} is not an integer"
-                    )
-                if not 1 <= a <= p:
-                    raise ValidationError(
-                        f"alpha row {i}, position {j}: index {a} outside 1..{p}"
-                    )
+        indexes = list(chain.from_iterable(rows))
+        # all in C when every index is an int in 1..p; the loop words the
+        # error, or passes the indexes of a subclass of int other than bool
+        if not (all(rows) and set(map(type, indexes)) == {int}
+                and 1 <= min(indexes) and max(indexes) <= p):
+            for i, row in enumerate(rows, start=1):
+                if not row:
+                    raise ValidationError(f"alpha row {i} is empty")
+                for j, a in enumerate(row, start=1):
+                    if not isinstance(a, int) or isinstance(a, bool):
+                        raise ValidationError(
+                            f"alpha row {i}, position {j}: index {a!r} is not an integer"
+                        )
+                    if not 1 <= a <= p:
+                        raise ValidationError(
+                            f"alpha row {i}, position {j}: index {a} outside 1..{p}"
+                        )
         object.__setattr__(self, "rows", rows)
 
     @property

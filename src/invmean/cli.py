@@ -16,6 +16,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_key
 from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
@@ -56,8 +57,34 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """obj as `json.dumps(obj, indent=2)` writes it, byte for byte, without
+    its pure-Python encoder: ints (not bools) and lists of them are written
+    with `int.__repr__`, keys with the C string encoder, and every other
+    scalar by `json.dumps`.  `indent` is the newline and indent of the
+    line that obj starts on."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(obj)
+
+
 def _emit_json(obj) -> int:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
     return EXIT_OK
 
 

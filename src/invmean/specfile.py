@@ -22,10 +22,12 @@ holds it: `Interval` and `PowerMeanSpec` check their numbers and flags,
 `ComposedMapping` the row lengths; their errors come back as a SpecError
 that names the location.  The mapping is built once, at load, and a
 `MappingSpec` keeps only that mapping: p, the interval, the means and
-alpha are read from it.  Each distinct means entry is parsed, checked and
-built once per load, and every coordinate that repeats it shares that one
-`Mean`; entries that JSON tells apart (2 and 2.0, 1 and true, 0.0 and
--0.0) stay apart.  Nothing is kept from one load to the next.
+alpha are read from it.  When every means entry is an object of JSON
+scalars, each distinct entry is parsed, checked and built once per load,
+and every coordinate that repeats it shares that one `Mean`; entries that
+JSON tells apart (2 and 2.0, 1 and true, 0.0 and -0.0) stay apart.
+Otherwise each entry is parsed on its own.  Nothing is kept from one load
+to the next.
 
 `load_mapping_spec` reads a str that starts with '{' as JSON text; the
 command line passes a path as a `Path`, so no file name is ever read as
@@ -51,6 +53,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -126,18 +129,20 @@ def _parse_interval(raw: Any) -> Interval:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def _entry_key(raw: Any) -> tuple | None:
-    """The key of a means entry: two entries share it only when they hold
-    the same keys in the same order and values of the same repr.  On JSON
-    scalars repr tells apart what == merges: 2 and 2.0, 1 and True, 0.0
-    and -0.0 (labels P_0 and P_-0).  None when raw is not an object of JSON
-    scalars: such an entry is parsed on its own."""
-    if type(raw) is not dict:
-        return None
-    values = raw.values()
-    if not _SCALARS.issuperset(map(type, values)):
-        return None
-    return tuple(raw), tuple(map(repr, values))
+def _entry_keys(raw_means: list) -> list:
+    """The key of each means entry: its repr, when every entry is an object
+    of JSON scalars, and else its index, so that each entry is parsed on
+    its own.  A dict of JSON scalars reads back from its repr, keys, order
+    and types, so two entries share a key only when JSON cannot tell them
+    apart; repr tells apart what == merges: 2 and 2.0, 1 and True, 0.0 and
+    -0.0 (labels P_0 and P_-0).  The checks and the reprs run in C."""
+    if (
+        set(map(type, raw_means)) == {dict}
+        and set(map(type, chain.from_iterable(raw_means))) == {str}
+        and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, raw_means))))
+    ):
+        return list(map(repr, raw_means))
+    return list(range(len(raw_means)))
 
 
 def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:
@@ -170,34 +175,26 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     raw_means = _expect(_require(raw, "means", "spec"), list, "means", "a list")
     if len(raw_means) != p:
         raise SpecError(f"means: {len(raw_means)} entries for p={p}")
-    # each distinct entry is parsed once and built once (below), and the
-    # coordinates that repeat it share its Mean.  An entry that fails is
-    # never stored and one with no key is parsed on its own, so each error
-    # names the entry that a parse of every entry would name.
-    specs: list[PowerMeanSpec] = []  # the distinct entries' specs
-    slot_of: dict[tuple, int] = {}  # entry key -> index in specs
-    slots = []  # per coordinate, the index of its spec
-    for i, entry in enumerate(raw_means, start=1):
-        key = _entry_key(entry)
-        slot = slot_of.get(key)
-        if slot is None:
-            slot = len(specs)
-            specs.append(_parse_mean(entry, i))
-            if key is not None:
-                slot_of[key] = slot
-        slots.append(slot)
+    # each distinct entry is parsed once, at its first coordinate, and built
+    # once (below), and the coordinates that repeat it share its Mean; the
+    # entries are parsed in order, so each error names the entry that a
+    # parse of every entry would name
+    keys = _entry_keys(raw_means)
+    first = dict(zip(reversed(keys), range(p, 0, -1)))  # key -> its first entry
+    specs = {keys[i - 1]: _parse_mean(raw_means[i - 1], i) for i in sorted(first.values())}
 
     raw_alpha = _expect(_require(raw, "alpha", "spec"), list, "alpha", "a list")
     if len(raw_alpha) != p:
         raise SpecError(f"alpha: {len(raw_alpha)} rows for p={p}")
-    for i, row in enumerate(raw_alpha, start=1):
-        _expect(row, list, f"alpha row {i}", "a list")
+    if set(map(type, raw_alpha)) != {list}:  # the loop only words the error
+        for i, row in enumerate(raw_alpha, start=1):
+            _expect(row, list, f"alpha row {i}", "a list")
     # IndexVector checks the indexes, make_power_mean the domain and
     # ComposedMapping each row against its mean
     try:
         alpha = IndexVector(raw_alpha)
-        built = [make_power_mean(ps, domain=interval) for ps in specs]
-        return MappingSpec(ComposedMapping(tuple([built[s] for s in slots]), interval, alpha))
+        built = {key: make_power_mean(ps, domain=interval) for key, ps in specs.items()}
+        return MappingSpec(ComposedMapping(tuple(map(built.__getitem__, keys)), interval, alpha))
     except (ValidationError, ShapeError) as exc:
         raise SpecError(str(exc)) from None
 

@@ -12,6 +12,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmean import (
     averaging, cli, digraph, fixture_path, invariant, is_ergodic, load_mapping_spec, means,
@@ -853,6 +855,42 @@ class TestSpecSourcing:
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])  # missing spec argument
         assert exc.value.code == 1
+
+
+#: Any JSON value, with every float (nan and the infinities too) and ints
+#: far past 64 bits; bools mix into the int lists.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(-(2**70), 2**70) | st.lists(st.integers() | st.booleans()),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """`--json` output is `json.dumps(obj, indent=2)`, byte for byte."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [1, True, 2, False, 3], [True], {"a": [0, False]}, True, False, 1,
+        -0.0, [0.0, -0.0], math.nan, math.inf, -math.inf, [math.nan, -math.inf, 1e300, 5e-324],
+        "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\n\t\"\\", {"\u00e9\x00\"": "\ud800"},
+        [], {}, [[]], [{}], {"a": []}, {"": {}}, [[], {}, [[]]],
+        2**64, -(2**64) - 1, 10**30, [2**64, -(2**100)],
+        None, [None, "", 1.5], (1, 2), [(1, (2, 3))],
+    ])
+    def test_cases(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_deep_nesting(self):
+        value = 7
+        for depth in range(60):
+            value = [value, -depth] if depth % 2 else {"k": value, "d": [depth]}
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 class TestModuleEntryPoint:

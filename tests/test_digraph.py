@@ -392,6 +392,29 @@ class TestUniformWalkLength:
         for p in range(2, 257):
             assert is_ergodic(ring_with_loops(p)).uniform_walk_length == p - 1, p
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10, 16, 25, 40])
+    def test_mixed_out_degrees_match_the_numpy_reference(self, n):
+        # the n-cycle makes the graph irreducible; each vertex adds a drawn
+        # number of other out-neighbours, none for about half of them, so
+        # rows of out-degree 1 sit beside rows of up to n successors
+        rng = Random(f"q0:{n}")
+        ergodic_degrees = []  # the out-degrees of each ergodic graph
+        for _ in range(30):
+            edges = {(v, v % n + 1) for v in range(1, n + 1)}
+            for v in range(1, n + 1):
+                extra = rng.choice([0, rng.randint(0, n - 1)])
+                edges |= {(v, w) for w in rng.sample(range(1, n + 1), extra)}
+            if n == 1 or rng.random() < 0.3:
+                edges.add((1, 1))  # a loop makes the graph aperiodic
+            g = Digraph(n, frozenset(edges))
+            degrees = [bin(m).count("1") for m in g.out_masks]
+            q0 = numpy_reference(g)[2]
+            assert is_ergodic(g).uniform_walk_length == q0, sorted(edges)
+            if q0 is not None:
+                ergodic_degrees.append(degrees)
+        assert len(ergodic_degrees) >= 10
+        assert any(1 in degrees and max(degrees) > 1 for degrees in ergodic_degrees) or n == 1
+
 
 class TestSeparatedWalkSources:
     """Two coordinates keep disjoint walk-source sets for ever unless the
