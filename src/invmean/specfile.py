@@ -22,12 +22,10 @@ holds it: `Interval` and `PowerMeanSpec` check their numbers and flags,
 `ComposedMapping` the row lengths; their errors come back as a SpecError
 that names the location.  The mapping is built once, at load, and a
 `MappingSpec` keeps only that mapping: p, the interval, the means and
-alpha are read from it.  When every means entry is an object of JSON
-scalars, each distinct entry is parsed, checked and built once per load,
-and every coordinate that repeats it shares that one `Mean`; entries that
-JSON tells apart (2 and 2.0, 1 and true, 0.0 and -0.0) stay apart.
-Otherwise each entry is parsed on its own.  Nothing is kept from one load
-to the next.
+alpha are read from it.  Each distinct means entry is parsed, checked and
+built once per load, and every coordinate that repeats it shares that one
+`Mean`; entries that JSON tells apart (2 and 2.0, 1 and true, 0.0 and
+-0.0) stay apart.  Nothing is kept from one load to the next.
 
 `load_mapping_spec` reads a str that starts with '{' as JSON text; the
 command line passes a path as a `Path`, so no file name is ever read as
@@ -50,10 +48,11 @@ from that directory at import, so adding a fixture is adding a file.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -125,24 +124,18 @@ def _parse_interval(raw: Any) -> Interval:
         raise SpecError(f"interval: {exc}") from None
 
 
-#: The types of the JSON scalars, the only values an entry key takes in.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 def _entry_keys(raw_means: list) -> list:
-    """The key of each means entry: its repr, when every entry is an object
-    of JSON scalars, and else its index, so that each entry is parsed on
-    its own.  A dict of JSON scalars reads back from its repr, keys, order
-    and types, so two entries share a key only when JSON cannot tell them
-    apart; repr tells apart what == merges: 2 and 2.0, 1 and True, 0.0 and
-    -0.0 (labels P_0 and P_-0).  The checks and the reprs run in C."""
-    if (
-        set(map(type, raw_means)) == {dict}
-        and set(map(type, chain.from_iterable(raw_means))) == {str}
-        and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, raw_means))))
-    ):
-        return list(map(repr, raw_means))
-    return list(range(len(raw_means)))
+    """The key of each means entry: its bytes under `marshal` version 2,
+    which writes the type and the value of each item, in order, with
+    floats bit for bit and no references.  Two entries share a key only
+    when they hold the same items, so entries that == merges stay apart:
+    2 and 2.0, 1 and True, 0.0 and -0.0 (labels P_0 and P_-0).  When some
+    entry holds a value marshal cannot write (an instance of a subclass,
+    say), the keys are the indexes, and each entry is parsed on its own."""
+    try:
+        return list(map(marshal.dumps, raw_means, repeat(2)))
+    except ValueError:
+        return list(range(len(raw_means)))
 
 
 def _parse_mean(raw: Any, i: int) -> PowerMeanSpec:

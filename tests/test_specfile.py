@@ -358,6 +358,25 @@ class TestDistinctMeans:
         assert loaded == per_row
         assert len({id(m) for m in loaded.means}) == 2
 
+    def test_an_entry_marshal_cannot_write_parses_each_entry_on_its_own(self):
+        # a value of a subclass of float has no marshal form: every entry
+        # is then parsed and built on its own, with the same result
+        class Order(float):
+            pass
+
+        entries = [{"kind": "power", "order": Order(1.0), "arity": 2}] + [
+            {"kind": "power", "order": 1.0, "arity": 2} for _ in range(2)
+        ]
+        raw = {"p": 3, "interval": {"lower": 0, "upper": None}, "means": entries,
+               "alpha": [[1, 2]] * 3}
+        means = iv.mapping_spec_from_dict(raw).build().means
+        assert [m.label for m in means] == ["P_1"] * 3
+        assert len({id(m) for m in means}) == 3
+        del entries[0]
+        raw.update(p=2, means=entries, alpha=[[1, 2]] * 2)
+        means = iv.mapping_spec_from_dict(raw).build().means
+        assert means[0] is means[1]
+
     def test_a_repeated_entry_is_built_once(self, monkeypatch):
         built = []
 
