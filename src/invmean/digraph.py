@@ -47,16 +47,18 @@ out_masks[v-1] set iff edge (v, w)), without any array dependency.
 Classification costs what the graph is: one iterative Tarjan DFS finds
 the SCCs and, from the depths of its tree (Denardo 1977), their periods
 and cyclic classes, and from the in-masks the initial classes; it visits
-each edge once.  q0 takes one word OR per row per successor slot per
-adjacency power, O(q0 * |E|) when the out-degrees are alike, stepped in
-C.  `Digraph` computes the classification once and caches it.
+each edge once.  q0 takes O(q0 * |E|) word ORs (one OR per edge per
+adjacency power).  `Digraph` computes the classification once and
+caches it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -327,12 +329,17 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     at Wielandt's bound (n-1)^2 + 1.
 
     Rows are stepped with the successor recurrence
-    A^(q+1)[v] = OR_{w in out(v)} A^q[w].  Slot j holds each row's j-th
-    successor, or its first one when the row has fewer (an OR that repeats
-    is idempotent), so a power is one `itemgetter` per slot and one
-    `map(or_)` per slot after the first: n*d word ORs, d the largest
-    out-degree, with no Python step per row.  The whole search costs
-    O(q0 * n * d) ORs, O(q0 * |E|) when the out-degrees are alike.
+    A^(q+1)[v] = OR_{w in out(v)} A^q[w], one word OR per edge per power,
+    so the whole search costs O(q0 * |E|) ORs.  The rows of out-degree d,
+    when there are more than 4d of them, are stepped as one block: slot j
+    gathers each row's j-th successor with one `itemgetter` (of at least
+    five indexes, so it returns a tuple), and each slot after the first is
+    ORed in with one `map(or_)`.  A block takes d Python steps however
+    many rows it holds: two for all the rows of a ring.  Each other row is
+    stepped by a Python loop over its successors: every OR of big ints
+    allocates, so C saves only the per-row overhead that a block spreads
+    over its rows, and `reduce(or_)` over an `itemgetter` measured slower
+    than the loop.
 
     The least all-ones power is q0 without checking A^(q+1): if A^q is
     all-ones, every ordered pair is joined by a walk of length q >= 1, so
@@ -343,28 +350,46 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     """
     full = (1 << n) - 1
     cap = (n - 1) ** 2 + 1
-    successors = []
-    for m in out_masks:
-        ws = []
-        while m:
-            bit = m & -m
-            m ^= bit
-            ws.append(bit.bit_length() - 1)
-        successors.append(ws)
-    if all(successors):
-        width = max(map(len, successors))
-        # at n = 1 the loop makes A^1 all-ones, so no getter of one index
-        # (which returns the item, not a tuple) is ever called
-        getters = [itemgetter(*[ws[j] if j < len(ws) else ws[0] for ws in successors])
-                   for j in range(width)]
-        power = list(out_masks)
+    degrees = list(map(int.bit_count, out_masks))
+    if all(degrees):
+        count = Counter(degrees)
+        blocked = {d for d, rows in count.items() if rows > 4 * d}
+        # a power holds the rows of each block, then every other row
+        by_degree = sorted(range(n), key=degrees.__getitem__)
+        order = [v for v in by_degree if degrees[v] in blocked]
+        in_blocks = len(order)
+        order += [v for v in by_degree if degrees[v] not in blocked]
+        at = sorted(range(n), key=order.__getitem__)  # at[v]: where row v is held
+        successors = []  # per row held, where its successors are held
+        for v in order:
+            m = out_masks[v]
+            ws = []
+            while m:
+                bit = m & -m
+                m ^= bit
+                ws.append(at[bit.bit_length() - 1])
+            successors.append(ws)
+        blocks = []  # per block, the getter of each slot
+        for d, rows in groupby(successors[:in_blocks], key=len):
+            rows = list(rows)
+            blocks.append([itemgetter(*[ws[j] for ws in rows]) for j in range(d)])
+        singles = successors[in_blocks:]
+        power = [out_masks[v] for v in order]
         for q in range(1, cap + 1):
             if power.count(full) == n:
                 return q
-            rows = getters[0](power)
-            for get in getters[1:]:
-                rows = map(or_, rows, get(power))
-            power = list(rows)
+            rows = []
+            for slots in blocks:
+                block = slots[0](power)
+                for get in slots[1:]:
+                    block = map(or_, block, get(power))
+                rows += block
+            for ws in singles:
+                row = 0
+                for w in ws:
+                    row |= power[w]
+                rows.append(row)
+            power = rows
     raise InternalConsistencyError(
         f"no all-ones adjacency power up to the Wielandt bound {cap}; "
         "the graph cannot be ergodic"
