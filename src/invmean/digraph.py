@@ -353,7 +353,7 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     degrees = list(map(int.bit_count, out_masks))
     if all(degrees):
         count = Counter(degrees)
-        blocked = {d for d, rows in count.items() if rows > 4 * d}
+        blocked = {d for d, k in count.items() if k > 4 * d}
         # a power holds the rows of each block, then every other row
         by_degree = sorted(range(n), key=degrees.__getitem__)
         order = [v for v in by_degree if degrees[v] in blocked]
@@ -370,9 +370,9 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
                 ws.append(at[bit.bit_length() - 1])
             successors.append(ws)
         blocks = []  # per block, the getter of each slot
-        for d, rows in groupby(successors[:in_blocks], key=len):
-            rows = list(rows)
-            blocks.append([itemgetter(*[ws[j] for ws in rows]) for j in range(d)])
+        for d, group in groupby(successors[:in_blocks], key=len):
+            group = list(group)
+            blocks.append([itemgetter(*[ws[j] for ws in group]) for j in range(d)])
         singles = successors[in_blocks:]
         power = [out_masks[v] for v in order]
         for q in range(1, cap + 1):

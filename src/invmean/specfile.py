@@ -173,7 +173,8 @@ def mapping_spec_from_dict(raw: Any) -> MappingSpec:
     # entries are parsed in order, so each error names the entry that a
     # parse of every entry would name
     keys = _entry_keys(raw_means)
-    first = dict(zip(reversed(keys), range(p, 0, -1)))  # key -> its first entry
+    # key -> the number of its first entry: of the reversed pairs, the last wins
+    first = dict(zip(reversed(keys), range(p, 0, -1)))
     specs = {keys[i - 1]: _parse_mean(raw_means[i - 1], i) for i in sorted(first.values())}
 
     raw_alpha = _expect(_require(raw, "alpha", "spec"), list, "alpha", "a list")
