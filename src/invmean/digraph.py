@@ -55,7 +55,6 @@ caches it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -352,13 +351,12 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     cap = (n - 1) ** 2 + 1
     degrees = list(map(int.bit_count, out_masks))
     if all(degrees):
-        count = Counter(degrees)
-        blocked = {d for d, k in count.items() if k > 4 * d}
-        # a power holds the rows of each block, then every other row
-        by_degree = sorted(range(n), key=degrees.__getitem__)
-        order = [v for v in by_degree if degrees[v] in blocked]
+        blocked = {d for d in set(degrees) if degrees.count(d) > 4 * d}
+        # a power holds the rows of the blocks, by out-degree, then every
+        # other row, in vertex order
+        order = sorted([v for v in range(n) if degrees[v] in blocked], key=degrees.__getitem__)
         in_blocks = len(order)
-        order += [v for v in by_degree if degrees[v] not in blocked]
+        order += [v for v in range(n) if degrees[v] not in blocked]
         at = sorted(range(n), key=order.__getitem__)  # at[v]: where row v is held
         successors = []  # per row held, where its successors are held
         for v in order:
