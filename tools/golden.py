@@ -68,7 +68,7 @@ def specs() -> list[str]:
 
 
 def repeat(values: str, p: int) -> str:
-    """The first p items of the comma-separated values, repeated."""
+    """The comma-separated values, repeated and cut to p items."""
     items = values.split(",")
     return ",".join(items[i % len(items)] for i in range(p))
 
