@@ -262,34 +262,42 @@ class ComposedMapping:
 def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
     """Generate, compile and bind the k-step kernel of `m`, `m._steps`.
 
-    The kernel reads the point into locals x<j> once, then k times sets
-    y<i> row by row, straight line, and hands the y<i> back to the x<j>
-    one line per row, with no tuple built or unpacked.  It returns
-    M^k(xs).  A power mean built by `make_power_mean`, of any arity, runs
-    inline the lines of `means._power_row`, the arithmetic of
-    `power_mean_eval` without its argument checks, and lands in [min, max]
-    of the arguments.  Any other mean is called through its checked
-    coordinate, which takes the row's arguments as locals and checks the
-    value against the interval (DomainError otherwise).  The namespace
-    holds what the rows name: the checked coordinates and
-    `means._ROW_NAMES`, so no row calls back into `means`."""
+    The kernel reads the point into locals x<j> once and then, k times,
+    runs the rows in order, straight line, with no tuple built or
+    unpacked.  It returns M^k(xs).  Row i writes x<i> itself when no
+    later row reads coordinate i; otherwise it writes y<i>, which goes
+    back to x<i> after the last row, one line per such row.  A row
+    stores its output only in its last line, after it has read all of
+    its arguments, so every row reads the point from before the step.  A
+    power mean built by `make_power_mean`, of any arity, runs inline the
+    lines of `means._power_row`, the arithmetic of `power_mean_eval`
+    without its argument checks, and lands in [min, max] of the
+    arguments.  Any other mean is called through its checked coordinate,
+    which takes the row's arguments as locals and checks the value
+    against the interval (DomainError otherwise).  The namespace holds
+    what the rows name: the checked coordinates and `means._ROW_NAMES`,
+    so no row calls back into `means`."""
+    # the coordinates that a row after their own reads, 0-based
+    last_read = {a - 1: i for i, row in enumerate(m.alpha.rows) for a in row}
+    handed = {j for j, i in last_read.items() if i > j}
     checked = []
     body = []
     for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
         args = [f"x{a - 1}" for a in row]
+        out = f"y{i}" if i in handed else f"x{i}"
         order = _power_order(mean)
         if order is None:
-            body.append(f"y{i} = checked[{len(checked)}]({', '.join(args)})")
+            body.append(f"{out} = checked[{len(checked)}]({', '.join(args)})")
             checked.append(m._checked_coordinate(i + 1, mean))
         else:
-            body += _power_row(order, args, f"y{i}")
+            body += _power_row(order, args, out)
     xs = "".join(f"x{j}, " for j in range(m.p))
     source = "\n".join([
         "def _steps(xs, k):",
         f"    {xs}= xs",
         "    for _ in range(k):",
         *(f"        {line}" for line in body),
-        *(f"        x{i} = y{i}" for i in range(m.p)),
+        *(f"        x{i} = y{i}" for i in sorted(handed)),
         f"    return ({xs})",
     ])
     steps = _compile(

@@ -277,17 +277,21 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     clamped into [min, max] of them: the package's one power-mean
     arithmetic.  `power_mean_eval` runs it as a function of its own and a
     mapping's kernel as one of its rows (`averaging._compile_steps`).  The
-    lines use the temporaries e, f, m, q, r, t, u, v and w and call only
-    names of `_ROW_NAMES`.
+    lines use the temporaries e, f, m, q, r, t, u, v and w, call only
+    names of `_ROW_NAMES` and write `out` in their last line only, after
+    every argument has been read, so `out` may be one of `args`.
 
     A row that reads one local only, once or more (one argument, or a
     self-loop), is that local: the mean of equal arguments.  Every other
-    row opens with the bracket of its arguments, u = min and w = max, and
+    row finds the bracket of its arguments, u = min and w = max below, and
     ends in one clamp line.  It has no branch for equal values: whatever a
-    path computes, the clamp into [a, a] returns a.  A two-argument row
-    finds the bracket with one branch and writes each sum as the pivot's
-    exact term plus the other's: a + b is the correctly rounded sum that
-    fsum returns.  A longer row takes min and max of its locals and the
+    path computes, the clamp into [a, a] returns a.  A two-argument row on
+    a and b is one branch, `if a < b:`, whose two arms run the same lines
+    (`_bracketed_row`) with (u, w) named (a, b) and (b, a): no bracket is
+    stored.  It writes each sum as the pivot's exact term plus the
+    other's, a + b being the correctly rounded sum that fsum returns, and
+    halves it by `* 0.5`, the same correctly rounded operation as `/ 2`.
+    A longer row stores u = min and w = max of its locals and takes the
     fsum of its terms in argument order.
 
     Order 0 is the n-th root of the product, with the product's exponent
@@ -348,30 +352,41 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
     """
     if len(set(args)) == 1:
         return [f"{out} = {args[0]}"]
+    if len(args) == 2:
+        a, b = args
+        return [
+            f"if {a} < {b}:",
+            *(f"    {line}" for line in _bracketed_row(s, args, a, b, out)),
+            "else:",
+            *(f"    {line}" for line in _bracketed_row(s, args, b, a, out)),
+        ]
+    listed = ", ".join(args)
+    return [f"u = min({listed})", f"w = max({listed})", *_bracketed_row(s, args, "u", "w", out)]
+
+
+def _bracketed_row(s: float, args: Sequence[str], lo: str, hi: str, out: str) -> list[str]:
+    """The lines of `_power_row` after the bracket: they set `out` to the
+    power mean of order s of the locals `args`, given the names `lo` and
+    `hi` of their min and max.  A two-argument row names only lo and hi,
+    which are its arguments themselves, and writes `out` in its last line
+    only."""
     n = len(args)
     listed = ", ".join(args)
-    if n == 2:
-        a, b = args
-        head = [f"if {a} < {b}: u = {a}; w = {b}", f"else: u = {b}; w = {a}"]
-    else:
-        head = [f"u = min({listed})", f"w = max({listed})"]
-    clamp = f"{out} = u if v < u else w if v > w else v"
+    clamp = f"{out} = {lo} if v < {lo} else {hi} if v > {hi} else v"
     if s == 0.0:
         if n == 2:
             # two arguments in this range multiply with no underflow or
             # overflow, and their split mantissa has the same square root
             return [
-                *head,
-                f"if {2.0 ** -509!r} < u and w < {2.0 ** 509!r}:",
-                "    v = sqrt(u * w)",
+                f"if {2.0 ** -509!r} < {lo} and {hi} < {2.0 ** 509!r}:",
+                f"    v = sqrt({lo} * {hi})",
                 "else:",
-                "    m, e = frexp(u); t, f = frexp(w); q, r = divmod(e + f, 2)",
+                f"    m, e = frexp({lo}); t, f = frexp({hi}); q, r = divmod(e + f, 2)",
                 "    v = ldexp(sqrt(ldexp(m * t, r)), q)",
                 clamp,
             ]
         if n > _SPLIT_ARITY:
             return [
-                *head,
                 "m = 1.0; e = 0",
                 f"for t in ({listed}):",
                 "    t, f = frexp(t); m, r = frexp(m * t); e += f + r",
@@ -380,8 +395,7 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
                 clamp,
             ]
         return [
-            *head,
-            f"if {n} * log2(u) > -1020.0 and {n} * log2(w) < 1020.0:",
+            f"if {n} * log2({lo}) > -1020.0 and {n} * log2({hi}) < 1020.0:",
             f"    m, e = frexp(prod(({listed})))",
             "else:",
             f"    m, e = frexp({args[0]})",
@@ -390,31 +404,35 @@ def _power_row(s: float, args: Sequence[str], out: str) -> list[str]:
             f"v = ldexp(ldexp(m, r) ** {1.0 / n!r}, q)",
             clamp,
         ]
-    pivot, other = ("w", "u") if s > 0 else ("u", "w")
+    pivot, other = (hi, lo) if s > 0 else (lo, hi)
 
     def mean(term: str, own: str = "1.0") -> str:
         # the mean of term.format(t) over the arguments t; of two, the
-        # pivot's own term is exactly `own`, "" for 0
+        # pivot's own term is exactly `own`, "" for 0, and the sum is
+        # halved by `* 0.5`, rounded as `/ 2` is, but a float-by-float
+        # product, which CPython specialises
         if n > 2:
             return f"fsum(({', '.join(term.format(t) for t in args)})) / {n}"
-        return f"({own} + {term.format(other)}) / 2" if own else f"{term.format(other)} / 2"
+        return f"({own} + {term.format(other)}) * 0.5" if own else f"{term.format(other)} * 0.5"
 
     if abs(s) < _SMALL_ORDER:
-        # t is the log of the pivot; the exponent is at most log(w), so exp
+        # t is the log of the pivot; the exponent is at most log(hi), so exp
         # does not overflow: the log1p term is <= 0 for s > 0, and about
         # half the spread of the logs for s < 0
         terms = mean(f"expm1(({s!r}) * (log({{}}) - t))", "")
-        return [*head, f"t = log({pivot})", f"v = exp(t + log1p({terms}) / ({s!r}))", clamp]
+        return [f"t = log({pivot})", f"v = exp(t + log1p({terms}) / ({s!r}))", clamp]
     if s == 1.0:
-        body = f"v = w * ({mean('{} / w')})"
+        body = f"v = {hi} * ({mean(f'{{}} / {hi}')})"
     elif s == -1.0:
-        body = f"v = u / ({mean('u / {}')})"
+        body = f"v = {lo} / ({mean(f'{lo} / {{}}')})"
     elif s == 2.0:
-        body = f"v = w * sqrt({mean('(t := {} / w) * t')})"
+        body = f"v = {hi} * sqrt({mean(f'(t := {{}} / {hi}) * t')})"
     else:
         terms = mean(f"({{}} / {pivot}) ** ({s!r})")
         body = f"v = {pivot} * ({terms}) ** ({1.0 / s!r})"
-    return [*head, body, f"{out} = u if v < u else v" if s > 0 else f"{out} = w if v > w else v"]
+    if s > 0:
+        return [body, f"{out} = {lo} if v < {lo} else v"]
+    return [body, f"{out} = {hi} if v > {hi} else v"]
 
 
 def _not_strict(means: Iterable[Mean]) -> str:

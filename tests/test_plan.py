@@ -11,12 +11,15 @@ copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
 mappings at extreme magnitudes, on each branch of the two-argument forms
 in both argument orders, on rows of three to five arguments at the ends
 of the floats, on every row shape the generator emits (self-loop, one
-argument, three arguments, p = 1, p = 1024), and on a mean the library
-did not build.  The kernel and the row functions name nothing but
-`means._ROW_NAMES`.
+argument, three arguments, p = 1, p = 1024), on k-step calls whose rows
+store in place or hand their value back after the last row, and on a
+mean the library did not build.  The kernel and the row functions name
+nothing but `means._ROW_NAMES`.
 """
 
+import ast
 import math
+import re
 from random import Random
 
 import pytest
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmean as iv
-from invmean import invariant_mean_eval, means, oscillation
+from invmean import averaging, invariant_mean_eval, means, oscillation
 
 from power_mean_oracle import power_mean_eval as oracle_power_mean
 from test_digraph import numpy_reference
@@ -55,10 +58,10 @@ magnitudes = st.one_of(
 
 
 @st.composite
-def mappings(draw, max_p=6):
+def mappings(draw, max_p=6, max_arity=5):
     p = draw(st.integers(1, max_p))
     rows = tuple(
-        tuple(draw(st.integers(1, p)) for _ in range(draw(st.integers(1, 5))))
+        tuple(draw(st.integers(1, p)) for _ in range(draw(st.integers(1, max_arity))))
         for _ in range(p)
     )
     specs = tuple(iv.PowerMeanSpec(draw(orders()), len(row)) for row in rows)
@@ -147,6 +150,19 @@ class TestBitIdentity:
         assert invariant_mean_eval(m, x, tol=tol, max_iter=max_iter) == reference_eval(
             m, x, tol, max_iter
         )
+
+    @given(case=mappings(max_p=8, max_arity=3), data=st.data(), k=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_k_steps_match_k_oracle_steps(self, case, data, k):
+        # random alpha, self-loops and repeated arguments among them: one
+        # kernel call of k steps, with its in-place rows and its hand-back
+        # lines, is k steps of the oracle
+        m, specs = case
+        x = data.draw(points(m.p))
+        y = x
+        for _ in range(k):
+            y = oracle_apply(m, specs, y)
+        assert bits(m._steps(x, k)) == bits(y)
 
 
 def reference_eval(m, x, tol, max_iter):
@@ -242,13 +258,17 @@ def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
 def test_power_sum_row_is_one_pivoted_expression(s, x):
     # points where the unpivoted sum t**s would leave the normal floats:
     # the pivoted row (the pow-free form at orders -1 and 2) computes them
-    # itself, with no try, range test or handover, after a branch that
-    # orders the arguments, and clamps on one side only
+    # itself, with no try, range test or handover, in the two arms of one
+    # branch that orders the arguments, each clamping on one side only
     row = means._power_row(s, ["x0", "x1"], "y0")
-    assert row[:2] == ["if x0 < x1: u = x0; w = x1", "else: u = x1; w = x0"]
+    assert row[0] == "if x0 < x1:" and row.count("else:") == 1
+    arms = (row[1:row.index("else:")], row[row.index("else:") + 1:])
+    assert not any(line.startswith(("if", "else")) for arm in arms for line in arm)
     assert not any(word in line for line in row for word in ("try", "means.", " <= "))
-    assert row[-1] == ("y0 = u if v < u else v" if s > 0 else "y0 = w if v > w else v")
-    assert not any("y0" in line for line in row[:-1])
+    for arm, (u, w) in zip(arms, (("x0", "x1"), ("x1", "x0"))):
+        clamp = f"y0 = {u} if v < {u} else v" if s > 0 else f"y0 = {w} if v > {w} else v"
+        assert arm[-1] == f"    {clamp}"
+        assert not any("y0" in line for line in arm[:-1])
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     step = two_row_step(s)
     assert bits(step(x, 1)) == (want, want)
@@ -386,13 +406,15 @@ class TestCustomMeans:
     must stop with DomainError instead of carrying the point on."""
 
     @staticmethod
-    def mapping():
+    def mapping(first=True):
+        # the checked row first, whose coordinate row 2 reads later, or
+        # last, where it writes its coordinate in place
         interval = iv.Interval(0.0, 5.0)
         too_high = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs) + 1.0,
                            label="max+1")
         arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
-        return iv.ComposedMapping((too_high, arithmetic), interval,
-                                  iv.IndexVector(((1, 2), (1, 2))))
+        means = (too_high, arithmetic) if first else (arithmetic, too_high)
+        return iv.ComposedMapping(means, interval, iv.IndexVector(((1, 2), (1, 2))))
 
     def test_iterate_raises(self):
         with pytest.raises(iv.DomainError):
@@ -413,6 +435,15 @@ class TestCustomMeans:
         with pytest.raises(iv.DomainError) as info:
             m.nth_iterate((1.0, 3.0), 2)
         assert str(info.value) == "mean 1 ('max+1') returned 5.0 outside (0, 5)"
+
+    def test_an_in_place_checked_row_raises_at_the_same_step(self):
+        # (1, 3) -> (2, 4) -> (3, max(2, 4) + 1 = 5), outside (0, 5)
+        m = self.mapping(first=False)
+        assert m.nth_iterate((1.0, 3.0), 1) == (2.0, 4.0)
+        for run in (lambda: m.nth_iterate((1.0, 3.0), 2), lambda: m.iterate((1.0, 3.0), 5)):
+            with pytest.raises(iv.DomainError) as info:
+                run()
+            assert str(info.value) == "mean 2 ('max+1') returned 5.0 outside (0, 5)"
 
 
 def power_mapping(orders, rows):
@@ -532,3 +563,76 @@ class TestRowShapes:
         m, specs = power_mapping(orders, rows)
         x = tuple(rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-5, 5) for _ in range(p))
         assert_steps_match_the_oracle(m, specs, x, 6)
+
+
+@pytest.mark.parametrize("s", ORDER_PATHS)
+def test_two_argument_row_works_on_its_arguments(s):
+    # one branch whose arms compute on the arguments themselves, with no
+    # bracket stored, halve by a float product, and set the output once
+    row = means._power_row(s, ["x0", "x1"], "y0")
+    assert not {"u", "w"} & set(means._power_function(s, 2).__code__.co_varnames)
+    assert not any("/ 2" in line for line in row)
+    (branch,) = ast.parse("\n".join(row)).body
+    assert isinstance(branch, ast.If) and ast.unparse(branch.test) == "x0 < x1"
+    for arm in (branch.body, branch.orelse):
+        stores = [
+            node for line in arm for node in ast.walk(line)
+            if isinstance(node, ast.Name) and node.id == "y0" and isinstance(node.ctx, ast.Store)
+        ]
+        assert len(stores) == 1
+
+
+def kernel_source(monkeypatch, m):
+    """The source that `m`'s kernel compiles from, taken on its first step."""
+    sources = []
+    compile_source = averaging._compile
+
+    def recorded(source, *args, **names):
+        sources.append(source)
+        return compile_source(source, *args, **names)
+
+    monkeypatch.setattr(averaging, "_compile", recorded)
+    m._steps  # noqa: B018 -- compiles the kernel
+    (source,) = sources
+    return source
+
+
+def ring(p, step):
+    # row i reads i and i + step (mod p), 1-based
+    return [(i + 1, (i + step) % p + 1) for i in range(p)]
+
+
+class TestStores:
+    """A row writes its coordinate in place when no later row reads it;
+    every other row's value is handed back after the last row."""
+
+    @pytest.mark.parametrize("rows", [
+        ring(8, 1),                                   # one hand-back, x0 = y0
+        ring(8, -1),                                  # every row but the last hands back
+        ring(5, 2),
+        [(2, 3), (3, 1, 2), (4,), (5, 1), (1, 2, 3)],  # each row reads a later row's coordinate
+        [(1, 1), (2,), (3, 3, 3), (1, 2, 3)],          # self-loops, the last row reads them all
+        [(1,)],
+    ])
+    def test_hands_back_exactly_what_a_later_row_reads(self, monkeypatch, rows):
+        orders = [ORDER_PATHS[i % len(ORDER_PATHS)] for i in range(len(rows))]
+        m, specs = power_mapping(orders, rows)
+        source = kernel_source(monkeypatch, m)
+        read_later = [
+            i for i in range(len(rows)) if any(i + 1 in row for row in rows[i + 1:])
+        ]
+        handed = re.findall(r"^        x(\d+) = y\1$", source, re.MULTILINE)
+        assert [int(i) for i in handed] == read_later
+        assert set(re.findall(r"\by(\d+)\b", source)) == set(handed)
+        rng = Random(len(rows))
+        x = tuple(rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-200, 200) for _ in rows)
+        assert_steps_match_the_oracle(m, specs, x, 12)
+        y = x
+        for k in range(1, 13):
+            y = oracle_apply(m, specs, y)
+            assert bits(m._steps(x, k)) == bits(y)
+
+    def test_ring_with_loops_hands_back_one_coordinate(self, monkeypatch):
+        m, _ = power_mapping((1.0,) * 32, ring(32, 1))
+        source = kernel_source(monkeypatch, m)
+        assert re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE) == ["        x0 = y0"]
