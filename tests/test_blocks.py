@@ -13,9 +13,16 @@ above and below float resolution (so that runs stall), and at iteration
 caps on and off the stall-window boundaries.  A mapping with a mean the
 library did not build keeps one-step blocks, so it stops, or raises
 DomainError, at the same step.
+
+`verify_invariance` takes both of a sample's runs, from x and from M(x),
+from one trajectory (`invariant._runs` with two runs): each report must
+equal `per_step_eval` of its own start, and the sampler's `CheckReport`
+the one of two separate `invariant_mean_eval` calls per sample, at half
+their kernel steps.
 """
 
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +30,8 @@ from hypothesis import strategies as st
 
 import invmean as iv
 from invmean import invariant_mean_eval
-from invmean.invariant import _midpoint_radius
+from invmean.invariant import _midpoint_radius, _nonconstant_samples, _runs, verify_invariance
+from invmean.means import sweep
 
 ORDERS = (-3.0, -1.0, 0.0, 5e-3, -9e-3, 0.5, 1.0, 2.0, 7.0)
 # 1e-16 and below lie under float resolution near 1, so those runs stall
@@ -271,3 +279,180 @@ class TestCheckedMeans:
             taken[name] = (sum(steps), str(info.value))
         assert taken["blocks"] == taken["per-step"]
         assert taken["blocks"][0] == 47
+
+
+def one_trajectory(m, x, tol=1e-12, max_iter=10_000):
+    """The reports of K(x) and K(M(x)) from one trajectory, as
+    `verify_invariance` takes them."""
+    return tuple(_runs(m, m._validate_point(x), 2, tol, max_iter))
+
+
+def two_runs(m, x, tol=1e-12, max_iter=10_000):
+    """The same two reports from one per-step loop each."""
+    return per_step_eval(m, x, tol, max_iter), per_step_eval(m, m.apply(x), tol, max_iter)
+
+
+def two_call_verify_invariance(m, tol=1e-9, rng=None, n_samples=100):
+    """`verify_invariance` with two `invariant_mean_eval` calls per sample,
+    one from x and one from m.apply(x), each its own iteration."""
+
+    def judge(x):
+        r_x = invariant_mean_eval(m, x)
+        r_mx = invariant_mean_eval(m, m.apply(x))
+        if not (r_x.converged and r_mx.converged):
+            return None
+        residual = abs(r_x.value - r_mx.value)
+        if residual > tol * max(1.0, abs(max(x))):
+            return residual, f"|K(M(x)) - K(x)| = {residual:.3e} exceeds {tol:g}*scale"
+        return residual, None
+
+    return sweep("invariance", _nonconstant_samples(m, rng, n_samples), judge)
+
+
+def harmonic_arithmetic_ring(p):
+    # the bench's verify ring: harmonic and arithmetic rows in turn, row i
+    # reading (i, i+1)
+    return power_mapping([-1.0 if i % 2 == 0 else 1.0 for i in range(p)],
+                         [(i, i % p + 1) for i in range(1, p + 1)])
+
+
+def counted(monkeypatch, m):
+    """The k of every kernel call on m, from now on."""
+    blocks = []
+    kernel = m._steps
+    monkeypatch.setitem(vars(m), "_steps", lambda xs, k: blocks.append(k) or kernel(xs, k))
+    return blocks
+
+
+class TestOneTrajectory:
+    @given(case=runs(), tol=st.sampled_from(TOLS), max_iter=st.sampled_from(MAX_ITERS))
+    @settings(max_examples=400, deadline=None)
+    def test_reports_equal_the_per_step_loops(self, case, tol, max_iter):
+        m, x = case
+        assert repr(one_trajectory(m, x, tol, max_iter)) == repr(two_runs(m, x, tol, max_iter))
+
+    @pytest.mark.parametrize("orders, rows, x, tol, max_iter, steps, stop_reasons", [
+        # the start's bracket is closed: no step for x, one for M(x)
+        ((-1.0, 1.0) * 2, ((1, 2), (2, 3), (3, 4), (4, 1)), (1.0, 1.0, 1.0, 1.0 + 1e-13),
+         1e-12, 10_000, (0, 0), ("converged", "converged")),
+        # both rows are the arithmetic mean of the same pair: M(x) is constant
+        ((1.0, 1.0), ((1, 2), (1, 2)), (1.0, 3.0), 1e-12, 10_000, (1, 0),
+         ("converged", "converged")),
+        ((-1.0, 1.0) * 3, tuple((i, i % 6 + 1) for i in range(1, 7)),
+         (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 1e-12, 1, (1, 1), ("max_iter", "max_iter")),
+        ((-1.0, 1.0) * 3, tuple((i, i % 6 + 1) for i in range(1, 7)),
+         (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 1e-12, 2, (2, 2), ("max_iter", "max_iter")),
+        # below float resolution: each run stalls at its own window
+        ((-1.0, 1.0) * 3, tuple((i, i % 6 + 1) for i in range(1, 7)),
+         (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 1e-18, 10_000, None, ("stalled", "stalled")),
+        # no K: each class bracket of two disjoint rings closes
+        ((2.0, 0.0, -1.0, 1.0), ((1, 2), (2, 1), (3, 4), (4, 3)), (1.0, 9.0, 2.0, 50.0),
+         1e-12, 10_000, None, ("classes-converged", "classes-converged")),
+    ])
+    def test_explicit_cases(self, orders, rows, x, tol, max_iter, steps, stop_reasons):
+        m = power_mapping(orders, rows)
+        got = one_trajectory(m, x, tol, max_iter)
+        assert repr(got) == repr(two_runs(m, x, tol, max_iter))
+        assert tuple(r.stop_reason for r in got) == stop_reasons
+        if steps is not None:
+            assert tuple(r.iterations_used for r in got) == steps
+
+    def test_each_run_stalls_at_its_own_window(self):
+        m = harmonic_arithmetic_ring(6)
+        x = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        r_x, r_mx = one_trajectory(m, x, 1e-18)
+        assert r_x.stop_reason == r_mx.stop_reason == "stalled"
+        assert r_x.iterations_used % 200 == r_mx.iterations_used % 200 == 0
+        # the run from M(x) counts its steps from step 1 of the trajectory
+        assert r_x.final_iterate == m.nth_iterate(x, r_x.iterations_used)
+        assert r_mx.final_iterate == m.nth_iterate(x, 1 + r_mx.iterations_used)
+
+    @pytest.mark.parametrize("x", [(1.0, 2.0, 7.0, 3.0), (1e-300, 1.0, 1e300, 2.0)])
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("max_iter", (1, 37, 200, 201, 10_000))
+    def test_a_mean_the_library_did_not_build(self, monkeypatch, x, tol, max_iter):
+        # one-step blocks, and every run is tested where it can stop
+        harmonic = iv.make_power_mean(iv.PowerMeanSpec(-1.0, 2))
+        m = iv.ComposedMapping((fsum_mean(), harmonic) * 2, iv.POSITIVE_REALS,
+                               iv.IndexVector(((1, 2), (2, 3), (3, 4), (4, 1))))
+        want = two_runs(m, x, tol, max_iter)
+        blocks = counted(monkeypatch, m)
+        assert repr(one_trajectory(m, x, tol, max_iter)) == repr(want)
+        assert set(blocks) == {1}
+        assert len(blocks) == max(want[0].iterations_used, 1 + want[1].iterations_used)
+
+    def test_domain_error_at_the_same_step(self, monkeypatch):
+        # max + 1 climbs by about one per step and leaves (0, 50) at step 47
+        # of the trajectory, which both runs reach
+        interval = iv.Interval(0.0, 50.0)
+        too_high = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs) + 1.0,
+                           label="max+1")
+        arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
+        m = iv.ComposedMapping((too_high, arithmetic), interval, iv.IndexVector(((1, 2), (1, 2))))
+        with pytest.raises(iv.DomainError) as want:
+            per_step_eval(m, (1.0, 3.0), 1e-12, 10_000)
+        blocks = counted(monkeypatch, m)
+        with pytest.raises(iv.DomainError) as got:
+            one_trajectory(m, (1.0, 3.0))
+        assert str(got.value) == str(want.value)
+        assert set(blocks) == {1} and len(blocks) == 47
+
+    @pytest.mark.parametrize("x", [(1e-11, 5e-11), (2e-11, 2.0000001e-11), (9e-11, 1e-12)])
+    @pytest.mark.parametrize("tol", (1e-12, 1e-20, 1e-30))
+    @pytest.mark.parametrize("max_iter", (37, 200, 201, 10_000))
+    def test_a_mean_above_the_bracket(self, x, tol, max_iter):
+        # the oscillation need not shrink, and M(x) may leave (0, 1e-10)
+        # after either run has stopped
+        interval = iv.Interval(0.0, 1e-10)
+        above = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs) + 5e-17,
+                        label="max+5e-17")
+        arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
+        m = iv.ComposedMapping((above, arithmetic), interval, iv.IndexVector(((1, 2), (1, 2))))
+        outcomes = []
+        for run in (two_runs, one_trajectory):
+            try:
+                outcomes.append(repr(run(m, x, tol, max_iter)))
+            except iv.DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+FIXTURE_NAMES = ("example2", "example3", "example4", "example5", "example6")
+
+
+class TestVerifyInvariance:
+    """`verify_invariance` against the sampler of two separate runs."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixtures(self, name, seed):
+        m = iv.load_mapping_spec(iv.fixture_path(f"{name}.json")).build()
+        for tol in (1e-9, 1e-300):
+            assert verify_invariance(m, tol, Random(seed), 25) == two_call_verify_invariance(
+                m, tol, Random(seed), 25)
+
+    @pytest.mark.parametrize("p", range(4, 9))
+    def test_rings(self, p):
+        rows = [(i, i % p + 1) for i in range(1, p + 1)]
+        for m in (harmonic_arithmetic_ring(p),
+                  power_mapping([ORDERS[i % len(ORDERS)] for i in range(p)], rows)):
+            assert verify_invariance(m, 1e-9, Random(p), 10) == two_call_verify_invariance(
+                m, 1e-9, Random(p), 10)
+
+    @pytest.mark.parametrize("name, prototype", [("ring8", 1289), ("example2", 299)])
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_half_the_kernel_steps(self, monkeypatch, name, prototype, seed):
+        # one trajectory per sample: the kernel steps of two runs, halved,
+        # plus a few per sample for the blocks taken again at a crossing
+        if name == "ring8":
+            m = harmonic_arithmetic_ring(8)
+        else:
+            m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
+        n = 4
+        blocks = counted(monkeypatch, m)
+        two_call_verify_invariance(m, rng=Random(seed), n_samples=n)
+        two_calls = sum(blocks)
+        blocks.clear()
+        verify_invariance(m, rng=Random(seed), n_samples=n)
+        assert sum(blocks) <= two_calls / 2 + 3 * n
+        assert sum(blocks) <= prototype + 4 * n
