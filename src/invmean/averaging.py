@@ -39,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
@@ -103,6 +103,8 @@ class IndexVector:
                         raise ValidationError(
                             f"alpha row {i}, position {j}: index {a} outside 1..{p}"
                         )
+            # every index is an int, as the incidence graph's edges must be
+            rows = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -128,21 +130,26 @@ class ComposedMapping:
             means = tuple(self.means)
         except TypeError:  # not iterable: means=5
             raise ValidationError(f"mapping means must be a sequence, got {self.means!r}") from None
+        object.__setattr__(self, "means", means)
+        rows = self.alpha.rows
+        # all in C when every mean is a Mean on the interval (a domain that
+        # is the interval object compares equal without a call) and every
+        # row as long as its mean's arity; the loops word the first error
+        if (all(map(isinstance, means, repeat(Mean)))
+                and list(map(attrgetter("domain"), means)) == [self.interval] * len(rows)
+                and list(map(len, rows)) == list(map(attrgetter("arity"), means))):
+            return
         for i, m in enumerate(means, start=1):
             if not isinstance(m, Mean):
                 raise ValidationError(f"mapping mean {i} must be a Mean, got {m!r}")
-        object.__setattr__(self, "means", means)
-        if len(means) != self.alpha.p:
-            raise ShapeError(f"index vector has {self.alpha.p} rows for {len(means)} means")
-        on_interval = set()  # a Mean that rows share is checked against I once
-        for i, (row, mean) in enumerate(zip(self.alpha.rows, means), start=1):
-            if id(mean) not in on_interval:
-                if mean.domain != self.interval:
-                    raise ValidationError(
-                        f"mean {i} ({mean.label!r}) lives on {mean.domain}, "
-                        f"mapping on {self.interval}"
-                    )
-                on_interval.add(id(mean))
+        if len(means) != len(rows):
+            raise ShapeError(f"index vector has {len(rows)} rows for {len(means)} means")
+        for i, (row, mean) in enumerate(zip(rows, means), start=1):
+            if mean.domain != self.interval:
+                raise ValidationError(
+                    f"mean {i} ({mean.label!r}) lives on {mean.domain}, "
+                    f"mapping on {self.interval}"
+                )
             if len(row) != mean.arity:
                 raise ShapeError(
                     f"alpha row {i} has {len(row)} indexes, mean {i} ({mean.label!r}) "

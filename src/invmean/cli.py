@@ -16,6 +16,7 @@ import functools
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_key
 from pathlib import Path
 from random import Random
@@ -59,18 +60,24 @@ def _fmt_bool(b: bool) -> str:
 
 def _json_text(obj, indent: str = "\n") -> str:
     """obj as `json.dumps(obj, indent=2)` writes it, byte for byte, without
-    its pure-Python encoder: ints (not bools) and lists of them are written
-    with `int.__repr__`, keys with the C string encoder, and every other
-    scalar by `json.dumps`.  `indent` is the newline and indent of the
-    line that obj starts on."""
+    its pure-Python encoder: ints (not bools), lists of them and lists of
+    nonempty lists of them (`analyze`'s edges) are written with
+    `int.__repr__`, keys with the C string encoder, and every other scalar
+    by `json.dumps`.  `indent` is the newline and indent of the line that
+    obj starts on."""
     if type(obj) is int:
         return int.__repr__(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
-        if set(map(type, obj)) == {int}:
+        types = set(map(type, obj))
+        if types == {int}:
             items = map(int.__repr__, obj)
+        elif types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = ["[" + deeper + sep.join(map(int.__repr__, v)) + inner + "]" for v in obj]
         else:
             items = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
@@ -362,7 +369,7 @@ def cmd_verify(args, mapping: ComposedMapping) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argument parser of `main`, built on its first call and shared by
     every later one: parsing leaves no state on it."""
     parser = _Parser(
@@ -371,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"invmean {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser, by name
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -412,9 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, parsed by the named command's own
+    parser when argv starts with a command name: the full parse would hand
+    it all of argv after the name.  The full parse runs when argv names no
+    command first, or when arguments are left over, so that every usage
+    message is the one it prints."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args, _load_spec(args.spec).build())
     except (InvMeanError, OSError) as exc:

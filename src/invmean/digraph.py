@@ -130,6 +130,15 @@ class Digraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: frozenset, out_masks: tuple, in_masks: tuple) -> Digraph:
+        """The digraph on n vertices with these edges and adjacency masks,
+        made without `__post_init__`: for edges already known to be pairs
+        of ints in 1..n, and the masks they give."""
+        g = object.__new__(cls)
+        g.__dict__.update(n_vertices=n, edges=edges, out_masks=out_masks, in_masks=in_masks)
+        return g
+
 
 @dataclass(frozen=True)
 class TriStateColoring:
@@ -226,10 +235,22 @@ def build_incidence_graph(alpha: IndexVector) -> Digraph:
     for every row i and position j ("argument k feeds coordinate i").
 
     Duplicate edges collapse.  The IndexVector has already checked that
-    every index lies in 1..p.
+    every index is an int in 1..p, so the edges are not checked again: one
+    pass over the rows gives the edges and both adjacency masks.
     """
-    edges = frozenset((a, i) for i, row in enumerate(alpha.rows, start=1) for a in row)
-    return Digraph(alpha.p, edges)
+    rows = alpha.rows
+    out_masks = [0] * len(rows)
+    in_masks = []
+    edges = set()
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        mask = 0
+        for a in row:
+            out_masks[a - 1] |= bit
+            mask |= 1 << (a - 1)
+            edges.add((a, i + 1))
+        in_masks.append(mask)
+    return Digraph._unchecked(len(rows), frozenset(edges), tuple(out_masks), tuple(in_masks))
 
 
 # ---------------------------------------------------------------------------

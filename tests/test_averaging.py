@@ -109,6 +109,20 @@ class TestCompose:
             ComposedMapping(mixed, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
 
 
+def faulty_mapping(faults):
+    """A mapping of 4 rows on (0, inf) with the chosen faults: "arity" gives
+    row 2 three indexes for a mean of arity 2, "domain" puts mean 3 on
+    (1, 5), and "mean" makes mean 4 a PowerMeanSpec, not a Mean."""
+    domain = iv.Interval(1.0, 5.0) if "domain" in faults else POSITIVE_REALS
+    means = [
+        *power_means((1.0, 2.0)),
+        make_power_mean(PowerMeanSpec(-1.0, 2), domain=domain),
+        PowerMeanSpec(0.0, 2) if "mean" in faults else make_power_mean(PowerMeanSpec(0.0, 2)),
+    ]
+    alpha = ((1, 2), (2, 3, 4) if "arity" in faults else (2, 3), (3, 4), (4, 1))
+    return ComposedMapping(means, POSITIVE_REALS, IndexVector(alpha))
+
+
 class TestComposedMappingFields:
     @pytest.mark.parametrize("alpha", [[[1, 2], [2, 1]], ((1, 2), (2, 1)), None])
     def test_alpha_must_be_an_index_vector(self, alpha):
@@ -132,6 +146,30 @@ class TestComposedMappingFields:
     def test_means_must_be_means(self, means, message):
         # (1.0, 2.0) raised AttributeError, and 5 TypeError
         with pytest.raises(iv.ValidationError, match=message):
+            ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
+
+    @pytest.mark.parametrize("faults, error, message", [
+        # every mean is checked to be a Mean before any row is
+        ({"arity", "domain", "mean"}, iv.ValidationError,
+         r"mapping mean 4 must be a Mean, got PowerMeanSpec\(order=0.0, arity=2\)"),
+        ({"domain", "mean"}, iv.ValidationError, "mapping mean 4 must be a Mean, got Power"),
+        # then the rows in order, each its mean's domain before its arity
+        ({"arity", "domain"}, iv.ShapeError,
+         r"alpha row 2 has 3 indexes, mean 2 \('P_2'\) has arity 2"),
+        ({"arity"}, iv.ShapeError, r"alpha row 2 has 3 indexes, mean 2 \('P_2'\) has arity 2"),
+        ({"domain"}, iv.ValidationError,
+         r"mean 3 \('P_-1'\) lives on \(1, 5\), mapping on \(0, inf\)"),
+    ])
+    def test_the_first_fault_is_named(self, faults, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            faulty_mapping(faults)
+
+    def test_a_foreign_domain_is_named_before_its_rows_arity(self):
+        narrow = iv.Interval(1.0, 5.0)
+        means = (
+            make_power_mean(PowerMeanSpec(1.0, 2)), make_power_mean(PowerMeanSpec(2.0, 3), narrow),
+        )
+        with pytest.raises(iv.ValidationError, match=r"^mean 2 \('P_2'\) lives on \(1, 5\), "):
             ComposedMapping(means, POSITIVE_REALS, IndexVector(((1, 2), (2, 1))))
 
     def test_means_may_be_any_sequence_of_means(self):

@@ -5,6 +5,7 @@ non-convergent.  Commands run in-process through main(argv).
 """
 
 import argparse
+import importlib.util
 import json
 import math
 import re
@@ -487,6 +488,46 @@ def test_two_main_calls_build_one_parser(capsys, monkeypatch):
     assert built.count("invmean") == 1 and len(built) == 6
 
 
+_spec = importlib.util.spec_from_file_location(
+    "golden", Path(__file__).resolve().parents[1] / "tools" / "golden.py",
+)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+class TestCommandParser:
+    """`main` parses argv with the named command's own parser, and gets what
+    the full parse gets."""
+
+    def test_golden_argvs_parse_as_the_full_parse_does(self, monkeypatch):
+        monkeypatch.chdir(golden.ROOT)
+        runs = golden.runs()
+        assert len(runs) == 100
+        parser = build_parser()
+        full = {name: parser.parse_args(argv) for name, argv in runs}
+        monkeypatch.setattr(parser, "parse_args", None)  # no golden argv needs the full parse
+        for name, argv in runs:
+            assert cli._parse_args(argv) == full[name], name
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", EX2, "extra"],
+        ["verify", EX2, "--samples", "x"],
+        ["analyze"],
+        ["--json", "analyze", EX2],
+        [],
+        ["--version"],
+        ["analyze", "-h"],
+        ["tg", EX2, "--", "-1,0,1"],
+        ["tg", EX2, "--json", "--", "-1,0,1,1"],
+        ["analyze", EX2, "--version"],
+        ["iterate", EX2, "1,2,3,4", "-n", "2", "--js"],
+    ])
+    def test_main_prints_what_the_full_parse_prints(self, monkeypatch, argv):
+        fast = golden.run(argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+        assert fast == golden.run(argv)
+
+
 @pytest.mark.parametrize("command, option, default, shown", [
     ("invariant", "--tol", invariant.DEFAULT_TOL, "(default 1e-12)"),
     ("invariant", "--max-iter", invariant.DEFAULT_MAX_ITER, "(default 10000)"),
@@ -882,6 +923,9 @@ class TestJsonText:
         [], {}, [[]], [{}], {"a": []}, {"": {}}, [[], {}, [[]]],
         2**64, -(2**64) - 1, 10**30, [2**64, -(2**100)],
         None, [None, "", 1.5], (1, 2), [(1, (2, 3))],
+        # lists of int lists, as analyze's edges, and their near misses
+        [[1, 2], [2, 1]], [[3]], {"edges": [[1, 1], [2, 1]]}, [[1, 2], []], [[], [1]],
+        [[1], (2,)], [[1, True]], [[1], [2.0]], [[2**64, -1], [0]],
     ])
     def test_cases(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)

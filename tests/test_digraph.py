@@ -270,6 +270,29 @@ class TestBuildIncidenceGraph:
         g = incidence(((1, 1, 1),))
         assert g.edges == frozenset({(1, 1)})
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_checked_digraph(self, data):
+        # the graph skips Digraph's checks of what IndexVector has checked,
+        # and builds its masks alongside its edges
+        p = data.draw(st.integers(1, 12))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(1, p), min_size=1, max_size=4), min_size=p, max_size=p,
+        ))
+        g = build_incidence_graph(IndexVector(rows))
+        checked = Digraph(p, frozenset((a, i) for i, row in enumerate(rows, 1) for a in row))
+        assert g == checked and hash(g) == hash(checked)
+        assert (g.out_masks, g.in_masks) == (checked.out_masks, checked.in_masks)
+        assert is_ergodic(g) == is_ergodic(checked)
+
+    def test_index_of_an_int_subclass_is_an_int_edge(self):
+        class Index(int):
+            pass
+
+        g = build_incidence_graph(IndexVector(((Index(2),), (1,))))
+        assert g == Digraph(2, frozenset({(2, 1), (1, 2)}))
+        assert {type(v) for edge in g.edges for v in edge} == {int}
+
 
 class TestInNeighbors:
     def test_cyclic_example(self):

@@ -58,7 +58,7 @@ def split(path: str) -> dict[str, float]:
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             start = time.process_time()
-            args = cli.build_parser().parse_args(["analyze", path, "--json"])
+            args = cli._parse_args(["analyze", path, "--json"])
             parsed = time.process_time()
             mapping = cli._load_spec(args.spec).build()
             built = time.process_time()
