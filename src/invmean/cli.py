@@ -28,11 +28,9 @@ from .digraph import TriStateColoring, is_ergodic, tg_stabilize
 from .errors import InvMeanError, PreconditionError
 from .invariant import (
     DEFAULT_MAX_ITER,
-    DEFAULT_RESIDUAL_TOL,
     DEFAULT_TOL,
     _PROPERTIES,
     _check_hypothesis,
-    _check_tol,
     check_bracket_dichotomy,
     invariant_mean_eval,
     verify_invariance,
@@ -260,7 +258,8 @@ def _report_entry(report: CheckReport) -> dict:
 
 def _proved_properties(mapping: ComposedMapping) -> dict:
     """The entries of the properties of K that the incidence graph decides
-    for strict, monotone and homogeneous means, by name; none iterates."""
+    for strict, monotone and homogeneous means, by name, with the
+    invariance of K on a certified mapping; none iterates."""
     status = mapping._contractivity.status
     if status == FALSIFIED:
         detail = "proved: there is no invariant mean K (class=falsified)"
@@ -275,6 +274,9 @@ def _proved_properties(mapping: ComposedMapping) -> dict:
         entries["strict"] = _entry("strict", "pass", (
             f"proved: strict means on an ergodic graph: after q0 = {cls.uniform_walk_length} "
             "step(s) every nonconstant x lies strictly inside its bracket, and K(x) with it"
+        ))
+        entries["invariance"] = _entry("invariance", "pass", (
+            "proved: K(x) is the limit of M^n(x), so K(M(x)) = lim M^(n+1)(x) = K(x)"
         ))
         return entries
     # contractive: K reads only the one initial class R, so x constant on R
@@ -297,7 +299,6 @@ def _proved_properties(mapping: ComposedMapping) -> dict:
 
 
 def cmd_verify(args, mapping: ComposedMapping) -> int:
-    _check_tol(args.tol)  # before the suite: only certified mappings read it
     rng = Random(args.seed)
     n = args.samples
 
@@ -318,13 +319,17 @@ def cmd_verify(args, mapping: ComposedMapping) -> int:
             "never drops and max(M^n(x)) never rises"
         )),
     ]
+    # the proofs need strict means: a sampled violation of the mean property
+    # refutes that, and invariance and the properties of K are then sampled
+    proved = {} if mp_witnesses else _proved_properties(mapping)
     cert = mapping._contractivity
     # the evidence is stated once: in the certificate entry on a certified
     # mapping, else in the contractivity entry
     if cert.status == CERTIFIED:
         checks += [
             _entry("certificate", "info", f"class={cert.status} n0={cert.n0}; {cert.evidence}"),
-            _report_entry(verify_invariance(mapping, tol=args.tol, rng=rng, n_samples=n)),
+            proved.get("invariance")
+            or _report_entry(verify_invariance(mapping, rng=rng, n_samples=n)),
             _report_entry(check_bracket_dichotomy(mapping, rng, n_samples=n)),
         ]
     else:
@@ -336,9 +341,6 @@ def cmd_verify(args, mapping: ComposedMapping) -> int:
             _entry("invariance", "skip", "not certified"),
             _entry("bracket-dichotomy", "skip", "not certified"),
         ]
-    # the proofs need strict means: a sampled violation of the mean property
-    # refutes that, and the properties of K are then sampled
-    proved = {} if mp_witnesses else _proved_properties(mapping)
     for prop in _PROPERTIES:
         try:
             _check_hypothesis(mapping, prop)
@@ -413,9 +415,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=200,
                    help="samples per sampled check (default 200)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    # 1e-9, not the 1e-09 of :g
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
-                   help=f"residual tolerance (default {DEFAULT_RESIDUAL_TOL:g})".replace("e-0", "e-"))
 
     return parser
 

@@ -16,43 +16,38 @@ bits, so the radius is not a true enclosure of K(x).
 once and then runs the mapping's compiled kernel a block of steps at a
 time, testing the stop rule once per block; its report is float for
 float the one a test after every step gives (the block schedule and why
-it is exact are in the docstring of `_runs`, the one loop that runs it).
-`verify_invariance` compares K(x) with K(M(x)), and both come from one
-trajectory: the kernel gives M^n(M(x)) = M^(n+1)(x) bit for bit, so the
-run from M(x) is the run from x one step on, with its own threshold,
-stall tests and cap, and `_runs` takes both from one walk along the
-orbit, each report exact by the same argument.  Non-convergence
-(periodic or disconnected incidence structure) is a structured report,
-never an exception, so callers can inspect the final iterate; its
-stop_reason tells a stall from the iteration cap.  When the incidence
-graph has no invariant mean K (several initial classes, or one that is
-periodic), the same iteration brackets each cyclic class of each initial
-class that the graph's classification records, and reports the limit of
-each.
+it is exact are in its docstring).  Non-convergence (periodic or
+disconnected incidence structure) is a structured report, never an
+exception, so callers can inspect the final iterate; its stop_reason
+tells a stall from the iteration cap.  When the incidence graph has no
+invariant mean K (several initial classes, or one that is periodic), the
+same iteration brackets each cyclic class of each initial class that the
+graph's classification records, and reports the limit of each.
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
-`check_oscillation_monotonicity`, `check_bracket_dichotomy`,
-`solve_invariant_equation`) are sampling falsifiers run by `means.sweep`,
-as `check_mean_property` is: each returns a `CheckReport` whose
-violations are data with witnesses, and a clean sweep is evidence, not
-proof.  `check_bracket_dichotomy` and `solve_invariant_equation` need a
-mapping that `averaging.falsify_contractivity`, the one contractivity
-decision, certifies: strict means on an ergodic graph.  The dichotomy is
-checked after q0 <= (p-1)^2 + 1 steps, the graph's uniform walk length,
-while the certificate itself still reads the paper's n0 = 3^p.
+`check_oscillation_monotonicity`, `check_bracket_dichotomy`) are
+sampling falsifiers run by `means.sweep`, as `check_mean_property` is:
+each returns a `CheckReport` whose violations are data with witnesses,
+and a clean sweep is evidence, not proof.  `check_bracket_dichotomy`
+needs a mapping that `averaging.falsify_contractivity`, the one
+contractivity decision, certifies: strict means on an ergodic graph.  It
+is checked after q0 <= (p-1)^2 + 1 steps, the graph's uniform walk
+length, while the certificate itself still reads the paper's n0 = 3^p.
 
 `invmean verify` samples only what the construction leaves open.  On a
 mapping of library power means, which are strict, monotone and
 homogeneous and clamp every row into [min, max] of its arguments, it
 states as proved, without iterating: the oscillation monotonicity (the
-brackets are nested); monotonicity and homogeneity of K whenever K
-exists (every M^n takes them over from the means, and K is their
-limit); and strictness of K from the graph, which holds on an ergodic
-graph and fails on a "contractive" one, where K reads only the initial
-class.  On a "falsified" mapping there is no K.  It samples the mean
-property, `verify_invariance` and `check_bracket_dichotomy`, and falls
-back to `verify_mean_properties` when the mean-property sampling refutes
-the strictness those proofs rest on.  The samplers stay for means the
+brackets are nested); the invariance K(M(x)) = K(x) on a certified
+mapping (K(x) is the limit of M^n(x), so K(M(x)) = lim M^(n+1)(x) =
+K(x)); monotonicity and homogeneity of K whenever K exists (every M^n
+takes them over from the means, and K is their limit); and strictness
+of K from the graph, which holds on an ergodic graph and fails on a
+"contractive" one, where K reads only the initial class.  On a
+"falsified" mapping there is no K.  It samples the mean property and
+`check_bracket_dichotomy`, and falls back to `verify_invariance` and
+`verify_mean_properties` when the mean-property sampling refutes the
+strictness those proofs rest on.  The samplers stay for means the
 library did not build, and the tests hold the proved statements to them.
 
 Every function here that takes a tol raises ValidationError unless it is
@@ -68,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .averaging import CERTIFIED, ComposedMapping
 from .digraph import is_ergodic
@@ -80,14 +75,13 @@ __all__ = [
     "invariant_mean_eval",
     "verify_invariance",
     "verify_mean_properties",
-    "solve_invariant_equation",
     "check_oscillation_monotonicity",
     "check_bracket_dichotomy",
 ]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
-# the tolerance of a residual, K(M(x)) - K(x) or F(x) - phi(K(x))
+# the tolerance of the residual K(M(x)) - K(x)
 DEFAULT_RESIDUAL_TOL = 1e-9
 # nonconstant samples spread over at least this share of the sample box
 _MIN_SPREAD = 0.05
@@ -200,129 +194,82 @@ def invariant_mean_eval(
     bool (ValidationError).  Only the start point is validated; the steps run
     unchecked in the mapping's compiled kernel (`ComposedMapping._steps`,
     compiled on the mapping's first step), a block of k steps per call.
-    The stop rule is tested once per block, and the report is float for
-    float the one a test after every step gives: the block schedule and
-    why it is exact are in `_runs`, of which this is the one-run case.
+
+    The stop rule is tested at the end of each block, and the report is
+    the one a test after every step gives.  Every library power row lands
+    in [min, max] of its arguments, so in floating point min(y) never
+    drops and max(y) never rises, and the same holds for each class
+    bracket: an oscillation still >= threshold at a block's end was >=
+    threshold at every step inside the block.  The first block is one
+    step, and a block ends at the next stall test (anchor + window) and
+    at max_iter at the latest.  Two rules set the rest.  A block of k > 1
+    steps that ends below the threshold is dropped and taken again at
+    k // 2 steps from the same point; the first step below the threshold
+    lies inside it, so no later block passes its end, and a one-step block
+    that crosses holds that first step.  After a block that stays above,
+    the next is twice as long, or half the steps left that its shrink of
+    log(osc) per step forecasts, rounded up, when that is fewer.  A mean
+    the library did not build may leave the bracket, so a mapping with
+    one runs one step per block and stops, or raises DomainError, at the
+    same step as well.
     """
     _check_tol(tol)
     check_count(max_iter, "max_iter")
-    return _runs(m, m._validate_point(x), 1, tol, max_iter)[0]
-
-
-def _runs(
-    m: ComposedMapping, xs: tuple[float, ...], count: int, tol: float, max_iter: int
-) -> list[ConvergenceReport]:
-    """The reports of `invariant_mean_eval(m, M^r(xs), tol, max_iter)` for
-    r = 0, ..., count - 1, float for float, from the one trajectory xs,
-    M(xs), M^2(xs), ...  The kernel is deterministic, so M^n(M^r(xs)) is
-    M^(n+r)(xs) bit for bit, and run r is the trajectory from step r on.
-
-    Each run keeps its own stop rule.  Run r starts at step r, takes its
-    threshold from M^r(xs), counts its own steps, tests for a stall at
-    its own multiples of the window and stops at its own max_iter.  A
-    test of a run changes nothing except at such an event or at the first
-    step its oscillation drops below its threshold, so the tests run only
-    there: after a block that ends at an event of a run not stopped (a
-    start, a stall test or a cap) or below the largest threshold still in
-    use, `high`.  Every threshold of a run not stopped is <= high, so a
-    block that ends at or above high crosses none of them.
-
-    The first block is one step, and a block ends at the next event at
-    the latest.  Every library power row lands in [min, max] of its
-    arguments, so in floating point min(y) never drops and max(y) never
-    rises, and the same holds for each class bracket: the oscillation
-    never grows, and an oscillation still >= high at a block's end was
-    >= high at every step inside the block.  Two rules set the rest.  A
-    block of k > 1 steps that ends below high is dropped and taken again
-    at k // 2 steps from the same point; the first step below high lies
-    inside it, so no later block passes its end until a one-step block
-    crosses there.  That first step is the next one at which any run's
-    threshold is crossed, since high is the largest of them.  After a
-    block, the next is twice as long, or half the steps left that its
-    shrink of log(osc) per step forecasts to high, rounded up, when that
-    is fewer.  A mean the library did not build may leave the bracket, so
-    a mapping with one takes one step per block.  Its runs are still
-    tested only at their events and after a step below high, but that is
-    every step at which a test can stop one of them: each run stops, or
-    DomainError is raised, at the same step as well.
-    """
+    xs = m._validate_point(x)
+    threshold = 2.0 * _effective_tol(tol, xs)
     classes, spread, window, nested = m._iteration
-    reports = [None] * count
-    live = []  # [start, threshold, anchor_osc, anchor] of each run started, not stopped
     y = xs
     osc = spread(y)
-    log_osc = math.log(osc) if nested and osc > 0.0 else 0.0
-    t = event = 0
-    high = 0.0
+    # the kernel is compiled on first use: a closed start bracket takes no step
+    steps = m._steps if osc >= threshold else None
+    n = 0
+    anchor_osc = osc
+    anchor_n = 0
+    stalled = False
+    # a block of steps ends at the next stall test and at max_iter at the
+    # latest, and never past a block that crossed the threshold; its length
+    # k stays 1 unless the brackets are nested
+    stop = min(window, max_iter)
     k = 1
-    while True:
-        if t == event or osc < high:
-            if t < count:
-                live.append([t, 2.0 * _effective_tol(tol, y), osc, t])
-            # the next start, if any; no run has its cap past t + max_iter
-            event = t + 1 if t + 1 < count else t + max_iter
-            high = 0.0
-            kept = []
-            for run in live:
-                start, threshold, anchor_osc, anchor = run
-                stalled = False
-                if t - anchor >= window:
-                    # no measurable shrink across the window
-                    stalled = osc > anchor_osc * (1.0 - 1e-12)
-                    run[2], run[3] = osc, t
-                if osc < threshold:
-                    stop_reason = "classes-converged" if classes else "converged"
-                elif stalled or t - start >= max_iter:
-                    stop_reason = "stalled" if stalled else "max_iter"
-                else:
-                    kept.append(run)
-                    if threshold > high:
-                        high = threshold
-                    end = run[3] + window  # the run's next stall test, or its cap
-                    if end > start + max_iter:
-                        end = start + max_iter
-                    if end < event:
-                        event = end
-                    continue
-                reports[start] = _report(classes, y, t - start, stop_reason)
-            live = kept
-            if not live and t + 1 >= count:
-                return reports
-            # the kernel is compiled on first use: a closed start bracket takes no step
-            steps = m._steps
-            stop = event
-            if nested and live:
-                log_high = math.log(high)
-        if nested and live and t:
+    if nested and osc >= threshold:
+        log_threshold = math.log(threshold)
+        log_osc = math.log(osc)
+    while osc >= threshold and n < max_iter:
+        # k >= 1 here, so no block is empty: a forecast is at least 1 and a
+        # retry halves a k > 1; and stop - n >= 1, since n < max_iter, a
+        # stall test puts stop a window past n, and a dropped block's end
+        # is at or past the first crossing, which every block taken since
+        # stays short of
+        k = min(k, stop - n)
+        z = steps(y, k)
+        z_osc = spread(z)
+        if z_osc < threshold and k > 1:
+            # with nested brackets the first step below threshold lies inside
+            # this block: drop it and retry from y at half its length
+            stop = n + k
+            k //= 2
+            continue
+        y, osc, n = z, z_osc, n + k
+        if n - anchor_n >= window:
+            if osc > anchor_osc * (1.0 - 1e-12):
+                stalled = True  # no measurable shrink across the window
+                break
+            anchor_osc = osc
+            anchor_n = n
+            stop = min(n + window, max_iter)
+        if nested and osc >= threshold:
             # the next block is twice the last, or half the steps left that
             # the last block's shrink of log(osc) per step forecasts, when
             # that is fewer: a block that overshoots is taken again, and
             # the forecast of one block is off by about a step's worth
             last, log_osc = log_osc, math.log(osc)
             shrink = (last - log_osc) / k
-            left = (log_osc - log_high) / shrink if shrink > 0.0 else math.inf
+            left = (log_osc - log_threshold) / shrink if shrink > 0.0 else math.inf
             k = 2 * k if left > 4 * k else max(1, math.ceil(left / 2))
-        # k >= 1 here, so no block is empty: a forecast is at least 1 and a
-        # retry halves a k > 1; and stop - t >= 1, since every event is past
-        # t and a dropped block's end is at or past the first crossing of
-        # high, which every block taken since stays short of
-        while True:
-            k = min(k, stop - t)
-            z = steps(y, k)
-            z_osc = spread(z)
-            if z_osc >= high or k == 1:
-                break
-            # with nested brackets the first step below high lies inside
-            # this block: drop it and retry from y at half its length
-            stop = t + k
-            k //= 2
-        y, osc, t = z, z_osc, t + k
-
-
-def _report(
-    classes: tuple[list[int], ...], y: tuple[float, ...], n: int, stop_reason: str
-) -> ConvergenceReport:
-    # the report of a run that stopped at y after n steps
+    if osc < threshold:
+        stop_reason = "classes-converged" if classes else "converged"
+    else:
+        stop_reason = "stalled" if stalled else "max_iter"
     converged = stop_reason == "converged"
     brackets = []
     for c in classes:
@@ -365,22 +312,21 @@ def verify_invariance(
     rng: Random | None = None,
     n_samples: int = 100,
 ) -> CheckReport:
-    """Check K(M(x)) = K(x) on samples, both sides from the iteration.
+    """Check K(M(x)) = K(x) on samples, both sides from the iteration:
+    one `invariant_mean_eval` from x and one from M(x) per sample.
 
-    Both sides come from one trajectory x, M(x), M^2(x), ...: K(M(x)) is
-    the run from its step 1 on, since the compiled kernel gives
-    M^n(M(x)) = M^(n+1)(x) bit for bit.  Each side keeps its own stop
-    rule (its threshold from its own start, its own stall tests and cap),
-    so each report is float for float `invariant_mean_eval(m, x)` and
-    `invariant_mean_eval(m, m.apply(x))`, in about half their kernel
-    steps (`_runs`).  Samples where either side fails to converge are skipped
-    and counted; the report carries the max residual over the evaluated
-    ones.
+    Where K is the limit of the M^n, K(M(x)) = lim M^(n+1)(x) = K(x)
+    holds by construction, and `invmean verify` states it as proved on a
+    certified mapping; it samples this check only when the mean property
+    refutes the strict means that the certificate rests on.  Samples
+    where either side fails to converge are skipped and counted; the
+    report carries the max residual over the evaluated ones.
     """
     _check_tol(tol)
 
     def judge(x):
-        r_x, r_mx = _runs(m, m._validate_point(x), 2, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        r_x = invariant_mean_eval(m, x)
+        r_mx = invariant_mean_eval(m, m.apply(x))
         if not (r_x.converged and r_mx.converged):
             return None
         residual = abs(r_x.value - r_mx.value)
@@ -600,43 +546,3 @@ def check_bracket_dichotomy(
         return -min(low_gap, high_gap), None
 
     return sweep("bracket-dichotomy", _nonconstant_samples(m, rng, n_samples), judge)
-
-
-def solve_invariant_equation(
-    f: Callable[[Sequence[float]], float],
-    m: ComposedMapping,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    rng: Random | None = None,
-    n_samples: int = 100,
-) -> tuple[Callable[[float], float], CheckReport]:
-    """Solve F = phi(K(.)) for a diagonal-continuous F, or refute it.
-
-    The unique candidate is phi(t) := F(t, ..., t), the restriction of F
-    to the diagonal; F is invariant under the mapping exactly when
-    F(x) = phi(K(x)) for all x.  The returned report tests that on
-    samples: it passed with n_evaluated > 0 when no sample refuted it,
-    and n_evaluated == 0 leaves the question open.  Requires a certified
-    uniformly-weak-contractive mapping (else K and with it phi would not
-    be grounded).
-    """
-    _check_tol(tol)
-    _certificate(m)
-    p = m.p
-
-    def phi(t: float) -> float:
-        return f((t,) * p)
-
-    def judge(x):
-        rep = invariant_mean_eval(m, x)
-        if not rep.converged:
-            return None
-        lhs = float(f(x))
-        rhs = float(phi(rep.value))
-        residual = abs(lhs - rhs)
-        if residual > tol * max(1.0, abs(lhs)):
-            return residual, (
-                f"|F(x) - phi(K(x))| = {residual:.3e}: F(x)={lhs!r}, phi(K(x))={rhs!r}"
-            )
-        return residual, None
-
-    return phi, sweep("invariant-equation", _nonconstant_samples(m, rng, n_samples), judge)

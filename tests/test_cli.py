@@ -223,9 +223,6 @@ class TestTolRejected:
     """A tol that is not a finite positive number is a usage error."""
 
     @pytest.mark.parametrize("argv", [
-        ("verify", EX2, "--tol", "nan"),
-        ("verify", EX2, "--tol", "-1"),
-        ("verify", EX3, "--tol", "nan"),   # uncertified: no check reads tol
         ("invariant", EX2, "1,2,3,4", "--tol", "nan"),
         ("invariant", EX2, "1,2,3,4", "--tol", "inf"),
         ("invariant", EX2, "1,2,3,4", "--tol", "0"),
@@ -236,6 +233,16 @@ class TestTolRejected:
         assert code == 1
         assert out == ""
         assert err.startswith("error: tol must be finite and > 0, got ")
+
+    def test_verify_takes_no_tol(self, capsys):
+        # verify states invariance as proved and samples it at the library's
+        # tolerance, so it has no --tol
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", EX2, "--tol", "1e-9"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: unrecognized arguments: --tol 1e-9\n")
 
 
 class TestIterate:
@@ -531,7 +538,6 @@ class TestCommandParser:
 @pytest.mark.parametrize("command, option, default, shown", [
     ("invariant", "--tol", invariant.DEFAULT_TOL, "(default 1e-12)"),
     ("invariant", "--max-iter", invariant.DEFAULT_MAX_ITER, "(default 10000)"),
-    ("verify", "--tol", invariant.DEFAULT_RESIDUAL_TOL, "(default 1e-9)"),
 ])
 def test_defaults_are_the_library_defaults(command, option, default, shown):
     (commands,) = [a for a in build_parser()._actions

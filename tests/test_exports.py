@@ -36,3 +36,10 @@ def test_internal_helpers_stay_internal():
     # only the package itself uses these
     assert not {"sweep", "KIND_ALIASES", "check_count"} & set(invmean.__all__)
     assert "InitialClass" in invmean.__all__
+
+
+def test_test_oracles_are_not_exported():
+    # the solver of F = phi(K(.)) is the oracle of acceptance criterion 10,
+    # kept in tests/, and nothing in the package calls it
+    assert not hasattr(invmean, "solve_invariant_equation")
+    assert not hasattr(invariant, "solve_invariant_equation")

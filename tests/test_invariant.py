@@ -14,11 +14,11 @@ from census import (
     incidence_graph_masks,
     one_aperiodic_initial_class,
 )
+from invariant_equation_oracle import solve_invariant_equation
 from invmean import (
     check_bracket_dichotomy,
     check_oscillation_monotonicity,
     invariant_mean_eval,
-    solve_invariant_equation,
     verify_invariance,
     verify_mean_properties,
 )

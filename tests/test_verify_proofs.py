@@ -2,14 +2,16 @@
 50-digit iteration and to the kernel steps they save.
 
 On a mapping of library power means, `invmean verify` states the
-oscillation monotonicity and the strictness, monotonicity and
-homogeneity of K as what the incidence graph proves, and iterates for
-none of them.  The samplers stay library API; here they are the oracle:
-at 30 samples from a fixed rng each must reach the status the proof
-states.
+oscillation monotonicity, the invariance K(M(x)) = K(x) on a certified
+mapping, and the strictness, monotonicity and homogeneity of K as what
+the construction and the incidence graph prove, and iterates for none of
+them.  The samplers stay library API; here they are the oracle: at a
+fixed number of samples from a fixed rng each must reach the status the
+proof states.
 """
 
 import json
+from pathlib import Path
 from random import Random
 
 import mpmath
@@ -25,6 +27,7 @@ from invmean.means import _power_order
 from test_invariant import mp_invariant_mean
 
 ORACLE_SAMPLES = 30
+GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
 
 
 def fixture(name):
@@ -106,17 +109,35 @@ def test_samplers_reach_the_stated_status(capsys, tmp_path, name):
 
 def test_proofs_are_stated_and_only_the_refuted_premise_samples(capsys, tmp_path):
     _, entries = run_verify(capsys, tmp_path, SPECS["example2"], "--samples", "4")
-    for check in ("oscillation-monotonicity", "strict", "monotone", "homogeneous"):
+    for check in ("oscillation-monotonicity", "invariance", "strict", "monotone",
+                  "homogeneous"):
         assert entries[check]["detail"].startswith("proved: ")
-    for check in ("invariance", "bracket-dichotomy"):
-        assert not entries[check]["detail"].startswith("proved: ")
+    assert not entries["bracket-dichotomy"]["detail"].startswith("proved: ")
     code, entries = run_verify(capsys, tmp_path, SPECS["order1e17"], "--samples", "4")
     assert code == 2
     assert entries["mean-property"]["status"] == "fail"
     assert entries["strict"]["status"] == "fail"
     assert entries["oscillation-monotonicity"]["detail"].startswith("proved: ")
-    for check in ("strict", "monotone", "homogeneous"):
+    for check in ("invariance", "strict", "monotone", "homogeneous"):
         assert not entries[check]["detail"].startswith("proved: ")
+    assert entries["invariance"]["detail"].endswith("over 4 samples (0 skipped)")
+
+
+@pytest.mark.parametrize("spec", ["example2", "ring32", "ring6", "ring8"])
+def test_invariance_is_proved_and_the_sampler_agrees(capsys, tmp_path, spec):
+    # every certified spec of the suite, the golden corpus and the bench's
+    # verify rings: verify states the identity, and the sampler finds it
+    raw = (json.loads((GOLDEN_SPECS / "ring32.json").read_text()) if spec == "ring32"
+           else SPECS[spec])
+    code, entries = run_verify(capsys, tmp_path, raw, "--samples", "4")
+    assert code == 0
+    assert entries["invariance"] == {
+        "name": "invariance", "status": "pass",
+        "detail": "proved: K(x) is the limit of M^n(x), so K(M(x)) = lim M^(n+1)(x) = K(x)",
+    }
+    mapping = load_mapping_spec(json.dumps(raw).encode()).build()
+    report = verify_invariance(mapping, rng=Random(len(spec)), n_samples=20)
+    assert report.passed and report.n_evaluated > 0
 
 
 @pytest.mark.parametrize("name, outside", [("example4", "coordinate 4"),
@@ -156,18 +177,17 @@ def test_uncertified_fixture_takes_no_step(capsys, tmp_path, kernel_steps, name)
     assert kernel_steps == []
 
 
-def test_certified_fixture_steps_only_for_invariance_and_dichotomy(capsys, tmp_path, kernel_steps):
+def test_certified_fixture_steps_only_for_the_dichotomy(capsys, tmp_path, kernel_steps):
     code, _ = run_verify(capsys, tmp_path, SPECS["example2"], "--samples", "4")
     assert code == 0
     taken = kernel_steps[:]
     kernel_steps.clear()
-    # the same suite seed (0) and draws, with only the two sampled checks
-    # that iterate: the mean property draws first and takes no step
+    # the same suite seed (0) and draws, with only the one sampled check
+    # that iterates: the mean property draws first and takes no step
     mapping = load_mapping_spec(fixture_path("example2.json")).build()
     rng = Random(0)
     for mean in mapping.means:
         check_mean_property(mean, rng, 4)
-    verify_invariance(mapping, rng=rng, n_samples=4)
     check_bracket_dichotomy(mapping, rng, n_samples=4)
     assert taken and taken == kernel_steps
 
@@ -175,7 +195,9 @@ def test_certified_fixture_steps_only_for_invariance_and_dichotomy(capsys, tmp_p
 def test_one_coordinate_checks_are_vacuous(capsys, tmp_path):
     code, entries = run_verify(capsys, tmp_path, power_spec([0.0], [[1, 1]]), "--samples", "4")
     assert code == 0
-    for check in ("invariance", "bracket-dichotomy"):
-        assert entries[check] == {
-            "name": check, "status": "pass", "detail": "vacuous: I^1 has no nonconstant vector",
-        }
+    assert entries["bracket-dichotomy"] == {
+        "name": "bracket-dichotomy", "status": "pass",
+        "detail": "vacuous: I^1 has no nonconstant vector",
+    }
+    # the proof of invariance holds at every p
+    assert entries["invariance"]["detail"].startswith("proved: ")

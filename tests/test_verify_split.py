@@ -14,7 +14,7 @@ spec.loader.exec_module(verify_split)
 
 
 def test_the_ring_is_certified(tmp_path):
-    # so verify samples invariance and the dichotomy, the parts it times
+    # so verify samples the dichotomy, the part it times, and states invariance
     path = tmp_path / "ring6.json"
     path.write_text(json.dumps(verify_split.ring_spec(6)))
     assert load_mapping_spec(path).build()._contractivity.status == CERTIFIED
@@ -31,6 +31,8 @@ def test_the_timed_call_is_verify(tmp_path, monkeypatch):
     assert emitted[0] == emitted[1]
     assert [c["name"] for c in emitted[0]["checks"]][2:5] == [
         "certificate", "invariance", "bracket-dichotomy"]
+    # invariance is stated, not timed: no part samples it
+    assert emitted[0]["checks"][3]["detail"].startswith("proved: ")
     # each part is timed, and together they take no more than the whole
     assert set(parts) == set(verify_split.PARTS) | {"total"}
     assert sum(parts[part] for part in verify_split.PARTS) <= parts["total"] + 1e-9

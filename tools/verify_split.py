@@ -13,7 +13,6 @@ it, in these parts:
                     decision, with the graph's classification and q0
     mean-property   `check_mean_property`, over every mean of the spec
     compile         `ComposedMapping._steps`: the mapping's kernel, compiled
-    invariance      `verify_invariance`
     dichotomy       `check_bracket_dichotomy`
     emission        `cli._emit_json`: the JSON text, written to a buffer
 
@@ -43,12 +42,10 @@ from analyze_split import ring_spec  # noqa: E402
 from invmean import cli  # noqa: E402
 
 RUNS = 15
-PARTS = ("load", "contractivity", "mean-property", "compile", "invariance", "dichotomy",
-         "emission")
+PARTS = ("load", "contractivity", "mean-property", "compile", "dichotomy", "emission")
 # the parts that cmd_verify calls, by the name it looks them up by in cli
 CALLED = {
     "mean-property": "check_mean_property",
-    "invariance": "verify_invariance",
     "dichotomy": "check_bracket_dichotomy",
     "emission": "_emit_json",
 }
