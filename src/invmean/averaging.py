@@ -28,11 +28,14 @@ Evaluation: `apply(x)` validates its argument (length, and every
 coordinate in I) and then takes one step.  `iterate`, `nth_iterate` and
 the iterations of `invariant` validate only their start point: every
 later point is the output of a step, which stays in I.  Every step runs
-in one k-step kernel per mapping, `ComposedMapping._steps(xs, k)`,
-compiled on first use, so `nth_iterate` is one call and `invariant` runs
-blocks of steps between its stop tests; `_compile_steps` describes what
-the kernel runs.  Compiling costs a fixed time per row, which the faster
-steps repay after about a hundred steps (README.md has the figures).
+in one k-step kernel per mapping, `ComposedMapping._steps(xs, k)`, so
+`nth_iterate` is one call and `invariant` runs blocks of steps between
+its stop tests.  The kernel starts on the row functions that
+`power_mean_eval` shares, which cost no compile of the mapping's own.
+Compiling the straight-line kernel of `_compile_steps` costs a fixed
+time per row, which its faster steps repay after some 350-700 steps
+(README.md has the figures), so a mapping compiles it only once its
+steps pass `_COMPILE_AFTER`.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
+from weakref import ref
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError, check_count
 from .means import (
-    Interval, Mean, _compile, _not_strict, _point, _power_order, _power_row, sample_box,
+    Interval, Mean, _compile, _not_strict, _point, _power_function, _power_order, _power_row,
+    sample_box,
 )
 
 __all__ = [
@@ -68,6 +73,12 @@ FALSIFIED = "falsified"
 UNKNOWN = "unknown"
 
 _CLASSES = frozenset({CERTIFIED, CONTRACTIVE, FALSIFIED, UNKNOWN})
+
+#: The steps a mapping takes on its row functions before it compiles its
+#: kernel: near the break-even of the compile against its faster steps,
+#: which `tools/kernel_cost.py` measures at 350-700 steps on rings of
+#: p = 4 to 1024 and on the fixtures (2-CPU shared machine, CPython 3.11).
+_COMPILE_AFTER = 400
 
 
 @dataclass(frozen=True)
@@ -170,11 +181,56 @@ class ComposedMapping:
 
     @cached_property
     def _steps(self) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
-        """M^k(xs) for a point already in I^p and an int k >= 0, as one
-        function compiled on first use, not at construction (see
-        `_compile_steps`).  It runs unchecked on a point in I^p and returns
-        one."""
-        return _compile_steps(self)
+        """M^k(xs) for a point already in I^p and an int k >= 0, built on
+        first use, not at construction.  It runs unchecked on a point in
+        I^p and returns one.
+
+        It starts as the row-function kernel: each step is one tuple of
+        f(*g(xs)) over the rows, with g the row's getter and f the row
+        function `means._power_function` of a library power row, which
+        `power_mean_eval` shares, or the checked coordinate of any other
+        mean.  It counts its steps, and the call that would take the count
+        past `_COMPILE_AFTER` compiles the straight-line kernel of
+        `_compile_steps` once: that call and every later one run on it,
+        and it replaces this function on the instance, so later lookups
+        get it directly.  Both kernels run the lines of `means._power_row`
+        for a power row, so their floats agree bit for bit, and both run a
+        checked coordinate in index order, so they raise the same
+        DomainError at the same step."""
+        rows = []
+        for i, (row, mean) in enumerate(zip(self.alpha.rows, self.means), start=1):
+            order = _power_order(mean)
+            f = (self._checked_coordinate(i, mean) if order is None
+                 else _power_function(order, mean.arity))
+            # itemgetter of one index returns no tuple, of a slice one
+            g = (itemgetter(*[a - 1 for a in row]) if len(row) > 1
+                 else itemgetter(slice(row[0] - 1, row[0])))
+            rows.append((f, g))
+        # the instance holds this function, so it holds the instance weakly:
+        # a mapping that is dropped is freed at once, not by the collector
+        mapping = ref(self)
+        kernel = None
+        taken = 0
+
+        def steps(xs: tuple[float, ...], k: int) -> tuple[float, ...]:
+            nonlocal kernel, taken
+            if kernel is None:
+                taken += k
+                m = mapping() if taken > _COMPILE_AFTER else None
+                if m is None:
+                    for _ in range(k):
+                        xs = tuple([f(*g(xs)) for f, g in rows])
+                    return xs
+                kernel = _compile_steps(m)
+                # a caller may hold this function across calls (one
+                # `invariant_mean_eval` does), so it hands over from here
+                # on; the instance gets the kernel unless its attribute
+                # is no longer this function
+                if vars(m).get("_steps") is steps:
+                    vars(m)["_steps"] = kernel
+            return kernel(xs, k)
+
+        return steps
 
     @cached_property
     def _iteration(self) -> tuple[tuple[list[int], ...], Callable, int, bool]:
@@ -248,7 +304,7 @@ class ComposedMapping:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
         point = self._validate_start(x, n)
         trace = [point]
-        if n:  # the kernel is compiled on first use, so only when a step is taken
+        if n:  # the kernel is built on first use, so only when a step is taken
             steps = self._steps
             for _ in range(n):
                 point = steps(point, 1)
@@ -258,7 +314,7 @@ class ComposedMapping:
     def nth_iterate(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         """M^n(x), the last point of `iterate(x, n)`, in one kernel call."""
         point = self._validate_start(x, n)
-        # the kernel is compiled on first use, so only when a step is taken
+        # the kernel is built on first use, so only when a step is taken
         return self._steps(point, n) if n else point
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
@@ -267,37 +323,47 @@ class ComposedMapping:
 
 
 def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
-    """Generate, compile and bind the k-step kernel of `m`, `m._steps`.
+    """Generate, compile and bind the straight-line k-step kernel of `m`,
+    which `m._steps` hands over to once its steps pass `_COMPILE_AFTER`.
 
     The kernel reads the point into locals x<j> once and then, k times,
-    runs the rows in order, straight line, with no tuple built or
-    unpacked.  It returns M^k(xs).  Row i writes x<i> itself when no
-    later row reads coordinate i; otherwise it writes y<i>, which goes
-    back to x<i> after the last row, one line per such row.  A row
+    runs the rows straight line, with no tuple built or unpacked.  It
+    returns M^k(xs).  A row writes x<i> itself when no row run after it
+    reads coordinate i; otherwise it writes y<i>, which goes back to x<i>
+    after the last row, one line per such row.  The rows run in index
+    order, or in reverse index order when that leaves fewer of these
+    hand-back lines (a ring whose row i reads i - 1 keeps one, not p - 1)
+    and no row calls a checked coordinate: a mean the library did not
+    build raises in index order, as in the row-function kernel.  A row
     stores its output only in its last line, after it has read all of
-    its arguments, so every row reads the point from before the step.  A
-    power mean built by `make_power_mean`, of any arity, runs inline the
-    lines of `means._power_row`, the arithmetic of `power_mean_eval`
-    without its argument checks, and lands in [min, max] of the
-    arguments.  Any other mean is called through its checked coordinate,
-    which takes the row's arguments as locals and checks the value
-    against the interval (DomainError otherwise).  The namespace holds
-    what the rows name: the checked coordinates and `means._ROW_NAMES`,
-    so no row calls back into `means`."""
-    # the coordinates that a row after their own reads, 0-based
-    last_read = {a - 1: i for i, row in enumerate(m.alpha.rows) for a in row}
-    handed = {j for j, i in last_read.items() if i > j}
+    its arguments, so every row reads the point from before the step, in
+    either order.  A power mean built by `make_power_mean`, of any arity,
+    runs inline the lines of `means._power_row`, the arithmetic of
+    `power_mean_eval` without its argument checks, and lands in [min,
+    max] of the arguments.  Any other mean is called through its checked
+    coordinate, which takes the row's arguments as locals and checks the
+    value against the interval (DomainError otherwise).  The namespace
+    holds what the rows name: the checked coordinates and
+    `means._ROW_NAMES`, so no row calls back into `means`."""
+    rows = m.alpha.rows
+    orders = [_power_order(mean) for mean in m.means]
+    # the coordinates, 0-based, that a row run after their own reads: in
+    # index order a later row, in reverse index order an earlier one
+    handed = {a - 1 for i, row in enumerate(rows) for a in row if a - 1 < i}
+    backward = {a - 1 for i, row in enumerate(rows) for a in row if a - 1 > i}
+    run = range(m.p)
+    if len(backward) < len(handed) and None not in orders:
+        run, handed = reversed(run), backward
     checked = []
     body = []
-    for i, (row, mean) in enumerate(zip(m.alpha.rows, m.means)):
-        args = [f"x{a - 1}" for a in row]
+    for i in run:
+        args = [f"x{a - 1}" for a in rows[i]]
         out = f"y{i}" if i in handed else f"x{i}"
-        order = _power_order(mean)
-        if order is None:
+        if orders[i] is None:
             body.append(f"{out} = checked[{len(checked)}]({', '.join(args)})")
-            checked.append(m._checked_coordinate(i + 1, mean))
+            checked.append(m._checked_coordinate(i + 1, m.means[i]))
         else:
-            body += _power_row(order, args, out)
+            body += _power_row(orders[i], args, out)
     xs = "".join(f"x{j}, " for j in range(m.p))
     source = "\n".join([
         "def _steps(xs, k):",

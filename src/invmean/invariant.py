@@ -13,7 +13,7 @@ radius reads 0 although K(x) may differ from that float in its last
 bits, so the radius is not a true enclosure of K(x).
 
 `invariant_mean_eval` runs that iteration.  It validates the start point
-once and then runs the mapping's compiled kernel a block of steps at a
+once and then runs the mapping's kernel a block of steps at a
 time, testing the stop rule once per block; its report is float for
 float the one a test after every step gives (the block schedule and why
 it is exact are in its docstring).  Non-convergence (periodic or
@@ -99,8 +99,8 @@ class ConvergenceReport:
     stop_reason says what ended the run: "converged", "classes-converged"
     (the graph has no K and every cyclic-class bracket closed), "stalled"
     (a whole stall window without a measurable shrink) or "max_iter".
-    iterations_used counts steps, not the calls of the mapping's compiled
-    kernel, which takes a block of steps per call.
+    iterations_used counts steps, not the calls of the mapping's kernel,
+    which takes a block of steps per call.
 
     classes is empty when K exists.  Otherwise it holds one
     (vertices, value, error_radius) per cyclic class, ordered by initial
@@ -192,8 +192,9 @@ def invariant_mean_eval(
 
     tol must be a finite number > 0 and max_iter an int >= 1, neither a
     bool (ValidationError).  Only the start point is validated; the steps run
-    unchecked in the mapping's compiled kernel (`ComposedMapping._steps`,
-    compiled on the mapping's first step), a block of k steps per call.
+    unchecked in the mapping's kernel (`ComposedMapping._steps`, built on
+    the mapping's first step and compiled once its steps have paid for
+    the compile), a block of k steps per call.
 
     The stop rule is tested at the end of each block, and the report is
     the one a test after every step gives.  Every library power row lands
@@ -220,7 +221,7 @@ def invariant_mean_eval(
     classes, spread, window, nested = m._iteration
     y = xs
     osc = spread(y)
-    # the kernel is compiled on first use: a closed start bracket takes no step
+    # the kernel is built on first use: a closed start bracket takes no step
     steps = m._steps if osc >= threshold else None
     n = 0
     anchor_osc = osc

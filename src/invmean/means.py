@@ -29,10 +29,11 @@ floating point and min/max oscillation brackets shrink monotonically
 under iteration.
 
 That arithmetic is written once, as generated source: `_power_row` emits
-the lines of one order and arity.  A mapping's compiled kernel runs them
-inline as one of its rows (`averaging`), and `power_mean_eval`, after
-its argument checks, runs them as a function of their own, compiled on
-first use and kept per (order, arity).
+the lines of one order and arity.  `power_mean_eval`, after its
+argument checks, runs them as a function of their own, compiled on first
+use and kept per (order, arity); a mapping steps on the same functions
+until it compiles its own kernel, which runs the lines inline as one of
+its rows (`averaging`).
 """
 
 from __future__ import annotations
@@ -253,7 +254,8 @@ _ROW_CACHE_SIZE = 128
 def _power_function(order: float, arity: int) -> Callable[..., float]:
     """The row of `_power_row` for (order, arity) as a function of `arity`
     floats, compiled on first use.  It is kept per pair, not per spec, so
-    every spec of one order and arity shares one compile."""
+    every spec of one order and arity shares one compile, and a mapping's
+    row-function kernel (`ComposedMapping._steps`) calls it too."""
     args = [f"x{j}" for j in range(arity)]
     source = "\n".join([
         f"def row({', '.join(args)}):",

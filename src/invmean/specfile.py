@@ -85,8 +85,10 @@ class MappingSpec:
     """The mapping one spec file defines, built once at load: the checks of
     `make_power_mean` (the domain) and `ComposedMapping` (rows against
     means) have run, each distinct mean built once and shared by the
-    coordinates that repeat it; the step is compiled on first use, not
-    here."""
+    coordinates that repeat it.  Nothing is compiled here: the mapping
+    steps on the row functions it shares with `power_mean_eval`, and
+    compiles its own kernel only once its steps pass
+    `averaging._COMPILE_AFTER`."""
 
     _mapping: ComposedMapping
 

@@ -12,18 +12,27 @@ rings, mixed-order maps, two disjoint rings and cycles, at tolerances
 above and below float resolution (so that runs stall), and at iteration
 caps on and off the stall-window boundaries.  A mapping with a mean the
 library did not build keeps one-step blocks, so it stops, or raises
-DomainError, at the same step.
+DomainError, at the same step.  A run in which the mapping's row-function
+kernel hands over to its compiled kernel, inside a block, reports what a
+mapping compiled before its first step reports.
 """
 
+import importlib.util
 import math
+import sys
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmean as iv
-from invmean import invariant_mean_eval
+from invmean import averaging, invariant_mean_eval
 from invmean.invariant import _midpoint_radius
+from invmean.specfile import mapping_spec_from_dict
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 ORDERS = (-3.0, -1.0, 0.0, 5e-3, -9e-3, 0.5, 1.0, 2.0, 7.0)
 # 1e-16 and below lie under float resolution near 1, so those runs stall
@@ -271,3 +280,52 @@ class TestCheckedMeans:
             taken[name] = (sum(steps), str(info.value))
         assert taken["blocks"] == taken["per-step"]
         assert taken["blocks"][0] == 47
+
+
+def solve_start(monkeypatch, name, kind):
+    """A new mapping of spec `name` of the benchmark's seed-1 `solve` plan,
+    and the start point of kind `kind` that the plan draws for it."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    plan = workloads.plan_solve(1)
+    x = next(x for n, k, x in plan.ops if (n, k) == (name, kind))
+    return mapping_spec_from_dict(plan.specs[name]).build(), x
+
+
+class TestHandOver:
+    """The row-function kernel hands over to the compiled kernel once the
+    mapping's steps pass `averaging._COMPILE_AFTER`, here inside a run of
+    `invariant_mean_eval`: the report is float for float the one of a
+    mapping compiled before its first step."""
+
+    @pytest.mark.parametrize("name, kind, left", [
+        ("ring32", "moderate", averaging._COMPILE_AFTER),  # 5193 steps from a new mapping
+        ("example2", "moderate", 20),
+        ("example2", "wide", 0),  # the run is one step, the one that crosses
+    ])
+    def test_report_equals_the_compiled_mappings(self, monkeypatch, name, kind, left):
+        # `left` is how many steps the mapping may still take on its row
+        # functions when the run starts
+        ahead, x = solve_start(monkeypatch, name, kind)
+        kernel = averaging._compile_steps(ahead)
+        blocks = []
+        vars(ahead)["_steps"] = lambda xs, k: blocks.append(k) or kernel(xs, k)
+        want = invariant_mean_eval(ahead, x)
+        # the block that takes the count past the constant starts at or
+        # before it, and so runs on the compiled kernel from its first step
+        ends = list(accumulate(blocks))
+        crossing = next(i for i, end in enumerate(ends) if end > left)
+        assert ([0] + ends)[crossing] <= left < ends[crossing]
+
+        m, x = solve_start(monkeypatch, name, kind)
+        m.nth_iterate(x, averaging._COMPILE_AFTER - left)
+        compiled = []
+        compile_steps = averaging._compile_steps
+        monkeypatch.setattr(
+            averaging, "_compile_steps", lambda m: compiled.append(m) or compile_steps(m)
+        )
+        assert repr(invariant_mean_eval(m, x)) == repr(want)
+        assert compiled == [m] and vars(m)["_steps"].__qualname__ == "ComposedMapping._steps"

@@ -169,21 +169,29 @@ class TestDecideOnce:
         assert len(calls) == decisions
 
 
+RING32 = str(Path(__file__).resolve().parent / "golden" / "specs" / "ring32.json")
+RING32_START = ",".join(str(1.0 + 0.25 * i) for i in range(32))
+
+
 class TestCompileOnce:
-    """The step of a mapping is compiled on first use: once per command
-    that iterates, never for one that only reads the graph.  `verify`
+    """A mapping steps on the shared row functions, and compiles its own
+    kernel only once its steps pass `averaging._COMPILE_AFTER`: at most
+    once per command, never for one that takes fewer steps (`verify` on
+    the rings and on `example2`) or only reads the graph.  `verify`
     iterates only on a certified mapping: elsewhere every entry it makes
     is proved or skipped."""
 
     @pytest.mark.parametrize("argv, compiles", [
-        (("verify", EX2, "--samples", "4"), 1),
+        (("verify", EX2, "--samples", "4"), 0),
         (("verify", EX6, "--samples", "4"), 0),
-        (("invariant", EX2, "1,2,3,4"), 1),
-        (("invariant", EX6, "1,4,9,16"), 1),
+        (("invariant", EX2, "1,2,3,4"), 0),
+        (("invariant", EX6, "1,4,9,16"), 0),
         (("analyze", EX2), 0),
         (("tg", EX2, "1,0,-1,0"), 0),
         (("analyze", EX3), 0),
         (("analyze", EX6), 0),
+        (("verify", RING32, "--samples", "4"), 0),
+        (("invariant", RING32, RING32_START), 1),  # 5472 steps
     ])
     def test_compiles_per_command(self, capsys, monkeypatch, argv, compiles):
         names = []
@@ -192,10 +200,11 @@ class TestCompileOnce:
         )
         code, _, _ = run(capsys, *argv)
         assert code in (0, 2)
-        # verify also compiles the row function of each (order, arity) that
-        # power_mean_eval meets, once, unless an earlier test already did
+        # a command also compiles the row function of each (order, arity)
+        # that it meets, once, unless an earlier test already did
         kernels = [name for name in names if "_steps" in name]
-        assert kernels == ["<invmean ComposedMapping._steps p=4>"] * compiles
+        p = 32 if argv[1] == RING32 else 4
+        assert kernels == [f"<invmean ComposedMapping._steps p={p}>"] * compiles
         assert len(set(names)) == len(names)
 
     def test_cycle_needs_no_step(self, capsys, monkeypatch, tmp_path):

@@ -27,5 +27,24 @@ def test_prints_one_row_per_mapping(monkeypatch, capsys):
     names = ["ring, p = 4", "`example4`", "`example2`, huge start"]
     assert len(lines) == 2 + len(names)
     us = r"\d+(\.\d{1,2})? µs"
+    steps = r"(\d+ steps|none)"
     for name, line in zip(names, lines[2:]):
-        assert re.fullmatch(rf"\| {re.escape(name)} \| \d+\.\d{{3}} ms \| {us} \| {us} \|", line)
+        assert re.fullmatch(
+            rf"\| {re.escape(name)} \| \d+\.\d{{3}} ms \| {us} \| {us} \| {steps} \| {us} \|", line
+        )
+
+
+def test_the_row_functions_are_timed_before_the_compile(monkeypatch):
+    # the "one step, row functions" column times the kernel a mapping
+    # starts on, so none of its timed calls may reach the compile
+    m, x = kernel_cost.ring(4)
+    compiled = []
+    compile_steps = kernel_cost.averaging._compile_steps
+    monkeypatch.setattr(kernel_cost, "RUNS", 1)
+    monkeypatch.setattr(kernel_cost, "TIMINGS", 2)
+    monkeypatch.setattr(kernel_cost.averaging, "_compile_steps",
+                        lambda m: compiled.append(m) or compile_steps(m))
+    kernel_cost.costs(m, x)
+    # the timed compiles, the kernel of "one step", and the mapping's own
+    # compile before the timed invariant_mean_eval runs
+    assert len(compiled) == kernel_cost.RUNS * kernel_cost.TIMINGS + 2

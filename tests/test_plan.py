@@ -1,25 +1,31 @@
-"""The compiled kernel of a composed mapping against the frozen reference.
+"""The two kernels of a composed mapping against the frozen reference.
 
-`ComposedMapping._steps` is one k-step kernel generated from source on
-the first step: it evaluates every row straight line, k times over, with
-the inline lines of `means._power_row` for every library power mean, of
-any arity, and no argument checks.  `power_mean_eval` runs the same lines
-as a function of their own.  These tests hold the kernel, `apply`,
-`iterate`, `invariant_mean_eval` and, where rows are tested one by one,
-`power_mean_eval` to the results of a per-coordinate loop over the frozen
-copy of `power_mean_eval` in `power_mean_oracle.py`, bit for bit: on random
-mappings at extreme magnitudes, on each branch of the two-argument forms
-in both argument orders, on rows of three to five arguments at the ends
-of the floats, on every row shape the generator emits (self-loop, one
-argument, three arguments, p = 1, p = 1024), on k-step calls whose rows
-store in place or hand their value back after the last row, and on a
-mean the library did not build.  The kernel and the row functions name
-nothing but `means._ROW_NAMES`.
+`ComposedMapping._steps` starts as the row-function kernel, one call of
+the shared row function `means._power_function` (or of a checked
+coordinate) per row and step.  Once its steps pass
+`averaging._COMPILE_AFTER` it hands over to the k-step kernel that
+`averaging._compile_steps` generates from source: every row straight
+line, k times over, with the inline lines of `means._power_row` for every
+library power mean, of any arity, and no argument checks.  The row
+functions, which `power_mean_eval` runs too, are made of the same lines.
+These tests hold both kernels, `apply`, `iterate`, `invariant_mean_eval`
+and, where rows are tested one by one, `power_mean_eval` to the results
+of a per-coordinate loop over the frozen copy of `power_mean_eval` in
+`power_mean_oracle.py`, bit for bit: on random mappings at extreme
+magnitudes, on each branch of the two-argument forms in both argument
+orders, on rows of three to five arguments at the ends of the floats, on
+every row shape the generator emits (self-loop, one argument, three
+arguments, p = 1, p = 1024), on k-step calls whose rows store in place or
+hand their value back after the last row, in index order or in reverse,
+and on a mean the library did not build.  The compiled kernel and the
+row functions name nothing but `means._ROW_NAMES`.
 """
 
 import ast
+import gc
 import math
 import re
+import weakref
 from random import Random
 
 import pytest
@@ -118,13 +124,20 @@ def bits(xs):
     return tuple(t.hex() for t in xs)
 
 
+def both_kernels(m):
+    """The row-function kernel that m starts on, new and so far from its
+    compile, and the compiled kernel that it hands over to."""
+    return iv.ComposedMapping._steps.func(m), averaging._compile_steps(m)
+
+
 class TestBitIdentity:
     @given(case=mapping_and_point())
     @settings(max_examples=400, deadline=None)
     def test_step_and_apply_match_the_oracle(self, case):
         m, specs, x = case
         want = bits(oracle_apply(m, specs, x))
-        assert bits(m._steps(x, 1)) == want
+        for steps in both_kernels(m):
+            assert bits(steps(x, 1)) == want
         assert bits(m.apply(x)) == want
 
     @given(case=mapping_and_point())
@@ -138,6 +151,7 @@ class TestBitIdentity:
             y = oracle_apply(m, specs, y)
             assert bits(point) == bits(y)
         assert bits(m.nth_iterate(x, 12)) == bits(y)
+        assert bits(averaging._compile_steps(m)(x, 12)) == bits(y)
 
     @given(
         case=st.one_of(mapping_and_point(), layered_mapping_and_point()),
@@ -162,7 +176,8 @@ class TestBitIdentity:
         y = x
         for _ in range(k):
             y = oracle_apply(m, specs, y)
-        assert bits(m._steps(x, k)) == bits(y)
+        for steps in both_kernels(m):
+            assert bits(steps(x, k)) == bits(y)
 
 
 def reference_eval(m, x, tol, max_iter):
@@ -224,10 +239,12 @@ def reference_eval(m, x, tol, max_iter):
 
 def two_row_step(s):
     # rows (1, 2) and (2, 1) of one order: both argument orders in one step
+    # of the compiled kernel; the row-function kernel runs power_mean_eval's
+    # row function, which the tests check by itself
     mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
-    return iv.ComposedMapping(
-        (mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1)))
-    )._steps
+    return averaging._compile_steps(
+        iv.ComposedMapping((mean, mean), iv.POSITIVE_REALS, iv.IndexVector(((1, 2), (2, 1))))
+    )
 
 
 @pytest.mark.parametrize("s, x", [
@@ -243,6 +260,8 @@ def test_two_argument_closed_form_hands_over_outside_the_normal_floats(s, x):
     want = oracle_power_mean(iv.PowerMeanSpec(s, 2), x).hex()
     step = two_row_step(s)
     assert bits(step(x, 1)) == bits(step(x[::-1], 1)) == (want, want)
+    spec = iv.PowerMeanSpec(s, 2)
+    assert iv.power_mean_eval(spec, x).hex() == iv.power_mean_eval(spec, x[::-1]).hex() == want
 
 
 @pytest.mark.parametrize("s, x", [
@@ -334,19 +353,59 @@ def test_order_0_and_small_order_closed_forms(s, x, branch):
 
 class TestPlan:
     def test_built_on_the_first_step_not_at_construction(self, monkeypatch):
+        # nothing at build; the first step builds the row-function kernel,
+        # which compiles nothing once power_mean_eval has met the rows; the
+        # step that takes the count past _COMPILE_AFTER compiles the kernel
+        # once, and the instance keeps it
+        x = (1.0, 2.0, 3.0, 4.0)
+        for mean in iv.load_mapping_spec(iv.fixture_path("example2.json")).build().means:
+            mean(x[:mean.arity])  # the row functions, compiled here if not yet
         compiled = []
         monkeypatch.setattr(
             means, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False
         )
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
         assert "_steps" not in vars(m) and compiled == []
-        m.apply((1.0, 2.0, 3.0, 4.0))
+        m.apply(x)
         steps = vars(m)["_steps"]
-        assert steps.__qualname__ == "ComposedMapping._steps"
-        assert steps.__code__.co_filename == "<invmean ComposedMapping._steps p=4>"
-        m.nth_iterate((1.0, 2.0, 3.0, 4.0), 5)
-        assert m._steps is steps
+        assert steps.__qualname__ == "ComposedMapping._steps.<locals>.steps"
+        m.nth_iterate(x, averaging._COMPILE_AFTER - 1)
+        assert m._steps is steps and compiled == []
+        y = m.nth_iterate(x, 1)
+        kernel = vars(m)["_steps"]
+        assert kernel.__qualname__ == "ComposedMapping._steps"
+        assert kernel.__code__.co_filename == "<invmean ComposedMapping._steps p=4>"
         assert compiled == ["<invmean ComposedMapping._steps p=4>"]
+        # a caller that holds the row-function kernel is handed over too
+        assert steps(x, 1) == y and m.nth_iterate(x, 1000) == steps(x, 1000)
+        assert m._steps is kernel and compiled == ["<invmean ComposedMapping._steps p=4>"]
+
+    def test_a_first_call_past_the_constant_compiles_at_once(self, monkeypatch):
+        compiled = []
+        compile_steps = averaging._compile_steps
+        monkeypatch.setattr(
+            averaging, "_compile_steps", lambda m: compiled.append(m) or compile_steps(m)
+        )
+        m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
+        m.nth_iterate((1.0, 2.0, 3.0, 4.0), averaging._COMPILE_AFTER + 1)
+        assert compiled == [m] and vars(m)["_steps"].__qualname__ == "ComposedMapping._steps"
+
+    def test_a_dropped_mapping_is_freed_without_the_collector(self):
+        # the kernel on the instance holds the instance weakly, so no cycle
+        # keeps a dropped mapping; a kernel held past it steps on the rows
+        x = (1.0, 2.0, 3.0, 4.0)
+        m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
+        steps = m._steps
+        dropped = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert dropped() is None
+        finally:
+            gc.enable()
+        n = averaging._COMPILE_AFTER + 1
+        assert steps(x, n) == averaging._compile_steps(
+            iv.load_mapping_spec(iv.fixture_path("example2.json")).build())(x, n)
 
     def test_no_step_taken_compiles_nothing(self):
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
@@ -384,8 +443,9 @@ class TestPlan:
         rows = ((1,), (1, 2), (2, 3, 1), (1, 2, 3, 4), (4, 4, 1, 3, 5), (6, 6), (1, 2) * 512)
         for s in ORDER_PATHS:
             m, specs = power_mapping((s,) * len(rows), rows)
-            assert set(m._steps.__code__.co_names) <= names | {"range", "checked"}
-            assert "means" not in m._steps.__globals__
+            kernel = averaging._compile_steps(m)
+            assert set(kernel.__code__.co_names) <= names | {"range", "checked"}
+            assert "means" not in kernel.__globals__
             for spec in specs:
                 row = means._power_function(spec.order, spec.arity)
                 assert set(row.__code__.co_names) <= names
@@ -445,6 +505,31 @@ class TestCustomMeans:
                 run()
             assert str(info.value) == "mean 2 ('max+1') returned 5.0 outside (0, 5)"
 
+    def test_both_kernels_raise_at_the_same_step(self):
+        # rows 2 and 3 climb by one a step and leave (0, 50) at once: both
+        # kernels name row 2, at the same step, in one-step calls and in one
+        # call of many steps.  The compiled rows run in index order, though
+        # reverse order would hand back fewer values
+        interval = iv.Interval(0.0, 50.0)
+        too_high = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs) + 1.0,
+                           label="max+1")
+        arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
+        m = iv.ComposedMapping((arithmetic, too_high, too_high), interval,
+                               iv.IndexVector(((1, 2), (2, 1), (3, 2))))
+        raised = []
+        for steps in both_kernels(m):
+            y, n = (1.0, 3.0, 2.0), 0
+            with pytest.raises(iv.DomainError) as info:
+                while True:
+                    n += 1
+                    y = steps(y, 1)
+            # 47 + 100 steps stay short of the row-function kernel's compile
+            with pytest.raises(iv.DomainError) as at_once:
+                steps((1.0, 3.0, 2.0), 100)
+            raised.append((n, str(info.value), str(at_once.value)))
+        message = "mean 2 ('max+1') returned 50.0 outside (0, 50)"
+        assert raised == [(47, message, message)] * 2
+
 
 def power_mapping(orders, rows):
     specs = tuple(iv.PowerMeanSpec(s, len(row)) for s, row in zip(orders, rows))
@@ -455,10 +540,12 @@ def power_mapping(orders, rows):
 
 
 def assert_steps_match_the_oracle(m, specs, x, n):
+    kernels = both_kernels(m)
     y = x
     for _ in range(n):
         y_want = oracle_apply(m, specs, y)
-        assert bits(m._steps(y, 1)) == bits(y_want)
+        for steps in kernels:
+            assert bits(steps(y, 1)) == bits(y_want)
         y = y_want
 
 
@@ -552,7 +639,8 @@ class TestRowShapes:
         rng = Random(1024)
         x = tuple(rng.uniform(1.0, 9.99) * 10.0 ** rng.randint(-300, 300) for _ in range(p))
         assert_steps_match_the_oracle(m, specs, x, 6)
-        assert m._steps.__code__.co_filename == "<invmean ComposedMapping._steps p=1024>"
+        kernel = averaging._compile_steps(m)
+        assert kernel.__code__.co_filename == "<invmean ComposedMapping._steps p=1024>"
 
     def test_random_rows_across_chunks(self):
         # rows that read arguments far from their own index, arities 1-3
@@ -583,7 +671,7 @@ def test_two_argument_row_works_on_its_arguments(s):
 
 
 def kernel_source(monkeypatch, m):
-    """The source that `m`'s kernel compiles from, taken on its first step."""
+    """The source that `m`'s compiled kernel compiles from."""
     sources = []
     compile_source = averaging._compile
 
@@ -592,7 +680,7 @@ def kernel_source(monkeypatch, m):
         return compile_source(source, *args, **names)
 
     monkeypatch.setattr(averaging, "_compile", recorded)
-    m._steps  # noqa: B018 -- compiles the kernel
+    averaging._compile_steps(m)
     (source,) = sources
     return source
 
@@ -603,15 +691,17 @@ def ring(p, step):
 
 
 class TestStores:
-    """A row writes its coordinate in place when no later row reads it;
-    every other row's value is handed back after the last row."""
+    """A row writes its coordinate in place when no row run after it reads
+    it; every other row's value is handed back after the last row.  The
+    rows run in index order, or in reverse when that hands back fewer
+    values and no row is checked."""
 
     @pytest.mark.parametrize("rows", [
         ring(8, 1),                                   # one hand-back, x0 = y0
-        ring(8, -1),                                  # every row but the last hands back
+        ring(8, -1),                                  # in reverse, one hand-back, x7 = y7
         ring(5, 2),
         [(2, 3), (3, 1, 2), (4,), (5, 1), (1, 2, 3)],  # each row reads a later row's coordinate
-        [(1, 1), (2,), (3, 3, 3), (1, 2, 3)],          # self-loops, the last row reads them all
+        [(1, 1), (2,), (3, 3, 3), (1, 2, 3)],          # self-loops; in reverse, no hand-back
         [(1,)],
     ])
     def test_hands_back_exactly_what_a_later_row_reads(self, monkeypatch, rows):
@@ -621,6 +711,9 @@ class TestStores:
         read_later = [
             i for i in range(len(rows)) if any(i + 1 in row for row in rows[i + 1:])
         ]
+        read_earlier = [i for i in range(len(rows)) if any(i + 1 in row for row in rows[:i])]
+        if len(read_earlier) < len(read_later):
+            read_later = read_earlier
         handed = re.findall(r"^        x(\d+) = y\1$", source, re.MULTILINE)
         assert [int(i) for i in handed] == read_later
         assert set(re.findall(r"\by(\d+)\b", source)) == set(handed)
@@ -630,9 +723,33 @@ class TestStores:
         y = x
         for k in range(1, 13):
             y = oracle_apply(m, specs, y)
-            assert bits(m._steps(x, k)) == bits(y)
+            for steps in both_kernels(m):
+                assert bits(steps(x, k)) == bits(y)
 
     def test_ring_with_loops_hands_back_one_coordinate(self, monkeypatch):
         m, _ = power_mapping((1.0,) * 32, ring(32, 1))
         source = kernel_source(monkeypatch, m)
         assert re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE) == ["        x0 = y0"]
+
+    def test_reversed_ring_with_loops_hands_back_one_coordinate(self, monkeypatch):
+        # row i reads (i, i - 1): in reverse order only row 1 reads a
+        # coordinate whose row ran before it.  The kernel steps bit for bit
+        # as the row functions, which run in index order
+        m, _ = power_mapping((-1.0, 0.0, 1.0, 2.0) * 8, ring(32, -1))
+        source = kernel_source(monkeypatch, m)
+        assert re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE) == ["        x31 = y31"]
+        x = tuple(1.0 + 0.25 * i for i in range(32))
+        rows, compiled = both_kernels(m)
+        for k in (1, 2, 7, 50):
+            assert bits(compiled(x, k)) == bits(rows(x, k))
+
+    def test_a_checked_row_keeps_index_order(self, monkeypatch):
+        # reverse order would hand back one value, but a checked row raises
+        # in index order, as in the row-function kernel
+        interval = iv.Interval(0.0, 5.0)
+        checked = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs), label="max")
+        arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
+        m = iv.ComposedMapping((checked,) + (arithmetic,) * 7, interval,
+                               iv.IndexVector(ring(8, -1)))
+        source = kernel_source(monkeypatch, m)
+        assert len(re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE)) == 7

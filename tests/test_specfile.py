@@ -289,7 +289,9 @@ class TestOneCheckPerValue:
         assert spec.build() is spec.build()
 
     def test_loading_compiles_no_step(self, monkeypatch):
-        # the mapping is built at load; its step is compiled on first use
+        # the mapping is built at load; a step runs on the shared row
+        # functions, and the mapping compiles its kernel only once its steps
+        # pass averaging._COMPILE_AFTER
         names = []
         monkeypatch.setattr(
             iv.means, "compile", lambda *a: names.append(a[1]) or compile(*a), raising=False
@@ -297,7 +299,10 @@ class TestOneCheckPerValue:
         mappings = [load_mapping_spec(fixture_path(name)).build() for name in FIXTURES]
         assert names == []
         mappings[0].apply((1.0, 2.0, 3.0, 4.0))
-        assert names == ["<invmean ComposedMapping._steps p=4>"]
+        assert not [name for name in names if "_steps" in name]
+        mappings[0].nth_iterate((1.0, 2.0, 3.0, 4.0), iv.averaging._COMPILE_AFTER)
+        assert [name for name in names if "_steps" in name] == [
+            "<invmean ComposedMapping._steps p=4>"]
 
 
 def load_means_text(entries):

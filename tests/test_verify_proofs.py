@@ -10,6 +10,7 @@ fixed number of samples from a fixed rng each must reach the status the
 proof states.
 """
 
+import functools
 import json
 from pathlib import Path
 from random import Random
@@ -159,15 +160,19 @@ def test_strict_witness_has_k_at_the_minimum(capsys, tmp_path, name, outside):
 
 @pytest.fixture
 def kernel_steps(monkeypatch):
-    """The k of every call of every kernel compiled from here on."""
+    """The k of every kernel call of every mapping that takes its first
+    step from here on, on either kernel: the row-function kernel hands
+    over to the compiled one, and leaves this wrapper on the instance."""
     steps = []
-    compile_steps = averaging._compile_steps
+    row_functions = averaging.ComposedMapping._steps.func
 
     def counted(mapping):
-        kernel = compile_steps(mapping)
+        kernel = row_functions(mapping)
         return lambda xs, k: steps.append(k) or kernel(xs, k)
 
-    monkeypatch.setattr(averaging, "_compile_steps", counted)
+    kernel = functools.cached_property(counted)
+    kernel.__set_name__(averaging.ComposedMapping, "_steps")
+    monkeypatch.setattr(averaging.ComposedMapping, "_steps", kernel)
     return steps
 
 

@@ -1,4 +1,4 @@
-"""Time the compiled kernel of a composed mapping, as the README's table:
+"""Time the two kernels of a composed mapping, as the README's table:
 
     python tools/kernel_cost.py [P ...]     (default: 4 8 32 256 1024)
 
@@ -14,12 +14,20 @@ prints one Markdown table row per mapping:
 and these columns:
 
     compile per row   `averaging._compile_steps`: generate, compile and bind
-                      the kernel, over the rows
-    one step          one long kernel call (`nth_iterate` of STEP_WORK / P
-                      steps, at least 20), over its steps
+                      the straight-line kernel, over the rows
+    one step          one long call of that kernel (STEP_WORK / P steps, at
+                      least 20), over its steps
+    one step, row     one call of the row-function kernel that a mapping
+    functions         starts on (`ComposedMapping._steps` before its compile),
+                      of as many steps but at most `averaging._COMPILE_AFTER`,
+                      over its steps
+    break-even        the steps after which the compile has paid for itself:
+                      the compile over the row-function step less the
+                      compiled one
     per step in       one `invariant_mean_eval` from the start point, to
     invariant_mean_eval  convergence or to max_iter=2000, over the steps it
-                      reports, stop tests included
+                      reports, stop tests included, once the mapping has
+                      compiled its kernel
 
 Each figure is the lowest of RUNS runs, each run the median of TIMINGS
 timings (TIMINGS_HUGE from P = 1024 on), in CPU time of this process.
@@ -46,8 +54,9 @@ TIMINGS_HUGE = 10
 STEP_WORK = 64_000
 MAX_ITER = 2000
 HEADER = (
-    "| mapping | compile per row | one step | per step in `invariant_mean_eval` |\n"
-    "|---|---|---|---|"
+    "| mapping | compile per row | one step | one step, row functions | break-even "
+    "| per step in `invariant_mean_eval` |\n"
+    "|---|---|---|---|---|---|"
 )
 RING_ORDERS = (-1.0, 0.0, 1.0, 2.0)
 
@@ -77,22 +86,33 @@ def clock(call) -> float:
     return time.process_time() - start
 
 
-def costs(m: iv.ComposedMapping, x: tuple[float, ...]) -> tuple[float, float, float]:
-    """(compile per row, one step, per step in `invariant_mean_eval`) of
-    m from x, in seconds."""
+def costs(m: iv.ComposedMapping, x: tuple[float, ...]) -> tuple[float, float, float, float]:
+    """(compile per row, one step, one step on the row functions, per step
+    in `invariant_mean_eval`) of m from x, in seconds."""
     timings = TIMINGS_HUGE if m.p >= 1024 else TIMINGS
     compile_row = best(lambda: clock(lambda: averaging._compile_steps(m)), timings) / m.p
     n = max(20, STEP_WORK // m.p)
-    m.nth_iterate(x, 1)  # compiles the kernel, not counted
-    step = best(lambda: clock(lambda: m.nth_iterate(x, n)), timings) / n
+    kernel = averaging._compile_steps(m)
+    step = best(lambda: clock(lambda: kernel(x, n)), timings) / n
+    n_rows = min(n, averaging._COMPILE_AFTER)
+
+    def row_functions() -> float:
+        # a new row-function kernel per timing, so that none compiles
+        steps = iv.ComposedMapping._steps.func(m)
+        return clock(lambda: steps(x, n_rows))
+
+    row_step = best(row_functions, timings) / n_rows
+    m.nth_iterate(x, averaging._COMPILE_AFTER + 1)  # compiles the kernel, not counted
     steps = iv.invariant_mean_eval(m, x, max_iter=MAX_ITER).iterations_used
     run = best(lambda: clock(lambda: iv.invariant_mean_eval(m, x, max_iter=MAX_ITER)), timings)
-    return compile_row, step, run / steps
+    return compile_row, step, row_step, run / steps
 
 
 def row(name: str, m: iv.ComposedMapping, x: tuple[float, ...]) -> str:
-    compile_row, step, run_step = costs(m, x)
-    return f"| {name} | {compile_row * 1e3:.3f} ms | {_us(step)} | {_us(run_step)} |"
+    compile_row, step, row_step, run_step = costs(m, x)
+    break_even = f"{compile_row * m.p / (row_step - step):.0f} steps" if row_step > step else "none"
+    return (f"| {name} | {compile_row * 1e3:.3f} ms | {_us(step)} | {_us(row_step)} "
+            f"| {break_even} | {_us(run_step)} |")
 
 
 def _us(seconds: float) -> str:
