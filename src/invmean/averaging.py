@@ -30,12 +30,13 @@ the iterations of `invariant` validate only their start point: every
 later point is the output of a step, which stays in I.  Every step runs
 in one k-step kernel per mapping, `ComposedMapping._steps(xs, k)`, so
 `nth_iterate` is one call and `invariant` runs blocks of steps between
-its stop tests.  The kernel starts on the row functions that
-`power_mean_eval` shares, which cost no compile of the mapping's own.
-Compiling the straight-line kernel of `_compile_steps` costs a fixed
-time per row, which its faster steps repay after some 350-700 steps
-(README.md has the figures), so a mapping compiles it only once its
-steps pass `_COMPILE_AFTER`.
+its stop tests.  It steps on the row functions that `power_mean_eval`
+shares, which cost no compile of the mapping's own.  Compiling the
+straight-line kernel of `_compile_steps` costs a fixed time per row,
+which its faster steps repay after some 330-780 steps (README.md has the
+figures), so a mapping whose every row is a library power row compiles
+it once its steps pass `_COMPILE_AFTER` and keeps it as its `_steps`.
+A mapping with any other mean stays on the row functions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
-from weakref import ref
 
 from .digraph import Digraph, build_incidence_graph, is_ergodic
 from .errors import DomainError, ShapeError, ValidationError, check_count
@@ -76,7 +76,7 @@ _CLASSES = frozenset({CERTIFIED, CONTRACTIVE, FALSIFIED, UNKNOWN})
 
 #: The steps a mapping takes on its row functions before it compiles its
 #: kernel: near the break-even of the compile against its faster steps,
-#: which `tools/kernel_cost.py` measures at 350-700 steps on rings of
+#: which `tools/kernel_cost.py` measures at 330-780 steps on rings of
 #: p = 4 to 1024 and on the fixtures (2-CPU shared machine, CPython 3.11).
 _COMPILE_AFTER = 400
 
@@ -180,23 +180,11 @@ class ComposedMapping:
         return falsify_contractivity(self)
 
     @cached_property
-    def _steps(self) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
-        """M^k(xs) for a point already in I^p and an int k >= 0, built on
-        first use, not at construction.  It runs unchecked on a point in
-        I^p and returns one.
-
-        It starts as the row-function kernel: each step is one tuple of
-        f(*g(xs)) over the rows, with g the row's getter and f the row
-        function `means._power_function` of a library power row, which
-        `power_mean_eval` shares, or the checked coordinate of any other
-        mean.  It counts its steps, and the call that would take the count
-        past `_COMPILE_AFTER` compiles the straight-line kernel of
-        `_compile_steps` once: that call and every later one run on it,
-        and it replaces this function on the instance, so later lookups
-        get it directly.  Both kernels run the lines of `means._power_row`
-        for a power row, so their floats agree bit for bit, and both run a
-        checked coordinate in index order, so they raise the same
-        DomainError at the same step."""
+    def _rows(self) -> list[tuple[Callable, Callable]]:
+        """(f, g) for each row, built on the first step: g the row's getter
+        of its arguments, f the row function `means._power_function` of a
+        library power row, which `power_mean_eval` shares, or the checked
+        coordinate of any other mean."""
         rows = []
         for i, (row, mean) in enumerate(zip(self.alpha.rows, self.means), start=1):
             order = _power_order(mean)
@@ -206,31 +194,31 @@ class ComposedMapping:
             g = (itemgetter(*[a - 1 for a in row]) if len(row) > 1
                  else itemgetter(slice(row[0] - 1, row[0])))
             rows.append((f, g))
-        # the instance holds this function, so it holds the instance weakly:
-        # a mapping that is dropped is freed at once, not by the collector
-        mapping = ref(self)
-        kernel = None
-        taken = 0
+        return rows
 
-        def steps(xs: tuple[float, ...], k: int) -> tuple[float, ...]:
-            nonlocal kernel, taken
-            if kernel is None:
-                taken += k
-                m = mapping() if taken > _COMPILE_AFTER else None
-                if m is None:
-                    for _ in range(k):
-                        xs = tuple([f(*g(xs)) for f, g in rows])
-                    return xs
-                kernel = _compile_steps(m)
-                # a caller may hold this function across calls (one
-                # `invariant_mean_eval` does), so it hands over from here
-                # on; the instance gets the kernel unless its attribute
-                # is no longer this function
-                if vars(m).get("_steps") is steps:
-                    vars(m)["_steps"] = kernel
-            return kernel(xs, k)
+    def _steps(self, xs: tuple[float, ...], k: int) -> tuple[float, ...]:
+        """M^k(xs) for a point already in I^p and an int k >= 0, unchecked.
 
-        return steps
+        Each step is one tuple of f(*g(xs)) over `_rows`, and the steps
+        taken are counted on the instance.  When every row is a library
+        power row, the call that takes the count past `_COMPILE_AFTER`
+        compiles the straight-line kernel of `_compile_steps`, runs on it
+        and stores it as the instance's `_steps`: later lookups get it
+        directly, and a caller that still holds this method reuses it.
+        Both run the lines of `means._power_row`, so their floats agree
+        bit for bit.  A mapping with any other mean stays on the row
+        functions, which run its checked coordinate in index order."""
+        state = vars(self)
+        taken = state.get("_taken", 0)
+        state["_taken"] = taken + k
+        if taken + k > _COMPILE_AFTER and self._iteration[3]:
+            if taken <= _COMPILE_AFTER:
+                state["_steps"] = _compile_steps(self)
+            return state["_steps"](xs, k)
+        rows = self._rows
+        for _ in range(k):
+            xs = tuple([f(*g(xs)) for f, g in rows])
+        return xs
 
     @cached_property
     def _iteration(self) -> tuple[tuple[list[int], ...], Callable, int, bool]:
@@ -304,18 +292,15 @@ class ComposedMapping:
         """The trace (x, M(x), ..., M^n(x)) of n+1 points."""
         point = self._validate_start(x, n)
         trace = [point]
-        if n:  # the kernel is built on first use, so only when a step is taken
-            steps = self._steps
-            for _ in range(n):
-                point = steps(point, 1)
-                trace.append(point)
+        for _ in range(n):
+            # looked up at each step, which reaches the compiled kernel once stored
+            point = self._steps(point, 1)
+            trace.append(point)
         return tuple(trace)
 
     def nth_iterate(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         """M^n(x), the last point of `iterate(x, n)`, in one kernel call."""
-        point = self._validate_start(x, n)
-        # the kernel is built on first use, so only when a step is taken
-        return self._steps(point, n) if n else point
+        return self._steps(self._validate_start(x, n), n)
 
     def _validate_start(self, x: Sequence[float], n: int) -> tuple[float, ...]:
         check_count(n, "iteration count", 0)
@@ -324,46 +309,27 @@ class ComposedMapping:
 
 def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tuple[float, ...]]:
     """Generate, compile and bind the straight-line k-step kernel of `m`,
-    which `m._steps` hands over to once its steps pass `_COMPILE_AFTER`.
+    whose every row is a library power row, as `m._steps` does once its
+    steps pass `_COMPILE_AFTER`.
 
     The kernel reads the point into locals x<j> once and then, k times,
-    runs the rows straight line, with no tuple built or unpacked.  It
-    returns M^k(xs).  A row writes x<i> itself when no row run after it
-    reads coordinate i; otherwise it writes y<i>, which goes back to x<i>
-    after the last row, one line per such row.  The rows run in index
-    order, or in reverse index order when that leaves fewer of these
-    hand-back lines (a ring whose row i reads i - 1 keeps one, not p - 1)
-    and no row calls a checked coordinate: a mean the library did not
-    build raises in index order, as in the row-function kernel.  A row
-    stores its output only in its last line, after it has read all of
-    its arguments, so every row reads the point from before the step, in
-    either order.  A power mean built by `make_power_mean`, of any arity,
-    runs inline the lines of `means._power_row`, the arithmetic of
-    `power_mean_eval` without its argument checks, and lands in [min,
-    max] of the arguments.  Any other mean is called through its checked
-    coordinate, which takes the row's arguments as locals and checks the
-    value against the interval (DomainError otherwise).  The namespace
-    holds what the rows name: the checked coordinates and
+    runs the rows straight line in index order, with no tuple built or
+    unpacked.  It returns M^k(xs).  A row writes x<i> itself when no
+    later row reads coordinate i; otherwise it writes y<i>, which goes
+    back to x<i> after the last row, one line per such row.  Every row
+    runs inline the lines of `means._power_row` for its order and arity,
+    the arithmetic of `power_mean_eval` without its argument checks, and
+    lands in [min, max] of its arguments.  It stores its output only in
+    its last line, after it has read all of its arguments, so every row
+    reads the point from before the step.  The namespace holds only
     `means._ROW_NAMES`, so no row calls back into `means`."""
     rows = m.alpha.rows
-    orders = [_power_order(mean) for mean in m.means]
-    # the coordinates, 0-based, that a row run after their own reads: in
-    # index order a later row, in reverse index order an earlier one
+    # the coordinates, 0-based, that a later row reads
     handed = {a - 1 for i, row in enumerate(rows) for a in row if a - 1 < i}
-    backward = {a - 1 for i, row in enumerate(rows) for a in row if a - 1 > i}
-    run = range(m.p)
-    if len(backward) < len(handed) and None not in orders:
-        run, handed = reversed(run), backward
-    checked = []
     body = []
-    for i in run:
-        args = [f"x{a - 1}" for a in rows[i]]
+    for i, (row, mean) in enumerate(zip(rows, m.means)):
         out = f"y{i}" if i in handed else f"x{i}"
-        if orders[i] is None:
-            body.append(f"{out} = checked[{len(checked)}]({', '.join(args)})")
-            checked.append(m._checked_coordinate(i + 1, m.means[i]))
-        else:
-            body += _power_row(orders[i], args, out)
+        body += _power_row(_power_order(mean), [f"x{a - 1}" for a in row], out)
     xs = "".join(f"x{j}, " for j in range(m.p))
     source = "\n".join([
         "def _steps(xs, k):",
@@ -373,9 +339,7 @@ def _compile_steps(m: ComposedMapping) -> Callable[[tuple[float, ...], int], tup
         *(f"        x{i} = y{i}" for i in sorted(handed)),
         f"    return ({xs})",
     ])
-    steps = _compile(
-        source, f"<invmean ComposedMapping._steps p={m.p}>", "_steps", checked=tuple(checked)
-    )
+    steps = _compile(source, f"<invmean ComposedMapping._steps p={m.p}>", "_steps")
     steps.__qualname__ = "ComposedMapping._steps"
     return steps
 

@@ -192,9 +192,9 @@ def invariant_mean_eval(
 
     tol must be a finite number > 0 and max_iter an int >= 1, neither a
     bool (ValidationError).  Only the start point is validated; the steps run
-    unchecked in the mapping's kernel (`ComposedMapping._steps`, built on
-    the mapping's first step and compiled once its steps have paid for
-    the compile), a block of k steps per call.
+    unchecked in the mapping's kernel (`ComposedMapping._steps`, which
+    compiles once its steps have paid for the compile), a block of k steps
+    per call.
 
     The stop rule is tested at the end of each block, and the report is
     the one a test after every step gives.  Every library power row lands
@@ -221,8 +221,6 @@ def invariant_mean_eval(
     classes, spread, window, nested = m._iteration
     y = xs
     osc = spread(y)
-    # the kernel is built on first use: a closed start bracket takes no step
-    steps = m._steps if osc >= threshold else None
     n = 0
     anchor_osc = osc
     anchor_n = 0
@@ -242,7 +240,8 @@ def invariant_mean_eval(
         # is at or past the first crossing, which every block taken since
         # stays short of
         k = min(k, stop - n)
-        z = steps(y, k)
+        # looked up per block, which reaches the compiled kernel once stored
+        z = m._steps(y, k)
         z_osc = spread(z)
         if z_osc < threshold and k > 1:
             # with nested brackets the first step below threshold lies inside

@@ -230,20 +230,23 @@ def power_mean_eval(spec: PowerMeanSpec, x: Sequence[float]) -> float:
     return _power_function(spec.order, spec.arity)(*xs)
 
 
-#: Every name a generated row calls: the namespace, besides what a caller
-#: adds, that `_compile` runs generated source in.
+#: Every name a generated row calls: the namespace that `_compile` runs
+#: generated source in.
 _ROW_NAMES = {f.__name__: f for f in (
     min, max, divmod, math.sqrt, math.log, math.log2, math.exp, math.log1p,
     math.expm1, math.frexp, math.ldexp, math.fsum, math.prod,
 )}
 
 
-def _compile(source: str, filename: str, name: str, **names: object) -> Callable:
+def _compile(source: str, filename: str, name: str) -> Callable:
     """The function `name` that the generated `source` defines, compiled
-    and run in a namespace of `_ROW_NAMES` and `names`."""
-    namespace = {"__name__": __name__, **_ROW_NAMES, **names}
+    and run in a namespace of `_ROW_NAMES`.  The namespace stays the
+    function's globals but no longer holds the function, so a function
+    that is dropped is freed by its reference count, with no cycle left
+    for the collector."""
+    namespace = {"__name__": __name__, **_ROW_NAMES}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
+    return namespace.pop(name)
 
 
 #: How many (order, arity) row functions `power_mean_eval` keeps compiled.
@@ -255,7 +258,7 @@ def _power_function(order: float, arity: int) -> Callable[..., float]:
     """The row of `_power_row` for (order, arity) as a function of `arity`
     floats, compiled on first use.  It is kept per pair, not per spec, so
     every spec of one order and arity shares one compile, and a mapping's
-    row-function kernel (`ComposedMapping._steps`) calls it too."""
+    steps (`ComposedMapping._steps`) call it too until they compile."""
     args = [f"x{j}" for j in range(arity)]
     source = "\n".join([
         f"def row({', '.join(args)}):",

@@ -88,7 +88,8 @@ class MappingSpec:
     coordinates that repeat it.  Nothing is compiled here: the mapping
     steps on the row functions it shares with `power_mean_eval`, and
     compiles its own kernel only once its steps pass
-    `averaging._COMPILE_AFTER`."""
+    `averaging._COMPILE_AFTER` and only when every mean is a library
+    power mean."""
 
     _mapping: ComposedMapping
 

@@ -425,7 +425,7 @@ class TestFalsify:
         monkeypatch.setattr(iv.means, "power_mean_eval", refused)
         for m in (example2_mapping(), example3_mapping(), example4_mapping(), periodic_mapping()):
             falsify_contractivity(m)
-            assert "_steps" not in vars(m)
+            assert "_taken" not in vars(m)  # the steps of m, counted on the instance
 
     def test_every_three_vertex_incidence_graph(self):
         # each coordinate takes the arithmetic mean of its in-neighbours; the

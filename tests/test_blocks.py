@@ -12,8 +12,8 @@ rings, mixed-order maps, two disjoint rings and cycles, at tolerances
 above and below float resolution (so that runs stall), and at iteration
 caps on and off the stall-window boundaries.  A mapping with a mean the
 library did not build keeps one-step blocks, so it stops, or raises
-DomainError, at the same step.  A run in which the mapping's row-function
-kernel hands over to its compiled kernel, inside a block, reports what a
+DomainError, at the same step.  A run in which the mapping moves from its
+row functions to its compiled kernel, inside a block, reports what a
 mapping compiled before its first step reports.
 """
 
@@ -168,7 +168,9 @@ class TestBlockSchedule:
         x = tuple(1.0 + 0.25 * i for i in range(p))
         want = per_step_eval(m, x, tol, max_iter)
         blocks = []
-        kernel = m._steps
+        # the kernel the mapping has stored since its steps passed
+        # _COMPILE_AFTER, which per_step_eval took it past
+        kernel = vars(m)["_steps"]
         monkeypatch.setitem(vars(m), "_steps", lambda xs, k: blocks.append(k) or kernel(xs, k))
         report = invariant_mean_eval(m, x, tol, max_iter)
         assert report == want and report.stop_reason == stop_reason
@@ -296,8 +298,8 @@ def solve_start(monkeypatch, name, kind):
 
 
 class TestHandOver:
-    """The row-function kernel hands over to the compiled kernel once the
-    mapping's steps pass `averaging._COMPILE_AFTER`, here inside a run of
+    """A mapping moves from its row functions to its compiled kernel once
+    its steps pass `averaging._COMPILE_AFTER`, here inside a run of
     `invariant_mean_eval`: the report is float for float the one of a
     mapping compiled before its first step."""
 

@@ -1,24 +1,27 @@
 """The two kernels of a composed mapping against the frozen reference.
 
-`ComposedMapping._steps` starts as the row-function kernel, one call of
-the shared row function `means._power_function` (or of a checked
-coordinate) per row and step.  Once its steps pass
-`averaging._COMPILE_AFTER` it hands over to the k-step kernel that
-`averaging._compile_steps` generates from source: every row straight
-line, k times over, with the inline lines of `means._power_row` for every
-library power mean, of any arity, and no argument checks.  The row
-functions, which `power_mean_eval` runs too, are made of the same lines.
-These tests hold both kernels, `apply`, `iterate`, `invariant_mean_eval`
-and, where rows are tested one by one, `power_mean_eval` to the results
-of a per-coordinate loop over the frozen copy of `power_mean_eval` in
+`ComposedMapping._steps` runs one call of the shared row function
+`means._power_function` (or of a checked coordinate) per row and step.
+Once a mapping's steps pass `averaging._COMPILE_AFTER`, and when every
+row is a library power row, it compiles the k-step kernel that
+`averaging._compile_steps` generates from source, and stores it as the
+instance's `_steps`: every row straight line in index order, k times
+over, with the inline lines of `means._power_row` for every library
+power mean, of any arity, and no argument checks.  The row functions,
+which `power_mean_eval` runs too, are made of the same lines.  These
+tests hold both kernels, `apply`, `iterate`, `invariant_mean_eval` and,
+where rows are tested one by one, `power_mean_eval` to the results of a
+per-coordinate loop over the frozen copy of `power_mean_eval` in
 `power_mean_oracle.py`, bit for bit: on random mappings at extreme
 magnitudes, on each branch of the two-argument forms in both argument
 orders, on rows of three to five arguments at the ends of the floats, on
 every row shape the generator emits (self-loop, one argument, three
 arguments, p = 1, p = 1024), on k-step calls whose rows store in place or
-hand their value back after the last row, in index order or in reverse,
-and on a mean the library did not build.  The compiled kernel and the
-row functions name nothing but `means._ROW_NAMES`.
+hand their value back after the last row, and on a mean the library did
+not build, which never compiles.  Each way of stepping compiles a
+mapping's kernel once, and the compiled kernel and the row functions
+name nothing but `means._ROW_NAMES` and are freed by their reference
+count.
 """
 
 import ast
@@ -26,6 +29,7 @@ import gc
 import math
 import re
 import weakref
+from functools import partial
 from random import Random
 
 import pytest
@@ -125,9 +129,9 @@ def bits(xs):
 
 
 def both_kernels(m):
-    """The row-function kernel that m starts on, new and so far from its
-    compile, and the compiled kernel that it hands over to."""
-    return iv.ComposedMapping._steps.func(m), averaging._compile_steps(m)
+    """The stepping method of a new copy of m, which runs the row functions
+    until its steps pass `_COMPILE_AFTER`, and the compiled kernel."""
+    return iv.ComposedMapping(m.means, m.interval, m.alpha)._steps, averaging._compile_steps(m)
 
 
 class TestBitIdentity:
@@ -239,7 +243,7 @@ def reference_eval(m, x, tol, max_iter):
 
 def two_row_step(s):
     # rows (1, 2) and (2, 1) of one order: both argument orders in one step
-    # of the compiled kernel; the row-function kernel runs power_mean_eval's
+    # of the compiled kernel; stepping on the rows runs power_mean_eval's
     # row function, which the tests check by itself
     mean = iv.make_power_mean(iv.PowerMeanSpec(s, 2))
     return averaging._compile_steps(
@@ -352,11 +356,11 @@ def test_order_0_and_small_order_closed_forms(s, x, branch):
 
 
 class TestPlan:
-    def test_built_on_the_first_step_not_at_construction(self, monkeypatch):
-        # nothing at build; the first step builds the row-function kernel,
-        # which compiles nothing once power_mean_eval has met the rows; the
-        # step that takes the count past _COMPILE_AFTER compiles the kernel
-        # once, and the instance keeps it
+    def test_compiles_on_the_step_past_the_constant(self, monkeypatch):
+        # nothing at build, and nothing while the steps run on the row
+        # functions, which compile nothing once power_mean_eval has met the
+        # rows; the step that takes the count past _COMPILE_AFTER compiles
+        # the kernel once, and the instance keeps it
         x = (1.0, 2.0, 3.0, 4.0)
         for mean in iv.load_mapping_spec(iv.fixture_path("example2.json")).build().means:
             mean(x[:mean.arity])  # the row functions, compiled here if not yet
@@ -365,18 +369,16 @@ class TestPlan:
             means, "compile", lambda *a: compiled.append(a[1]) or compile(*a), raising=False
         )
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
-        assert "_steps" not in vars(m) and compiled == []
+        steps = m._steps  # held across the compile, as a caller may
         m.apply(x)
-        steps = vars(m)["_steps"]
-        assert steps.__qualname__ == "ComposedMapping._steps.<locals>.steps"
         m.nth_iterate(x, averaging._COMPILE_AFTER - 1)
-        assert m._steps is steps and compiled == []
+        assert "_steps" not in vars(m) and compiled == []
         y = m.nth_iterate(x, 1)
         kernel = vars(m)["_steps"]
         assert kernel.__qualname__ == "ComposedMapping._steps"
         assert kernel.__code__.co_filename == "<invmean ComposedMapping._steps p=4>"
         assert compiled == ["<invmean ComposedMapping._steps p=4>"]
-        # a caller that holds the row-function kernel is handed over too
+        # the held method runs on the stored kernel and compiles no more
         assert steps(x, 1) == y and m.nth_iterate(x, 1000) == steps(x, 1000)
         assert m._steps is kernel and compiled == ["<invmean ComposedMapping._steps p=4>"]
 
@@ -391,34 +393,38 @@ class TestPlan:
         assert compiled == [m] and vars(m)["_steps"].__qualname__ == "ComposedMapping._steps"
 
     def test_a_dropped_mapping_is_freed_without_the_collector(self):
-        # the kernel on the instance holds the instance weakly, so no cycle
-        # keeps a dropped mapping; a kernel held past it steps on the rows
-        x = (1.0, 2.0, 3.0, 4.0)
-        m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
-        steps = m._steps
-        dropped = weakref.ref(m)
+        # nothing the instance keeps refers back to it, and the kernel's
+        # globals do not hold the kernel, so no cycle keeps either
+        m, _ = power_mapping((-1.0, 0.0, 1.0, 2.0), ring(4, 1))
+        m.nth_iterate((1.0, 2.0, 3.0, 4.0), averaging._COMPILE_AFTER + 1)
+        dropped, kernel = weakref.ref(m), weakref.ref(vars(m)["_steps"])
         gc.disable()
         try:
             del m
-            assert dropped() is None
+            assert dropped() is None and kernel() is None
         finally:
             gc.enable()
-        n = averaging._COMPILE_AFTER + 1
-        assert steps(x, n) == averaging._compile_steps(
-            iv.load_mapping_spec(iv.fixture_path("example2.json")).build())(x, n)
+
+    def test_an_evicted_row_function_is_freed_without_the_collector(self):
+        row = weakref.ref(means._power_function(0.375, 3))  # an order no other test uses
+        assert row() is not None
+        gc.disable()
+        try:
+            means._power_function.cache_clear()
+            assert row() is None
+        finally:
+            gc.enable()
 
     def test_no_step_taken_compiles_nothing(self):
         m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
         x = (1.0, 2.0, 3.0, 4.0)
         assert m.iterate(x, 0) == (x,)
-        assert "_steps" not in vars(m)
         assert m.nth_iterate(x, 0) == x
-        assert "_steps" not in vars(m)
         report = iv.invariant_mean_eval(m, (2.5,) * 4)  # a constant start is converged
         assert report.iterations_used == 0 and report.value == 2.5
-        assert "_steps" not in vars(m)
+        assert vars(m).get("_taken", 0) == 0
         assert m.nth_iterate(x, 1) == m.iterate(x, 1)[1]
-        assert "_steps" in vars(m)
+        assert vars(m)["_taken"] == 2
 
     def test_repackaged_power_mean_evaluator_keeps_its_checks(self):
         # a power mean's evaluator inside a Mean on a domain reaching below 0
@@ -438,13 +444,12 @@ class TestPlan:
         # rows of arity 1-5, self-loops included, and 1024, past order 0's
         # split form, on every order path: the kernel and the row functions
         # call only the one table of names, besides the kernel's own loop
-        # and checked coordinates
         names = set(means._ROW_NAMES)
         rows = ((1,), (1, 2), (2, 3, 1), (1, 2, 3, 4), (4, 4, 1, 3, 5), (6, 6), (1, 2) * 512)
         for s in ORDER_PATHS:
             m, specs = power_mapping((s,) * len(rows), rows)
             kernel = averaging._compile_steps(m)
-            assert set(kernel.__code__.co_names) <= names | {"range", "checked"}
+            assert set(kernel.__code__.co_names) <= names | {"range"}
             assert "means" not in kernel.__globals__
             for spec in specs:
                 row = means._power_function(spec.order, spec.arity)
@@ -459,6 +464,51 @@ class TestPlan:
                                iv.IndexVector(((1, 2, 3),) * 3))
         with pytest.raises(iv.ShapeError, match="arity 2 got 3 arguments"):
             m.apply((1.0, 2.0, 3.0))
+
+
+def apply_loop(m, x, n):
+    for _ in range(n):
+        x = m.apply(x)
+    return x
+
+
+def held_method(m, x, n):
+    steps = m._steps  # the bound method, held across the compile
+    for _ in range(n):
+        x = steps(x, 1)
+    return x
+
+
+class TestOneCompilePerMapping:
+    """Each way of stepping a mapping across `_COMPILE_AFTER` compiles its
+    kernel once: later steps, and later runs, reuse the stored kernel."""
+
+    @staticmethod
+    def ring32():
+        # the ring of 32 harmonic/quadratic pairs converges over thousands of steps
+        m, _ = power_mapping((-1.0, 2.0) * 16, ring(32, 1))
+        return m, tuple(1.0 + 0.25 * i for i in range(32))
+
+    @pytest.mark.parametrize("run", [
+        apply_loop,
+        lambda m, x, n: m.iterate(x, n)[-1],
+        lambda m, x, n: m.nth_iterate(x, n),
+        held_method,
+        lambda m, x, n: invariant_mean_eval(m, x),
+    ], ids=["apply", "iterate", "nth_iterate", "held-method", "invariant_mean_eval"])
+    def test_compiles_once(self, monkeypatch, run):
+        ahead, x = self.ring32()
+        vars(ahead)["_steps"] = averaging._compile_steps(ahead)
+        n = 2 * averaging._COMPILE_AFTER
+        want = repr(run(ahead, x, n))
+        compiled = []
+        compile_steps = averaging._compile_steps
+        monkeypatch.setattr(
+            averaging, "_compile_steps", lambda m: compiled.append(m) or compile_steps(m)
+        )
+        m, _ = self.ring32()
+        assert repr(run(m, x, n)) == repr(run(m, x, n)) == want
+        assert compiled == [m] and m._steps.__qualname__ == "ComposedMapping._steps"
 
 
 class TestCustomMeans:
@@ -505,30 +555,49 @@ class TestCustomMeans:
                 run()
             assert str(info.value) == "mean 2 ('max+1') returned 5.0 outside (0, 5)"
 
-    def test_both_kernels_raise_at_the_same_step(self):
-        # rows 2 and 3 climb by one a step and leave (0, 50) at once: both
-        # kernels name row 2, at the same step, in one-step calls and in one
-        # call of many steps.  The compiled rows run in index order, though
-        # reverse order would hand back fewer values
-        interval = iv.Interval(0.0, 50.0)
+    def test_never_compiles_and_raises_at_the_oracles_step(self, monkeypatch):
+        # rows 2 and 3 climb by one a step and leave (0, 1000) only after
+        # _COMPILE_AFTER steps.  The mapping stays on the row functions:
+        # each way of stepping it gives the floats of a per-step loop over
+        # the means and names row 2 at the step where that loop leaves
+        interval = iv.Interval(0.0, 1000.0)
         too_high = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs) + 1.0,
                            label="max+1")
         arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
-        m = iv.ComposedMapping((arithmetic, too_high, too_high), interval,
-                               iv.IndexVector(((1, 2), (2, 1), (3, 2))))
-        raised = []
-        for steps in both_kernels(m):
-            y, n = (1.0, 3.0, 2.0), 0
+        alpha = iv.IndexVector(((1, 2), (2, 1), (3, 2)))
+        oracle = partial(oracle_power_mean, iv.PowerMeanSpec(1.0, 2))
+        rows = ((oracle, (1, 2)), (too_high, (2, 1)), (too_high, (3, 2)))
+        trace = [(1.0, 3.0, 2.0)]
+        while True:
+            y = tuple(float(f([trace[-1][a - 1] for a in row])) for f, row in rows)
+            if not all(map(interval.contains, y)):
+                break
+            trace.append(y)
+        n = len(trace)  # the step that leaves the interval
+        assert n > averaging._COMPILE_AFTER + 1
+        x, want = trace[0], [bits(y) for y in trace]
+        compiled = []
+        monkeypatch.setattr(averaging, "_compile_steps", compiled.append)
+
+        def one_steps(step):
+            y = x
+            while True:
+                y = step(y)
+
+        # the step that raises returns 1000.0, and no other step does
+        for run in (
+            lambda m: m.iterate(x, n),
+            lambda m: m.nth_iterate(x, n),
+            lambda m: one_steps(m.apply),
+            lambda m: one_steps(partial(m._steps, k=1)),  # holds the method
+        ):
+            m = iv.ComposedMapping((arithmetic, too_high, too_high), interval, alpha)
+            assert [bits(y) for y in m.iterate(x, n - 1)] == want
+            assert bits(m.nth_iterate(x, n - 1)) == want[-1]
             with pytest.raises(iv.DomainError) as info:
-                while True:
-                    n += 1
-                    y = steps(y, 1)
-            # 47 + 100 steps stay short of the row-function kernel's compile
-            with pytest.raises(iv.DomainError) as at_once:
-                steps((1.0, 3.0, 2.0), 100)
-            raised.append((n, str(info.value), str(at_once.value)))
-        message = "mean 2 ('max+1') returned 50.0 outside (0, 50)"
-        assert raised == [(47, message, message)] * 2
+                run(m)
+            assert str(info.value) == "mean 2 ('max+1') returned 1000.0 outside (0, 1000)"
+        assert compiled == []
 
 
 def power_mapping(orders, rows):
@@ -675,9 +744,9 @@ def kernel_source(monkeypatch, m):
     sources = []
     compile_source = averaging._compile
 
-    def recorded(source, *args, **names):
+    def recorded(source, *args):
         sources.append(source)
-        return compile_source(source, *args, **names)
+        return compile_source(source, *args)
 
     monkeypatch.setattr(averaging, "_compile", recorded)
     averaging._compile_steps(m)
@@ -691,17 +760,16 @@ def ring(p, step):
 
 
 class TestStores:
-    """A row writes its coordinate in place when no row run after it reads
-    it; every other row's value is handed back after the last row.  The
-    rows run in index order, or in reverse when that hands back fewer
-    values and no row is checked."""
+    """The rows run in index order.  A row writes its coordinate in place
+    when no later row reads it; every other row's value is handed back
+    after the last row."""
 
     @pytest.mark.parametrize("rows", [
         ring(8, 1),                                   # one hand-back, x0 = y0
-        ring(8, -1),                                  # in reverse, one hand-back, x7 = y7
+        ring(8, -1),                                  # seven hand-backs, x0 = y0 to x6 = y6
         ring(5, 2),
         [(2, 3), (3, 1, 2), (4,), (5, 1), (1, 2, 3)],  # each row reads a later row's coordinate
-        [(1, 1), (2,), (3, 3, 3), (1, 2, 3)],          # self-loops; in reverse, no hand-back
+        [(1, 1), (2,), (3, 3, 3), (1, 2, 3)],          # self-loops; the last row reads the rest
         [(1,)],
     ])
     def test_hands_back_exactly_what_a_later_row_reads(self, monkeypatch, rows):
@@ -711,9 +779,6 @@ class TestStores:
         read_later = [
             i for i in range(len(rows)) if any(i + 1 in row for row in rows[i + 1:])
         ]
-        read_earlier = [i for i in range(len(rows)) if any(i + 1 in row for row in rows[:i])]
-        if len(read_earlier) < len(read_later):
-            read_later = read_earlier
         handed = re.findall(r"^        x(\d+) = y\1$", source, re.MULTILINE)
         assert [int(i) for i in handed] == read_later
         assert set(re.findall(r"\by(\d+)\b", source)) == set(handed)
@@ -730,26 +795,3 @@ class TestStores:
         m, _ = power_mapping((1.0,) * 32, ring(32, 1))
         source = kernel_source(monkeypatch, m)
         assert re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE) == ["        x0 = y0"]
-
-    def test_reversed_ring_with_loops_hands_back_one_coordinate(self, monkeypatch):
-        # row i reads (i, i - 1): in reverse order only row 1 reads a
-        # coordinate whose row ran before it.  The kernel steps bit for bit
-        # as the row functions, which run in index order
-        m, _ = power_mapping((-1.0, 0.0, 1.0, 2.0) * 8, ring(32, -1))
-        source = kernel_source(monkeypatch, m)
-        assert re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE) == ["        x31 = y31"]
-        x = tuple(1.0 + 0.25 * i for i in range(32))
-        rows, compiled = both_kernels(m)
-        for k in (1, 2, 7, 50):
-            assert bits(compiled(x, k)) == bits(rows(x, k))
-
-    def test_a_checked_row_keeps_index_order(self, monkeypatch):
-        # reverse order would hand back one value, but a checked row raises
-        # in index order, as in the row-function kernel
-        interval = iv.Interval(0.0, 5.0)
-        checked = iv.Mean(arity=2, domain=interval, evaluator=lambda xs: max(xs), label="max")
-        arithmetic = iv.make_power_mean(iv.PowerMeanSpec(1.0, 2), interval)
-        m = iv.ComposedMapping((checked,) + (arithmetic,) * 7, interval,
-                               iv.IndexVector(ring(8, -1)))
-        source = kernel_source(monkeypatch, m)
-        assert len(re.findall(r"^        x\d+ = y\d+$", source, re.MULTILINE)) == 7

@@ -10,7 +10,6 @@ fixed number of samples from a fixed rng each must reach the status the
 proof states.
 """
 
-import functools
 import json
 from pathlib import Path
 from random import Random
@@ -160,19 +159,17 @@ def test_strict_witness_has_k_at_the_minimum(capsys, tmp_path, name, outside):
 
 @pytest.fixture
 def kernel_steps(monkeypatch):
-    """The k of every kernel call of every mapping that takes its first
-    step from here on, on either kernel: the row-function kernel hands
-    over to the compiled one, and leaves this wrapper on the instance."""
+    """The k of every `ComposedMapping._steps` call from here on, of a
+    mapping that has not compiled its kernel: one that has stores it on
+    the instance, where a lookup no longer meets this wrapper."""
     steps = []
-    row_functions = averaging.ComposedMapping._steps.func
+    method = averaging.ComposedMapping._steps
 
-    def counted(mapping):
-        kernel = row_functions(mapping)
-        return lambda xs, k: steps.append(k) or kernel(xs, k)
+    def counted(mapping, xs, k):
+        steps.append(k)
+        return method(mapping, xs, k)
 
-    kernel = functools.cached_property(counted)
-    kernel.__set_name__(averaging.ComposedMapping, "_steps")
-    monkeypatch.setattr(averaging.ComposedMapping, "_steps", kernel)
+    monkeypatch.setattr(averaging.ComposedMapping, "_steps", counted)
     return steps
 
 

@@ -17,10 +17,10 @@ and these columns:
                       the straight-line kernel, over the rows
     one step          one long call of that kernel (STEP_WORK / P steps, at
                       least 20), over its steps
-    one step, row     one call of the row-function kernel that a mapping
-    functions         starts on (`ComposedMapping._steps` before its compile),
-                      of as many steps but at most `averaging._COMPILE_AFTER`,
-                      over its steps
+    one step, row     one call of `ComposedMapping._steps` on the row
+    functions         functions (`_rows`) of a new copy of the mapping, of
+                      as many steps but at most `averaging._COMPILE_AFTER`,
+                      so before its compile, over its steps
     break-even        the steps after which the compile has paid for itself:
                       the compile over the row-function step less the
                       compiled one
@@ -97,9 +97,11 @@ def costs(m: iv.ComposedMapping, x: tuple[float, ...]) -> tuple[float, float, fl
     n_rows = min(n, averaging._COMPILE_AFTER)
 
     def row_functions() -> float:
-        # a new row-function kernel per timing, so that none compiles
-        steps = iv.ComposedMapping._steps.func(m)
-        return clock(lambda: steps(x, n_rows))
+        # a new copy per timing, so that none compiles, with its rows built
+        # before the clock starts
+        copy = iv.ComposedMapping(m.means, m.interval, m.alpha)
+        copy._rows
+        return clock(lambda: copy._steps(x, n_rows))
 
     row_step = best(row_functions, timings) / n_rows
     m.nth_iterate(x, averaging._COMPILE_AFTER + 1)  # compiles the kernel, not counted

@@ -12,17 +12,17 @@ it, in these parts:
     contractivity   `ComposedMapping._contractivity`: the one contractivity
                     decision, with the graph's classification and q0
     mean-property   `check_mean_property`, over every mean of the spec
-    kernel          `ComposedMapping._steps`: the mapping's kernel, built on
-                    its first access, plus any compile of the straight-line
-                    kernel (`averaging._compile_steps`), wherever it runs
+    kernel          `ComposedMapping._steps`: the mapping's steps, and the
+                    compile of its straight-line kernel when they pass
+                    `averaging._COMPILE_AFTER` (no call here takes that many)
     dichotomy       `check_bracket_dichotomy`
     emission        `cli._emit_json`: the JSON text, written to a buffer
 
 and the total, which adds argument parsing and the entries that `verify`
-states as proved.  The decision and the kernel are taken before
-`cmd_verify`, which then reads both from the mapping.  A part's time
-leaves out the parts it calls: a compile inside the dichotomy counts as
-kernel time only.  Each figure is the
+states as proved.  The decision is taken before `cmd_verify`, which
+then reads it from the mapping.  A part's time leaves out the parts it
+calls: the steps inside the dichotomy count as kernel time only.  Each
+figure is the
 minimum over RUNS calls, each on a newly loaded spec, after one call that
 is not counted, in CPU time of this process.  Standard library only; the
 package under src/ is imported.
@@ -60,7 +60,7 @@ def split(path: str) -> dict[str, float]:
     path, in ms."""
     spent = dict.fromkeys(PARTS, 0.0)
     originals = {part: getattr(cli, name) for part, name in CALLED.items()}
-    compile_steps = averaging._compile_steps
+    steps = averaging.ComposedMapping._steps
     inner = [0.0]  # the time of the timed calls inside the one running
 
     def timed(part, fn):
@@ -77,7 +77,7 @@ def split(path: str) -> dict[str, float]:
 
     for part, name in CALLED.items():
         setattr(cli, name, timed(part, originals[part]))
-    averaging._compile_steps = timed("kernel", compile_steps)
+    averaging.ComposedMapping._steps = timed("kernel", steps)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             start = time.process_time()
@@ -87,16 +87,13 @@ def split(path: str) -> dict[str, float]:
             built = time.process_time()
             mapping._contractivity
             decided = time.process_time()
-            mapping._steps
-            kernel = time.process_time()
             cli.cmd_verify(args, mapping)
             done = time.process_time()
     finally:
         for part, name in CALLED.items():
             setattr(cli, name, originals[part])
-        averaging._compile_steps = compile_steps
+        averaging.ComposedMapping._steps = steps
     spent.update(load=built - parsed, contractivity=decided - built)
-    spent["kernel"] += kernel - decided
     spent["total"] = done - start
     return {part: 1e3 * t for part, t in spent.items()}
 
