@@ -302,13 +302,17 @@ def cmd_verify(args, mapping: ComposedMapping) -> int:
     rng = Random(args.seed)
     n = args.samples
 
-    mp_reports = [check_mean_property(mean, rng, n) for mean in mapping.means]
+    # equal means evaluate alike (`Mean`), so each distinct one is sampled
+    # once, and its witnesses name the first coordinate that uses it
+    mp_reports = {mean: check_mean_property(mean, rng, n) for mean in dict.fromkeys(mapping.means)}
     mp_witnesses = [
-        Witness(w.point, f"mean {i} ({mean.label}): {w.message}")
-        for i, (mean, rep) in enumerate(zip(mapping.means, mp_reports), start=1)
+        Witness(w.point, f"mean {mapping.means.index(mean) + 1} ({mean.label}): {w.message}")
+        for mean, rep in mp_reports.items()
         for w in rep.violations
     ]
-    mp_detail = (f"{mapping.p} means, {sum(rep.n_samples for rep in mp_reports)} points, "
+    k = len(mp_reports)
+    mp_detail = (f"{k} distinct mean{'s' * (k > 1)} of {mapping.p}, "
+                 f"{sum(rep.n_samples for rep in mp_reports.values())} points, "
                  f"{len(mp_witnesses)} violation(s)")
     # a spec builds only library power means: strict, monotone and
     # homogeneous by construction, each row clamped into [min, max]

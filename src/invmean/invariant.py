@@ -44,11 +44,12 @@ K(x)); monotonicity and homogeneity of K whenever K exists (every M^n
 takes them over from the means, and K is their limit); and strictness
 of K from the graph, which holds on an ergodic graph and fails on a
 "contractive" one, where K reads only the initial class.  On a
-"falsified" mapping there is no K.  It samples the mean property and
-`check_bracket_dichotomy`, and falls back to `verify_invariance` and
-`verify_mean_properties` when the mean-property sampling refutes the
-strictness those proofs rest on.  The samplers stay for means the
-library did not build, and the tests hold the proved statements to them.
+"falsified" mapping there is no K.  It samples the mean property of
+each distinct mean, on its row function, and `check_bracket_dichotomy`,
+and falls back to `verify_invariance` and `verify_mean_properties` when
+the mean-property sampling refutes the strictness those proofs rest on.
+The samplers stay for means the library did not build, and the tests
+hold the proved statements to them.
 
 Every function here that takes a tol raises ValidationError unless it is
 a finite number > 0, an int or a float but not a bool (`means._real`): a

@@ -599,15 +599,21 @@ def sample_points(
 def check_mean_property(m: Mean, rng: Random, n_samples: int = 200) -> CheckReport:
     """Try to falsify min(x) <= M(x) <= max(x), and strictness when declared.
 
-    Each witness message starts with "bounds" or "strictness"; the residual
-    is how far M(x) lies outside [min(x), max(x)].  A report with no
-    violations says only that sampling did not find a counterexample.
+    A library power mean is evaluated on its row function, the one its
+    mapping steps with (`_power_function`): `power_mean_eval` returns the
+    same floats after checking each point, and `sample_points` draws every
+    point inside the domain.  Any other mean is called, m(x).  Each witness
+    message starts with "bounds" or "strictness"; the residual is how far
+    M(x) lies outside [min(x), max(x)].  A report with no violations says
+    only that sampling did not find a counterexample.
     """
     check_count(n_samples, "n_samples")
     strict = not _not_strict((m,))
+    order = _power_order(m)
+    row = _power_function(order, m.arity) if order is not None else None
 
     def judge(x: tuple[float, ...]) -> tuple[float, str | None]:
-        value = m(x)
+        value = row(*x) if row is not None else m(x)
         lo = min(x)
         hi = max(x)
         residual = max(lo - value, value - hi)

@@ -704,6 +704,52 @@ class TestMeanPropertyCheck:
         good = make_power_mean(PowerMeanSpec(0.0, 2))
         assert validate_mean(good) is good
 
+    # 0 in both forms (the box above 2^509 takes the split one), the named
+    # orders, the log1p orders and the power sums; arity 1023 is the split
+    # order-0 form of more than 1022 arguments
+    @pytest.mark.parametrize("domain", [POSITIVE_REALS, Interval(1e300, math.inf)])
+    @pytest.mark.parametrize("arity", [1, 2, 3, 1023])
+    @pytest.mark.parametrize("order", [0.0, 1.0, -1.0, 2.0, 5e-3, -5e-3, -2.5, 0.7, 3.3, 1e17])
+    def test_power_mean_is_judged_on_its_row_float_for_float(
+        self, monkeypatch, domain, arity, order
+    ):
+        m = make_power_mean(PowerMeanSpec(order, arity), domain)
+        expected = [(x, m(x)) for x in means.sample_points(domain, arity, Random(3), 6)]
+        judged = []
+        compiled = means._power_function
+
+        def recorded(order, arity):
+            row = compiled(order, arity)
+
+            def judged_row(*x):
+                value = row(*x)
+                judged.append((x, value))
+                return value
+            return judged_row
+
+        monkeypatch.setattr(means, "_power_function", recorded)
+        check_mean_property(m, Random(3), 6)
+        assert judged == expected
+
+    def test_hand_built_mean_is_called_at_every_point(self):
+        seen = []
+
+        def midrange(xs):
+            seen.append(tuple(xs))
+            return 0.5 * (min(xs) + max(xs))
+
+        m = Mean(3, POSITIVE_REALS, midrange, strict=True)
+        report = check_mean_property(m, Random(3), 20)
+        assert report.passed
+        assert seen == means.sample_points(POSITIVE_REALS, 3, Random(3), 20)
+
+    def test_power_evaluator_off_the_positive_reals_keeps_its_checks(self):
+        # not a library power mean, so it is called, and power_mean_eval
+        # rejects the box's negative points
+        m = Mean(2, Interval(-1.0, 1.0), PowerMeanSpec(1.0, 2))
+        with pytest.raises(iv.DomainError):
+            check_mean_property(m, Random(3), 4)
+
 
 positive = st.floats(min_value=0.05, max_value=40.0, allow_nan=False)
 # orders below ~1e-306 make s*log(x) subnormal and no float algorithm can

@@ -188,10 +188,25 @@ def test_certified_fixture_steps_only_for_the_dichotomy(capsys, tmp_path, kernel
     # that iterates: the mean property draws first and takes no step
     mapping = load_mapping_spec(fixture_path("example2.json")).build()
     rng = Random(0)
-    for mean in mapping.means:
+    for mean in dict.fromkeys(mapping.means):
         check_mean_property(mean, rng, 4)
     check_bracket_dichotomy(mapping, rng, n_samples=4)
     assert taken and taken == kernel_steps
+
+
+@pytest.mark.parametrize("name, distinct", [("ring8", 2), ("example2", 4), ("example3", 2)])
+def test_each_distinct_mean_is_sampled_once(capsys, tmp_path, monkeypatch, name, distinct):
+    sampled = []
+
+    def counted(mean, rng, n):
+        sampled.append(mean)
+        return check_mean_property(mean, rng, n)
+
+    monkeypatch.setattr("invmean.cli.check_mean_property", counted)
+    _, entries = run_verify(capsys, tmp_path, SPECS[name], "--samples", "4")
+    p = len(SPECS[name]["means"])
+    assert len(sampled) == len(set(sampled)) == distinct
+    assert entries["mean-property"]["detail"].startswith(f"{distinct} distinct means of {p}, ")
 
 
 def test_one_coordinate_checks_are_vacuous(capsys, tmp_path):

@@ -11,7 +11,7 @@ it, in these parts:
     load            `cli._load_spec`: read, parse and build the mapping
     contractivity   `ComposedMapping._contractivity`: the one contractivity
                     decision, with the graph's classification and q0
-    mean-property   `check_mean_property`, over every mean of the spec
+    mean-property   `check_mean_property`, once per distinct mean of the spec
     kernel          `ComposedMapping._steps`: the mapping's steps, and the
                     compile of its straight-line kernel when they pass
                     `averaging._COMPILE_AFTER` (no call here takes that many)
