@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_key
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
@@ -58,32 +58,42 @@ def _fmt_bool(b: bool) -> str:
 
 def _json_text(obj, indent: str = "\n") -> str:
     """obj as `json.dumps(obj, indent=2)` writes it, byte for byte, without
-    its pure-Python encoder: ints (not bools), lists of them and lists of
-    nonempty lists of them (`analyze`'s edges) are written with
-    `int.__repr__`, keys with the C string encoder, and every other scalar
-    by `json.dumps`.  `indent` is the newline and indent of the line that
-    obj starts on."""
-    if type(obj) is int:
+    its pure-Python encoder: ints (not bools) are written with
+    `int.__repr__`, strings and keys with the C string encoder, finite
+    floats with `float.__repr__`, bools and None as their literals, and a
+    list of equal-length nonempty int lists (`analyze`'s edges, `tg`'s
+    trace) with one `%` format over all its ints.  Anything else, NaN,
+    infinities and subclasses among it, is written by `json.dumps`.
+    `indent` is the newline and indent of the line that obj starts on."""
+    kind = type(obj)
+    if kind is int:
         return int.__repr__(obj)
+    if kind is str:
+        return _json_string(obj)
+    if kind is float and obj - obj == 0:  # finite: inf - inf and nan - nan are nan
+        return float.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
         types = set(map(type, obj))
-        if types == {int}:
-            items = map(int.__repr__, obj)
-        elif types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            deeper = inner + "  "
-            sep = "," + deeper
-            items = ["[" + deeper + sep.join(map(int.__repr__, v)) + inner + "]" for v in obj]
-        else:
-            items = [_json_text(v, inner) for v in obj]
+        if types == {list} and set(map(len, obj)) == {width := len(obj[0])} and width:
+            ints = tuple(chain.from_iterable(obj))
+            if set(map(type, ints)) == {int}:
+                deeper = inner + "  "
+                row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+                return ("[" + inner + ("," + inner).join([row] * len(obj)) + indent + "]") % ints
+        items = map(int.__repr__, obj) if types == {int} else [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     return json.dumps(obj)
 

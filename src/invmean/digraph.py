@@ -48,8 +48,12 @@ Classification costs what the graph is: one iterative Tarjan DFS finds
 the SCCs and, from the depths of its tree (Denardo 1977), their periods
 and cyclic classes, and from the in-masks the initial classes; it visits
 each edge once.  q0 takes O(q0 * |E|) word ORs (one OR per edge per
-adjacency power).  `Digraph` computes the classification once and
-caches it.
+adjacency power), except on a circulant graph, where row v of the
+adjacency is row 0 rotated by v: every power of it is circulant too, so
+row 0 of each power decides, and q0 takes O(q0 * deg) shifts and ORs of
+2n-bit words after an O(n) check that the graph is circulant.  The
+incidence graph of every cyclic mapping M_i(x_i, x_(i+1)) is circulant.
+`Digraph` computes the classification once and caches it.
 """
 
 from __future__ import annotations
@@ -344,22 +348,44 @@ def _classify_masks(
     return irreducible, (g if g > 0 else None), tuple(initial)
 
 
+def _is_circulant(out_masks: Sequence[int], n: int) -> bool:
+    """Whether out_masks[v] is out_masks[0] rotated left by v, for every v:
+    edge (u, w) iff edge (u + 1, w + 1), vertices counted mod n.  One
+    rotation and one compare per row; on most other graphs the compare
+    fails at the second row."""
+    full = (1 << n) - 1
+    row = out_masks[0]
+    for m in out_masks[1:]:
+        row = (row << 1 | row >> (n - 1)) & full
+        if m != row:
+            return False
+    return True
+
+
 def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     """Least q with the boolean adjacency power A^q all-ones; hard-capped
     at Wielandt's bound (n-1)^2 + 1.
 
-    Rows are stepped with the successor recurrence
+    A circulant graph (`_is_circulant`) steps row 0 only.  Every power of
+    a circulant boolean matrix is circulant, so row w of A^q is row 0
+    rotated by w, A^q is all-ones exactly when its row 0 is, and
+    A^(q+1)[0] = OR over the offsets c in out(0) of rot(A^q[0], c): one
+    shift and OR of a 2n-bit word per offset per power, O(q0 * deg(0))
+    word operations after the O(n) check.  Every incidence graph of a
+    cyclic mapping M_i(x_i, x_(i+1)), the ring with loops among them, is
+    circulant.
+
+    Every other graph steps all its rows with the successor recurrence
     A^(q+1)[v] = OR_{w in out(v)} A^q[w], one word OR per edge per power,
-    so the whole search costs O(q0 * |E|) ORs.  The rows of out-degree d,
+    so that search costs O(q0 * |E|) ORs.  The rows of out-degree d,
     when there are more than 4d of them, are stepped as one block: slot j
     gathers each row's j-th successor with one `itemgetter` (of at least
     five indexes, so it returns a tuple), and each slot after the first is
     ORed in with one `map(or_)`.  A block takes d Python steps however
-    many rows it holds: two for all the rows of a ring.  Each other row is
-    stepped by a Python loop over its successors: every OR of big ints
-    allocates, so C saves only the per-row overhead that a block spreads
-    over its rows, and `reduce(or_)` over an `itemgetter` measured slower
-    than the loop.
+    many rows it holds.  Each other row is stepped by a Python loop over
+    its successors: every OR of big ints allocates, so C saves only the
+    per-row overhead that a block spreads over its rows, and `reduce(or_)`
+    over an `itemgetter` measured slower than the loop.
 
     The least all-ones power is q0 without checking A^(q+1): if A^q is
     all-ones, every ordered pair is joined by a walk of length q >= 1, so
@@ -370,8 +396,19 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
     """
     full = (1 << n) - 1
     cap = (n - 1) ** 2 + 1
-    degrees = list(map(int.bit_count, out_masks))
-    if all(degrees):
+    if _is_circulant(out_masks, n):
+        row = out_masks[0]
+        # rot(r, c) is (r | r << n) >> (n - c), cut to n bits
+        shifts = [n - c for c in range(n) if row >> c & 1]
+        for q in range(1, cap + 1):
+            if row == full:
+                return q
+            doubled = row | row << n
+            row = 0
+            for shift in shifts:
+                row |= doubled >> shift
+            row &= full
+    elif all(degrees := list(map(int.bit_count, out_masks))):
         blocked = {d for d in set(degrees) if degrees.count(d) > 4 * d}
         # a power holds the rows of the blocks, by out-degree, then every
         # other row, in vertex order

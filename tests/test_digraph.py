@@ -4,7 +4,9 @@ The classifier is checked four ways: against hand-read edge sets of the
 bundled mappings, against the census oracle in census.py, (for n <= 3,
 exhaustively) against a second brute-force oracle written here with sets
 instead of bitmasks, and (for drawn graphs up to n = 40) against a numpy
-reference built from adjacency matrix powers.
+reference built from adjacency matrix powers.  The uniform walk length
+of circulant graphs, searched on one row of the powers, is held to the
+same reference, and to the search over every row.
 """
 
 import math
@@ -25,7 +27,8 @@ from invmean import (
     tg_stabilize,
     tg_step,
 )
-from invmean.digraph import InitialClass, _classify_masks
+from invmean import digraph
+from invmean.digraph import InitialClass, _classify_masks, _is_circulant
 from census import (
     classify_all_small_graphs,
     digraph_from_mask,
@@ -210,6 +213,12 @@ def wielandt_graph(n: int) -> Digraph:
 def ring_with_loops(p: int) -> Digraph:
     """Incidence graph of the ring with loops: coordinate i reads i and i+1."""
     return incidence(tuple((i, i % p + 1) for i in range(1, p + 1)))
+
+
+def circulant(n: int, offsets) -> Digraph:
+    """The circulant digraph on 1..n: an edge (v, v + c mod n) for every
+    vertex v and offset c."""
+    return Digraph(n, frozenset((v, (v - 1 + c) % n + 1) for v in range(1, n + 1) for c in offsets))
 
 
 @st.composite
@@ -438,6 +447,75 @@ class TestUniformWalkLength:
                 ergodic_degrees.append(degrees)
         assert len(ergodic_degrees) >= 10
         assert any(1 in degrees and max(degrees) > 1 for degrees in ergodic_degrees) or n == 1
+
+
+class TestCirculantWalkLength:
+    """q0 of a circulant graph is searched on row 0 of its powers alone;
+    every other graph steps all its rows.  Both are held to the numpy
+    reference, and `_is_circulant` says which search a graph takes."""
+
+    @staticmethod
+    def blocked(g: Digraph) -> int:
+        """q0 by stepping every row, as a graph that is not circulant is."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(digraph, "_is_circulant", lambda out_masks, n: False)
+            return digraph._uniform_walk_length_masks(g.out_masks, g.n_vertices)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_connection_set(self, n):
+        ergodic = 0
+        for connections in range(1 << n):
+            g = circulant(n, [c for c in range(n) if connections >> c & 1])
+            assert _is_circulant(g.out_masks, n)
+            q0 = numpy_reference(g)[2]
+            assert is_ergodic(g).uniform_walk_length == q0, connections
+            if q0 is not None:
+                ergodic += 1
+                assert self.blocked(g) == q0, connections
+        # every set holding offsets 0 and 1 (loops and the n-cycle) is ergodic
+        assert ergodic >= 1 << max(0, n - 2)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_seeded_random_circulants(self, n):
+        # offsets with gcd 1 with n, and differences with gcd 1 with n, give
+        # an irreducible and aperiodic graph: the reference then stops at
+        # q0 rather than stepping its powers up to Wielandt's cap
+        rng = Random(f"circulant:{n}")
+        drawn = 0
+        while drawn < 4:
+            offsets = rng.sample(range(n), rng.randint(2, 4))
+            if math.gcd(n, *offsets) > 1 or math.gcd(n, *(c - offsets[0] for c in offsets)) > 1:
+                continue
+            drawn += 1
+            g = circulant(n, offsets)
+            assert _is_circulant(g.out_masks, n)
+            q0 = numpy_reference(g)[2]
+            assert q0 is not None, sorted(offsets)
+            assert is_ergodic(g).uniform_walk_length == q0, sorted(offsets)
+
+    @pytest.mark.parametrize("p", [3, 8, 17, 32])
+    def test_ring_with_one_chord_steps_every_row(self, p):
+        rng = Random(f"chord:{p}")
+        ring = ring_with_loops(p)
+        assert _is_circulant(ring.out_masks, p)
+        for _ in range(4):
+            chord = rng.choice(sorted({(v, w) for v in range(1, p + 1)
+                                       for w in range(1, p + 1)} - ring.edges))
+            g = Digraph(p, ring.edges | {chord})
+            assert not _is_circulant(g.out_masks, p), chord
+            q0 = numpy_reference(g)[2]
+            assert q0 is not None
+            assert is_ergodic(g).uniform_walk_length == q0, chord
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 33])
+    def test_circulant_less_one_edge_steps_every_row(self, n):
+        rng = Random(f"less-one:{n}")
+        for _ in range(4):
+            full = circulant(n, [0, 1, *rng.sample(range(2, n), 2)])
+            edge = rng.choice(sorted(full.edges))
+            g = Digraph(n, full.edges - {edge})
+            assert not _is_circulant(g.out_masks, n), edge
+            assert is_ergodic(g).uniform_walk_length == numpy_reference(g)[2], edge
 
 
 class TestSeparatedWalkSources:

@@ -1,10 +1,14 @@
 """Time one in-process `invmean analyze --json` call, split into its parts:
 
-    python tools/analyze_split.py [P ...]     (default: 128 256)
+    python tools/analyze_split.py [P ...]     (default: 128 256; each P >= 3)
 
-The spec is the harmonic/arithmetic ring with loops at each P (row i reads
-i and i+1, q0 = P - 1), written to a temporary file.  A call is timed as
-`main` runs it, in three parts:
+Two specs are timed at each P, each written to a temporary file: the
+harmonic/arithmetic ring with loops (row i reads i and i+1, q0 = P - 1),
+whose incidence graph is circulant, so that q0 is searched on one row of
+the adjacency powers; and the same ring with one chord, coordinate 1 also
+reading the coordinate opposite it, which is ergodic but not circulant,
+so that q0 is searched over every row.  A call is timed as `main` runs
+it, in three parts:
 
     load            `cli._load_spec`: read, parse and build the mapping
     classification  `cmd_analyze` less the emission: the incidence graph,
@@ -44,6 +48,16 @@ def ring_spec(p: int) -> dict:
     }
 
 
+def chorded_ring_spec(p: int) -> dict:
+    """`ring_spec(p)` with coordinate 1 also reading coordinate
+    (p + 1) // 2 + 1, by a harmonic mean of three: the edge it adds keeps
+    the graph ergodic but not circulant when p >= 3."""
+    spec = ring_spec(p)
+    spec["means"][0] = {"kind": "harmonic", "arity": 3}
+    spec["alpha"][0].append((p + 1) // 2 + 1)
+    return spec
+
+
 def split(path: str) -> dict[str, float]:
     """The parts of one `analyze --json` call on the spec at path, in ms."""
     emit, emitted = cli._emit_json, []
@@ -79,16 +93,17 @@ def main(argv: list[str]) -> int:
     sizes = [int(a) for a in argv] or [128, 256]
     with tempfile.TemporaryDirectory() as tmp:
         for p in sizes:
-            path = Path(tmp) / f"ring{p}.json"
-            path.write_text(json.dumps(ring_spec(p)))
-            split(str(path))  # a first call that warms the process, not counted
-            runs = [split(str(path)) for _ in range(RUNS)]
-            best = {part: min(run[part] for run in runs) for part in runs[0]}
-            shares = ", ".join(
-                f"{part} {best[part]:.2f} ms ({best[part] / best['total']:.0%})"
-                for part in ("load", "classification", "emission")
-            )
-            print(f"p = {p}: total {best['total']:.2f} ms; {shares}")
+            for shape, make in (("ring", ring_spec), ("chorded ring", chorded_ring_spec)):
+                path = Path(tmp) / f"{shape.replace(' ', '-')}{p}.json"
+                path.write_text(json.dumps(make(p)))
+                split(str(path))  # a first call that warms the process, not counted
+                runs = [split(str(path)) for _ in range(RUNS)]
+                best = {part: min(run[part] for run in runs) for part in runs[0]}
+                shares = ", ".join(
+                    f"{part} {best[part]:.2f} ms ({best[part] / best['total']:.0%})"
+                    for part in ("load", "classification", "emission")
+                )
+                print(f"p = {p}, {shape}: total {best['total']:.2f} ms; {shares}")
     return 0
 
 
