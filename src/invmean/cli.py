@@ -219,7 +219,7 @@ def cmd_invariant(args, mapping: ComposedMapping) -> int:
 
 def cmd_tg(args, mapping: ComposedMapping) -> int:
     c0 = TriStateColoring(_parse_list(args.c0, int, "coloring"))
-    report = tg_stabilize(mapping.graph, c0, max_steps=args.max_steps)
+    report = tg_stabilize(mapping.graph, c0)
     if args.json:
         return _emit_json(
             {
@@ -233,7 +233,7 @@ def cmd_tg(args, mapping: ComposedMapping) -> int:
     if report.repeats_step is not None:
         print(f"never constant: step {len(report.trace) - 1} repeats step {report.repeats_step}")
     elif report.steps_to_constant is None:
-        print(f"no constant coloring within {args.max_steps} steps")
+        print(f"never constant: not constant by step {len(report.trace) - 1} = (p-1)^2 + 1")
     else:
         print(f"constant at step {report.steps_to_constant}, value {report.constant_value}")
     return EXIT_OK
@@ -269,10 +269,27 @@ def _report_entry(report: CheckReport) -> dict:
 def _proved_properties(mapping: ComposedMapping) -> dict:
     """The entries of the properties of K that the incidence graph decides
     for strict, monotone and homogeneous means, by name, with the
-    invariance of K on a certified mapping; none iterates."""
+    invariance of K on a certified mapping; none iterates.
+
+    On a falsified mapping the invariant mean exists but is not unique,
+    so no property of a single K is stated.  Let C_1, ..., C_r be the
+    cyclic classes of all the initial classes (an aperiodic class is one
+    cyclic class), and d_j the period of the class of C_j.  An initial
+    class reads only itself, and its walks of length d_j join C_j to itself
+    as a primitive graph; with strict continuous means the coordinates of
+    M^(n d_j)(x) on C_j therefore converge to one limit c_j(x) in
+    [min(x), max(x)].  A step hands each limit on to the next cyclic class
+    of its initial class, so c(M(x)) is c(x) with the limits rotated inside
+    each initial class, and every symmetric mean N of r variables gives the
+    M-invariant mean N(c(x)).  The contractivity witness is constant on
+    each cyclic class and keeps its values there at every step, so c is
+    its own values there, not all equal: the arithmetic and the geometric
+    mean of c differ at it, and each gives an invariant mean."""
     status = mapping._contractivity.status
     if status == FALSIFIED:
-        detail = "proved: there is no invariant mean K (class=falsified)"
+        detail = ("proved: the invariant mean is not unique (class=falsified): every symmetric "
+                  "mean of the cyclic-class limits is M-invariant, and the arithmetic and "
+                  "geometric means differ at the contractivity witness")
         return {prop: _entry(prop, "skip", detail) for prop in _PROPERTIES}
     # M^n inherits each property from the means, and K = lim M^n from M^n
     entries = {
@@ -419,10 +436,6 @@ def build_parser() -> _Parser:
 
     p = add("tg", cmd_tg, "iterate the tri-state in-neighbor operator on the graph")
     p.add_argument("c0", help="start coloring over {-1,0,1}, comma-separated")
-    p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="step cap (default: none; the run stops at a constant or repeated coloring)",
-    )
 
     p = add("verify", cmd_verify,
             "check the property suite: state what the spec's construction proves, sample the rest")

@@ -27,11 +27,31 @@ digraph every coloring therefore reaches a constant one within q0 steps
 (A^q0 is all-ones, so f^q0 empties every S != V), and that constant is
 0 unless the start was constant +1 or -1.  The bound is attained: a
 coloring that is +1 everywhere except a 0 at a vertex v whose row
-A^q[v] becomes all-ones last stays nonconstant for q0 - 1 steps.  On any
-digraph T is deterministic on the 3^n colorings, so every trajectory is
-constant from some step on or cycles through nonconstant colorings
-forever; `tg_stabilize` records the trajectory up to the first constant
-or first repeated coloring.
+A^q[v] becomes all-ones last stays nonconstant for q0 - 1 steps.
+
+On any digraph whose vertices all have an in-neighbour, a coloring that
+ever becomes constant does so within (n-1)^2 + 1 steps.  A vertex is
+outside the next +1 set exactly when some in-neighbour is outside the
+current one, so the complement of the +1 set evolves by the successor
+image N(T) = {w : edge (v, w) for some v in T}: at step q it is N^q(T+),
+where T+ is the complement of the +1 set of the start, and the
+complement of the -1 set evolves alike from T-.  The coloring is
+constant exactly when N^q(T+) or N^q(T-) is empty (all +1 or all -1) or
+both are V (all 0).  The empty set is absorbing, and so is V, since
+every vertex has an in-neighbour.  N^q(T) is the union of the rows v in
+T of A^q, which is periodic in q from the index of convergence k(A) of
+the adjacency matrix on; so a set that is empty or V at some step
+q >= k(A) is so at step k(A) already, and a coloring that is ever
+constant is constant by step k(A).  Every n x n Boolean matrix has
+k(A) <= (n-1)^2 + 1 (Schwarz 1970, "On a sharp estimation in the theory
+of binary relations on a finite set", which extends Wielandt's bound on
+primitive matrices to all Boolean matrices).  `tg_stabilize` therefore
+records the trajectory up to the first constant coloring, the first
+repeated one, or step (n-1)^2 + 1, whichever comes first: a coloring
+still nonconstant there never becomes constant.  On disjoint cycles of
+prime lengths the first repeat comes only after the lcm of the lengths,
+so without the bound the trace would grow faster than any polynomial in
+n.
 
 An initial class is a strongly connected class that no edge enters
 from outside.  Walks into it start in it, and walking back from any
@@ -222,6 +242,8 @@ class TgReport:
 
     `repeats_step` is the index of the earlier trace entry that the last
     one repeats, when the run stopped on a cycle of nonconstant colorings.
+    A run that stopped at the bound (n-1)^2 + 1 has `steps_to_constant`
+    and `repeats_step` both None: it never becomes constant either.
     """
 
     steps_to_constant: int | None
@@ -488,31 +510,31 @@ def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
     ))
 
 
-def tg_stabilize(g: Digraph, c0: TriStateColoring, max_steps: int | None = None) -> TgReport:
+def tg_stabilize(g: Digraph, c0: TriStateColoring) -> TgReport:
     """Iterate tg_step until the coloring is constant, repeats an earlier
-    coloring, or max_steps is hit.
+    coloring, or reaches step (n-1)^2 + 1 without being constant.
 
     steps_to_constant is the first index at which the coloring is constant
     (0 when c0 already is).  A repeated nonconstant coloring proves that
     the trajectory never becomes constant, as happens on periodic graphs:
     the run stops there with steps_to_constant and constant_value None and
-    the repeat as the last trace entry.  On an ergodic graph the coloring
-    is constant within q0 steps, the graph's uniform walk length, and some
-    coloring needs exactly q0 (see the module docstring).  On any graph,
-    without max_steps, one of the two happens within 3^n steps, the
-    number of colorings.  A c0 that does not cover the vertices of g is a
-    ShapeError, constant or not, and a max_steps that is not an int >= 1,
-    or is a bool, a ValidationError.
+    the repeat as the last trace entry.  So does a coloring still
+    nonconstant at step (n-1)^2 + 1, which bounds the index of convergence
+    of the adjacency matrix: a coloring that is ever constant is constant
+    by then (see the module docstring).  The trace thus holds at most
+    (n-1)^2 + 2 colorings.  On an ergodic graph the coloring is constant
+    within q0 steps, the graph's uniform walk length, and some coloring
+    needs exactly q0.  A c0 that does not cover the vertices of g is a
+    ShapeError, constant or not.
     """
     _check_covers(g, c0)  # before a constant c0 ends the run with no step
-    if max_steps is not None:
-        check_count(max_steps, "max_steps")
+    bound = (g.n_vertices - 1) ** 2 + 1
     c = c0
     trace = [c]
     seen = {c.values: 0}
     k = 0
     while not c.is_constant:
-        if k == max_steps:
+        if k == bound:
             return TgReport(None, None, tuple(trace))
         c = tg_step(g, c)
         k += 1

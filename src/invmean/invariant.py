@@ -19,10 +19,12 @@ float the one a test after every step gives (the block schedule and why
 it is exact are in its docstring).  Non-convergence (periodic or
 disconnected incidence structure) is a structured report, never an
 exception, so callers can inspect the final iterate; its stop_reason
-tells a stall from the iteration cap.  When the incidence graph has no
-invariant mean K (several initial classes, or one that is periodic), the
-same iteration brackets each cyclic class of each initial class that the
-graph's classification records, and reports the limit of each.
+tells a stall from the iteration cap.  When the incidence graph gives
+no unique invariant mean K (several initial classes, or one that is
+periodic), the same iteration brackets each cyclic class of each
+initial class that the graph's classification records, and reports the
+limit of each: every symmetric mean of these limits is an invariant
+mean (`cli._proved_properties`).
 
 The verification helpers (`verify_invariance`, `verify_mean_properties`,
 `check_oscillation_monotonicity`, `check_bracket_dichotomy`) are
@@ -40,11 +42,11 @@ homogeneous and clamp every row into [min, max] of its arguments, it
 states as proved, without iterating: the oscillation monotonicity (the
 brackets are nested); the invariance K(M(x)) = K(x) on a certified
 mapping (K(x) is the limit of M^n(x), so K(M(x)) = lim M^(n+1)(x) =
-K(x)); monotonicity and homogeneity of K whenever K exists (every M^n
+K(x)); monotonicity and homogeneity of K whenever K is unique (every M^n
 takes them over from the means, and K is their limit); and strictness
 of K from the graph, which holds on an ergodic graph and fails on a
 "contractive" one, where K reads only the initial class.  On a
-"falsified" mapping there is no K.  It samples the mean property of
+"falsified" mapping K is not unique.  It samples the mean property of
 each distinct mean, on its row function, and `check_bracket_dichotomy`,
 and falls back to `verify_invariance` and `verify_mean_properties` when
 the mean-property sampling refutes the strictness those proofs rest on.

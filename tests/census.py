@@ -1,8 +1,8 @@
 """Exhaustive small-graph census: the package's classifier against a
 brute-force cycle-enumeration oracle on every digraph with n <= 4 vertices,
-and brute-force oracles for the contractivity dichotomy (surviving sets of
+brute-force oracles for the contractivity dichotomy (surviving sets of
 f(S) = {v : in(v) subset of S}, and initial classes) on every incidence
-graph with n <= 4 vertices.
+graph with n <= 4 vertices, and the tri-state run with no step bound.
 
 A census graph is an edge bitmask: bit (v-1)*n + (w-1) set iff edge (v, w).
 """
@@ -227,3 +227,26 @@ def one_aperiodic_initial_class(in_masks: Sequence[int]) -> bool:
         if any(cls >> w & 1 and walks[w] >> w & 1 for w in range(p)):
             period = math.gcd(period, k)
     return period == 1
+
+
+# ---------------------------------------------------------------------------
+# tri-state runs without a step bound
+
+
+def tg_until_repeat(in_masks: Sequence[int], c0: Sequence[int]):
+    """The tri-state run from c0 with no step bound: it stops only at the
+    first constant coloring or the first repeated one.  Bit u of
+    in_masks[v] is set iff u + 1 is an in-neighbour of v + 1.  Returns
+    (trace, steps_to_constant, constant_value, repeats_step), the trace a
+    list of tuples."""
+    preds = [[u for u in range(len(in_masks)) if m >> u & 1] for m in in_masks]
+    trace = [tuple(c0)]
+    seen = {trace[0]: 0}
+    while len(set(trace[-1])) > 1:
+        c = trace[-1]
+        nxt = tuple(vals.pop() if len(vals := {c[u] for u in ws}) == 1 else 0 for ws in preds)
+        trace.append(nxt)
+        if nxt in seen:
+            return trace, None, None, seen[nxt]
+        seen[nxt] = len(trace) - 1
+    return trace, len(trace) - 1, trace[-1][0], None

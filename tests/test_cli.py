@@ -20,6 +20,7 @@ from invmean import (
     averaging, cli, digraph, fixture_path, invariant, is_ergodic, load_mapping_spec, means,
 )
 from invmean.cli import build_parser, main
+from test_digraph import prime_cycles
 
 EX2 = str(fixture_path("example2.json"))
 EX3 = str(fixture_path("example3.json"))
@@ -584,14 +585,6 @@ class TestTg:
         assert code == 0
         assert out.splitlines()[-1] == "never constant: step 2 repeats step 0"
 
-    def test_step_cap_human_output(self, capsys):
-        # neither constant nor repeated by step 1, so the cap ends the run
-        code, out, _ = run(capsys, "tg", EX2, "1,1,1,-1", "--max-steps", "1")
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 3 and lines[0] == "step 0: (1, 1, 1, -1)"
-        assert lines[-1] == "no constant coloring within 1 steps"
-
     def test_negative_first_entry_needs_no_separator(self, capsys):
         code, data, _ = run_json(capsys, "tg", EX6, "-1,0,1,0", "--json")
         assert code == 0
@@ -611,8 +604,38 @@ class TestTg:
         code, data, _ = run_json(capsys, "tg", str(spec), c0, "--json")
         assert code == 0
         assert data["steps_to_constant"] is None and data["constant_value"] is None
-        assert len(data["trace"]) == 11  # ten rotations back to c0, not 3^10 + 1
+        assert len(data["trace"]) == 11  # ten rotations back to c0
         assert data["trace"][10] == data["trace"][0]
+
+    @pytest.mark.parametrize("lengths", [(2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13)])
+    def test_prime_cycles_stop_at_the_bound(self, capsys, tmp_path, lengths):
+        # one +1 per cycle first repeats at the lcm of the lengths (2310 at
+        # p = 28, 30030 at p = 41); the run ends at step (p-1)^2 + 1
+        alpha, c0 = prime_cycles(lengths)
+        p = len(alpha)
+        spec = tmp_path / f"primes{p}.json"
+        spec.write_text(json.dumps({
+            "p": p,
+            "interval": {"lower": 0, "upper": None},
+            "means": [{"kind": "arithmetic", "arity": 1}] * p,
+            "alpha": alpha,
+        }))
+        bound = (p - 1) ** 2 + 1
+        code, out, _ = run(capsys, "tg", str(spec), ",".join(map(str, c0)))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == bound + 2 and lines[-2].startswith(f"step {bound}: ")
+        assert lines[-1] == f"never constant: not constant by step {bound} = (p-1)^2 + 1"
+        code, data, _ = run_json(capsys, "tg", str(spec), ",".join(map(str, c0)), "--json")
+        assert code == 0 and len(data["trace"]) == bound + 1
+        assert data["steps_to_constant"] is None and data["constant_value"] is None
+
+    def test_no_step_option(self, capsys):
+        # the graph bounds the run, so there is no cap to set
+        with pytest.raises(SystemExit) as exc:
+            main(["tg", EX2, "1,1,1,-1", "--max-steps", "1"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --max-steps 1" in capsys.readouterr().err
 
     def test_bad_coloring_exits_one(self, capsys):
         code, _, err = run(capsys, "tg", EX2, "1,0,2,0")

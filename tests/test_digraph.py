@@ -6,9 +6,12 @@ exhaustively) against a second brute-force oracle written here with sets
 instead of bitmasks, and (for drawn graphs up to n = 40) against a numpy
 reference built from adjacency matrix powers.  The uniform walk length
 of circulant graphs, searched on one row of the powers, is held to the
-same reference, and to the search over every row.
+same reference, and to the search over every row.  The tri-state run,
+which stops at step (n-1)^2 + 1, is held to a run with no bound
+(census.py) and to the index of convergence of numpy Boolean powers.
 """
 
+import itertools
 import math
 from random import Random
 
@@ -35,6 +38,7 @@ from census import (
     disjoint_survivors,
     incidence_graph_masks,
     one_aperiodic_initial_class,
+    tg_until_repeat,
 )
 
 # incidence graphs of the bundled index vectors
@@ -700,7 +704,7 @@ class TestTgStabilize:
 
     def test_directed_cycle_stops_at_first_repeat(self):
         # on the 10-cycle the tri-state step is a rotation: the coloring
-        # comes back after 10 steps, long before the 3^10 cap
+        # comes back after 10 steps, before the bound (10-1)^2 + 1 = 82
         g = incidence(tuple(((i - 1) % 10 or 10,) for i in range(1, 11)))
         c0 = TriStateColoring((1, -1, 0, 0, 0, 0, 0, 0, 0, 0))
         report = tg_stabilize(g, c0)
@@ -708,11 +712,6 @@ class TestTgStabilize:
         assert len(report.trace) == 11
         assert report.trace[-1] == c0 and report.repeats_step == 0
         assert len(set(c.values for c in report.trace[:-1])) == 10
-
-    def test_cap_still_applies(self):
-        report = tg_stabilize(graph6(), TriStateColoring((1, 1, -1, -1)), max_steps=1)
-        assert len(report.trace) == 2
-        assert report.steps_to_constant is None and report.repeats_step is None
 
     @pytest.mark.parametrize("values", [(1, 1), (1, 0), (1, 1, 1, 1, 1)])
     def test_coloring_length_checked_before_any_step(self, values):
@@ -803,10 +802,173 @@ class TestTriStateBoundSampled:
             q0 = is_ergodic(g).uniform_walk_length
             for _ in range(100):
                 c0 = TriStateColoring(tuple(rng.choice((-1, 0, 1)) for _ in range(5)))
-                report = tg_stabilize(g, c0, max_steps=q0)
+                report = tg_stabilize(g, c0)
                 runs += 1
                 assert report.steps_to_constant is not None
                 assert report.steps_to_constant <= q0
                 if not c0.is_constant or c0.constant_value == 0:
                     assert report.constant_value == 0
         assert runs == 10_000
+
+
+def prime_cycles(lengths) -> tuple[list[list[int]], list[int]]:
+    """The index vector of disjoint directed cycles of the given lengths,
+    each vertex reading its predecessor on its cycle, and the coloring with
+    +1 on the first vertex of each cycle and 0 elsewhere: the first repeat
+    comes at the lcm of the lengths."""
+    rows, c0, start = [], [], 1
+    for n in lengths:
+        rows += [[start + (i - 1) % n] for i in range(n)]
+        c0 += [1] + [0] * (n - 1)
+        start += n
+    return rows, c0
+
+
+def convergence_index(g: Digraph) -> int:
+    """The index of convergence k(A) of the adjacency matrix, by numpy
+    Boolean powers: the least k >= 0 such that A^k recurs as a later
+    power."""
+    n = g.n_vertices
+    a = np.zeros((n, n), dtype=np.int64)
+    for v, w in g.edges:
+        a[v - 1, w - 1] = 1
+    first = {}
+    power = np.eye(n, dtype=np.int64)
+    for j in range(10_000):
+        key = power.tobytes()
+        if key in first:
+            return first[key]
+        first[key] = j
+        power = _bool_mul(power, a)
+    raise AssertionError("no recurring power")
+
+
+def random_tg_graph(rng: Random, n: int) -> Digraph:
+    """A digraph on 1..n with an in-neighbour at every vertex: dense drawn
+    edges, or disjoint cycles plus a few drawn edges, which give periods
+    above one and long transients."""
+    edges = set()
+    if rng.random() < 0.4:
+        density = rng.uniform(0.05, 0.5)
+        edges = {(v, w) for v in range(1, n + 1) for w in range(1, n + 1)
+                 if rng.random() < density}
+    else:
+        vertices = list(range(1, n + 1))
+        rng.shuffle(vertices)
+        while vertices:
+            k = rng.randint(1, len(vertices))
+            cycle, vertices = vertices[:k], vertices[k:]
+            edges |= {(cycle[i - 1], cycle[i]) for i in range(k)}
+        for _ in range(rng.randint(0, 3)):
+            edges.add((rng.randint(1, n), rng.randint(1, n)))
+    for w in range(1, n + 1):
+        if not any(b == w for _, b in edges):
+            edges.add((rng.randint(1, n), w))
+    return Digraph(n, frozenset(edges))
+
+
+def assert_bounded_run_agrees(g: Digraph, c0: TriStateColoring) -> tuple:
+    """tg_stabilize from c0 against the run with no bound: the same step
+    and constant, a trace that is a prefix of the unbounded one, and an
+    end at the first constant, the first repeat or step (n-1)^2 + 1.
+    Returns the unbounded run."""
+    bound = (g.n_vertices - 1) ** 2 + 1
+    want = tg_until_repeat(g.in_masks, c0.values)
+    trace, steps, constant, repeats = want
+    report = tg_stabilize(g, c0)
+    got = [c.values for c in report.trace]
+    assert got == trace[:bound + 1], (g.sorted_edges(), c0.values)
+    assert (report.steps_to_constant, report.constant_value) == (steps, constant)
+    assert report.repeats_step == (repeats if len(trace) <= bound + 1 else None)
+    return want
+
+
+class TestTgBound:
+    """`tg_stabilize` stops at step (n-1)^2 + 1, which bounds the index of
+    convergence k(A) of every n x n Boolean matrix: a coloring that ever
+    becomes constant does so by step k(A), so the bound loses no run."""
+
+    def test_bound_loses_nothing_on_the_census(self):
+        """Every 4-vertex graph with an in-neighbour at each vertex (15^4 =
+        50 625 graphs) with every coloring in {-1, 0, 1}^4 (4 100 625 runs):
+        no run that is ever constant gets there after step 10 = (4-1)^2 + 1,
+        so stopping at step 10 changes no run's step or constant.
+
+        The +1 set P and the -1 set M of a coloring step independently by
+        f(S) = {v : in(v) subset S}, and the empty set and V are fixed
+        points of f, so the run is first constant at step max(h(P), h(M)),
+        where h(S) is the first step at which f^h(S) is empty or V, and never
+        when either set never gets there.  numpy steps all 16 subsets of all
+        graphs at once, 16 steps, which runs each subset's orbit past its
+        first repeat.  tg_stabilize itself is held to `tg_until_repeat` on
+        every coloring of every graph that takes the full 10 steps, and of
+        a seeded sample of the others."""
+        in_masks = np.array(list(itertools.product(range(1, 16), repeat=4)), dtype=np.int64)
+        subsets = np.arange(16)
+        inside = (in_masks[:, None, :] & ~subsets[None, :, None] & 15) == 0
+        f = inside @ (1 << np.arange(4))  # f[g, S] as a bitmask
+        cur = np.broadcast_to(subsets, f.shape).copy()
+        hit = np.full(f.shape, -1)
+        for k in range(17):
+            hit[(hit < 0) & ((cur == 0) | (cur == 15))] = k
+            cur = np.take_along_axis(f, cur, axis=1)
+        pairs = [(p, m) for p in range(16) for m in range(16) if not p & m]
+        plus, minus = np.array(pairs).T
+        hp, hm = hit[:, plus], hit[:, minus]
+        steps = np.where((hp >= 0) & (hm >= 0), np.maximum(hp, hm), -1)
+        assert steps.size == 4_100_625
+        assert steps.max() == 10  # the bound is met, by Wielandt's graph
+        slowest = set(np.flatnonzero((steps == 10).any(axis=1)).tolist())
+        rng = Random(41)
+        chosen = slowest | set(rng.sample(range(len(in_masks)), 200))
+        colorings = [TriStateColoring(c) for c in itertools.product((-1, 0, 1), repeat=4)]
+        for index in sorted(chosen):
+            masks = in_masks[index].tolist()
+            g = Digraph(4, frozenset((u + 1, v + 1) for v, m in enumerate(masks)
+                                     for u in range(4) if m >> u & 1))
+            for c0 in colorings:
+                _, first, _, _ = assert_bounded_run_agrees(g, c0)
+                p = sum(1 << v for v, x in enumerate(c0.values) if x == 1)
+                m = sum(1 << v for v, x in enumerate(c0.values) if x == -1)
+                tabled = steps[index, pairs.index((p, m))]
+                assert first == (None if tabled < 0 else tabled)
+
+    def test_random_graphs_index_within_the_bound(self):
+        """Graphs up to n = 12: the numpy index of convergence is at most
+        (n-1)^2 + 1, a run that is ever constant is constant by step k(A),
+        and the bounded run agrees with the unbounded one."""
+        rng = Random(1970)
+        constant_late = 0
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            g = random_tg_graph(rng, n)
+            k = convergence_index(g)
+            assert k <= (n - 1) ** 2 + 1, g.sorted_edges()
+            for _ in range(12):
+                c0 = TriStateColoring(tuple(rng.choice((-1, 0, 1)) for _ in range(n)))
+                _, steps, _, _ = assert_bounded_run_agrees(g, c0)
+                if steps is not None:
+                    assert steps <= k, (g.sorted_edges(), c0.values)
+                    constant_late += steps > n
+        assert constant_late  # some runs are constant only after n steps
+
+    @pytest.mark.parametrize("lengths, lcm", [((2, 3, 5, 7, 11), 2310),
+                                              ((2, 3, 5, 7, 11, 13), 30030)])
+    def test_prime_cycles_stop_at_the_bound(self, lengths, lcm):
+        # the first repeat would come at the lcm of the lengths; the bound
+        # (p-1)^2 + 1 ends the run long before it
+        rows, c0 = prime_cycles(lengths)
+        p = len(rows)
+        bound = (p - 1) ** 2 + 1
+        assert bound < lcm == math.lcm(*lengths)
+        report = tg_stabilize(incidence(rows), TriStateColoring(tuple(c0)))
+        assert len(report.trace) == bound + 1
+        assert report.steps_to_constant is None and report.constant_value is None
+        assert report.repeats_step is None
+        # each cycle rotates its one +1 a vertex per step
+        starts = list(itertools.accumulate((0,) + lengths[:-1]))
+        for k, c in enumerate(report.trace):
+            want = [0] * p
+            for start, n in zip(starts, lengths):
+                want[start + k % n] = 1
+            assert c.values == tuple(want), k

@@ -195,8 +195,6 @@ def one_mean_spec(arity):
 
 
 COUNTED = {
-    "max_steps": lambda m, n: iv.tg_stabilize(
-        m.graph, iv.TriStateColoring((1, -1, 0, 0)), max_steps=n),
     "check_mean_property": lambda m, n: iv.check_mean_property(m.means[0], Random(0), n),
     "validate_mean": lambda m, n: iv.validate_mean(m.means[0], n_samples=n),
     "verify_invariance": lambda m, n: verify_invariance(m, n_samples=n),
@@ -213,7 +211,6 @@ COUNTED = {
 #: what the error names, where it is not n_samples; the spec loader's
 #: SpecError keeps the location of the mean
 COUNTED_NAMES = {
-    "max_steps": "max_steps",
     "Mean": "mean arity",
     "PowerMeanSpec": "power-mean arity",
     "Digraph": "n_vertices",
@@ -222,10 +219,10 @@ COUNTED_NAMES = {
 
 
 class TestCountValidation:
-    """A step cap, a number of samples, an arity or a number of vertices is
-    an int >= 1, never a bool: 2.5 used to be counted up to in whole steps
-    or samples, True to read as 1 and -3 as none (ValidationError, as for
-    max_iter), and every count error reads alike."""
+    """A number of samples, an arity or a number of vertices is an int >= 1,
+    never a bool: 2.5 used to be counted up to in whole samples, True to
+    read as 1 and -3 as none (ValidationError, as for max_iter), and every
+    count error reads alike."""
 
     @pytest.mark.parametrize("count", [2.5, True, False, -3, 0, "3"])
     @pytest.mark.parametrize("name", COUNTED)
@@ -364,7 +361,7 @@ class TestSubsequenceLimits:
 
     def test_every_three_vertex_incidence_graph(self):
         # arithmetic means, so M is the averaging matrix A: the run closes
-        # its classes exactly when there is no K, and each class value lies
+        # its classes exactly when K is not unique, and each class value lies
         # within its radius of the class's coordinates of A^n x
         x = np.array([1.0, 4.0, 9.0])
         for mask in incidence_graph_masks(3):

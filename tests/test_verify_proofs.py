@@ -11,6 +11,7 @@ proof states.
 """
 
 import json
+import statistics
 from pathlib import Path
 from random import Random
 
@@ -19,7 +20,8 @@ import pytest
 
 from invmean import (
     averaging, check_bracket_dichotomy, check_mean_property, check_oscillation_monotonicity,
-    fixture_path, load_mapping_spec, verify_invariance, verify_mean_properties,
+    fixture_path, invariant_mean_eval, load_mapping_spec, verify_invariance,
+    verify_mean_properties,
 )
 from invmean.cli import _report_entry, main
 from invmean.errors import PreconditionError
@@ -218,3 +220,33 @@ def test_one_coordinate_checks_are_vacuous(capsys, tmp_path):
     }
     # the proof of invariance holds at every p
     assert entries["invariance"]["detail"].startswith("proved: ")
+
+
+@pytest.mark.parametrize("name", ["example3", "example6", "two_rings10", "cycle8", "fed5"])
+def test_falsified_mapping_has_two_invariant_means(capsys, tmp_path, name):
+    # the arithmetic and the geometric mean of the cyclic-class limits are
+    # both M-invariant, and differ at the contractivity witness: the
+    # invariant mean exists but is not unique
+    raw = (json.loads((GOLDEN_SPECS / f"{name}.json").read_text()) if name in ("cycle8", "fed5")
+           else SPECS[name])
+    code, entries = run_verify(capsys, tmp_path, raw, "--samples", "4")
+    assert code == 2
+    for check in ("strict", "monotone", "homogeneous"):
+        assert entries[check] == {"name": check, "status": "skip", "detail": (
+            "proved: the invariant mean is not unique (class=falsified): every symmetric mean "
+            "of the cyclic-class limits is M-invariant, and the arithmetic and geometric means "
+            "differ at the contractivity witness")}
+    mapping = load_mapping_spec(json.dumps(raw).encode()).build()
+
+    def means_of_limits(x):
+        limits = [value for _, value, _ in invariant_mean_eval(mapping, x).classes]
+        return statistics.fmean(limits), statistics.geometric_mean(limits)
+
+    (witness,) = entries["contractivity"]["witnesses"]
+    arithmetic, geometric = means_of_limits(tuple(witness["point"]))
+    assert arithmetic - geometric > 0.01
+    rng = Random(len(name))
+    for _ in range(5):
+        x = tuple(rng.uniform(0.5, 8.0) for _ in range(mapping.p))
+        assert means_of_limits(mapping.nth_iterate(x, 1)) == pytest.approx(
+            means_of_limits(x), rel=1e-9)
