@@ -114,8 +114,6 @@ class IndexVector:
                         raise ValidationError(
                             f"alpha row {i}, position {j}: index {a} outside 1..{p}"
                         )
-            # every index is an int, as the incidence graph's edges must be
-            rows = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -201,17 +199,18 @@ class ComposedMapping:
 
         Each step is one tuple of f(*g(xs)) over `_rows`, and the steps
         taken are counted on the instance.  When every row is a library
-        power row, the call that takes the count past `_COMPILE_AFTER`
-        compiles the straight-line kernel of `_compile_steps`, runs on it
-        and stores it as the instance's `_steps`: later lookups get it
-        directly, and a caller that still holds this method reuses it.
-        Both run the lines of `means._power_row`, so their floats agree
-        bit for bit.  A mapping with any other mean stays on the row
-        functions, which run its checked coordinate in index order."""
+        power row (`_power_rows`), the call that takes the count past
+        `_COMPILE_AFTER` compiles the straight-line kernel of
+        `_compile_steps`, runs on it and stores it as the instance's
+        `_steps`: later lookups get it directly, and a caller that still
+        holds this method reuses it.  Both run the lines of
+        `means._power_row`, so their floats agree bit for bit.  A mapping
+        with any other mean stays on the row functions, which run its
+        checked coordinate in index order."""
         state = vars(self)
         taken = state.get("_taken", 0)
         state["_taken"] = taken + k
-        if taken + k > _COMPILE_AFTER and self._iteration[3]:
+        if taken + k > _COMPILE_AFTER and self._power_rows:
             if taken <= _COMPILE_AFTER:
                 state["_steps"] = _compile_steps(self)
             return state["_steps"](xs, k)
@@ -221,20 +220,27 @@ class ComposedMapping:
         return xs
 
     @cached_property
-    def _iteration(self) -> tuple[tuple[list[int], ...], Callable, int, bool]:
-        """What `invariant.invariant_mean_eval` reads of the mapping alone,
-        derived on its first call: (classes, spread, window, nested).
+    def _power_rows(self) -> bool:
+        """Whether every row is a library power row, decided from the means
+        as `_rows` decides each row, without the incidence graph.  Such a
+        mapping compiles its kernel (`_steps`), and its brackets are nested
+        (`invariant.invariant_mean_eval`): each such row lands in [min, max]
+        of its arguments in floating point, so min(M(x)) >= min(x) and
+        max(M(x)) <= max(x) hold exactly.  A mean the library did not build
+        promises nothing of the kind."""
+        return all(_power_order(mean) is not None for mean in self.means)
+
+    @cached_property
+    def _iteration(self) -> tuple[tuple[list[int], ...], Callable, int]:
+        """What `invariant.invariant_mean_eval` reads of the mapping's graph,
+        derived on its first call: (classes, spread, window).
         classes is () when the incidence graph has exactly one initial class
         and it is aperiodic (K exists), else the 0-based vertices of each
         cyclic class of each initial class, as the graph's classification
         records them.  spread(y) is the oscillation the iteration drives
         below its threshold: max(y) - min(y), or the largest one over the
         classes.  window is the stall window, max(200, 2*((p-1)^2 + 1))
-        steps.  nested says whether every row is a library power row: each
-        such row lands in [min, max] of its arguments in floating point, so
-        min(M(x)) >= min(x) and max(M(x)) <= max(x) hold exactly and the
-        brackets of the iterates are nested.  A mean the library did not
-        build promises nothing of the kind."""
+        steps."""
         cls = is_ergodic(self.graph)
         classes = () if cls.one_aperiodic_initial_class else tuple(
             [v for v in range(self.p) if mask >> v & 1]
@@ -252,8 +258,7 @@ class ComposedMapping:
                 return max(y) - min(y)
             return max([max(t) - min(t) for t in [g(y) for g in getters]], default=0.0)
 
-        nested = all(_power_order(mean) is not None for mean in self.means)
-        return classes, spread, max(200, 2 * ((self.p - 1) ** 2 + 1)), nested
+        return classes, spread, max(200, 2 * ((self.p - 1) ** 2 + 1))
 
     def _checked_coordinate(self, i: int, mean: Mean) -> Callable:
         # a mean the library did not build is trusted for nothing: its value

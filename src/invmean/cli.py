@@ -180,9 +180,10 @@ def cmd_iterate(args, mapping: ComposedMapping) -> int:
         points = mapping.iterate(x, args.steps)
         shown = range(len(points))
     else:
-        # only the first and last point are printed, so none between is kept
-        points = (x, mapping.nth_iterate(x, args.steps))
-        shown = (0, args.steps)
+        # only the first and last point are printed, so none between is
+        # kept, and with no step the start is printed once, as --trace does
+        shown = sorted({0, args.steps})
+        points = (x, mapping.nth_iterate(x, args.steps))[-len(shown):]
     oscillations = [oscillation(pt) for pt in points]
     if args.json:
         return _emit_json(

@@ -62,8 +62,17 @@ mapping on a graph that is not ergodic still contracts (see
 `averaging.falsify_contractivity`), and when it does not, they are the
 brackets its iteration closes (see `invariant.invariant_mean_eval`).
 
-Internally adjacency is held as per-vertex bitmasks (bit w-1 of
-out_masks[v-1] set iff edge (v, w)), without any array dependency.
+A `Digraph` is its adjacency, held as per-vertex bitmasks (bit w-1 of
+out_masks[v-1] set iff edge (v, w)), without any array dependency: its
+fields are n_vertices and out_masks, and the in-masks, the edge set and
+the classification are derived from them on first use and cached.
+`Digraph.from_edges` is the one place where edge pairs are checked.
+`build_incidence_graph` makes both mask tuples in one pass over alpha
+and no edge pair, and `sorted_edges` reads the edges off out_masks in
+order, with no sort.  `tg_stabilize` steps the pair of sign sets, the +1
+set and the -1 set as bitmasks, by f, and makes the colorings of its
+trace once, at the end.
+
 Classification costs what the graph is: one iterative Tarjan DFS finds
 the SCCs and, from the depths of its tree (Denardo 1977), their periods
 and cyclic classes, and from the in-masks the initial classes; it visits
@@ -82,8 +91,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter, or_
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import itemgetter, or_, sub
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InternalConsistencyError, PreconditionError, ShapeError, ValidationError, check_count,
@@ -107,61 +116,71 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Digraph:
-    """A digraph on vertices 1..n_vertices with a set of ordered edges.
+    """A digraph on vertices 1..n_vertices, held as its adjacency bitmasks:
+    bit w-1 of out_masks[v-1] is set iff (v, w) is an edge.  Loops are
+    allowed.  `from_edges` makes one from a collection of edges.
 
-    Loops (v, v) are allowed; duplicate edges collapse into the set.
+    The in-masks (bit v-1 of in_masks[w-1] set iff (v, w) is an edge), the
+    edge set and the classification are derived on first use and cached.
     """
 
     n_vertices: int
-    edges: frozenset
+    out_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.n_vertices
         check_count(n, "n_vertices")
+        masks = self.out_masks
+        # all in C: a tuple of n ints, no bools among them, each in [0, 2^n)
+        if not (type(masks) is tuple and len(masks) == n and set(map(type, masks)) == {int}
+                and min(masks) >= 0 and max(masks) >> n == 0):
+            raise ValidationError(f"out_masks must be {n} ints in [0, 2^{n}), got {masks!r}")
+
+    @classmethod
+    def from_edges(cls, n_vertices: int, edges) -> Digraph:
+        """The digraph on 1..n_vertices with these edges, pairs (v, w) of
+        ints in 1..n_vertices; duplicate edges collapse.  The one place
+        where edge pairs are checked."""
+        check_count(n_vertices, "n_vertices")
         try:
-            edges = frozenset((a, b) for a, b in self.edges)
+            pairs = frozenset((a, b) for a, b in edges)
         except (TypeError, ValueError):  # not iterable, or an edge not a pair
-            raise ValidationError(f"edges must be pairs of vertices, got {self.edges!r}") from None
-        for a, b in edges:
+            raise ValidationError(f"edges must be pairs of vertices, got {edges!r}") from None
+        masks = [0] * n_vertices
+        for a, b in pairs:
             if type(a) is not int or type(b) is not int:  # also rejects bool
                 raise ValidationError(f"edge ({a!r}, {b!r}) has a non-integer vertex")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValidationError(f"edge ({a}, {b}) outside vertex range 1..{n}")
-        object.__setattr__(self, "edges", edges)
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n_vertices
-        for a, b in self.edges:
+            if not (1 <= a <= n_vertices and 1 <= b <= n_vertices):
+                raise ValidationError(f"edge ({a}, {b}) outside vertex range 1..{n_vertices}")
             masks[a - 1] |= 1 << (b - 1)
-        return tuple(masks)
+        return cls(n_vertices, tuple(masks))
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n_vertices
-        for a, b in self.edges:
-            masks[b - 1] |= 1 << (a - 1)
-        return tuple(masks)
+        # the out-masks of the reversed graph
+        return self.from_edges(self.n_vertices, [(w, v) for v, w in self.sorted_edges()]).out_masks
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     @cached_property
     def _classification(self) -> GraphClassification:
         n = self.n_vertices
         irreducible, per, initial = _classify_masks(self.out_masks, self.in_masks, n)
-        ergodic = irreducible and per == 1
-        q0 = _uniform_walk_length_masks(self.out_masks, n) if ergodic else None
+        q0 = _uniform_walk_length_masks(self.out_masks, n) if irreducible and per == 1 else None
         return GraphClassification(irreducible, per, q0, initial)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    @classmethod
-    def _unchecked(cls, n: int, edges: frozenset, out_masks: tuple, in_masks: tuple) -> Digraph:
-        """The digraph on n vertices with these edges and adjacency masks,
-        made without `__post_init__`: for edges already known to be pairs
-        of ints in 1..n, and the masks they give."""
-        g = object.__new__(cls)
-        g.__dict__.update(n_vertices=n, edges=edges, out_masks=out_masks, in_masks=in_masks)
-        return g
+        """The edges in order, read off `out_masks` vertex by vertex and,
+        within a vertex, bit by bit from the lowest: no sort is needed."""
+        edges = []
+        for v, m in enumerate(self.out_masks, start=1):
+            while m:  # `_bits`, inline: its generator is slower on every `analyze`
+                bit = m & -m
+                m ^= bit
+                edges.append((v, bit.bit_length()))
+        return edges
 
 
 @dataclass(frozen=True)
@@ -182,14 +201,6 @@ class TriStateColoring:
         if not vals:
             raise ValidationError("coloring must cover at least one vertex")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
-
-    @property
-    def constant_value(self) -> int | None:
-        return self.values[0] if self.is_constant else None
 
 
 class InitialClass(NamedTuple):
@@ -256,27 +267,36 @@ class TgReport:
 # construction
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
 def build_incidence_graph(alpha: IndexVector) -> Digraph:
     """Incidence graph of an index vector: an edge from alpha[i][j] to i+1
     for every row i and position j ("argument k feeds coordinate i").
 
     Duplicate edges collapse.  The IndexVector has already checked that
-    every index is an int in 1..p, so the edges are not checked again: one
-    pass over the rows gives the edges and both adjacency masks.
+    every index is an int in 1..p, so one pass over the rows gives both
+    adjacency masks, and no edge pair is made: the in-mask of vertex i+1
+    is its row's bits, and the graph caches it.
     """
     rows = alpha.rows
     out_masks = [0] * len(rows)
     in_masks = []
-    edges = set()
     for i, row in enumerate(rows):
         bit = 1 << i
         mask = 0
         for a in row:
             out_masks[a - 1] |= bit
             mask |= 1 << (a - 1)
-            edges.add((a, i + 1))
         in_masks.append(mask)
-    return Digraph._unchecked(len(rows), frozenset(edges), tuple(out_masks), tuple(in_masks))
+    g = Digraph(len(rows), tuple(out_masks))
+    vars(g)["in_masks"] = tuple(in_masks)  # the cached property, made in the same pass
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +458,8 @@ def _uniform_walk_length_masks(out_masks: Sequence[int], n: int) -> int:
         in_blocks = len(order)
         order += [v for v in range(n) if degrees[v] not in blocked]
         at = sorted(range(n), key=order.__getitem__)  # at[v]: where row v is held
-        successors = []  # per row held, where its successors are held
-        for v in order:
-            m = out_masks[v]
-            ws = []
-            while m:
-                bit = m & -m
-                m ^= bit
-                ws.append(at[bit.bit_length() - 1])
-            successors.append(ws)
+        # per row held, where its successors are held
+        successors = [[at[w] for w in _bits(out_masks[v])] for v in order]
         blocks = []  # per block, the getter of each slot
         for d, group in groupby(successors[:in_blocks], key=len):
             group = list(group)
@@ -486,28 +499,47 @@ def is_ergodic(g: Digraph) -> GraphClassification:
 # tri-state dynamics
 
 
-def _check_covers(g: Digraph, c: TriStateColoring) -> None:
+def _sign_masks(g: Digraph, c: TriStateColoring) -> tuple[int, int]:
+    """The +1 set and the -1 set of c as bitmasks, once c is checked to
+    cover the vertices of g (ShapeError)."""
     if len(c.values) != g.n_vertices:
         raise ShapeError(f"coloring covers {len(c.values)} vertices, graph has {g.n_vertices}")
+    return tuple(sum(1 << i for i, v in enumerate(c.values) if v == s) for s in (1, -1))
+
+
+def _check_in_neighbours(g: Digraph) -> None:
+    # on a vertex with no in-neighbour the rule is vacuous for both signs at
+    # once, so it is rejected rather than silently resolved
+    if not all(g.in_masks):
+        raise PreconditionError(f"vertex {g.in_masks.index(0) + 1} has no in-neighbors")
+
+
+def _step(g: Digraph, state: tuple[int, int]) -> tuple[int, int]:
+    """One tri-state step of the pair of sign sets: each set S goes to
+    f(S) = {v : in(v) subset S}, and the empty set to itself, since every
+    vertex has an in-neighbour."""
+    return tuple(s and sum([1 << v for v, m in enumerate(g.in_masks) if m & s == m])
+                 for s in state)
+
+
+def _coloring(state: tuple[int, int], n: int) -> TriStateColoring:
+    # each sign set as n ASCII digits, vertex n first: b"1" - b"0" is 1, and
+    # the sets are disjoint, so the byte differences are the colors
+    digits = f"0{n}b"
+    colors = map(sub, format(state[0], digits).encode(), format(state[1], digits).encode())
+    return TriStateColoring(tuple(colors)[::-1])
 
 
 def tg_step(g: Digraph, c: TriStateColoring) -> TriStateColoring:
     """One step of the tri-state operator: a vertex becomes +1 when all of
     its in-neighbors are +1, -1 when all are -1, and 0 otherwise.
 
-    Every vertex must have at least one in-neighbor: on a vertex with none
-    the rule is vacuous for both signs at once, so it is rejected rather
-    than silently resolved.
+    Every vertex must have at least one in-neighbor (PreconditionError),
+    and c must cover the vertices of g (ShapeError).
     """
-    _check_covers(g, c)
-    in_masks = g.in_masks
-    if not all(in_masks):
-        raise PreconditionError(f"vertex {in_masks.index(0) + 1} has no in-neighbors")
-    plus = sum(1 << i for i, v in enumerate(c.values) if v == 1)
-    minus = sum(1 << i for i, v in enumerate(c.values) if v == -1)
-    return TriStateColoring(tuple(
-        1 if m & plus == m else -1 if m & minus == m else 0 for m in in_masks
-    ))
+    state = _sign_masks(g, c)
+    _check_in_neighbours(g)
+    return _coloring(_step(g, state), g.n_vertices)
 
 
 def tg_stabilize(g: Digraph, c0: TriStateColoring) -> TgReport:
@@ -524,22 +556,26 @@ def tg_stabilize(g: Digraph, c0: TriStateColoring) -> TgReport:
     by then (see the module docstring).  The trace thus holds at most
     (n-1)^2 + 2 colorings.  On an ergodic graph the coloring is constant
     within q0 steps, the graph's uniform walk length, and some coloring
-    needs exactly q0.  A c0 that does not cover the vertices of g is a
-    ShapeError, constant or not.
+    needs exactly q0.
+
+    The checks of `tg_step` run once: a c0 that does not cover the
+    vertices of g is a ShapeError, constant or not, and a nonconstant c0
+    on a graph with a vertex without in-neighbours a PreconditionError.
+    The run then steps the pair of sign masks, reads constancy off them
+    (the +1 set full, the -1 set full, or both empty), keys repeats by the
+    pair, and makes the trace's colorings at the end.
     """
-    _check_covers(g, c0)  # before a constant c0 ends the run with no step
-    bound = (g.n_vertices - 1) ** 2 + 1
-    c = c0
-    trace = [c]
-    seen = {c.values: 0}
-    k = 0
-    while not c.is_constant:
-        if k == bound:
-            return TgReport(None, None, tuple(trace))
-        c = tg_step(g, c)
-        k += 1
-        trace.append(c)
-        if c.values in seen:
-            return TgReport(None, None, tuple(trace), repeats_step=seen[c.values])
-        seen[c.values] = k
-    return TgReport(k, c.constant_value, tuple(trace))
+    state = _sign_masks(g, c0)  # checked before a constant c0 ends the run with no step
+    n = g.n_vertices
+    full = (1 << n) - 1
+    constant = {(full, 0): 1, (0, full): -1, (0, 0): 0}  # the value of each constant state
+    bound = (n - 1) ** 2 + 1
+    seen = {}  # the step of each nonconstant state so far, in step order
+    while state not in constant and state not in seen and len(seen) < bound:
+        if not seen:
+            _check_in_neighbours(g)
+        seen[state] = len(seen)
+        state = _step(g, state)
+    value = constant.get(state)
+    trace = (c0, *[_coloring(s, n) for s in [*seen, state][1:]])
+    return TgReport(None if value is None else len(seen), value, trace, seen.get(state))

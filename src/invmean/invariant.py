@@ -221,7 +221,7 @@ def invariant_mean_eval(
     check_count(max_iter, "max_iter")
     xs = m._validate_point(x)
     threshold = 2.0 * _effective_tol(tol, xs)
-    classes, spread, window, nested = m._iteration
+    classes, spread, window = m._iteration
     y = xs
     osc = spread(y)
     n = 0
@@ -230,10 +230,11 @@ def invariant_mean_eval(
     stalled = False
     # a block of steps ends at the next stall test and at max_iter at the
     # latest, and never past a block that crossed the threshold; its length
-    # k stays 1 unless the brackets are nested
+    # k stays 1 unless the brackets are nested, as they are when every row
+    # is a library power row
     stop = min(window, max_iter)
     k = 1
-    if nested and osc >= threshold:
+    if m._power_rows and osc >= threshold:
         log_threshold = math.log(threshold)
         log_osc = math.log(osc)
     while osc >= threshold and n < max_iter:
@@ -260,7 +261,7 @@ def invariant_mean_eval(
             anchor_osc = osc
             anchor_n = n
             stop = min(n + window, max_iter)
-        if nested and osc >= threshold:
+        if m._power_rows and osc >= threshold:
             # the next block is twice the last, or half the steps left that
             # the last block's shrink of log(osc) per step forecasts, when
             # that is fewer: a block that overshoots is taken again, and

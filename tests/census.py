@@ -26,7 +26,7 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
         for w in range(1, n + 1)
         if mask >> ((v - 1) * n + (w - 1)) & 1
     }
-    return Digraph(n, frozenset(edges))
+    return Digraph.from_edges(n, frozenset(edges))
 
 
 @dataclass(frozen=True)

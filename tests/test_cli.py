@@ -295,10 +295,14 @@ class TestIterate:
         lines = full_text.splitlines()
         assert ends_text.splitlines() == [lines[0], lines[-1]]
 
-    def test_zero_steps_prints_the_start_twice(self, capsys):
-        code, data, _ = run_json(capsys, "iterate", EX2, "1,2,3,4", "-n", "0", "--json")
+    @pytest.mark.parametrize("trace", [[], ["--trace"]])
+    def test_zero_steps_print_the_start_once(self, capsys, trace):
+        # without --trace the first and the last point are one point here
+        code, data, _ = run_json(capsys, "iterate", EX2, "1,2,3,4", "-n", "0", *trace, "--json")
         assert code == 0
-        assert data["trace"] == [[1.0, 2.0, 3.0, 4.0]] * 2
+        assert data == {"steps": 0, "trace": [[1.0, 2.0, 3.0, 4.0]], "oscillations": [3.0]}
+        code, text, _ = run(capsys, "iterate", EX2, "1,2,3,4", "-n", "0", *trace)
+        assert (code, text) == (0, "n=0  x = (1, 2, 3, 4)  oscillation = 3\n")
 
     @pytest.mark.parametrize("order, x", [
         (-0.5, "1.7976931348623157e308,1.797693134862315e308"),  # an unpivoted root overflows
@@ -519,7 +523,7 @@ class TestCommandParser:
     def test_golden_argvs_parse_as_the_full_parse_does(self, monkeypatch):
         monkeypatch.chdir(golden.ROOT)
         runs = golden.runs()
-        assert len(runs) == 100
+        assert len(runs) == 110
         parser = build_parser()
         full = {name: parser.parse_args(argv) for name, argv in runs}
         monkeypatch.setattr(parser, "parse_args", None)  # no golden argv needs the full parse

@@ -4,6 +4,10 @@ program: `incidence_edges` and `graph_shape` (numpy Boolean powers) for
 the edges, the classification and the initial classes, `tg_orbit` (its
 own tri-state simulation) for `tg`, and `expected_verify` for the status
 of each `verify` check, whose witnesses an mpmath iteration re-checks.
+`iterate --json`, with and without `--trace`, is held bit for bit to a
+loop of one `power_mean_eval` call per row and step, for step counts on
+both sides of `averaging._COMPILE_AFTER`: the row functions, the
+compiled kernel and the hand-over from one to the other inside a run.
 
 Hypothesis draws specs with p <= 9, rows of arity 1 to 3 and orders from
 a fixed set, from families that reach every branch of the graph code:
@@ -29,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invmean import averaging
+from invmean import PowerMeanSpec, averaging, power_mean_eval
 from invmean.cli import main
 
 CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
@@ -40,6 +44,9 @@ _spec.loader.exec_module(checks)
 ORDERS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
 KINDS = {-1.0: "harmonic", 0.0: "geometric", 1.0: "arithmetic", 2.0: "quadratic"}
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+#: step counts of `iterate`: a few, and from just below the compile to past it
+STEPS = st.one_of(st.integers(0, 3), st.integers(averaging._COMPILE_AFTER - 1,
+                                                 averaging._COMPILE_AFTER + 30))
 
 
 @st.composite
@@ -208,6 +215,45 @@ def check_verify(path: Path, spec: dict) -> None:
             else:
                 assert c["name"] == "strict"
                 assert checks._recheck_strict_witness(spec, w["point"]) is None, w
+
+
+def check_iterate(path: Path, spec: dict, x: list[float], n: int, trace: bool) -> None:
+    """iterate --json against a loop of one `power_mean_eval` call per row
+    and step, bit for bit: every point with --trace, else the first and
+    the last, which are one point when n is 0."""
+    flags = ["--trace"] if trace else []
+    code, text = run_cli(path, spec, "iterate", "-n", str(n), *flags, ",".join(map(repr, x)))
+    assert code == 0
+    orders = {kind: order for order, kind in KINDS.items()}
+    rows = [(PowerMeanSpec(m["order"] if "order" in m else orders[m["kind"]], m["arity"]),
+             [a - 1 for a in row]) for m, row in zip(spec["means"], spec["alpha"])]
+    points = [tuple(x)]
+    for _ in range(n):
+        y = points[-1]
+        points.append(tuple(power_mean_eval(mean, [y[a] for a in row]) for mean, row in rows))
+    shown = points if trace else [points[k] for k in sorted({0, n})]
+    want = {"steps": n, "trace": [list(pt) for pt in shown],
+            "oscillations": [max(pt) - min(pt) for pt in shown]}
+    assert json.loads(text) == want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_iterate_agrees_with_a_per_step_loop(spec_path, family):
+    kernels = set()  # (compiled, traced) of each run
+
+    @settings(SETTINGS, max_examples=50)
+    @given(spec=specs(FAMILIES[family]), data=st.data())
+    def run(spec, data):
+        x = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=spec["p"], max_size=spec["p"]),
+                      label="x")
+        n, trace = data.draw(STEPS, label="n"), data.draw(st.booleans(), label="trace")
+        check_iterate(spec_path, spec, x, n, trace)
+        kernels.add((n > averaging._COMPILE_AFTER, trace))
+
+    run()
+    # the row functions alone, the compiled kernel alone (one call of n
+    # steps) and the hand-over inside a traced run
+    assert kernels == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("family", FAMILIES)

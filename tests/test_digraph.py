@@ -211,7 +211,7 @@ def wielandt_graph(n: int) -> Digraph:
     """The n-cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2: the
     graph whose uniform walk length meets Wielandt's bound (n-1)^2 + 1."""
     edges = {(v, v % n + 1) for v in range(1, n + 1)} | {(n, 2)}
-    return Digraph(n, frozenset(edges))
+    return Digraph.from_edges(n, frozenset(edges))
 
 
 def ring_with_loops(p: int) -> Digraph:
@@ -222,7 +222,8 @@ def ring_with_loops(p: int) -> Digraph:
 def circulant(n: int, offsets) -> Digraph:
     """The circulant digraph on 1..n: an edge (v, v + c mod n) for every
     vertex v and offset c."""
-    return Digraph(n, frozenset((v, (v - 1 + c) % n + 1) for v in range(1, n + 1) for c in offsets))
+    return Digraph.from_edges(
+        n, frozenset((v, (v - 1 + c) % n + 1) for v in range(1, n + 1) for c in offsets))
 
 
 @st.composite
@@ -244,7 +245,7 @@ def drawn_graphs(draw, max_n: int = 40) -> Digraph:
             edges |= {(v, w) for w in range(1, n + 1) if row >> (w - 1) & 1}
     vertex = st.integers(1, n)
     edges |= set(draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)))
-    return Digraph(n, frozenset(edges))
+    return Digraph.from_edges(n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,8 @@ class TestBuildIncidenceGraph:
     def test_accepts_index_vector(self):
         g = build_incidence_graph(IndexVector(ALPHA2))
         assert g.n_vertices == 4
-        assert g == Digraph(4, frozenset((a, i) for i, row in enumerate(ALPHA2, 1) for a in row))
+        edges = frozenset((a, i) for i, row in enumerate(ALPHA2, 1) for a in row)
+        assert g == Digraph.from_edges(4, edges)
 
     def test_duplicates_collapse(self):
         g = incidence(((1, 1, 1),))
@@ -286,24 +288,26 @@ class TestBuildIncidenceGraph:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_checked_digraph(self, data):
-        # the graph skips Digraph's checks of what IndexVector has checked,
-        # and builds its masks alongside its edges
+        # the graph makes both masks in one pass over the checked rows, and
+        # no edge pair: it equals the graph of its edges, checked pair by pair
         p = data.draw(st.integers(1, 12))
         rows = data.draw(st.lists(
             st.lists(st.integers(1, p), min_size=1, max_size=4), min_size=p, max_size=p,
         ))
         g = build_incidence_graph(IndexVector(rows))
-        checked = Digraph(p, frozenset((a, i) for i, row in enumerate(rows, 1) for a in row))
+        checked = Digraph.from_edges(p, [(a, i) for i, row in enumerate(rows, 1) for a in row])
         assert g == checked and hash(g) == hash(checked)
         assert (g.out_masks, g.in_masks) == (checked.out_masks, checked.in_masks)
         assert is_ergodic(g) == is_ergodic(checked)
+        assert g.sorted_edges() == sorted(checked.edges)
+        assert "edges" not in vars(g)  # no edge set on the incidence-graph path
 
     def test_index_of_an_int_subclass_is_an_int_edge(self):
         class Index(int):
             pass
 
         g = build_incidence_graph(IndexVector(((Index(2),), (1,))))
-        assert g == Digraph(2, frozenset({(2, 1), (1, 2)}))
+        assert g == Digraph.from_edges(2, frozenset({(2, 1), (1, 2)}))
         assert {type(v) for edge in g.edges for v in edge} == {int}
 
 
@@ -314,33 +318,75 @@ class TestInNeighbors:
         assert {a for a, b in g.edges if b == 4} == frozenset({4, 1})
 
     def test_empty_graph(self):
-        g = Digraph(3, frozenset())
+        g = Digraph.from_edges(3, frozenset())
         assert {a for a, b in g.edges if b == 2} == frozenset()
 
     def test_loop_only(self):
-        g = Digraph(2, frozenset({(1, 1), (2, 2)}))
+        g = Digraph.from_edges(2, frozenset({(1, 1), (2, 2)}))
         assert {a for a, b in g.edges if b == 1} == frozenset({1})
 
     def test_non_integer_vertices_rejected(self):
         with pytest.raises(iv.ValidationError, match="non-integer"):
-            Digraph(2, frozenset({(1.7, 2)}))
+            Digraph.from_edges(2, frozenset({(1.7, 2)}))
         with pytest.raises(iv.ValidationError, match="non-integer"):
-            Digraph(2, frozenset({(True, 2)}))
+            Digraph.from_edges(2, frozenset({(True, 2)}))
 
     def test_vertex_outside_the_range_rejected(self):
         with pytest.raises(iv.ValidationError, match=r"^edge \(1, 3\) outside vertex range 1\.\.2$"):
-            Digraph(2, {(1, 3)})
+            Digraph.from_edges(2, {(1, 3)})
 
     @pytest.mark.parametrize("edges", [{(1, 2, 3)}, [1], 5, [([1], 2)]])
     def test_edges_that_are_not_pairs_rejected(self, edges):
         with pytest.raises(iv.ValidationError, match="edges must be pairs of vertices"):
-            Digraph(2, edges)
+            Digraph.from_edges(2, edges)
 
     @pytest.mark.parametrize("n", [True, 2.0, 0])
     def test_vertex_count_must_be_a_positive_int(self, n):
         # a bool is rejected here as it is as an edge vertex
         with pytest.raises(iv.ValidationError, match="^n_vertices must be an integer >= 1, got "):
-            Digraph(n, frozenset())
+            Digraph.from_edges(n, frozenset())
+        with pytest.raises(iv.ValidationError, match="^n_vertices must be an integer >= 1, got "):
+            Digraph(n, (0, 0))
+
+
+class TestMasks:
+    """A `Digraph` is its out-masks; the in-masks, the edge set and the
+    sorted edges are read off them."""
+
+    def test_the_fields_are_the_masks(self):
+        g = Digraph(3, (0b011, 0b100, 0b001))
+        assert g.sorted_edges() == [(1, 1), (1, 2), (2, 3), (3, 1)]
+        assert g.edges == frozenset(g.sorted_edges())
+        assert g.in_masks == (0b101, 0b001, 0b010)
+        assert g == Digraph.from_edges(3, g.edges) == incidence(((1, 3), (1,), (2,)))
+
+    @pytest.mark.parametrize("masks", [
+        [0, 0], (0,), (0, 0, 0), (0, 4), (-1, 0), (0, True), (0, 1.0), "ab",
+    ])
+    def test_masks_are_n_ints_below_two_to_the_n(self, masks):
+        message = r"^out_masks must be 2 ints in \[0, 2\^2\), got "
+        with pytest.raises(iv.ValidationError, match=message):
+            Digraph(2, masks)
+
+    @staticmethod
+    def assert_read_off(n, mask):
+        """The graph of census mask: its edges in order, as a sort of the
+        checked edge list gives them, and its in-masks their transpose."""
+        edges = [(v, w) for v in range(1, n + 1) for w in range(1, n + 1)
+                 if mask >> ((v - 1) * n + (w - 1)) & 1]
+        g = Digraph.from_edges(n, edges[::-1])
+        assert g.sorted_edges() == sorted(Digraph.from_edges(n, edges).edges) == edges, mask
+        assert g.in_masks == tuple(sum(1 << (v - 1) for v, x in edges if x == w)
+                                   for w in range(1, n + 1)), mask
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_graph(self, n):
+        for mask in range(1 << (n * n)):
+            self.assert_read_off(n, mask)
+
+    def test_ergodic_four_vertex_graphs(self, census4):
+        for mask in census4.ergodic_masks:
+            self.assert_read_off(4, mask)
 
 
 class TestIrreducible:
@@ -354,8 +400,8 @@ class TestIrreducible:
         assert not is_ergodic(graph5()).irreducible
 
     def test_single_vertex_needs_loop(self):
-        assert not is_ergodic(Digraph(1, frozenset())).irreducible
-        assert is_ergodic(Digraph(1, frozenset({(1, 1)}))).irreducible
+        assert not is_ergodic(Digraph.from_edges(1, frozenset())).irreducible
+        assert is_ergodic(Digraph.from_edges(1, frozenset({(1, 1)}))).irreducible
 
 
 class TestPeriod:
@@ -366,11 +412,11 @@ class TestPeriod:
         assert is_ergodic(graph6()).period == 2
 
     def test_directed_triangle_gives_three(self):
-        g = Digraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+        g = Digraph.from_edges(3, frozenset({(1, 2), (2, 3), (3, 1)}))
         assert is_ergodic(g).period == 3
 
     def test_acyclic_graph_has_none(self):
-        g = Digraph(3, frozenset({(1, 2), (2, 3)}))
+        g = Digraph.from_edges(3, frozenset({(1, 2), (2, 3)}))
         cls = is_ergodic(g)
         assert cls.period is None
         assert not cls.aperiodic and not cls.ergodic
@@ -391,14 +437,14 @@ class TestErgodic:
 
     def test_complete_with_loops(self):
         edges = {(v, w) for v in range(1, 4) for w in range(1, 4)}
-        cls = is_ergodic(Digraph(3, frozenset(edges)))
+        cls = is_ergodic(Digraph.from_edges(3, frozenset(edges)))
         assert cls.ergodic
         assert cls.uniform_walk_length == 1
 
 
 class TestUniformWalkLength:
     def test_single_loop(self):
-        assert is_ergodic(Digraph(1, frozenset({(1, 1)}))).uniform_walk_length == 1
+        assert is_ergodic(Digraph.from_edges(1, frozenset({(1, 1)}))).uniform_walk_length == 1
 
     def test_cyclic_example_matches_oracle(self):
         g = graph2()
@@ -407,7 +453,7 @@ class TestUniformWalkLength:
         assert q0 == 3  # the longest shortest path; loops pad everything longer
 
     def test_triangle_plus_loop_matches_oracle(self):
-        g = Digraph(3, frozenset({(1, 2), (2, 3), (3, 1), (1, 1)}))
+        g = Digraph.from_edges(3, frozenset({(1, 2), (2, 3), (3, 1), (1, 1)}))
         q0 = is_ergodic(g).uniform_walk_length
         assert q0 == oracle_uniform_walk_length(g)
         assert q0 == 4
@@ -443,7 +489,7 @@ class TestUniformWalkLength:
                 edges |= {(v, w) for w in rng.sample(range(1, n + 1), extra)}
             if n == 1 or rng.random() < 0.3:
                 edges.add((1, 1))  # a loop makes the graph aperiodic
-            g = Digraph(n, frozenset(edges))
+            g = Digraph.from_edges(n, frozenset(edges))
             degrees = [bin(m).count("1") for m in g.out_masks]
             q0 = numpy_reference(g)[2]
             assert is_ergodic(g).uniform_walk_length == q0, sorted(edges)
@@ -505,7 +551,7 @@ class TestCirculantWalkLength:
         for _ in range(4):
             chord = rng.choice(sorted({(v, w) for v in range(1, p + 1)
                                        for w in range(1, p + 1)} - ring.edges))
-            g = Digraph(p, ring.edges | {chord})
+            g = Digraph.from_edges(p, ring.edges | {chord})
             assert not _is_circulant(g.out_masks, p), chord
             q0 = numpy_reference(g)[2]
             assert q0 is not None
@@ -517,7 +563,7 @@ class TestCirculantWalkLength:
         for _ in range(4):
             full = circulant(n, [0, 1, *rng.sample(range(2, n), 2)])
             edge = rng.choice(sorted(full.edges))
-            g = Digraph(n, full.edges - {edge})
+            g = Digraph.from_edges(n, full.edges - {edge})
             assert not _is_circulant(g.out_masks, n), edge
             assert is_ergodic(g).uniform_walk_length == numpy_reference(g)[2], edge
 
@@ -538,7 +584,7 @@ class TestSeparatedWalkSources:
         # the p-cycle: one class of period p, and each vertex is a cyclic
         # class, C_k = {k + 1}
         for p in (2, 5, 64, 128):
-            cycle = Digraph(p, frozenset((v, v % p + 1) for v in range(1, p + 1)))
+            cycle = Digraph.from_edges(p, frozenset((v, v % p + 1) for v in range(1, p + 1)))
             singletons = tuple((v,) for v in range(1, p + 1))
             assert initial_sets(cycle) == [(tuple(range(1, p + 1)), p, singletons)], p
 
@@ -549,7 +595,7 @@ class TestSeparatedWalkSources:
         edges |= {(v, v % 32 + 1) for v in range(1, 33)}
         edges |= {(v, (v - 32) % 32 + 33) for v in range(33, 65)}
         rings = [tuple(range(1, 33)), tuple(range(33, 65))]
-        assert initial_sets(Digraph(64, frozenset(edges))) == [(r, 1, (r,)) for r in rings]
+        assert initial_sets(Digraph.from_edges(64, edges)) == [(r, 1, (r,)) for r in rings]
         ring = tuple(range(1, 65))
         assert initial_sets(ring_with_loops(64)) == [(ring, 1, (ring,))]
 
@@ -557,7 +603,7 @@ class TestSeparatedWalkSources:
         # example5 reads rows (1,2), (1,2), (2,4), (3,4): {1, 2} is the only
         # initial class, and a vertex with no in-edge is an acyclic one
         assert initial_sets(graph5()) == [((1, 2), 1, ((1, 2),))]
-        g = Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)}))
+        g = Digraph.from_edges(3, frozenset({(1, 2), (2, 2), (3, 2)}))
         assert initial_sets(g) == [((1,), None, ((1,),)), ((3,), None, ((3,),))]
 
     @pytest.mark.parametrize("p", [3, 4])
@@ -590,13 +636,13 @@ class TestNumpyReference:
             True, 2, None, [((1, 2, 3, 4), 2, ((1, 2), (3, 4)))]
         )
         # the 3-cycle with the chord 1 -> 3 closes a 2-cycle: period 1
-        chord = Digraph(3, frozenset({(1, 2), (2, 3), (3, 1), (1, 3)}))
+        chord = Digraph.from_edges(3, frozenset({(1, 2), (2, 3), (3, 1), (1, 3)}))
         assert numpy_reference(chord)[3] == [((1, 2, 3), 1, ((1, 2, 3),))]
         # the 6-cycle with the chord 3 -> 1 closes a 3-cycle: period 3
-        six = Digraph(6, frozenset({(v, v % 6 + 1) for v in range(1, 7)} | {(3, 1)}))
+        six = Digraph.from_edges(6, frozenset({(v, v % 6 + 1) for v in range(1, 7)} | {(3, 1)}))
         assert numpy_reference(six)[3] == [(tuple(range(1, 7)), 3, ((1, 4), (2, 5), (3, 6)))]
         # two sources with no in-edge feeding a loop
-        assert numpy_reference(Digraph(3, frozenset({(1, 2), (2, 2), (3, 2)})))[3] == [
+        assert numpy_reference(Digraph.from_edges(3, frozenset({(1, 2), (2, 2), (3, 2)})))[3] == [
             ((1,), None, ((1,),)), ((3,), None, ((3,),))
         ]
 
@@ -611,7 +657,7 @@ class TestDeepGraphs:
     N = 3000
 
     def classify(self, edges):
-        g = Digraph(self.N, frozenset(edges))
+        g = Digraph.from_edges(self.N, frozenset(edges))
         return _classify_masks(g.out_masks, g.in_masks, self.N)
 
     def cycle(self):
@@ -656,7 +702,7 @@ class TestTgStep:
         assert out.values == (0, 0, 0, 0)
 
     def test_requires_in_neighbors_everywhere(self):
-        g = Digraph(2, frozenset({(1, 2)}))  # vertex 1 has no in-edge
+        g = Digraph.from_edges(2, frozenset({(1, 2)}))  # vertex 1 has no in-edge
         with pytest.raises(iv.PreconditionError, match="vertex 1"):
             tg_step(g, TriStateColoring((1, 1)))
 
@@ -790,7 +836,7 @@ class TestTriStateBoundSampled:
                 for w in range(1, n + 1)
                 if rng.random() < 0.35
             }
-            g = Digraph(n, frozenset(edges))
+            g = Digraph.from_edges(n, frozenset(edges))
             if is_ergodic(g).ergodic:
                 return g
 
@@ -806,7 +852,7 @@ class TestTriStateBoundSampled:
                 runs += 1
                 assert report.steps_to_constant is not None
                 assert report.steps_to_constant <= q0
-                if not c0.is_constant or c0.constant_value == 0:
+                if len(set(c0.values)) > 1 or c0.values[0] == 0:
                     assert report.constant_value == 0
         assert runs == 10_000
 
@@ -864,7 +910,7 @@ def random_tg_graph(rng: Random, n: int) -> Digraph:
     for w in range(1, n + 1):
         if not any(b == w for _, b in edges):
             edges.add((rng.randint(1, n), w))
-    return Digraph(n, frozenset(edges))
+    return Digraph.from_edges(n, frozenset(edges))
 
 
 def assert_bounded_run_agrees(g: Digraph, c0: TriStateColoring) -> tuple:
@@ -924,7 +970,7 @@ class TestTgBound:
         colorings = [TriStateColoring(c) for c in itertools.product((-1, 0, 1), repeat=4)]
         for index in sorted(chosen):
             masks = in_masks[index].tolist()
-            g = Digraph(4, frozenset((u + 1, v + 1) for v, m in enumerate(masks)
+            g = Digraph.from_edges(4, frozenset((u + 1, v + 1) for v, m in enumerate(masks)
                                      for u in range(4) if m >> u & 1))
             for c0 in colorings:
                 _, first, _, _ = assert_bounded_run_agrees(g, c0)
@@ -972,3 +1018,44 @@ class TestTgBound:
             for start, n in zip(starts, lengths):
                 want[start + k % n] = 1
             assert c.values == tuple(want), k
+
+
+class TestTgChecksOnce:
+    """`tg_stabilize` checks c0 once, not at every step: one coverage check
+    per run, one in-neighbour check when c0 is not constant and none when it
+    is, and one coloring made per step, for the trace.  The runs are those
+    of `TestTgBound.test_random_graphs_index_within_the_bound`, and each is
+    held to the run with no bound as there."""
+
+    def test_one_check_per_run(self, monkeypatch):
+        calls = dict.fromkeys(["_sign_masks", "_check_in_neighbours", "_coloring"], 0)
+        for name in calls:
+            def counted(*args, fn=getattr(digraph, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(digraph, name, counted)
+        rng = Random(1970)
+        runs = steps = 0
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            g = random_tg_graph(rng, n)
+            for _ in range(12):
+                c0 = TriStateColoring(tuple(rng.choice((-1, 0, 1)) for _ in range(n)))
+                calls.update(dict.fromkeys(calls, 0))
+                trace = assert_bounded_run_agrees(g, c0)[0]
+                taken = min(len(trace), (n - 1) ** 2 + 2) - 1
+                assert calls == {"_sign_masks": 1, "_check_in_neighbours": len(set(c0.values)) > 1,
+                                 "_coloring": taken}, (g.sorted_edges(), c0.values)
+                runs += 1
+                steps += taken
+        assert runs == 1800 and steps > 4 * runs  # a check per step would show
+
+    def test_tg_step_is_the_same_step(self):
+        rng = Random(42)
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            g = random_tg_graph(rng, n)
+            c0 = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+            trace = tg_until_repeat(g.in_masks, c0)[0]
+            # a constant coloring is its own step
+            assert tg_step(g, TriStateColoring(c0)).values == trace[min(1, len(trace) - 1)], c0

@@ -38,12 +38,13 @@ def test_every_entry_has_a_run():
 
 
 def test_the_runs():
-    # ten specs, five commands each, in human and --json form; the order-1e17
-    # spec is the one whose verify samples the properties of K
+    # eleven specs, five commands each, in human and --json form; the
+    # order-1e17 spec is the one whose verify samples the properties of K,
+    # and wielandt16's invariant run the one that ends at max_iter
     assert [Path(spec).stem for spec in golden.specs()[5:]] == [
-        "cycle8", "example2-order1e17", "fed5", "ring32", "tworings10",
+        "cycle8", "example2-order1e17", "fed5", "ring32", "tworings10", "wielandt16",
     ]
-    assert len(golden.specs()) == 10 and len(RUNS) == 100
+    assert len(golden.specs()) == 11 and len(RUNS) == 110
     assert dict(RUNS)["example2-order1e17.tg-json"] == [
         "tg", "tests/golden/specs/example2-order1e17.json", "--json", "--", "-1,0,1,1",
     ]
@@ -85,7 +86,7 @@ def test_check_names_the_entry_that_moved(tmp_path, monkeypatch, capsys):
         " value: 29.9812572725",
         " error_radius: 1.82031349993e-08",
         "missing: example5.analyze-json",
-        "100 runs, 3 entries moved, missing or without a run",
+        "110 runs, 3 entries moved, missing or without a run",
     ]
     assert golden.main(["--check", "--now"]) == 1  # an unknown argument
 

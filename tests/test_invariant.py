@@ -205,7 +205,7 @@ COUNTED = {
     "solve_invariant_equation": lambda m, n: solve_invariant_equation(max, m, n_samples=n),
     "Mean": lambda m, n: iv.Mean(n, iv.POSITIVE_REALS, max),
     "PowerMeanSpec": lambda m, n: iv.PowerMeanSpec(1.0, n),
-    "Digraph": lambda m, n: iv.Digraph(n, frozenset()),
+    "Digraph": lambda m, n: iv.Digraph.from_edges(n, frozenset()),
     "spec_mean": lambda m, n: one_mean_spec(n),
 }
 #: what the error names, where it is not n_samples; the spec loader's

@@ -392,6 +392,20 @@ class TestPlan:
         m.nth_iterate((1.0, 2.0, 3.0, 4.0), averaging._COMPILE_AFTER + 1)
         assert compiled == [m] and vars(m)["_steps"].__qualname__ == "ComposedMapping._steps"
 
+    @pytest.mark.parametrize("foreign", [False, True])
+    def test_the_compile_decision_builds_no_graph(self, foreign):
+        # the decision reads the means alone: past the constant a mapping of
+        # library power means compiles, one with another mean stays on its
+        # row functions, and neither builds its incidence graph
+        m = iv.load_mapping_spec(iv.fixture_path("example2.json")).build()
+        if foreign:
+            means = (iv.Mean(2, m.interval, lambda t: (t[0] + t[1]) / 2), *m.means[1:])
+            m = iv.ComposedMapping(means, m.interval, m.alpha)
+        m.nth_iterate((1.0, 2.0, 3.0, 4.0), averaging._COMPILE_AFTER + 1)
+        m.nth_iterate((1.0, 2.0, 3.0, 4.0), 1)
+        assert ("_steps" in vars(m)) != foreign and m._power_rows != foreign
+        assert "graph" not in vars(m) and "_iteration" not in vars(m)
+
     def test_a_dropped_mapping_is_freed_without_the_collector(self):
         # nothing the instance keeps refers back to it, and the kernel's
         # globals do not hold the kernel, so no cycle keeps either

@@ -26,6 +26,11 @@ tests/golden/specs/:
     cycle8              a pure cycle of p = 8 means of arity 1 (period 8)
     fed5                two initial classes {1, 2} and {3, 4} that both feed
                         vertex 5
+    wielandt16          the 16-cycle with the chord 16 -> 2, read by one
+                        geometric mean of arity 2 and arithmetic means of
+                        arity 1 (ergodic, q0 = 15^2 + 1 = 226, Wielandt's
+                        bound); its invariant run ends at max_iter after
+                        10 000 steps
 
 Each run is made in this process through `invmean.cli.main`, from the
 root of the repository, on the package under src/, which is put first on
